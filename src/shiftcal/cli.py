@@ -52,12 +52,19 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         "out_dir": str(args.out) if args.out else None,
         "weight_mode": args.weight_mode,
     }
-    if getattr(args, "m", None):
+    if getattr(args, "m", None) is not None:
         overrides["m"] = args.m
         overrides["herd_size"] = args.m
     if args.config:
         return ExperimentConfig.from_json(args.config, **overrides)
     return preset(args.preset, **overrides)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _int_list(text: str) -> list[int]:
@@ -167,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="run the full calibration pipeline")
     _add_common(p)
-    p.add_argument("--m", type=int, default=None, help="number of prior draws override")
+    p.add_argument("--m", type=_positive_int, default=None, help="number of prior draws override")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("rmse-curve", help="RMSE versus simulation budget")

@@ -59,8 +59,9 @@ class ExperimentConfig:
     mh: dict | None = None
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1 or self.herd_size < 1 or self.n_test < 1:
-            raise ValueError("n, m, herd_size, and n_test must all be >= 1")
+        for name in ("n", "m", "herd_size", "n_test"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.pool_extra < 0:
             raise ValueError(f"pool_extra must be >= 0, got {self.pool_extra}")
         if (self.epsilon is None) == (self.epsilon_schedule is None):
@@ -195,6 +196,9 @@ class ExperimentConfig:
         data.update({k: v for k, v in overrides.items() if v is not None})
         m = int(data["m"])
         n = int(data["n"])
+        # absent (or null) sizes default; any given value, 0 included, is validated
+        herd_size = data.get("herd_size")
+        n_test = data.get("n_test")
         return cls(
             simulator=data["simulator"],
             simulator_options=data.get("simulator_options") or {},
@@ -205,8 +209,8 @@ class ExperimentConfig:
             prior=data["prior"],
             n=n,
             m=m,
-            herd_size=int(data.get("herd_size") or m),
-            n_test=int(data.get("n_test") or n),
+            herd_size=m if herd_size is None else int(herd_size),
+            n_test=n if n_test is None else int(n_test),
             epsilon=float(data["epsilon"]) if "epsilon" in data else None,
             epsilon_schedule=data.get("epsilon_schedule"),
             bandwidth=data.get("bandwidth", "median"),

@@ -197,10 +197,14 @@ class PosteriorEmbedding:
         return text
 
     @classmethod
-    def from_json(cls, source) -> "PosteriorEmbedding":
-        if isinstance(source, (str, Path)) and "\n" not in str(source):
-            source = Path(source).read_text()
-        payload = json.loads(source)
+    def read_json(cls, path) -> "PosteriorEmbedding":
+        """Load an embedding from a file written by ``to_json(path)``."""
+        return cls.from_json(Path(path).read_text())
+
+    @classmethod
+    def from_json(cls, text: str) -> "PosteriorEmbedding":
+        """Load an embedding from JSON text (``read_json`` takes a path)."""
+        payload = json.loads(text)
         return cls(
             draws=np.asarray(payload["draws"], dtype=float),
             weights=np.asarray(payload["weights"], dtype=float),
@@ -250,10 +254,15 @@ def build_embedding(
     sigma2_theta: float,
     epsilon: float,
     meta: dict | None = None,
+    sqdist: np.ndarray | None = None,
 ) -> PosteriorEmbedding:
-    """Solve for the embedding weights given simulations and observations."""
+    """Solve for the embedding weights given simulations and observations.
+
+    ``sqdist``, if given, is ``pairwise_sqdist(pseudo.values, beta)`` and is
+    overwritten by the Gram matrix.
+    """
     kernel = WeightedOutputKernel(sigma2=sigma2, beta=np.asarray(beta, dtype=float))
-    system = gram_and_rhs(pseudo.values, dataset.y, kernel, epsilon)
+    system = gram_and_rhs(pseudo.values, dataset.y, kernel, epsilon, sqdist)
     w = regularized_solve(system)
     info = {"sigma2": sigma2, "epsilon": epsilon, "n": dataset.n, "m": pseudo.m}
     if meta:

@@ -31,7 +31,7 @@ from .kabc import (
     sample_prior,
     simulate_pseudo_outputs,
 )
-from .kern import median_heuristic
+from .kern import median_heuristic, median_sqdist, pairwise_sqdist
 from .predict import PredictiveSample, generate_test_inputs, score_predictions
 from .sim import Dataset, generate_dataset
 from .weights import ImportanceWeights, importance_weights, ordinary_weights
@@ -108,6 +108,25 @@ def resolve_weights(cfg: ExperimentConfig, dataset: Dataset) -> ImportanceWeight
     return ImportanceWeights(load_beta_csv(cfg.weights_csv, dataset.n))
 
 
+def resolve_bandwidths(cfg: ExperimentConfig, pseudo: PseudoOutputs, beta: ImportanceWeights):
+    """sigma2, sigma2_theta and epsilon of a run, plus the output distances.
+
+    Under the median heuristic the beta-weighted output distance matrix is
+    computed here, once, and returned for the Gram matrix to be built in;
+    with fixed bandwidths it is None and the Gram step computes it.
+    """
+    sqdist = None
+    if cfg.bandwidth == "median":
+        # theta first, so its m x m scratch is freed before the output matrix exists
+        sigma2_theta = median_heuristic(pseudo.thetas)
+        sqdist = pairwise_sqdist(pseudo.values, np.asarray(beta))
+        sigma2 = median_sqdist(sqdist)
+    else:
+        sigma2 = float(cfg.bandwidth["sigma2"])
+        sigma2_theta = float(cfg.bandwidth["sigma2_theta"])
+    return sigma2, sigma2_theta, cfg.resolve_epsilon(cfg.m), sqdist
+
+
 def calibrate(cfg: ExperimentConfig, dataset: Dataset | None = None) -> CalibrationResult:
     """Run the full pipeline in memory and return all intermediates."""
     sim = cfg.build_simulator()
@@ -125,13 +144,7 @@ def calibrate(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Calibrat
     with _timed(timings, "pseudo-outputs"):
         pseudo = simulate_pseudo_outputs(sim, thetas, dataset.x, derive_seed(cfg.seed, "pseudo"))
     with _timed(timings, "bandwidths"):
-        if cfg.bandwidth == "median":
-            sigma2 = median_heuristic(pseudo.values, weights=np.asarray(beta))
-            sigma2_theta = median_heuristic(pseudo.thetas)
-        else:
-            sigma2 = float(cfg.bandwidth["sigma2"])
-            sigma2_theta = float(cfg.bandwidth["sigma2_theta"])
-        epsilon = cfg.resolve_epsilon(cfg.m)
+        sigma2, sigma2_theta, epsilon, sqdist = resolve_bandwidths(cfg, pseudo, beta)
     with _timed(timings, "embedding"):
         embedding = build_embedding(
             pseudo,
@@ -141,7 +154,9 @@ def calibrate(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Calibrat
             sigma2_theta=sigma2_theta,
             epsilon=epsilon,
             meta={"seed": cfg.seed, "weight_mode": cfg.weight_mode},
+            sqdist=sqdist,
         )
+        del sqdist  # now holds the Gram matrix; release it before herding
     with _timed(timings, "herding"):
         extra = None
         if cfg.pool_extra:
@@ -500,15 +515,11 @@ def theorem1_check(
     )
     thetas = sample_prior(cfg.build_prior(), cfg.m, derive_seed(cfg.seed, "prior"))
     pseudo = simulate_pseudo_outputs(sim, thetas, dataset.x, derive_seed(cfg.seed, "pseudo"))
-    if cfg.bandwidth == "median":
-        sigma2 = median_heuristic(pseudo.values, weights=np.asarray(beta))
-        sigma2_theta = median_heuristic(pseudo.thetas)
-    else:
-        sigma2 = float(cfg.bandwidth["sigma2"])
-        sigma2_theta = float(cfg.bandwidth["sigma2_theta"])
-    epsilon = cfg.resolve_epsilon(cfg.m)
+    sigma2, sigma2_theta, epsilon, sqdist = resolve_bandwidths(cfg, pseudo, beta)
 
-    from_data = build_embedding(pseudo, dataset, beta, sigma2, sigma2_theta, epsilon)
+    from_data = build_embedding(
+        pseudo, dataset, beta, sigma2, sigma2_theta, epsilon, sqdist=sqdist
+    )
     optimal_dataset = Dataset(dataset.x, optimal_outputs, seed=dataset.seed)
     from_optimal = build_embedding(pseudo, optimal_dataset, beta, sigma2, sigma2_theta, epsilon)
 

@@ -41,6 +41,14 @@ def test_calibrate_preset_with_overrides(tmp_path, capsys):
     assert report["seed"] == 3
 
 
+def test_zero_m_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", "--preset", "linear-shift", "--m", "0", "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert "argument --m: must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_weight_mode_flag_changes_run(tiny_config, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     main(["calibrate", "--config", str(tiny_config), "--out", str(out_a)])

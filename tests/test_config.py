@@ -58,6 +58,17 @@ class TestConfigValidation:
     def test_n_test_defaults_to_n(self):
         assert preset("linear-shift").n_test == 100
 
+    @pytest.mark.parametrize("field", ["herd_size", "n_test"])
+    def test_zero_size_rejected_not_defaulted(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
+            ExperimentConfig.from_dict({**PRESETS["linear-shift"], field: 0})
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
+            preset("linear-shift", **{field: 0})
+
+    def test_null_size_takes_default(self):
+        cfg = ExperimentConfig.from_dict({**PRESETS["linear-shift"], "herd_size": None})
+        assert cfg.herd_size == cfg.m
+
     def test_epsilon_exclusivity(self):
         raw = {**PRESETS["linear-shift"], "epsilon_schedule": {"C": 1.0, "b": 2.0}}
         with pytest.raises(ValueError, match="exactly one"):

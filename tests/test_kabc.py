@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -223,11 +224,20 @@ class TestEmbeddingEval:
         )
         path = tmp_path / "embedding.json"
         emb.to_json(path)
-        back = PosteriorEmbedding.from_json(path)
+        back = PosteriorEmbedding.read_json(path)
         assert np.array_equal(back.draws, emb.draws)
         assert np.array_equal(back.weights, emb.weights)
         assert back.kernel.sigma2 == emb.kernel.sigma2
         assert back.meta == {"seed": 9}
+
+    def test_one_line_json_text(self):
+        # text without a newline is JSON, never mistaken for a file path
+        emb = PosteriorEmbedding(np.ones((2, 1)), np.array([0.25, -0.5]), ParamKernel(1.5))
+        text = json.dumps(json.loads(emb.to_json()))
+        assert "\n" not in text
+        back = PosteriorEmbedding.from_json(text)
+        assert np.array_equal(back.weights, emb.weights)
+        assert back.kernel.sigma2 == 1.5
 
 
 class TestEmbeddingDistance:

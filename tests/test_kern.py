@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shiftcal.kern import (
     DegenerateBandwidthError,
@@ -11,6 +14,7 @@ from shiftcal.kern import (
     WeightedOutputKernel,
     gram_and_rhs,
     median_heuristic,
+    median_sqdist,
     pairwise_sqdist,
     param_kernel_eval,
     regularized_solve,
@@ -223,3 +227,164 @@ class TestRegularizedSolve:
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):
             GramSystem(np.array([[1.0]]), np.array([1.0]), 0.0)
+
+
+# -- properties of the one-pass distances, against explicit differences --------
+
+EPS = np.finfo(float).eps
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def explicit_sqdist(vectors, weights=None):
+    """Reference: every pair from its own explicit difference vector."""
+    mat = np.atleast_2d(np.asarray(vectors, dtype=float).T).T
+    w = np.ones(mat.shape[1]) if weights is None else np.asarray(weights, dtype=float)
+    diff = mat[:, None, :] - mat[None, :, :]
+    return np.einsum("ijk,ijk,k->ij", diff, diff, w)
+
+
+def lower_median_of_pairs(dist):
+    pairs = np.sort(dist[np.triu_indices_from(dist, k=1)])
+    return float(pairs[(pairs.size - 1) // 2])
+
+
+@st.composite
+def vector_sets(draw, max_m=30, max_n=20):
+    m = draw(st.integers(1, max_m))
+    n = draw(st.integers(1, max_n))
+    values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    mat = draw(arrays(float, (m, n), elements=values))
+    weights = draw(st.none() | arrays(float, n, elements=st.floats(0.0, 10.0)))
+    return mat, weights
+
+
+@st.composite
+def sample_sets(draw, min_n=1, max_n=60):
+    """Gaussian-like data as a simulator produces it: offset, spread, weights."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(2, 80))
+    n = draw(st.integers(min_n, max_n))
+    offset = draw(st.floats(-1e6, 1e6))
+    scale = draw(st.floats(1e-3, 1e3))
+    mat = offset + rng.normal(size=n) + scale * rng.normal(size=(m, n))
+    return mat, rng.uniform(0.0, 3.0, size=n), rng
+
+
+class TestPairwiseSqdistProperties:
+    @PROPERTY
+    @given(vector_sets())
+    def test_symmetric_zero_diagonal_nonnegative(self, case):
+        mat, weights = case
+        dist = pairwise_sqdist(mat, weights)
+        assert np.array_equal(dist, dist.T)
+        assert np.all(np.diag(dist) == 0.0)
+        assert np.all(dist >= 0.0)
+
+    @PROPERTY
+    @given(vector_sets())
+    def test_error_within_rounding_of_centred_norms(self, case):
+        mat, weights = case
+        w = np.ones(mat.shape[1]) if weights is None else weights
+        centred = mat - mat.mean(axis=0)
+        norms = np.einsum("ij,ij,j->i", centred, centred, w)
+        bound = 8 * (mat.shape[1] + 4) * EPS * (norms[:, None] + norms[None, :])
+        err = np.abs(pairwise_sqdist(mat, weights) - explicit_sqdist(mat, weights))
+        assert np.all(err <= bound)
+
+    @PROPERTY
+    @given(sample_sets())
+    def test_error_relative_to_median_distance(self, case):
+        mat, weights, _ = case
+        ref = explicit_sqdist(mat, weights)
+        err = np.max(np.abs(pairwise_sqdist(mat, weights) - ref))
+        assert err <= 1e-12 * lower_median_of_pairs(ref)
+
+    @PROPERTY
+    @given(sample_sets(max_n=120))
+    def test_identical_rows_exactly_zero(self, case):
+        mat, weights, rng = case
+        copies = rng.integers(0, mat.shape[0], size=mat.shape[0])
+        mat = mat[copies]
+        dist = pairwise_sqdist(mat, weights)
+        same = copies[:, None] == copies[None, :]
+        assert np.all(dist[same] == 0.0)
+        assert np.all(dist[~same] > 0.0)
+
+    @PROPERTY
+    @given(st.integers(2, 60), st.integers(50, 150), st.integers(0, 2**32 - 1))
+    def test_all_duplicate_rows_degenerate(self, m, n, seed):
+        weights = np.random.default_rng(seed).uniform(0.1, 3.0, size=n)
+        rows = np.tile(0.1 * np.arange(1, n + 1), (m, 1))
+        with pytest.raises(DegenerateBandwidthError):
+            median_heuristic(rows, weights=weights)
+
+    @PROPERTY
+    @given(sample_sets(max_n=10))
+    def test_median_is_lower_median_of_pairs(self, case):
+        mat, weights, _ = case
+        dist = pairwise_sqdist(mat, weights)
+        assert median_sqdist(dist) == lower_median_of_pairs(dist)
+        assert median_heuristic(mat, weights) == median_sqdist(dist)
+
+
+class TestSharedDistanceBuffer:
+    def test_gram_built_in_the_distance_buffer(self):
+        rng = np.random.default_rng(9)
+        outputs, beta = rng.normal(size=(30, 6)), rng.uniform(0.5, 2.0, size=6)
+        kern = WeightedOutputKernel(4.0, beta)
+        sqdist = pairwise_sqdist(outputs, beta)
+        gram = kern.gram(outputs, sqdist)
+        assert np.shares_memory(gram, sqdist)
+        assert np.array_equal(gram, kern.gram(outputs))
+        assert np.array_equal(gram, gram.T) and np.all(np.diag(gram) == 1.0)
+
+    def test_distance_matrix_shape_checked(self):
+        kern = WeightedOutputKernel(1.0, np.ones(2))
+        with pytest.raises(ValueError, match="distance matrix"):
+            kern.gram(np.zeros((3, 2)), np.zeros((2, 2)))
+
+    def test_calibrate_makes_one_output_and_one_theta_pass(self, monkeypatch):
+        from shiftcal import kern, pipeline
+        from shiftcal.config import preset
+
+        calls = []
+
+        def counted(vectors, weights=None):
+            calls.append(np.shape(vectors))
+            return pairwise_sqdist(vectors, weights)
+
+        monkeypatch.setattr(kern, "pairwise_sqdist", counted)
+        monkeypatch.setattr(pipeline, "pairwise_sqdist", counted)
+        pipeline.calibrate(preset("linear-shift", n=24, m=16, herd_size=16, n_test=24))
+        assert sorted(calls) == [(16, 2), (16, 24)]
+
+
+class TestRegularizedSolveProperties:
+    @PROPERTY
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 150),
+        st.floats(0.5, 50.0),
+        st.floats(-8.0, 0.0),
+    )
+    def test_residual_bound(self, seed, m, sigma2, log_eps):
+        rng = np.random.default_rng(seed)
+        kern = WeightedOutputKernel(sigma2, rng.uniform(0.2, 3.0, size=10))
+        eps = 10.0**log_eps
+        system = gram_and_rhs(rng.normal(size=(m, 10)), rng.normal(size=10), kern, eps)
+        gram_before = system.gram.copy()
+        w = regularized_solve(system)
+        residual = system.gram @ w + m * eps * w - system.rhs
+        assert np.max(np.abs(residual)) <= 1e-10 * max(1.0, np.max(np.abs(system.rhs)))
+        assert np.array_equal(system.gram, gram_before)
+
+    def test_gate_raises_when_bound_exceeded(self, monkeypatch):
+        from shiftcal import kern
+
+        rng = np.random.default_rng(10)
+        system = gram_and_rhs(
+            rng.normal(size=(40, 5)), rng.normal(size=5), WeightedOutputKernel(2.0, np.ones(5)), 1e-3
+        )
+        monkeypatch.setattr(kern, "SOLVE_RTOL", 0.0)
+        with pytest.raises(SolveError, match="exceeds bound"):
+            regularized_solve(system)
