@@ -54,12 +54,9 @@ from .sim import (
     LinearSimulator,
     PiecewiseTruth,
     Simulator,
-    assembly_sim,
     cubic_truth,
     generate_dataset,
     get_simulator,
-    linear_sim,
-    piecewise_truth,
     register_simulator,
 )
 from .weights import (

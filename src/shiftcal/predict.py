@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._seeding import derive_rng, derive_seed
+from ._seeding import derive_rng, derive_seed, derive_seeds
 from .herd import HerdedSamples
 from .sim import Simulator, TruthFn
 from .weights import DensitySpec
@@ -53,14 +53,12 @@ def predict(sim: Simulator, x: float, samples, seed: int = 0) -> PredictiveSampl
         outputs = sim.evaluate_params(float(x), points)
     else:
         seen: dict[bytes, int] = {}
-        outputs = np.empty(points.shape[0])
-        for j, theta in enumerate(points):
+        keys = []
+        for theta in points:
             key = theta.tobytes()
-            occurrence = seen.get(key, 0) + 1
-            seen[key] = occurrence
-            outputs[j] = sim.evaluate(
-                float(x), theta, derive_seed(seed, "predict", theta, occurrence)
-            )
+            seen[key] = seen.get(key, 0) + 1
+            keys.append((theta, seen[key]))
+        outputs = sim.evaluate_params(float(x), points, derive_seeds((seed, "predict"), keys))
     return PredictiveSample(x=float(x), outputs=outputs, mean=float(np.mean(outputs)))
 
 

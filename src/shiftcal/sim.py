@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._seeding import derive_rng, derive_seed
+from ._seeding import derive_rng, derive_seed, derive_seeds, stream_normals
 from .weights import DensitySpec
 
 # Truth functions take (x, seed); deterministic ones ignore the seed.
@@ -31,15 +31,28 @@ TruthFn = Callable[[float, int], float]
 
 
 class Simulator(ABC):
-    """Evaluation-only interface: no gradients, no internal structure."""
+    """Evaluation-only interface: no gradients, no internal structure.
+
+    ``evaluate_params`` is the batched core; ``evaluate`` is a one-row call
+    of it.
+    """
 
     name: str = "simulator"
     dim_theta: int = 0
     deterministic: bool = False
 
     @abstractmethod
+    def evaluate_params(self, x: float, thetas, seed=0) -> np.ndarray:
+        """Evaluate one input under several parameter vectors (rows of ``thetas``).
+
+        A scalar ``seed`` is shared by every row, so rows differ only in
+        their parameters (common random numbers); a sequence of
+        ``len(thetas)`` seeds gives row r the seed ``seed[r]``.
+        """
+
     def evaluate(self, x: float, theta, seed: int = 0) -> float:
         """Run one simulation at input ``x`` with parameters ``theta``."""
+        return float(self.evaluate_params(x, self._check_theta(theta)[None], seed)[0])
 
     def evaluate_many(self, xs, theta, seed: int = 0) -> np.ndarray:
         """Evaluate at several inputs with a shared base seed.
@@ -49,11 +62,6 @@ class Simulator(ABC):
         """
         xs = np.asarray(xs, dtype=float)
         return np.array([self.evaluate(float(x), theta, seed) for x in xs])
-
-    def evaluate_params(self, x: float, thetas, seed: int = 0) -> np.ndarray:
-        """Evaluate one input under several parameter vectors."""
-        thetas = np.asarray(thetas, dtype=float)
-        return np.array([self.evaluate(x, theta, seed) for theta in thetas])
 
     def _check_theta(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -84,11 +92,6 @@ class LinearSimulator(Simulator):
         if thetas.ndim != 2 or thetas.shape[1] != self.dim_theta:
             raise ValueError(f"expected (m, {self.dim_theta}) parameters, got {thetas.shape}")
         return thetas[:, 0] + thetas[:, 1] * x
-
-
-def linear_sim(x: float, theta) -> float:
-    """Intercept-plus-slope evaluation of the linear benchmark model."""
-    return LinearSimulator().evaluate(x, theta)
 
 
 def cubic_truth(x: float, seed: int = 0) -> float:
@@ -148,39 +151,71 @@ class AssemblyLineSimulator(Simulator):
             raise ValueError(f"batch size must be >= 1, got {batch_size}")
         self.batch_size = batch_size
 
-    def evaluate(self, x: float, theta, seed: int = 0) -> float:
-        theta = self._check_theta(theta)
-        if not np.isfinite(x) or x < 1:
-            raise ValueError(f"product count must be >= 1, got x={x}")
-        if np.any(theta < 0):
-            raise ValueError(f"assembly-line parameters must be non-negative, got {theta}")
-        count = int(round(float(x)))
+    def evaluate_params(self, x: float, thetas, seed=0) -> np.ndarray:
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2 or thetas.shape[1] != self.dim_theta:
+            raise ValueError(f"expected (m, {self.dim_theta}) parameters, got {thetas.shape}")
+        x = float(x)
         # The stream depends on (seed, x) but not theta: one seed indexes
         # one realization of the underlying randomness, and parameters
         # transform it (common random numbers across parameter values).
-        rng = derive_rng(seed, "assembly", float(x))
+        if np.ndim(seed) == 0:
+            streams = [derive_seed(seed, "assembly", x)]
+        else:
+            if len(seed) != len(thetas):
+                raise ValueError(f"got {len(seed)} seeds for {len(thetas)} parameter rows")
+            streams = derive_seeds((), ((s,) for s in seed), ("assembly", x))
+        return self._makespans(np.array([x]), thetas, streams)
 
-        mean_asm, sd_asm, mean_insp, sd_insp = theta
-        durations = np.maximum(mean_asm + sd_asm * rng.standard_normal(count), 0.0)
-        completion = np.cumsum(durations)
+    def evaluate_many(self, xs, theta, seed: int = 0) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float).reshape(-1)
+        theta = self._check_theta(theta)
+        streams = derive_seeds((seed, "assembly"), ((float(x),) for x in xs))
+        return self._makespans(xs, theta[None], streams)
 
-        # Batch b is ready when its last product leaves assembly.
-        ready = completion[self.batch_size - 1 :: self.batch_size]
-        if count % self.batch_size:
-            ready = np.append(ready, completion[-1])
-        n_batches = ready.size
-        inspect = np.maximum(mean_insp + sd_insp * rng.standard_normal(n_batches), 0.0)
+    def _makespans(self, xs, thetas, streams) -> np.ndarray:
+        """Makespan per row r of ``xs[r]`` products under ``thetas[r]``.
+
+        Row r draws its assembly normals, then its inspection normals,
+        from ``default_rng(streams[r])``.  Arguments of length 1 broadcast
+        over rows.  Rows with fewer products or batches are padded: the
+        schedule is built from prefix sums and a running max, so padding
+        never reaches a row's last real batch, which is where its
+        makespan is read.
+        """
+        bad = ~(np.isfinite(xs) & (xs >= 1))
+        if bad.any():
+            raise ValueError(f"product count must be >= 1, got x={xs[bad][0]}")
+        for ok, what in ((np.isfinite(thetas), "finite"), (thetas >= 0, "non-negative")):
+            bad = ~ok.all(axis=1)
+            if bad.any():
+                raise ValueError(f"assembly-line parameters must be {what}, got {thetas[bad][0]}")
+        if len(thetas) == 0 or len(xs) == 0:
+            return np.empty(0)
+        size = self.batch_size
+        counts = np.rint(xs).astype(np.intp)[:, None]
+        n_batches = -(-counts // size)
+        width, depth = int(counts.max()), int(n_batches.max())
+        z = stream_normals(streams, width + depth)
+        mean_asm, sd_asm, mean_insp, sd_insp = np.hsplit(thetas, 4)
+
+        durations = np.maximum(mean_asm + sd_asm * z[:, :width], 0.0)
+        completion = np.cumsum(durations, axis=1)
+
+        # Batch b is ready when its last product leaves assembly; a trailing
+        # partial batch when the last product does.
+        batch = np.arange(depth)
+        last = np.minimum((batch + 1) * size, counts) - 1
+        ready = np.take_along_axis(completion, last, axis=1)
+        z_insp = np.take_along_axis(z, counts + batch, axis=1)
+        inspect = np.maximum(mean_insp + sd_insp * z_insp, 0.0)
 
         # finish_b = max(ready_b, finish_{b-1}) + inspect_b, unrolled into
         # a running max so the whole schedule vectorizes.
-        cum_inspect = np.cumsum(inspect)
+        cum_inspect = np.cumsum(inspect, axis=1)
         slack = ready - (cum_inspect - inspect)
-        return float(cum_inspect[-1] + np.maximum.accumulate(slack)[-1])
-
-
-def assembly_sim(x: float, theta, seed: int = 0, batch_size: int = 4) -> float:
-    """One run of the assembly-line simulator."""
-    return AssemblyLineSimulator(batch_size=batch_size).evaluate(x, theta, seed)
+        finish = cum_inspect + np.maximum.accumulate(slack, axis=1)
+        return np.take_along_axis(finish, n_batches - 1, axis=1)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -196,22 +231,13 @@ class PiecewiseTruth:
     theta_hi: tuple
     breakpoint: float
 
+    def __post_init__(self):
+        if not np.isfinite(self.breakpoint):
+            raise ValueError(f"breakpoint must be finite, got {self.breakpoint}")
+
     def __call__(self, x: float, seed: int = 0) -> float:
         theta = self.theta_hi if x >= self.breakpoint else self.theta_lo
         return self.base_sim.evaluate(x, theta, seed)
-
-
-def piecewise_truth(
-    x: float,
-    theta_lo,
-    theta_hi,
-    breakpoint: float,
-    base_sim: Simulator,
-    seed: int = 0,
-) -> float:
-    if not np.isfinite(breakpoint):
-        raise ValueError(f"breakpoint must be finite, got {breakpoint}")
-    return PiecewiseTruth(base_sim, tuple(theta_lo), tuple(theta_hi), breakpoint)(x, seed)
 
 
 # Default regime parameters and breakpoint for the shipped assembly-line

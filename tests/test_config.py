@@ -92,6 +92,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({**base, "bandwidth": {"sigma2": 1.0}})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_breakpoint_rejected(self, bad):
+        base = PRESETS["assembly-shift"]
+        truth = {**base["truth"], "breakpoint": bad}
+        with pytest.raises(ValueError, match="breakpoint"):
+            ExperimentConfig.from_dict({**base, "truth": truth})
+
     def test_weight_csv_mode_needs_path(self):
         with pytest.raises(ValueError, match="weights_csv"):
             ExperimentConfig.from_dict({**PRESETS["linear-shift"], "weight_mode": "csv"})

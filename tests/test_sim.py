@@ -7,25 +7,25 @@ from shiftcal.sim import (
     DataGeneratingProcess,
     Dataset,
     LinearSimulator,
-    assembly_sim,
+    PiecewiseTruth,
     cubic_truth,
     generate_dataset,
     get_simulator,
-    linear_sim,
-    piecewise_truth,
 )
 from shiftcal.weights import DensitySpec
 
 
 class TestLinearSim:
+    sim = LinearSimulator()
+
     def test_intercept_at_zero(self):
-        assert linear_sim(0.0, (3.0, 7.0)) == 3.0
+        assert self.sim.evaluate(0.0, (3.0, 7.0)) == 3.0
 
     def test_identity_slope(self):
-        assert linear_sim(1.0, (0.0, 1.0)) == 1.0
+        assert self.sim.evaluate(1.0, (0.0, 1.0)) == 1.0
 
     def test_direct_substitution(self):
-        assert linear_sim(2.0, (1.0, -1.0)) == -1.0
+        assert self.sim.evaluate(2.0, (1.0, -1.0)) == -1.0
 
     def test_vectorized_paths_agree(self):
         sim = LinearSimulator()
@@ -39,7 +39,7 @@ class TestLinearSim:
 
     def test_dimension_check(self):
         with pytest.raises(ValueError):
-            linear_sim(0.0, (1.0, 2.0, 3.0))
+            self.sim.evaluate(0.0, (1.0, 2.0, 3.0))
 
 
 class TestCubicTruth:
@@ -54,21 +54,23 @@ class TestCubicTruth:
 
 
 class TestAssemblySim:
+    sim = AssemblyLineSimulator()
+
     # hand-stepped schedules with degenerate (zero-spread) service times
     def test_four_products_one_batch(self):
-        assert assembly_sim(4, (2, 0, 5, 0), seed=11) == 13.0
+        assert self.sim.evaluate(4, (2, 0, 5, 0), 11) == 13.0
 
     def test_eight_products_two_batches(self):
         # batch 1 inspected 8->13; batch 2 ready at 16 > 13, so 16->21
-        assert assembly_sim(8, (2, 0, 5, 0), seed=22) == 21.0
+        assert self.sim.evaluate(8, (2, 0, 5, 0), 22) == 21.0
 
     def test_single_product_partial_batch(self):
-        assert assembly_sim(1, (2, 0, 5, 0), seed=33) == 7.0
+        assert self.sim.evaluate(1, (2, 0, 5, 0), 33) == 7.0
 
     def test_inspection_bottleneck(self):
         # theta3 > 4*theta1: batches pile up behind the inspector
         # hand schedule: assembly done 1,2,...,8; inspections 4->14, 14->24
-        assert assembly_sim(8, (1, 0, 10, 0), seed=5) == 24.0
+        assert self.sim.evaluate(8, (1, 0, 10, 0), 5) == 24.0
 
     def test_closed_form_equivalence_zero_spreads(self):
         # brute-force equivalence of the event loop with the closed form
@@ -81,32 +83,52 @@ class TestAssemblySim:
                         expected = x * theta1 + theta3
                     else:
                         expected = 4 * theta1 + (x // 4) * theta3
-                    got = assembly_sim(x, (theta1, 0.0, theta3, 0.0), seed=x)
+                    got = self.sim.evaluate(x, (theta1, 0.0, theta3, 0.0), x)
                     assert got == pytest.approx(expected, rel=1e-12), (theta1, theta3, x)
 
     def test_nondecreasing_in_x_zero_spreads(self):
-        values = [assembly_sim(x, (2.0, 0.0, 5.0, 0.0), seed=0) for x in range(1, 40)]
+        values = [self.sim.evaluate(x, (2.0, 0.0, 5.0, 0.0), 0) for x in range(1, 40)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_reproducible_under_seed(self):
         theta = (2.0, 0.5, 5.0, 1.0)
-        a = assembly_sim(100, theta, seed=123)
-        b = assembly_sim(100, theta, seed=123)
+        a = self.sim.evaluate(100, theta, 123)
+        b = self.sim.evaluate(100, theta, 123)
         assert a == b
-        assert a != assembly_sim(100, theta, seed=124)
+        assert a != self.sim.evaluate(100, theta, 124)
 
     def test_output_finite_and_positive(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             theta = rng.uniform([0.1, 0.0, 0.1, 0.0], [5, 2, 10, 2])
-            value = assembly_sim(int(rng.integers(1, 200)), theta, seed=int(rng.integers(1e6)))
+            value = self.sim.evaluate(int(rng.integers(1, 200)), theta, int(rng.integers(1e6)))
             assert np.isfinite(value) and value >= 0
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            assembly_sim(0, (2, 0, 5, 0))
+            self.sim.evaluate(0, (2, 0, 5, 0))
         with pytest.raises(ValueError):
-            assembly_sim(4, (2, 0, -5, 0))
+            self.sim.evaluate(4, (2, 0, -5, 0))
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="product count"):
+                self.sim.evaluate_many([4.0, bad], (2, 0, 5, 0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta_rejected(self, bad):
+        for i in range(4):
+            theta = [2.0, 0.5, 5.0, 1.0]
+            theta[i] = bad
+            with pytest.raises(ValueError, match="must be finite"):
+                self.sim.evaluate(100.0, theta, 3)
+        thetas = np.array([[2.0, 0.5, 5.0, 1.0], [2.0, bad, 5.0, 1.0]])
+        with pytest.raises(ValueError, match="must be finite"):
+            self.sim.evaluate_params(100.0, thetas, [1, 2])
+        with pytest.raises(ValueError, match="must be finite"):
+            self.sim.evaluate_many([4.0, 8.0], thetas[1], 0)
+
+    def test_seed_count_must_match_rows(self):
+        with pytest.raises(ValueError, match="seeds"):
+            self.sim.evaluate_params(4.0, np.ones((3, 4)), [1, 2])
 
     def test_params_type_requires_positive(self):
         with pytest.raises(ValueError):
@@ -119,19 +141,20 @@ class TestPiecewiseTruth:
     def test_branch_selection(self):
         sim = LinearSimulator()
         lo, hi = (0.0, 1.0), (100.0, 0.0)
-        assert piecewise_truth(109.0, lo, hi, 110.0, sim) == 109.0
+        assert PiecewiseTruth(sim, lo, hi, 110.0)(109.0) == 109.0
         # boundary belongs to the shifted regime
-        assert piecewise_truth(110.0, lo, hi, 110.0, sim) == 100.0
+        assert PiecewiseTruth(sim, lo, hi, 110.0)(110.0) == 100.0
 
     def test_degenerate_piecewise_equals_base(self):
         sim = LinearSimulator()
         theta = (1.5, -2.0)
         for x in np.linspace(-5, 5, 11):
-            assert piecewise_truth(x, theta, theta, 0.0, sim) == sim.evaluate(x, theta)
+            assert PiecewiseTruth(sim, theta, theta, 0.0)(x) == sim.evaluate(x, theta)
 
     def test_infinite_breakpoint_rejected(self):
-        with pytest.raises(ValueError):
-            piecewise_truth(0.0, (0, 1), (0, 1), np.inf, LinearSimulator())
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="breakpoint"):
+                PiecewiseTruth(LinearSimulator(), (0, 1), (0, 1), bad)
 
 
 class TestGenerateDataset:
