@@ -18,7 +18,6 @@ from .kabc import (
     PseudoOutputs,
     build_embedding,
     embedding_distance,
-    embedding_eval,
     regularization_schedule,
     sample_prior,
     simulate_pseudo_outputs,
@@ -31,9 +30,7 @@ from .kern import (
     WeightedOutputKernel,
     gram_and_rhs,
     median_heuristic,
-    param_kernel_eval,
     regularized_solve,
-    weighted_output_kernel_eval,
 )
 from .pipeline import (
     CalibrationResult,
@@ -63,7 +60,6 @@ from .weights import (
     DegenerateWeightError,
     DensitySpec,
     ImportanceWeights,
-    density_eval,
     importance_weights,
     ordinary_weights,
 )

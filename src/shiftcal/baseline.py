@@ -4,7 +4,10 @@ The comparison sampler targets the importance-weighted Gaussian
 likelihood times the prior.  Unlike the kernel pipeline it is handed the
 observation-noise variance, a deliberate advantage; every MH step costs
 one full simulator sweep over the training inputs, which is the unit
-used for simulation-budget comparisons.
+used for simulation-budget comparisons.  The chain holds one simulator
+realization fixed, so the sweep's noise is drawn once per chain
+(``log_likelihood_sweep``) and each step only transforms it by theta;
+the budget still counts one sweep per step.
 """
 
 from __future__ import annotations
@@ -85,6 +88,30 @@ class MHTrace:
                 writer.writerow([s] + [repr(float(v)) for v in state] + [int(acc)])
 
 
+def weighted_residual_sum(outputs, y, beta) -> float:
+    """sum_i beta_i (y_i - outputs_i)^2, the importance-weighted squared error."""
+    residuals = y - outputs
+    return float(np.sum(np.asarray(beta, dtype=float) * residuals * residuals))
+
+
+def log_likelihood_sweep(
+    dataset: Dataset,
+    beta: ImportanceWeights,
+    sim: Simulator,
+    noise_var: float,
+    seed: int = 0,
+) -> Callable[[np.ndarray], float]:
+    """``weighted_log_likelihood`` as a function of theta alone.
+
+    The simulator sweep over the training inputs is built once, so its
+    noise is drawn once and every call only transforms it.
+    """
+    if not noise_var > 0:
+        raise ValueError(f"noise variance must be positive, got {noise_var}")
+    outputs = sim.sweep(dataset.x, derive_seed(seed, "loglik"))
+    return lambda theta: -weighted_residual_sum(outputs(theta), dataset.y, beta) / (2.0 * noise_var)
+
+
 def weighted_log_likelihood(
     theta,
     dataset: Dataset,
@@ -98,13 +125,7 @@ def weighted_log_likelihood(
     -sum_i beta_i (y_i - r(x_i, theta))^2 / (2 noise_var), with one
     simulator sweep over the training inputs.
     """
-    if not noise_var > 0:
-        raise ValueError(f"noise variance must be positive, got {noise_var}")
-    theta = np.asarray(theta, dtype=float)
-    outputs = sim.evaluate_many(dataset.x, theta, seed=derive_seed(seed, "loglik"))
-    residuals = dataset.y - outputs
-    b = np.asarray(beta, dtype=float)
-    return float(-np.sum(b * residuals * residuals) / (2.0 * noise_var))
+    return log_likelihood_sweep(dataset, beta, sim, noise_var, seed)(theta)
 
 
 def mh_sample(target: Callable[[np.ndarray], float], init, cfg: MHConfig) -> MHTrace:

@@ -33,6 +33,20 @@ from .sim import (
 from .weights import DensitySpec
 
 
+def _count(name: str, value) -> int:
+    """``value`` as an int; a non-integral value is an error, never truncated.
+
+    Integral floats such as 50.0 are accepted.
+    """
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved settings for one calibration experiment."""
@@ -121,13 +135,11 @@ class ExperimentConfig:
     def noise_std(self) -> float:
         if ("std" in self.noise) == ("var" in self.noise):
             raise ValueError("noise spec needs exactly one of 'std' or 'var'")
-        if "std" in self.noise:
-            std = float(self.noise["std"])
-        else:
-            std = math.sqrt(float(self.noise["var"]))
-        if std < 0:
-            raise ValueError(f"noise std must be >= 0, got {std}")
-        return std
+        key = "std" if "std" in self.noise else "var"
+        value = float(self.noise[key])
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"noise {key} must be finite and >= 0, got {value}")
+        return value if key == "std" else math.sqrt(value)
 
     def build_prior(self) -> PriorSpec:
         return PriorSpec.from_dict(self.prior)
@@ -155,7 +167,7 @@ class ExperimentConfig:
             raise ValueError("config has no 'mh' section")
         return MHConfig(
             proposal_std=float(self.mh["proposal_std"]),
-            steps=int(steps if steps is not None else self.mh["steps"]),
+            steps=_count("mh.steps", steps if steps is not None else self.mh["steps"]),
             burn_in=float(self.mh.get("burn_in", 0.10)),
             noise_var=float(self.mh["noise_var"]),
             seed=self.seed if seed is None else seed,
@@ -194,8 +206,8 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict, **overrides) -> "ExperimentConfig":
         data = dict(raw)
         data.update({k: v for k, v in overrides.items() if v is not None})
-        m = int(data["m"])
-        n = int(data["n"])
+        m = _count("m", data["m"])
+        n = _count("n", data["n"])
         # absent (or null) sizes default; any given value, 0 included, is validated
         herd_size = data.get("herd_size")
         n_test = data.get("n_test")
@@ -209,15 +221,15 @@ class ExperimentConfig:
             prior=data["prior"],
             n=n,
             m=m,
-            herd_size=m if herd_size is None else int(herd_size),
-            n_test=n if n_test is None else int(n_test),
+            herd_size=m if herd_size is None else _count("herd_size", herd_size),
+            n_test=n if n_test is None else _count("n_test", n_test),
             epsilon=float(data["epsilon"]) if "epsilon" in data else None,
             epsilon_schedule=data.get("epsilon_schedule"),
             bandwidth=data.get("bandwidth", "median"),
             weight_mode=data.get("weight_mode", "shift"),
             weights_csv=data.get("weights_csv"),
-            pool_extra=int(data.get("pool_extra", 0)),
-            seed=int(data.get("seed", 0)),
+            pool_extra=_count("pool_extra", data.get("pool_extra", 0)),
+            seed=_count("seed", data.get("seed", 0)),
             out_dir=str(data.get("out_dir", "out")),
             mh=data.get("mh"),
         )

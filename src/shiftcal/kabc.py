@@ -288,11 +288,6 @@ def build_embedding(
     )
 
 
-def embedding_eval(emb: PosteriorEmbedding, theta) -> float:
-    """Value of the posterior kernel mean at one parameter point."""
-    return emb.evaluate(theta)
-
-
 def embedding_distance(a: PosteriorEmbedding, b: PosteriorEmbedding) -> float:
     """Kernel-space norm of the difference of two embeddings.
 

@@ -147,10 +147,6 @@ class ParamKernel:
         return _gaussian_inplace(pairwise_sqdist(points), self.sigma2)
 
 
-def param_kernel_eval(theta_a, theta_b, sigma2_theta: float) -> float:
-    return ParamKernel(sigma2_theta).eval(theta_a, theta_b)
-
-
 @dataclass(frozen=True)
 class WeightedOutputKernel:
     """Gaussian kernel on output vectors with importance-weighted distance.
@@ -215,10 +211,6 @@ class WeightedOutputKernel:
                 f"pseudo-outputs must be shaped (m, {self.n}), got {outputs.shape}"
             )
         return outputs
-
-
-def weighted_output_kernel_eval(ya, yb, beta, sigma2: float) -> float:
-    return WeightedOutputKernel(sigma2, np.asarray(beta, dtype=float)).eval(ya, yb)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from ._seeding import derive_rng, derive_seed
-from .baseline import MHTrace, mh_sample, simulation_budget, weighted_log_likelihood
+from .baseline import (
+    MHTrace,
+    log_likelihood_sweep,
+    mh_sample,
+    simulation_budget,
+    weighted_residual_sum,
+)
 from .config import ExperimentConfig, load_beta_csv
 from .herd import CandidatePool, HerdedSamples, herd
 from .kabc import (
@@ -307,16 +313,15 @@ def run_mh_baseline(
     # One simulator realization for the whole chain: re-drawing noise per
     # evaluation would turn the cached-likelihood chain into a sticky
     # pseudo-marginal sampler, which is not the granted-likelihood setup.
-    eval_seed = derive_seed(run_seed, "mh-eval")
+    loglik = log_likelihood_sweep(
+        dataset, beta, sim, noise_var=mh_cfg.noise_var, seed=derive_seed(run_seed, "mh-eval")
+    )
 
     def target(theta: np.ndarray) -> float:
         log_prior = prior.log_pdf(theta)
         if not np.isfinite(log_prior):
             return -np.inf
-        loglik = weighted_log_likelihood(
-            theta, dataset, beta, sim, noise_var=mh_cfg.noise_var, seed=eval_seed
-        )
-        return loglik + log_prior
+        return loglik(theta) + log_prior
 
     trace = mh_sample(target, prior.center(), mh_cfg)
     test_inputs = generate_test_inputs(
@@ -446,9 +451,7 @@ class EquivalenceReport:
 
 def weighted_sse(theta, dataset: Dataset, beta, sim, seed: int = 0) -> float:
     """Importance-weighted squared error of the simulator against the data."""
-    outputs = sim.evaluate_many(dataset.x, np.asarray(theta, dtype=float), seed=seed)
-    residuals = dataset.y - outputs
-    return float(np.sum(np.asarray(beta) * residuals * residuals))
+    return weighted_residual_sum(sim.evaluate_many(dataset.x, theta, seed=seed), dataset.y, beta)
 
 
 def minimize_weighted_sse(

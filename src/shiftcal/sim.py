@@ -34,7 +34,8 @@ class Simulator(ABC):
     """Evaluation-only interface: no gradients, no internal structure.
 
     ``evaluate_params`` is the batched core; ``evaluate`` is a one-row call
-    of it.
+    of it.  ``sweep`` fixes the inputs and the seed, and with them the
+    noise, and leaves only the parameters free.
     """
 
     name: str = "simulator"
@@ -54,14 +55,20 @@ class Simulator(ABC):
         """Run one simulation at input ``x`` with parameters ``theta``."""
         return float(self.evaluate_params(x, self._check_theta(theta)[None], seed)[0])
 
-    def evaluate_many(self, xs, theta, seed: int = 0) -> np.ndarray:
-        """Evaluate at several inputs with a shared base seed.
+    def sweep(self, xs, seed: int = 0) -> Callable[[np.ndarray], np.ndarray]:
+        """Outputs at the inputs ``xs`` under base seed ``seed``, as a function of theta.
 
         Each input gets its own derived stream, so the result does not
-        depend on evaluation order.  Subclasses may vectorize.
+        depend on evaluation order.  The seed picks the noise and theta
+        transforms it: a subclass may draw the noise once here and reuse
+        it on every call.  This default evaluates input by input.
         """
         xs = np.asarray(xs, dtype=float)
-        return np.array([self.evaluate(float(x), theta, seed) for x in xs])
+        return lambda theta: np.array([self.evaluate(float(x), theta, seed) for x in xs])
+
+    def evaluate_many(self, xs, theta, seed: int = 0) -> np.ndarray:
+        """Evaluate one parameter vector at several inputs: one call of a sweep."""
+        return self.sweep(xs, seed)(theta)
 
     def _check_theta(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -83,9 +90,14 @@ class LinearSimulator(Simulator):
         theta = self._check_theta(theta)
         return float(theta[0] + theta[1] * x)
 
-    def evaluate_many(self, xs, theta, seed: int = 0) -> np.ndarray:
-        theta = self._check_theta(theta)
-        return theta[0] + theta[1] * np.asarray(xs, dtype=float)
+    def sweep(self, xs, seed: int = 0) -> Callable[[np.ndarray], np.ndarray]:
+        xs = np.asarray(xs, dtype=float)
+
+        def outputs(theta):
+            theta = self._check_theta(theta)
+            return theta[0] + theta[1] * xs
+
+        return outputs
 
     def evaluate_params(self, x: float, thetas, seed: int = 0) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
@@ -165,57 +177,59 @@ class AssemblyLineSimulator(Simulator):
             if len(seed) != len(thetas):
                 raise ValueError(f"got {len(seed)} seeds for {len(thetas)} parameter rows")
             streams = derive_seeds((), ((s,) for s in seed), ("assembly", x))
-        return self._makespans(np.array([x]), thetas, streams)
+        return self._schedule(np.array([x]), streams)(thetas)
 
-    def evaluate_many(self, xs, theta, seed: int = 0) -> np.ndarray:
+    def sweep(self, xs, seed: int = 0) -> Callable[[np.ndarray], np.ndarray]:
         xs = np.asarray(xs, dtype=float).reshape(-1)
-        theta = self._check_theta(theta)
         streams = derive_seeds((seed, "assembly"), ((float(x),) for x in xs))
-        return self._makespans(xs, theta[None], streams)
+        makespans = self._schedule(xs, streams)
+        return lambda theta: makespans(self._check_theta(theta)[None])
 
-    def _makespans(self, xs, thetas, streams) -> np.ndarray:
-        """Makespan per row r of ``xs[r]`` products under ``thetas[r]``.
+    def _schedule(self, xs, streams) -> Callable[[np.ndarray], np.ndarray]:
+        """Makespans of ``xs[r]`` products on stream ``streams[r]``, given parameter rows.
 
         Row r draws its assembly normals, then its inspection normals,
-        from ``default_rng(streams[r])``.  Arguments of length 1 broadcast
-        over rows.  Rows with fewer products or batches are padded: the
-        schedule is built from prefix sums and a running max, so padding
-        never reaches a row's last real batch, which is where its
-        makespan is read.
+        from ``default_rng(streams[r])``; they are drawn here, once, and
+        the returned function maps a ``(rows, 4)`` parameter array to the
+        makespans.  Arguments of length 1 broadcast over rows.  Rows with
+        fewer products or batches are padded: the schedule is built from
+        prefix sums and a running max, so padding never reaches a row's
+        last real batch, which is where its makespan is read.
         """
         bad = ~(np.isfinite(xs) & (xs >= 1))
         if bad.any():
             raise ValueError(f"product count must be >= 1, got x={xs[bad][0]}")
-        for ok, what in ((np.isfinite(thetas), "finite"), (thetas >= 0, "non-negative")):
-            bad = ~ok.all(axis=1)
-            if bad.any():
-                raise ValueError(f"assembly-line parameters must be {what}, got {thetas[bad][0]}")
-        if len(thetas) == 0 or len(xs) == 0:
-            return np.empty(0)
         size = self.batch_size
         counts = np.rint(xs).astype(np.intp)[:, None]
         n_batches = -(-counts // size)
-        width, depth = int(counts.max()), int(n_batches.max())
+        width, depth = int(counts.max(initial=0)), int(n_batches.max(initial=0))
         z = stream_normals(streams, width + depth)
-        mean_asm, sd_asm, mean_insp, sd_insp = np.hsplit(thetas, 4)
-
-        durations = np.maximum(mean_asm + sd_asm * z[:, :width], 0.0)
-        completion = np.cumsum(durations, axis=1)
-
+        z_asm = z[:, :width]
         # Batch b is ready when its last product leaves assembly; a trailing
         # partial batch when the last product does.
         batch = np.arange(depth)
         last = np.minimum((batch + 1) * size, counts) - 1
-        ready = np.take_along_axis(completion, last, axis=1)
         z_insp = np.take_along_axis(z, counts + batch, axis=1)
-        inspect = np.maximum(mean_insp + sd_insp * z_insp, 0.0)
 
-        # finish_b = max(ready_b, finish_{b-1}) + inspect_b, unrolled into
-        # a running max so the whole schedule vectorizes.
-        cum_inspect = np.cumsum(inspect, axis=1)
-        slack = ready - (cum_inspect - inspect)
-        finish = cum_inspect + np.maximum.accumulate(slack, axis=1)
-        return np.take_along_axis(finish, n_batches - 1, axis=1)[:, 0]
+        def makespans(thetas):
+            for ok, what in ((np.isfinite(thetas), "finite"), (thetas >= 0, "non-negative")):
+                bad = ~ok.all(axis=1)
+                if bad.any():
+                    raise ValueError(f"assembly-line parameters must be {what}, got {thetas[bad][0]}")
+            if len(thetas) == 0 or len(xs) == 0:
+                return np.empty(0)
+            mean_asm, sd_asm, mean_insp, sd_insp = np.hsplit(thetas, 4)
+            durations = np.maximum(mean_asm + sd_asm * z_asm, 0.0)
+            ready = np.take_along_axis(np.cumsum(durations, axis=1), last, axis=1)
+            inspect = np.maximum(mean_insp + sd_insp * z_insp, 0.0)
+            # finish_b = max(ready_b, finish_{b-1}) + inspect_b, unrolled
+            # into a running max so the whole schedule vectorizes.
+            cum_inspect = np.cumsum(inspect, axis=1)
+            slack = ready - (cum_inspect - inspect)
+            finish = cum_inspect + np.maximum.accumulate(slack, axis=1)
+            return np.take_along_axis(finish, n_batches - 1, axis=1)[:, 0]
+
+        return makespans
 
 
 @dataclass(frozen=True)

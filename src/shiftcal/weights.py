@@ -97,11 +97,6 @@ class DensitySpec:
         raise ValueError(f"unknown density family {family!r}")
 
 
-def density_eval(spec: DensitySpec, x: float) -> float:
-    """Density of ``spec`` at a single point."""
-    return float(spec.pdf(x))
-
-
 @dataclass(frozen=True)
 class ImportanceWeights:
     """Per-training-point weights beta_i, validated at construction."""

@@ -10,8 +10,9 @@ from shiftcal.baseline import (
     simulation_budget,
     weighted_log_likelihood,
 )
+from shiftcal._seeding import derive_seed
 from shiftcal.kabc import PriorSpec
-from shiftcal.sim import Dataset, LinearSimulator
+from shiftcal.sim import AssemblyLineSimulator, Dataset, LinearSimulator
 from shiftcal.weights import ordinary_weights
 
 
@@ -56,6 +57,19 @@ class TestWeightedLogLikelihood:
             noise_var=1.0,
         )
         assert double == pytest.approx(2 * single, rel=1e-12)
+
+    def test_assembly_sweep_matches_per_input_evaluation(self):
+        # one stream per input from derive_seed(seed, "loglik"), whichever
+        # way the sweep draws it, and the same formula bit for bit
+        rng = np.random.default_rng(1)
+        xs = rng.integers(1, 40, size=9).astype(float)
+        dataset = make_dataset(xs, 6.0 * xs + rng.normal(size=9))
+        beta = rng.uniform(0.5, 2.0, 9)
+        sim, theta, seed = AssemblyLineSimulator(), np.array([2.0, 0.5, 5.0, 1.0]), 11
+        outputs = np.array([sim.evaluate(x, theta, derive_seed(seed, "loglik")) for x in xs])
+        residuals = dataset.y - outputs
+        expected = float(-np.sum(beta * residuals * residuals) / (2.0 * 3.0))
+        assert weighted_log_likelihood(theta, dataset, beta, sim, 3.0, seed) == expected
 
     def test_noise_var_validated(self):
         dataset = make_dataset([0.0], [0.0])

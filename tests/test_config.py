@@ -99,6 +99,45 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="breakpoint"):
             ExperimentConfig.from_dict({**base, "truth": truth})
 
+    @pytest.mark.parametrize(
+        "noise,field",
+        [({"var": -1.0}, "var"), ({"var": math.nan}, "var"), ({"var": math.inf}, "var"),
+         ({"std": -0.5}, "std"), ({"std": math.nan}, "std"), ({"std": -math.inf}, "std")],
+    )
+    def test_bad_noise_rejected_naming_field(self, noise, field):
+        with pytest.raises(ValueError, match=f"noise {field} must be finite and >= 0"):
+            ExperimentConfig.from_dict({**PRESETS["linear-shift"], "noise": noise})
+
+    def test_zero_noise_accepted(self):
+        for noise in ({"var": 0.0}, {"std": 0.0}):
+            assert ExperimentConfig.from_dict({**PRESETS["linear-shift"], "noise": noise}).noise_std() == 0.0
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n", 50.7), ("m", 200.9), ("herd_size", 10.5), ("n_test", 3.2), ("pool_extra", 1.5),
+         ("seed", 1.5), ("m", math.nan), ("seed", math.inf), ("n", "50")],
+    )
+    def test_non_integral_count_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            preset("linear-shift", **{field: value})
+
+    def test_integral_float_counts_accepted(self):
+        cfg = preset("linear-shift", n=50.0, m=np.int64(20), herd_size=10.0, n_test=3.0,
+                     pool_extra=1.0, seed=np.float64(2.0))
+        assert (cfg.n, cfg.m, cfg.herd_size, cfg.n_test, cfg.pool_extra, cfg.seed) == (50, 20, 10, 3, 1, 2)
+        assert all(type(v) is int for v in (cfg.n, cfg.m, cfg.herd_size, cfg.n_test, cfg.pool_extra, cfg.seed))
+        assert cfg.config_hash() == preset("linear-shift", n=50, m=20, herd_size=10, n_test=3,
+                                           pool_extra=1, seed=2).config_hash()
+
+    @pytest.mark.parametrize("steps", [2.7, math.nan, "400"])
+    def test_non_integral_mh_steps_rejected(self, steps):
+        cfg = preset("linear-shift", mh={**PRESETS["linear-shift"]["mh"], "steps": steps})
+        with pytest.raises(ValueError, match="mh.steps must be an integer"):
+            cfg.mh_config()
+        with pytest.raises(ValueError, match="mh.steps must be an integer"):
+            preset("linear-shift").mh_config(steps=steps)
+        assert cfg.mh_config(steps=50.0).steps == 50
+
     def test_weight_csv_mode_needs_path(self):
         with pytest.raises(ValueError, match="weights_csv"):
             ExperimentConfig.from_dict({**PRESETS["linear-shift"], "weight_mode": "csv"})

@@ -9,7 +9,6 @@ from shiftcal.kabc import (
     PriorSpec,
     build_embedding,
     embedding_distance,
-    embedding_eval,
     regularization_schedule,
     sample_prior,
     simulate_pseudo_outputs,
@@ -196,13 +195,13 @@ class TestEmbeddingEval:
     def test_single_atom_maximized_at_center(self):
         atom = np.array([[0.5, -1.0]])
         emb = PosteriorEmbedding(atom, np.array([1.0]), ParamKernel(1.0))
-        assert embedding_eval(emb, atom[0]) == 1.0
-        assert embedding_eval(emb, [0.0, 0.0]) < 1.0
+        assert emb.evaluate(atom[0]) == 1.0
+        assert emb.evaluate([0.0, 0.0]) < 1.0
 
     def test_zero_weights_zero_everywhere(self):
         emb = PosteriorEmbedding(np.zeros((3, 1)), np.zeros(3), ParamKernel(1.0))
         for theta in ([0.0], [1.0], [-2.0]):
-            assert embedding_eval(emb, theta) == 0.0
+            assert emb.evaluate(theta) == 0.0
 
     def test_two_atoms_hand_sum(self):
         draws = np.array([[0.0], [2.0]])
@@ -210,12 +209,12 @@ class TestEmbeddingEval:
         emb = PosteriorEmbedding(draws, weights, ParamKernel(2.0))
         theta = [1.0]
         expected = 0.3 * math.exp(-1 / 4) - 0.4 * math.exp(-1 / 4)
-        assert embedding_eval(emb, theta) == pytest.approx(expected, rel=1e-14)
+        assert emb.evaluate(theta) == pytest.approx(expected, rel=1e-14)
 
     def test_dimension_mismatch(self):
         emb = PosteriorEmbedding(np.zeros((2, 2)), np.ones(2), ParamKernel(1.0))
         with pytest.raises(ValueError):
-            embedding_eval(emb, [0.0])
+            emb.evaluate([0.0])
 
     def test_json_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -16,9 +16,7 @@ from shiftcal.kern import (
     median_heuristic,
     median_sqdist,
     pairwise_sqdist,
-    param_kernel_eval,
     regularized_solve,
-    weighted_output_kernel_eval,
 )
 
 
@@ -30,15 +28,15 @@ def unweighted_gaussian(a, b, sigma2):
 
 class TestParamKernel:
     def test_coincident_points(self):
-        assert param_kernel_eval([1.0, 2.0], [1.0, 2.0], 3.0) == 1.0
+        assert ParamKernel(3.0).eval([1.0, 2.0], [1.0, 2.0]) == 1.0
 
     def test_distance_at_two_sigma2(self):
         # squared distance equal to 2*sigma2 gives exp(-1)
-        assert param_kernel_eval([0.0], [2.0], 2.0) == pytest.approx(math.exp(-1), rel=1e-15)
+        assert ParamKernel(2.0).eval([0.0], [2.0]) == pytest.approx(math.exp(-1), rel=1e-15)
 
     def test_wide_bandwidth_limit_monotone(self):
         a, b = np.array([0.0, 0.0]), np.array([1.0, 1.5])
-        values = [param_kernel_eval(a, b, s2) for s2 in (0.5, 2.0, 10.0, 1e3, 1e6)]
+        values = [ParamKernel(s2).eval(a, b) for s2 in (0.5, 2.0, 10.0, 1e3, 1e6)]
         assert all(v2 > v1 for v1, v2 in zip(values, values[1:]))
         assert values[-1] == pytest.approx(1.0, abs=1e-5)
 
@@ -54,7 +52,7 @@ class TestParamKernel:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            param_kernel_eval([0.0], [0.0, 1.0], 1.0)
+            ParamKernel(1.0).eval([0.0], [0.0, 1.0])
 
     def test_cross_matches_scalar(self):
         rng = np.random.default_rng(2)
@@ -69,19 +67,19 @@ class TestParamKernel:
 class TestWeightedOutputKernel:
     def test_coincident(self):
         beta = np.array([1.0, 2.0])
-        assert weighted_output_kernel_eval([1.0, 2.0], [1.0, 2.0], beta, 1.0) == 1.0
+        assert WeightedOutputKernel(1.0, beta).eval([1.0, 2.0], [1.0, 2.0]) == 1.0
 
     def test_unit_weights_reduce_to_unweighted(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             a, b = rng.normal(size=5), rng.normal(size=5)
             sigma2 = rng.uniform(0.5, 3.0)
-            ours = weighted_output_kernel_eval(a, b, np.ones(5), sigma2)
+            ours = WeightedOutputKernel(sigma2, np.ones(5)).eval(a, b)
             assert ours == pytest.approx(unweighted_gaussian(a, b, sigma2), rel=1e-15)
 
     def test_single_point_direct_substitution(self):
         # beta=2, difference 1, sigma2=1 -> exp(-1)
-        assert weighted_output_kernel_eval([1.0], [0.0], [2.0], 1.0) == pytest.approx(
+        assert WeightedOutputKernel(1.0, [2.0]).eval([1.0], [0.0]) == pytest.approx(
             math.exp(-1), rel=1e-15
         )
 
@@ -97,7 +95,7 @@ class TestWeightedOutputKernel:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            weighted_output_kernel_eval([0.0, 1.0], [0.0], [1.0, 1.0], 1.0)
+            WeightedOutputKernel(1.0, [1.0, 1.0]).eval([0.0, 1.0], [0.0])
 
 
 class TestMedianHeuristic:

@@ -4,21 +4,49 @@ import numpy as np
 import pytest
 
 from shiftcal._seeding import derive_seed
+from shiftcal.baseline import mh_sample, weighted_log_likelihood
 from shiftcal.config import ExperimentConfig, preset
 from shiftcal.pipeline import (
     StageError,
     calibrate,
     emit_plot_data,
+    resolve_weights,
     rmse_curve,
     run_calibration,
     run_mh_baseline,
     theorem1_check,
 )
-from shiftcal.sim import Dataset
+from shiftcal.predict import generate_test_inputs, score_predictions
+from shiftcal.sim import Dataset, generate_dataset
 
 
 def tiny_linear(**overrides) -> ExperimentConfig:
     return preset("linear-shift", **{"n": 24, "m": 16, "herd_size": 16, "n_test": 24, **overrides})
+
+
+def reference_mh_baseline(cfg: ExperimentConfig, steps: int):
+    """``run_mh_baseline`` whose target calls ``weighted_log_likelihood`` on every
+    step, so every step draws the sweep's noise afresh.  Returns (trace, rmse)."""
+    mh_cfg = cfg.mh_config(steps=steps, seed=derive_seed(cfg.seed, "mh"))
+    sim, prior = cfg.build_simulator(), cfg.build_prior()
+    dataset = generate_dataset(cfg.build_dgp(), cfg.n, derive_seed(cfg.seed, "dataset"))
+    beta = resolve_weights(cfg, dataset)
+    eval_seed = derive_seed(cfg.seed, "mh-eval")
+
+    def target(theta):
+        log_prior = prior.log_pdf(theta)
+        if not np.isfinite(log_prior):
+            return -np.inf
+        return weighted_log_likelihood(
+            theta, dataset, beta, sim, mh_cfg.noise_var, eval_seed
+        ) + log_prior
+
+    trace = mh_sample(target, prior.center(), mh_cfg)
+    test_inputs = generate_test_inputs(cfg.test_density(), cfg.n_test, derive_seed(cfg.seed, "test"))
+    _, _, rmse_value = score_predictions(
+        cfg.build_truth(), test_inputs, sim, trace.post_burn_in, seed=derive_seed(cfg.seed, "mh-pred")
+    )
+    return trace, rmse_value
 
 
 class TestRunCalibration:
@@ -149,6 +177,20 @@ class TestMHBaseline:
         b = run_mh_baseline(tiny_linear(), steps=40)
         assert np.array_equal(a.trace.states, b.trace.states)
         assert a.rmse == b.rmse
+
+    @pytest.mark.parametrize(
+        "name,seed", [("assembly-shift", 105), ("assembly-shift", 7), ("assembly-shift", 31),
+                      ("linear-shift", 4)]
+    )
+    def test_one_sweep_per_chain_matches_per_step_likelihood(self, name, seed):
+        cfg = preset(name, seed=seed, n_test=10)
+        trace, rmse_value = reference_mh_baseline(cfg, steps=120)
+        result = run_mh_baseline(cfg, steps=120)
+        assert result.trace.states.tobytes() == trace.states.tobytes()
+        assert result.trace.accepted.tobytes() == trace.accepted.tobytes()
+        assert result.acceptance_ratio == trace.acceptance_ratio
+        assert 0.0 < trace.acceptance_ratio < 1.0
+        assert result.rmse == rmse_value
 
     def test_requires_mh_section(self):
         cfg = tiny_linear()

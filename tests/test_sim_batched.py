@@ -2,11 +2,13 @@
 
 ``scalar_makespan`` is the one-evaluation reference: a fresh generator
 per call, assembly normals then inspection normals, and a 1-d schedule.
-The batched paths must reproduce it exactly, not within a tolerance,
-because their arithmetic and random streams are the same.
+The batched paths, and sweeps that draw their noise once and reuse it,
+must reproduce it exactly, not within a tolerance, because their
+arithmetic and random streams are the same.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -14,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 from shiftcal._seeding import derive_rng, derive_seed
 from shiftcal.kabc import simulate_pseudo_outputs
 from shiftcal.predict import predict
-from shiftcal.sim import AssemblyLineSimulator
+from shiftcal.sim import AssemblyLineSimulator, LinearSimulator, Simulator
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -116,3 +118,82 @@ class TestCallers:
             stream = derive_seed(seed, "predict", theta, seen[theta.tobytes()])
             expected.append(scalar_makespan(batch_size, x, theta, stream))
         assert bits(predict(sim, x, points, seed).outputs) == bits(expected)
+
+
+class ToySimulator(Simulator):
+    """A stochastic simulator that keeps the default, input-by-input sweep."""
+
+    name = "toy"
+    dim_theta = 2
+
+    def evaluate_params(self, x, thetas, seed=0):
+        noise = derive_rng(seed, "toy", float(x)).standard_normal()
+        return thetas[:, 0] * x + thetas[:, 1] * noise
+
+
+def toy_output(x, theta, seed):
+    return theta[0] * x + theta[1] * derive_rng(seed, "toy", float(x)).standard_normal()
+
+
+input_lists = st.lists(inputs, min_size=0, max_size=12)
+
+
+class TestSweep:
+    @PROPERTY
+    @given(batch_sizes, input_lists, theta_rows(max_rows=1), seeds)
+    def test_assembly(self, batch_size, xs, thetas, seed):
+        sim = AssemblyLineSimulator(batch_size)
+        expected = [scalar_makespan(batch_size, x, thetas[0], seed) for x in xs]
+        assert bits(sim.sweep(xs, seed)(thetas[0])) == bits(expected)
+        assert bits(sim.evaluate_many(xs, thetas[0], seed)) == bits(expected)
+
+    @PROPERTY
+    @given(input_lists, arrays(float, 2, elements=st.floats(-10.0, 10.0)), seeds)
+    def test_linear(self, xs, theta, seed):
+        sim = LinearSimulator()
+        expected = [sim.evaluate(x, theta) for x in xs]
+        assert bits(sim.sweep(xs, seed)(theta)) == bits(expected)
+        assert bits(sim.evaluate_many(xs, theta, seed)) == bits(expected)
+
+    @PROPERTY
+    @given(input_lists, arrays(float, 2, elements=st.floats(-10.0, 10.0)), seeds)
+    def test_default_sweep(self, xs, theta, seed):
+        sim = ToySimulator()
+        expected = [toy_output(x, theta, seed) for x in xs]
+        assert bits(sim.sweep(xs, seed)(theta)) == bits(expected)
+        assert bits(sim.evaluate_many(xs, theta, seed)) == bits(expected)
+
+    @PROPERTY
+    @given(batch_sizes, st.lists(inputs, min_size=1, max_size=8), theta_rows(), seeds, st.randoms())
+    def test_reused_in_any_order(self, batch_size, xs, thetas, seed, order):
+        # the noise is drawn once; each call transforms it and changes nothing
+        sim = AssemblyLineSimulator(batch_size)
+        sweep = sim.sweep(xs, seed)
+        calls = [*range(len(thetas))] * 2
+        order.shuffle(calls)
+        for j in calls:
+            expected = [scalar_makespan(batch_size, x, thetas[j], seed) for x in xs]
+            assert bits(sweep(thetas[j])) == bits(expected)
+
+    @pytest.mark.parametrize("sim", [AssemblyLineSimulator(), LinearSimulator(), ToySimulator()])
+    def test_theta_shape_checked_per_call(self, sim):
+        sweep = sim.sweep([4.0, 9.0], 3)
+        with pytest.raises(ValueError, match="parameters, got shape"):
+            sweep(np.ones(sim.dim_theta + 1))
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
+    def test_bad_theta_rejected_by_built_sweep(self, bad):
+        sweep = AssemblyLineSimulator().sweep([4.0, 9.0], 3)
+        good = np.array([2.0, 0.5, 5.0, 1.0])
+        before = sweep(good)
+        for i in range(4):
+            theta = good.copy()
+            theta[i] = bad
+            with pytest.raises(ValueError, match="must be (finite|non-negative)"):
+                sweep(theta)
+        assert bits(sweep(good)) == bits(before)
+
+    @pytest.mark.parametrize("bad", [0.0, 0.4, np.nan, np.inf])
+    def test_bad_input_rejected_when_built(self, bad):
+        with pytest.raises(ValueError, match="product count"):
+            AssemblyLineSimulator().sweep([4.0, bad], 3)
