@@ -44,17 +44,16 @@ from .pipeline import (
 )
 from .predict import PredictiveSample, generate_test_inputs, predict, rmse, score_predictions
 from .sim import (
-    AssemblyLineParams,
     AssemblyLineSimulator,
     DataGeneratingProcess,
     Dataset,
     LinearSimulator,
     PiecewiseTruth,
     Simulator,
+    SimulatorError,
     cubic_truth,
     generate_dataset,
     get_simulator,
-    register_simulator,
 )
 from .weights import (
     DegenerateWeightError,

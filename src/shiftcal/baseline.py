@@ -88,10 +88,13 @@ class MHTrace:
                 writer.writerow([s] + [repr(float(v)) for v in state] + [int(acc)])
 
 
-def weighted_residual_sum(outputs, y, beta) -> float:
-    """sum_i beta_i (y_i - outputs_i)^2, the importance-weighted squared error."""
+def weighted_residual_sum(outputs, y, beta):
+    """sum_i beta_i (y_i - outputs_i)^2, the importance-weighted squared error.
+
+    Summed along the last axis, so ``outputs`` may hold one vector per row.
+    """
     residuals = y - outputs
-    return float(np.sum(np.asarray(beta, dtype=float) * residuals * residuals))
+    return np.sum(np.asarray(beta, dtype=float) * residuals * residuals, axis=-1)
 
 
 def log_likelihood_sweep(

@@ -14,6 +14,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import PRESETS, ExperimentConfig, preset
@@ -146,7 +147,7 @@ def cmd_theorem1_check(args) -> int:
     cfg = _load_config(args)
     report = theorem1_check(cfg, grid_resolution=args.grid_resolution)
     out = Path(cfg.out_dir)
-    payload = report.to_dict()
+    payload = asdict(report)
     payload["config_hash"] = cfg.config_hash()
     payload["seed"] = cfg.seed
     _write_json(out / "theorem1.json", payload)

@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._seeding import derive_rng, derive_seeds
+from ._seeding import derive_rng
 from .kern import ParamKernel, WeightedOutputKernel, gram_and_rhs, regularized_solve
-from .sim import Dataset, Simulator
+from .sim import Dataset, Simulator, SimulatorError
 from .weights import ImportanceWeights
 
 
@@ -223,40 +223,23 @@ def sample_prior(prior: PriorSpec, m: int, seed: int) -> np.ndarray:
 def simulate_pseudo_outputs(sim: Simulator, thetas, xs, seed: int) -> PseudoOutputs:
     """Run the simulator at every (training input, prior draw) pair.
 
-    Each (i, j) evaluation uses its own derived stream.  Deterministic
-    simulators go through the vectorized path; stochastic ones get one
-    batched call per training input with a seed per draw, so streams stay
-    independent.
+    One sweep per training input i runs every draw j on its own stream,
+    keyed ``(seed, "pseudo", j, i)``, so streams stay independent.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim == 1:
         thetas = thetas[:, None]
     xs = np.asarray(xs, dtype=float)
     values = np.empty((thetas.shape[0], xs.size))
-    if sim.deterministic:
-        for j, theta in enumerate(thetas):
-            values[j] = sim.evaluate_many(xs, theta)
-        return PseudoOutputs(thetas=thetas, values=values)
-    draws = [(j,) for j in range(thetas.shape[0])]
     for i, x in enumerate(xs):
-        seeds = derive_seeds((seed, "pseudo"), draws, (i,))
+        keys = ((seed, "pseudo"), ((j,) for j in range(len(thetas))), (i,))
         try:
-            values[:, i] = sim.evaluate_params(float(x), thetas, seeds)
+            values[:, i] = sim.sweep([x], keys)(thetas)
         except Exception as exc:
-            j = _first_failing_row(sim, float(x), thetas, seeds)
+            j = exc.row if isinstance(exc, SimulatorError) else None
             where = "" if j is None else f" for draw {j} (theta={thetas[j]})"
             raise RuntimeError(f"simulator failed at input {i} (x={x}){where}") from exc
     return PseudoOutputs(thetas=thetas, values=values)
-
-
-def _first_failing_row(sim: Simulator, x: float, thetas, seeds) -> int | None:
-    """First row that fails alone, to name it after a batched call failed."""
-    for j in range(len(thetas)):
-        try:
-            sim.evaluate_params(x, thetas[j : j + 1], seeds[j : j + 1])
-        except Exception:
-            return j
-    return None
 
 
 def build_embedding(

@@ -14,7 +14,7 @@ import csv
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -84,13 +84,8 @@ class RunReport:
     wall_clock: dict
 
     def to_dict(self) -> dict:
-        return {
-            "rmse": self.rmse,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "artifacts": self.artifacts,
-            "stats": self.stats,
-        }
+        """Every field except the timings."""
+        return {k: v for k, v in asdict(self).items() if k != "wall_clock"}
 
 
 @contextlib.contextmanager
@@ -434,25 +429,6 @@ class EquivalenceReport:
     sigma2_theta: float
     epsilon: float
 
-    def to_dict(self) -> dict:
-        return {
-            "theta_star": list(self.theta_star),
-            "loss_star": self.loss_star,
-            "method": self.method,
-            "grid_step": list(self.grid_step),
-            "on_boundary": self.on_boundary,
-            "distance": self.distance,
-            "m": self.m,
-            "sigma2": self.sigma2,
-            "sigma2_theta": self.sigma2_theta,
-            "epsilon": self.epsilon,
-        }
-
-
-def weighted_sse(theta, dataset: Dataset, beta, sim, seed: int = 0) -> float:
-    """Importance-weighted squared error of the simulator against the data."""
-    return weighted_residual_sum(sim.evaluate_many(dataset.x, theta, seed=seed), dataset.y, beta)
-
 
 def minimize_weighted_sse(
     cfg: ExperimentConfig,
@@ -474,20 +450,19 @@ def minimize_weighted_sse(
         axes = [np.linspace(low[k], high[k], grid_resolution) for k in range(prior.dim)]
         grids = np.meshgrid(*axes, indexing="ij")
         points = np.stack([g.ravel() for g in grids], axis=1)
-        losses = np.array(
-            [weighted_sse(p, dataset, beta, sim, seed=derive_seed(seed, i)) for i, p in enumerate(points)]
-        )
-        best = int(np.argmin(losses))
-        idx = np.unravel_index(best, grids[0].shape)
-        on_boundary = any(i in (0, grid_resolution - 1) for i in idx)
-        step = tuple(float(ax[1] - ax[0]) for ax in axes)
-        return points[best], float(losses[best]), "grid", step, on_boundary
-    draws = prior.sample(search_draws, derive_rng(seed, "draws"))
-    losses = np.array(
-        [weighted_sse(p, dataset, beta, sim, seed=derive_seed(seed, i)) for i, p in enumerate(draws)]
-    )
+    else:
+        points = prior.sample(search_draws, derive_rng(seed, "draws"))
+    # Point k runs on key derive_seed(seed, k): one sweep per training input.
+    keys = [(k,) for k in range(len(points))]
+    outputs = np.stack([sim.sweep([x], ((seed,), keys, ()))(points) for x in dataset.x], axis=1)
+    losses = weighted_residual_sum(outputs, dataset.y, beta)
     best = int(np.argmin(losses))
-    return draws[best], float(losses[best]), "prior-search", (), False
+    if prior.dim > 2:
+        return points[best], float(losses[best]), "prior-search", (), False
+    idx = np.unravel_index(best, grids[0].shape)
+    on_boundary = any(i in (0, grid_resolution - 1) for i in idx)
+    step = tuple(float(ax[1] - ax[0]) for ax in axes)
+    return points[best], float(losses[best]), "grid", step, on_boundary
 
 
 def theorem1_check(
@@ -513,9 +488,7 @@ def theorem1_check(
     if on_boundary:
         log.warning("weighted-error minimum sits on the search-grid boundary; refine the grid")
 
-    optimal_outputs = sim.evaluate_many(
-        dataset.x, theta_star, seed=derive_seed(cfg.seed, "oracle-outputs")
-    )
+    optimal_outputs = sim.sweep(dataset.x, derive_seed(cfg.seed, "oracle-outputs"))(theta_star)
     thetas = sample_prior(cfg.build_prior(), cfg.m, derive_seed(cfg.seed, "prior"))
     pseudo = simulate_pseudo_outputs(sim, thetas, dataset.x, derive_seed(cfg.seed, "pseudo"))
     sigma2, sigma2_theta, epsilon, sqdist = resolve_bandwidths(cfg, pseudo, beta)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._seeding import derive_rng, derive_seed, derive_seeds
+from ._seeding import derive_rng, derive_seed
 from .herd import HerdedSamples
 from .sim import Simulator, TruthFn
 from .weights import DensitySpec
@@ -40,25 +40,25 @@ def _sample_points(samples) -> np.ndarray:
     return points[:, None] if points.ndim == 1 else points
 
 
+def _occurrences(points):
+    """Yield each parameter row with its occurrence count so far (1, 2, ...)."""
+    seen: dict[bytes, int] = {}
+    for theta in points:
+        key = theta.tobytes()
+        seen[key] = seen.get(key, 0) + 1
+        yield theta, seen[key]
+
+
 def predict(sim: Simulator, x: float, samples, seed: int = 0) -> PredictiveSample:
     """Run the simulator at x once per posterior sample.
 
-    Stochastic simulators get an independent derived stream per sample;
-    the stream is keyed on the parameter value and its occurrence count,
-    so repeated parameter vectors produce fresh realizations while the
-    output multiset stays invariant under sample reordering.
+    One sweep at x runs sample r on the stream keyed
+    ``(seed, "predict", theta_r, k)``, where k counts the occurrences of
+    theta_r so far: repeated parameter vectors get fresh realizations,
+    while the output multiset stays invariant under sample reordering.
     """
     points = _sample_points(samples)
-    if sim.deterministic:
-        outputs = sim.evaluate_params(float(x), points)
-    else:
-        seen: dict[bytes, int] = {}
-        keys = []
-        for theta in points:
-            key = theta.tobytes()
-            seen[key] = seen.get(key, 0) + 1
-            keys.append((theta, seen[key]))
-        outputs = sim.evaluate_params(float(x), points, derive_seeds((seed, "predict"), keys))
+    outputs = sim.sweep([x], ((seed, "predict"), _occurrences(points), ()))(points)
     return PredictiveSample(x=float(x), outputs=outputs, mean=float(np.mean(outputs)))
 
 

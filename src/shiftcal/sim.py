@@ -1,10 +1,10 @@
 """Black-box simulators and data-generating processes.
 
 A simulator maps an input ``x`` and a parameter vector ``theta`` to a
-real output.  Evaluations are pure: a stochastic simulator derives its
-random stream from ``(seed, x)``, so repeated calls with identical
-arguments return identical outputs regardless of call order, and a
-fixed seed yields a deterministic function of ``theta`` (common random
+real output.  Evaluations are pure: a stochastic simulator derives each
+random stream from a key and ``x``, so repeated calls with identical
+arguments return identical outputs regardless of call order, and fixed
+keys yield a deterministic function of ``theta`` (common random
 numbers).
 
 Two benchmarks ship here: a trivially-misspecified linear model paired
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,53 +31,71 @@ from .weights import DensitySpec
 TruthFn = Callable[[float, int], float]
 
 
+class SimulatorError(ValueError):
+    """A simulator rejected one row of a sweep; ``row`` is that row's index."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(f"{message} (row {row})")
+        self.row = row
+
+
 class Simulator(ABC):
     """Evaluation-only interface: no gradients, no internal structure.
 
-    ``evaluate_params`` is the batched core; ``evaluate`` is a one-row call
-    of it.  ``sweep`` fixes the inputs and the seed, and with them the
-    noise, and leaves only the parameters free.
+    ``sweep`` is the one primitive; ``evaluate`` is a one-row sweep.
     """
 
     name: str = "simulator"
     dim_theta: int = 0
+    # True when outputs ignore the seed.  Nothing in the pipeline branches
+    # on it: a noise-free sweep simply never resolves its stream keys.
     deterministic: bool = False
 
     @abstractmethod
-    def evaluate_params(self, x: float, thetas, seed=0) -> np.ndarray:
-        """Evaluate one input under several parameter vectors (rows of ``thetas``).
+    def sweep(self, xs, seeds=0) -> Callable[[np.ndarray], np.ndarray]:
+        """Outputs at the inputs ``xs`` on the streams ``seeds`` name, as a function of theta.
 
-        A scalar ``seed`` is shared by every row, so rows differ only in
-        their parameters (common random numbers); a sequence of
-        ``len(thetas)`` seeds gives row r the seed ``seed[r]``.
+        The function takes parameter rows, a ``(rows, dim_theta)`` array or
+        one ``(dim_theta,)`` vector.  Rows broadcast: ``xs``, the seeds and
+        the parameter rows each have length 1 or R, and the result has
+        length R.  ``seeds`` is an int shared by every row, or a key triple
+        ``(prefix, rows, suffix)`` giving row r the key
+        ``derive_seed(*prefix, *rows[r], *suffix)``; ``rows`` may be a lazy
+        iterable.  ``_streams`` turns keys and inputs into stream seeds.  A
+        stochastic simulator draws its noise here, once, and each call only
+        transforms it by theta (common random numbers across calls).
         """
 
     def evaluate(self, x: float, theta, seed: int = 0) -> float:
         """Run one simulation at input ``x`` with parameters ``theta``."""
-        return float(self.evaluate_params(x, self._check_theta(theta)[None], seed)[0])
+        return float(self.sweep([x], seed)(np.asarray(theta, dtype=float)[None])[0])
 
-    def sweep(self, xs, seed: int = 0) -> Callable[[np.ndarray], np.ndarray]:
-        """Outputs at the inputs ``xs`` under base seed ``seed``, as a function of theta.
-
-        Each input gets its own derived stream, so the result does not
-        depend on evaluation order.  The seed picks the noise and theta
-        transforms it: a subclass may draw the noise once here and reuse
-        it on every call.  This default evaluates input by input.
-        """
-        xs = np.asarray(xs, dtype=float)
-        return lambda theta: np.array([self.evaluate(float(x), theta, seed) for x in xs])
-
-    def evaluate_many(self, xs, theta, seed: int = 0) -> np.ndarray:
-        """Evaluate one parameter vector at several inputs: one call of a sweep."""
-        return self.sweep(xs, seed)(theta)
-
-    def _check_theta(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim_theta,):
+    def _theta_rows(self, thetas) -> np.ndarray:
+        """Parameter rows as a ``(rows, dim_theta)`` array; a vector is one row."""
+        thetas = np.asarray(thetas, dtype=float)
+        rows = thetas[None] if thetas.ndim == 1 else thetas
+        if rows.ndim != 2 or rows.shape[1] != self.dim_theta:
             raise ValueError(
-                f"{self.name} expects {self.dim_theta} parameters, got shape {theta.shape}"
+                f"{self.name} expects {self.dim_theta} parameters, got shape {thetas.shape}"
             )
-        return theta
+        return rows
+
+    def _streams(self, xs, seeds) -> list[int]:
+        """Stream seed of each row: ``derive_seed(key, self.name, x)``.
+
+        The key is the int seed, or the row's key from a ``(prefix, rows,
+        suffix)`` triple.  The stream depends on the key and x but not on
+        theta: a key indexes one realization of the randomness and the
+        parameters transform it.
+        """
+        keys = derive_seeds(*seeds) if isinstance(seeds, tuple) else [operator.index(seeds)]
+        if len(xs) == 1:
+            return derive_seeds((), ((k,) for k in keys), (self.name, xs[0]))
+        if len(keys) == 1:
+            return derive_seeds((keys[0], self.name), ((x,) for x in xs))
+        if len(keys) != len(xs):
+            raise ValueError(f"got {len(keys)} seeds for {len(xs)} inputs")
+        return derive_seeds((), ((k, self.name, x) for k, x in zip(keys, xs)))
 
 
 class LinearSimulator(Simulator):
@@ -86,57 +105,19 @@ class LinearSimulator(Simulator):
     dim_theta = 2
     deterministic = True
 
-    def evaluate(self, x: float, theta, seed: int = 0) -> float:
-        theta = self._check_theta(theta)
-        return float(theta[0] + theta[1] * x)
+    def sweep(self, xs, seeds=0) -> Callable[[np.ndarray], np.ndarray]:
+        xs = np.asarray(xs, dtype=float).reshape(-1)
 
-    def sweep(self, xs, seed: int = 0) -> Callable[[np.ndarray], np.ndarray]:
-        xs = np.asarray(xs, dtype=float)
-
-        def outputs(theta):
-            theta = self._check_theta(theta)
-            return theta[0] + theta[1] * xs
+        def outputs(thetas):
+            thetas = self._theta_rows(thetas)
+            return thetas[:, 0] + thetas[:, 1] * xs
 
         return outputs
-
-    def evaluate_params(self, x: float, thetas, seed: int = 0) -> np.ndarray:
-        thetas = np.asarray(thetas, dtype=float)
-        if thetas.ndim != 2 or thetas.shape[1] != self.dim_theta:
-            raise ValueError(f"expected (m, {self.dim_theta}) parameters, got {thetas.shape}")
-        return thetas[:, 0] + thetas[:, 1] * x
 
 
 def cubic_truth(x: float, seed: int = 0) -> float:
     """Ground-truth regression function -x + x**3 for the linear benchmark."""
     return float(-x + x**3)
-
-
-@dataclass(frozen=True)
-class AssemblyLineParams:
-    """Service-time parameters for the two-stage line.
-
-    ``mean_assembly``/``spread_assembly`` give the per-product assembly
-    duration distribution; ``mean_inspection``/``spread_inspection`` the
-    per-batch inspection duration.  Spreads are standard deviations.
-    """
-
-    mean_assembly: float
-    spread_assembly: float
-    mean_inspection: float
-    spread_inspection: float
-
-    def __post_init__(self):
-        for name, value in self.as_dict().items():
-            if not value > 0:
-                raise ValueError(f"assembly-line parameter {name} must be positive, got {value}")
-
-    def as_dict(self) -> dict:
-        return {
-            "mean_assembly": self.mean_assembly,
-            "spread_assembly": self.spread_assembly,
-            "mean_inspection": self.mean_inspection,
-            "spread_inspection": self.spread_inspection,
-        }
 
 
 class AssemblyLineSimulator(Simulator):
@@ -163,47 +144,25 @@ class AssemblyLineSimulator(Simulator):
             raise ValueError(f"batch size must be >= 1, got {batch_size}")
         self.batch_size = batch_size
 
-    def evaluate_params(self, x: float, thetas, seed=0) -> np.ndarray:
-        thetas = np.asarray(thetas, dtype=float)
-        if thetas.ndim != 2 or thetas.shape[1] != self.dim_theta:
-            raise ValueError(f"expected (m, {self.dim_theta}) parameters, got {thetas.shape}")
-        x = float(x)
-        # The stream depends on (seed, x) but not theta: one seed indexes
-        # one realization of the underlying randomness, and parameters
-        # transform it (common random numbers across parameter values).
-        if np.ndim(seed) == 0:
-            streams = [derive_seed(seed, "assembly", x)]
-        else:
-            if len(seed) != len(thetas):
-                raise ValueError(f"got {len(seed)} seeds for {len(thetas)} parameter rows")
-            streams = derive_seeds((), ((s,) for s in seed), ("assembly", x))
-        return self._schedule(np.array([x]), streams)(thetas)
+    def sweep(self, xs, seeds=0) -> Callable[[np.ndarray], np.ndarray]:
+        """Makespans of ``xs[r]`` products on row r's stream, as a function of theta.
 
-    def sweep(self, xs, seed: int = 0) -> Callable[[np.ndarray], np.ndarray]:
-        xs = np.asarray(xs, dtype=float).reshape(-1)
-        streams = derive_seeds((seed, "assembly"), ((float(x),) for x in xs))
-        makespans = self._schedule(xs, streams)
-        return lambda theta: makespans(self._check_theta(theta)[None])
-
-    def _schedule(self, xs, streams) -> Callable[[np.ndarray], np.ndarray]:
-        """Makespans of ``xs[r]`` products on stream ``streams[r]``, given parameter rows.
-
-        Row r draws its assembly normals, then its inspection normals,
-        from ``default_rng(streams[r])``; they are drawn here, once, and
-        the returned function maps a ``(rows, 4)`` parameter array to the
-        makespans.  Arguments of length 1 broadcast over rows.  Rows with
-        fewer products or batches are padded: the schedule is built from
-        prefix sums and a running max, so padding never reaches a row's
-        last real batch, which is where its makespan is read.
+        Row r draws its assembly normals, then its inspection normals, from
+        ``default_rng`` of its stream seed; they are drawn here, once.  Rows
+        with fewer products or batches are padded: the schedule is built
+        from prefix sums and a running max, so padding never reaches a
+        row's last real batch, which is where its makespan is read.
         """
+        xs = np.asarray(xs, dtype=float).reshape(-1)
         bad = ~(np.isfinite(xs) & (xs >= 1))
         if bad.any():
-            raise ValueError(f"product count must be >= 1, got x={xs[bad][0]}")
+            row = int(np.argmax(bad))
+            raise SimulatorError(f"product count must be >= 1, got x={xs[row]}", row)
         size = self.batch_size
         counts = np.rint(xs).astype(np.intp)[:, None]
         n_batches = -(-counts // size)
         width, depth = int(counts.max(initial=0)), int(n_batches.max(initial=0))
-        z = stream_normals(streams, width + depth)
+        z = stream_normals(self._streams(xs, seeds), width + depth)
         z_asm = z[:, :width]
         # Batch b is ready when its last product leaves assembly; a trailing
         # partial batch when the last product does.
@@ -212,11 +171,17 @@ class AssemblyLineSimulator(Simulator):
         z_insp = np.take_along_axis(z, counts + batch, axis=1)
 
         def makespans(thetas):
+            thetas = self._theta_rows(thetas)
+            if len(thetas) not in (1, len(z)) and len(z) != 1:
+                raise ValueError(f"got {len(thetas)} parameter rows for {len(z)} seeded rows")
             for ok, what in ((np.isfinite(thetas), "finite"), (thetas >= 0, "non-negative")):
                 bad = ~ok.all(axis=1)
                 if bad.any():
-                    raise ValueError(f"assembly-line parameters must be {what}, got {thetas[bad][0]}")
-            if len(thetas) == 0 or len(xs) == 0:
+                    row = int(np.argmax(bad))
+                    raise SimulatorError(
+                        f"assembly-line parameters must be {what}, got {thetas[row]}", row
+                    )
+            if len(thetas) == 0 or len(z) == 0:
                 return np.empty(0)
             mean_asm, sd_asm, mean_insp, sd_insp = np.hsplit(thetas, 4)
             durations = np.maximum(mean_asm + sd_asm * z_asm, 0.0)
@@ -271,8 +236,8 @@ class DataGeneratingProcess:
     spec: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.noise_std < 0:
-            raise ValueError(f"noise std must be >= 0, got {self.noise_std}")
+        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
 
 
 @dataclass(frozen=True)
@@ -359,6 +324,3 @@ def get_simulator(name: str, **options) -> Simulator:
         raise ValueError(f"unknown simulator {name!r}; registered: {known}") from None
     return factory(**options)
 
-
-def register_simulator(name: str, factory: Callable[..., Simulator]) -> None:
-    _REGISTRY[name] = factory

@@ -25,7 +25,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class DegenerateWeightError(ValueError):
-    """An importance weight is zero, negative, or non-finite."""
+    """An importance weight is negative or non-finite, or all weights are zero."""
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,14 @@ class DensitySpec:
 
 @dataclass(frozen=True)
 class ImportanceWeights:
-    """Per-training-point weights beta_i, validated at construction."""
+    """Per-training-point weights beta_i, validated at construction.
+
+    A zero weight is valid: q1 has no mass at that input, so the point
+    drops out of the weighted kernel and likelihood.  At least one weight
+    must be positive.
+    """
 
     values: np.ndarray
-    allow_zero: bool = False
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -112,13 +116,13 @@ class ImportanceWeights:
         if not np.all(np.isfinite(values)):
             bad = int(np.flatnonzero(~np.isfinite(values))[0])
             raise DegenerateWeightError(f"weight at index {bad} is not finite")
-        invalid = values < 0 if self.allow_zero else values <= 0
-        if np.any(invalid):
-            bad = int(np.flatnonzero(invalid)[0])
-            kind = "negative" if self.allow_zero else "not strictly positive"
-            raise DegenerateWeightError(f"weight at index {bad} is {values[bad]} ({kind})")
+        if np.any(values < 0):
+            bad = int(np.flatnonzero(values < 0)[0])
+            raise DegenerateWeightError(f"weight at index {bad} is {values[bad]} (negative)")
         positive = values[values > 0]
-        if positive.size and (positive.min() < WEIGHT_WARN_LOW or positive.max() > WEIGHT_WARN_HIGH):
+        if positive.size == 0:
+            raise DegenerateWeightError("all weights are zero: q1 has no mass at any training input")
+        if positive.min() < WEIGHT_WARN_LOW or positive.max() > WEIGHT_WARN_HIGH:
             warnings.warn(
                 "importance weights span "
                 f"[{values.min():.3e}, {values.max():.3e}]; the training and "
@@ -133,16 +137,11 @@ class ImportanceWeights:
         return np.asarray(self.values, dtype=dtype)
 
 
-def importance_weights(
-    xs,
-    q0: DensitySpec,
-    q1: DensitySpec,
-    allow_zero: bool = False,
-) -> ImportanceWeights:
+def importance_weights(xs, q0: DensitySpec, q1: DensitySpec) -> ImportanceWeights:
     """Evaluate beta_i = q1(x_i) / q0(x_i) at the training inputs.
 
     Raises :class:`DegenerateWeightError` if any q0(x_i) vanishes, or if
-    a weight comes out zero while ``allow_zero`` is off.
+    q1 vanishes at every training input.
     """
     xs = np.asarray(xs, dtype=float)
     p0 = q0.pdf(xs)
@@ -152,7 +151,7 @@ def importance_weights(
             f"training density is zero at input index {bad} (x={xs[bad]}); "
             "importance weights are undefined there"
         )
-    return ImportanceWeights(q1.pdf(xs) / p0, allow_zero=allow_zero)
+    return ImportanceWeights(q1.pdf(xs) / p0)
 
 
 def ordinary_weights(n: int) -> ImportanceWeights:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shiftcal.herd import CandidatePool, herd, herding_mmd
 from shiftcal.kabc import PosteriorEmbedding
@@ -64,6 +66,22 @@ class TestHerd:
             out = herd(emb, CandidatePool(pool_points), 10)
             expected = brute_force_herd(draws, weights, sigma2, pool_points, 10)
             assert [tuple(p) for p in out.points] == expected
+
+    @given(st.integers(1, 6), st.integers(1, 3), st.lists(st.integers(0, 20), max_size=8),
+           st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_matches_brute_force_on_random_embeddings(self, m, d, picks, T, seed):
+        # continuous random atoms, signed weights and bandwidth; the pool
+        # holds the atoms, fresh points and exact repeats of earlier rows
+        rng = np.random.default_rng(seed)
+        draws = rng.normal(scale=rng.uniform(0.2, 3.0), size=(m, d))
+        weights = rng.normal(size=m)
+        sigma2 = float(rng.uniform(0.3, 3.0))
+        pool_points = np.vstack([draws, rng.normal(size=(int(rng.integers(0, 8)), d))])
+        pool_points = np.vstack([pool_points, pool_points[[p % len(pool_points) for p in picks]]])
+        emb = PosteriorEmbedding(draws, weights, ParamKernel(sigma2))
+        out = herd(emb, CandidatePool(pool_points), T)
+        expected = brute_force_herd(draws, weights, sigma2, pool_points, T)
+        assert [tuple(p) for p in out.points] == expected
 
     def test_each_step_is_exact_argmax(self):
         rng = np.random.default_rng(1)

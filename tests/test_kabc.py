@@ -90,7 +90,7 @@ class TestSimulatePseudoOutputs:
         xs = np.array([0.0, 1.0, 2.0])
         theta = np.array([1.0, 3.0])
         pseudo = simulate_pseudo_outputs(sim, theta[None, :], xs, seed=0)
-        assert np.array_equal(pseudo.values[0], sim.evaluate_many(xs, theta))
+        assert np.array_equal(pseudo.values[0], sim.sweep(xs)(theta))
 
     def test_stochastic_batch_reproducible(self):
         sim = AssemblyLineSimulator()
@@ -106,6 +106,12 @@ class TestSimulatePseudoOutputs:
         sim = AssemblyLineSimulator()
         with pytest.raises(RuntimeError, match=r"input 1 .* draw 0"):
             simulate_pseudo_outputs(sim, np.array([[2.0, 0.5, 5.0, 1.0]]), [5.0, 0.2], seed=0)
+
+    def test_error_names_failing_draw(self):
+        thetas = np.array([[2.0, 0.5, 5.0, 1.0]] * 4)
+        thetas[2, 1] = -0.5
+        with pytest.raises(RuntimeError, match=r"input 0 .* draw 2 \(theta=\[ ?2\. +-0\.5"):
+            simulate_pseudo_outputs(AssemblyLineSimulator(), thetas, [5.0, 8.0], seed=0)
 
 
 class TestBuildEmbedding:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -230,7 +230,6 @@ class TestRegularizedSolve:
 # -- properties of the one-pass distances, against explicit differences --------
 
 EPS = np.finfo(float).eps
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 def explicit_sqdist(vectors, weights=None):
@@ -269,7 +268,6 @@ def sample_sets(draw, min_n=1, max_n=60):
 
 
 class TestPairwiseSqdistProperties:
-    @PROPERTY
     @given(vector_sets())
     def test_symmetric_zero_diagonal_nonnegative(self, case):
         mat, weights = case
@@ -278,7 +276,6 @@ class TestPairwiseSqdistProperties:
         assert np.all(np.diag(dist) == 0.0)
         assert np.all(dist >= 0.0)
 
-    @PROPERTY
     @given(vector_sets())
     def test_error_within_rounding_of_centred_norms(self, case):
         mat, weights = case
@@ -289,7 +286,6 @@ class TestPairwiseSqdistProperties:
         err = np.abs(pairwise_sqdist(mat, weights) - explicit_sqdist(mat, weights))
         assert np.all(err <= bound)
 
-    @PROPERTY
     @given(sample_sets())
     def test_error_relative_to_median_distance(self, case):
         mat, weights, _ = case
@@ -297,7 +293,6 @@ class TestPairwiseSqdistProperties:
         err = np.max(np.abs(pairwise_sqdist(mat, weights) - ref))
         assert err <= 1e-12 * lower_median_of_pairs(ref)
 
-    @PROPERTY
     @given(sample_sets(max_n=120))
     def test_identical_rows_exactly_zero(self, case):
         mat, weights, rng = case
@@ -308,7 +303,6 @@ class TestPairwiseSqdistProperties:
         assert np.all(dist[same] == 0.0)
         assert np.all(dist[~same] > 0.0)
 
-    @PROPERTY
     @given(st.integers(2, 60), st.integers(50, 150), st.integers(0, 2**32 - 1))
     def test_all_duplicate_rows_degenerate(self, m, n, seed):
         weights = np.random.default_rng(seed).uniform(0.1, 3.0, size=n)
@@ -316,7 +310,6 @@ class TestPairwiseSqdistProperties:
         with pytest.raises(DegenerateBandwidthError):
             median_heuristic(rows, weights=weights)
 
-    @PROPERTY
     @given(sample_sets(max_n=10))
     def test_median_is_lower_median_of_pairs(self, case):
         mat, weights, _ = case
@@ -358,7 +351,6 @@ class TestSharedDistanceBuffer:
 
 
 class TestRegularizedSolveProperties:
-    @PROPERTY
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(1, 150),

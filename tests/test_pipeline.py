@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from shiftcal._seeding import derive_seed
-from shiftcal.baseline import mh_sample, weighted_log_likelihood
+from shiftcal._seeding import derive_rng
+from shiftcal.baseline import mh_sample
 from shiftcal.config import ExperimentConfig, preset
 from shiftcal.pipeline import (
     StageError,
     calibrate,
     emit_plot_data,
+    minimize_weighted_sse,
     resolve_weights,
     rmse_curve,
     run_calibration,
@@ -25,21 +27,22 @@ def tiny_linear(**overrides) -> ExperimentConfig:
 
 
 def reference_mh_baseline(cfg: ExperimentConfig, steps: int):
-    """``run_mh_baseline`` whose target calls ``weighted_log_likelihood`` on every
-    step, so every step draws the sweep's noise afresh.  Returns (trace, rmse)."""
+    """``run_mh_baseline`` whose target builds a fresh sweep and writes out the
+    weighted likelihood on every step, so every step draws the sweep's noise
+    afresh.  Returns (trace, rmse)."""
     mh_cfg = cfg.mh_config(steps=steps, seed=derive_seed(cfg.seed, "mh"))
     sim, prior = cfg.build_simulator(), cfg.build_prior()
     dataset = generate_dataset(cfg.build_dgp(), cfg.n, derive_seed(cfg.seed, "dataset"))
     beta = resolve_weights(cfg, dataset)
-    eval_seed = derive_seed(cfg.seed, "mh-eval")
+    loglik_seed = derive_seed(derive_seed(cfg.seed, "mh-eval"), "loglik")
 
     def target(theta):
         log_prior = prior.log_pdf(theta)
         if not np.isfinite(log_prior):
             return -np.inf
-        return weighted_log_likelihood(
-            theta, dataset, beta, sim, mh_cfg.noise_var, eval_seed
-        ) + log_prior
+        residuals = dataset.y - sim.sweep(dataset.x, loglik_seed)(theta)
+        sse = float(np.sum(np.asarray(beta) * residuals * residuals))
+        return -sse / (2.0 * mh_cfg.noise_var) + log_prior
 
     trace = mh_sample(target, prior.center(), mh_cfg)
     test_inputs = generate_test_inputs(cfg.test_density(), cfg.n_test, derive_seed(cfg.seed, "test"))
@@ -134,6 +137,20 @@ class TestRunCalibration:
         # test inputs still follow the shift-mode density here
         assert np.array_equal(np.asarray(via_csv.beta), np.asarray(via_ordinary.beta))
 
+    def test_uniform_q1_inside_q0_drops_points(self):
+        # training inputs outside [0, 1] get weight zero and drop out
+        cfg = preset("linear-shift", q1={"family": "uniform", "low": 0.0, "high": 1.0})
+        result = calibrate(cfg)
+        beta = np.asarray(result.beta)
+        assert np.any(beta == 0.0) and np.any(beta > 0.0)
+        assert np.all((beta > 0.0) == ((result.dataset.x >= 0.0) & (result.dataset.x <= 1.0)))
+        assert np.isfinite(result.rmse)
+
+    def test_disjoint_q1_fails_clearly(self):
+        cfg = tiny_linear(q1={"family": "uniform", "low": 5.0, "high": 6.0})
+        with pytest.raises(StageError, match="weights.*q1 has no mass at any training input"):
+            calibrate(cfg)
+
     def test_schedule_epsilon_used(self):
         cfg = tiny_linear().replace(epsilon=None, epsilon_schedule={"C": 1.0, "b": 2.0})
         result = calibrate(cfg)
@@ -225,6 +242,31 @@ class TestTheoremCheck:
         report = theorem1_check(cfg, grid_resolution=9)
         assert report.on_boundary
         assert report.theta_star == (1.0, 1.0)
+
+    @pytest.mark.parametrize("name,seed", [("linear-shift", 3), ("assembly-shift", 9)])
+    def test_oracle_equals_per_point_sweeps(self, name, seed):
+        # reference: one sweep over the training inputs per point k, on
+        # seed derive_seed(search seed, k), and the loss written out
+        cfg = preset(name, seed=seed)
+        ds = generate_dataset(cfg.build_dgp(), cfg.n, derive_seed(cfg.seed, "dataset"))
+        beta = np.asarray(resolve_weights(cfg, ds))
+        sim, prior = cfg.build_simulator(), cfg.build_prior()
+        search = derive_seed(cfg.seed, "oracle-search")
+        if prior.dim <= 2:
+            low, high = prior.search_box()
+            axes = [np.linspace(low[k], high[k], 9) for k in range(prior.dim)]
+            points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+        else:
+            points = prior.sample(64, derive_rng(search, "draws"))
+        losses = []
+        for k, theta in enumerate(points):
+            residuals = ds.y - sim.sweep(ds.x, derive_seed(search, k))(theta)
+            losses.append(float(np.sum(beta * residuals * residuals)))
+        theta, loss, *_ = minimize_weighted_sse(cfg, ds, resolve_weights(cfg, ds),
+                                                grid_resolution=9, search_draws=64)
+        best = int(np.argmin(losses))
+        assert loss == losses[best]
+        assert theta.tobytes() == points[best].tobytes()
 
     def test_wls_match_within_grid_step(self):
         cfg = preset("linear-shift", n=60, m=40, herd_size=40)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shiftcal.herd import CandidatePool, herd
 from shiftcal.kabc import PosteriorEmbedding
@@ -139,3 +142,36 @@ class TestGenerateTestInputs:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             generate_test_inputs(DensitySpec.normal(0, 1), 0, seed=0)
+
+
+# -- permutation invariance of the prediction streams -------------------------
+
+
+@st.composite
+def prediction_cases(draw):
+    """A simulator, test inputs, herded samples with repeats, and two permutations."""
+    if draw(st.booleans()):
+        sim, elements, xs = LinearSimulator(), st.floats(-3.0, 3.0), st.floats(-2.0, 2.0)
+    else:
+        sim, elements, xs = AssemblyLineSimulator(), st.floats(0.0, 5.0), st.floats(1.0, 60.0)
+    distinct = draw(arrays(float, (draw(st.integers(1, 4)), sim.dim_theta), elements=elements))
+    picks = draw(st.lists(st.integers(0, 3), min_size=1, max_size=8))
+    samples = distinct[[p % len(distinct) for p in picks]]
+    test_inputs = np.array(draw(st.lists(xs, min_size=1, max_size=5)))
+    input_order = draw(st.permutations(range(test_inputs.size)))
+    sample_order = draw(st.permutations(range(len(samples))))
+    return sim, test_inputs, samples, list(input_order), list(sample_order)
+
+
+class TestPermutationProperties:
+    @given(prediction_cases(), st.integers(0, 2**32 - 1))
+    def test_rmse_and_output_multisets_invariant(self, case, seed):
+        sim, xs, samples, input_order, sample_order = case
+        truth = lambda x, seed=0: 2.5 * x + seed % 1000 / 1000  # reads its stream seed
+        base, _, base_rmse = score_predictions(truth, xs, sim, samples, seed)
+        for test_inputs, points in ((xs[input_order], samples), (xs, samples[sample_order])):
+            preds, _, value = score_predictions(truth, test_inputs, sim, points, seed)
+            assert value == pytest.approx(base_rmse, rel=1e-12, abs=1e-12)
+            by_input = {p.x: sorted(p.outputs) for p in base}
+            for pred in preds:
+                assert sorted(pred.outputs) == by_input[pred.x]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from shiftcal._seeding import derive_rng, derive_seed, derive_seeds, stream_normals
@@ -95,7 +95,6 @@ def test_stream_normals_no_seeds():
     assert stream_normals([], 5).shape == (0, 5)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     st.lists(st.integers(0, 2**64 - 1) | st.sampled_from(EDGE_SEEDS), min_size=1, max_size=12),
     st.integers(0, 300),

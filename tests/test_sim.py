@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from shiftcal.sim import (
-    AssemblyLineParams,
     AssemblyLineSimulator,
     DataGeneratingProcess,
     Dataset,
     LinearSimulator,
     PiecewiseTruth,
+    SimulatorError,
     cubic_truth,
     generate_dataset,
     get_simulator,
@@ -31,11 +31,16 @@ class TestLinearSim:
         sim = LinearSimulator()
         xs = np.linspace(-2, 2, 7)
         theta = np.array([0.3, -1.2])
-        assert np.array_equal(sim.evaluate_many(xs, theta), [sim.evaluate(x, theta) for x in xs])
+        assert np.array_equal(sim.sweep(xs)(theta), [sim.evaluate(x, theta) for x in xs])
         thetas = np.array([[0.0, 1.0], [2.0, -0.5]])
-        assert np.array_equal(
-            sim.evaluate_params(1.5, thetas), [sim.evaluate(1.5, t) for t in thetas]
-        )
+        assert np.array_equal(sim.sweep([1.5])(thetas), [sim.evaluate(1.5, t) for t in thetas])
+
+    def test_stream_keys_never_resolved(self):
+        def keys():
+            raise AssertionError("a noise-free sweep iterated its stream keys")
+            yield
+
+        assert np.array_equal(LinearSimulator().sweep([2.0], ((1,), keys(), ()))((1.0, 3.0)), [7.0])
 
     def test_dimension_check(self):
         with pytest.raises(ValueError):
@@ -110,8 +115,8 @@ class TestAssemblySim:
         with pytest.raises(ValueError):
             self.sim.evaluate(4, (2, 0, -5, 0))
         for bad in (0.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match="product count"):
-                self.sim.evaluate_many([4.0, bad], (2, 0, 5, 0))
+            with pytest.raises(SimulatorError, match=r"product count .* \(row 1\)"):
+                self.sim.sweep([4.0, bad])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_theta_rejected(self, bad):
@@ -121,20 +126,20 @@ class TestAssemblySim:
             with pytest.raises(ValueError, match="must be finite"):
                 self.sim.evaluate(100.0, theta, 3)
         thetas = np.array([[2.0, 0.5, 5.0, 1.0], [2.0, bad, 5.0, 1.0]])
+        with pytest.raises(SimulatorError, match=r"must be finite.*\(row 1\)") as caught:
+            self.sim.sweep([100.0], ((), [(1,), (2,)], ()))(thetas)
+        assert caught.value.row == 1
         with pytest.raises(ValueError, match="must be finite"):
-            self.sim.evaluate_params(100.0, thetas, [1, 2])
-        with pytest.raises(ValueError, match="must be finite"):
-            self.sim.evaluate_many([4.0, 8.0], thetas[1], 0)
+            self.sim.sweep([4.0, 8.0], 0)(thetas[1])
 
     def test_seed_count_must_match_rows(self):
+        keys = ((), [(1,), (2,)], ())
         with pytest.raises(ValueError, match="seeds"):
-            self.sim.evaluate_params(4.0, np.ones((3, 4)), [1, 2])
-
-    def test_params_type_requires_positive(self):
-        with pytest.raises(ValueError):
-            AssemblyLineParams(2.0, 0.0, 5.0, 1.0)
-        params = AssemblyLineParams(2.0, 0.5, 5.0, 1.0)
-        assert params.as_dict()["mean_inspection"] == 5.0
+            self.sim.sweep([4.0, 5.0, 6.0], keys)
+        with pytest.raises(ValueError, match="3 parameter rows for 2"):
+            self.sim.sweep([4.0], keys)(np.ones((3, 4)))
+        with pytest.raises(TypeError):
+            self.sim.sweep([4.0], [1, 2])
 
 
 class TestPiecewiseTruth:
@@ -197,6 +202,11 @@ class TestGenerateDataset:
         )
         with pytest.raises(ValueError):
             generate_dataset(dgp, 0, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_bad_noise_std_rejected(self, bad):
+        with pytest.raises(ValueError, match="noise_std"):
+            DataGeneratingProcess(truth=cubic_truth, noise_std=bad, q0=DensitySpec.uniform(0, 1))
 
 
 class TestDatasetCsv:

@@ -1,15 +1,15 @@
-"""Batched assembly simulation equals one-evaluation-at-a-time, bit for bit.
+"""Sweeps equal one-evaluation-at-a-time, bit for bit.
 
 ``scalar_makespan`` is the one-evaluation reference: a fresh generator
 per call, assembly normals then inspection normals, and a 1-d schedule.
-The batched paths, and sweeps that draw their noise once and reuse it,
-must reproduce it exactly, not within a tolerance, because their
-arithmetic and random streams are the same.
+Sweeps over many parameter rows, over many inputs, and sweeps that draw
+their noise once and reuse it must reproduce it exactly, not within a
+tolerance, because their arithmetic and random streams are the same.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -17,8 +17,6 @@ from shiftcal._seeding import derive_rng, derive_seed
 from shiftcal.kabc import simulate_pseudo_outputs
 from shiftcal.predict import predict
 from shiftcal.sim import AssemblyLineSimulator, LinearSimulator, Simulator
-
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 def scalar_makespan(batch_size, x, theta, seed):
@@ -57,42 +55,56 @@ def theta_rows(draw, max_rows=8):
 
 
 class TestEvaluateParams:
-    @PROPERTY
+    """One input under several parameter rows: the shape of pseudo-output and prediction sweeps."""
+
     @given(batch_sizes, inputs, theta_rows(), seeds)
     def test_shared_seed(self, batch_size, x, thetas, seed):
         sim = AssemblyLineSimulator(batch_size)
         expected = [scalar_makespan(batch_size, x, theta, seed) for theta in thetas]
-        assert bits(sim.evaluate_params(x, thetas, seed)) == bits(expected)
+        assert bits(sim.sweep([x], seed)(thetas)) == bits(expected)
 
-    @PROPERTY
     @given(batch_sizes, inputs, theta_rows(), st.data())
     def test_seed_per_row(self, batch_size, x, thetas, data):
+        # a key triple names row r's key derive_seed(*prefix, *rows[r], *suffix)
         sim = AssemblyLineSimulator(batch_size)
-        row_seeds = data.draw(st.lists(seeds, min_size=len(thetas), max_size=len(thetas)))
-        expected = [scalar_makespan(batch_size, x, t, s) for t, s in zip(thetas, row_seeds)]
-        assert bits(sim.evaluate_params(x, thetas, row_seeds)) == bits(expected)
+        rows = data.draw(st.lists(st.tuples(seeds, st.integers(0, 9)),
+                                  min_size=len(thetas), max_size=len(thetas)))
+        expected = [scalar_makespan(batch_size, x, t, derive_seed("p", *row, 2.5))
+                    for t, row in zip(thetas, rows)]
+        assert bits(sim.sweep([x], (("p",), iter(rows), (2.5,)))(thetas)) == bits(expected)
 
-    @PROPERTY
     @given(batch_sizes, inputs, theta_rows(max_rows=1), seeds)
     def test_evaluate_is_one_row(self, batch_size, x, thetas, seed):
         sim = AssemblyLineSimulator(batch_size)
         assert sim.evaluate(x, thetas[0], seed) == scalar_makespan(batch_size, x, thetas[0], seed)
 
     def test_no_rows(self):
-        assert AssemblyLineSimulator().evaluate_params(5.0, np.empty((0, 4)), 1).shape == (0,)
+        assert AssemblyLineSimulator().sweep([5.0], 1)(np.empty((0, 4))).shape == (0,)
+        keys = ((1,), iter([]), ())
+        assert AssemblyLineSimulator().sweep([5.0], keys)(np.ones((1, 4))).shape == (0,)
 
 
 class TestEvaluateMany:
-    @PROPERTY
+    """Several inputs under one parameter vector: the shape of likelihood and oracle sweeps."""
+
     @given(batch_sizes, st.lists(inputs, min_size=1, max_size=12), theta_rows(max_rows=1), seeds)
     def test_padded_inputs(self, batch_size, xs, thetas, seed):
         sim = AssemblyLineSimulator(batch_size)
         expected = [scalar_makespan(batch_size, x, thetas[0], seed) for x in xs]
-        assert bits(sim.evaluate_many(xs, thetas[0], seed)) == bits(expected)
+        assert bits(sim.sweep(xs, seed)(thetas)) == bits(expected)
+
+    @given(batch_sizes, st.lists(inputs, min_size=2, max_size=8), st.data())
+    def test_row_per_input_and_key(self, batch_size, xs, data):
+        # inputs, keys and parameter rows all of length R
+        sim = AssemblyLineSimulator(batch_size)
+        thetas = data.draw(arrays(float, (len(xs), 4), elements=st.floats(0.0, 10.0)))
+        keys = [(k,) for k in range(len(xs))]
+        expected = [scalar_makespan(batch_size, x, t, derive_seed(7, k))
+                    for k, (x, t) in enumerate(zip(xs, thetas))]
+        assert bits(sim.sweep(xs, ((7,), keys, ()))(thetas)) == bits(expected)
 
 
 class TestCallers:
-    @PROPERTY
     @given(batch_sizes, st.lists(inputs, min_size=1, max_size=5), theta_rows(), seeds)
     def test_pseudo_outputs(self, batch_size, xs, thetas, seed):
         sim = AssemblyLineSimulator(batch_size)
@@ -103,7 +115,6 @@ class TestCallers:
         ]
         assert bits(simulate_pseudo_outputs(sim, thetas, xs, seed).values) == bits(expected)
 
-    @PROPERTY
     @given(batch_sizes, inputs, theta_rows(), st.lists(st.integers(0, 7), min_size=1, max_size=10),
            seeds)
     def test_predict(self, batch_size, x, thetas, picks, seed):
@@ -121,14 +132,20 @@ class TestCallers:
 
 
 class ToySimulator(Simulator):
-    """A stochastic simulator that keeps the default, input-by-input sweep."""
+    """A stochastic simulator written only against the base class's stream naming."""
 
     name = "toy"
     dim_theta = 2
 
-    def evaluate_params(self, x, thetas, seed=0):
-        noise = derive_rng(seed, "toy", float(x)).standard_normal()
-        return thetas[:, 0] * x + thetas[:, 1] * noise
+    def sweep(self, xs, seeds=0):
+        xs = np.asarray(xs, dtype=float).reshape(-1)
+        noise = np.array([np.random.default_rng(s).standard_normal() for s in self._streams(xs, seeds)])
+
+        def outputs(thetas):
+            thetas = self._theta_rows(thetas)
+            return thetas[:, 0] * xs + thetas[:, 1] * noise
+
+        return outputs
 
 
 def toy_output(x, theta, seed):
@@ -139,31 +156,24 @@ input_lists = st.lists(inputs, min_size=0, max_size=12)
 
 
 class TestSweep:
-    @PROPERTY
     @given(batch_sizes, input_lists, theta_rows(max_rows=1), seeds)
     def test_assembly(self, batch_size, xs, thetas, seed):
         sim = AssemblyLineSimulator(batch_size)
         expected = [scalar_makespan(batch_size, x, thetas[0], seed) for x in xs]
         assert bits(sim.sweep(xs, seed)(thetas[0])) == bits(expected)
-        assert bits(sim.evaluate_many(xs, thetas[0], seed)) == bits(expected)
 
-    @PROPERTY
     @given(input_lists, arrays(float, 2, elements=st.floats(-10.0, 10.0)), seeds)
     def test_linear(self, xs, theta, seed):
         sim = LinearSimulator()
         expected = [sim.evaluate(x, theta) for x in xs]
         assert bits(sim.sweep(xs, seed)(theta)) == bits(expected)
-        assert bits(sim.evaluate_many(xs, theta, seed)) == bits(expected)
 
-    @PROPERTY
     @given(input_lists, arrays(float, 2, elements=st.floats(-10.0, 10.0)), seeds)
     def test_default_sweep(self, xs, theta, seed):
         sim = ToySimulator()
         expected = [toy_output(x, theta, seed) for x in xs]
         assert bits(sim.sweep(xs, seed)(theta)) == bits(expected)
-        assert bits(sim.evaluate_many(xs, theta, seed)) == bits(expected)
 
-    @PROPERTY
     @given(batch_sizes, st.lists(inputs, min_size=1, max_size=8), theta_rows(), seeds, st.randoms())
     def test_reused_in_any_order(self, batch_size, xs, thetas, seed, order):
         # the noise is drawn once; each call transforms it and changes nothing

@@ -99,13 +99,26 @@ class TestImportanceWeights:
         with pytest.raises(DegenerateWeightError, match="index 2"):
             importance_weights([0.1, 0.9, 1.5], q0, q1)
 
-    def test_zero_weight_rejected_unless_allowed(self):
+    def test_zero_weight_accepted_negative_rejected(self):
+        # q1 without mass at an input gives that point weight zero
         q0 = DensitySpec.normal(0.0, 1.0)
         q1 = DensitySpec.uniform(0.0, 1.0)
-        with pytest.raises(DegenerateWeightError):
-            importance_weights([-0.5, 0.5], q0, q1)
-        beta = importance_weights([-0.5, 0.5], q0, q1, allow_zero=True)
+        beta = importance_weights([-0.5, 0.5], q0, q1)
         assert np.asarray(beta)[0] == 0.0
+        assert np.asarray(beta)[1] > 0.0
+        with pytest.raises(DegenerateWeightError, match="index 1 .*negative"):
+            ImportanceWeights(np.array([1.0, -1e-300, 0.0]))
+
+    @pytest.mark.parametrize("values", [[0.0], [0.0, 0.0, 0.0]])
+    def test_all_zero_rejected(self, values):
+        with pytest.raises(DegenerateWeightError, match="q1 has no mass at any training input"):
+            ImportanceWeights(np.array(values))
+
+    def test_disjoint_q1_rejected(self):
+        q0 = DensitySpec.normal(0.0, 1.0)
+        q1 = DensitySpec.uniform(5.0, 6.0)
+        with pytest.raises(DegenerateWeightError, match="q1 has no mass"):
+            importance_weights([-0.5, 0.5, 1.0], q0, q1)
 
     def test_extreme_weights_warn(self):
         # ratio ~ exp(-32) ~ 1e-14: finite but far below the sane range
