@@ -34,9 +34,11 @@ from .kern import (
 )
 from .pipeline import (
     CalibrationResult,
+    Prepared,
     RunReport,
     calibrate,
     emit_plot_data,
+    prepare,
     rmse_curve,
     run_calibration,
     run_mh_baseline,

@@ -12,15 +12,13 @@ the budget still counts one sweep per step.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from ._seeding import derive_rng, derive_seed
-from .sim import Dataset, Simulator
+from .sim import Dataset, Simulator, write_csv_rows
 from .weights import ImportanceWeights
 
 
@@ -35,12 +33,12 @@ class MHConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.proposal_std > 0:
-            raise ValueError(f"proposal std must be positive, got {self.proposal_std}")
+        if not (np.isfinite(self.proposal_std) and self.proposal_std > 0):
+            raise ValueError(f"proposal std must be finite and positive, got {self.proposal_std}")
         if not 0 <= self.burn_in < 1:
             raise ValueError(f"burn-in fraction must lie in [0, 1), got {self.burn_in}")
-        if not self.noise_var > 0:
-            raise ValueError(f"noise variance must be positive, got {self.noise_var}")
+        if not (np.isfinite(self.noise_var) and self.noise_var > 0):
+            raise ValueError(f"noise variance must be finite and positive, got {self.noise_var}")
         if self.steps < 1:
             raise ValueError(f"need at least one step, got {self.steps}")
 
@@ -76,16 +74,11 @@ class MHTrace:
     def post_burn_in(self) -> np.ndarray:
         return self.states[self.burn_in_steps :]
 
-    def write_csv(self, path, header_comment: str | None = None) -> None:
-        path = Path(path)
-        dim = self.states.shape[1]
-        with path.open("w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["step"] + [f"theta_{k}" for k in range(dim)] + ["accepted"])
-            for s, (state, acc) in enumerate(zip(self.states, self.accepted), start=1):
-                writer.writerow([s] + [repr(float(v)) for v in state] + [int(acc)])
+    def write_csv(self, path, config_hash: str | None = None) -> None:
+        header = ["step"] + [f"theta_{k}" for k in range(self.states.shape[1])] + ["accepted"]
+        steps = enumerate(zip(self.states, self.accepted), start=1)
+        rows = ([s, *state, int(acc)] for s, (state, acc) in steps)
+        write_csv_rows(path, config_hash, header, rows)
 
 
 def weighted_residual_sum(outputs, y, beta):

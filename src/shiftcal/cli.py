@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -25,8 +26,8 @@ from .pipeline import (
     run_calibration,
     run_mh_baseline,
     theorem1_check,
-    write_curve_csv,
 )
+from .sim import write_csv_rows
 
 log = logging.getLogger("shiftcal")
 
@@ -61,19 +62,33 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return preset(args.preset, **overrides)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _checked(parse, rule: str, ok):
+    """argparse type: ``parse(text)``, a usage error unless ``ok(value)``."""
+
+    def checked(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    checked.__name__ = parse.__name__  # argparse names it in "invalid int value"
+    return checked
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+_positive_int = _checked(int, ">= 1", lambda v: v >= 1)
+_positive_float = _checked(float, "finite and > 0", lambda v: math.isfinite(v) and v > 0)
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _list_of(item):
+    """argparse type: a non-empty comma-separated list of ``item`` values."""
+
+    def comma_list(text: str) -> list:
+        values = [item(v) for v in text.split(",") if v.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"needs at least one value, got {text!r}")
+        return values
+
+    return comma_list
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -94,7 +109,7 @@ def cmd_rmse_curve(args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg.write_json(out / "config.json")
-    write_curve_csv(out / "rmse_curve.csv", rows, cfg.config_hash())
+    write_csv_rows(out / "rmse_curve.csv", cfg.config_hash(), list(rows[0]), map(dict.values, rows))
     for row in rows:
         line = f"m={row['m']:>6d}  rmse={row['rmse_mean']:.6g} +- {row['rmse_std']:.3g}"
         if args.include_mh:
@@ -109,7 +124,7 @@ def cmd_mh_baseline(args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg.write_json(out / "config.json")
-    result.trace.write_csv(out / "trace.csv", header_comment=f"config_hash={cfg.config_hash()}")
+    result.trace.write_csv(out / "trace.csv", cfg.config_hash())
     _write_json(
         out / "mh_report.json",
         {
@@ -134,7 +149,7 @@ def cmd_mh_sweep(args) -> int:
     rows = mh_acceptance_sweep(cfg, args.proposal_stds, steps=args.steps)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_curve_csv(out / "mh_sweep.csv", rows, cfg.config_hash())
+    write_csv_rows(out / "mh_sweep.csv", cfg.config_hash(), list(rows[0]), map(dict.values, rows))
     for row in rows:
         print(
             f"proposal_std={row['proposal_std']:.4g}  "
@@ -180,20 +195,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rmse-curve", help="RMSE versus simulation budget")
     _add_common(p)
-    p.add_argument("--m-values", type=_int_list, default=[50, 100, 200, 400])
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--m-values", type=_list_of(_positive_int), default=[50, 100, 200, 400])
+    p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--include-mh", action="store_true", help="also run the MH baseline per budget")
     p.set_defaults(func=cmd_rmse_curve)
 
     p = sub.add_parser("mh-baseline", help="run the Metropolis-Hastings comparison")
     _add_common(p)
-    p.add_argument("--steps", type=int, default=None, help="chain length override")
+    p.add_argument("--steps", type=_positive_int, default=None, help="chain length override")
     p.set_defaults(func=cmd_mh_baseline)
 
     p = sub.add_parser("mh-sweep", help="acceptance ratio per proposal std")
     _add_common(p)
-    p.add_argument("--proposal-stds", type=_float_list, default=[0.03, 0.06, 0.08])
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--proposal-stds", type=_list_of(_positive_float), default=[0.03, 0.06, 0.08])
+    p.add_argument("--steps", type=_positive_int, default=None)
     p.set_defaults(func=cmd_mh_sweep)
 
     p = sub.add_parser(
@@ -201,12 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="distance between embeddings built from data and from optimal outputs",
     )
     _add_common(p)
-    p.add_argument("--grid-resolution", type=int, default=101)
+    p.add_argument("--grid-resolution", type=_checked(int, ">= 2", lambda v: v >= 2), default=101)
     p.set_defaults(func=cmd_theorem1_check)
 
     p = sub.add_parser("emit-plot-data", help="predictive draws over an input grid")
     _add_common(p)
-    p.add_argument("--grid-points", type=int, default=121)
+    p.add_argument("--grid-points", type=_positive_int, default=121)
     p.set_defaults(func=cmd_emit_plot_data)
     return parser
 

@@ -4,11 +4,16 @@ A config is a plain JSON object with one section per pipeline concern.
 Normal densities take exactly one of ``std``/``var`` for their second
 parameter, so files are never ambiguous about scale conventions.  The
 config hash (sha256 of the canonical resolved JSON) is embedded in every
-artifact a run writes.
+artifact a run writes.  Each part (simulator, truth, densities, prior,
+noise, epsilon schedule, ``mh`` section) is parsed once, when the config
+is built, so a bad value or an unknown key fails at load, never mid-run.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -47,6 +52,78 @@ def _count(name: str, value) -> int:
     return count
 
 
+def _finite_positive(name: str, value) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+    return value
+
+
+def _parse_truth(truth: dict, sim: Simulator) -> TruthFn:
+    kind = truth.get("kind")
+    if kind == "cubic":
+        return cubic_truth
+    if kind == "piecewise":
+        return PiecewiseTruth(
+            base_sim=sim,
+            theta_lo=tuple(float(v) for v in truth["theta_lo"]),
+            theta_hi=tuple(float(v) for v in truth["theta_hi"]),
+            breakpoint=float(truth["breakpoint"]),
+        )
+    if kind == "simulator":
+        theta = tuple(float(v) for v in truth["theta"])
+        return lambda x, seed=0: sim.evaluate(x, theta, seed)
+    if kind == "constant":
+        value = float(truth["value"])
+        return lambda x, seed=0: value
+    raise ValueError(f"unknown truth kind {kind!r}")
+
+
+def _parse_noise(noise: dict) -> float:
+    """The noise std of a spec holding exactly one of 'std' or 'var'."""
+    if ("std" in noise) == ("var" in noise):
+        raise ValueError("noise spec needs exactly one of 'std' or 'var'")
+    key = "std" if "std" in noise else "var"
+    value = float(noise[key])
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"noise {key} must be finite and >= 0, got {value}")
+    return value if key == "std" else math.sqrt(value)
+
+
+def _parse_schedule(epsilon, schedule, m: int) -> tuple | None:
+    """``(b, C)`` of an epsilon schedule, or None for a fixed epsilon.
+
+    Either way, epsilon at ``m`` must come out finite and positive.
+    """
+    if (epsilon is None) == (schedule is None):
+        raise ValueError("config needs exactly one of 'epsilon' or 'epsilon_schedule'")
+    if schedule is None:
+        _finite_positive("epsilon", epsilon)
+        return None
+    if not isinstance(schedule, dict) or set(schedule) != {"b", "C"}:
+        raise ValueError(f"epsilon_schedule needs exactly the keys 'b' and 'C', got {schedule!r}")
+    b, C = float(schedule["b"]), float(schedule["C"])
+    try:
+        _finite_positive("epsilon", regularization_schedule(m, b, C))
+    except ValueError as exc:
+        raise ValueError(f"epsilon_schedule {schedule}: {exc}") from None
+    return b, C
+
+
+def _parse_mh(mh: dict, seed: int) -> MHConfig:
+    required = {"proposal_std", "steps", "noise_var"}
+    if not required <= set(mh) <= required | {"burn_in"}:
+        keys = "'proposal_std', 'steps', 'noise_var' and optionally 'burn_in'"
+        raise ValueError(f"mh section needs {keys}, got {sorted(mh)}")
+    return MHConfig(
+        proposal_std=float(mh["proposal_std"]),
+        steps=_count("mh.steps", mh["steps"]),
+        burn_in=float(mh.get("burn_in", 0.10)),
+        noise_var=float(mh["noise_var"]),
+        seed=seed,
+    )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved settings for one calibration experiment."""
@@ -78,10 +155,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.pool_extra < 0:
             raise ValueError(f"pool_extra must be >= 0, got {self.pool_extra}")
-        if (self.epsilon is None) == (self.epsilon_schedule is None):
-            raise ValueError("config needs exactly one of 'epsilon' or 'epsilon_schedule'")
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.weight_mode not in ("shift", "ordinary", "csv"):
             raise ValueError(f"unknown weight mode {self.weight_mode!r}")
         if self.weight_mode == "csv" and not self.weights_csv:
@@ -91,121 +164,76 @@ class ExperimentConfig:
                 raise ValueError(f"bandwidth must be 'median' or fixed values, got {self.bandwidth!r}")
         else:
             for key in ("sigma2", "sigma2_theta"):
-                if not self.bandwidth.get(key, 0) > 0:
-                    raise ValueError(f"fixed bandwidth needs positive {key!r}")
-        # Fail early on unresolvable component names.
-        self.build_simulator()
-        self.build_truth()
-        self.q0_spec()
-        self.q1_spec()
-        self.build_prior()
-        self.noise_std()
+                _finite_positive(f"fixed bandwidth {key!r}", self.bandwidth.get(key, 0))
+        # Parse every part once, here; the builders below return these objects.
+        keep = functools.partial(object.__setattr__, self)
+        keep("_simulator", get_simulator(self.simulator, **self.simulator_options))
+        keep("_truth", _parse_truth(self.truth, self._simulator))
+        keep("_q0", DensitySpec.from_dict(self.q0))
+        keep("_q1", DensitySpec.from_dict(self.q1))
+        keep("_prior", PriorSpec.from_dict(self.prior))
+        spec = {"simulator": self.simulator, "truth": self.truth}
+        keep("_dgp", DataGeneratingProcess(self._truth, _parse_noise(self.noise), self._q0, spec))
+        keep("_schedule", _parse_schedule(self.epsilon, self.epsilon_schedule, self.m))
+        keep("_mh", _parse_mh(self.mh, self.seed) if self.mh else None)
 
     # -- component builders ------------------------------------------------
 
     def build_simulator(self) -> Simulator:
-        return get_simulator(self.simulator, **self.simulator_options)
+        return self._simulator
 
     def build_truth(self) -> TruthFn:
-        kind = self.truth.get("kind")
-        if kind == "cubic":
-            return cubic_truth
-        if kind == "piecewise":
-            return PiecewiseTruth(
-                base_sim=self.build_simulator(),
-                theta_lo=tuple(float(v) for v in self.truth["theta_lo"]),
-                theta_hi=tuple(float(v) for v in self.truth["theta_hi"]),
-                breakpoint=float(self.truth["breakpoint"]),
-            )
-        if kind == "simulator":
-            sim = self.build_simulator()
-            theta = tuple(float(v) for v in self.truth["theta"])
-            return lambda x, seed=0: sim.evaluate(x, theta, seed)
-        if kind == "constant":
-            value = float(self.truth["value"])
-            return lambda x, seed=0: value
-        raise ValueError(f"unknown truth kind {kind!r}")
+        return self._truth
 
     def q0_spec(self) -> DensitySpec:
-        return DensitySpec.from_dict(self.q0)
+        return self._q0
 
     def q1_spec(self) -> DensitySpec:
-        return DensitySpec.from_dict(self.q1)
+        return self._q1
 
     def noise_std(self) -> float:
-        if ("std" in self.noise) == ("var" in self.noise):
-            raise ValueError("noise spec needs exactly one of 'std' or 'var'")
-        key = "std" if "std" in self.noise else "var"
-        value = float(self.noise[key])
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"noise {key} must be finite and >= 0, got {value}")
-        return value if key == "std" else math.sqrt(value)
+        return self._dgp.noise_std
 
     def build_prior(self) -> PriorSpec:
-        return PriorSpec.from_dict(self.prior)
+        return self._prior
 
     def build_dgp(self) -> DataGeneratingProcess:
-        return DataGeneratingProcess(
-            truth=self.build_truth(),
-            noise_std=self.noise_std(),
-            q0=self.q0_spec(),
-            spec={"simulator": self.simulator, "truth": self.truth},
-        )
+        return self._dgp
 
     def resolve_epsilon(self, m: int | None = None) -> float:
-        if self.epsilon is not None:
+        if self._schedule is None:
             return self.epsilon
-        sched = self.epsilon_schedule
-        return regularization_schedule(m or self.m, b=float(sched["b"]), C=float(sched["C"]))
+        return regularization_schedule(m or self.m, *self._schedule)
 
     def test_density(self) -> DensitySpec:
         """Test inputs come from q1 under covariate shift, else from q0."""
-        return self.q1_spec() if self.weight_mode == "shift" else self.q0_spec()
+        return self._q1 if self.weight_mode == "shift" else self._q0
 
     def mh_config(self, steps: int | None = None, seed: int | None = None) -> MHConfig:
-        if not self.mh:
+        if self._mh is None:
             raise ValueError("config has no 'mh' section")
-        return MHConfig(
-            proposal_std=float(self.mh["proposal_std"]),
-            steps=_count("mh.steps", steps if steps is not None else self.mh["steps"]),
-            burn_in=float(self.mh.get("burn_in", 0.10)),
-            noise_var=float(self.mh["noise_var"]),
-            seed=self.seed if seed is None else seed,
+        return dataclasses.replace(
+            self._mh,
+            steps=self._mh.steps if steps is None else _count("mh.steps", steps),
+            seed=self._mh.seed if seed is None else seed,
         )
 
     # -- dict / file round-trip --------------------------------------------
 
     def to_dict(self) -> dict:
-        out = {
-            "simulator": self.simulator,
-            "simulator_options": dict(self.simulator_options),
-            "truth": dict(self.truth),
-            "q0": dict(self.q0),
-            "q1": dict(self.q1),
-            "noise": dict(self.noise),
-            "prior": dict(self.prior),
-            "n": self.n,
-            "m": self.m,
-            "herd_size": self.herd_size,
-            "n_test": self.n_test,
-            "bandwidth": self.bandwidth if isinstance(self.bandwidth, str) else dict(self.bandwidth),
-            "weight_mode": self.weight_mode,
-            "weights_csv": self.weights_csv,
-            "pool_extra": self.pool_extra,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "mh": dict(self.mh) if self.mh else None,
-        }
-        if self.epsilon is not None:
-            out["epsilon"] = self.epsilon
-        else:
-            out["epsilon_schedule"] = dict(self.epsilon_schedule)
+        out = {f.name: copy.deepcopy(getattr(self, f.name)) for f in dataclasses.fields(self)}
+        out.pop("epsilon" if self.epsilon is None else "epsilon_schedule")
+        out["mh"] = out["mh"] or None
         return out
 
     @classmethod
     def from_dict(cls, raw: dict, **overrides) -> "ExperimentConfig":
         data = dict(raw)
         data.update({k: v for k, v in overrides.items() if v is not None})
+        # write_json stamps the hash into the file; any other stray key is a typo
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)} - {"config_hash"}
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
         m = _count("m", data["m"])
         n = _count("n", data["n"])
         # absent (or null) sizes default; any given value, 0 included, is validated

@@ -11,13 +11,12 @@ repeat; repeat frequencies carry probability mass.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .kabc import PosteriorEmbedding
+from .sim import write_csv_rows
 
 
 @dataclass(frozen=True)
@@ -64,17 +63,10 @@ class HerdedSamples:
     def __len__(self) -> int:
         return len(self.points)
 
-    def write_csv(self, path, header_comment: str | None = None) -> None:
+    def write_csv(self, path, config_hash: str | None = None) -> None:
         """One parameter vector per row, in herding order."""
-        path = Path(path)
-        dim = self.points.shape[1]
-        with path.open("w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow([f"theta_{k}" for k in range(dim)])
-            for row in self.points:
-                writer.writerow([repr(float(v)) for v in row])
+        header = [f"theta_{k}" for k in range(self.points.shape[1])]
+        write_csv_rows(path, config_hash, header, self.points)
 
 
 def herd(emb: PosteriorEmbedding, pool: CandidatePool, T: int) -> HerdedSamples:

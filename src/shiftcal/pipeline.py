@@ -5,16 +5,30 @@ stage pulls from its own derived stream.  Artifacts are CSV and JSON
 only, every one stamped with the config hash.  Wall-clock timings are
 reported in memory and logged but never serialized, so artifact files
 are byte-identical across repeated runs.
+
+Every entry point takes the front half of a run (dataset, weights, prior
+draws, pseudo-outputs, bandwidths) from ``prepare``, or only the dataset
+and weights from its first half, ``weighted_dataset``.  Each stream tag is
+derived from a run's seed in exactly one place:
+
+- ``"dataset"``: ``weighted_dataset``
+- ``"prior"``, ``"pool"``, ``"pseudo"``: ``prepare``
+- ``"test"``: ``_test_inputs`` (for ``calibrate`` and ``run_mh_baseline``)
+- ``"eval"``: ``calibrate``
+- ``"mh"``, ``"mh-eval"``, ``"mh-pred"``: ``run_mh_baseline``
+- ``"curve"``: ``rmse_curve``, which derives each trial's seed
+- ``"oracle-search"``: ``minimize_weighted_sse``
+- ``"oracle-outputs"``: ``theorem1_check``
+- ``"plot"``: ``emit_plot_data``
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +53,7 @@ from .kabc import (
 )
 from .kern import median_heuristic, median_sqdist, pairwise_sqdist
 from .predict import PredictiveSample, generate_test_inputs, score_predictions
-from .sim import Dataset, generate_dataset
+from .sim import Dataset, generate_dataset, write_csv_rows
 from .weights import ImportanceWeights, importance_weights, ordinary_weights
 
 log = logging.getLogger("shiftcal")
@@ -54,15 +68,38 @@ class StageError(RuntimeError):
 
 
 @dataclass
-class CalibrationResult:
-    """Everything one calibration run produced, prior to serialization."""
+class Prepared:
+    """The front half of a run: everything the embedding is built from.
+
+    ``pool`` holds the prior draws (``pseudo.thetas``) plus any extra
+    herding candidates.  ``sqdist`` is the beta-weighted output distance
+    matrix of the median heuristic, or None under fixed bandwidths; the
+    first ``embed`` hands it to the Gram step, which overwrites it, and
+    drops it, so it is never held past the embedding stage.
+    """
 
     dataset: Dataset
     beta: ImportanceWeights
+    pool: CandidatePool
     pseudo: PseudoOutputs
     sigma2: float
     sigma2_theta: float
     epsilon: float
+    sqdist: np.ndarray | None = field(default=None, repr=False)
+
+    def embed(self, dataset: Dataset | None = None, meta: dict | None = None) -> PosteriorEmbedding:
+        """The posterior embedding of ``dataset`` (default: the prepared one)."""
+        sqdist, self.sqdist = self.sqdist, None
+        return build_embedding(
+            self.pseudo, self.dataset if dataset is None else dataset, self.beta,
+            self.sigma2, self.sigma2_theta, self.epsilon, meta=meta, sqdist=sqdist,
+        )
+
+
+@dataclass(kw_only=True)
+class CalibrationResult(Prepared):
+    """The front half of a calibration run plus everything built from it."""
+
     embedding: PosteriorEmbedding
     herded: HerdedSamples
     test_inputs: np.ndarray
@@ -128,59 +165,64 @@ def resolve_bandwidths(cfg: ExperimentConfig, pseudo: PseudoOutputs, beta: Impor
     return sigma2, sigma2_theta, cfg.resolve_epsilon(cfg.m), sqdist
 
 
-def calibrate(cfg: ExperimentConfig, dataset: Dataset | None = None) -> CalibrationResult:
-    """Run the full pipeline in memory and return all intermediates."""
-    sim = cfg.build_simulator()
-    prior = cfg.build_prior()
-    truth = cfg.build_truth()
-    timings: dict = {}
-
+def weighted_dataset(
+    cfg: ExperimentConfig, dataset: Dataset | None = None, timings: dict | None = None
+) -> tuple[Dataset, ImportanceWeights]:
+    """The training data (generated unless given) and its weights."""
+    timings = {} if timings is None else timings
     with _timed(timings, "dataset"):
         if dataset is None:
             dataset = generate_dataset(cfg.build_dgp(), cfg.n, derive_seed(cfg.seed, "dataset"))
     with _timed(timings, "weights"):
         beta = resolve_weights(cfg, dataset)
+    return dataset, beta
+
+
+def prepare(
+    cfg: ExperimentConfig, dataset: Dataset | None = None, timings: dict | None = None
+) -> Prepared:
+    """The front half of a run, each stage's seconds recorded in ``timings``."""
+    timings = {} if timings is None else timings
+    dataset, beta = weighted_dataset(cfg, dataset, timings)
     with _timed(timings, "prior-draws"):
+        prior = cfg.build_prior()
         thetas = sample_prior(prior, cfg.m, derive_seed(cfg.seed, "prior"))
-    with _timed(timings, "pseudo-outputs"):
-        pseudo = simulate_pseudo_outputs(sim, thetas, dataset.x, derive_seed(cfg.seed, "pseudo"))
-    with _timed(timings, "bandwidths"):
-        sigma2, sigma2_theta, epsilon, sqdist = resolve_bandwidths(cfg, pseudo, beta)
-    with _timed(timings, "embedding"):
-        embedding = build_embedding(
-            pseudo,
-            dataset,
-            beta,
-            sigma2=sigma2,
-            sigma2_theta=sigma2_theta,
-            epsilon=epsilon,
-            meta={"seed": cfg.seed, "weight_mode": cfg.weight_mode},
-            sqdist=sqdist,
-        )
-        del sqdist  # now holds the Gram matrix; release it before herding
-    with _timed(timings, "herding"):
         extra = None
         if cfg.pool_extra:
             extra = sample_prior(prior, cfg.pool_extra, derive_seed(cfg.seed, "pool"))
         pool = CandidatePool.from_draws(thetas, extra=extra)
-        herded = herd(embedding, pool, cfg.herd_size)
-    with _timed(timings, "prediction"):
-        test_inputs = generate_test_inputs(
-            cfg.test_density(), cfg.n_test, derive_seed(cfg.seed, "test")
+    with _timed(timings, "pseudo-outputs"):
+        pseudo = simulate_pseudo_outputs(
+            cfg.build_simulator(), thetas, dataset.x, derive_seed(cfg.seed, "pseudo")
         )
+    with _timed(timings, "bandwidths"):
+        bandwidths = resolve_bandwidths(cfg, pseudo, beta)
+    return Prepared(dataset, beta, pool, pseudo, *bandwidths)
+
+
+def _test_inputs(cfg: ExperimentConfig) -> np.ndarray:
+    return generate_test_inputs(cfg.test_density(), cfg.n_test, derive_seed(cfg.seed, "test"))
+
+
+def calibrate(cfg: ExperimentConfig, dataset: Dataset | None = None) -> CalibrationResult:
+    """Run the full pipeline in memory and return all intermediates."""
+    timings: dict = {}
+    prep = prepare(cfg, dataset, timings)
+    with _timed(timings, "embedding"):
+        embedding = prep.embed(meta={"seed": cfg.seed, "weight_mode": cfg.weight_mode})
+    with _timed(timings, "herding"):
+        herded = herd(embedding, prep.pool, cfg.herd_size)
+    with _timed(timings, "prediction"):
+        test_inputs = _test_inputs(cfg)
         predictions, truth_values, rmse_value = score_predictions(
-            truth, test_inputs, sim, herded, seed=derive_seed(cfg.seed, "eval")
+            cfg.build_truth(), test_inputs, cfg.build_simulator(), herded,
+            seed=derive_seed(cfg.seed, "eval"),
         )
 
     for stage, seconds in timings.items():
         log.info("stage %-14s %8.3f s", stage, seconds)
     return CalibrationResult(
-        dataset=dataset,
-        beta=beta,
-        pseudo=pseudo,
-        sigma2=sigma2,
-        sigma2_theta=sigma2_theta,
-        epsilon=epsilon,
+        **vars(prep),
         embedding=embedding,
         herded=herded,
         test_inputs=test_inputs,
@@ -191,69 +233,32 @@ def calibrate(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Calibrat
     )
 
 
-def _write_weights_csv(path: Path, beta: ImportanceWeights, config_hash: str) -> None:
-    with path.open("w", newline="") as fh:
-        fh.write(f"# config_hash={config_hash}\n")
-        fh.write("beta\n")
-        for value in np.asarray(beta):
-            fh.write(f"{float(value)!r}\n")
-
-
-def _write_predictions_csv(
-    path: Path, predictions: list[PredictiveSample], config_hash: str
-) -> None:
-    n_samples = predictions[0].outputs.size
-    with path.open("w", newline="") as fh:
-        fh.write(f"# config_hash={config_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["x"] + [f"y_{j}" for j in range(1, n_samples + 1)] + ["mean"])
-        for pred in predictions:
-            row = [repr(float(pred.x))]
-            row += [repr(float(v)) for v in pred.outputs]
-            row.append(repr(float(pred.mean)))
-            writer.writerow(row)
-
-
-def run_calibration(
-    cfg: ExperimentConfig, dataset: Dataset | None = None, write: bool = True
-) -> RunReport:
+def run_calibration(cfg: ExperimentConfig) -> RunReport:
     """Execute the pipeline and write all artifacts under cfg.out_dir."""
-    result = calibrate(cfg, dataset=dataset)
+    result = calibrate(cfg)
     config_hash = cfg.config_hash()
-    artifacts: dict = {}
-    if write:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        cfg.write_json(out / "config.json")
-        result.dataset.write_csv(
-            out / "dataset.csv",
-            sidecar={"config_hash": config_hash},
-            header_comment=f"config_hash={config_hash}",
-        )
-        _write_weights_csv(out / "weights.csv", result.beta, config_hash)
-        emb = result.embedding
-        PosteriorEmbedding(
-            draws=emb.draws,
-            weights=emb.weights,
-            kernel=emb.kernel,
-            meta={**emb.meta, "config_hash": config_hash},
-        ).to_json(out / "embedding.json")
-        result.herded.write_csv(out / "herded.csv", header_comment=f"config_hash={config_hash}")
-        _write_predictions_csv(out / "predictions.csv", result.predictions, config_hash)
-        artifacts = {
-            "config": "config.json",
-            "dataset": "dataset.csv",
-            "weights": "weights.csv",
-            "embedding": "embedding.json",
-            "herded": "herded.csv",
-            "predictions": "predictions.csv",
-            "report": "report.json",
-        }
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    cfg.write_json(out / "config.json")
+    result.dataset.write_csv(out / "dataset.csv", config_hash)
+    beta_rows = ([v] for v in np.asarray(result.beta))
+    write_csv_rows(out / "weights.csv", config_hash, ["beta"], beta_rows)
+    stamped = {**result.embedding.meta, "config_hash": config_hash}
+    replace(result.embedding, meta=stamped).to_json(out / "embedding.json")
+    result.herded.write_csv(out / "herded.csv", config_hash)
+    write_csv_rows(
+        out / "predictions.csv",
+        config_hash,
+        ["x"] + [f"y_{j}" for j in range(1, len(result.herded) + 1)] + ["mean"],
+        ([p.x, *p.outputs, p.mean] for p in result.predictions),
+    )
+    names = ("config.json", "dataset.csv", "weights.csv", "embedding.json", "herded.csv",
+             "predictions.csv", "report.json")
     report = RunReport(
         rmse=result.rmse,
         seed=cfg.seed,
         config_hash=config_hash,
-        artifacts=artifacts,
+        artifacts={Path(name).stem: name for name in names},
         stats={
             "n": cfg.n,
             "m": cfg.m,
@@ -265,10 +270,7 @@ def run_calibration(
         },
         wall_clock=result.wall_clock,
     )
-    if write:
-        (Path(cfg.out_dir) / "report.json").write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+    (out / "report.json").write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     return report
 
 
@@ -285,10 +287,7 @@ class MHBaselineResult:
 
 
 def run_mh_baseline(
-    cfg: ExperimentConfig,
-    steps: int | None = None,
-    seed: int | None = None,
-    dataset: Dataset | None = None,
+    cfg: ExperimentConfig, steps: int | None = None, dataset: Dataset | None = None
 ) -> MHBaselineResult:
     """Run the MH comparison on the configured problem and score it.
 
@@ -296,20 +295,16 @@ def run_mh_baseline(
     log-likelihood plus log-prior; predictions average the simulator
     over all post-burn-in states.
     """
-    run_seed = cfg.seed if seed is None else seed
-    mh_cfg = cfg.mh_config(steps=steps, seed=derive_seed(run_seed, "mh"))
+    mh_cfg = cfg.mh_config(steps=steps, seed=derive_seed(cfg.seed, "mh"))
     sim = cfg.build_simulator()
     prior = cfg.build_prior()
-    truth = cfg.build_truth()
-    if dataset is None:
-        dataset = generate_dataset(cfg.build_dgp(), cfg.n, derive_seed(run_seed, "dataset"))
-    beta = resolve_weights(cfg, dataset)
+    dataset, beta = weighted_dataset(cfg, dataset)
 
     # One simulator realization for the whole chain: re-drawing noise per
     # evaluation would turn the cached-likelihood chain into a sticky
     # pseudo-marginal sampler, which is not the granted-likelihood setup.
     loglik = log_likelihood_sweep(
-        dataset, beta, sim, noise_var=mh_cfg.noise_var, seed=derive_seed(run_seed, "mh-eval")
+        dataset, beta, sim, noise_var=mh_cfg.noise_var, seed=derive_seed(cfg.seed, "mh-eval")
     )
 
     def target(theta: np.ndarray) -> float:
@@ -319,11 +314,10 @@ def run_mh_baseline(
         return loglik(theta) + log_prior
 
     trace = mh_sample(target, prior.center(), mh_cfg)
-    test_inputs = generate_test_inputs(
-        cfg.test_density(), cfg.n_test, derive_seed(run_seed, "test")
-    )
+    test_inputs = _test_inputs(cfg)
+    mh_pred = derive_seed(cfg.seed, "mh-pred")
     _, _, rmse_value = score_predictions(
-        truth, test_inputs, sim, trace.post_burn_in, seed=derive_seed(run_seed, "mh-pred")
+        cfg.build_truth(), test_inputs, sim, trace.post_burn_in, seed=mh_pred
     )
     return MHBaselineResult(
         trace=trace,
@@ -370,18 +364,16 @@ def rmse_curve(
         raise ValueError(f"need trials >= 1, got {trials}")
     rows = []
     for m in m_values:
-        cell = cfg.replace(m=int(m), herd_size=int(m))
         scores, mh_scores = [], []
         for trial in range(trials):
-            trial_seed = derive_seed(cfg.seed, "curve", int(m), trial)
-            run_cfg = cell.replace(seed=trial_seed)
-            dataset = generate_dataset(
-                run_cfg.build_dgp(), run_cfg.n, derive_seed(trial_seed, "dataset")
+            run_cfg = cfg.replace(
+                m=int(m), herd_size=int(m), seed=derive_seed(cfg.seed, "curve", int(m), trial)
             )
-            scores.append(calibrate(run_cfg, dataset=dataset).rmse)
+            result = calibrate(run_cfg)
+            scores.append(result.rmse)
             if include_mh:
                 mh_scores.append(
-                    run_mh_baseline(run_cfg, steps=int(m), dataset=dataset).rmse
+                    run_mh_baseline(run_cfg, steps=int(m), dataset=result.dataset).rmse
                 )
         row = {
             "m": int(m),
@@ -396,19 +388,6 @@ def rmse_curve(
         rows.append(row)
         log.info("rmse curve m=%d done", m)
     return rows
-
-
-def write_curve_csv(path, rows: list[dict], config_hash: str) -> None:
-    path = Path(path)
-    columns = list(rows[0].keys())
-    with path.open("w", newline="") as fh:
-        fh.write(f"# config_hash={config_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                [repr(float(row[c])) if isinstance(row[c], float) else row[c] for c in columns]
-            )
 
 
 # -- embedding-target equivalence check ---------------------------------------
@@ -465,11 +444,7 @@ def minimize_weighted_sse(
     return points[best], float(losses[best]), "grid", step, on_boundary
 
 
-def theorem1_check(
-    cfg: ExperimentConfig,
-    grid_resolution: int = 101,
-    dataset: Dataset | None = None,
-) -> EquivalenceReport:
+def theorem1_check(cfg: ExperimentConfig, grid_resolution: int = 101) -> EquivalenceReport:
     """Compare the data-built embedding against the optimal-output one.
 
     Finds the prior-supported parameter minimizing the weighted squared
@@ -478,26 +453,17 @@ def theorem1_check(
     from the observed outputs and the one built from those optimal
     outputs.  The distance shrinking with m is the expected behavior.
     """
-    sim = cfg.build_simulator()
-    if dataset is None:
-        dataset = generate_dataset(cfg.build_dgp(), cfg.n, derive_seed(cfg.seed, "dataset"))
-    beta = resolve_weights(cfg, dataset)
+    prep = prepare(cfg)
+    from_data = prep.embed()
+    dataset = prep.dataset
     theta_star, loss_star, method, step, on_boundary = minimize_weighted_sse(
-        cfg, dataset, beta, grid_resolution=grid_resolution
+        cfg, dataset, prep.beta, grid_resolution=grid_resolution
     )
     if on_boundary:
         log.warning("weighted-error minimum sits on the search-grid boundary; refine the grid")
 
-    optimal_outputs = sim.sweep(dataset.x, derive_seed(cfg.seed, "oracle-outputs"))(theta_star)
-    thetas = sample_prior(cfg.build_prior(), cfg.m, derive_seed(cfg.seed, "prior"))
-    pseudo = simulate_pseudo_outputs(sim, thetas, dataset.x, derive_seed(cfg.seed, "pseudo"))
-    sigma2, sigma2_theta, epsilon, sqdist = resolve_bandwidths(cfg, pseudo, beta)
-
-    from_data = build_embedding(
-        pseudo, dataset, beta, sigma2, sigma2_theta, epsilon, sqdist=sqdist
-    )
-    optimal_dataset = Dataset(dataset.x, optimal_outputs, seed=dataset.seed)
-    from_optimal = build_embedding(pseudo, optimal_dataset, beta, sigma2, sigma2_theta, epsilon)
+    sweep = cfg.build_simulator().sweep(dataset.x, derive_seed(cfg.seed, "oracle-outputs"))
+    from_optimal = prep.embed(Dataset(dataset.x, sweep(theta_star), seed=dataset.seed))
 
     return EquivalenceReport(
         theta_star=tuple(float(v) for v in np.atleast_1d(theta_star)),
@@ -507,9 +473,9 @@ def theorem1_check(
         on_boundary=on_boundary,
         distance=embedding_distance(from_data, from_optimal),
         m=cfg.m,
-        sigma2=sigma2,
-        sigma2_theta=sigma2_theta,
-        epsilon=epsilon,
+        sigma2=prep.sigma2,
+        sigma2_theta=prep.sigma2_theta,
+        epsilon=prep.epsilon,
     )
 
 
@@ -519,8 +485,6 @@ def theorem1_check(
 def emit_plot_data(cfg: ExperimentConfig, grid_points: int = 121) -> Path:
     """Write predictive draws over an even input grid spanning q0 and q1."""
     result = calibrate(cfg)
-    sim = cfg.build_simulator()
-    truth = cfg.build_truth()
     config_hash = cfg.config_hash()
 
     bounds = []
@@ -534,25 +498,17 @@ def emit_plot_data(cfg: ExperimentConfig, grid_points: int = 121) -> Path:
         grid = grid[grid >= 1.0]
 
     predictions, truth_vals, _ = score_predictions(
-        truth, grid, sim, result.herded, seed=derive_seed(cfg.seed, "plot")
+        cfg.build_truth(), grid, cfg.build_simulator(), result.herded,
+        seed=derive_seed(cfg.seed, "plot"),
     )
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "plot_data.csv"
-    n_samples = predictions[0].outputs.size
-    with path.open("w", newline="") as fh:
-        fh.write(f"# config_hash={config_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["x", "truth", "pred_mean"] + [f"y_{j}" for j in range(1, n_samples + 1)]
-        )
-        for pred, tv in zip(predictions, truth_vals):
-            row = [repr(float(pred.x)), repr(float(tv)), repr(float(pred.mean))]
-            row += [repr(float(v)) for v in pred.outputs]
-            writer.writerow(row)
-    result.dataset.write_csv(
-        out / "dataset.csv",
-        sidecar={"config_hash": config_hash},
-        header_comment=f"config_hash={config_hash}",
+    write_csv_rows(
+        path,
+        config_hash,
+        ["x", "truth", "pred_mean"] + [f"y_{j}" for j in range(1, len(result.herded) + 1)],
+        ([p.x, tv, p.mean, *p.outputs] for p, tv in zip(predictions, truth_vals)),
     )
+    result.dataset.write_csv(out / "dataset.csv", config_hash)
     return path

@@ -240,6 +240,20 @@ class DataGeneratingProcess:
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
 
 
+def write_csv_rows(path, config_hash: str | None, header, rows) -> None:
+    """Write a CSV artifact: a ``# config_hash=...`` line if a hash is given,
+    the header, then the rows.  Floats are written with ``repr``, so they
+    read back bit for bit; other values as ``str``.  Rows end in CRLF.
+    """
+    with Path(path).open("w", newline="") as fh:
+        if config_hash:
+            fh.write(f"# config_hash={config_hash}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Training pairs (x_i, y_i) with the seed that generated them."""
@@ -261,20 +275,14 @@ class Dataset:
     def n(self) -> int:
         return self.x.size
 
-    def write_csv(self, path, sidecar: dict | None = None, header_comment: str | None = None) -> None:
-        """Write ``x,y`` rows; seed and generator spec go to a JSON sidecar."""
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y"])
-            for xi, yi in zip(self.x, self.y):
-                writer.writerow([repr(float(xi)), repr(float(yi))])
+    def write_csv(self, path, config_hash: str | None = None) -> None:
+        """Write ``x,y`` rows; seed, generator spec and hash go to a JSON sidecar."""
+        write_csv_rows(path, config_hash, ["x", "y"], zip(self.x, self.y))
         side = {"seed": self.seed, "meta": self.meta}
-        if sidecar:
-            side.update(sidecar)
-        path.with_suffix(".json").write_text(json.dumps(side, indent=2, sort_keys=True) + "\n")
+        if config_hash:
+            side["config_hash"] = config_hash
+        sidecar = json.dumps(side, indent=2, sort_keys=True) + "\n"
+        Path(path).with_suffix(".json").write_text(sidecar)
 
     @classmethod
     def read_csv(cls, path) -> "Dataset":

@@ -14,16 +14,13 @@ from shiftcal._seeding import derive_seed
 from shiftcal.baseline import MHConfig, mh_sample
 from shiftcal.config import PRESETS, preset
 from shiftcal.herd import CandidatePool, herd, herding_mmd
-from shiftcal.kabc import (
-    PosteriorEmbedding,
-    build_embedding,
-    embedding_distance,
-    sample_prior,
-    simulate_pseudo_outputs,
-)
+from shiftcal.kabc import PosteriorEmbedding
 from shiftcal.kern import ParamKernel, WeightedOutputKernel, gram_and_rhs, regularized_solve
 from shiftcal.pipeline import (
+    Prepared,
     calibrate,
+    prepare,
+    resolve_bandwidths,
     resolve_weights,
     run_mh_baseline,
     theorem1_check,
@@ -191,27 +188,25 @@ def test_criterion_6_covariate_shift_benefit():
     for s in range(10):
         seed = derive_seed(0, "shiftbench", s)
         run_cfg = cfg.replace(seed=seed)
-        sim = run_cfg.build_simulator()
-        truth = run_cfg.build_truth()
-        ds = generate_dataset(run_cfg.build_dgp(), run_cfg.n, derive_seed(seed, "dataset"))
-        thetas = sample_prior(run_cfg.build_prior(), run_cfg.m, derive_seed(seed, "prior"))
-        pseudo = simulate_pseudo_outputs(sim, thetas, ds.x, derive_seed(seed, "pseudo"))
+        shifted = prepare(run_cfg)
+        # constant weighting on the same data and pseudo-outputs: only beta
+        # and the bandwidths change, nothing is simulated again
+        ordinary_cfg = run_cfg.replace(weight_mode="ordinary")
+        beta = resolve_weights(ordinary_cfg, shifted.dataset)
+        bandwidths = resolve_bandwidths(ordinary_cfg, shifted.pseudo, beta)
+        ordinary = Prepared(shifted.dataset, beta, shifted.pool, shifted.pseudo, *bandwidths)
         # both weightings are scored on the same shifted-region test set
         test_inputs = generate_test_inputs(
             run_cfg.q1_spec(), run_cfg.n_test, derive_seed(seed, "test")
         )
-        for mode, scores in (("shift", shift_scores), ("ordinary", ordinary_scores)):
-            from shiftcal.kern import median_heuristic
-
-            beta = resolve_weights(run_cfg.replace(weight_mode=mode), ds)
-            sigma2 = median_heuristic(pseudo.values, weights=np.asarray(beta))
-            sigma2_theta = median_heuristic(pseudo.thetas)
-            emb = build_embedding(
-                pseudo, ds, beta, sigma2, sigma2_theta, run_cfg.resolve_epsilon()
-            )
-            samples = herd(emb, CandidatePool.from_draws(thetas), run_cfg.herd_size)
+        for prep, scores in ((shifted, shift_scores), (ordinary, ordinary_scores)):
+            samples = herd(prep.embed(), prep.pool, run_cfg.herd_size)
             _, _, score = score_predictions(
-                truth, test_inputs, sim, samples, seed=derive_seed(seed, "eval")
+                run_cfg.build_truth(),
+                test_inputs,
+                run_cfg.build_simulator(),
+                samples,
+                seed=derive_seed(seed, "eval"),
             )
             scores.append(score)
     shift_mean = float(np.mean(shift_scores))

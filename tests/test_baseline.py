@@ -169,7 +169,7 @@ class TestTraceCsv:
             target, np.zeros(2), MHConfig(proposal_std=0.8, steps=25, noise_var=1.0, seed=8)
         )
         path = tmp_path / "trace.csv"
-        trace.write_csv(path, header_comment="config_hash=xyz")
+        trace.write_csv(path, config_hash="xyz")
         lines = path.read_text().splitlines()
         assert lines[0] == "# config_hash=xyz"
         assert lines[1] == "step,theta_0,theta_1,accepted"

@@ -49,6 +49,27 @@ def test_zero_m_rejected(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "command,flag,value,message",
+    [("theorem1-check", "--grid-resolution", "1", "must be >= 2, got 1"),
+     ("rmse-curve", "--m-values", ",", "needs at least one value"),
+     ("rmse-curve", "--m-values", "4,0", "must be >= 1, got 0"),
+     ("rmse-curve", "--trials", "0", "must be >= 1, got 0"),
+     ("mh-sweep", "--proposal-stds", ",", "needs at least one value"),
+     ("mh-sweep", "--proposal-stds", "0.1,-0.2", "must be finite and > 0, got -0.2"),
+     ("mh-sweep", "--steps", "0", "must be >= 1, got 0"),
+     ("mh-baseline", "--steps", "0", "must be >= 1, got 0"),
+     ("emit-plot-data", "--grid-points", "0", "must be >= 1, got 0")],
+)
+def test_bad_argument_is_a_usage_error(tmp_path, capsys, command, flag, value, message):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--preset", "linear-shift", "--out", str(out), f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_weight_mode_flag_changes_run(tiny_config, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     main(["calibrate", "--config", str(tiny_config), "--out", str(out_a)])

@@ -131,12 +131,67 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("steps", [2.7, math.nan, "400"])
     def test_non_integral_mh_steps_rejected(self, steps):
-        cfg = preset("linear-shift", mh={**PRESETS["linear-shift"]["mh"], "steps": steps})
         with pytest.raises(ValueError, match="mh.steps must be an integer"):
-            cfg.mh_config()
+            preset("linear-shift", mh={**PRESETS["linear-shift"]["mh"], "steps": steps})
         with pytest.raises(ValueError, match="mh.steps must be an integer"):
             preset("linear-shift").mh_config(steps=steps)
-        assert cfg.mh_config(steps=50.0).steps == 50
+        assert preset("linear-shift").mh_config(steps=50.0).steps == 50
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [({"bandwidth": {"sigma2": math.inf, "sigma2_theta": 1.0}}, "'sigma2' must be finite"),
+         ({"bandwidth": {"sigma2": 1.0, "sigma2_theta": math.inf}}, "'sigma2_theta' must be finite"),
+         ({"bandwidth": {"sigma2": math.nan, "sigma2_theta": 1.0}}, "'sigma2' must be finite"),
+         ({"epsilon": math.inf}, "epsilon must be finite and > 0, got inf"),
+         ({"epsilon": math.nan}, "epsilon must be finite and > 0, got nan")],
+    )
+    def test_non_finite_bandwidth_and_epsilon_rejected(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            preset("linear-shift", **changes)
+
+    @pytest.mark.parametrize(
+        "schedule,message",
+        [({"b": 0.5, "C": 1.0}, "decay exponent must exceed 1"),
+         ({"b": 2.0, "C": -1.0}, "schedule constant must be positive"),
+         ({"b": math.inf, "C": 1.0}, "epsilon must be finite"),
+         ({"b": 2.0}, "exactly the keys 'b' and 'C'"),
+         ({"b": 2.0, "C": 1.0, "c": 1.0}, "exactly the keys 'b' and 'C'")],
+    )
+    def test_bad_epsilon_schedule_rejected_at_load(self, schedule, message):
+        raw = {k: v for k, v in PRESETS["linear-shift"].items() if k != "epsilon"}
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict({**raw, "epsilon_schedule": schedule})
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [({"proposal_std": -1.0}, "proposal std must be finite and positive"),
+         ({"proposal_std": math.inf}, "proposal std must be finite and positive"),
+         ({"noise_var": 0.0}, "noise variance must be finite and positive"),
+         ({"noise_var": math.nan}, "noise variance must be finite and positive"),
+         ({"burn_in": 1.5}, "burn-in fraction"),
+         ({"steps": 0}, "at least one step"),
+         ({"proposal_sd": 0.3}, "mh section needs")],
+    )
+    def test_bad_mh_section_rejected_at_load(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            preset("linear-shift", mh={**PRESETS["linear-shift"]["mh"], **changes})
+
+    def test_unknown_keys_rejected(self):
+        with pytest.raises(ValueError, match="unknown config keys: herd_sise, sed"):
+            ExperimentConfig.from_dict({**PRESETS["linear-shift"], "herd_sise": 5, "sed": 1})
+        with pytest.raises(ValueError, match="unknown config keys: herd_sise"):
+            preset("linear-shift", herd_sise=5)
+        stamped = {**PRESETS["linear-shift"], "config_hash": "written by write_json"}
+        assert ExperimentConfig.from_dict(stamped) == preset("linear-shift")
+
+    def test_parts_parsed_once(self):
+        cfg = preset("assembly-shift")
+        sim = cfg.build_simulator()
+        assert sim is cfg.build_simulator()
+        assert cfg.build_truth() is cfg.build_truth() and cfg.build_truth().base_sim is sim
+        assert cfg.build_prior() is cfg.build_prior()
+        assert cfg.build_dgp() is cfg.build_dgp() and cfg.build_dgp().truth is cfg.build_truth()
+        assert cfg.q0_spec() is cfg.q0_spec() and cfg.q1_spec() is cfg.test_density()
 
     def test_weight_csv_mode_needs_path(self):
         with pytest.raises(ValueError, match="weights_csv"):
@@ -183,6 +238,18 @@ class TestConfigRoundTrip:
 
 
 class TestBetaCsv:
+    def test_round_trip_of_written_weights(self, tmp_path):
+        from shiftcal.pipeline import calibrate, run_calibration
+
+        cfg = preset("linear-shift", n=24, m=16, out_dir=str(tmp_path / "run"))
+        run_calibration(cfg)
+        path = tmp_path / "run" / "weights.csv"
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert lines[0].startswith(b"# config_hash=") and lines[1] == b"beta\r\n"
+        assert len(lines) == 2 + cfg.n and all(line.endswith(b"\r\n") for line in lines[1:])
+        beta = np.asarray(calibrate(cfg).beta)
+        assert load_beta_csv(path, cfg.n).tobytes() == beta.tobytes()
+
     def test_load(self, tmp_path):
         path = tmp_path / "beta.csv"
         path.write_text("# config_hash=abc\nbeta\n1.0\n2.5\n0.25\n")

@@ -184,7 +184,7 @@ class TestHerdedCsv:
         emb = PosteriorEmbedding(draws, np.array([1.0, 0.9]), ParamKernel(1.0))
         out = herd(emb, CandidatePool(draws), 4)
         path = tmp_path / "herded.csv"
-        out.write_csv(path, header_comment="config_hash=abc")
+        out.write_csv(path, config_hash="abc")
         lines = path.read_text().splitlines()
         assert lines[0] == "# config_hash=abc"
         assert lines[1] == "theta_0,theta_1"

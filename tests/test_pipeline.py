@@ -12,6 +12,7 @@ from shiftcal.pipeline import (
     calibrate,
     emit_plot_data,
     minimize_weighted_sse,
+    prepare,
     resolve_weights,
     rmse_curve,
     run_calibration,
@@ -155,6 +156,39 @@ class TestRunCalibration:
         cfg = tiny_linear().replace(epsilon=None, epsilon_schedule={"C": 1.0, "b": 2.0})
         result = calibrate(cfg)
         assert result.epsilon == pytest.approx(16 ** (-2.0 / 9.0))
+
+
+class TestPrepare:
+    @pytest.mark.parametrize("name,seed", [("linear-shift", 3), ("assembly-shift", 9)])
+    def test_fields_equal_calibrate_and_theorem1_check(self, name, seed):
+        cfg = preset(name, seed=seed, n=12, m=40, herd_size=40, n_test=10)
+        timings = {}
+        prep = prepare(cfg, timings=timings)
+        assert list(timings) == ["dataset", "weights", "prior-draws", "pseudo-outputs", "bandwidths"]
+        result = calibrate(cfg)
+        assert list(result.wall_clock) == list(timings) + ["embedding", "herding", "prediction"]
+        for field in ("x", "y"):
+            assert getattr(prep.dataset, field).tobytes() == getattr(result.dataset, field).tobytes()
+        assert np.asarray(prep.beta).tobytes() == np.asarray(result.beta).tobytes()
+        assert prep.pseudo.thetas.tobytes() == result.pseudo.thetas.tobytes()
+        assert prep.pseudo.values.tobytes() == result.pseudo.values.tobytes()
+        assert prep.pool.points.tobytes() == result.herded.pool.points.tobytes()
+        bandwidths = (prep.sigma2, prep.sigma2_theta, prep.epsilon)
+        assert bandwidths == (result.sigma2, result.sigma2_theta, result.epsilon)
+        report = theorem1_check(cfg, grid_resolution=9)
+        assert (report.sigma2, report.sigma2_theta, report.epsilon) == bandwidths
+
+    def test_embed_releases_distance_buffer(self):
+        prep = prepare(tiny_linear())
+        assert prep.sqdist is not None and prep.sqdist.shape == (16, 16)
+        first = prep.embed()
+        assert prep.sqdist is None
+        again = prep.embed()  # recomputes the distances; same weights
+        assert first.weights.tobytes() == again.weights.tobytes()
+
+    def test_fixed_bandwidths_hold_no_buffer(self):
+        prep = prepare(tiny_linear(bandwidth={"sigma2": 2.0, "sigma2_theta": 3.0}))
+        assert prep.sqdist is None and (prep.sigma2, prep.sigma2_theta) == (2.0, 3.0)
 
 
 class TestRmseCurve:
