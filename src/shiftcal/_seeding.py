@@ -1,17 +1,13 @@
 """Deterministic derivation of independent random streams.
 
-Every stochastic component in the pipeline (data generation, prior draws,
-simulator calls, MH proposals, ...) pulls its randomness from a stream
-derived by hashing a master seed together with a purpose tag and, where
-needed, indices or float arguments.  Streams are therefore independent of
-evaluation order, which keeps results identical whether stages run
-serially or concurrently.
-
-A stream seed ``s`` names the generator ``np.random.default_rng(s)``.
-``stream_normals`` draws from many such generators at once: it repeats
-numpy's ``SeedSequence`` and ``PCG64`` seeding arithmetic (vectorized over
-the seeds) instead of constructing a generator per seed, and its output
-is bitwise the same.
+Every stochastic component pulls its randomness from a stream named by a
+master seed, a purpose tag and, where needed, indices or float arguments,
+so results do not depend on evaluation order.  ``derive_seed`` hashes
+such parts with blake2b; ``derive_rng`` makes numpy's generator for the
+data, prior, test-input and MH-proposal streams.  Simulator noise is
+counter-based (Salmon et al., SC 2011): ``stream_keys`` derives many
+stream keys at once, and ``key_normals`` computes normal c of key K as a
+pure function of (K, c), so any number of streams fill in one pass.
 """
 
 from __future__ import annotations
@@ -36,13 +32,6 @@ def _encode(part) -> bytes:
     raise TypeError(f"cannot derive a seed from {type(part).__name__}")
 
 
-def _hasher(parts):
-    h = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        h.update(_encode(part))
-    return h
-
-
 def derive_seed(*parts) -> int:
     """Hash (seed, tag, index, ...) parts into a 64-bit stream seed.
 
@@ -50,23 +39,10 @@ def derive_seed(*parts) -> int:
     arrays.  Type tags are mixed into the hash so e.g. 1 and 1.0 derive
     different streams.
     """
-    return int.from_bytes(_hasher(parts).digest(), "little")
-
-
-def derive_seeds(prefix, rows, suffix=()) -> list[int]:
-    """``[derive_seed(*prefix, *row, *suffix) for row in rows]``.
-
-    The prefix is hashed once and copied per row, and the suffix is
-    encoded once.
-    """
-    base = _hasher(prefix)
-    tail = b"".join(_encode(part) for part in suffix)
-    seeds = []
-    for row in rows:
-        h = base.copy()
-        h.update(b"".join([*map(_encode, row), tail]))
-        seeds.append(int.from_bytes(h.digest(), "little"))
-    return seeds
+    h = hashlib.blake2b(digest_size=8)
+    for part in parts:
+        h.update(_encode(part))
+    return int.from_bytes(h.digest(), "little")
 
 
 def derive_rng(*parts) -> np.random.Generator:
@@ -74,81 +50,68 @@ def derive_rng(*parts) -> np.random.Generator:
     return np.random.default_rng(derive_seed(*parts))
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
-# the PCG64 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+# splitmix64 (Steele, Lea and Flood, OOPSLA 2014): its counter increment,
+# its output round, and the MurmurHash3 round it derives split streams with.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_OUTPUT_ROUND = ((30, 27, 31), (0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+_ABSORB_ROUND = ((33, 33, 33), (0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53))
 
 
-def _seed_sequence_words(seeds: np.ndarray) -> list[np.ndarray]:
-    """``SeedSequence(s).generate_state(8, np.uint32)`` for each 64-bit s.
+def _mix(z: np.ndarray, mixing_round) -> np.ndarray:
+    """One xorshift-multiply round over a uint64 array, in place; wraps mod 2**64."""
+    (a, b, c), (m1, m2) = mixing_round
+    z ^= z >> np.uint64(a)
+    z *= np.uint64(m1)
+    z ^= z >> np.uint64(b)
+    z *= np.uint64(m2)
+    z ^= z >> np.uint64(c)
+    return z
 
-    Returns the eight output words, each a uint32 vector over the seeds.
-    A seed below 2**64 is at most two entropy words, fewer than the pool
-    size, and a missing word is hashed exactly like a zero word, so every
-    seed takes the same steps.  uint32 array arithmetic wraps like the
-    C code's.
+
+def _uint64(values, floats: bool) -> np.ndarray:
+    """An integer's two's complement or, if ``floats``, a float's IEEE bits."""
+    values = np.asarray(values)
+    if floats and values.dtype.kind == "f":
+        return values.astype(np.float64).view(np.uint64)
+    if values.dtype.kind not in "iu" and values.size:
+        raise TypeError(f"stream keys are built from integers or floats, got {values.dtype}")
+    return values.astype(np.uint64)
+
+
+def stream_keys(key, *columns) -> np.ndarray:
+    """``key`` (an int or integer array) with each column absorbed in turn.
+
+    Columns hold integers or floats and broadcast with the key.  Absorbing
+    is ``key = mix(key ^ bits)`` in the MurmurHash3 round, not the output
+    round, so a derived key is not an output of its parent's stream, and
+    ``stream_keys(stream_keys(k, a), b) == stream_keys(k, a, b)``.
     """
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    zero = np.zeros(seeds.size, dtype=np.uint32)
-    entropy = [(seeds & np.uint64(_MASK32)).astype(np.uint32),
-               (seeds >> np.uint64(32)).astype(np.uint32), zero, zero]
-    pool = [hashmix(word) for word in entropy]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-
-    hash_const = _INIT_B
-    words = []
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        words.append(value ^ (value >> np.uint32(16)))
-    return words
+    keys = _uint64(key, floats=False)
+    for column in columns:
+        keys = _mix(np.asarray(keys ^ _uint64(column, floats=True)), _ABSORB_ROUND)
+    return keys
 
 
-def stream_normals(seeds, k: int) -> np.ndarray:
-    """Row r is ``np.random.default_rng(seeds[r]).standard_normal(k)``.
+def _outputs(keys, k: int) -> np.ndarray:
+    """splitmix64 outputs 0..k-1 of each key; output c is ``mix(K + (c + 1) * gamma)``."""
+    z = _uint64(keys, floats=False).reshape(-1, 1) + _GAMMA * np.arange(1, k + 1, dtype=np.uint64)
+    return _mix(z, _OUTPUT_ROUND)
 
-    Seeds must be integers in [0, 2**64), which ``derive_seed`` returns.
-    The SeedSequence mixing runs vectorized over all seeds; the PCG64
-    set-seed step (two 128-bit LCG steps) runs on Python ints; one reused
-    generator then has its state set per row and fills that row.
+
+def key_normals(keys, k: int) -> np.ndarray:
+    """Row r holds standard normals 0..k-1 of the stream ``keys[r]``.
+
+    Normal c is Box-Muller on output c: the high 32 bits give u in (0, 1)
+    and the radius sqrt(-2 ln u), so tails stop near 6.8; the low 32 bits
+    give an angle in [-pi/2, pi/2), whose sine has the law of the cosine of
+    a full-circle angle and is faster in numpy.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
-    out = np.empty((seeds.size, k))
-    if seeds.size == 0:
-        return out
-    words = [w.astype(np.uint64) for w in _seed_sequence_words(seeds)]
-    # generate_state(4, np.uint64) pairs the words little-endian; PCG64
-    # takes (state, increment) from (u64[0] << 64 | u64[1], u64[2] << 64 | u64[3]).
-    u64 = [(words[2 * i] | (words[2 * i + 1] << np.uint64(32))).tolist() for i in range(4)]
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    for r, (s_hi, s_lo, i_hi, i_lo) in enumerate(zip(*u64)):
-        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
-        initstate = (s_hi << 64) | s_lo
-        state["state"] = {"state": ((inc + initstate) * _PCG_MULT + inc) & _MASK128, "inc": inc}
-        bitgen.state = state
-        gen.standard_normal(out=out[r])
-    return out
+    z = _outputs(keys, k)
+    # each 32-bit half converts to float faster as int64 than as uint64
+    normals = (z >> np.uint64(32)).view(np.int64) * 2.0**-32
+    normals += 2.0**-33
+    np.log(normals, out=normals)
+    np.sqrt(normals * -2.0, out=normals)
+    angle = ((z & np.uint64(0xFFFFFFFF)).view(np.int64) - 2**31) * (np.pi * 2.0**-32)
+    normals *= np.sin(angle, out=angle)
+    return normals

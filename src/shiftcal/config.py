@@ -59,6 +59,22 @@ def _finite_positive(name: str, value) -> float:
     return value
 
 
+# The keys of each family (q0, q1, prior) or kind (truth) besides the tag;
+# an unknown family or kind is left to its parser, which names it.
+_SECTION_KEYS = {"normal": {"mean", "std", "var"}, "uniform": {"low", "high"}, "cubic": set(),
+                 "piecewise": {"theta_lo", "theta_hi", "breakpoint"}, "simulator": {"theta"},
+                 "constant": {"value"}}
+
+
+def _check_keys(section: str, spec, allowed) -> None:
+    """Reject a section that is not an object or holds a key not in ``allowed``."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{section} must be an object, got {spec!r}")
+    unknown = sorted(map(str, set(spec) - set(allowed)))
+    if unknown:
+        raise ValueError(f"unknown keys in {section}: {', '.join(unknown)}")
+
+
 def _parse_truth(truth: dict, sim: Simulator) -> TruthFn:
     kind = truth.get("kind")
     if kind == "cubic":
@@ -159,12 +175,17 @@ class ExperimentConfig:
             raise ValueError(f"unknown weight mode {self.weight_mode!r}")
         if self.weight_mode == "csv" and not self.weights_csv:
             raise ValueError("weight mode 'csv' requires a 'weights_csv' path")
-        if isinstance(self.bandwidth, str):
-            if self.bandwidth != "median":
-                raise ValueError(f"bandwidth must be 'median' or fixed values, got {self.bandwidth!r}")
-        else:
+        if isinstance(self.bandwidth, dict):
+            _check_keys("bandwidth", self.bandwidth, {"sigma2", "sigma2_theta"})
             for key in ("sigma2", "sigma2_theta"):
                 _finite_positive(f"fixed bandwidth {key!r}", self.bandwidth.get(key, 0))
+        elif self.bandwidth != "median":
+            raise ValueError(f"bandwidth must be 'median' or an object, got {self.bandwidth!r}")
+        for section, tag in (("q0", "family"), ("q1", "family"), ("prior", "family"), ("truth", "kind")):
+            spec = getattr(self, section)
+            kind = spec.get(tag) if isinstance(spec, dict) else None
+            _check_keys(section, spec, {tag} | _SECTION_KEYS.get(kind, set(spec)))
+        _check_keys("noise", self.noise, {"std", "var"})
         # Parse every part once, here; the builders below return these objects.
         keep = functools.partial(object.__setattr__, self)
         keep("_simulator", get_simulator(self.simulator, **self.simulator_options))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._seeding import derive_rng
+from ._seeding import derive_rng, derive_seed, stream_keys
 from .kern import ParamKernel, WeightedOutputKernel, gram_and_rhs, regularized_solve
 from .sim import Dataset, Simulator, SimulatorError
 from .weights import ImportanceWeights
@@ -224,17 +224,18 @@ def simulate_pseudo_outputs(sim: Simulator, thetas, xs, seed: int) -> PseudoOutp
     """Run the simulator at every (training input, prior draw) pair.
 
     One sweep per training input i runs every draw j on its own stream,
-    keyed ``(seed, "pseudo", j, i)``, so streams stay independent.
+    keyed ``stream_keys(derive_seed(seed, "pseudo"), j, i)``, so streams
+    stay independent.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim == 1:
         thetas = thetas[:, None]
     xs = np.asarray(xs, dtype=float)
     values = np.empty((thetas.shape[0], xs.size))
+    by_draw = stream_keys(derive_seed(seed, "pseudo"), np.arange(len(thetas)))
     for i, x in enumerate(xs):
-        keys = ((seed, "pseudo"), ((j,) for j in range(len(thetas))), (i,))
         try:
-            values[:, i] = sim.sweep([x], keys)(thetas)
+            values[:, i] = sim.sweep([x], stream_keys(by_draw, i))(thetas)
         except Exception as exc:
             j = exc.row if isinstance(exc, SimulatorError) else None
             where = "" if j is None else f" for draw {j} (theta={thetas[j]})"

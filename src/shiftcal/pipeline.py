@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._seeding import derive_rng, derive_seed
+from ._seeding import derive_rng, derive_seed, stream_keys
 from .baseline import (
     MHTrace,
     log_likelihood_sweep,
@@ -284,6 +284,7 @@ class MHBaselineResult:
     budget: int
     rmse: float
     test_inputs: np.ndarray
+    wall_clock: dict
 
 
 def run_mh_baseline(
@@ -295,10 +296,11 @@ def run_mh_baseline(
     log-likelihood plus log-prior; predictions average the simulator
     over all post-burn-in states.
     """
+    timings: dict = {}
     mh_cfg = cfg.mh_config(steps=steps, seed=derive_seed(cfg.seed, "mh"))
     sim = cfg.build_simulator()
     prior = cfg.build_prior()
-    dataset, beta = weighted_dataset(cfg, dataset)
+    dataset, beta = weighted_dataset(cfg, dataset, timings)
 
     # One simulator realization for the whole chain: re-drawing noise per
     # evaluation would turn the cached-likelihood chain into a sticky
@@ -313,18 +315,24 @@ def run_mh_baseline(
             return -np.inf
         return loglik(theta) + log_prior
 
-    trace = mh_sample(target, prior.center(), mh_cfg)
-    test_inputs = _test_inputs(cfg)
-    mh_pred = derive_seed(cfg.seed, "mh-pred")
-    _, _, rmse_value = score_predictions(
-        cfg.build_truth(), test_inputs, sim, trace.post_burn_in, seed=mh_pred
-    )
+    with _timed(timings, "chain"):
+        trace = mh_sample(target, prior.center(), mh_cfg)
+    with _timed(timings, "prediction"):
+        test_inputs = _test_inputs(cfg)
+        _, _, rmse_value = score_predictions(
+            cfg.build_truth(), test_inputs, sim, trace.post_burn_in,
+            seed=derive_seed(cfg.seed, "mh-pred"),
+        )
+
+    for stage, seconds in timings.items():
+        log.info("stage %-14s %8.3f s", stage, seconds)
     return MHBaselineResult(
         trace=trace,
         acceptance_ratio=trace.acceptance_ratio,
         budget=simulation_budget(trace),
         rmse=rmse_value,
         test_inputs=test_inputs,
+        wall_clock=timings,
     )
 
 
@@ -431,9 +439,9 @@ def minimize_weighted_sse(
         points = np.stack([g.ravel() for g in grids], axis=1)
     else:
         points = prior.sample(search_draws, derive_rng(seed, "draws"))
-    # Point k runs on key derive_seed(seed, k): one sweep per training input.
-    keys = [(k,) for k in range(len(points))]
-    outputs = np.stack([sim.sweep([x], ((seed,), keys, ()))(points) for x in dataset.x], axis=1)
+    # Point k runs on key stream_keys(seed, k): one sweep per training input.
+    keys = stream_keys(seed, np.arange(len(points)))
+    outputs = np.stack([sim.sweep([x], keys)(points) for x in dataset.x], axis=1)
     losses = weighted_residual_sum(outputs, dataset.y, beta)
     best = int(np.argmin(losses))
     if prior.dim > 2:

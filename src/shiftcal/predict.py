@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._seeding import derive_rng, derive_seed
+from ._seeding import derive_rng, derive_seed, stream_keys
 from .herd import HerdedSamples
 from .sim import Simulator, TruthFn
 from .weights import DensitySpec
@@ -40,26 +40,38 @@ def _sample_points(samples) -> np.ndarray:
     return points[:, None] if points.ndim == 1 else points
 
 
-def _occurrences(points):
-    """Yield each parameter row with its occurrence count so far (1, 2, ...)."""
+def _occurrences(points) -> list[int]:
+    """Each parameter row's occurrence count so far (1, 2, ...)."""
     seen: dict[bytes, int] = {}
-    for theta in points:
-        key = theta.tobytes()
-        seen[key] = seen.get(key, 0) + 1
-        yield theta, seen[key]
+    counts = []
+    for row in map(np.ndarray.tobytes, points):
+        seen[row] = seen.get(row, 0) + 1
+        counts.append(seen[row])
+    return counts
 
 
 def predict(sim: Simulator, x: float, samples, seed: int = 0) -> PredictiveSample:
-    """Run the simulator at x once per posterior sample.
+    """Run the simulator at x once per posterior sample (streams as in ``_predict_at``)."""
+    return _predict_at(sim, [x], samples, seed)[0]
 
-    One sweep at x runs sample r on the stream keyed
-    ``(seed, "predict", theta_r, k)``, where k counts the occurrences of
-    theta_r so far: repeated parameter vectors get fresh realizations,
-    while the output multiset stays invariant under sample reordering.
+
+def _predict_at(sim: Simulator, xs, samples, seed: int) -> list[PredictiveSample]:
+    """One sweep per input; each sweep runs sample r on the key
+    ``stream_keys(derive_seed(seed, "predict"), *theta_r, k)``, built once.
+
+    k counts the occurrences of theta_r so far: repeated parameter vectors
+    get fresh realizations, while the output multiset stays invariant under
+    sample reordering.  The simulator absorbs x into each key, so inputs
+    draw independent streams and a prediction does not depend on which
+    other inputs share the call.
     """
     points = _sample_points(samples)
-    outputs = sim.sweep([x], ((seed, "predict"), _occurrences(points), ()))(points)
-    return PredictiveSample(x=float(x), outputs=outputs, mean=float(np.mean(outputs)))
+    keys = stream_keys(derive_seed(seed, "predict"), *points.T, _occurrences(points))
+    preds = []
+    for x in xs:
+        outputs = sim.sweep([x], keys)(points)
+        preds.append(PredictiveSample(x=float(x), outputs=outputs, mean=float(np.mean(outputs))))
+    return preds
 
 
 def score_predictions(
@@ -67,20 +79,15 @@ def score_predictions(
 ) -> tuple[list[PredictiveSample], np.ndarray, float]:
     """Predictions at every test input plus the RMSE of their means.
 
-    Per-input streams are keyed on the input value, not its position, so
-    scores are invariant under permutation of the test inputs.
+    Streams are keyed on the input value, not its position, so scores are
+    invariant under permutation of the test inputs.
     """
     test_inputs = np.asarray(test_inputs, dtype=float)
     if test_inputs.size < 1:
         raise ValueError("need at least one test input")
-    preds: list[PredictiveSample] = []
-    truth_vals = np.empty(test_inputs.size)
-    errors = np.empty(test_inputs.size)
-    for i, x in enumerate(test_inputs):
-        truth_vals[i] = truth(float(x), derive_seed(seed, "truth", float(x)))
-        pred = predict(sim, float(x), samples, seed=derive_seed(seed, "pred", float(x)))
-        preds.append(pred)
-        errors[i] = truth_vals[i] - pred.mean
+    preds = _predict_at(sim, test_inputs, samples, seed)
+    truth_vals = np.array([truth(float(x), derive_seed(seed, "truth", float(x))) for x in test_inputs])
+    errors = truth_vals - np.array([pred.mean for pred in preds])
     return preds, truth_vals, float(np.sqrt(np.mean(errors * errors)))
 
 

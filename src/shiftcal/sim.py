@@ -1,11 +1,11 @@
 """Black-box simulators and data-generating processes.
 
 A simulator maps an input ``x`` and a parameter vector ``theta`` to a
-real output.  Evaluations are pure: a stochastic simulator derives each
-random stream from a key and ``x``, so repeated calls with identical
-arguments return identical outputs regardless of call order, and fixed
-keys yield a deterministic function of ``theta`` (common random
-numbers).
+real output.  Evaluations are pure: a stochastic simulator draws each row's
+noise from the counter-based stream ``stream_keys(key, x)``, so repeated
+calls with identical arguments return identical outputs regardless of
+call order, and fixed keys yield a deterministic function of ``theta``
+(common random numbers).
 
 Two benchmarks ship here: a trivially-misspecified linear model paired
 with a cubic truth, and a two-stage assembly line (sequential assembly
@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import csv
 import json
-import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from inspect import signature
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from ._seeding import derive_rng, derive_seed, derive_seeds, stream_normals
+from ._seeding import derive_rng, derive_seed, key_normals, stream_keys
 from .weights import DensitySpec
 
 # Truth functions take (x, seed); deterministic ones ignore the seed.
@@ -47,23 +47,20 @@ class Simulator(ABC):
 
     name: str = "simulator"
     dim_theta: int = 0
-    # True when outputs ignore the seed.  Nothing in the pipeline branches
-    # on it: a noise-free sweep simply never resolves its stream keys.
+    # True when outputs ignore the keys.  Nothing in the pipeline branches
+    # on it: a noise-free sweep simply never derives its stream keys.
     deterministic: bool = False
 
     @abstractmethod
-    def sweep(self, xs, seeds=0) -> Callable[[np.ndarray], np.ndarray]:
-        """Outputs at the inputs ``xs`` on the streams ``seeds`` name, as a function of theta.
+    def sweep(self, xs, keys=0) -> Callable[[np.ndarray], np.ndarray]:
+        """Outputs at the inputs ``xs`` on the streams ``keys`` name, as a function of theta.
 
         The function takes parameter rows, a ``(rows, dim_theta)`` array or
-        one ``(dim_theta,)`` vector.  Rows broadcast: ``xs``, the seeds and
-        the parameter rows each have length 1 or R, and the result has
-        length R.  ``seeds`` is an int shared by every row, or a key triple
-        ``(prefix, rows, suffix)`` giving row r the key
-        ``derive_seed(*prefix, *rows[r], *suffix)``; ``rows`` may be a lazy
-        iterable.  ``_streams`` turns keys and inputs into stream seeds.  A
-        stochastic simulator draws its noise here, once, and each call only
-        transforms it by theta (common random numbers across calls).
+        one ``(dim_theta,)`` vector.  ``keys`` is one int or an integer array
+        of per-row keys.  ``xs``, keys and parameter rows each have length 1
+        or R, and the result has length R.  A stochastic simulator draws its
+        noise here, once, on the streams ``_streams`` names, and each call
+        only transforms it by theta (common random numbers across calls).
         """
 
     def evaluate(self, x: float, theta, seed: int = 0) -> float:
@@ -80,22 +77,13 @@ class Simulator(ABC):
             )
         return rows
 
-    def _streams(self, xs, seeds) -> list[int]:
-        """Stream seed of each row: ``derive_seed(key, self.name, x)``.
-
-        The key is the int seed, or the row's key from a ``(prefix, rows,
-        suffix)`` triple.  The stream depends on the key and x but not on
-        theta: a key indexes one realization of the randomness and the
-        parameters transform it.
-        """
-        keys = derive_seeds(*seeds) if isinstance(seeds, tuple) else [operator.index(seeds)]
-        if len(xs) == 1:
-            return derive_seeds((), ((k,) for k in keys), (self.name, xs[0]))
-        if len(keys) == 1:
-            return derive_seeds((keys[0], self.name), ((x,) for x in xs))
-        if len(keys) != len(xs):
-            raise ValueError(f"got {len(keys)} seeds for {len(xs)} inputs")
-        return derive_seeds((), ((k, self.name, x) for k, x in zip(keys, xs)))
+    def _streams(self, xs, keys) -> np.ndarray:
+        """Stream key of each row, ``stream_keys(key, x)``: theta transforms
+        the realization a key indexes but never selects it."""
+        keys = np.ravel(keys)
+        if len(keys) not in (1, len(xs)) and len(xs) != 1:
+            raise ValueError(f"got {len(keys)} keys for {len(xs)} inputs")
+        return stream_keys(keys, xs)
 
 
 class LinearSimulator(Simulator):
@@ -105,7 +93,7 @@ class LinearSimulator(Simulator):
     dim_theta = 2
     deterministic = True
 
-    def sweep(self, xs, seeds=0) -> Callable[[np.ndarray], np.ndarray]:
+    def sweep(self, xs, keys=0) -> Callable[[np.ndarray], np.ndarray]:
         xs = np.asarray(xs, dtype=float).reshape(-1)
 
         def outputs(thetas):
@@ -144,11 +132,11 @@ class AssemblyLineSimulator(Simulator):
             raise ValueError(f"batch size must be >= 1, got {batch_size}")
         self.batch_size = batch_size
 
-    def sweep(self, xs, seeds=0) -> Callable[[np.ndarray], np.ndarray]:
+    def sweep(self, xs, keys=0) -> Callable[[np.ndarray], np.ndarray]:
         """Makespans of ``xs[r]`` products on row r's stream, as a function of theta.
 
-        Row r draws its assembly normals, then its inspection normals, from
-        ``default_rng`` of its stream seed; they are drawn here, once.  Rows
+        Normals 0..x-1 of row r's stream drive its assembly durations and
+        the next ones its inspection durations; they are drawn here, once.  Rows
         with fewer products or batches are padded: the schedule is built
         from prefix sums and a running max, so padding never reaches a
         row's last real batch, which is where its makespan is read.
@@ -162,7 +150,7 @@ class AssemblyLineSimulator(Simulator):
         counts = np.rint(xs).astype(np.intp)[:, None]
         n_batches = -(-counts // size)
         width, depth = int(counts.max(initial=0)), int(n_batches.max(initial=0))
-        z = stream_normals(self._streams(xs, seeds), width + depth)
+        z = key_normals(self._streams(xs, keys), width + depth)
         z_asm = z[:, :width]
         # Batch b is ready when its last product leaves assembly; a trailing
         # partial batch when the last product does.
@@ -173,7 +161,7 @@ class AssemblyLineSimulator(Simulator):
         def makespans(thetas):
             thetas = self._theta_rows(thetas)
             if len(thetas) not in (1, len(z)) and len(z) != 1:
-                raise ValueError(f"got {len(thetas)} parameter rows for {len(z)} seeded rows")
+                raise ValueError(f"got {len(thetas)} parameter rows for {len(z)} keyed rows")
             for ok, what in ((np.isfinite(thetas), "finite"), (thetas >= 0, "non-negative")):
                 bad = ~ok.all(axis=1)
                 if bad.any():
@@ -324,11 +312,14 @@ _REGISTRY: dict[str, Callable[..., Simulator]] = {
 
 
 def get_simulator(name: str, **options) -> Simulator:
-    """Look up a registered simulator by its CLI name."""
+    """Look up a registered simulator by its CLI name; ``options`` go to its constructor."""
     try:
         factory = _REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
         raise ValueError(f"unknown simulator {name!r}; registered: {known}") from None
+    unknown = sorted(set(options) - set(signature(factory).parameters))
+    if unknown:
+        raise ValueError(f"unknown simulator_options for {name!r}: {', '.join(unknown)}")
     return factory(**options)
 

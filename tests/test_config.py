@@ -143,11 +143,40 @@ class TestConfigValidation:
          ({"bandwidth": {"sigma2": 1.0, "sigma2_theta": math.inf}}, "'sigma2_theta' must be finite"),
          ({"bandwidth": {"sigma2": math.nan, "sigma2_theta": 1.0}}, "'sigma2' must be finite"),
          ({"epsilon": math.inf}, "epsilon must be finite and > 0, got inf"),
-         ({"epsilon": math.nan}, "epsilon must be finite and > 0, got nan")],
+         ({"epsilon": math.nan}, "epsilon must be finite and > 0, got nan"),
+         ({"bandwidth": 5}, "bandwidth must be 'median' or an object"),
+         ({"bandwidth": [1, 2]}, "bandwidth must be 'median' or an object"),
+         ({"bandwidth": {"sigma2": 1.0, "sigma2_theta": 1.0, "sigma": 2.0}},
+          "unknown keys in bandwidth: sigma$")],
     )
     def test_non_finite_bandwidth_and_epsilon_rejected(self, changes, message):
         with pytest.raises(ValueError, match=message):
             preset("linear-shift", **changes)
+
+    @pytest.mark.parametrize(
+        "name,changes,message",
+        [("linear-shift", {"q0": {"family": "normal", "mean": 0, "std": 1, "sd": 3}},
+          "unknown keys in q0: sd$"),
+         ("linear-shift", {"q1": {"family": "uniform", "low": 0, "high": 1, "mean": 0.5}},
+          "unknown keys in q1: mean$"),
+         ("linear-shift", {"q1": "normal"}, "q1 must be an object"),
+         ("linear-shift", {"prior": {"family": "normal", "mean": [0, 0], "var": [1, 1], "low": [0]}},
+          "unknown keys in prior: low$"),
+         ("assembly-shift", {"prior": {**PRESETS["assembly-shift"]["prior"], "std": [1.0] * 4}},
+          "unknown keys in prior: std$"),
+         ("linear-shift", {"noise": {"var": 2.0, "sd": 1.0}}, "unknown keys in noise: sd$"),
+         ("linear-shift", {"truth": {"kind": "cubic", "extra": 1}}, "unknown keys in truth: extra$"),
+         ("assembly-shift", {"truth": {**PRESETS["assembly-shift"]["truth"], "theta": [1.0] * 4}},
+          "unknown keys in truth: theta$"),
+         ("assembly-shift", {"simulator_options": {"batch_size": 2, "batch": 3}},
+          "unknown simulator_options for 'assembly': batch$"),
+         ("linear-shift", {"simulator_options": {"batch_size": 2}},
+          "unknown simulator_options for 'linear': batch_size$"),
+         ("linear-shift", {"bandwidth": None}, "bandwidth must be 'median' or an object")],
+    )
+    def test_bad_section_rejected_naming_it(self, name, changes, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict({**PRESETS[name], **changes})
 
     @pytest.mark.parametrize(
         "schedule,message",

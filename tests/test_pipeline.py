@@ -1,10 +1,10 @@
 import json
+import logging
 
 import numpy as np
 import pytest
 
-from shiftcal._seeding import derive_seed
-from shiftcal._seeding import derive_rng
+from shiftcal._seeding import derive_rng, derive_seed, stream_keys
 from shiftcal.baseline import mh_sample
 from shiftcal.config import ExperimentConfig, preset
 from shiftcal.pipeline import (
@@ -223,6 +223,13 @@ class TestMHBaseline:
         assert np.isfinite(result.rmse)
         assert result.trace.post_burn_in.shape == (54, 2)
 
+    def test_stage_timings(self, caplog):
+        with caplog.at_level(logging.INFO, logger="shiftcal"):
+            result = run_mh_baseline(tiny_linear(), steps=20)
+        assert list(result.wall_clock) == ["dataset", "weights", "chain", "prediction"]
+        assert all(seconds >= 0 for seconds in result.wall_clock.values())
+        assert [r.getMessage().split()[1] for r in caplog.records] == list(result.wall_clock)
+
     def test_deterministic(self):
         a = run_mh_baseline(tiny_linear(), steps=40)
         b = run_mh_baseline(tiny_linear(), steps=40)
@@ -280,7 +287,7 @@ class TestTheoremCheck:
     @pytest.mark.parametrize("name,seed", [("linear-shift", 3), ("assembly-shift", 9)])
     def test_oracle_equals_per_point_sweeps(self, name, seed):
         # reference: one sweep over the training inputs per point k, on
-        # seed derive_seed(search seed, k), and the loss written out
+        # key stream_keys(search seed, k), and the loss written out
         cfg = preset(name, seed=seed)
         ds = generate_dataset(cfg.build_dgp(), cfg.n, derive_seed(cfg.seed, "dataset"))
         beta = np.asarray(resolve_weights(cfg, ds))
@@ -294,7 +301,7 @@ class TestTheoremCheck:
             points = prior.sample(64, derive_rng(search, "draws"))
         losses = []
         for k, theta in enumerate(points):
-            residuals = ds.y - sim.sweep(ds.x, derive_seed(search, k))(theta)
+            residuals = ds.y - sim.sweep(ds.x, stream_keys(search, k))(theta)
             losses.append(float(np.sum(beta * residuals * residuals)))
         theta, loss, *_ = minimize_weighted_sse(cfg, ds, resolve_weights(cfg, ds),
                                                 grid_resolution=9, search_draws=64)

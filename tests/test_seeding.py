@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats
 
-from shiftcal._seeding import derive_rng, derive_seed, derive_seeds, stream_normals
+from shiftcal._seeding import _outputs, derive_rng, derive_seed, key_normals, stream_keys
 
 
 def test_same_parts_same_seed():
@@ -68,36 +69,110 @@ def test_golden_seeds_unchanged(parts, expected):
     assert derive_seed(*parts) == expected
 
 
-def test_derive_seeds_matches_derive_seed():
-    rows = [(j, 0.5 * j) for j in range(5)] + [(np.array([1.0, 2.0]), 2), ()]
-    assert derive_seeds((9, "tag"), rows, ("tail", 3)) == [
-        derive_seed(9, "tag", *row, "tail", 3) for row in rows
-    ]
-    assert derive_seeds((), [(4,)]) == [derive_seed(4)]
-    assert derive_seeds((1,), []) == []
+MASK64 = 2**64 - 1
 
 
-def reference_normals(seeds, k):
-    return np.array([np.random.default_rng(s).standard_normal(k) for s in seeds]).reshape(len(seeds), k)
+def splitmix64(key, k):
+    """Reference splitmix64 (Steele, Lea and Flood, OOPSLA 2014) on Python ints."""
+    out = []
+    for c in range(1, k + 1):
+        z = (key + c * 0x9E3779B97F4A7C15) & MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        out.append(z ^ (z >> 31))
+    return out
 
 
-EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+EDGE_KEYS = np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64)
+
+
+def test_outputs_are_splitmix64():
+    # the first output of splitmix64 seeded with 0, as published with the generator
+    assert int(_outputs(0, 1)[0, 0]) == 0xE220A8397B1DCDAF
+    assert _outputs(EDGE_KEYS, 20).tolist() == [splitmix64(int(key), 20) for key in EDGE_KEYS]
 
 
 @pytest.mark.parametrize("k", [0, 1, 200])
-def test_stream_normals_edge_seeds(k):
-    got = stream_normals(EDGE_SEEDS, k)
-    assert got.shape == (len(EDGE_SEEDS), k)
-    assert got.tobytes() == reference_normals(EDGE_SEEDS, k).tobytes()
+def test_key_normals_edge_keys(k):
+    got = key_normals(EDGE_KEYS, k)
+    assert got.shape == (len(EDGE_KEYS), k)
+    assert np.all(np.isfinite(got))
+    assert got.tobytes() == key_normals(EDGE_KEYS.copy(), k).tobytes()
+    if k:
+        assert len({row.tobytes() for row in got}) == len(EDGE_KEYS)
 
 
-def test_stream_normals_no_seeds():
-    assert stream_normals([], 5).shape == (0, 5)
+def test_key_normals_no_keys():
+    assert key_normals([], 5).shape == (0, 5)
 
 
-@given(
-    st.lists(st.integers(0, 2**64 - 1) | st.sampled_from(EDGE_SEEDS), min_size=1, max_size=12),
-    st.integers(0, 300),
-)
-def test_stream_normals_equal_default_rng(seeds, k):
-    assert stream_normals(seeds, k).tobytes() == reference_normals(seeds, k).tobytes()
+@given(st.lists(st.integers(0, 2**64 - 1) | st.sampled_from(EDGE_KEYS.tolist()), min_size=1,
+                max_size=12),
+       st.integers(0, 300), st.integers(0, 300))
+def test_normal_is_a_function_of_key_and_counter(keys, k, j):
+    # row r is key r's stream alone, and asking for fewer normals gives a prefix
+    keys = np.array(keys, dtype=np.uint64)
+    got = key_normals(keys, k)
+    for r, key in enumerate(keys):
+        assert got[r].tobytes() == key_normals([key], k)[0].tobytes()
+    assert got[:, : min(j, k)].tobytes() == key_normals(keys, min(j, k)).tobytes()
+
+
+def test_stream_keys_absorb_in_turn_and_broadcast():
+    rows, cols = np.arange(4)[:, None], np.array([0.5, -0.5, 2.0])
+    keys = stream_keys(9, rows, cols)
+    assert keys.shape == (4, 3) and keys.dtype == np.uint64
+    assert np.array_equal(keys, stream_keys(stream_keys(9, rows), cols))
+    assert len(set(keys.ravel().tolist())) == 12
+    assert np.array_equal(stream_keys(np.uint64(9)), np.uint64(9))
+    # an int and a float of the same value are different columns
+    assert stream_keys(9, 1) != stream_keys(9, 1.0)
+    assert stream_keys(9, 1) != stream_keys(10, 1)
+    assert stream_keys(9, 1, 2) != stream_keys(9, 2, 1)
+
+
+@pytest.mark.parametrize("key, column", [(1.5, 0), (np.array([1.0]), 0), (1, "a"), (1, [object()])])
+def test_stream_keys_reject_other_types(key, column):
+    with pytest.raises(TypeError, match="integers or floats"):
+        stream_keys(key, column)
+
+
+@pytest.mark.parametrize("key", EDGE_KEYS.tolist() + [derive_seed("parent stream")])
+def test_derived_key_is_not_an_output_of_its_parent(key):
+    assert not np.any(_outputs(key, 2**20) == stream_keys(key, 0))
+
+
+# Statistical checks on N = 10**6 normals, 1,000 counters on each of 1,000
+# streams.  Thresholds are five standard errors (a KS p-value floor of 1e-4)
+# and were fixed before the tests first ran.
+N_KEYS = N_COUNTERS = 1000
+N = N_KEYS * N_COUNTERS
+BASE = derive_seed("key_normals distribution")
+KEY_SETS = {
+    # raw neighbouring integers, the least mixed keys a caller could pass
+    "consecutive": BASE + np.arange(N_KEYS, dtype=np.uint64),
+    # neighbouring draws of one caller, as the pipeline derives them
+    "derived": stream_keys(BASE, np.arange(N_KEYS)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(KEY_SETS))
+def normals(request):
+    return key_normals(KEY_SETS[request.param], N_COUNTERS)
+
+
+def test_moments(normals):
+    z = normals.ravel()
+    assert abs(z.mean()) < 5 / np.sqrt(N)
+    assert abs(z.var() - 1) < 5 * np.sqrt(2 / N)
+
+
+def test_ks_against_standard_normal(normals):
+    assert stats.kstest(normals.ravel(), "norm").pvalue > 1e-4
+
+
+@pytest.mark.parametrize("axis", [0, 1], ids=["neighbouring-keys", "neighbouring-counters"])
+def test_no_correlation_between_neighbours(normals, axis):
+    a = np.delete(normals, -1, axis=axis).ravel()
+    b = np.delete(normals, 0, axis=axis).ravel()
+    assert abs(np.corrcoef(a, b)[0, 1]) < 5 / np.sqrt(a.size)

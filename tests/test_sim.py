@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shiftcal import sim as sim_module
 from shiftcal.sim import (
     AssemblyLineSimulator,
     DataGeneratingProcess,
@@ -35,12 +36,12 @@ class TestLinearSim:
         thetas = np.array([[0.0, 1.0], [2.0, -0.5]])
         assert np.array_equal(sim.sweep([1.5])(thetas), [sim.evaluate(1.5, t) for t in thetas])
 
-    def test_stream_keys_never_resolved(self):
-        def keys():
-            raise AssertionError("a noise-free sweep iterated its stream keys")
-            yield
+    def test_stream_keys_never_resolved(self, monkeypatch):
+        def stream_keys(*args):
+            raise AssertionError("a noise-free sweep derived its stream keys")
 
-        assert np.array_equal(LinearSimulator().sweep([2.0], ((1,), keys(), ()))((1.0, 3.0)), [7.0])
+        monkeypatch.setattr(sim_module, "stream_keys", stream_keys)
+        assert np.array_equal(LinearSimulator().sweep([2.0], np.arange(5))((1.0, 3.0)), [7.0])
 
     def test_dimension_check(self):
         with pytest.raises(ValueError):
@@ -127,19 +128,19 @@ class TestAssemblySim:
                 self.sim.evaluate(100.0, theta, 3)
         thetas = np.array([[2.0, 0.5, 5.0, 1.0], [2.0, bad, 5.0, 1.0]])
         with pytest.raises(SimulatorError, match=r"must be finite.*\(row 1\)") as caught:
-            self.sim.sweep([100.0], ((), [(1,), (2,)], ()))(thetas)
+            self.sim.sweep([100.0], [1, 2])(thetas)
         assert caught.value.row == 1
         with pytest.raises(ValueError, match="must be finite"):
             self.sim.sweep([4.0, 8.0], 0)(thetas[1])
 
     def test_seed_count_must_match_rows(self):
-        keys = ((), [(1,), (2,)], ())
-        with pytest.raises(ValueError, match="seeds"):
+        keys = [1, 2]
+        with pytest.raises(ValueError, match="got 2 keys for 3 inputs"):
             self.sim.sweep([4.0, 5.0, 6.0], keys)
         with pytest.raises(ValueError, match="3 parameter rows for 2"):
             self.sim.sweep([4.0], keys)(np.ones((3, 4)))
-        with pytest.raises(TypeError):
-            self.sim.sweep([4.0], [1, 2])
+        with pytest.raises(TypeError, match="integers"):
+            self.sim.sweep([4.0], [1.0, 2.0])
 
 
 class TestPiecewiseTruth:

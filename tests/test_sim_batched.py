@@ -1,7 +1,8 @@
 """Sweeps equal one-evaluation-at-a-time, bit for bit.
 
-``scalar_makespan`` is the one-evaluation reference: a fresh generator
-per call, assembly normals then inspection normals, and a 1-d schedule.
+``scalar_makespan`` is the one-evaluation reference: the normals of one
+stream, ``key_normals(stream_keys(key, x))``, assembly normals then
+inspection normals, and a 1-d schedule.
 Sweeps over many parameter rows, over many inputs, and sweeps that draw
 their noise once and reuse it must reproduce it exactly, not within a
 tolerance, because their arithmetic and random streams are the same.
@@ -13,22 +14,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from shiftcal._seeding import derive_rng, derive_seed
+from shiftcal._seeding import derive_seed, key_normals, stream_keys
 from shiftcal.kabc import simulate_pseudo_outputs
 from shiftcal.predict import predict
 from shiftcal.sim import AssemblyLineSimulator, LinearSimulator, Simulator
 
 
-def scalar_makespan(batch_size, x, theta, seed):
+def one_stream(key, x, k):
+    return key_normals(stream_keys(key, float(x)), k)[0]
+
+
+def scalar_makespan(batch_size, x, theta, key):
     count = int(round(float(x)))
-    rng = derive_rng(seed, "assembly", float(x))
+    n_batches = -(-count // batch_size)
+    z = one_stream(key, x, count + n_batches)
     mean_asm, sd_asm, mean_insp, sd_insp = np.asarray(theta, dtype=float)
-    durations = np.maximum(mean_asm + sd_asm * rng.standard_normal(count), 0.0)
+    durations = np.maximum(mean_asm + sd_asm * z[:count], 0.0)
     completion = np.cumsum(durations)
     ready = completion[batch_size - 1 :: batch_size]
     if count % batch_size:
         ready = np.append(ready, completion[-1])
-    inspect = np.maximum(mean_insp + sd_insp * rng.standard_normal(ready.size), 0.0)
+    inspect = np.maximum(mean_insp + sd_insp * z[count:], 0.0)
     cum_inspect = np.cumsum(inspect)
     slack = ready - (cum_inspect - inspect)
     return float(cum_inspect[-1] + np.maximum.accumulate(slack)[-1])
@@ -65,13 +71,12 @@ class TestEvaluateParams:
 
     @given(batch_sizes, inputs, theta_rows(), st.data())
     def test_seed_per_row(self, batch_size, x, thetas, data):
-        # a key triple names row r's key derive_seed(*prefix, *rows[r], *suffix)
+        # an integer array gives row r its own key
         sim = AssemblyLineSimulator(batch_size)
-        rows = data.draw(st.lists(st.tuples(seeds, st.integers(0, 9)),
-                                  min_size=len(thetas), max_size=len(thetas)))
-        expected = [scalar_makespan(batch_size, x, t, derive_seed("p", *row, 2.5))
-                    for t, row in zip(thetas, rows)]
-        assert bits(sim.sweep([x], (("p",), iter(rows), (2.5,)))(thetas)) == bits(expected)
+        keys = np.array(data.draw(st.lists(seeds, min_size=len(thetas), max_size=len(thetas))),
+                        dtype=np.uint64)
+        expected = [scalar_makespan(batch_size, x, t, key) for t, key in zip(thetas, keys)]
+        assert bits(sim.sweep([x], keys)(thetas)) == bits(expected)
 
     @given(batch_sizes, inputs, theta_rows(max_rows=1), seeds)
     def test_evaluate_is_one_row(self, batch_size, x, thetas, seed):
@@ -80,8 +85,8 @@ class TestEvaluateParams:
 
     def test_no_rows(self):
         assert AssemblyLineSimulator().sweep([5.0], 1)(np.empty((0, 4))).shape == (0,)
-        keys = ((1,), iter([]), ())
-        assert AssemblyLineSimulator().sweep([5.0], keys)(np.ones((1, 4))).shape == (0,)
+        no_keys = np.empty(0, dtype=np.uint64)
+        assert AssemblyLineSimulator().sweep([5.0], no_keys)(np.ones((1, 4))).shape == (0,)
 
 
 class TestEvaluateMany:
@@ -98,18 +103,19 @@ class TestEvaluateMany:
         # inputs, keys and parameter rows all of length R
         sim = AssemblyLineSimulator(batch_size)
         thetas = data.draw(arrays(float, (len(xs), 4), elements=st.floats(0.0, 10.0)))
-        keys = [(k,) for k in range(len(xs))]
-        expected = [scalar_makespan(batch_size, x, t, derive_seed(7, k))
-                    for k, (x, t) in enumerate(zip(xs, thetas))]
-        assert bits(sim.sweep(xs, ((7,), keys, ()))(thetas)) == bits(expected)
+        keys = stream_keys(7, np.arange(len(xs)))
+        expected = [scalar_makespan(batch_size, x, t, key)
+                    for key, x, t in zip(keys, xs, thetas)]
+        assert bits(sim.sweep(xs, keys)(thetas)) == bits(expected)
 
 
 class TestCallers:
     @given(batch_sizes, st.lists(inputs, min_size=1, max_size=5), theta_rows(), seeds)
     def test_pseudo_outputs(self, batch_size, xs, thetas, seed):
         sim = AssemblyLineSimulator(batch_size)
+        base = derive_seed(seed, "pseudo")
         expected = [
-            [scalar_makespan(batch_size, x, theta, derive_seed(seed, "pseudo", j, i))
+            [scalar_makespan(batch_size, x, theta, stream_keys(base, j, i))
              for i, x in enumerate(xs)]
             for j, theta in enumerate(thetas)
         ]
@@ -119,15 +125,15 @@ class TestCallers:
            seeds)
     def test_predict(self, batch_size, x, thetas, picks, seed):
         # herded samples repeat points: a repeat gets its occurrence count
-        # in its seed, so it draws a fresh realization
+        # in its key, so it draws a fresh realization
         sim = AssemblyLineSimulator(batch_size)
         points = thetas[[p % len(thetas) for p in picks]]
         seen = {}
         expected = []
         for theta in points:
             seen[theta.tobytes()] = seen.get(theta.tobytes(), 0) + 1
-            stream = derive_seed(seed, "predict", theta, seen[theta.tobytes()])
-            expected.append(scalar_makespan(batch_size, x, theta, stream))
+            key = stream_keys(derive_seed(seed, "predict"), *theta, seen[theta.tobytes()])
+            expected.append(scalar_makespan(batch_size, x, theta, key))
         assert bits(predict(sim, x, points, seed).outputs) == bits(expected)
 
 
@@ -137,9 +143,9 @@ class ToySimulator(Simulator):
     name = "toy"
     dim_theta = 2
 
-    def sweep(self, xs, seeds=0):
+    def sweep(self, xs, keys=0):
         xs = np.asarray(xs, dtype=float).reshape(-1)
-        noise = np.array([np.random.default_rng(s).standard_normal() for s in self._streams(xs, seeds)])
+        noise = key_normals(self._streams(xs, keys), 1)[:, 0]
 
         def outputs(thetas):
             thetas = self._theta_rows(thetas)
@@ -148,8 +154,8 @@ class ToySimulator(Simulator):
         return outputs
 
 
-def toy_output(x, theta, seed):
-    return theta[0] * x + theta[1] * derive_rng(seed, "toy", float(x)).standard_normal()
+def toy_output(x, theta, key):
+    return theta[0] * x + theta[1] * one_stream(key, x, 1)[0]
 
 
 input_lists = st.lists(inputs, min_size=0, max_size=12)
