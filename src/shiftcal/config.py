@@ -75,19 +75,35 @@ def _check_keys(section: str, spec, allowed) -> None:
         raise ValueError(f"unknown keys in {section}: {', '.join(unknown)}")
 
 
+def _in_section(section: str, parse, spec):
+    """``parse(spec)``, with the section named in any ``ValueError``."""
+    try:
+        return parse(spec)
+    except ValueError as exc:
+        raise ValueError(f"{section}: {exc}") from None
+
+
 def _parse_truth(truth: dict, sim: Simulator) -> TruthFn:
+    def params(key) -> tuple:
+        values = tuple(float(v) for v in truth[key])
+        if len(values) != sim.dim_theta:
+            raise ValueError(
+                f"truth {key} has {len(values)} entries, simulator {sim.name!r} takes {sim.dim_theta}"
+            )
+        return values
+
     kind = truth.get("kind")
     if kind == "cubic":
         return cubic_truth
     if kind == "piecewise":
         return PiecewiseTruth(
             base_sim=sim,
-            theta_lo=tuple(float(v) for v in truth["theta_lo"]),
-            theta_hi=tuple(float(v) for v in truth["theta_hi"]),
+            theta_lo=params("theta_lo"),
+            theta_hi=params("theta_hi"),
             breakpoint=float(truth["breakpoint"]),
         )
     if kind == "simulator":
-        theta = tuple(float(v) for v in truth["theta"])
+        theta = params("theta")
         return lambda x, seed=0: sim.evaluate(x, theta, seed)
     if kind == "constant":
         value = float(truth["value"])
@@ -188,11 +204,20 @@ class ExperimentConfig:
         _check_keys("noise", self.noise, {"std", "var"})
         # Parse every part once, here; the builders below return these objects.
         keep = functools.partial(object.__setattr__, self)
-        keep("_simulator", get_simulator(self.simulator, **self.simulator_options))
+        options = dict(self.simulator_options)
+        if "batch_size" in options:
+            options["batch_size"] = _count("simulator_options.batch_size", options["batch_size"])
+        keep("simulator_options", options)
+        keep("_simulator", get_simulator(self.simulator, **options))
         keep("_truth", _parse_truth(self.truth, self._simulator))
-        keep("_q0", DensitySpec.from_dict(self.q0))
-        keep("_q1", DensitySpec.from_dict(self.q1))
+        keep("_q0", _in_section("q0", DensitySpec.from_dict, self.q0))
+        keep("_q1", _in_section("q1", DensitySpec.from_dict, self.q1))
         keep("_prior", PriorSpec.from_dict(self.prior))
+        if self._prior.dim != self._simulator.dim_theta:
+            raise ValueError(
+                f"prior has {self._prior.dim} parameters, simulator {self.simulator!r} "
+                f"takes {self._simulator.dim_theta}"
+            )
         spec = {"simulator": self.simulator, "truth": self.truth}
         keep("_dgp", DataGeneratingProcess(self._truth, _parse_noise(self.noise), self._q0, spec))
         keep("_schedule", _parse_schedule(self.epsilon, self.epsilon_schedule, self.m))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kabc import PosteriorEmbedding
+from .kabc import PosteriorEmbedding, embedding_distance
 from .sim import write_csv_rows
 
 
@@ -72,7 +72,12 @@ class HerdedSamples:
 def herd(emb: PosteriorEmbedding, pool: CandidatePool, T: int) -> HerdedSamples:
     """Draw T deterministic samples from the embedding over the pool.
 
-    Ties in the argmax break toward the lowest pool index.
+    One theta kernel matrix is built: the pool Gram matrix
+    (``ParamKernel.gram``).  A pool that starts with the embedding's draws,
+    as every ``CandidatePool.from_draws`` pool does, reads the embedding at
+    each candidate from its first m columns; any other pool evaluates it
+    with ``evaluate_many``.  Ties in the argmax break toward the lowest
+    pool index.
     """
     if T < 1:
         raise ValueError(f"need T >= 1 herded samples, got {T}")
@@ -80,8 +85,11 @@ def herd(emb: PosteriorEmbedding, pool: CandidatePool, T: int) -> HerdedSamples:
         raise ValueError(
             f"pool dimension {pool.points.shape[1]} does not match embedding dimension {emb.dim}"
         )
-    mean_vals = emb.evaluate_many(pool.points)          # embedding at every candidate
-    pool_gram = emb.kernel.cross(pool.points, pool.points)
+    pool_gram = emb.kernel.gram(pool.points)
+    if np.array_equal(pool.points[: emb.m], emb.draws):
+        mean_vals = pool_gram[:, : emb.m] @ emb.weights  # embedding at every candidate
+    else:
+        mean_vals = emb.evaluate_many(pool.points)
 
     indices = np.empty(T, dtype=int)
     objectives = np.empty(T)
@@ -91,7 +99,7 @@ def herd(emb: PosteriorEmbedding, pool: CandidatePool, T: int) -> HerdedSamples:
         pick = int(np.argmax(scores))                   # first max = lowest index
         indices[t - 1] = pick
         objectives[t - 1] = float(scores[pick])
-        repulsion += pool_gram[:, pick]
+        repulsion += pool_gram[pick]                    # a row: the Gram matrix is symmetric
     return HerdedSamples(
         points=pool.points[indices],
         indices=indices,
@@ -103,16 +111,10 @@ def herd(emb: PosteriorEmbedding, pool: CandidatePool, T: int) -> HerdedSamples:
 def herding_mmd(emb: PosteriorEmbedding, samples: HerdedSamples, t: int) -> float:
     """Kernel-space distance between the embedding and the first t samples.
 
-    Closed-form quadratic expansion of
-    || sum_j w_j k(., draw_j) - (1/t) sum_s k(., sample_s) ||,
-    clamped at zero against round-off.
+    The ``embedding_distance`` from the embedding to the equal-weight
+    expansion over the first t samples.
     """
     if not 1 <= t <= len(samples):
         raise ValueError(f"t must lie in [1, {len(samples)}], got {t}")
-    chosen = samples.points[:t]
-    w = emb.weights
-    emb_term = float(w @ emb.kernel.gram(emb.draws) @ w)
-    cross_term = float(w @ emb.kernel.cross(emb.draws, chosen) @ np.ones(t))
-    sample_term = float(np.sum(emb.kernel.gram(chosen)))
-    sq = emb_term - (2.0 / t) * cross_term + sample_term / (t * t)
-    return float(np.sqrt(max(sq, 0.0)))
+    chosen = PosteriorEmbedding(samples.points[:t], np.full(t, 1.0 / t), emb.kernel)
+    return embedding_distance(emb, chosen)

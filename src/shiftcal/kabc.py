@@ -109,17 +109,27 @@ class PriorSpec:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "PriorSpec":
+        """Build from a config mapping; every entry must be finite, and a
+        ``std`` or ``var`` entry >= 0.  Errors name the field."""
+
+        def numbers(key, non_negative=False):
+            values = [float(v) for v in spec[key]]
+            if not all(np.isfinite(v) and (v >= 0 or not non_negative) for v in values):
+                bound = " and >= 0" if non_negative else ""
+                raise ValueError(f"prior {key} must be finite{bound}, got {values}")
+            return values
+
         family = spec.get("family")
         if family == "normal":
             if ("std" in spec) == ("var" in spec):
                 raise ValueError("normal prior spec needs exactly one of 'std' or 'var'")
             if "std" in spec:
-                std = [float(s) for s in spec["std"]]
+                std = numbers("std", True)
             else:
-                std = [float(np.sqrt(v)) for v in spec["var"]]
-            return cls.normal([float(v) for v in spec["mean"]], std)
+                std = [float(np.sqrt(v)) for v in numbers("var", True)]
+            return cls.normal(numbers("mean"), std)
         if family == "uniform":
-            return cls.uniform(spec["low"], spec["high"])
+            return cls.uniform(numbers("low"), numbers("high"))
         raise ValueError(f"unknown prior family {family!r}")
 
 
@@ -275,22 +285,19 @@ def build_embedding(
 def embedding_distance(a: PosteriorEmbedding, b: PosteriorEmbedding) -> float:
     """Kernel-space norm of the difference of two embeddings.
 
-    Both must use the same parameter-kernel bandwidth.  Computed as the
-    closed-form quadratic expansion, clamped at zero against round-off.
+    Both must use the same parameter-kernel bandwidth.  Computed as one
+    quadratic form over the theta Gram matrix of the atoms (one
+    ``ParamKernel.gram``): over shared atoms with the weight difference,
+    which avoids cancellation, otherwise over both atom sets stacked with
+    coefficients (w_a, -w_b).  Clamped at zero against round-off.
     """
     if a.kernel.sigma2 != b.kernel.sigma2:
         raise ValueError("embeddings use different parameter-kernel bandwidths")
-    kern = a.kernel
     if a.draws.shape == b.draws.shape and np.array_equal(a.draws, b.draws):
-        # shared atoms: the weight-difference form avoids cancellation
-        delta = a.weights - b.weights
-        sq = float(delta @ kern.gram(a.draws) @ delta)
+        atoms, coef = a.draws, a.weights - b.weights
     else:
-        sq = (
-            float(a.weights @ kern.gram(a.draws) @ a.weights)
-            - 2.0 * float(a.weights @ kern.cross(a.draws, b.draws) @ b.weights)
-            + float(b.weights @ kern.gram(b.draws) @ b.weights)
-        )
+        atoms, coef = np.vstack([a.draws, b.draws]), np.concatenate([a.weights, -b.weights])
+    sq = float(coef @ a.kernel.gram(atoms) @ coef)
     return float(np.sqrt(max(sq, 0.0)))
 
 

@@ -10,7 +10,12 @@ Gram product over the centred, weighted rows, exactly symmetric with an
 exactly zero diagonal, accurate to rounding in the centred norms (see its
 docstring).  The median heuristic takes the lower middle pair distance.
 A run computes the output distance matrix once: the bandwidth is read
-from it, then the output Gram matrix is built in its buffer.
+from it, then the output Gram matrix is built in its buffer.  The theta
+distances take two passes: the bandwidth stage's median (freed before the
+output matrix exists, so the two are never held together), then herding's
+pool Gram matrix (``ParamKernel.gram``), from which herding also reads the
+embedding at every candidate.  ``ParamKernel.cross`` only evaluates an
+embedding at points outside its draws; a run never calls it.
 """
 
 from __future__ import annotations
@@ -256,7 +261,7 @@ def gram_and_rhs(
     )
 
 
-def regularized_solve(system: GramSystem, m: int | None = None) -> np.ndarray:
+def regularized_solve(system: GramSystem) -> np.ndarray:
     """Solve (G + m eps I) w = rhs by Cholesky factorization.
 
     The shifted matrix is symmetric positive definite for any eps > 0.  It
@@ -265,10 +270,8 @@ def regularized_solve(system: GramSystem, m: int | None = None) -> np.ndarray:
     refinement is applied if the residual exceeds
     SOLVE_RTOL * max(1, ||rhs||_inf); failure past that raises.
     """
-    if m is None:
-        m = system.m
     gram, rhs = system.gram, system.rhs
-    shift = m * system.epsilon
+    shift = system.m * system.epsilon
     if not (np.isfinite(shift) and np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
         raise SolveError("non-finite entries in the regularized system")
     lhs = gram.copy()

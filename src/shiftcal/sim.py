@@ -129,7 +129,7 @@ class AssemblyLineSimulator(Simulator):
 
     def __init__(self, batch_size: int = 4):
         if batch_size < 1:
-            raise ValueError(f"batch size must be >= 1, got {batch_size}")
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.batch_size = batch_size
 
     def sweep(self, xs, keys=0) -> Callable[[np.ndarray], np.ndarray]:

@@ -84,16 +84,26 @@ class DensitySpec:
         """Build from a config mapping.
 
         Normal densities accept exactly one of ``std`` or ``var`` so the
-        file format is never ambiguous about the second parameter.
+        file format is never ambiguous about the second parameter.  Every
+        parameter must be finite, and a ``std`` or ``var`` positive; an
+        error names the field.
         """
         family = spec.get("family")
+
+        def number(key, positive=False):
+            value = float(spec[key])
+            if not (math.isfinite(value) and (value > 0 or not positive)):
+                bound = " and > 0" if positive else ""
+                raise ValueError(f"{family} density {key} must be finite{bound}, got {value}")
+            return value
+
         if family == "normal":
             if ("std" in spec) == ("var" in spec):
                 raise ValueError("normal density spec needs exactly one of 'std' or 'var'")
-            std = float(spec["std"]) if "std" in spec else math.sqrt(float(spec["var"]))
-            return cls.normal(float(spec["mean"]), std)
+            std = number("std", True) if "std" in spec else math.sqrt(number("var", True))
+            return cls.normal(number("mean"), std)
         if family == "uniform":
-            return cls.uniform(float(spec["low"]), float(spec["high"]))
+            return cls.uniform(number("low"), number("high"))
         raise ValueError(f"unknown density family {family!r}")
 
 

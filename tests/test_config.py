@@ -128,6 +128,9 @@ class TestConfigValidation:
         assert all(type(v) is int for v in (cfg.n, cfg.m, cfg.herd_size, cfg.n_test, cfg.pool_extra, cfg.seed))
         assert cfg.config_hash() == preset("linear-shift", n=50, m=20, herd_size=10, n_test=3,
                                            pool_extra=1, seed=2).config_hash()
+        cfg = preset("assembly-shift", simulator_options={"batch_size": 4.0})
+        assert cfg.build_simulator().batch_size == 4 and cfg.simulator_options == {"batch_size": 4}
+        assert cfg.config_hash() == preset("assembly-shift", simulator_options={"batch_size": 4}).config_hash()
 
     @pytest.mark.parametrize("steps", [2.7, math.nan, "400"])
     def test_non_integral_mh_steps_rejected(self, steps):
@@ -172,7 +175,34 @@ class TestConfigValidation:
           "unknown simulator_options for 'assembly': batch$"),
          ("linear-shift", {"simulator_options": {"batch_size": 2}},
           "unknown simulator_options for 'linear': batch_size$"),
-         ("linear-shift", {"bandwidth": None}, "bandwidth must be 'median' or an object")],
+         ("linear-shift", {"bandwidth": None}, "bandwidth must be 'median' or an object"),
+         ("linear-shift", {"q0": {"family": "normal", "mean": 0.5, "var": -1}},
+          r"q0: normal density var must be finite and > 0, got -1\.0"),
+         ("linear-shift", {"q1": {"family": "normal", "mean": math.nan, "std": 0.3}},
+          "q1: normal density mean must be finite, got nan"),
+         ("linear-shift", {"q1": {"family": "uniform", "low": 0, "high": math.inf}},
+          "q1: uniform density high must be finite, got inf"),
+         ("linear-shift", {"prior": {"family": "normal", "mean": [0, 0], "var": [-1, 5]}},
+          r"prior var must be finite and >= 0, got \[-1\.0, 5\.0\]"),
+         ("linear-shift", {"prior": {"family": "normal", "mean": [0, 0], "std": [1, math.nan]}},
+          "prior std must be finite and >= 0"),
+         ("linear-shift", {"prior": {"family": "normal", "mean": [math.inf, 0], "var": [1, 1]}},
+          "prior mean must be finite"),
+         ("assembly-shift", {"prior": {"family": "uniform", "low": [0] * 4, "high": [5, 2, math.inf, 2]}},
+          "prior high must be finite"),
+         ("assembly-shift", {"simulator_options": {"batch_size": 2.5}},
+          "simulator_options.batch_size must be an integer"),
+         ("assembly-shift", {"simulator_options": {"batch_size": math.nan}},
+          "simulator_options.batch_size must be an integer"),
+         ("assembly-shift", {"simulator_options": {"batch_size": "4"}},
+          "simulator_options.batch_size must be an integer"),
+         ("assembly-shift", {"simulator_options": {"batch_size": 0}}, "batch_size must be >= 1, got 0"),
+         ("linear-shift", {"prior": {"family": "normal", "mean": [0] * 3, "var": [5] * 3}},
+          "prior has 3 parameters, simulator 'linear' takes 2"),
+         ("assembly-shift", {"truth": {**PRESETS["assembly-shift"]["truth"], "theta_hi": [3.5, 0.5]}},
+          "truth theta_hi has 2 entries, simulator 'assembly' takes 4"),
+         ("linear-shift", {"truth": {"kind": "simulator", "theta": [1.0, 2.0, 3.0]}},
+          "truth theta has 3 entries, simulator 'linear' takes 2")],
     )
     def test_bad_section_rejected_naming_it(self, name, changes, message):
         with pytest.raises(ValueError, match=message):

@@ -68,15 +68,18 @@ class TestHerd:
             assert [tuple(p) for p in out.points] == expected
 
     @given(st.integers(1, 6), st.integers(1, 3), st.lists(st.integers(0, 20), max_size=8),
-           st.integers(1, 12), st.integers(0, 2**32 - 1))
-    def test_matches_brute_force_on_random_embeddings(self, m, d, picks, T, seed):
+           st.integers(1, 12), st.integers(0, 2**32 - 1), st.booleans())
+    def test_matches_brute_force_on_random_embeddings(self, m, d, picks, T, seed, foreign):
         # continuous random atoms, signed weights and bandwidth; the pool
-        # holds the atoms, fresh points and exact repeats of earlier rows
+        # holds the atoms, fresh points and exact repeats of earlier rows.
+        # A pool that starts with the atoms reads the embedding from its
+        # Gram matrix; a fresh point put first makes herd evaluate it instead.
         rng = np.random.default_rng(seed)
         draws = rng.normal(scale=rng.uniform(0.2, 3.0), size=(m, d))
         weights = rng.normal(size=m)
         sigma2 = float(rng.uniform(0.3, 3.0))
-        pool_points = np.vstack([draws, rng.normal(size=(int(rng.integers(0, 8)), d))])
+        lead = rng.normal(size=(int(foreign), d))
+        pool_points = np.vstack([lead, draws, rng.normal(size=(int(rng.integers(0, 8)), d))])
         pool_points = np.vstack([pool_points, pool_points[[p % len(pool_points) for p in picks]]])
         emb = PosteriorEmbedding(draws, weights, ParamKernel(sigma2))
         out = herd(emb, CandidatePool(pool_points), T)

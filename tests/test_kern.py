@@ -182,7 +182,7 @@ class TestRegularizedSolve:
     def test_scalar_case(self):
         k = 0.7
         system = GramSystem(np.array([[1.0]]), np.array([k]), epsilon=0.25)
-        w = regularized_solve(system, m=1)
+        w = regularized_solve(system)
         assert w[0] == pytest.approx(k / 1.25, rel=1e-12)
 
     def test_dominant_regularizer_limit(self):
@@ -192,13 +192,13 @@ class TestRegularizedSolve:
         np.fill_diagonal(gram, 1.0)
         rhs = rng.uniform(0.1, 1.0, 3)
         eps = 1e7
-        w = regularized_solve(GramSystem(gram, rhs, eps), m=3)
+        w = regularized_solve(GramSystem(gram, rhs, eps))
         assert np.allclose(w, rhs / (3 * eps), rtol=1e-6)
 
     def test_two_by_two_hand_inverse(self):
         g, a, b, eps = 0.6, 0.9, 0.4, 0.05
         system = GramSystem(np.array([[1.0, g], [g, 1.0]]), np.array([a, b]), eps)
-        w = regularized_solve(system, m=2)
+        w = regularized_solve(system)
         d = 1.0 + 2 * eps
         det = d * d - g * g
         expected = np.array([(d * a - g * b) / det, (d * b - g * a) / det])
@@ -334,20 +334,28 @@ class TestSharedDistanceBuffer:
         with pytest.raises(ValueError, match="distance matrix"):
             kern.gram(np.zeros((3, 2)), np.zeros((2, 2)))
 
-    def test_calibrate_makes_one_output_and_one_theta_pass(self, monkeypatch):
+    def test_calibrate_makes_one_output_pass_two_theta_passes_and_no_cross(self, monkeypatch):
+        # theta distances: the bandwidth median, then herding's pool Gram
+        # matrix, which also yields the embedding at every candidate
         from shiftcal import kern, pipeline
         from shiftcal.config import preset
 
         calls = []
+        cross = ParamKernel.cross
 
         def counted(vectors, weights=None):
             calls.append(np.shape(vectors))
             return pairwise_sqdist(vectors, weights)
 
+        def counted_cross(self, left, right):
+            calls.append("cross")
+            return cross(self, left, right)
+
         monkeypatch.setattr(kern, "pairwise_sqdist", counted)
         monkeypatch.setattr(pipeline, "pairwise_sqdist", counted)
+        monkeypatch.setattr(ParamKernel, "cross", counted_cross)
         pipeline.calibrate(preset("linear-shift", n=24, m=16, herd_size=16, n_test=24))
-        assert sorted(calls) == [(16, 2), (16, 24)]
+        assert calls == [(16, 2), (16, 24), (16, 2)]
 
 
 class TestRegularizedSolveProperties:
