@@ -11,7 +11,6 @@ are CSV/JSON and deterministic under a fixed seed.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import sys
@@ -27,7 +26,7 @@ from .pipeline import (
     run_mh_baseline,
     theorem1_check,
 )
-from .sim import write_csv_rows
+from .sim import write_csv_rows, write_json_artifact
 
 log = logging.getLogger("shiftcal")
 
@@ -91,11 +90,6 @@ def _list_of(item):
     return comma_list
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def cmd_calibrate(args) -> int:
     cfg = _load_config(args)
     report = run_calibration(cfg)
@@ -125,7 +119,7 @@ def cmd_mh_baseline(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cfg.write_json(out / "config.json")
     result.trace.write_csv(out / "trace.csv", cfg.config_hash())
-    _write_json(
+    write_json_artifact(
         out / "mh_report.json",
         {
             "acceptance_ratio": result.acceptance_ratio,
@@ -162,10 +156,11 @@ def cmd_theorem1_check(args) -> int:
     cfg = _load_config(args)
     report = theorem1_check(cfg, grid_resolution=args.grid_resolution)
     out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     payload = asdict(report)
     payload["config_hash"] = cfg.config_hash()
     payload["seed"] = cfg.seed
-    _write_json(out / "theorem1.json", payload)
+    write_json_artifact(out / "theorem1.json", payload)
     print(
         f"theta_star={report.theta_star}  distance={report.distance:.6g}"
         + ("  [minimum on grid boundary]" if report.on_boundary else "")

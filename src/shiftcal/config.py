@@ -1,8 +1,10 @@
 """Experiment configuration: schema, presets, hashing, JSON round-trip.
 
 A config is a plain JSON object with one section per pipeline concern.
-Normal densities take exactly one of ``std``/``var`` for their second
-parameter, so files are never ambiguous about scale conventions.  The
+The input densities q0 and q1 and the prior are read by one parser,
+``DensitySpec.from_dict``: a normal takes exactly one of ``std``/``var``
+for its second parameter, so files are never ambiguous about scale
+conventions, and the noise section uses the same reader.  The
 config hash (sha256 of the canonical resolved JSON) is embedded in every
 artifact a run writes.  Each part (simulator, truth, densities, prior,
 noise, epsilon schedule, ``mh`` section) is parsed once, when the config
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import MHConfig
-from .kabc import PriorSpec, regularization_schedule
+from .kabc import regularization_schedule
 from .sim import (
     ASSEMBLY_BREAKPOINT,
     ASSEMBLY_THETA_HI,
@@ -34,8 +36,9 @@ from .sim import (
     TruthFn,
     cubic_truth,
     get_simulator,
+    write_json_artifact,
 )
-from .weights import DensitySpec
+from .weights import DensitySpec, finite_entries
 
 
 def _count(name: str, value) -> int:
@@ -59,11 +62,11 @@ def _finite_positive(name: str, value) -> float:
     return value
 
 
-# The keys of each family (q0, q1, prior) or kind (truth) besides the tag;
-# an unknown family or kind is left to its parser, which names it.
-_SECTION_KEYS = {"normal": {"mean", "std", "var"}, "uniform": {"low", "high"}, "cubic": set(),
-                 "piecewise": {"theta_lo", "theta_hi", "breakpoint"}, "simulator": {"theta"},
-                 "constant": {"value"}}
+# The keys of each truth kind besides the tag; an unknown kind is left to
+# the parser, which names it.  q0, q1 and the prior are only checked to be
+# objects here: ``DensitySpec.from_dict`` rejects their unknown keys.
+_SECTION_KEYS = {"cubic": set(), "piecewise": {"theta_lo", "theta_hi", "breakpoint"},
+                 "simulator": {"theta"}, "constant": {"value"}}
 
 
 def _check_keys(section: str, spec, allowed) -> None:
@@ -75,17 +78,9 @@ def _check_keys(section: str, spec, allowed) -> None:
         raise ValueError(f"unknown keys in {section}: {', '.join(unknown)}")
 
 
-def _in_section(section: str, parse, spec):
-    """``parse(spec)``, with the section named in any ``ValueError``."""
-    try:
-        return parse(spec)
-    except ValueError as exc:
-        raise ValueError(f"{section}: {exc}") from None
-
-
 def _parse_truth(truth: dict, sim: Simulator) -> TruthFn:
     def params(key) -> tuple:
-        values = tuple(float(v) for v in truth[key])
+        values = finite_entries(f"truth {key}", truth[key])
         if len(values) != sim.dim_theta:
             raise ValueError(
                 f"truth {key} has {len(values)} entries, simulator {sim.name!r} takes {sim.dim_theta}"
@@ -106,20 +101,9 @@ def _parse_truth(truth: dict, sim: Simulator) -> TruthFn:
         theta = params("theta")
         return lambda x, seed=0: sim.evaluate(x, theta, seed)
     if kind == "constant":
-        value = float(truth["value"])
+        (value,) = finite_entries("truth value", float(truth["value"]))
         return lambda x, seed=0: value
     raise ValueError(f"unknown truth kind {kind!r}")
-
-
-def _parse_noise(noise: dict) -> float:
-    """The noise std of a spec holding exactly one of 'std' or 'var'."""
-    if ("std" in noise) == ("var" in noise):
-        raise ValueError("noise spec needs exactly one of 'std' or 'var'")
-    key = "std" if "std" in noise else "var"
-    value = float(noise[key])
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"noise {key} must be finite and >= 0, got {value}")
-    return value if key == "std" else math.sqrt(value)
 
 
 def _parse_schedule(epsilon, schedule, m: int) -> tuple | None:
@@ -210,16 +194,21 @@ class ExperimentConfig:
         keep("simulator_options", options)
         keep("_simulator", get_simulator(self.simulator, **options))
         keep("_truth", _parse_truth(self.truth, self._simulator))
-        keep("_q0", _in_section("q0", DensitySpec.from_dict, self.q0))
-        keep("_q1", _in_section("q1", DensitySpec.from_dict, self.q1))
-        keep("_prior", PriorSpec.from_dict(self.prior))
+        for section in ("q0", "q1"):
+            raw = getattr(self, section)
+            density = DensitySpec.from_dict(raw, section)
+            if density.dim != 1 or 0.0 in density.std:
+                raise ValueError(f"{section} must be one-dimensional with std > 0, got {raw}")
+            keep(f"_{section}", density)
+        keep("_prior", DensitySpec.from_dict(self.prior, "prior"))
         if self._prior.dim != self._simulator.dim_theta:
             raise ValueError(
                 f"prior has {self._prior.dim} parameters, simulator {self.simulator!r} "
                 f"takes {self._simulator.dim_theta}"
             )
         spec = {"simulator": self.simulator, "truth": self.truth}
-        keep("_dgp", DataGeneratingProcess(self._truth, _parse_noise(self.noise), self._q0, spec))
+        noise = DensitySpec.from_dict({"family": "normal", "mean": 0.0, **self.noise}, "noise")
+        keep("_dgp", DataGeneratingProcess(self._truth, noise.std[0], self._q0, spec))
         keep("_schedule", _parse_schedule(self.epsilon, self.epsilon_schedule, self.m))
         keep("_mh", _parse_mh(self.mh, self.seed) if self.mh else None)
 
@@ -240,7 +229,7 @@ class ExperimentConfig:
     def noise_std(self) -> float:
         return self._dgp.noise_std
 
-    def build_prior(self) -> PriorSpec:
+    def build_prior(self) -> DensitySpec:
         return self._prior
 
     def build_dgp(self) -> DataGeneratingProcess:
@@ -315,7 +304,7 @@ class ExperimentConfig:
     def write_json(self, path) -> None:
         payload = self.to_dict()
         payload["config_hash"] = self.config_hash()
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_json_artifact(path, payload)
 
     def replace(self, **changes) -> "ExperimentConfig":
         data = self.to_dict()

@@ -4,7 +4,9 @@ The posterior over simulator parameters is represented by its kernel
 mean: a weighted expansion sum_j w_j k_Theta(., theta_j) over m prior
 draws, where the weights come from the regularized Gram solve against
 the observed data under the importance-weighted output kernel.  Weights
-may be negative and need not sum to one; consumers use them as-is.
+may be negative and need not sum to one; consumers use them as-is.  The
+prior is a :class:`~shiftcal.weights.DensitySpec` over R^d (a diagonal
+normal or a uniform box), the same type as the input densities.
 """
 
 from __future__ import annotations
@@ -17,120 +19,8 @@ import numpy as np
 
 from ._seeding import derive_rng, derive_seed, stream_keys
 from .kern import ParamKernel, WeightedOutputKernel, gram_and_rhs, regularized_solve
-from .sim import Dataset, Simulator, SimulatorError
-from .weights import ImportanceWeights
-
-
-@dataclass(frozen=True)
-class PriorSpec:
-    """Prior over simulator parameters: diagonal Gaussian or uniform box."""
-
-    family: str
-    mean: tuple = ()
-    std: tuple = ()
-    low: tuple = ()
-    high: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", tuple(float(v) for v in self.mean))
-        object.__setattr__(self, "std", tuple(float(v) for v in self.std))
-        object.__setattr__(self, "low", tuple(float(v) for v in self.low))
-        object.__setattr__(self, "high", tuple(float(v) for v in self.high))
-        if self.family == "normal":
-            if len(self.mean) != len(self.std) or not self.mean:
-                raise ValueError("normal prior needs aligned mean and std tuples")
-            if any(s < 0 for s in self.std):
-                raise ValueError(f"prior stds must be >= 0, got {self.std}")
-        elif self.family == "uniform":
-            if len(self.low) != len(self.high) or not self.low:
-                raise ValueError("uniform prior needs aligned low and high tuples")
-            if any(lo >= hi for lo, hi in zip(self.low, self.high)):
-                raise ValueError(f"prior box must have low < high, got {self.low} / {self.high}")
-        else:
-            raise ValueError(f"unknown prior family {self.family!r}")
-
-    @classmethod
-    def normal(cls, mean, std) -> "PriorSpec":
-        return cls(family="normal", mean=tuple(mean), std=tuple(std))
-
-    @classmethod
-    def uniform(cls, low, high) -> "PriorSpec":
-        return cls(family="uniform", low=tuple(low), high=tuple(high))
-
-    @property
-    def dim(self) -> int:
-        return len(self.mean) if self.family == "normal" else len(self.low)
-
-    def sample(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        if self.family == "normal":
-            draws = rng.standard_normal((m, self.dim))
-            return np.asarray(self.mean) + np.asarray(self.std) * draws
-        return rng.uniform(self.low, self.high, size=(m, self.dim))
-
-    def log_pdf(self, theta) -> float:
-        """Log density, -inf outside a uniform box (degenerate stds unsupported)."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,):
-            raise ValueError(f"parameter dimension mismatch: {theta.shape} vs ({self.dim},)")
-        if self.family == "normal":
-            std = np.asarray(self.std)
-            if np.any(std == 0):
-                raise ValueError("log_pdf undefined for a degenerate normal prior")
-            z = (theta - np.asarray(self.mean)) / std
-            return float(-0.5 * z.dot(z) - np.sum(np.log(std)) - 0.5 * self.dim * np.log(2 * np.pi))
-        if self.in_support(theta):
-            return float(-np.sum(np.log(np.asarray(self.high) - np.asarray(self.low))))
-        return -np.inf
-
-    def in_support(self, theta) -> bool:
-        theta = np.asarray(theta, dtype=float)
-        if self.family == "normal":
-            return bool(np.all(np.isfinite(theta)))
-        return bool(np.all(theta >= self.low) and np.all(theta <= self.high))
-
-    def center(self) -> np.ndarray:
-        """Prior mean (normal) or box midpoint (uniform)."""
-        if self.family == "normal":
-            return np.asarray(self.mean, dtype=float)
-        return 0.5 * (np.asarray(self.low) + np.asarray(self.high))
-
-    def search_box(self, n_std: float = 4.0) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds covering (effectively) all prior mass, for grid searches."""
-        if self.family == "uniform":
-            return np.asarray(self.low, dtype=float), np.asarray(self.high, dtype=float)
-        mean = np.asarray(self.mean, dtype=float)
-        std = np.asarray(self.std, dtype=float)
-        return mean - n_std * std, mean + n_std * std
-
-    def to_dict(self) -> dict:
-        if self.family == "normal":
-            return {"family": "normal", "mean": list(self.mean), "std": list(self.std)}
-        return {"family": "uniform", "low": list(self.low), "high": list(self.high)}
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "PriorSpec":
-        """Build from a config mapping; every entry must be finite, and a
-        ``std`` or ``var`` entry >= 0.  Errors name the field."""
-
-        def numbers(key, non_negative=False):
-            values = [float(v) for v in spec[key]]
-            if not all(np.isfinite(v) and (v >= 0 or not non_negative) for v in values):
-                bound = " and >= 0" if non_negative else ""
-                raise ValueError(f"prior {key} must be finite{bound}, got {values}")
-            return values
-
-        family = spec.get("family")
-        if family == "normal":
-            if ("std" in spec) == ("var" in spec):
-                raise ValueError("normal prior spec needs exactly one of 'std' or 'var'")
-            if "std" in spec:
-                std = numbers("std", True)
-            else:
-                std = [float(np.sqrt(v)) for v in numbers("var", True)]
-            return cls.normal(numbers("mean"), std)
-        if family == "uniform":
-            return cls.uniform(numbers("low"), numbers("high"))
-        raise ValueError(f"unknown prior family {family!r}")
+from .sim import Dataset, Simulator, SimulatorError, write_json_artifact
+from .weights import DensitySpec, ImportanceWeights
 
 
 @dataclass(frozen=True)
@@ -201,10 +91,7 @@ class PosteriorEmbedding:
             "sigma2_theta": self.kernel.sigma2,
             "meta": self.meta,
         }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if path is not None:
-            Path(path).write_text(text)
-        return text
+        return write_json_artifact(path, payload)
 
     @classmethod
     def read_json(cls, path) -> "PosteriorEmbedding":
@@ -223,7 +110,7 @@ class PosteriorEmbedding:
         )
 
 
-def sample_prior(prior: PriorSpec, m: int, seed: int) -> np.ndarray:
+def sample_prior(prior: DensitySpec, m: int, seed: int) -> np.ndarray:
     """m i.i.d. parameter draws, reproducible under the seed."""
     if m < 1:
         raise ValueError(f"need m >= 1 prior draws, got {m}")

@@ -25,7 +25,6 @@ derived from a run's seed in exactly one place:
 from __future__ import annotations
 
 import contextlib
-import json
 import logging
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -53,7 +52,7 @@ from .kabc import (
 )
 from .kern import median_heuristic, median_sqdist, pairwise_sqdist
 from .predict import PredictiveSample, generate_test_inputs, score_predictions
-from .sim import Dataset, generate_dataset, write_csv_rows
+from .sim import Dataset, generate_dataset, write_csv_rows, write_json_artifact
 from .weights import ImportanceWeights, importance_weights, ordinary_weights
 
 log = logging.getLogger("shiftcal")
@@ -270,7 +269,7 @@ def run_calibration(cfg: ExperimentConfig) -> RunReport:
         },
         wall_clock=result.wall_clock,
     )
-    (out / "report.json").write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_json_artifact(out / "report.json", report.to_dict())
     return report
 
 
@@ -495,13 +494,8 @@ def emit_plot_data(cfg: ExperimentConfig, grid_points: int = 121) -> Path:
     result = calibrate(cfg)
     config_hash = cfg.config_hash()
 
-    bounds = []
-    for spec in (cfg.q0_spec(), cfg.q1_spec()):
-        if spec.family == "normal":
-            bounds += [spec.loc - 3.0 * spec.scale, spec.loc + 3.0 * spec.scale]
-        else:
-            bounds += [spec.low, spec.high]
-    grid = np.linspace(min(bounds), max(bounds), grid_points)
+    bounds = np.concatenate([cfg.q0_spec().search_box(3.0), cfg.q1_spec().search_box(3.0)])
+    grid = np.linspace(bounds.min(), bounds.max(), grid_points)
     if cfg.simulator == "assembly":
         grid = grid[grid >= 1.0]
 

@@ -104,4 +104,4 @@ def generate_test_inputs(density: DensitySpec, n: int, seed: int) -> np.ndarray:
     """n i.i.d. test input locations from the given density."""
     if n < 1:
         raise ValueError(f"need n >= 1 test inputs, got {n}")
-    return density.sample(n, derive_rng(seed, "test-inputs"))
+    return density.sample(n, derive_rng(seed, "test-inputs"))[:, 0]

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from ._seeding import derive_rng, derive_seed, key_normals, stream_keys
-from .weights import DensitySpec
+from .weights import DensitySpec, finite_entries
 
 # Truth functions take (x, seed); deterministic ones ignore the seed.
 TruthFn = Callable[[float, int], float]
@@ -224,8 +224,7 @@ class DataGeneratingProcess:
     spec: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
-            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        finite_entries("noise_std", self.noise_std, non_negative=True)
 
 
 def write_csv_rows(path, config_hash: str | None, header, rows) -> None:
@@ -240,6 +239,17 @@ def write_csv_rows(path, config_hash: str | None, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+
+
+def write_json_artifact(path, payload) -> str:
+    """JSON text of an artifact: indented, keys sorted, a final newline.
+
+    Written to ``path`` unless it is None; returned either way.
+    """
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path is not None:
+        Path(path).write_text(text)
+    return text
 
 
 @dataclass(frozen=True)
@@ -269,8 +279,7 @@ class Dataset:
         side = {"seed": self.seed, "meta": self.meta}
         if config_hash:
             side["config_hash"] = config_hash
-        sidecar = json.dumps(side, indent=2, sort_keys=True) + "\n"
-        Path(path).with_suffix(".json").write_text(sidecar)
+        write_json_artifact(Path(path).with_suffix(".json"), side)
 
     @classmethod
     def read_csv(cls, path) -> "Dataset":
@@ -297,7 +306,7 @@ def generate_dataset(dgp: DataGeneratingProcess, n: int, seed: int) -> Dataset:
     """Draw n inputs from q0 and push them through the observed process."""
     if n < 1:
         raise ValueError(f"need n >= 1 training points, got {n}")
-    xs = dgp.q0.sample(n, derive_rng(seed, "inputs"))
+    xs = dgp.q0.sample(n, derive_rng(seed, "inputs"))[:, 0]
     truth_vals = np.array(
         [dgp.truth(float(x), derive_seed(seed, "truth", i)) for i, x in enumerate(xs)]
     )

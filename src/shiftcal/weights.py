@@ -1,10 +1,12 @@
-"""Input densities and importance weights.
+"""Densities and importance weights.
 
 Covariate shift means training inputs follow a density q0 while test
 inputs follow a different density q1.  The importance weight function
 beta(x) = q1(x) / q0(x) reweights training-point contributions toward
 the test distribution; downstream kernels and likelihoods consume the
-weights evaluated at the training inputs.
+weights evaluated at the training inputs.  :class:`DensitySpec` describes
+q0, q1 (one-dimensional) and the prior over simulator parameters
+(d-dimensional) alike: a diagonal normal or a uniform box.
 """
 
 from __future__ import annotations
@@ -28,83 +30,148 @@ class DegenerateWeightError(ValueError):
     """An importance weight is negative or non-finite, or all weights are zero."""
 
 
+def finite_entries(name: str, values, non_negative: bool = False) -> tuple:
+    """``values`` (a number or a sequence) as a tuple of floats.
+
+    Every entry must be finite, and >= 0 if ``non_negative``; an error
+    names ``name`` and lists the values.
+    """
+    out = tuple(float(v) for v in (values if np.ndim(values) else [values]))
+    if not all(math.isfinite(v) and (v >= 0 or not non_negative) for v in out):
+        bound = " and >= 0" if non_negative else ""
+        raise ValueError(f"{name} must be finite{bound}, got {list(out)}")
+    return out
+
+
 @dataclass(frozen=True)
 class DensitySpec:
-    """One-dimensional input density: Gaussian or uniform.
+    """Density on R^d: a diagonal Gaussian or a uniform box.
 
-    ``loc``/``scale`` parameterize the normal family (scale is the
-    standard deviation); ``low``/``high`` bound the uniform family.
+    ``mean``/``std`` parameterize the normal family and ``low``/``high``
+    bound the uniform one, one entry per dimension.  The input densities
+    q0 and q1 are the d = 1 case; the prior over simulator parameters is
+    the general one.  Every entry is finite, a std is >= 0 (std 0 is a
+    point mass, which can be sampled but has no density) and a box has
+    low < high in every dimension.
     """
 
     family: str
-    loc: float = 0.0
-    scale: float = 1.0
-    low: float = 0.0
-    high: float = 1.0
+    mean: tuple = ()
+    std: tuple = ()
+    low: tuple = ()
+    high: tuple = ()
 
     def __post_init__(self):
-        if self.family == "normal":
-            if not self.scale > 0:
-                raise ValueError(f"normal scale must be positive, got {self.scale}")
-        elif self.family == "uniform":
-            if not self.low < self.high:
-                raise ValueError(f"uniform bounds must be ordered, got [{self.low}, {self.high}]")
-        else:
-            raise ValueError(f"unknown density family {self.family!r}")
+        keys = {"normal": ("mean", "std"), "uniform": ("low", "high")}.get(self.family)
+        if keys is None:
+            raise ValueError(f"family must be 'normal' or 'uniform', got {self.family!r}")
+        first, second = (finite_entries(key, getattr(self, key), key == "std") for key in keys)
+        object.__setattr__(self, keys[0], first)
+        object.__setattr__(self, keys[1], second)
+        if len(first) != len(second) or not first:
+            raise ValueError(f"{keys[0]} and {keys[1]} need the same non-zero length, "
+                             f"got {len(first)} and {len(second)}")
+        if self.family == "uniform" and not all(lo < hi for lo, hi in zip(first, second)):
+            raise ValueError(f"low must be < high, got {list(first)} / {list(second)}")
 
     @classmethod
-    def normal(cls, mean: float, std: float) -> "DensitySpec":
-        return cls(family="normal", loc=float(mean), scale=float(std))
+    def normal(cls, mean, std) -> "DensitySpec":
+        return cls(family="normal", mean=mean, std=std)
 
     @classmethod
-    def uniform(cls, low: float, high: float) -> "DensitySpec":
-        return cls(family="uniform", low=float(low), high=float(high))
+    def uniform(cls, low, high) -> "DensitySpec":
+        return cls(family="uniform", low=low, high=high)
+
+    @property
+    def dim(self) -> int:
+        return len(self.mean) if self.family == "normal" else len(self.low)
+
+    def _no_point_mass(self) -> None:
+        if 0.0 in self.std:
+            raise ValueError(f"a normal with std {list(self.std)} is a point mass, with no density")
 
     def pdf(self, x):
-        """Density value at ``x`` (scalar or array)."""
+        """Density value at ``x`` (scalar or array) of a one-dimensional spec."""
+        if self.dim != 1:
+            raise ValueError(f"pdf takes a one-dimensional density, this one has {self.dim}")
         x = np.asarray(x, dtype=float)
         if self.family == "normal":
-            z = (x - self.loc) / self.scale
-            return np.exp(-0.5 * z * z) / (self.scale * _SQRT_2PI)
-        inside = (x >= self.low) & (x <= self.high)
-        return np.where(inside, 1.0 / (self.high - self.low), 0.0)
+            self._no_point_mass()
+            z = (x - self.mean[0]) / self.std[0]
+            return np.exp(-0.5 * z * z) / (self.std[0] * _SQRT_2PI)
+        inside = (x >= self.low[0]) & (x <= self.high[0])
+        return np.where(inside, 1.0 / (self.high[0] - self.low[0]), 0.0)
+
+    def log_pdf(self, theta) -> float:
+        """Log density at one point of R^d, -inf outside a uniform box."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self.dim,):
+            raise ValueError(f"parameter dimension mismatch: {theta.shape} vs ({self.dim},)")
+        if self.family == "normal":
+            self._no_point_mass()
+            std = np.asarray(self.std)
+            z = (theta - np.asarray(self.mean)) / std
+            return float(-0.5 * z.dot(z) - np.sum(np.log(std)) - 0.5 * self.dim * np.log(2 * np.pi))
+        if self.in_support(theta):
+            return float(-np.sum(np.log(np.asarray(self.high) - np.asarray(self.low))))
+        return -np.inf
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """``n`` i.i.d. draws as an ``(n, d)`` array."""
         if self.family == "normal":
-            return self.loc + self.scale * rng.standard_normal(n)
-        return rng.uniform(self.low, self.high, size=n)
+            return np.asarray(self.mean) + np.asarray(self.std) * rng.standard_normal((n, self.dim))
+        return rng.uniform(self.low, self.high, size=(n, self.dim))
+
+    def in_support(self, theta) -> bool:
+        theta = np.asarray(theta, dtype=float)
+        if self.family == "normal":
+            return bool(np.all(np.isfinite(theta)))
+        return bool(np.all(theta >= self.low) and np.all(theta <= self.high))
+
+    def center(self) -> np.ndarray:
+        """Mean (normal) or box midpoint (uniform)."""
+        if self.family == "normal":
+            return np.asarray(self.mean, dtype=float)
+        return 0.5 * (np.asarray(self.low) + np.asarray(self.high))
+
+    def search_box(self, n_std: float = 4.0) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds covering (effectively) all the mass: the box, or mean +- n_std std."""
+        if self.family == "uniform":
+            return np.asarray(self.low, dtype=float), np.asarray(self.high, dtype=float)
+        mean = np.asarray(self.mean, dtype=float)
+        std = np.asarray(self.std, dtype=float)
+        return mean - n_std * std, mean + n_std * std
 
     def to_dict(self) -> dict:
         if self.family == "normal":
-            return {"family": "normal", "mean": self.loc, "std": self.scale}
-        return {"family": "uniform", "low": self.low, "high": self.high}
+            return {"family": "normal", "mean": list(self.mean), "std": list(self.std)}
+        return {"family": "uniform", "low": list(self.low), "high": list(self.high)}
 
     @classmethod
-    def from_dict(cls, spec: dict) -> "DensitySpec":
-        """Build from a config mapping.
+    def from_dict(cls, spec: dict, section: str = "density") -> "DensitySpec":
+        """Build from a config mapping, each field a number or a list.
 
-        Normal densities accept exactly one of ``std`` or ``var`` so the
-        file format is never ambiguous about the second parameter.  Every
-        parameter must be finite, and a ``std`` or ``var`` positive; an
-        error names the field.
+        A normal takes ``mean`` and exactly one of ``std`` or ``var``, so
+        the file format is never ambiguous about its second parameter; a
+        uniform takes ``low`` and ``high``.  Any error names ``section``
+        and the field, and an unknown key is an error.
         """
         family = spec.get("family")
-
-        def number(key, positive=False):
-            value = float(spec[key])
-            if not (math.isfinite(value) and (value > 0 or not positive)):
-                bound = " and > 0" if positive else ""
-                raise ValueError(f"{family} density {key} must be finite{bound}, got {value}")
-            return value
-
-        if family == "normal":
-            if ("std" in spec) == ("var" in spec):
-                raise ValueError("normal density spec needs exactly one of 'std' or 'var'")
-            std = number("std", True) if "std" in spec else math.sqrt(number("var", True))
-            return cls.normal(number("mean"), std)
-        if family == "uniform":
-            return cls.uniform(number("low"), number("high"))
-        raise ValueError(f"unknown density family {family!r}")
+        known = {"normal": {"mean", "std", "var"}, "uniform": {"low", "high"}}.get(family, set(spec))
+        unknown = sorted(map(str, set(spec) - known - {"family"}))
+        if unknown:
+            raise ValueError(f"unknown keys in {section}: {', '.join(unknown)}")
+        try:
+            if family == "normal":
+                if ("std" in spec) == ("var" in spec):
+                    raise ValueError("needs exactly one of 'std' or 'var'")
+                if "std" in spec:
+                    return cls.normal(spec["mean"], spec["std"])
+                var = finite_entries("var", spec["var"], non_negative=True)
+                return cls.normal(spec["mean"], [math.sqrt(v) for v in var])
+            return cls.uniform(spec["low"], spec["high"]) if family == "uniform" else cls(family)
+        except ValueError as exc:
+            raise ValueError(f"{section} {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -137,7 +204,7 @@ class ImportanceWeights:
                 "importance weights span "
                 f"[{values.min():.3e}, {values.max():.3e}]; the training and "
                 "test densities may have nearly disjoint support",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     def __len__(self) -> int:

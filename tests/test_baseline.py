@@ -11,9 +11,8 @@ from shiftcal.baseline import (
     weighted_log_likelihood,
 )
 from shiftcal._seeding import derive_seed
-from shiftcal.kabc import PriorSpec
 from shiftcal.sim import AssemblyLineSimulator, Dataset, LinearSimulator
-from shiftcal.weights import ordinary_weights
+from shiftcal.weights import DensitySpec, ordinary_weights
 
 
 def make_dataset(x, y):
@@ -87,7 +86,7 @@ class TestMHSample:
         assert trace.acceptance_ratio > 0.999
 
     def test_flat_target_inside_box_accepts_all(self):
-        prior = PriorSpec.uniform([-100.0], [100.0])
+        prior = DensitySpec.uniform([-100.0], [100.0])
         target = lambda th: prior.log_pdf(th)
         cfg = MHConfig(proposal_std=0.5, steps=400, noise_var=1.0, seed=1)
         trace = mh_sample(target, np.zeros(1), cfg)
@@ -103,7 +102,7 @@ class TestMHSample:
         assert abs(samples.var() - 1.0) < 0.1
 
     def test_out_of_support_proposals_rejected(self):
-        prior = PriorSpec.uniform([0.0], [1.0])
+        prior = DensitySpec.uniform([0.0], [1.0])
         target = lambda th: prior.log_pdf(th)
         cfg = MHConfig(proposal_std=5.0, steps=300, noise_var=1.0, seed=3)
         trace = mh_sample(target, np.array([0.5]), cfg)
@@ -127,7 +126,7 @@ class TestMHSample:
         assert simulation_budget(trace) == 100
 
     def test_non_finite_init_rejected(self):
-        prior = PriorSpec.uniform([0.0], [1.0])
+        prior = DensitySpec.uniform([0.0], [1.0])
         cfg = MHConfig(proposal_std=1.0, steps=10, noise_var=1.0, seed=6)
         with pytest.raises(ValueError):
             mh_sample(lambda th: prior.log_pdf(th), np.array([2.0]), cfg)
@@ -189,7 +188,7 @@ class TestWlsAgreement:
         ys = -xs + xs**3 + rng.normal(0, math.sqrt(2.0), n)
         dataset = make_dataset(xs, ys)
         beta = importance_weights(xs, DensitySpec.normal(0.5, 0.5), DensitySpec.normal(0.0, 0.3))
-        prior = PriorSpec.normal([0.0, 0.0], [math.sqrt(5.0)] * 2)
+        prior = DensitySpec.normal([0.0, 0.0], [math.sqrt(5.0)] * 2)
         sim = LinearSimulator()
         noise_var = 2.0
 

@@ -177,11 +177,11 @@ class TestConfigValidation:
           "unknown simulator_options for 'linear': batch_size$"),
          ("linear-shift", {"bandwidth": None}, "bandwidth must be 'median' or an object"),
          ("linear-shift", {"q0": {"family": "normal", "mean": 0.5, "var": -1}},
-          r"q0: normal density var must be finite and > 0, got -1\.0"),
+          r"q0 var must be finite and >= 0, got \[-1\.0\]"),
          ("linear-shift", {"q1": {"family": "normal", "mean": math.nan, "std": 0.3}},
-          "q1: normal density mean must be finite, got nan"),
+          r"q1 mean must be finite, got \[nan\]"),
          ("linear-shift", {"q1": {"family": "uniform", "low": 0, "high": math.inf}},
-          "q1: uniform density high must be finite, got inf"),
+          r"q1 high must be finite, got \[inf\]"),
          ("linear-shift", {"prior": {"family": "normal", "mean": [0, 0], "var": [-1, 5]}},
           r"prior var must be finite and >= 0, got \[-1\.0, 5\.0\]"),
          ("linear-shift", {"prior": {"family": "normal", "mean": [0, 0], "std": [1, math.nan]}},
@@ -202,7 +202,27 @@ class TestConfigValidation:
          ("assembly-shift", {"truth": {**PRESETS["assembly-shift"]["truth"], "theta_hi": [3.5, 0.5]}},
           "truth theta_hi has 2 entries, simulator 'assembly' takes 4"),
          ("linear-shift", {"truth": {"kind": "simulator", "theta": [1.0, 2.0, 3.0]}},
-          "truth theta has 3 entries, simulator 'linear' takes 2")],
+          "truth theta has 3 entries, simulator 'linear' takes 2"),
+         ("linear-shift", {"truth": {"kind": "constant", "value": math.nan}},
+          r"truth value must be finite, got \[nan\]"),
+         ("linear-shift", {"truth": {"kind": "simulator", "theta": [math.nan, 1.0]}},
+          r"truth theta must be finite, got \[nan, 1\.0\]"),
+         ("assembly-shift", {"truth": {**PRESETS["assembly-shift"]["truth"], "theta_lo": [math.nan, 0.5, 5.0, 1.0]}},
+          "truth theta_lo must be finite"),
+         ("assembly-shift", {"truth": {**PRESETS["assembly-shift"]["truth"], "theta_hi": [3.5, math.inf, 7.0, 1.0]}},
+          "truth theta_hi must be finite"),
+         ("linear-shift", {"q0": {"family": "normal", "mean": 0.5, "std": 0}},
+          "q0 must be one-dimensional with std > 0"),
+         ("linear-shift", {"q1": {"family": "normal", "mean": 0.0, "var": 0.0}},
+          "q1 must be one-dimensional with std > 0"),
+         ("linear-shift", {"q0": {"family": "uniform", "low": [0, 0], "high": [1, 1]}},
+          "q0 must be one-dimensional with std > 0"),
+         ("linear-shift", {"q1": {"family": "normal", "mean": [0, 0], "std": [1, 1]}},
+          "q1 must be one-dimensional with std > 0"),
+         ("linear-shift", {"q1": {"family": "uniform", "low": 1, "high": 0}},
+          r"q1 low must be < high, got \[1\.0\] / \[0\.0\]"),
+         ("linear-shift", {"prior": {"family": "cauchy"}},
+          "prior family must be 'normal' or 'uniform', got 'cauchy'")],
     )
     def test_bad_section_rejected_naming_it(self, name, changes, message):
         with pytest.raises(ValueError, match=message):

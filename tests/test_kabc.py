@@ -6,7 +6,6 @@ import pytest
 
 from shiftcal.kabc import (
     PosteriorEmbedding,
-    PriorSpec,
     build_embedding,
     embedding_distance,
     regularization_schedule,
@@ -15,7 +14,7 @@ from shiftcal.kabc import (
 )
 from shiftcal.kern import ParamKernel
 from shiftcal.sim import AssemblyLineSimulator, Dataset, LinearSimulator
-from shiftcal.weights import ImportanceWeights, ordinary_weights
+from shiftcal.weights import DensitySpec, ImportanceWeights, ordinary_weights
 
 
 def make_dataset(x, y):
@@ -24,34 +23,34 @@ def make_dataset(x, y):
 
 class TestPriorSpec:
     def test_uniform_support_containment(self):
-        prior = PriorSpec.uniform([0.0, 0.0], [1.0, 1.0])
+        prior = DensitySpec.uniform([0.0, 0.0], [1.0, 1.0])
         draws = sample_prior(prior, 500, seed=0)
         assert draws.shape == (500, 2)
         assert np.all(draws >= 0.0) and np.all(draws <= 1.0)
 
     def test_degenerate_normal_collapses(self):
-        prior = PriorSpec.normal([2.0, -1.0], [0.0, 0.0])
+        prior = DensitySpec.normal([2.0, -1.0], [0.0, 0.0])
         draws = sample_prior(prior, 10, seed=1)
         assert np.array_equal(draws, np.tile([2.0, -1.0], (10, 1)))
 
     def test_sample_variance_statistical(self):
         # per-coordinate sample variance of N(0, 5 I) draws within 10% of 5
-        prior = PriorSpec.normal([0.0, 0.0], [math.sqrt(5.0)] * 2)
+        prior = DensitySpec.normal([0.0, 0.0], [math.sqrt(5.0)] * 2)
         draws = sample_prior(prior, 10_000, seed=2)
         var = draws.var(axis=0)
         assert np.all(np.abs(var - 5.0) < 0.5)
 
     def test_reproducible(self):
-        prior = PriorSpec.normal([0.0], [1.0])
+        prior = DensitySpec.normal([0.0], [1.0])
         assert np.array_equal(sample_prior(prior, 7, seed=3), sample_prior(prior, 7, seed=3))
 
     def test_log_pdf_uniform(self):
-        prior = PriorSpec.uniform([0.0], [2.0])
+        prior = DensitySpec.uniform([0.0], [2.0])
         assert prior.log_pdf([1.0]) == pytest.approx(math.log(0.5))
         assert prior.log_pdf([3.0]) == -np.inf
 
     def test_log_pdf_normal_matches_formula(self):
-        prior = PriorSpec.normal([1.0, 0.0], [2.0, 0.5])
+        prior = DensitySpec.normal([1.0, 0.0], [2.0, 0.5])
         theta = np.array([0.0, 1.0])
         expected = sum(
             -0.5 * ((t - mu) / s) ** 2 - math.log(s) - 0.5 * math.log(2 * math.pi)
@@ -60,22 +59,16 @@ class TestPriorSpec:
         assert prior.log_pdf(theta) == pytest.approx(expected, rel=1e-12)
 
     def test_center_and_box(self):
-        uni = PriorSpec.uniform([0.0, 2.0], [4.0, 6.0])
+        uni = DensitySpec.uniform([0.0, 2.0], [4.0, 6.0])
         assert np.array_equal(uni.center(), [2.0, 4.0])
-        low, high = PriorSpec.normal([1.0], [2.0]).search_box(n_std=3.0)
+        low, high = DensitySpec.normal([1.0], [2.0]).search_box(n_std=3.0)
         assert low[0] == -5.0 and high[0] == 7.0
-
-    def test_dict_round_trip_with_var(self):
-        spec = {"family": "normal", "mean": [0.0, 0.0], "var": [5.0, 5.0]}
-        prior = PriorSpec.from_dict(spec)
-        assert prior.std == (math.sqrt(5.0), math.sqrt(5.0))
-        assert PriorSpec.from_dict(prior.to_dict()) == prior
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PriorSpec.uniform([1.0], [0.0])
+            DensitySpec.uniform([1.0], [0.0])
         with pytest.raises(ValueError):
-            PriorSpec.normal([0.0], [-1.0])
+            DensitySpec.normal([0.0], [-1.0])
 
 
 class TestSimulatePseudoOutputs:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,11 +39,34 @@ class TestDensityEval:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DensitySpec.normal(0.0, 0.0)
-        with pytest.raises(ValueError):
             DensitySpec.uniform(2.0, 1.0)
         with pytest.raises(ValueError):
             DensitySpec(family="cauchy")
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [(lambda: DensitySpec.normal(math.nan, 1.0), r"mean must be finite, got \[nan\]"),
+         (lambda: DensitySpec.normal([math.inf], [math.nan]), r"mean must be finite, got \[inf\]"),
+         (lambda: DensitySpec.normal([0.0], [math.nan]), r"std must be finite and >= 0, got \[nan\]"),
+         (lambda: DensitySpec.uniform(0.0, math.inf), r"high must be finite, got \[inf\]")],
+    )
+    def test_non_finite_rejected_at_construction(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_point_mass_samples_but_has_no_density(self):
+        # std 0 is a valid prior (a point mass), but neither pdf nor log_pdf exists;
+        # a 1-D spec samples an (n, 1) array
+        spec = DensitySpec.normal(2.0, 0.0)
+        assert np.array_equal(spec.sample(3, np.random.default_rng(0)), np.full((3, 1), 2.0))
+        with pytest.raises(ValueError, match="point mass"):
+            spec.pdf(2.0)
+        with pytest.raises(ValueError, match="point mass"):
+            spec.log_pdf([2.0])
+
+    def test_pdf_needs_one_dimension(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            DensitySpec.uniform([0.0, 0.0], [1.0, 1.0]).pdf(0.5)
 
 
 class TestDensitySpecDict:
@@ -57,8 +81,15 @@ class TestDensitySpecDict:
         with pytest.raises(ValueError):
             DensitySpec.from_dict({"family": "normal", "mean": 0.0})
 
-    def test_round_trip(self):
-        spec = DensitySpec.uniform(-1.0, 3.0)
+    @pytest.mark.parametrize(
+        "raw,std",
+        [({"family": "uniform", "low": -1.0, "high": 3.0}, ()),
+         ({"family": "normal", "mean": [0.0] * 4, "var": [5.0] * 4}, (math.sqrt(5.0),) * 4)],
+        ids=["1d", "4d"],
+    )
+    def test_dict_round_trip(self, raw, std):
+        spec = DensitySpec.from_dict(raw)
+        assert spec.std == std
         assert DensitySpec.from_dict(spec.to_dict()) == spec
 
 
@@ -130,6 +161,15 @@ class TestImportanceWeights:
     def test_non_finite_rejected(self):
         with pytest.raises(DegenerateWeightError):
             ImportanceWeights(np.array([1.0, np.inf]))
+
+    def test_extreme_weights_warning_points_at_the_caller(self):
+        # the warning names the line that built the weights, not the dataclass __init__
+        with pytest.warns(UserWarning, match="disjoint support") as record:
+            ImportanceWeights(np.array([1e-14, 1.0]))
+        assert record[0].filename == __file__
+        with pytest.warns(UserWarning, match="disjoint support") as record:
+            importance_weights([0.0], DensitySpec.normal(0.0, 1.0), DensitySpec.normal(8.0, 1.0))
+        assert Path(record[0].filename).is_file()
 
 
 class TestOrdinaryWeights:
