@@ -43,7 +43,7 @@ from .pipeline import (
     run_mh_baseline,
     theorem1_check,
 )
-from .predict import PredictiveSample, generate_test_inputs, predict, rmse, score_predictions
+from .predict import PredictiveSample, generate_test_inputs, predict, score_predictions
 from .sim import (
     AssemblyLineSimulator,
     DataGeneratingProcess,

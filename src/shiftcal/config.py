@@ -44,10 +44,10 @@ from .weights import DensitySpec, finite_entries
 def _count(name: str, value) -> int:
     """``value`` as an int; a non-integral value is an error, never truncated.
 
-    Integral floats such as 50.0 are accepted.
+    Integral floats such as 50.0 are accepted; booleans are not numbers.
     """
     try:
-        count = int(value)
+        count = None if isinstance(value, bool) else int(value)
     except (TypeError, ValueError, OverflowError):
         count = None
     if count is None or count != value:
@@ -55,8 +55,14 @@ def _count(name: str, value) -> int:
     return count
 
 
+def _real(name: str, value) -> float:
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _finite_positive(name: str, value) -> float:
-    value = float(value)
+    value = _real(name, value)
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and > 0, got {value}")
     return value
@@ -126,6 +132,20 @@ def _parse_schedule(epsilon, schedule, m: int) -> tuple | None:
     return b, C
 
 
+def _parse_bandwidth(bandwidth) -> tuple[float, float] | None:
+    """(sigma2, sigma2_theta) of a fixed bandwidth, or None for the median heuristic."""
+    if bandwidth == "median":
+        return None
+    if not isinstance(bandwidth, dict):
+        raise ValueError(f"bandwidth must be 'median' or an object, got {bandwidth!r}")
+    _check_keys("bandwidth", bandwidth, {"sigma2", "sigma2_theta"})
+    if len(bandwidth) < 2:
+        keys = sorted(bandwidth)
+        raise ValueError(f"fixed bandwidth needs 'sigma2' and 'sigma2_theta', got {keys}")
+    return (_finite_positive("fixed bandwidth 'sigma2'", bandwidth["sigma2"]),
+            _finite_positive("fixed bandwidth 'sigma2_theta'", bandwidth["sigma2_theta"]))
+
+
 def _parse_mh(mh: dict, seed: int) -> MHConfig:
     required = {"proposal_std", "steps", "noise_var"}
     if not required <= set(mh) <= required | {"burn_in"}:
@@ -175,12 +195,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown weight mode {self.weight_mode!r}")
         if self.weight_mode == "csv" and not self.weights_csv:
             raise ValueError("weight mode 'csv' requires a 'weights_csv' path")
-        if isinstance(self.bandwidth, dict):
-            _check_keys("bandwidth", self.bandwidth, {"sigma2", "sigma2_theta"})
-            for key in ("sigma2", "sigma2_theta"):
-                _finite_positive(f"fixed bandwidth {key!r}", self.bandwidth.get(key, 0))
-        elif self.bandwidth != "median":
-            raise ValueError(f"bandwidth must be 'median' or an object, got {self.bandwidth!r}")
         for section, tag in (("q0", "family"), ("q1", "family"), ("prior", "family"), ("truth", "kind")):
             spec = getattr(self, section)
             kind = spec.get(tag) if isinstance(spec, dict) else None
@@ -188,6 +202,7 @@ class ExperimentConfig:
         _check_keys("noise", self.noise, {"std", "var"})
         # Parse every part once, here; the builders below return these objects.
         keep = functools.partial(object.__setattr__, self)
+        keep("_bandwidth", _parse_bandwidth(self.bandwidth))
         options = dict(self.simulator_options)
         if "batch_size" in options:
             options["batch_size"] = _count("simulator_options.batch_size", options["batch_size"])
@@ -210,7 +225,7 @@ class ExperimentConfig:
         noise = DensitySpec.from_dict({"family": "normal", "mean": 0.0, **self.noise}, "noise")
         keep("_dgp", DataGeneratingProcess(self._truth, noise.std[0], self._q0, spec))
         keep("_schedule", _parse_schedule(self.epsilon, self.epsilon_schedule, self.m))
-        keep("_mh", _parse_mh(self.mh, self.seed) if self.mh else None)
+        keep("_mh", None if self.mh is None else _parse_mh(self.mh, self.seed))
 
     # -- component builders ------------------------------------------------
 
@@ -226,14 +241,15 @@ class ExperimentConfig:
     def q1_spec(self) -> DensitySpec:
         return self._q1
 
-    def noise_std(self) -> float:
-        return self._dgp.noise_std
-
     def build_prior(self) -> DensitySpec:
         return self._prior
 
     def build_dgp(self) -> DataGeneratingProcess:
         return self._dgp
+
+    def fixed_bandwidth(self) -> tuple[float, float] | None:
+        """(sigma2, sigma2_theta) of a fixed bandwidth, None under the median heuristic."""
+        return self._bandwidth
 
     def resolve_epsilon(self, m: int | None = None) -> float:
         if self._schedule is None:
@@ -258,7 +274,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         out = {f.name: copy.deepcopy(getattr(self, f.name)) for f in dataclasses.fields(self)}
         out.pop("epsilon" if self.epsilon is None else "epsilon_schedule")
-        out["mh"] = out["mh"] or None
         return out
 
     @classmethod
@@ -271,9 +286,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
         m = _count("m", data["m"])
         n = _count("n", data["n"])
-        # absent (or null) sizes default; any given value, 0 included, is validated
-        herd_size = data.get("herd_size")
-        n_test = data.get("n_test")
+        # absent or null optional keys default; any given value, 0 included, is validated
+        herd_size, n_test, epsilon, out_dir = map(
+            data.get, ("herd_size", "n_test", "epsilon", "out_dir")
+        )
         return cls(
             simulator=data["simulator"],
             simulator_options=data.get("simulator_options") or {},
@@ -286,14 +302,14 @@ class ExperimentConfig:
             m=m,
             herd_size=m if herd_size is None else _count("herd_size", herd_size),
             n_test=n if n_test is None else _count("n_test", n_test),
-            epsilon=float(data["epsilon"]) if "epsilon" in data else None,
+            epsilon=None if epsilon is None else _real("epsilon", epsilon),
             epsilon_schedule=data.get("epsilon_schedule"),
             bandwidth=data.get("bandwidth", "median"),
             weight_mode=data.get("weight_mode", "shift"),
             weights_csv=data.get("weights_csv"),
             pool_extra=_count("pool_extra", data.get("pool_extra", 0)),
             seed=_count("seed", data.get("seed", 0)),
-            out_dir=str(data.get("out_dir", "out")),
+            out_dir="out" if out_dir is None else str(out_dir),
             mh=data.get("mh"),
         )
 

@@ -18,7 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from ._seeding import derive_rng, derive_seed, stream_keys
-from .kern import ParamKernel, WeightedOutputKernel, gram_and_rhs, regularized_solve
+from .kern import (
+    GramSystem,
+    ParamKernel,
+    WeightedOutputKernel,
+    gaussian_gram,
+    median_heuristic,
+    regularized_solve,
+)
 from .sim import Dataset, Simulator, SimulatorError, write_json_artifact
 from .weights import DensitySpec, ImportanceWeights
 
@@ -74,12 +81,6 @@ class PosteriorEmbedding:
     @property
     def dim(self) -> int:
         return self.draws.shape[1]
-
-    def evaluate(self, theta) -> float:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,):
-            raise ValueError(f"parameter dimension mismatch: {theta.shape} vs ({self.dim},)")
-        return float(self.kernel.cross(theta[None, :], self.draws)[0] @ self.weights)
 
     def evaluate_many(self, thetas) -> np.ndarray:
         return self.kernel.cross(thetas, self.draws) @ self.weights
@@ -144,20 +145,25 @@ def build_embedding(
     pseudo: PseudoOutputs,
     dataset: Dataset,
     beta: ImportanceWeights,
-    sigma2: float,
-    sigma2_theta: float,
+    sigma2: float | None,
+    sigma2_theta: float | None,
     epsilon: float,
     meta: dict | None = None,
-    sqdist: np.ndarray | None = None,
 ) -> PosteriorEmbedding:
     """Solve for the embedding weights given simulations and observations.
 
-    ``sqdist``, if given, is ``pairwise_sqdist(pseudo.values, beta)`` and is
-    overwritten by the Gram matrix.
+    A ``sigma2`` of None is the median heuristic, read from the one
+    beta-weighted distance pass that builds the output Gram matrix.  A
+    ``sigma2_theta`` of None is the median over the prior draws, taken
+    first so that its distance matrix is freed before the output one exists.
+    The values used land in ``meta["sigma2"]`` and ``kernel.sigma2``.
     """
-    kernel = WeightedOutputKernel(sigma2=sigma2, beta=np.asarray(beta, dtype=float))
-    system = gram_and_rhs(pseudo.values, dataset.y, kernel, epsilon, sqdist)
-    w = regularized_solve(system)
+    if sigma2_theta is None:
+        sigma2_theta = median_heuristic(pseudo.thetas)
+    beta = np.asarray(beta, dtype=float)
+    gram, sigma2 = gaussian_gram(pseudo.values, sigma2, beta)
+    kernel = WeightedOutputKernel(sigma2=sigma2, beta=beta)
+    w = regularized_solve(GramSystem(gram, kernel.against(pseudo.values, dataset.y), epsilon))
     info = {"sigma2": sigma2, "epsilon": epsilon, "n": dataset.n, "m": pseudo.m}
     if meta:
         info.update(meta)

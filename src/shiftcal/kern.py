@@ -9,9 +9,10 @@ All pairwise squared distances come from ``pairwise_sqdist``: one BLAS
 Gram product over the centred, weighted rows, exactly symmetric with an
 exactly zero diagonal, accurate to rounding in the centred norms (see its
 docstring).  The median heuristic takes the lower middle pair distance.
-A run computes the output distance matrix once: the bandwidth is read
-from it, then the output Gram matrix is built in its buffer.  The theta
-distances take two passes: the bandwidth stage's median (freed before the
+Every kernel matrix comes from ``gaussian_gram``: one distance pass, the
+median read from it when no bandwidth is given, then the Gaussian formed
+in its buffer, so no distance matrix leaves the function.  A run makes one
+output pass and two theta passes: the theta median (taken before the
 output matrix exists, so the two are never held together), then herding's
 pool Gram matrix (``ParamKernel.gram``), from which herding also reads the
 embedding at every candidate.  ``ParamKernel.cross`` only evaluates an
@@ -107,13 +108,20 @@ def median_heuristic(vectors, weights=None) -> float:
     return median_sqdist(pairwise_sqdist(vectors, weights))
 
 
-def _gaussian_inplace(sqdist: np.ndarray, sigma2: float) -> np.ndarray:
-    """exp(-sqdist / (2 sigma2)), computed in the buffer of ``sqdist``.
+def gaussian_gram(vectors, sigma2=None, weights=None) -> tuple[np.ndarray, float]:
+    """exp(-d_ij / (2 sigma2)) over ``pairwise_sqdist(vectors, weights)``, and sigma2.
 
-    A zero diagonal becomes exactly 1 and symmetry carries over exactly.
+    A ``sigma2`` of None is the median heuristic, read from the same
+    distance matrix.  The Gaussian is formed in that matrix's buffer, so a
+    zero diagonal becomes exactly 1 and symmetry carries over exactly.
     """
-    np.divide(sqdist, -2.0 * sigma2, out=sqdist)
-    return np.exp(sqdist, out=sqdist)
+    gram = pairwise_sqdist(vectors, weights)
+    if sigma2 is None:
+        sigma2 = median_sqdist(gram)
+    elif not sigma2 > 0:
+        raise ValueError(f"kernel bandwidth must be positive, got {sigma2}")
+    np.divide(gram, -2.0 * sigma2, out=gram)
+    return np.exp(gram, out=gram), sigma2
 
 
 @dataclass(frozen=True)
@@ -149,7 +157,7 @@ class ParamKernel:
         return np.exp(-sq / (2.0 * self.sigma2))
 
     def gram(self, points) -> np.ndarray:
-        return _gaussian_inplace(pairwise_sqdist(points), self.sigma2)
+        return gaussian_gram(points, self.sigma2)[0]
 
 
 @dataclass(frozen=True)
@@ -186,18 +194,9 @@ class WeightedOutputKernel:
         diff = ya - yb
         return float(np.exp(-np.sum(self.beta * diff * diff) / (2.0 * self.sigma2)))
 
-    def gram(self, outputs, sqdist=None) -> np.ndarray:
-        """Kernel matrix over pseudo-output rows, exactly symmetric, unit diagonal.
-
-        ``sqdist``, if given, must be ``pairwise_sqdist(outputs, self.beta)``;
-        the Gram matrix is then built in its buffer instead of a new one.
-        """
-        outputs = self._check_outputs(outputs)
-        if sqdist is None:
-            sqdist = pairwise_sqdist(outputs, self.beta)
-        elif sqdist.shape != (outputs.shape[0],) * 2:
-            raise ValueError(f"distance matrix {sqdist.shape} does not match {outputs.shape[0]} rows")
-        return _gaussian_inplace(sqdist, self.sigma2)
+    def gram(self, outputs) -> np.ndarray:
+        """Kernel matrix over pseudo-output rows, exactly symmetric, unit diagonal."""
+        return gaussian_gram(self._check_outputs(outputs), self.sigma2, self.beta)[0]
 
     def against(self, outputs, observed) -> np.ndarray:
         """Vector of kernel values between each pseudo-output row and the data."""
@@ -247,15 +246,10 @@ class GramSystem:
         return self.rhs.size
 
 
-def gram_and_rhs(
-    pseudo_outputs, observed, kernel: WeightedOutputKernel, epsilon: float, sqdist=None
-) -> GramSystem:
-    """Assemble the Gram matrix and data-kernel vector for the solve.
-
-    ``sqdist`` is passed to ``kernel.gram``, which overwrites it.
-    """
+def gram_and_rhs(pseudo_outputs, observed, kernel: WeightedOutputKernel, epsilon: float) -> GramSystem:
+    """Assemble the Gram matrix and data-kernel vector for the solve."""
     return GramSystem(
-        gram=kernel.gram(pseudo_outputs, sqdist),
+        gram=kernel.gram(pseudo_outputs),
         rhs=kernel.against(pseudo_outputs, observed),
         epsilon=epsilon,
     )

@@ -7,9 +7,11 @@ reported in memory and logged but never serialized, so artifact files
 are byte-identical across repeated runs.
 
 Every entry point takes the front half of a run (dataset, weights, prior
-draws, pseudo-outputs, bandwidths) from ``prepare``, or only the dataset
-and weights from its first half, ``weighted_dataset``.  Each stream tag is
-derived from a run's seed in exactly one place:
+draws, pseudo-outputs) from ``prepare``, or only the dataset and weights
+from its first half, ``weighted_dataset``.  Median bandwidths are not a
+stage of their own: the embedding step reads each from the distances its
+kernel matrix is built from.  Each stream tag is derived from a run's seed
+in exactly one place:
 
 - ``"dataset"``: ``weighted_dataset``
 - ``"prior"``, ``"pool"``, ``"pseudo"``: ``prepare``
@@ -50,7 +52,6 @@ from .kabc import (
     sample_prior,
     simulate_pseudo_outputs,
 )
-from .kern import median_heuristic, median_sqdist, pairwise_sqdist
 from .predict import PredictiveSample, generate_test_inputs, score_predictions
 from .sim import Dataset, generate_dataset, write_csv_rows, write_json_artifact
 from .weights import ImportanceWeights, importance_weights, ordinary_weights
@@ -71,27 +72,23 @@ class Prepared:
     """The front half of a run: everything the embedding is built from.
 
     ``pool`` holds the prior draws (``pseudo.thetas``) plus any extra
-    herding candidates.  ``sqdist`` is the beta-weighted output distance
-    matrix of the median heuristic, or None under fixed bandwidths; the
-    first ``embed`` hands it to the Gram step, which overwrites it, and
-    drops it, so it is never held past the embedding stage.
+    herding candidates.  ``bandwidth`` is the config's fixed (sigma2,
+    sigma2_theta), or None under the median heuristic, which each ``embed``
+    resolves; the embedding records the values used.
     """
 
     dataset: Dataset
     beta: ImportanceWeights
     pool: CandidatePool
     pseudo: PseudoOutputs
-    sigma2: float
-    sigma2_theta: float
+    bandwidth: tuple[float, float] | None
     epsilon: float
-    sqdist: np.ndarray | None = field(default=None, repr=False)
 
     def embed(self, dataset: Dataset | None = None, meta: dict | None = None) -> PosteriorEmbedding:
         """The posterior embedding of ``dataset`` (default: the prepared one)."""
-        sqdist, self.sqdist = self.sqdist, None
         return build_embedding(
             self.pseudo, self.dataset if dataset is None else dataset, self.beta,
-            self.sigma2, self.sigma2_theta, self.epsilon, meta=meta, sqdist=sqdist,
+            *(self.bandwidth or (None, None)), self.epsilon, meta=meta,
         )
 
 
@@ -145,25 +142,6 @@ def resolve_weights(cfg: ExperimentConfig, dataset: Dataset) -> ImportanceWeight
     return ImportanceWeights(load_beta_csv(cfg.weights_csv, dataset.n))
 
 
-def resolve_bandwidths(cfg: ExperimentConfig, pseudo: PseudoOutputs, beta: ImportanceWeights):
-    """sigma2, sigma2_theta and epsilon of a run, plus the output distances.
-
-    Under the median heuristic the beta-weighted output distance matrix is
-    computed here, once, and returned for the Gram matrix to be built in;
-    with fixed bandwidths it is None and the Gram step computes it.
-    """
-    sqdist = None
-    if cfg.bandwidth == "median":
-        # theta first, so its m x m scratch is freed before the output matrix exists
-        sigma2_theta = median_heuristic(pseudo.thetas)
-        sqdist = pairwise_sqdist(pseudo.values, np.asarray(beta))
-        sigma2 = median_sqdist(sqdist)
-    else:
-        sigma2 = float(cfg.bandwidth["sigma2"])
-        sigma2_theta = float(cfg.bandwidth["sigma2_theta"])
-    return sigma2, sigma2_theta, cfg.resolve_epsilon(cfg.m), sqdist
-
-
 def weighted_dataset(
     cfg: ExperimentConfig, dataset: Dataset | None = None, timings: dict | None = None
 ) -> tuple[Dataset, ImportanceWeights]:
@@ -194,9 +172,7 @@ def prepare(
         pseudo = simulate_pseudo_outputs(
             cfg.build_simulator(), thetas, dataset.x, derive_seed(cfg.seed, "pseudo")
         )
-    with _timed(timings, "bandwidths"):
-        bandwidths = resolve_bandwidths(cfg, pseudo, beta)
-    return Prepared(dataset, beta, pool, pseudo, *bandwidths)
+    return Prepared(dataset, beta, pool, pseudo, cfg.fixed_bandwidth(), cfg.resolve_epsilon())
 
 
 def _test_inputs(cfg: ExperimentConfig) -> np.ndarray:
@@ -263,8 +239,8 @@ def run_calibration(cfg: ExperimentConfig) -> RunReport:
             "m": cfg.m,
             "herd_size": cfg.herd_size,
             "weight_mode": cfg.weight_mode,
-            "sigma2": result.sigma2,
-            "sigma2_theta": result.sigma2_theta,
+            "sigma2": result.embedding.meta["sigma2"],
+            "sigma2_theta": result.embedding.kernel.sigma2,
             "epsilon": result.epsilon,
         },
         wall_clock=result.wall_clock,
@@ -480,8 +456,8 @@ def theorem1_check(cfg: ExperimentConfig, grid_resolution: int = 101) -> Equival
         on_boundary=on_boundary,
         distance=embedding_distance(from_data, from_optimal),
         m=cfg.m,
-        sigma2=prep.sigma2,
-        sigma2_theta=prep.sigma2_theta,
+        sigma2=from_data.meta["sigma2"],
+        sigma2_theta=from_data.kernel.sigma2,
         epsilon=prep.epsilon,
     )
 

@@ -91,15 +91,6 @@ def score_predictions(
     return preds, truth_vals, float(np.sqrt(np.mean(errors * errors)))
 
 
-def rmse(truth: TruthFn, test_inputs, sim: Simulator, samples, seed: int = 0) -> float:
-    """Root mean squared error of predictive means against the truth.
-
-    sqrt( (1/n) sum_i ( R(x_i) - mean_j r(x_i, theta_j) )^2 ), with R
-    evaluated noise-free at each test input.
-    """
-    return score_predictions(truth, test_inputs, sim, samples, seed)[2]
-
-
 def generate_test_inputs(density: DensitySpec, n: int, seed: int) -> np.ndarray:
     """n i.i.d. test input locations from the given density."""
     if n < 1:

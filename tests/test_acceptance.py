@@ -3,6 +3,7 @@ PASS/FAIL line with the measured numbers.  Tolerances are fixed here,
 not tuned at runtime.
 """
 
+import dataclasses
 import json
 import math
 
@@ -17,10 +18,8 @@ from shiftcal.herd import CandidatePool, herd, herding_mmd
 from shiftcal.kabc import PosteriorEmbedding
 from shiftcal.kern import ParamKernel, WeightedOutputKernel, gram_and_rhs, regularized_solve
 from shiftcal.pipeline import (
-    Prepared,
     calibrate,
     prepare,
-    resolve_bandwidths,
     resolve_weights,
     run_mh_baseline,
     theorem1_check,
@@ -190,11 +189,8 @@ def test_criterion_6_covariate_shift_benefit():
         run_cfg = cfg.replace(seed=seed)
         shifted = prepare(run_cfg)
         # constant weighting on the same data and pseudo-outputs: only beta
-        # and the bandwidths change, nothing is simulated again
-        ordinary_cfg = run_cfg.replace(weight_mode="ordinary")
-        beta = resolve_weights(ordinary_cfg, shifted.dataset)
-        bandwidths = resolve_bandwidths(ordinary_cfg, shifted.pseudo, beta)
-        ordinary = Prepared(shifted.dataset, beta, shifted.pool, shifted.pseudo, *bandwidths)
+        # (and with it the output bandwidth) changes, nothing is simulated again
+        ordinary = dataclasses.replace(shifted, beta=ordinary_weights(shifted.dataset.n))
         # both weightings are scored on the same shifted-region test set
         test_inputs = generate_test_inputs(
             run_cfg.q1_spec(), run_cfg.n_test, derive_seed(seed, "test")

@@ -22,7 +22,7 @@ class TestPresets:
         assert isinstance(cfg.build_simulator(), LinearSimulator)
         assert cfg.n == 100
         assert cfg.epsilon == 1.0
-        assert cfg.noise_std() == pytest.approx(math.sqrt(2.0))
+        assert cfg.build_dgp().noise_std == pytest.approx(math.sqrt(2.0))
         assert cfg.weight_mode == "shift"
 
     def test_assembly_preset_values(self):
@@ -69,6 +69,22 @@ class TestConfigValidation:
         cfg = ExperimentConfig.from_dict({**PRESETS["linear-shift"], "herd_size": None})
         assert cfg.herd_size == cfg.m
 
+    def test_null_out_dir_takes_default(self):
+        cfg = ExperimentConfig.from_dict({**PRESETS["linear-shift"], "out_dir": None})
+        assert cfg.out_dir == "out"
+        assert cfg == ExperimentConfig.from_dict({**PRESETS["linear-shift"], "out_dir": "out"})
+
+    def test_null_epsilon_beside_schedule_is_absent(self):
+        raw = {**PRESETS["linear-shift"], "epsilon": None, "epsilon_schedule": {"C": 1.0, "b": 2.0}}
+        cfg = ExperimentConfig.from_dict(raw)
+        assert cfg.epsilon is None and cfg.resolve_epsilon(512) == pytest.approx(0.25)
+        with pytest.raises(ValueError, match="exactly one of 'epsilon' or 'epsilon_schedule'"):
+            ExperimentConfig.from_dict({**PRESETS["linear-shift"], "epsilon": None})
+
+    def test_empty_mh_section_rejected(self):
+        with pytest.raises(ValueError, match=r"mh section needs .*, got \[\]"):
+            preset("linear-shift", mh={})
+
     def test_epsilon_exclusivity(self):
         raw = {**PRESETS["linear-shift"], "epsilon_schedule": {"C": 1.0, "b": 2.0}}
         with pytest.raises(ValueError, match="exactly one"):
@@ -110,12 +126,14 @@ class TestConfigValidation:
 
     def test_zero_noise_accepted(self):
         for noise in ({"var": 0.0}, {"std": 0.0}):
-            assert ExperimentConfig.from_dict({**PRESETS["linear-shift"], "noise": noise}).noise_std() == 0.0
+            cfg = ExperimentConfig.from_dict({**PRESETS["linear-shift"], "noise": noise})
+            assert cfg.build_dgp().noise_std == 0.0
 
     @pytest.mark.parametrize(
         "field,value",
         [("n", 50.7), ("m", 200.9), ("herd_size", 10.5), ("n_test", 3.2), ("pool_extra", 1.5),
-         ("seed", 1.5), ("m", math.nan), ("seed", math.inf), ("n", "50")],
+         ("seed", 1.5), ("m", math.nan), ("seed", math.inf), ("n", "50"), ("m", True),
+         ("seed", False), ("herd_size", True)],
     )
     def test_non_integral_count_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -150,7 +168,12 @@ class TestConfigValidation:
          ({"bandwidth": 5}, "bandwidth must be 'median' or an object"),
          ({"bandwidth": [1, 2]}, "bandwidth must be 'median' or an object"),
          ({"bandwidth": {"sigma2": 1.0, "sigma2_theta": 1.0, "sigma": 2.0}},
-          "unknown keys in bandwidth: sigma$")],
+          "unknown keys in bandwidth: sigma$"),
+         ({"bandwidth": {"sigma2": 1.0}},
+          r"fixed bandwidth needs 'sigma2' and 'sigma2_theta', got \['sigma2'\]"),
+         ({"bandwidth": {"sigma2_theta": 1.0}}, r"needs 'sigma2' and 'sigma2_theta', got \['sigma2_theta'\]"),
+         ({"bandwidth": {"sigma2": True, "sigma2_theta": 1.0}}, "'sigma2' must be a number, got True"),
+         ({"epsilon": True}, "epsilon must be a number, got True")],
     )
     def test_non_finite_bandwidth_and_epsilon_rejected(self, changes, message):
         with pytest.raises(ValueError, match=message):

@@ -144,7 +144,7 @@ class TestBuildEmbedding:
             pseudo, dataset, ordinary_weights(20), sigma2=100.0, sigma2_theta=10.0, epsilon=1.0
         )
         assert np.all(np.isfinite(emb.weights))
-        assert np.isfinite(emb.evaluate(np.zeros(2)))
+        assert np.isfinite(emb.evaluate_many([np.zeros(2)])[0])
 
     def test_weight_mode_reduction(self):
         # ordinary weights and importance weights of identical densities
@@ -187,20 +187,22 @@ class TestBuildEmbedding:
         )
         assert np.allclose(emb_p.weights, emb.weights[perm], rtol=0, atol=1e-10)
         for theta in rng.normal(size=(5, 2)):
-            assert emb_p.evaluate(theta) == pytest.approx(emb.evaluate(theta), abs=1e-10)
+            assert emb_p.evaluate_many([theta])[0] == pytest.approx(
+                emb.evaluate_many([theta])[0], abs=1e-10
+            )
 
 
 class TestEmbeddingEval:
     def test_single_atom_maximized_at_center(self):
         atom = np.array([[0.5, -1.0]])
         emb = PosteriorEmbedding(atom, np.array([1.0]), ParamKernel(1.0))
-        assert emb.evaluate(atom[0]) == 1.0
-        assert emb.evaluate([0.0, 0.0]) < 1.0
+        assert emb.evaluate_many([atom[0]])[0] == 1.0
+        assert emb.evaluate_many([[0.0, 0.0]])[0] < 1.0
 
     def test_zero_weights_zero_everywhere(self):
         emb = PosteriorEmbedding(np.zeros((3, 1)), np.zeros(3), ParamKernel(1.0))
         for theta in ([0.0], [1.0], [-2.0]):
-            assert emb.evaluate(theta) == 0.0
+            assert emb.evaluate_many([theta])[0] == 0.0
 
     def test_two_atoms_hand_sum(self):
         draws = np.array([[0.0], [2.0]])
@@ -208,12 +210,12 @@ class TestEmbeddingEval:
         emb = PosteriorEmbedding(draws, weights, ParamKernel(2.0))
         theta = [1.0]
         expected = 0.3 * math.exp(-1 / 4) - 0.4 * math.exp(-1 / 4)
-        assert emb.evaluate(theta) == pytest.approx(expected, rel=1e-14)
+        assert emb.evaluate_many([theta])[0] == pytest.approx(expected, rel=1e-14)
 
     def test_dimension_mismatch(self):
         emb = PosteriorEmbedding(np.zeros((2, 2)), np.ones(2), ParamKernel(1.0))
         with pytest.raises(ValueError):
-            emb.evaluate([0.0])
+            emb.evaluate_many([[0.0]])
 
     def test_json_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -12,6 +12,7 @@ from shiftcal.kern import (
     ParamKernel,
     SolveError,
     WeightedOutputKernel,
+    gaussian_gram,
     gram_and_rhs,
     median_heuristic,
     median_sqdist,
@@ -319,20 +320,30 @@ class TestPairwiseSqdistProperties:
 
 
 class TestSharedDistanceBuffer:
-    def test_gram_built_in_the_distance_buffer(self):
+    def test_gram_built_in_the_distance_buffer(self, monkeypatch):
+        # gaussian_gram reads the median from its one distance matrix, then
+        # forms the Gaussian in that matrix's buffer
+        from shiftcal import kern
+
         rng = np.random.default_rng(9)
         outputs, beta = rng.normal(size=(30, 6)), rng.uniform(0.5, 2.0, size=6)
-        kern = WeightedOutputKernel(4.0, beta)
-        sqdist = pairwise_sqdist(outputs, beta)
-        gram = kern.gram(outputs, sqdist)
-        assert np.shares_memory(gram, sqdist)
-        assert np.array_equal(gram, kern.gram(outputs))
-        assert np.array_equal(gram, gram.T) and np.all(np.diag(gram) == 1.0)
+        buffers = []
 
-    def test_distance_matrix_shape_checked(self):
-        kern = WeightedOutputKernel(1.0, np.ones(2))
-        with pytest.raises(ValueError, match="distance matrix"):
-            kern.gram(np.zeros((3, 2)), np.zeros((2, 2)))
+        def recorded(vectors, weights=None):
+            buffers.append(pairwise_sqdist(vectors, weights))
+            return buffers[-1]
+
+        monkeypatch.setattr(kern, "pairwise_sqdist", recorded)
+        gram, sigma2 = gaussian_gram(outputs, weights=beta)
+        assert len(buffers) == 1 and np.shares_memory(gram, buffers[0])
+        monkeypatch.undo()
+        assert sigma2 == median_heuristic(outputs, beta)
+        assert np.array_equal(gram, WeightedOutputKernel(sigma2, beta).gram(outputs))
+        assert np.array_equal(gram, gram.T) and np.all(np.diag(gram) == 1.0)
+        fixed, given = gaussian_gram(outputs, 4.0, beta)
+        assert given == 4.0 and np.array_equal(fixed, WeightedOutputKernel(4.0, beta).gram(outputs))
+        with pytest.raises(ValueError, match="bandwidth must be positive, got 0.0"):
+            gaussian_gram(outputs, 0.0, beta)
 
     def test_calibrate_makes_one_output_pass_two_theta_passes_and_no_cross(self, monkeypatch):
         # theta distances: the bandwidth median, then herding's pool Gram
@@ -352,7 +363,6 @@ class TestSharedDistanceBuffer:
             return cross(self, left, right)
 
         monkeypatch.setattr(kern, "pairwise_sqdist", counted)
-        monkeypatch.setattr(pipeline, "pairwise_sqdist", counted)
         monkeypatch.setattr(ParamKernel, "cross", counted_cross)
         pipeline.calibrate(preset("linear-shift", n=24, m=16, herd_size=16, n_test=24))
         assert calls == [(16, 2), (16, 24), (16, 2)]

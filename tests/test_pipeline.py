@@ -113,7 +113,7 @@ class TestRunCalibration:
 
     def test_median_bandwidth_needs_two_draws(self):
         cfg = tiny_linear(m=1, herd_size=1)
-        with pytest.raises(StageError, match="bandwidths"):
+        with pytest.raises(StageError, match="embedding"):
             calibrate(cfg)
 
     def test_weight_modes_give_different_rmse(self):
@@ -164,7 +164,7 @@ class TestPrepare:
         cfg = preset(name, seed=seed, n=12, m=40, herd_size=40, n_test=10)
         timings = {}
         prep = prepare(cfg, timings=timings)
-        assert list(timings) == ["dataset", "weights", "prior-draws", "pseudo-outputs", "bandwidths"]
+        assert list(timings) == ["dataset", "weights", "prior-draws", "pseudo-outputs"]
         result = calibrate(cfg)
         assert list(result.wall_clock) == list(timings) + ["embedding", "herding", "prediction"]
         for field in ("x", "y"):
@@ -173,22 +173,29 @@ class TestPrepare:
         assert prep.pseudo.thetas.tobytes() == result.pseudo.thetas.tobytes()
         assert prep.pseudo.values.tobytes() == result.pseudo.values.tobytes()
         assert prep.pool.points.tobytes() == result.herded.pool.points.tobytes()
-        bandwidths = (prep.sigma2, prep.sigma2_theta, prep.epsilon)
-        assert bandwidths == (result.sigma2, result.sigma2_theta, result.epsilon)
+        assert prep.bandwidth is None and prep.epsilon == result.epsilon
+        embedding = prep.embed()
+        bandwidths = (embedding.meta["sigma2"], embedding.kernel.sigma2, prep.epsilon)
+        emb = result.embedding
+        assert bandwidths == (emb.meta["sigma2"], emb.kernel.sigma2, result.epsilon)
         report = theorem1_check(cfg, grid_resolution=9)
         assert (report.sigma2, report.sigma2_theta, report.epsilon) == bandwidths
 
     def test_embed_releases_distance_buffer(self):
+        # no distance matrix is held between stages, and embed is a pure call
         prep = prepare(tiny_linear())
-        assert prep.sqdist is not None and prep.sqdist.shape == (16, 16)
         first = prep.embed()
-        assert prep.sqdist is None
-        again = prep.embed()  # recomputes the distances; same weights
+        assert not any(isinstance(v, np.ndarray) for v in vars(prep).values())
+        again = prep.embed()
         assert first.weights.tobytes() == again.weights.tobytes()
+        assert (first.meta["sigma2"], first.kernel.sigma2) == (again.meta["sigma2"], again.kernel.sigma2)
 
     def test_fixed_bandwidths_hold_no_buffer(self):
         prep = prepare(tiny_linear(bandwidth={"sigma2": 2.0, "sigma2_theta": 3.0}))
-        assert prep.sqdist is None and (prep.sigma2, prep.sigma2_theta) == (2.0, 3.0)
+        assert not any(isinstance(v, np.ndarray) for v in vars(prep).values())
+        assert prep.bandwidth == (2.0, 3.0)
+        embedding = prep.embed()
+        assert (embedding.meta["sigma2"], embedding.kernel.sigma2) == (2.0, 3.0)
 
 
 class TestRmseCurve:
