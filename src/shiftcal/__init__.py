@@ -9,7 +9,7 @@ parameter samples, and running the simulator at those samples gives
 push-forward predictions tuned to the test input distribution.
 """
 
-from .baseline import MHConfig, MHTrace, mh_sample, simulation_budget, weighted_log_likelihood
+from .baseline import MHConfig, MHTrace, mh_sample, weighted_log_likelihood
 from .config import PRESETS, ExperimentConfig, preset
 from .herd import CandidatePool, HerdedSamples, herd, herding_mmd
 from .kabc import (

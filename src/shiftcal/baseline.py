@@ -19,7 +19,7 @@ import numpy as np
 
 from ._seeding import derive_rng, derive_seed
 from .sim import Dataset, Simulator, write_csv_rows
-from .weights import ImportanceWeights
+from .weights import ImportanceWeights, finite_entries
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,13 @@ class MHConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.proposal_std) and self.proposal_std > 0):
-            raise ValueError(f"proposal std must be finite and positive, got {self.proposal_std}")
+        for name, label, bound in (("proposal_std", "proposal std", "> 0"),
+                                   ("burn_in", "burn-in fraction", ""),
+                                   ("noise_var", "noise variance", "> 0")):
+            value = finite_entries(label, getattr(self, name), bound, scalar=True)
+            object.__setattr__(self, name, value)
         if not 0 <= self.burn_in < 1:
             raise ValueError(f"burn-in fraction must lie in [0, 1), got {self.burn_in}")
-        if not (np.isfinite(self.noise_var) and self.noise_var > 0):
-            raise ValueError(f"noise variance must be finite and positive, got {self.noise_var}")
         if self.steps < 1:
             raise ValueError(f"need at least one step, got {self.steps}")
 
@@ -156,7 +157,3 @@ def mh_sample(target: Callable[[np.ndarray], float], init, cfg: MHConfig) -> MHT
         burn_in_steps=int(np.floor(cfg.steps * cfg.burn_in)),
     )
 
-
-def simulation_budget(trace: MHTrace) -> int:
-    """Simulator sweeps consumed by the chain: every step, burn-in included."""
-    return trace.steps

@@ -56,9 +56,14 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "m", None) is not None:
         overrides["m"] = args.m
         overrides["herd_size"] = args.m
-    if args.config:
+    if not args.config:
+        return preset(args.preset, **overrides)
+    try:
         return ExperimentConfig.from_json(args.config, **overrides)
-    return preset(args.preset, **overrides)
+    except (OSError, ValueError) as exc:  # a missing file, invalid JSON or a bad value
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"shiftcal: error: config {args.config}: {reason}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _checked(parse, rule: str, ok):

@@ -9,6 +9,8 @@ config hash (sha256 of the canonical resolved JSON) is embedded in every
 artifact a run writes.  Each part (simulator, truth, densities, prior,
 noise, epsilon schedule, ``mh`` section) is parsed once, when the config
 is built, so a bad value or an unknown key fails at load, never mid-run.
+Every number is read by ``weights.finite_entries`` (reals) or ``_count``
+(integers), and every section's keys are checked by ``weights.check_keys``.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +39,12 @@ from .sim import (
     get_simulator,
     write_json_artifact,
 )
-from .weights import DensitySpec, finite_entries
+from .weights import DensitySpec, check_keys, finite_entries
 
 
-def _count(name: str, value) -> int:
-    """``value`` as an int; a non-integral value is an error, never truncated.
+def _count(name: str, value, low: int | None = None) -> int:
+    """``value`` as an int, ``>= low`` if given; a non-integral value is an
+    error, never truncated.
 
     Integral floats such as 50.0 are accepted; booleans are not numbers.
     """
@@ -52,39 +54,22 @@ def _count(name: str, value) -> int:
         count = None
     if count is None or count != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and count < low:
+        raise ValueError(f"{name} must be >= {low}, got {count}")
     return count
 
 
-def _real(name: str, value) -> float:
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _finite_positive(name: str, value) -> float:
-    value = _real(name, value)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and > 0, got {value}")
-    return value
-
-
-# The keys of each truth kind besides the tag; an unknown kind is left to
-# the parser, which names it.  q0, q1 and the prior are only checked to be
-# objects here: ``DensitySpec.from_dict`` rejects their unknown keys.
-_SECTION_KEYS = {"cubic": set(), "piecewise": {"theta_lo", "theta_hi", "breakpoint"},
-                 "simulator": {"theta"}, "constant": {"value"}}
-
-
-def _check_keys(section: str, spec, allowed) -> None:
-    """Reject a section that is not an object or holds a key not in ``allowed``."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"{section} must be an object, got {spec!r}")
-    unknown = sorted(map(str, set(spec) - set(allowed)))
-    if unknown:
-        raise ValueError(f"unknown keys in {section}: {', '.join(unknown)}")
+# The keys of each truth kind, all required; an unknown kind is named by
+# the parser instead.
+_TRUTH_KEYS = {"cubic": ("kind",), "piecewise": ("kind", "theta_lo", "theta_hi", "breakpoint"),
+               "simulator": ("kind", "theta"), "constant": ("kind", "value")}
 
 
 def _parse_truth(truth: dict, sim: Simulator) -> TruthFn:
+    kind = truth.get("kind") if isinstance(truth, dict) else None
+    keys = _TRUTH_KEYS.get(kind, truth) if isinstance(kind, str) else truth
+    check_keys("truth", truth, keys, keys)
+
     def params(key) -> tuple:
         values = finite_entries(f"truth {key}", truth[key])
         if len(values) != sim.dim_theta:
@@ -93,7 +78,6 @@ def _parse_truth(truth: dict, sim: Simulator) -> TruthFn:
             )
         return values
 
-    kind = truth.get("kind")
     if kind == "cubic":
         return cubic_truth
     if kind == "piecewise":
@@ -101,13 +85,13 @@ def _parse_truth(truth: dict, sim: Simulator) -> TruthFn:
             base_sim=sim,
             theta_lo=params("theta_lo"),
             theta_hi=params("theta_hi"),
-            breakpoint=float(truth["breakpoint"]),
+            breakpoint=finite_entries("truth breakpoint", truth["breakpoint"], scalar=True),
         )
     if kind == "simulator":
         theta = params("theta")
         return lambda x, seed=0: sim.evaluate(x, theta, seed)
     if kind == "constant":
-        (value,) = finite_entries("truth value", float(truth["value"]))
+        value = finite_entries("truth value", truth["value"], scalar=True)
         return lambda x, seed=0: value
     raise ValueError(f"unknown truth kind {kind!r}")
 
@@ -115,18 +99,16 @@ def _parse_truth(truth: dict, sim: Simulator) -> TruthFn:
 def _parse_schedule(epsilon, schedule, m: int) -> tuple | None:
     """``(b, C)`` of an epsilon schedule, or None for a fixed epsilon.
 
-    Either way, epsilon at ``m`` must come out finite and positive.
+    A schedule's epsilon at ``m`` must come out finite and positive.
     """
     if (epsilon is None) == (schedule is None):
         raise ValueError("config needs exactly one of 'epsilon' or 'epsilon_schedule'")
     if schedule is None:
-        _finite_positive("epsilon", epsilon)
         return None
-    if not isinstance(schedule, dict) or set(schedule) != {"b", "C"}:
-        raise ValueError(f"epsilon_schedule needs exactly the keys 'b' and 'C', got {schedule!r}")
-    b, C = float(schedule["b"]), float(schedule["C"])
+    check_keys("epsilon_schedule", schedule, ("b", "C"), ("b", "C"))
+    b, C = (finite_entries(f"epsilon_schedule.{key}", schedule[key], scalar=True) for key in "bC")
     try:
-        _finite_positive("epsilon", regularization_schedule(m, b, C))
+        finite_entries("epsilon", regularization_schedule(m, b, C), "> 0", scalar=True)
     except ValueError as exc:
         raise ValueError(f"epsilon_schedule {schedule}: {exc}") from None
     return b, C
@@ -138,31 +120,32 @@ def _parse_bandwidth(bandwidth) -> tuple[float, float] | None:
         return None
     if not isinstance(bandwidth, dict):
         raise ValueError(f"bandwidth must be 'median' or an object, got {bandwidth!r}")
-    _check_keys("bandwidth", bandwidth, {"sigma2", "sigma2_theta"})
-    if len(bandwidth) < 2:
-        keys = sorted(bandwidth)
-        raise ValueError(f"fixed bandwidth needs 'sigma2' and 'sigma2_theta', got {keys}")
-    return (_finite_positive("fixed bandwidth 'sigma2'", bandwidth["sigma2"]),
-            _finite_positive("fixed bandwidth 'sigma2_theta'", bandwidth["sigma2_theta"]))
+    keys = ("sigma2", "sigma2_theta")
+    check_keys("bandwidth", bandwidth, keys, keys)
+    return tuple(finite_entries(f"fixed bandwidth '{key}'", bandwidth[key], "> 0", scalar=True)
+                 for key in keys)
 
 
 def _parse_mh(mh: dict, seed: int) -> MHConfig:
-    required = {"proposal_std", "steps", "noise_var"}
-    if not required <= set(mh) <= required | {"burn_in"}:
-        keys = "'proposal_std', 'steps', 'noise_var' and optionally 'burn_in'"
-        raise ValueError(f"mh section needs {keys}, got {sorted(mh)}")
+    required = ("proposal_std", "steps", "noise_var")
+    check_keys("mh", mh, (*required, "burn_in"), required)
     return MHConfig(
-        proposal_std=float(mh["proposal_std"]),
+        proposal_std=mh["proposal_std"],
         steps=_count("mh.steps", mh["steps"]),
-        burn_in=float(mh.get("burn_in", 0.10)),
-        noise_var=float(mh["noise_var"]),
+        burn_in=mh.get("burn_in", 0.10),
+        noise_var=mh["noise_var"],
         seed=seed,
     )
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved settings for one calibration experiment."""
+    """Resolved settings for one calibration experiment.
+
+    Every field is read and checked here, however the config was built;
+    None (JSON null) takes the default of ``herd_size`` (``m``),
+    ``n_test`` (``n``), ``out_dir`` and ``simulator_options``.
+    """
 
     simulator: str
     truth: dict
@@ -172,38 +155,38 @@ class ExperimentConfig:
     prior: dict
     n: int
     m: int
-    herd_size: int
-    n_test: int
-    epsilon: float | None
-    epsilon_schedule: dict | None
-    bandwidth: str | dict
-    weight_mode: str
-    weights_csv: str | None
-    pool_extra: int
-    seed: int
-    out_dir: str
-    simulator_options: dict = field(default_factory=dict)
+    herd_size: int | None = None
+    n_test: int | None = None
+    epsilon: float | None = None
+    epsilon_schedule: dict | None = None
+    bandwidth: str | dict = "median"
+    weight_mode: str = "shift"
+    weights_csv: str | None = None
+    pool_extra: int = 0
+    seed: int = 0
+    out_dir: str | None = None
+    simulator_options: dict | None = None
     mh: dict | None = None
 
     def __post_init__(self):
-        for name in ("n", "m", "herd_size", "n_test"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.pool_extra < 0:
-            raise ValueError(f"pool_extra must be >= 0, got {self.pool_extra}")
+        keep = functools.partial(object.__setattr__, self)
+        if self.herd_size is None:
+            keep("herd_size", self.m)
+        if self.n_test is None:
+            keep("n_test", self.n)
+        for name, low in (("n", 1), ("m", 1), ("herd_size", 1), ("n_test", 1),
+                          ("pool_extra", 0), ("seed", None)):
+            keep(name, _count(name, getattr(self, name), low))
+        keep("out_dir", "out" if self.out_dir is None else str(self.out_dir))
         if self.weight_mode not in ("shift", "ordinary", "csv"):
             raise ValueError(f"unknown weight mode {self.weight_mode!r}")
         if self.weight_mode == "csv" and not self.weights_csv:
             raise ValueError("weight mode 'csv' requires a 'weights_csv' path")
-        for section, tag in (("q0", "family"), ("q1", "family"), ("prior", "family"), ("truth", "kind")):
-            spec = getattr(self, section)
-            kind = spec.get(tag) if isinstance(spec, dict) else None
-            _check_keys(section, spec, {tag} | _SECTION_KEYS.get(kind, set(spec)))
-        _check_keys("noise", self.noise, {"std", "var"})
         # Parse every part once, here; the builders below return these objects.
-        keep = functools.partial(object.__setattr__, self)
         keep("_bandwidth", _parse_bandwidth(self.bandwidth))
-        options = dict(self.simulator_options)
+        options = {} if self.simulator_options is None else self.simulator_options
+        check_keys("simulator_options", options, options)  # get_simulator names unknown ones
+        options = dict(options)
         if "batch_size" in options:
             options["batch_size"] = _count("simulator_options.batch_size", options["batch_size"])
         keep("simulator_options", options)
@@ -221,10 +204,13 @@ class ExperimentConfig:
                 f"prior has {self._prior.dim} parameters, simulator {self.simulator!r} "
                 f"takes {self._simulator.dim_theta}"
             )
-        spec = {"simulator": self.simulator, "truth": self.truth}
+        check_keys("noise", self.noise, ("std", "var"))
         noise = DensitySpec.from_dict({"family": "normal", "mean": 0.0, **self.noise}, "noise")
+        spec = {"simulator": self.simulator, "truth": self.truth}
         keep("_dgp", DataGeneratingProcess(self._truth, noise.std[0], self._q0, spec))
         keep("_schedule", _parse_schedule(self.epsilon, self.epsilon_schedule, self.m))
+        if self.epsilon is not None:
+            keep("epsilon", finite_entries("epsilon", self.epsilon, "> 0", scalar=True))
         keep("_mh", None if self.mh is None else _parse_mh(self.mh, self.seed))
 
     # -- component builders ------------------------------------------------
@@ -278,40 +264,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, **overrides) -> "ExperimentConfig":
-        data = dict(raw)
-        data.update({k: v for k, v in overrides.items() if v is not None})
+        """The config ``raw`` with every non-None override applied."""
+        overrides = {k: v for k, v in overrides.items() if v is not None}
+        data = {**raw, **overrides} if isinstance(raw, dict) else raw
+        fields = dataclasses.fields(cls)
         # write_json stamps the hash into the file; any other stray key is a typo
-        unknown = set(data) - {f.name for f in dataclasses.fields(cls)} - {"config_hash"}
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        m = _count("m", data["m"])
-        n = _count("n", data["n"])
-        # absent or null optional keys default; any given value, 0 included, is validated
-        herd_size, n_test, epsilon, out_dir = map(
-            data.get, ("herd_size", "n_test", "epsilon", "out_dir")
-        )
-        return cls(
-            simulator=data["simulator"],
-            simulator_options=data.get("simulator_options") or {},
-            truth=data["truth"],
-            q0=data["q0"],
-            q1=data["q1"],
-            noise=data["noise"],
-            prior=data["prior"],
-            n=n,
-            m=m,
-            herd_size=m if herd_size is None else _count("herd_size", herd_size),
-            n_test=n if n_test is None else _count("n_test", n_test),
-            epsilon=None if epsilon is None else _real("epsilon", epsilon),
-            epsilon_schedule=data.get("epsilon_schedule"),
-            bandwidth=data.get("bandwidth", "median"),
-            weight_mode=data.get("weight_mode", "shift"),
-            weights_csv=data.get("weights_csv"),
-            pool_extra=_count("pool_extra", data.get("pool_extra", 0)),
-            seed=_count("seed", data.get("seed", 0)),
-            out_dir="out" if out_dir is None else str(out_dir),
-            mh=data.get("mh"),
-        )
+        check_keys("config", data, {"config_hash", *(f.name for f in fields)},
+                   [f.name for f in fields if f.default is dataclasses.MISSING])
+        data.pop("config_hash", None)
+        return cls(**data)
 
     @classmethod
     def from_json(cls, path, **overrides) -> "ExperimentConfig":
@@ -323,13 +284,8 @@ class ExperimentConfig:
         write_json_artifact(path, payload)
 
     def replace(self, **changes) -> "ExperimentConfig":
-        data = self.to_dict()
-        for key in ("epsilon", "epsilon_schedule"):
-            if key in changes and changes[key] is None:
-                data.pop(key, None)
-                changes.pop(key)
-        data.update(changes)
-        return ExperimentConfig.from_dict(data)
+        """A copy with ``changes`` applied, read like a loaded config."""
+        return ExperimentConfig.from_dict({**self.to_dict(), **changes})
 
     def config_hash(self) -> str:
         """Digest of the resolved experiment, ignoring output location."""

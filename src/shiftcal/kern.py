@@ -134,14 +134,6 @@ class ParamKernel:
         if not self.sigma2 > 0:
             raise ValueError(f"kernel bandwidth must be positive, got {self.sigma2}")
 
-    def eval(self, theta_a, theta_b) -> float:
-        a = np.asarray(theta_a, dtype=float)
-        b = np.asarray(theta_b, dtype=float)
-        if a.shape != b.shape:
-            raise ValueError(f"parameter dimension mismatch: {a.shape} vs {b.shape}")
-        diff = a - b
-        return float(np.exp(-diff.dot(diff) / (2.0 * self.sigma2)))
-
     def cross(self, left, right) -> np.ndarray:
         """Kernel matrix between two point collections, shape (len(left), len(right))."""
         left = _as_matrix(left)
@@ -182,17 +174,6 @@ class WeightedOutputKernel:
     @property
     def n(self) -> int:
         return self.beta.size
-
-    def eval(self, ya, yb) -> float:
-        ya = np.asarray(ya, dtype=float)
-        yb = np.asarray(yb, dtype=float)
-        if ya.shape != yb.shape or ya.shape != self.beta.shape:
-            raise ValueError(
-                f"output vectors and weights must share length {self.n}, "
-                f"got {ya.shape} and {yb.shape}"
-            )
-        diff = ya - yb
-        return float(np.exp(-np.sum(self.beta * diff * diff) / (2.0 * self.sigma2)))
 
     def gram(self, outputs) -> np.ndarray:
         """Kernel matrix over pseudo-output rows, exactly symmetric, unit diagonal."""

@@ -39,7 +39,6 @@ from .baseline import (
     MHTrace,
     log_likelihood_sweep,
     mh_sample,
-    simulation_budget,
     weighted_residual_sum,
 )
 from .config import ExperimentConfig, load_beta_csv
@@ -256,7 +255,7 @@ def run_calibration(cfg: ExperimentConfig) -> RunReport:
 class MHBaselineResult:
     trace: MHTrace
     acceptance_ratio: float
-    budget: int
+    budget: int     # simulator sweeps the chain consumed: every step, burn-in included
     rmse: float
     test_inputs: np.ndarray
     wall_clock: dict
@@ -304,7 +303,7 @@ def run_mh_baseline(
     return MHBaselineResult(
         trace=trace,
         acceptance_ratio=trace.acceptance_ratio,
-        budget=simulation_budget(trace),
+        budget=trace.steps,
         rmse=rmse_value,
         test_inputs=test_inputs,
         wall_clock=timings,

@@ -224,7 +224,7 @@ class DataGeneratingProcess:
     spec: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        finite_entries("noise_std", self.noise_std, non_negative=True)
+        finite_entries("noise_std", self.noise_std, ">= 0", scalar=True)
 
 
 def write_csv_rows(path, config_hash: str | None, header, rows) -> None:
@@ -281,26 +281,6 @@ class Dataset:
             side["config_hash"] = config_hash
         write_json_artifact(Path(path).with_suffix(".json"), side)
 
-    @classmethod
-    def read_csv(cls, path) -> "Dataset":
-        path = Path(path)
-        xs, ys = [], []
-        with path.open(newline="") as fh:
-            reader = csv.reader(row for row in fh if not row.startswith("#"))
-            header = next(reader)
-            if [h.strip() for h in header[:2]] != ["x", "y"]:
-                raise ValueError(f"expected 'x,y' header in {path}, got {header}")
-            for row in reader:
-                xs.append(float(row[0]))
-                ys.append(float(row[1]))
-        sidecar = path.with_suffix(".json")
-        seed, meta = 0, {}
-        if sidecar.exists():
-            side = json.loads(sidecar.read_text())
-            seed = side.get("seed", 0)
-            meta = side.get("meta", {})
-        return cls(np.array(xs), np.array(ys), seed=seed, meta=meta)
-
 
 def generate_dataset(dgp: DataGeneratingProcess, n: int, seed: int) -> Dataset:
     """Draw n inputs from q0 and push them through the observed process."""
@@ -324,7 +304,7 @@ def get_simulator(name: str, **options) -> Simulator:
     """Look up a registered simulator by its CLI name; ``options`` go to its constructor."""
     try:
         factory = _REGISTRY[name]
-    except KeyError:
+    except (KeyError, TypeError):
         known = ", ".join(sorted(_REGISTRY))
         raise ValueError(f"unknown simulator {name!r}; registered: {known}") from None
     unknown = sorted(set(options) - set(signature(factory).parameters))

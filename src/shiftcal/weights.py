@@ -12,6 +12,7 @@ q0, q1 (one-dimensional) and the prior over simulator parameters
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -30,17 +31,54 @@ class DegenerateWeightError(ValueError):
     """An importance weight is negative or non-finite, or all weights are zero."""
 
 
-def finite_entries(name: str, values, non_negative: bool = False) -> tuple:
-    """``values`` (a number or a sequence) as a tuple of floats.
+_BOUNDS = {"": lambda v: True, ">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0}
 
-    Every entry must be finite, and >= 0 if ``non_negative``; an error
-    names ``name`` and lists the values.
+
+def finite_entries(name: str, values, bound: str = "", scalar: bool = False):
+    """``values`` (a number or a list of numbers) as a tuple of floats.
+
+    With ``scalar``, ``values`` must be one number, returned as a float.
+    Every entry must be a real number (a boolean or a numeric string is
+    not), finite, and ``>= 0`` or ``> 0`` as ``bound`` says; an error
+    names ``name`` and shows the values.
     """
-    out = tuple(float(v) for v in (values if np.ndim(values) else [values]))
-    if not all(math.isfinite(v) and (v >= 0 or not non_negative) for v in out):
-        bound = " and >= 0" if non_negative else ""
-        raise ValueError(f"{name} must be finite{bound}, got {list(out)}")
-    return out
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    listed = not scalar and isinstance(values, (list, tuple))
+    entries = values if listed else [values]
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in entries):
+        kind = "a list of numbers" if listed else "a number"
+        raise ValueError(f"{name} must be {kind}, got {values!r}")
+    try:
+        out = tuple(float(v) for v in entries)
+    except OverflowError:  # an integer beyond the float range
+        out = None
+    if out is None or not all(math.isfinite(v) and _BOUNDS[bound](v) for v in out):
+        shown = values if out is None else (out[0] if scalar else list(out))
+        raise ValueError(f"{name} must be finite{bound and ' and ' + bound}, got {shown}")
+    return out[0] if scalar else out
+
+
+def check_keys(section: str, spec, allowed, required=()) -> None:
+    """Reject a ``section`` that is not an object, or whose keys are not
+    within ``allowed`` or do not include all of ``required``; the error
+    names the section and the keys.
+    """
+    if not isinstance(spec, dict):
+        raise ValueError(f"{section} must be an object, got {spec!r}")
+    unknown = sorted(map(str, set(spec) - set(allowed)))
+    missing = sorted(set(required) - set(spec))
+    problems = [f"{kind} keys in {section}: {', '.join(keys)}"
+                for kind, keys in (("unknown", unknown), ("missing", missing)) if keys]
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
+# The keys each family takes, and those it requires (a normal also needs
+# exactly one of ``std`` or ``var``); an unknown family is named by the
+# constructor instead.
+_DENSITY_KEYS = {"normal": (("family", "mean", "std", "var"), ("family", "mean")),
+                 "uniform": (("family", "low", "high"), ("family", "low", "high"))}
 
 
 @dataclass(frozen=True)
@@ -62,10 +100,12 @@ class DensitySpec:
     high: tuple = ()
 
     def __post_init__(self):
-        keys = {"normal": ("mean", "std"), "uniform": ("low", "high")}.get(self.family)
+        keys = {"normal": ("mean", "std"), "uniform": ("low", "high")}.get(
+            self.family if isinstance(self.family, str) else None)
         if keys is None:
             raise ValueError(f"family must be 'normal' or 'uniform', got {self.family!r}")
-        first, second = (finite_entries(key, getattr(self, key), key == "std") for key in keys)
+        first, second = (finite_entries(key, getattr(self, key), ">= 0" if key == "std" else "")
+                         for key in keys)
         object.__setattr__(self, keys[0], first)
         object.__setattr__(self, keys[1], second)
         if len(first) != len(second) or not first:
@@ -142,11 +182,6 @@ class DensitySpec:
         std = np.asarray(self.std, dtype=float)
         return mean - n_std * std, mean + n_std * std
 
-    def to_dict(self) -> dict:
-        if self.family == "normal":
-            return {"family": "normal", "mean": list(self.mean), "std": list(self.std)}
-        return {"family": "uniform", "low": list(self.low), "high": list(self.high)}
-
     @classmethod
     def from_dict(cls, spec: dict, section: str = "density") -> "DensitySpec":
         """Build from a config mapping, each field a number or a list.
@@ -154,20 +189,18 @@ class DensitySpec:
         A normal takes ``mean`` and exactly one of ``std`` or ``var``, so
         the file format is never ambiguous about its second parameter; a
         uniform takes ``low`` and ``high``.  Any error names ``section``
-        and the field, and an unknown key is an error.
+        and the field, and an unknown or missing key is an error.
         """
-        family = spec.get("family")
-        known = {"normal": {"mean", "std", "var"}, "uniform": {"low", "high"}}.get(family, set(spec))
-        unknown = sorted(map(str, set(spec) - known - {"family"}))
-        if unknown:
-            raise ValueError(f"unknown keys in {section}: {', '.join(unknown)}")
+        family = spec.get("family") if isinstance(spec, dict) else None
+        known = _DENSITY_KEYS.get(family) if isinstance(family, str) else None
+        check_keys(section, spec, *(known or (spec, ())))
         try:
             if family == "normal":
                 if ("std" in spec) == ("var" in spec):
                     raise ValueError("needs exactly one of 'std' or 'var'")
                 if "std" in spec:
                     return cls.normal(spec["mean"], spec["std"])
-                var = finite_entries("var", spec["var"], non_negative=True)
+                var = finite_entries("var", spec["var"], ">= 0")
                 return cls.normal(spec["mean"], [math.sqrt(v) for v in var])
             return cls.uniform(spec["low"], spec["high"]) if family == "uniform" else cls(family)
         except ValueError as exc:

@@ -7,7 +7,6 @@ from shiftcal.baseline import (
     MHConfig,
     MHTrace,
     mh_sample,
-    simulation_budget,
     weighted_log_likelihood,
 )
 from shiftcal._seeding import derive_seed
@@ -123,7 +122,7 @@ class TestMHSample:
         trace = mh_sample(target, np.zeros(1), cfg)
         assert trace.burn_in_steps == 10
         assert trace.post_burn_in.shape == (90, 1)
-        assert simulation_budget(trace) == 100
+        assert trace.steps == 100
 
     def test_non_finite_init_rejected(self):
         prior = DensitySpec.uniform([0.0], [1.0])
@@ -146,7 +145,7 @@ class TestSimulationBudget:
         trace = mh_sample(
             target, np.zeros(1), MHConfig(proposal_std=1.0, steps=100, noise_var=1.0, seed=7)
         )
-        assert simulation_budget(trace) == 100
+        assert trace.steps == 100
 
     def test_concatenated_chains_add(self):
         target = lambda th: 0.0
@@ -158,7 +157,7 @@ class TestSimulationBudget:
             )
             for s in (40, 60)
         ]
-        assert sum(simulation_budget(t) for t in traces) == 100
+        assert sum(t.steps for t in traces) == 100
 
 
 class TestTraceCsv:

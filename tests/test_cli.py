@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,27 @@ def test_bad_argument_is_a_usage_error(tmp_path, capsys, command, flag, value, m
         main([command, "--preset", "linear-shift", "--out", str(out), f"{flag}={value}"])
     assert exc.value.code == 2
     assert f"argument {flag}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [(None, "No such file or directory$"),
+     ("{\"n\": 16,", "Expecting property name enclosed in double quotes"),
+     (json.dumps({**TINY, "herd_sise": 8}), "unknown keys in config: herd_sise"),
+     (json.dumps({**TINY, "epsilon": "1"}), "epsilon must be a number, got '1'")],
+    ids=["missing", "invalid-json", "unknown-key", "bad-value"],
+)
+def test_bad_config_is_a_usage_error(tmp_path, capsys, text, message):
+    path, out = tmp_path / "config.json", tmp_path / "run"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", "--config", str(path), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert re.match(f"shiftcal: error: config {re.escape(str(path))}: .*{message}", err.rstrip("\n"))
     assert not out.exists()
 
 

@@ -82,7 +82,7 @@ class TestConfigValidation:
             ExperimentConfig.from_dict({**PRESETS["linear-shift"], "epsilon": None})
 
     def test_empty_mh_section_rejected(self):
-        with pytest.raises(ValueError, match=r"mh section needs .*, got \[\]"):
+        with pytest.raises(ValueError, match="missing keys in mh: noise_var, proposal_std, steps$"):
             preset("linear-shift", mh={})
 
     def test_epsilon_exclusivity(self):
@@ -169,9 +169,8 @@ class TestConfigValidation:
          ({"bandwidth": [1, 2]}, "bandwidth must be 'median' or an object"),
          ({"bandwidth": {"sigma2": 1.0, "sigma2_theta": 1.0, "sigma": 2.0}},
           "unknown keys in bandwidth: sigma$"),
-         ({"bandwidth": {"sigma2": 1.0}},
-          r"fixed bandwidth needs 'sigma2' and 'sigma2_theta', got \['sigma2'\]"),
-         ({"bandwidth": {"sigma2_theta": 1.0}}, r"needs 'sigma2' and 'sigma2_theta', got \['sigma2_theta'\]"),
+         ({"bandwidth": {"sigma2": 1.0}}, "missing keys in bandwidth: sigma2_theta$"),
+         ({"bandwidth": {"sigma2_theta": 1.0}}, "missing keys in bandwidth: sigma2$"),
          ({"bandwidth": {"sigma2": True, "sigma2_theta": 1.0}}, "'sigma2' must be a number, got True"),
          ({"epsilon": True}, "epsilon must be a number, got True")],
     )
@@ -227,7 +226,7 @@ class TestConfigValidation:
          ("linear-shift", {"truth": {"kind": "simulator", "theta": [1.0, 2.0, 3.0]}},
           "truth theta has 3 entries, simulator 'linear' takes 2"),
          ("linear-shift", {"truth": {"kind": "constant", "value": math.nan}},
-          r"truth value must be finite, got \[nan\]"),
+          "truth value must be finite, got nan"),
          ("linear-shift", {"truth": {"kind": "simulator", "theta": [math.nan, 1.0]}},
           r"truth theta must be finite, got \[nan, 1\.0\]"),
          ("assembly-shift", {"truth": {**PRESETS["assembly-shift"]["truth"], "theta_lo": [math.nan, 0.5, 5.0, 1.0]}},
@@ -255,9 +254,9 @@ class TestConfigValidation:
         "schedule,message",
         [({"b": 0.5, "C": 1.0}, "decay exponent must exceed 1"),
          ({"b": 2.0, "C": -1.0}, "schedule constant must be positive"),
-         ({"b": math.inf, "C": 1.0}, "epsilon must be finite"),
-         ({"b": 2.0}, "exactly the keys 'b' and 'C'"),
-         ({"b": 2.0, "C": 1.0, "c": 1.0}, "exactly the keys 'b' and 'C'")],
+         ({"b": math.inf, "C": 1.0}, "epsilon_schedule.b must be finite, got inf"),
+         ({"b": 2.0}, "missing keys in epsilon_schedule: C$"),
+         ({"b": 2.0, "C": 1.0, "c": 1.0}, "unknown keys in epsilon_schedule: c$")],
     )
     def test_bad_epsilon_schedule_rejected_at_load(self, schedule, message):
         raw = {k: v for k, v in PRESETS["linear-shift"].items() if k != "epsilon"}
@@ -266,22 +265,22 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "changes,message",
-        [({"proposal_std": -1.0}, "proposal std must be finite and positive"),
-         ({"proposal_std": math.inf}, "proposal std must be finite and positive"),
-         ({"noise_var": 0.0}, "noise variance must be finite and positive"),
-         ({"noise_var": math.nan}, "noise variance must be finite and positive"),
+        [({"proposal_std": -1.0}, "proposal std must be finite and > 0, got -1.0"),
+         ({"proposal_std": math.inf}, "proposal std must be finite and > 0, got inf"),
+         ({"noise_var": 0.0}, "noise variance must be finite and > 0, got 0.0"),
+         ({"noise_var": math.nan}, "noise variance must be finite and > 0, got nan"),
          ({"burn_in": 1.5}, "burn-in fraction"),
          ({"steps": 0}, "at least one step"),
-         ({"proposal_sd": 0.3}, "mh section needs")],
+         ({"proposal_sd": 0.3}, "unknown keys in mh: proposal_sd$")],
     )
     def test_bad_mh_section_rejected_at_load(self, changes, message):
         with pytest.raises(ValueError, match=message):
             preset("linear-shift", mh={**PRESETS["linear-shift"]["mh"], **changes})
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError, match="unknown config keys: herd_sise, sed"):
+        with pytest.raises(ValueError, match="unknown keys in config: herd_sise, sed$"):
             ExperimentConfig.from_dict({**PRESETS["linear-shift"], "herd_sise": 5, "sed": 1})
-        with pytest.raises(ValueError, match="unknown config keys: herd_sise"):
+        with pytest.raises(ValueError, match="unknown keys in config: herd_sise$"):
             preset("linear-shift", herd_sise=5)
         stamped = {**PRESETS["linear-shift"], "config_hash": "written by write_json"}
         assert ExperimentConfig.from_dict(stamped) == preset("linear-shift")
@@ -306,6 +305,110 @@ class TestConfigValidation:
         assert ordinary.test_density() == ordinary.q0_spec()
 
 
+LINEAR, ASSEMBLY = PRESETS["linear-shift"], PRESETS["assembly-shift"]
+NO_EPSILON = {k: v for k, v in LINEAR.items() if k != "epsilon"}
+
+
+def without(spec: dict, key: str) -> dict:
+    return {k: v for k, v in spec.items() if k != key}
+
+
+def probe(name, raw, message, load=ExperimentConfig.from_dict):
+    return pytest.param(load, raw, message, id=name)
+
+
+def construct(raw: dict) -> ExperimentConfig:
+    return ExperimentConfig(**raw)
+
+
+class TestConfigReader:
+    """Every number goes through one reader and every section through one
+    key check: a value or section of the wrong type, or a missing key, fails
+    at load with a ValueError that names the field."""
+
+    @pytest.mark.parametrize("load,raw,message", [
+        # booleans are not numbers
+        probe("mh-burn-in-false", {**LINEAR, "mh": {**LINEAR["mh"], "burn_in": False}},
+              "burn-in fraction must be a number, got False$"),
+        probe("mh-proposal-true", {**LINEAR, "mh": {**LINEAR["mh"], "proposal_std": True}},
+              "proposal std must be a number, got True$"),
+        probe("mh-steps-true", {**LINEAR, "mh": {**LINEAR["mh"], "steps": True}},
+              "mh.steps must be an integer, got True$"),
+        probe("schedule-b-true", {**NO_EPSILON, "epsilon_schedule": {"b": True, "C": 1.0}},
+              "epsilon_schedule.b must be a number, got True$"),
+        probe("breakpoint-true", {**ASSEMBLY, "truth": {**ASSEMBLY["truth"], "breakpoint": True}},
+              "truth breakpoint must be a number, got True$"),
+        probe("value-true", {**LINEAR, "truth": {"kind": "constant", "value": True}},
+              "truth value must be a number, got True$"),
+        probe("prior-mean-true", {**LINEAR, "prior": {**LINEAR["prior"], "mean": [True, 0]}},
+              r"prior mean must be a list of numbers, got \[True, 0\]$"),
+        probe("q0-std-true", {**LINEAR, "q0": {**LINEAR["q0"], "std": True}},
+              "q0 std must be a number, got True$"),
+        probe("noise-var-false", {**LINEAR, "noise": {"var": False}}, "noise var must be a number, got False$"),
+        # numeric strings are not numbers
+        probe("epsilon-string", {**LINEAR, "epsilon": "1"}, "epsilon must be a number, got '1'$"),
+        probe("n-string", {**LINEAR, "n": "50"}, "n must be an integer, got '50'$"),
+        probe("mh-noise-string", {**LINEAR, "mh": {**LINEAR["mh"], "noise_var": "2"}},
+              "noise variance must be a number, got '2'$"),
+        probe("schedule-c-string", {**NO_EPSILON, "epsilon_schedule": {"b": 2.0, "C": "1"}},
+              "epsilon_schedule.C must be a number, got '1'$"),
+        probe("sigma2-string", {**LINEAR, "bandwidth": {"sigma2": "1", "sigma2_theta": 1.0}},
+              "fixed bandwidth 'sigma2' must be a number, got '1'$"),
+        probe("q1-mean-string", {**LINEAR, "q1": {**LINEAR["q1"], "mean": "0"}},
+              "q1 mean must be a number, got '0'$"),
+        probe("theta-string", {**LINEAR, "truth": {"kind": "simulator", "theta": ["1", 2]}},
+              r"truth theta must be a list of numbers, got \['1', 2\]$"),
+        probe("value-list", {**LINEAR, "truth": {"kind": "constant", "value": [1.0]}},
+              r"truth value must be a number, got \[1\.0\]$"),
+        probe("epsilon-huge-integer", {**LINEAR, "epsilon": 10**400}, "epsilon must be finite and > 0"),
+        probe("prior-mean-huge-integer", {**LINEAR, "prior": {**LINEAR["prior"], "mean": [0, -10**400]}},
+              "prior mean must be finite"),
+        # every section is an object
+        probe("config-list", [LINEAR], "config must be an object"),
+        probe("truth-number", {**LINEAR, "truth": 5}, "truth must be an object, got 5$"),
+        probe("q0-number", {**LINEAR, "q0": 3}, "q0 must be an object, got 3$"),
+        probe("mh-number", {**LINEAR, "mh": 5}, "mh must be an object, got 5$"),
+        probe("noise-string", {**LINEAR, "noise": "2"}, "noise must be an object, got '2'$"),
+        probe("schedule-number", {**NO_EPSILON, "epsilon_schedule": 5},
+              "epsilon_schedule must be an object, got 5$"),
+        probe("simulator-options-number", {**ASSEMBLY, "simulator_options": 5},
+              "simulator_options must be an object, got 5$"),
+        probe("simulator-options-pairs", {**ASSEMBLY, "simulator_options": [["batch_size", 2]]},
+              "simulator_options must be an object"),
+        probe("simulator-list", {**LINEAR, "simulator": ["linear"]},
+              r"unknown simulator \['linear'\]; registered: assembly, linear$"),
+        probe("family-list", {**LINEAR, "q0": {**LINEAR["q0"], "family": ["normal"]}},
+              r"q0 family must be 'normal' or 'uniform', got \['normal'\]$"),
+        probe("kind-list", {**LINEAR, "truth": {"kind": ["cubic"]}}, r"unknown truth kind \['cubic'\]$"),
+        # missing keys are named
+        probe("missing-m", without(LINEAR, "m"), "missing keys in config: m$"),
+        probe("missing-truth-and-m", without(without(LINEAR, "m"), "truth"),
+              "missing keys in config: m, truth$"),
+        probe("missing-breakpoint", {**ASSEMBLY, "truth": without(ASSEMBLY["truth"], "breakpoint")},
+              "missing keys in truth: breakpoint$"),
+        probe("missing-theta", {**LINEAR, "truth": {"kind": "simulator"}}, "missing keys in truth: theta$"),
+        probe("missing-mean", {**LINEAR, "q0": without(LINEAR["q0"], "mean")},
+              "missing keys in q0: mean$"),
+        probe("missing-high", {**ASSEMBLY, "prior": without(ASSEMBLY["prior"], "high")},
+              "missing keys in prior: high$"),
+        probe("unknown-and-missing", {**LINEAR, "mh": {**without(LINEAR["mh"], "steps"), "step": 400}},
+              "unknown keys in mh: step; missing keys in mh: steps$"),
+        # a directly built config is read like a loaded one
+        probe("direct-n-float", {**LINEAR, "n": 50.5}, "n must be an integer, got 50.5$", construct),
+        probe("direct-n-true", {**LINEAR, "n": True}, "n must be an integer, got True$", construct),
+        probe("direct-seed-float", {**LINEAR, "seed": 1.5}, "seed must be an integer, got 1.5$",
+              construct),
+        probe("direct-epsilon-string", {**LINEAR, "epsilon": "1"}, "epsilon must be a number", construct),
+    ])
+    def test_bad_input_rejected_at_load_naming_field(self, load, raw, message):
+        with pytest.raises(ValueError, match=message):
+            load(raw)
+
+    def test_direct_construction_equals_loaded(self):
+        cfg = construct(LINEAR)
+        assert cfg == preset("linear-shift") and cfg.config_hash() == preset("linear-shift").config_hash()
+
+
 class TestConfigRoundTrip:
     def test_json_round_trip(self, tmp_path):
         cfg = preset("assembly-shift", seed=5)
@@ -314,6 +417,12 @@ class TestConfigRoundTrip:
         back = ExperimentConfig.from_json(path)
         assert back.to_dict() == cfg.to_dict()
         assert back.config_hash() == cfg.config_hash()
+
+    @pytest.mark.parametrize("name,digest", [
+        ("assembly-ordinary", "be7cf1d00e723734"), ("assembly-shift", "e645cbcfa3272072"),
+        ("linear-ordinary", "70e1127d6961fb0a"), ("linear-shift", "5833c3f8cc1f7630")])
+    def test_preset_hashes_pinned(self, name, digest):
+        assert preset(name).config_hash() == digest
 
     def test_hash_ignores_output_location(self):
         a = preset("linear-shift", out_dir="/tmp/a")

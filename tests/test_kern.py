@@ -27,33 +27,55 @@ def unweighted_gaussian(a, b, sigma2):
     return math.exp(-float(np.dot(diff, diff)) / (2.0 * sigma2))
 
 
+def param_kernel(sigma2, theta_a, theta_b) -> float:
+    """Scalar oracle of ``ParamKernel(sigma2)``: exp(-||a - b||^2 / (2 sigma2))."""
+    a = np.asarray(theta_a, dtype=float)
+    b = np.asarray(theta_b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"parameter dimension mismatch: {a.shape} vs {b.shape}")
+    diff = a - b
+    return float(np.exp(-diff.dot(diff) / (2.0 * sigma2)))
+
+
+def weighted_kernel(sigma2, beta, ya, yb) -> float:
+    """Scalar oracle of ``WeightedOutputKernel(sigma2, beta)``."""
+    beta = np.asarray(beta, dtype=float)
+    ya = np.asarray(ya, dtype=float)
+    yb = np.asarray(yb, dtype=float)
+    if ya.shape != yb.shape or ya.shape != beta.shape:
+        raise ValueError(f"output vectors and weights must share length {beta.size}")
+    diff = ya - yb
+    return float(np.exp(-np.sum(beta * diff * diff) / (2.0 * sigma2)))
+
+
 class TestParamKernel:
     def test_coincident_points(self):
-        assert ParamKernel(3.0).eval([1.0, 2.0], [1.0, 2.0]) == 1.0
+        assert param_kernel(3.0, [1.0, 2.0], [1.0, 2.0]) == 1.0
 
     def test_distance_at_two_sigma2(self):
         # squared distance equal to 2*sigma2 gives exp(-1)
-        assert ParamKernel(2.0).eval([0.0], [2.0]) == pytest.approx(math.exp(-1), rel=1e-15)
+        assert param_kernel(2.0, [0.0], [2.0]) == pytest.approx(math.exp(-1), rel=1e-15)
 
     def test_wide_bandwidth_limit_monotone(self):
         a, b = np.array([0.0, 0.0]), np.array([1.0, 1.5])
-        values = [ParamKernel(s2).eval(a, b) for s2 in (0.5, 2.0, 10.0, 1e3, 1e6)]
+        values = [param_kernel(s2, a, b) for s2 in (0.5, 2.0, 10.0, 1e3, 1e6)]
         assert all(v2 > v1 for v1, v2 in zip(values, values[1:]))
         assert values[-1] == pytest.approx(1.0, abs=1e-5)
 
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(1)
-        kern = ParamKernel(1.7)
         for _ in range(50):
             a, b = rng.normal(size=3), rng.normal(size=3)
-            v = kern.eval(a, b)
-            assert v == kern.eval(b, a)
+            v = param_kernel(1.7, a, b)
+            assert v == param_kernel(1.7, b, a)
             assert 0.0 < v <= 1.0
             assert (v == 1.0) == bool(np.array_equal(a, b))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            ParamKernel(1.0).eval([0.0], [0.0, 1.0])
+            param_kernel(1.0, [0.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ParamKernel(1.0).cross([[0.0]], [[0.0, 1.0]])
 
     def test_cross_matches_scalar(self):
         rng = np.random.default_rng(2)
@@ -62,41 +84,47 @@ class TestParamKernel:
         cross = kern.cross(left, right)
         for i in range(4):
             for j in range(6):
-                assert cross[i, j] == pytest.approx(kern.eval(left[i], right[j]), rel=1e-12)
+                assert cross[i, j] == pytest.approx(param_kernel(0.8, left[i], right[j]), rel=1e-12)
 
 
 class TestWeightedOutputKernel:
     def test_coincident(self):
         beta = np.array([1.0, 2.0])
-        assert WeightedOutputKernel(1.0, beta).eval([1.0, 2.0], [1.0, 2.0]) == 1.0
+        assert weighted_kernel(1.0, beta, [1.0, 2.0], [1.0, 2.0]) == 1.0
 
     def test_unit_weights_reduce_to_unweighted(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             a, b = rng.normal(size=5), rng.normal(size=5)
             sigma2 = rng.uniform(0.5, 3.0)
-            ours = WeightedOutputKernel(sigma2, np.ones(5)).eval(a, b)
+            ours = weighted_kernel(sigma2, np.ones(5), a, b)
             assert ours == pytest.approx(unweighted_gaussian(a, b, sigma2), rel=1e-15)
+            against = WeightedOutputKernel(sigma2, np.ones(5)).against([a], b)[0]
+            assert against == pytest.approx(ours, rel=1e-14)
 
     def test_single_point_direct_substitution(self):
         # beta=2, difference 1, sigma2=1 -> exp(-1)
-        assert WeightedOutputKernel(1.0, [2.0]).eval([1.0], [0.0]) == pytest.approx(
+        assert weighted_kernel(1.0, [2.0], [1.0], [0.0]) == pytest.approx(
+            math.exp(-1), rel=1e-15
+        )
+        assert WeightedOutputKernel(1.0, [2.0]).against([[1.0]], [0.0])[0] == pytest.approx(
             math.exp(-1), rel=1e-15
         )
 
     def test_symmetric_bounded(self):
         rng = np.random.default_rng(4)
         beta = rng.uniform(0.1, 3.0, size=6)
-        kern = WeightedOutputKernel(1.3, beta)
         for _ in range(30):
             a, b = rng.normal(size=6), rng.normal(size=6)
-            v = kern.eval(a, b)
-            assert v == kern.eval(b, a)
+            v = weighted_kernel(1.3, beta, a, b)
+            assert v == weighted_kernel(1.3, beta, b, a)
             assert 0.0 < v <= 1.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            WeightedOutputKernel(1.0, [1.0, 1.0]).eval([0.0, 1.0], [0.0])
+            weighted_kernel(1.0, [1.0, 1.0], [0.0, 1.0], [0.0])
+        with pytest.raises(ValueError, match="length 2"):
+            WeightedOutputKernel(1.0, [1.0, 1.0]).against([[0.0, 1.0]], [0.0])
 
 
 class TestMedianHeuristic:

