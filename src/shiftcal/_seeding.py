@@ -70,6 +70,9 @@ def _mix(z: np.ndarray, mixing_round) -> np.ndarray:
 
 def _uint64(values, floats: bool) -> np.ndarray:
     """An integer's two's complement or, if ``floats``, a float's IEEE bits."""
+    if isinstance(values, (list, tuple)) and all(isinstance(v, (int, np.integer)) for v in values):
+        # numpy reads ints on both sides of 2**63 as float64; convert them exactly
+        return np.array([int(v) & 0xFFFF_FFFF_FFFF_FFFF for v in values], dtype=np.uint64)
     values = np.asarray(values)
     if floats and values.dtype.kind == "f":
         return values.astype(np.float64).view(np.uint64)

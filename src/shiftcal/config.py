@@ -20,6 +20,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,10 +90,10 @@ def _parse_truth(truth: dict, sim: Simulator) -> TruthFn:
         )
     if kind == "simulator":
         theta = params("theta")
-        return lambda x, seed=0: sim.evaluate(x, theta, seed)
+        return lambda xs, keys=0: sim.sweep(xs, keys)(theta)
     if kind == "constant":
         value = finite_entries("truth value", truth["value"], scalar=True)
-        return lambda x, seed=0: value
+        return lambda xs, keys=0: np.full(len(xs), value)
     raise ValueError(f"unknown truth kind {kind!r}")
 
 
@@ -177,7 +178,12 @@ class ExperimentConfig:
         for name, low in (("n", 1), ("m", 1), ("herd_size", 1), ("n_test", 1),
                           ("pool_extra", 0), ("seed", None)):
             keep(name, _count(name, getattr(self, name), low))
-        keep("out_dir", "out" if self.out_dir is None else str(self.out_dir))
+        keep("out_dir", "out" if self.out_dir is None else self.out_dir)
+        for name in ("out_dir", "weights_csv"):
+            path = getattr(self, name)
+            if path is not None and not isinstance(path, (str, os.PathLike)):
+                raise ValueError(f"{name} must be a path, got {path!r}")
+            keep(name, None if path is None else os.fspath(path))
         if self.weight_mode not in ("shift", "ordinary", "csv"):
             raise ValueError(f"unknown weight mode {self.weight_mode!r}")
         if self.weight_mode == "csv" and not self.weights_csv:
@@ -237,10 +243,10 @@ class ExperimentConfig:
         """(sigma2, sigma2_theta) of a fixed bandwidth, None under the median heuristic."""
         return self._bandwidth
 
-    def resolve_epsilon(self, m: int | None = None) -> float:
+    def resolve_epsilon(self) -> float:
         if self._schedule is None:
             return self.epsilon
-        return regularization_schedule(m or self.m, *self._schedule)
+        return regularization_schedule(self.m, *self._schedule)
 
     def test_density(self) -> DensitySpec:
         """Test inputs come from q1 under covariate shift, else from q0."""

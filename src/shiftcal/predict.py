@@ -86,7 +86,8 @@ def score_predictions(
     if test_inputs.size < 1:
         raise ValueError("need at least one test input")
     preds = _predict_at(sim, test_inputs, samples, seed)
-    truth_vals = np.array([truth(float(x), derive_seed(seed, "truth", float(x))) for x in test_inputs])
+    keys = np.array([derive_seed(seed, "truth", float(x)) for x in test_inputs], dtype=np.uint64)
+    truth_vals = truth(test_inputs, keys)
     errors = truth_vals - np.array([pred.mean for pred in preds])
     return preds, truth_vals, float(np.sqrt(np.mean(errors * errors)))
 

@@ -4,8 +4,9 @@ A simulator maps an input ``x`` and a parameter vector ``theta`` to a
 real output.  Evaluations are pure: a stochastic simulator draws each row's
 noise from the counter-based stream ``stream_keys(key, x)``, so repeated
 calls with identical arguments return identical outputs regardless of
-call order, and fixed keys yield a deterministic function of ``theta``
-(common random numbers).
+call order or batching, and fixed keys yield a deterministic function of
+``theta`` (common random numbers).  A truth is called like a sweep at
+fixed theta: ``truth(xs, keys)``, with one key per input.
 
 Two benchmarks ship here: a trivially-misspecified linear model paired
 with a cubic truth, and a two-stage assembly line (sequential assembly
@@ -27,8 +28,8 @@ import numpy as np
 from ._seeding import derive_rng, derive_seed, key_normals, stream_keys
 from .weights import DensitySpec, finite_entries
 
-# Truth functions take (x, seed); deterministic ones ignore the seed.
-TruthFn = Callable[[float, int], float]
+# truth(xs, keys) with one stream key per input; a noise-free truth ignores the keys.
+TruthFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class SimulatorError(ValueError):
@@ -40,16 +41,10 @@ class SimulatorError(ValueError):
 
 
 class Simulator(ABC):
-    """Evaluation-only interface: no gradients, no internal structure.
-
-    ``sweep`` is the one primitive; ``evaluate`` is a one-row sweep.
-    """
+    """Evaluation-only interface: no gradients, no internal structure."""
 
     name: str = "simulator"
     dim_theta: int = 0
-    # True when outputs ignore the keys.  Nothing in the pipeline branches
-    # on it: a noise-free sweep simply never derives its stream keys.
-    deterministic: bool = False
 
     @abstractmethod
     def sweep(self, xs, keys=0) -> Callable[[np.ndarray], np.ndarray]:
@@ -62,10 +57,6 @@ class Simulator(ABC):
         noise here, once, on the streams ``_streams`` names, and each call
         only transforms it by theta (common random numbers across calls).
         """
-
-    def evaluate(self, x: float, theta, seed: int = 0) -> float:
-        """Run one simulation at input ``x`` with parameters ``theta``."""
-        return float(self.sweep([x], seed)(np.asarray(theta, dtype=float)[None])[0])
 
     def _theta_rows(self, thetas) -> np.ndarray:
         """Parameter rows as a ``(rows, dim_theta)`` array; a vector is one row."""
@@ -80,9 +71,8 @@ class Simulator(ABC):
     def _streams(self, xs, keys) -> np.ndarray:
         """Stream key of each row, ``stream_keys(key, x)``: theta transforms
         the realization a key indexes but never selects it."""
-        keys = np.ravel(keys)
-        if len(keys) not in (1, len(xs)) and len(xs) != 1:
-            raise ValueError(f"got {len(keys)} keys for {len(xs)} inputs")
+        if np.size(keys) not in (1, len(xs)) and len(xs) != 1:
+            raise ValueError(f"got {np.size(keys)} keys for {len(xs)} inputs")
         return stream_keys(keys, xs)
 
 
@@ -91,7 +81,6 @@ class LinearSimulator(Simulator):
 
     name = "linear"
     dim_theta = 2
-    deterministic = True
 
     def sweep(self, xs, keys=0) -> Callable[[np.ndarray], np.ndarray]:
         xs = np.asarray(xs, dtype=float).reshape(-1)
@@ -103,9 +92,10 @@ class LinearSimulator(Simulator):
         return outputs
 
 
-def cubic_truth(x: float, seed: int = 0) -> float:
+def cubic_truth(xs, keys=0) -> np.ndarray:
     """Ground-truth regression function -x + x**3 for the linear benchmark."""
-    return float(-x + x**3)
+    # Python's x**3 per value: numpy's vectorized cube can differ in the last bit
+    return np.array([-x + x**3 for x in np.asarray(xs, dtype=float).reshape(-1).tolist()])
 
 
 class AssemblyLineSimulator(Simulator):
@@ -125,7 +115,6 @@ class AssemblyLineSimulator(Simulator):
 
     name = "assembly"
     dim_theta = 4
-    deterministic = False
 
     def __init__(self, batch_size: int = 4):
         if batch_size < 1:
@@ -190,7 +179,7 @@ class PiecewiseTruth:
     """Regression function that switches parameter regimes at a breakpoint.
 
     Returns ``base_sim(x, theta_lo)`` for x below the breakpoint and
-    ``base_sim(x, theta_hi)`` at or above it.
+    ``base_sim(x, theta_hi)`` at or above it, all inputs in one sweep.
     """
 
     base_sim: Simulator
@@ -202,9 +191,9 @@ class PiecewiseTruth:
         if not np.isfinite(self.breakpoint):
             raise ValueError(f"breakpoint must be finite, got {self.breakpoint}")
 
-    def __call__(self, x: float, seed: int = 0) -> float:
-        theta = self.theta_hi if x >= self.breakpoint else self.theta_lo
-        return self.base_sim.evaluate(x, theta, seed)
+    def __call__(self, xs, keys=0) -> np.ndarray:
+        high = np.asarray(xs, dtype=float).reshape(-1, 1) >= self.breakpoint
+        return self.base_sim.sweep(xs, keys)(np.where(high, self.theta_hi, self.theta_lo))
 
 
 # Default regime parameters and breakpoint for the shipped assembly-line
@@ -287,9 +276,8 @@ def generate_dataset(dgp: DataGeneratingProcess, n: int, seed: int) -> Dataset:
     if n < 1:
         raise ValueError(f"need n >= 1 training points, got {n}")
     xs = dgp.q0.sample(n, derive_rng(seed, "inputs"))[:, 0]
-    truth_vals = np.array(
-        [dgp.truth(float(x), derive_seed(seed, "truth", i)) for i, x in enumerate(xs)]
-    )
+    keys = np.array([derive_seed(seed, "truth", i) for i in range(n)], dtype=np.uint64)
+    truth_vals = dgp.truth(xs, keys)
     noise = dgp.noise_std * derive_rng(seed, "noise").standard_normal(n)
     return Dataset(xs, truth_vals + noise, seed=seed, meta=dict(dgp.spec))
 

@@ -64,7 +64,7 @@ class TestWeightedLogLikelihood:
         dataset = make_dataset(xs, 6.0 * xs + rng.normal(size=9))
         beta = rng.uniform(0.5, 2.0, 9)
         sim, theta, seed = AssemblyLineSimulator(), np.array([2.0, 0.5, 5.0, 1.0]), 11
-        outputs = np.array([sim.evaluate(x, theta, derive_seed(seed, "loglik")) for x in xs])
+        outputs = np.array([sim.sweep([x], derive_seed(seed, "loglik"))(theta)[0] for x in xs])
         residuals = dataset.y - outputs
         expected = float(-np.sum(beta * residuals * residuals) / (2.0 * 3.0))
         assert weighted_log_likelihood(theta, dataset, beta, sim, 3.0, seed) == expected

@@ -76,8 +76,8 @@ class TestConfigValidation:
 
     def test_null_epsilon_beside_schedule_is_absent(self):
         raw = {**PRESETS["linear-shift"], "epsilon": None, "epsilon_schedule": {"C": 1.0, "b": 2.0}}
-        cfg = ExperimentConfig.from_dict(raw)
-        assert cfg.epsilon is None and cfg.resolve_epsilon(512) == pytest.approx(0.25)
+        cfg = ExperimentConfig.from_dict({**raw, "m": 512})
+        assert cfg.epsilon is None and cfg.resolve_epsilon() == pytest.approx(0.25)
         with pytest.raises(ValueError, match="exactly one of 'epsilon' or 'epsilon_schedule'"):
             ExperimentConfig.from_dict({**PRESETS["linear-shift"], "epsilon": None})
 
@@ -90,8 +90,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="exactly one"):
             ExperimentConfig.from_dict(raw)
         del raw["epsilon"]
-        cfg = ExperimentConfig.from_dict(raw)
-        assert cfg.resolve_epsilon(512) == pytest.approx(0.25)
+        cfg = ExperimentConfig.from_dict({**raw, "m": 512})
+        assert cfg.resolve_epsilon() == pytest.approx(0.25)
 
     def test_bad_values_rejected(self):
         base = PRESETS["linear-shift"]
@@ -298,6 +298,29 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="weights_csv"):
             ExperimentConfig.from_dict({**PRESETS["linear-shift"], "weight_mode": "csv"})
 
+    @pytest.mark.parametrize("field", ["out_dir", "weights_csv"])
+    @pytest.mark.parametrize("bad", [{"a": 1}, 5, ["out"], True, b"out"])
+    def test_path_fields_take_paths_only(self, field, bad, tmp_path):
+        raw = {**PRESETS["linear-shift"], "weight_mode": "csv", "weights_csv": "beta.csv"}
+        path = tmp_path / "config.json"
+        if not isinstance(bad, bytes):  # JSON has no bytes
+            path.write_text(json.dumps({**raw, field: bad}))
+            with pytest.raises(ValueError, match=f"{field} must be a path, got "):
+                ExperimentConfig.from_json(path)
+        with pytest.raises(ValueError, match=f"{field} must be a path, got "):
+            ExperimentConfig(**{**raw, field: bad})
+        with pytest.raises(ValueError, match=f"{field} must be a path, got "):
+            preset("linear-shift", **{"weight_mode": "csv", "weights_csv": "beta.csv", field: bad})
+
+    def test_path_fields_take_strings_and_path_objects(self, tmp_path):
+        run, beta = tmp_path / "run", tmp_path / "b.csv"
+        raw = {**PRESETS["linear-shift"], "weight_mode": "csv"}
+        cfg = ExperimentConfig(**{**raw, "out_dir": run, "weights_csv": beta})
+        assert cfg.out_dir == str(run) and cfg.weights_csv == str(beta)
+        assert cfg == ExperimentConfig.from_dict(cfg.to_dict())
+        # whether the weights file exists is checked when the run reads it
+        assert preset("linear-shift", weight_mode="csv", weights_csv="nowhere.csv").weights_csv
+
     def test_test_density_follows_weight_mode(self):
         shift = preset("linear-shift")
         ordinary = preset("linear-ordinary")
@@ -436,10 +459,10 @@ class TestConfigRoundTrip:
         assert a.config_hash() != a.replace(weight_mode="ordinary").config_hash()
 
     def test_replace_swaps_epsilon_for_schedule(self):
-        cfg = preset("linear-shift")
+        cfg = preset("linear-shift", m=1)
         swapped = cfg.replace(epsilon=None, epsilon_schedule={"C": 2.0, "b": 3.0})
         assert swapped.epsilon is None
-        assert swapped.resolve_epsilon(1) == 2.0
+        assert swapped.resolve_epsilon() == 2.0
 
     def test_mh_config(self):
         cfg = preset("linear-shift", seed=3)

@@ -84,7 +84,7 @@ class TestRmse:
     def test_hand_arithmetic_two_points(self):
         # errors 3 and 4 -> sqrt((9 + 16) / 2) = sqrt(12.5)
         samples = np.array([[0.0, 0.0]])  # predicts 0 everywhere
-        truth = lambda x, seed=0: {1.0: 3.0, 2.0: 4.0}[x]
+        truth = lambda xs, keys: np.array([{1.0: 3.0, 2.0: 4.0}[x] for x in xs])
         value = rmse(truth, [1.0, 2.0], LinearSimulator(), samples)
         assert value == pytest.approx(math.sqrt(12.5), rel=1e-12)
 

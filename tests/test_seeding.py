@@ -131,6 +131,17 @@ def test_stream_keys_absorb_in_turn_and_broadcast():
     assert stream_keys(9, 1, 2) != stream_keys(9, 2, 1)
 
 
+def test_int_key_lists_convert_exactly():
+    # numpy reads a list of ints on both sides of 2**63 as float64
+    keys = [2**63 + 1, 5, 2**64 - 1, -1, 2**63 - 1]
+    got = stream_keys(keys, 0.5)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [int(stream_keys(key, 0.5)) for key in keys]
+    assert stream_keys([-1, 2**63]).tolist() == [2**64 - 1, 2**63]
+    with pytest.raises(TypeError, match="integers or floats"):
+        stream_keys([2**63 + 1, 5.0])
+
+
 @pytest.mark.parametrize("key, column", [(1.5, 0), (np.array([1.0]), 0), (1, "a"), (1, [object()])])
 def test_stream_keys_reject_other_types(key, column):
     with pytest.raises(TypeError, match="integers or floats"):

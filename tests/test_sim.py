@@ -18,25 +18,30 @@ from shiftcal.sim import (
 from shiftcal.weights import DensitySpec
 
 
+def evaluate(sim, x, theta, key=0) -> float:
+    """One simulation at input ``x``: a one-row sweep."""
+    return float(sim.sweep([x], key)(np.asarray(theta, dtype=float)[None])[0])
+
+
 class TestLinearSim:
     sim = LinearSimulator()
 
     def test_intercept_at_zero(self):
-        assert self.sim.evaluate(0.0, (3.0, 7.0)) == 3.0
+        assert evaluate(self.sim, 0.0, (3.0, 7.0)) == 3.0
 
     def test_identity_slope(self):
-        assert self.sim.evaluate(1.0, (0.0, 1.0)) == 1.0
+        assert evaluate(self.sim, 1.0, (0.0, 1.0)) == 1.0
 
     def test_direct_substitution(self):
-        assert self.sim.evaluate(2.0, (1.0, -1.0)) == -1.0
+        assert evaluate(self.sim, 2.0, (1.0, -1.0)) == -1.0
 
     def test_vectorized_paths_agree(self):
         sim = LinearSimulator()
         xs = np.linspace(-2, 2, 7)
         theta = np.array([0.3, -1.2])
-        assert np.array_equal(sim.sweep(xs)(theta), [sim.evaluate(x, theta) for x in xs])
+        assert np.array_equal(sim.sweep(xs)(theta), [evaluate(sim, x, theta) for x in xs])
         thetas = np.array([[0.0, 1.0], [2.0, -0.5]])
-        assert np.array_equal(sim.sweep([1.5])(thetas), [sim.evaluate(1.5, t) for t in thetas])
+        assert np.array_equal(sim.sweep([1.5])(thetas), [evaluate(sim, 1.5, t) for t in thetas])
 
     def test_stream_keys_never_resolved(self, monkeypatch):
         def stream_keys(*args):
@@ -47,18 +52,18 @@ class TestLinearSim:
 
     def test_dimension_check(self):
         with pytest.raises(ValueError):
-            self.sim.evaluate(0.0, (1.0, 2.0, 3.0))
+            evaluate(self.sim, 0.0, (1.0, 2.0, 3.0))
 
 
 class TestCubicTruth:
     def test_origin(self):
-        assert cubic_truth(0.0) == 0.0
+        assert np.array_equal(cubic_truth([0.0], [7]), [0.0])
 
     def test_root_at_one(self):
-        assert cubic_truth(1.0) == 0.0
+        assert np.array_equal(cubic_truth([1.0, -1.0], [7, 8]), [0.0, 0.0])
 
     def test_direct_substitution(self):
-        assert cubic_truth(2.0) == 6.0
+        assert np.array_equal(cubic_truth(np.array([2.0, -2.0, 3.0])), [6.0, -6.0, 24.0])
 
 
 class TestAssemblySim:
@@ -66,19 +71,19 @@ class TestAssemblySim:
 
     # hand-stepped schedules with degenerate (zero-spread) service times
     def test_four_products_one_batch(self):
-        assert self.sim.evaluate(4, (2, 0, 5, 0), 11) == 13.0
+        assert evaluate(self.sim, 4, (2, 0, 5, 0), 11) == 13.0
 
     def test_eight_products_two_batches(self):
         # batch 1 inspected 8->13; batch 2 ready at 16 > 13, so 16->21
-        assert self.sim.evaluate(8, (2, 0, 5, 0), 22) == 21.0
+        assert evaluate(self.sim, 8, (2, 0, 5, 0), 22) == 21.0
 
     def test_single_product_partial_batch(self):
-        assert self.sim.evaluate(1, (2, 0, 5, 0), 33) == 7.0
+        assert evaluate(self.sim, 1, (2, 0, 5, 0), 33) == 7.0
 
     def test_inspection_bottleneck(self):
         # theta3 > 4*theta1: batches pile up behind the inspector
         # hand schedule: assembly done 1,2,...,8; inspections 4->14, 14->24
-        assert self.sim.evaluate(8, (1, 0, 10, 0), 5) == 24.0
+        assert evaluate(self.sim, 8, (1, 0, 10, 0), 5) == 24.0
 
     def test_closed_form_equivalence_zero_spreads(self):
         # brute-force equivalence of the event loop with the closed form
@@ -91,32 +96,32 @@ class TestAssemblySim:
                         expected = x * theta1 + theta3
                     else:
                         expected = 4 * theta1 + (x // 4) * theta3
-                    got = self.sim.evaluate(x, (theta1, 0.0, theta3, 0.0), x)
+                    got = evaluate(self.sim, x, (theta1, 0.0, theta3, 0.0), x)
                     assert got == pytest.approx(expected, rel=1e-12), (theta1, theta3, x)
 
     def test_nondecreasing_in_x_zero_spreads(self):
-        values = [self.sim.evaluate(x, (2.0, 0.0, 5.0, 0.0), 0) for x in range(1, 40)]
+        values = [evaluate(self.sim, x, (2.0, 0.0, 5.0, 0.0), 0) for x in range(1, 40)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_reproducible_under_seed(self):
         theta = (2.0, 0.5, 5.0, 1.0)
-        a = self.sim.evaluate(100, theta, 123)
-        b = self.sim.evaluate(100, theta, 123)
+        a = evaluate(self.sim, 100, theta, 123)
+        b = evaluate(self.sim, 100, theta, 123)
         assert a == b
-        assert a != self.sim.evaluate(100, theta, 124)
+        assert a != evaluate(self.sim, 100, theta, 124)
 
     def test_output_finite_and_positive(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             theta = rng.uniform([0.1, 0.0, 0.1, 0.0], [5, 2, 10, 2])
-            value = self.sim.evaluate(int(rng.integers(1, 200)), theta, int(rng.integers(1e6)))
+            value = evaluate(self.sim, int(rng.integers(1, 200)), theta, int(rng.integers(1e6)))
             assert np.isfinite(value) and value >= 0
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            self.sim.evaluate(0, (2, 0, 5, 0))
+            evaluate(self.sim, 0, (2, 0, 5, 0))
         with pytest.raises(ValueError):
-            self.sim.evaluate(4, (2, 0, -5, 0))
+            evaluate(self.sim, 4, (2, 0, -5, 0))
         for bad in (0.0, np.nan, np.inf):
             with pytest.raises(SimulatorError, match=r"product count .* \(row 1\)"):
                 self.sim.sweep([4.0, bad])
@@ -127,13 +132,20 @@ class TestAssemblySim:
             theta = [2.0, 0.5, 5.0, 1.0]
             theta[i] = bad
             with pytest.raises(ValueError, match="must be finite"):
-                self.sim.evaluate(100.0, theta, 3)
+                evaluate(self.sim, 100.0, theta, 3)
         thetas = np.array([[2.0, 0.5, 5.0, 1.0], [2.0, bad, 5.0, 1.0]])
         with pytest.raises(SimulatorError, match=r"must be finite.*\(row 1\)") as caught:
             self.sim.sweep([100.0], [1, 2])(thetas)
         assert caught.value.row == 1
         with pytest.raises(ValueError, match="must be finite"):
             self.sim.sweep([4.0, 8.0], 0)(thetas[1])
+
+    def test_key_list_straddling_2_63(self):
+        # numpy reads this list as float64; its keys must stay exact
+        theta, keys = (2.0, 0.5, 5.0, 1.0), [2**63 + 1, 5]
+        got = self.sim.sweep([10.0, 12.0], keys)(theta)
+        expected = [evaluate(self.sim, x, theta, key) for x, key in zip([10.0, 12.0], keys)]
+        assert got.tolist() == expected
 
     def test_seed_count_must_match_rows(self):
         keys = [1, 2]
@@ -149,15 +161,14 @@ class TestPiecewiseTruth:
     def test_branch_selection(self):
         sim = LinearSimulator()
         lo, hi = (0.0, 1.0), (100.0, 0.0)
-        assert PiecewiseTruth(sim, lo, hi, 110.0)(109.0) == 109.0
         # boundary belongs to the shifted regime
-        assert PiecewiseTruth(sim, lo, hi, 110.0)(110.0) == 100.0
+        assert np.array_equal(PiecewiseTruth(sim, lo, hi, 110.0)([109.0, 110.0]), [109.0, 100.0])
 
     def test_degenerate_piecewise_equals_base(self):
         sim = LinearSimulator()
         theta = (1.5, -2.0)
-        for x in np.linspace(-5, 5, 11):
-            assert PiecewiseTruth(sim, theta, theta, 0.0)(x) == sim.evaluate(x, theta)
+        xs = np.linspace(-5, 5, 11)
+        assert np.array_equal(PiecewiseTruth(sim, theta, theta, 0.0)(xs), sim.sweep(xs)(theta))
 
     def test_infinite_breakpoint_rejected(self):
         for bad in (np.inf, -np.inf, np.nan):

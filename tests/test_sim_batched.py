@@ -81,7 +81,8 @@ class TestEvaluateParams:
     @given(batch_sizes, inputs, theta_rows(max_rows=1), seeds)
     def test_evaluate_is_one_row(self, batch_size, x, thetas, seed):
         sim = AssemblyLineSimulator(batch_size)
-        assert sim.evaluate(x, thetas[0], seed) == scalar_makespan(batch_size, x, thetas[0], seed)
+        expected = [scalar_makespan(batch_size, x, thetas[0], seed)]
+        assert bits(sim.sweep([x], seed)(thetas[0])) == bits(expected)
 
     def test_no_rows(self):
         assert AssemblyLineSimulator().sweep([5.0], 1)(np.empty((0, 4))).shape == (0,)
@@ -171,7 +172,7 @@ class TestSweep:
     @given(input_lists, arrays(float, 2, elements=st.floats(-10.0, 10.0)), seeds)
     def test_linear(self, xs, theta, seed):
         sim = LinearSimulator()
-        expected = [sim.evaluate(x, theta) for x in xs]
+        expected = [theta[0] + theta[1] * x for x in xs]
         assert bits(sim.sweep(xs, seed)(theta)) == bits(expected)
 
     @given(input_lists, arrays(float, 2, elements=st.floats(-10.0, 10.0)), seeds)

@@ -1,0 +1,42 @@
+"""The benchmark's tracer still installs on the package and restores it.
+
+``bench/tracer.py`` rebinds package functions and simulator methods by
+name.  A refactor that deletes or renames one of those names makes
+``Tracer.install`` fail here, in the main suite, and not only in the
+benchmark's own tests.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import shiftcal
+import shiftcal.cli  # noqa: F401  (the tracer hooks the CLI module too)
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def load_tracer_module():
+    spec = importlib.util.spec_from_file_location("shiftcal_bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_install_then_restore_puts_back_every_original():
+    tracer = load_tracer_module().Tracer(shiftcal)
+    spaces = list(tracer.modules)
+    for mod in tracer.modules:
+        spaces += [v for v in vars(mod).values()
+                   if isinstance(v, type) and v.__module__.startswith("shiftcal")]
+    before = {id(ns): dict(vars(ns)) for ns in spaces}
+    tracer.install()
+    try:
+        patched = [(ns, attr) for ns, attr, _ in tracer._patches]
+        assert patched
+        assert all(vars(ns)[attr] is not before[id(ns)][attr] for ns, attr in patched)
+    finally:
+        tracer.restore()
+    for ns, attr in patched:
+        assert vars(ns)[attr] is before[id(ns)][attr], (ns, attr)
+    for ns in spaces:
+        assert vars(ns).keys() == before[id(ns)].keys(), ns
