@@ -23,7 +23,6 @@ from .kabc import (
 )
 from .kern import (
     DegenerateBandwidthError,
-    GramSystem,
     ParamKernel,
     SolveError,
     WeightedOutputKernel,
@@ -34,7 +33,6 @@ from .kern import (
 from .pipeline import (
     CalibrationResult,
     Prepared,
-    RunReport,
     calibrate,
     emit_plot_data,
     prepare,
@@ -43,7 +41,7 @@ from .pipeline import (
     run_mh_baseline,
     theorem1_check,
 )
-from .predict import PredictiveSample, generate_test_inputs, predict, score_predictions
+from .predict import generate_test_inputs, predict, score_predictions
 from .sim import (
     AssemblyLineSimulator,
     DataGeneratingProcess,

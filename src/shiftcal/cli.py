@@ -56,13 +56,14 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "m", None) is not None:
         overrides["m"] = args.m
         overrides["herd_size"] = args.m
-    if not args.config:
-        return preset(args.preset, **overrides)
     try:
+        if not args.config:
+            return preset(args.preset, **overrides)
         return ExperimentConfig.from_json(args.config, **overrides)
     except (OSError, ValueError) as exc:  # a missing file, invalid JSON or a bad value
         reason = getattr(exc, "strerror", None) or exc
-        print(f"shiftcal: error: config {args.config}: {reason}", file=sys.stderr)
+        source = f"config {args.config}" if args.config else f"preset {args.preset}"
+        print(f"shiftcal: error: {source}: {reason}", file=sys.stderr)
         raise SystemExit(2) from None
 
 
@@ -97,8 +98,8 @@ def _list_of(item):
 
 def cmd_calibrate(args) -> int:
     cfg = _load_config(args)
-    report = run_calibration(cfg)
-    print(f"rmse={report.rmse:.6g}  artifacts in {cfg.out_dir}")
+    result = run_calibration(cfg)
+    print(f"rmse={result.rmse:.6g}  artifacts in {cfg.out_dir}")
     return 0
 
 
@@ -148,6 +149,7 @@ def cmd_mh_sweep(args) -> int:
     rows = mh_acceptance_sweep(cfg, args.proposal_stds, steps=args.steps)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    cfg.write_json(out / "config.json")
     write_csv_rows(out / "mh_sweep.csv", cfg.config_hash(), list(rows[0]), map(dict.values, rows))
     for row in rows:
         print(
@@ -162,6 +164,7 @@ def cmd_theorem1_check(args) -> int:
     report = theorem1_check(cfg, grid_resolution=args.grid_resolution)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    cfg.write_json(out / "config.json")
     payload = asdict(report)
     payload["config_hash"] = cfg.config_hash()
     payload["seed"] = cfg.seed

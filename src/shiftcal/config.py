@@ -43,9 +43,9 @@ from .sim import (
 from .weights import DensitySpec, check_keys, finite_entries
 
 
-def _count(name: str, value, low: int | None = None) -> int:
-    """``value`` as an int, ``>= low`` if given; a non-integral value is an
-    error, never truncated.
+def _count(name: str, value, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as an int, ``>= low`` and ``< high`` where given; a
+    non-integral value is an error, never truncated.
 
     Integral floats such as 50.0 are accepted; booleans are not numbers.
     """
@@ -55,8 +55,9 @@ def _count(name: str, value, low: int | None = None) -> int:
         count = None
     if count is None or count != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if low is not None and count < low:
-        raise ValueError(f"{name} must be >= {low}, got {count}")
+    if (low is not None and count < low) or (high is not None and count >= high):
+        rule = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ValueError(f"{name} must be {rule}, got {count}")
     return count
 
 
@@ -176,8 +177,10 @@ class ExperimentConfig:
         if self.n_test is None:
             keep("n_test", self.n)
         for name, low in (("n", 1), ("m", 1), ("herd_size", 1), ("n_test", 1),
-                          ("pool_extra", 0), ("seed", None)):
+                          ("pool_extra", 0)):
             keep(name, _count(name, getattr(self, name), low))
+        # Seeds are hashed as 16 signed bytes (``_seeding._encode``).
+        keep("seed", _count("seed", self.seed, -(2**127), 2**127))
         keep("out_dir", "out" if self.out_dir is None else self.out_dir)
         for name in ("out_dir", "weights_csv"):
             path = getattr(self, name)

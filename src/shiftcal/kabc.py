@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from ._seeding import derive_rng, derive_seed, stream_keys
 from .kern import (
-    GramSystem,
     ParamKernel,
     WeightedOutputKernel,
     gaussian_gram,
@@ -95,13 +93,8 @@ class PosteriorEmbedding:
         return write_json_artifact(path, payload)
 
     @classmethod
-    def read_json(cls, path) -> "PosteriorEmbedding":
-        """Load an embedding from a file written by ``to_json(path)``."""
-        return cls.from_json(Path(path).read_text())
-
-    @classmethod
     def from_json(cls, text: str) -> "PosteriorEmbedding":
-        """Load an embedding from JSON text (``read_json`` takes a path)."""
+        """Load an embedding from the JSON text ``to_json`` writes."""
         payload = json.loads(text)
         return cls(
             draws=np.asarray(payload["draws"], dtype=float),
@@ -163,7 +156,7 @@ def build_embedding(
     beta = np.asarray(beta, dtype=float)
     gram, sigma2 = gaussian_gram(pseudo.values, sigma2, beta)
     kernel = WeightedOutputKernel(sigma2=sigma2, beta=beta)
-    w = regularized_solve(GramSystem(gram, kernel.against(pseudo.values, dataset.y), epsilon))
+    w = regularized_solve(gram, kernel.against(pseudo.values, dataset.y), epsilon)
     info = {"sigma2": sigma2, "epsilon": epsilon, "n": dataset.n, "m": pseudo.m}
     if meta:
         info.update(meta)

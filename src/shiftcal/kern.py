@@ -17,6 +17,10 @@ output matrix exists, so the two are never held together), then herding's
 pool Gram matrix (``ParamKernel.gram``), from which herding also reads the
 embedding at every candidate.  ``ParamKernel.cross`` only evaluates an
 embedding at points outside its draws; a run never calls it.
+
+The solve passes plain arrays: ``gram_and_rhs`` returns the Gram matrix G
+and the data-kernel vector k, and ``regularized_solve(G, k, eps)`` returns
+the weights w of (G + m eps I) w = k (the kernel Bayes' rule step).
 """
 
 from __future__ import annotations
@@ -198,59 +202,35 @@ class WeightedOutputKernel:
         return outputs
 
 
-@dataclass(frozen=True)
-class GramSystem:
-    """The linear system behind the posterior-embedding weights.
-
-    ``gram`` holds output-kernel values among the m pseudo-output
-    vectors; ``rhs`` their kernel values against the observed data;
-    ``epsilon`` the Tikhonov constant applied as (G + m eps I).
-    """
-
-    gram: np.ndarray
-    rhs: np.ndarray
-    epsilon: float
-
-    def __post_init__(self):
-        gram = np.asarray(self.gram, dtype=float)
-        rhs = np.asarray(self.rhs, dtype=float)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "rhs", rhs)
-        m = gram.shape[0]
-        if gram.shape != (m, m) or rhs.shape != (m,):
-            raise ValueError(f"inconsistent system shapes: {gram.shape}, {rhs.shape}")
-        if not self.epsilon > 0:
-            raise ValueError(f"regularizer must be positive, got {self.epsilon}")
-
-    @property
-    def m(self) -> int:
-        return self.rhs.size
+def gram_and_rhs(pseudo_outputs, observed, kernel: WeightedOutputKernel) -> tuple:
+    """The Gram matrix G among the pseudo-output rows and the data-kernel vector k."""
+    return kernel.gram(pseudo_outputs), kernel.against(pseudo_outputs, observed)
 
 
-def gram_and_rhs(pseudo_outputs, observed, kernel: WeightedOutputKernel, epsilon: float) -> GramSystem:
-    """Assemble the Gram matrix and data-kernel vector for the solve."""
-    return GramSystem(
-        gram=kernel.gram(pseudo_outputs),
-        rhs=kernel.against(pseudo_outputs, observed),
-        epsilon=epsilon,
-    )
-
-
-def regularized_solve(system: GramSystem) -> np.ndarray:
+def regularized_solve(gram, rhs, epsilon: float) -> np.ndarray:
     """Solve (G + m eps I) w = rhs by Cholesky factorization.
 
-    The shifted matrix is symmetric positive definite for any eps > 0.  It
-    exists only as the one copy of G that the factorization overwrites; the
-    residual is taken as G w + m eps w - rhs.  One step of iterative
-    refinement is applied if the residual exceeds
-    SOLVE_RTOL * max(1, ||rhs||_inf); failure past that raises.
+    ``gram`` holds the output-kernel values among the m pseudo-output
+    vectors, ``rhs`` their kernel values against the observed data, and
+    ``epsilon`` is the Tikhonov constant.  The shifted matrix is symmetric
+    positive definite for any eps > 0.  It exists only as the one copy of G
+    that the factorization overwrites; the residual is taken as
+    G w + m eps w - rhs.  One step of iterative refinement is applied if
+    the residual exceeds SOLVE_RTOL * max(1, ||rhs||_inf); failure past
+    that raises.
     """
-    gram, rhs = system.gram, system.rhs
-    shift = system.m * system.epsilon
+    gram = np.asarray(gram, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    m = rhs.size
+    if gram.shape != (m, m) or rhs.shape != (m,):
+        raise ValueError(f"inconsistent system shapes: {gram.shape}, {rhs.shape}")
+    if not epsilon > 0:
+        raise ValueError(f"regularizer must be positive, got {epsilon}")
+    shift = m * epsilon
     if not (np.isfinite(shift) and np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
         raise SolveError("non-finite entries in the regularized system")
     lhs = gram.copy()
-    lhs.flat[:: system.m + 1] += shift
+    lhs.flat[:: m + 1] += shift
     try:
         # G is exactly symmetric, so the transposed view is the same matrix in
         # Fortran order, which LAPACK factors in place rather than copying.

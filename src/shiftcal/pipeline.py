@@ -29,7 +29,7 @@ from __future__ import annotations
 import contextlib
 import logging
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +51,7 @@ from .kabc import (
     sample_prior,
     simulate_pseudo_outputs,
 )
-from .predict import PredictiveSample, generate_test_inputs, score_predictions
+from .predict import generate_test_inputs, score_predictions
 from .sim import Dataset, generate_dataset, write_csv_rows, write_json_artifact
 from .weights import ImportanceWeights, importance_weights, ordinary_weights
 
@@ -98,26 +98,10 @@ class CalibrationResult(Prepared):
     embedding: PosteriorEmbedding
     herded: HerdedSamples
     test_inputs: np.ndarray
-    predictions: list[PredictiveSample]
+    predictions: np.ndarray  # (test inputs, herded samples)
     truth_values: np.ndarray
     rmse: float
     wall_clock: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Summary of a finished run; timings stay in memory only."""
-
-    rmse: float
-    seed: int
-    config_hash: str
-    artifacts: dict
-    stats: dict
-    wall_clock: dict
-
-    def to_dict(self) -> dict:
-        """Every field except the timings."""
-        return {k: v for k, v in asdict(self).items() if k != "wall_clock"}
 
 
 @contextlib.contextmanager
@@ -207,8 +191,9 @@ def calibrate(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Calibrat
     )
 
 
-def run_calibration(cfg: ExperimentConfig) -> RunReport:
-    """Execute the pipeline and write all artifacts under cfg.out_dir."""
+def run_calibration(cfg: ExperimentConfig) -> CalibrationResult:
+    """Execute the pipeline, write all artifacts under cfg.out_dir, and
+    return the result they were written from."""
     result = calibrate(cfg)
     config_hash = cfg.config_hash()
     out = Path(cfg.out_dir)
@@ -224,16 +209,17 @@ def run_calibration(cfg: ExperimentConfig) -> RunReport:
         out / "predictions.csv",
         config_hash,
         ["x"] + [f"y_{j}" for j in range(1, len(result.herded) + 1)] + ["mean"],
-        ([p.x, *p.outputs, p.mean] for p in result.predictions),
+        ([x, *outputs, outputs.mean()]
+         for x, outputs in zip(result.test_inputs, result.predictions)),
     )
     names = ("config.json", "dataset.csv", "weights.csv", "embedding.json", "herded.csv",
              "predictions.csv", "report.json")
-    report = RunReport(
-        rmse=result.rmse,
-        seed=cfg.seed,
-        config_hash=config_hash,
-        artifacts={Path(name).stem: name for name in names},
-        stats={
+    write_json_artifact(out / "report.json", {
+        "rmse": result.rmse,
+        "seed": cfg.seed,
+        "config_hash": config_hash,
+        "artifacts": {Path(name).stem: name for name in names},
+        "stats": {
             "n": cfg.n,
             "m": cfg.m,
             "herd_size": cfg.herd_size,
@@ -242,10 +228,8 @@ def run_calibration(cfg: ExperimentConfig) -> RunReport:
             "sigma2_theta": result.embedding.kernel.sigma2,
             "epsilon": result.epsilon,
         },
-        wall_clock=result.wall_clock,
-    )
-    write_json_artifact(out / "report.json", report.to_dict())
-    return report
+    })
+    return result
 
 
 # -- MH baseline ------------------------------------------------------------
@@ -312,6 +296,7 @@ def run_mh_baseline(
 
 def mh_acceptance_sweep(cfg: ExperimentConfig, proposal_stds, steps: int | None = None) -> list[dict]:
     """Acceptance ratio per proposal std; tuning aid, no adaptation."""
+    cfg.mh_config()  # a config without an 'mh' section fails here, before any run
     rows = []
     for std in proposal_stds:
         swept = cfg.replace(mh={**cfg.mh, "proposal_std": float(std)})
@@ -465,7 +450,8 @@ def theorem1_check(cfg: ExperimentConfig, grid_resolution: int = 101) -> Equival
 
 
 def emit_plot_data(cfg: ExperimentConfig, grid_points: int = 121) -> Path:
-    """Write predictive draws over an even input grid spanning q0 and q1."""
+    """Write predictive draws over an even input grid spanning q0 and q1,
+    with the config and the dataset beside them."""
     result = calibrate(cfg)
     config_hash = cfg.config_hash()
 
@@ -480,12 +466,14 @@ def emit_plot_data(cfg: ExperimentConfig, grid_points: int = 121) -> Path:
     )
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    cfg.write_json(out / "config.json")
     path = out / "plot_data.csv"
     write_csv_rows(
         path,
         config_hash,
         ["x", "truth", "pred_mean"] + [f"y_{j}" for j in range(1, len(result.herded) + 1)],
-        ([p.x, tv, p.mean, *p.outputs] for p, tv in zip(predictions, truth_vals)),
+        ([x, tv, outputs.mean(), *outputs]
+         for x, tv, outputs in zip(grid, truth_vals, predictions)),
     )
     result.dataset.write_csv(out / "dataset.csv", config_hash)
     return path

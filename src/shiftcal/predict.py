@@ -2,13 +2,13 @@
 
 The predictive distribution at x is the empirical distribution of
 simulator outputs across the herded parameter samples; its mean is the
-point prediction.  RMSE compares predictive means against the noise-free
-regression function on a held-out test input set.
+point prediction.  Predictions at several inputs are one array shaped
+(inputs, samples): row i holds the outputs at input i, and
+``mean(axis=1)`` gives the point predictions.  RMSE compares those means
+against the noise-free regression function on a held-out test input set.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,21 +16,6 @@ from ._seeding import derive_rng, derive_seed, stream_keys
 from .herd import HerdedSamples
 from .sim import Simulator, TruthFn
 from .weights import DensitySpec
-
-
-@dataclass(frozen=True)
-class PredictiveSample:
-    """Simulator outputs at one test input, one per posterior sample."""
-
-    x: float
-    outputs: np.ndarray
-    mean: float
-
-    def __post_init__(self):
-        outputs = np.asarray(self.outputs, dtype=float)
-        object.__setattr__(self, "outputs", outputs)
-        if outputs.ndim != 1 or outputs.size == 0:
-            raise ValueError("predictive outputs must be a non-empty vector")
 
 
 def _sample_points(samples) -> np.ndarray:
@@ -50,13 +35,14 @@ def _occurrences(points) -> list[int]:
     return counts
 
 
-def predict(sim: Simulator, x: float, samples, seed: int = 0) -> PredictiveSample:
-    """Run the simulator at x once per posterior sample (streams as in ``_predict_at``)."""
+def predict(sim: Simulator, x: float, samples, seed: int = 0) -> np.ndarray:
+    """Simulator outputs at x, one per posterior sample (streams as in ``_predict_at``)."""
     return _predict_at(sim, [x], samples, seed)[0]
 
 
-def _predict_at(sim: Simulator, xs, samples, seed: int) -> list[PredictiveSample]:
-    """One sweep per input; each sweep runs sample r on the key
+def _predict_at(sim: Simulator, xs, samples, seed: int) -> np.ndarray:
+    """Outputs shaped (inputs, samples), from one sweep per input; each
+    sweep runs sample r on the key
     ``stream_keys(derive_seed(seed, "predict"), *theta_r, k)``, built once.
 
     k counts the occurrences of theta_r so far: repeated parameter vectors
@@ -66,18 +52,16 @@ def _predict_at(sim: Simulator, xs, samples, seed: int) -> list[PredictiveSample
     other inputs share the call.
     """
     points = _sample_points(samples)
+    if len(points) == 0:
+        raise ValueError("predictions need at least one posterior sample")
     keys = stream_keys(derive_seed(seed, "predict"), *points.T, _occurrences(points))
-    preds = []
-    for x in xs:
-        outputs = sim.sweep([x], keys)(points)
-        preds.append(PredictiveSample(x=float(x), outputs=outputs, mean=float(np.mean(outputs))))
-    return preds
+    return np.array([sim.sweep([x], keys)(points) for x in xs], dtype=float)
 
 
 def score_predictions(
     truth: TruthFn, test_inputs, sim: Simulator, samples, seed: int = 0
-) -> tuple[list[PredictiveSample], np.ndarray, float]:
-    """Predictions at every test input plus the RMSE of their means.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Predictions (inputs, samples), truth values and the RMSE of the row means.
 
     Streams are keyed on the input value, not its position, so scores are
     invariant under permutation of the test inputs.
@@ -88,7 +72,7 @@ def score_predictions(
     preds = _predict_at(sim, test_inputs, samples, seed)
     keys = np.array([derive_seed(seed, "truth", float(x)) for x in test_inputs], dtype=np.uint64)
     truth_vals = truth(test_inputs, keys)
-    errors = truth_vals - np.array([pred.mean for pred in preds])
+    errors = truth_vals - preds.mean(axis=1)
     return preds, truth_vals, float(np.sqrt(np.mean(errors * errors)))
 
 

@@ -65,13 +65,13 @@ def test_criterion_2_gram_solve_contract():
         beta = rng.uniform(0.2, 3.0, size=n)
         kernel = WeightedOutputKernel(float(rng.uniform(0.5, 50.0)), beta)
         epsilon = float(10 ** rng.uniform(-6, 0))
-        system = gram_and_rhs(
-            rng.normal(size=(m, n)) * rng.uniform(0.5, 3.0), rng.normal(size=n), kernel, epsilon
+        gram, rhs = gram_and_rhs(
+            rng.normal(size=(m, n)) * rng.uniform(0.5, 3.0), rng.normal(size=n), kernel
         )
-        w = regularized_solve(system)
-        lhs = system.gram + m * epsilon * np.eye(m)
-        residual = float(np.max(np.abs(lhs @ w - system.rhs)))
-        bound = 1e-10 * max(1.0, float(np.max(np.abs(system.rhs))))
+        w = regularized_solve(gram, rhs, epsilon)
+        lhs = gram + m * epsilon * np.eye(m)
+        residual = float(np.max(np.abs(lhs @ w - rhs)))
+        bound = 1e-10 * max(1.0, float(np.max(np.abs(rhs))))
         worst = max(worst, residual / bound)
     ok = worst <= 1.0
     report(2, "gram solve contract", ok, f"worst residual/bound ratio {worst:.3e} over 100 systems")

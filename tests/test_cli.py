@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from shiftcal.cli import main
-from shiftcal.config import PRESETS
+from shiftcal.config import PRESETS, ExperimentConfig
 
 TINY = {
     **PRESETS["linear-shift"],
@@ -90,6 +90,42 @@ def test_bad_config_is_a_usage_error(tmp_path, capsys, text, message):
     assert err.endswith("\n") and err.count("\n") == 1
     assert re.match(f"shiftcal: error: config {re.escape(str(path))}: .*{message}", err.rstrip("\n"))
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [2**127, -(2**127) - 1])
+@pytest.mark.parametrize("source", ["preset", "config"])
+def test_out_of_range_seed_is_a_usage_error(tiny_config, tmp_path, capsys, source, seed):
+    out = tmp_path / "run"
+    origin = ["--preset", "linear-shift"] if source == "preset" else ["--config", str(tiny_config)]
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", *origin, "--seed", str(seed), "--out", str(out)])
+    assert exc.value.code == 2
+    named = "preset linear-shift" if source == "preset" else f"config {tiny_config}"
+    err = capsys.readouterr().err
+    assert err == f"shiftcal: error: {named}: seed must be in [{-(2**127)}, {2**127}), got {seed}\n"
+    assert not out.exists()
+
+
+def test_mh_sweep_without_mh_section_fails_before_writing(tmp_path):
+    path, out = tmp_path / "bare.json", tmp_path / "sweep"
+    path.write_text(json.dumps({k: v for k, v in TINY.items() if k != "mh"}))
+    with pytest.raises(ValueError, match="config has no 'mh' section"):
+        main(["mh-sweep", "--config", str(path), "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [("calibrate", []), ("rmse-curve", ["--m-values", "4", "--trials", "1"]),
+     ("mh-baseline", ["--steps", "20"]), ("mh-sweep", ["--proposal-stds", "0.1", "--steps", "20"]),
+     ("theorem1-check", ["--grid-resolution", "5"]), ("emit-plot-data", ["--grid-points", "5"])],
+)
+def test_every_subcommand_writes_its_config(tiny_config, tmp_path, command, flags):
+    out = tmp_path / "run"
+    assert main([command, "--config", str(tiny_config), "--out", str(out), *flags]) == 0
+    cfg = ExperimentConfig.from_json(tiny_config, out_dir=str(out))
+    assert ExperimentConfig.from_json(out / "config.json") == cfg
+    assert json.loads((out / "config.json").read_text())["config_hash"] == cfg.config_hash()
 
 
 def test_weight_mode_flag_changes_run(tiny_config, tmp_path):

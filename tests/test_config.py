@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from shiftcal.config import PRESETS, ExperimentConfig, load_beta_csv, preset
+from shiftcal.pipeline import calibrate
 from shiftcal.sim import AssemblyLineSimulator, LinearSimulator, PiecewiseTruth
 
 
@@ -149,6 +150,23 @@ class TestConfigValidation:
         cfg = preset("assembly-shift", simulator_options={"batch_size": 4.0})
         assert cfg.build_simulator().batch_size == 4 and cfg.simulator_options == {"batch_size": 4}
         assert cfg.config_hash() == preset("assembly-shift", simulator_options={"batch_size": 4}).config_hash()
+
+    @pytest.mark.parametrize("seed", [2**127, -(2**127) - 1, 2**200])
+    def test_out_of_range_seed_rejected_at_load(self, tmp_path, seed):
+        # seeds are hashed as 16 signed bytes, so only [-2**127, 2**127) can run
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**PRESETS["linear-shift"], "seed": seed}))
+        message = rf"seed must be in \[{-(2**127)}, {2**127}\), got {seed}$"
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_json(path)
+        with pytest.raises(ValueError, match=message):
+            preset("linear-shift", seed=seed)
+
+    @pytest.mark.parametrize("seed", [2**127 - 1, -(2**127)])
+    def test_seeds_at_the_range_ends_run(self, seed):
+        cfg = preset("linear-shift", seed=seed, n=8, m=4, herd_size=4, n_test=4)
+        assert cfg.seed == seed
+        assert np.isfinite(calibrate(cfg).rmse)
 
     @pytest.mark.parametrize("steps", [2.7, math.nan, "400"])
     def test_non_integral_mh_steps_rejected(self, steps):

@@ -224,7 +224,7 @@ class TestEmbeddingEval:
         )
         path = tmp_path / "embedding.json"
         emb.to_json(path)
-        back = PosteriorEmbedding.read_json(path)
+        back = PosteriorEmbedding.from_json(path.read_text())
         assert np.array_equal(back.draws, emb.draws)
         assert np.array_equal(back.weights, emb.weights)
         assert back.kernel.sigma2 == emb.kernel.sigma2

@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from shiftcal.kern import (
     DegenerateBandwidthError,
-    GramSystem,
     ParamKernel,
     SolveError,
     WeightedOutputKernel,
@@ -171,15 +170,15 @@ class TestPairwiseSqdist:
 class TestGramAndRhs:
     def test_single_pseudo_output(self):
         kern = WeightedOutputKernel(1.0, np.ones(2))
-        system = gram_and_rhs(np.array([[0.0, 0.0]]), np.array([1.0, 1.0]), kern, 0.5)
-        assert np.array_equal(system.gram, [[1.0]])
-        assert system.rhs[0] == pytest.approx(math.exp(-1.0), rel=1e-15)
+        gram, rhs = gram_and_rhs(np.array([[0.0, 0.0]]), np.array([1.0, 1.0]), kern)
+        assert np.array_equal(gram, [[1.0]])
+        assert rhs[0] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
     def test_identical_rows_rank_one(self):
         kern = WeightedOutputKernel(2.0, np.ones(3))
         pseudo = np.tile([1.0, 2.0, 3.0], (4, 1))
-        system = gram_and_rhs(pseudo, np.zeros(3), kern, 1.0)
-        assert np.array_equal(system.gram, np.ones((4, 4)))
+        gram, _ = gram_and_rhs(pseudo, np.zeros(3), kern)
+        assert np.array_equal(gram, np.ones((4, 4)))
 
     def test_two_by_two_hand_case(self):
         # hand evaluation of the weighted kernel on a desk example
@@ -190,28 +189,25 @@ class TestGramAndRhs:
         g = math.exp(-(2 * 1 + 0.5 * 4) / (2 * 1.5))
         rhs_a = math.exp(-(2 * 0.25 + 0.5 * 1.0) / (2 * 1.5))
         rhs_b = math.exp(-(2 * 0.25 + 0.5 * 9.0) / (2 * 1.5))
-        system = gram_and_rhs(
-            np.stack([ya, yb]), observed, WeightedOutputKernel(sigma2, beta), 1.0
-        )
-        assert system.gram[0, 1] == pytest.approx(g, rel=1e-14)
-        assert system.gram[1, 0] == system.gram[0, 1]
-        assert np.array_equal(np.diag(system.gram), [1.0, 1.0])
-        assert system.rhs[0] == pytest.approx(rhs_a, rel=1e-14)
-        assert system.rhs[1] == pytest.approx(rhs_b, rel=1e-14)
+        gram, rhs = gram_and_rhs(np.stack([ya, yb]), observed, WeightedOutputKernel(sigma2, beta))
+        assert gram[0, 1] == pytest.approx(g, rel=1e-14)
+        assert gram[1, 0] == gram[0, 1]
+        assert np.array_equal(np.diag(gram), [1.0, 1.0])
+        assert rhs[0] == pytest.approx(rhs_a, rel=1e-14)
+        assert rhs[1] == pytest.approx(rhs_b, rel=1e-14)
 
     def test_exact_symmetry_large(self):
         rng = np.random.default_rng(6)
         kern = WeightedOutputKernel(5.0, rng.uniform(0.5, 2.0, size=10))
-        system = gram_and_rhs(rng.normal(size=(40, 10)), rng.normal(size=10), kern, 1.0)
-        assert np.array_equal(system.gram, system.gram.T)
-        assert np.all((system.gram > 0) & (system.gram <= 1.0))
+        gram, _ = gram_and_rhs(rng.normal(size=(40, 10)), rng.normal(size=10), kern)
+        assert np.array_equal(gram, gram.T)
+        assert np.all((gram > 0) & (gram <= 1.0))
 
 
 class TestRegularizedSolve:
     def test_scalar_case(self):
         k = 0.7
-        system = GramSystem(np.array([[1.0]]), np.array([k]), epsilon=0.25)
-        w = regularized_solve(system)
+        w = regularized_solve(np.array([[1.0]]), np.array([k]), epsilon=0.25)
         assert w[0] == pytest.approx(k / 1.25, rel=1e-12)
 
     def test_dominant_regularizer_limit(self):
@@ -221,13 +217,12 @@ class TestRegularizedSolve:
         np.fill_diagonal(gram, 1.0)
         rhs = rng.uniform(0.1, 1.0, 3)
         eps = 1e7
-        w = regularized_solve(GramSystem(gram, rhs, eps))
+        w = regularized_solve(gram, rhs, eps)
         assert np.allclose(w, rhs / (3 * eps), rtol=1e-6)
 
     def test_two_by_two_hand_inverse(self):
         g, a, b, eps = 0.6, 0.9, 0.4, 0.05
-        system = GramSystem(np.array([[1.0, g], [g, 1.0]]), np.array([a, b]), eps)
-        w = regularized_solve(system)
+        w = regularized_solve(np.array([[1.0, g], [g, 1.0]]), np.array([a, b]), eps)
         d = 1.0 + 2 * eps
         det = d * d - g * g
         expected = np.array([(d * a - g * b) / det, (d * b - g * a) / det])
@@ -241,19 +236,34 @@ class TestRegularizedSolve:
             outputs = rng.normal(size=(m, 8))
             kern = WeightedOutputKernel(float(rng.uniform(0.5, 20.0)), kern_beta)
             eps = float(10 ** rng.uniform(-6, 0))
-            system = gram_and_rhs(outputs, rng.normal(size=8), kern, eps)
-            w = regularized_solve(system)
-            lhs = system.gram + m * eps * np.eye(m)
-            residual = np.max(np.abs(lhs @ w - system.rhs))
-            assert residual <= 1e-10 * max(1.0, np.max(np.abs(system.rhs)))
+            gram, rhs = gram_and_rhs(outputs, rng.normal(size=8), kern)
+            w = regularized_solve(gram, rhs, eps)
+            lhs = gram + m * eps * np.eye(m)
+            residual = np.max(np.abs(lhs @ w - rhs))
+            assert residual <= 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
     def test_non_finite_rejected(self):
         with pytest.raises(SolveError):
-            regularized_solve(GramSystem(np.array([[np.nan]]), np.array([1.0]), 0.1))
+            regularized_solve(np.array([[np.nan]]), np.array([1.0]), 0.1)
 
     def test_epsilon_must_be_positive(self):
-        with pytest.raises(ValueError):
-            GramSystem(np.array([[1.0]]), np.array([1.0]), 0.0)
+        with pytest.raises(ValueError, match="regularizer must be positive"):
+            regularized_solve(np.array([[1.0]]), np.array([1.0]), 0.0)
+
+    @pytest.mark.parametrize(
+        "gram,rhs",
+        [(np.eye(2), np.ones(3)),         # rhs longer than the Gram matrix
+         (np.ones((2, 3)), np.ones(2)),   # a non-square Gram matrix
+         (np.eye(2), np.ones((2, 1)))],   # rhs not a vector
+    )
+    def test_shape_mismatch_rejected(self, gram, rhs):
+        with pytest.raises(ValueError, match="inconsistent system shapes"):
+            regularized_solve(gram, rhs, 0.1)
+
+    def test_shape_checked_before_finiteness(self):
+        # a malformed system is a ValueError even when it also holds a NaN
+        with pytest.raises(ValueError, match="inconsistent system shapes"):
+            regularized_solve(np.array([[np.nan]]), np.ones(2), 0.1)
 
 
 # -- properties of the one-pass distances, against explicit differences --------
@@ -407,20 +417,20 @@ class TestRegularizedSolveProperties:
         rng = np.random.default_rng(seed)
         kern = WeightedOutputKernel(sigma2, rng.uniform(0.2, 3.0, size=10))
         eps = 10.0**log_eps
-        system = gram_and_rhs(rng.normal(size=(m, 10)), rng.normal(size=10), kern, eps)
-        gram_before = system.gram.copy()
-        w = regularized_solve(system)
-        residual = system.gram @ w + m * eps * w - system.rhs
-        assert np.max(np.abs(residual)) <= 1e-10 * max(1.0, np.max(np.abs(system.rhs)))
-        assert np.array_equal(system.gram, gram_before)
+        gram, rhs = gram_and_rhs(rng.normal(size=(m, 10)), rng.normal(size=10), kern)
+        gram_before = gram.copy()
+        w = regularized_solve(gram, rhs, eps)
+        residual = gram @ w + m * eps * w - rhs
+        assert np.max(np.abs(residual)) <= 1e-10 * max(1.0, np.max(np.abs(rhs)))
+        assert np.array_equal(gram, gram_before)
 
     def test_gate_raises_when_bound_exceeded(self, monkeypatch):
         from shiftcal import kern
 
         rng = np.random.default_rng(10)
-        system = gram_and_rhs(
-            rng.normal(size=(40, 5)), rng.normal(size=5), WeightedOutputKernel(2.0, np.ones(5)), 1e-3
+        gram, rhs = gram_and_rhs(
+            rng.normal(size=(40, 5)), rng.normal(size=5), WeightedOutputKernel(2.0, np.ones(5))
         )
         monkeypatch.setattr(kern, "SOLVE_RTOL", 0.0)
         with pytest.raises(SolveError, match="exceeds bound"):
-            regularized_solve(system)
+            regularized_solve(gram, rhs, 1e-3)

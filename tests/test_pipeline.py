@@ -7,10 +7,12 @@ import pytest
 from shiftcal._seeding import derive_rng, derive_seed, stream_keys
 from shiftcal.baseline import mh_sample
 from shiftcal.config import ExperimentConfig, preset
+from shiftcal import pipeline
 from shiftcal.pipeline import (
     StageError,
     calibrate,
     emit_plot_data,
+    mh_acceptance_sweep,
     minimize_weighted_sse,
     prepare,
     resolve_weights,
@@ -25,6 +27,12 @@ from shiftcal.sim import Dataset, generate_dataset
 
 def tiny_linear(**overrides) -> ExperimentConfig:
     return preset("linear-shift", **{"n": 24, "m": 16, "herd_size": 16, "n_test": 24, **overrides})
+
+
+def csv_table(path) -> np.ndarray:
+    """The numeric rows of a CSV artifact, below its hash stamp and header."""
+    _, _, *rows = path.read_text().splitlines()
+    return np.array([[float(v) for v in row.split(",")] for row in rows])
 
 
 def reference_mh_baseline(cfg: ExperimentConfig, steps: int):
@@ -56,7 +64,7 @@ def reference_mh_baseline(cfg: ExperimentConfig, steps: int):
 class TestRunCalibration:
     def test_artifacts_written_and_stamped(self, tmp_path):
         cfg = tiny_linear(out_dir=str(tmp_path / "run"))
-        report = run_calibration(cfg)
+        result = run_calibration(cfg)
         out = tmp_path / "run"
         for name in (
             "config.json",
@@ -77,8 +85,16 @@ class TestRunCalibration:
         assert config_hash in (out / "herded.csv").read_text().splitlines()[0]
         assert config_hash in (out / "predictions.csv").read_text().splitlines()[0]
         assert json.loads((out / "embedding.json").read_text())["meta"]["config_hash"] == config_hash
-        assert report.rmse >= 0.0
-        assert "timings" not in json.loads((out / "report.json").read_text())
+        assert result.rmse >= 0.0
+        report = json.loads((out / "report.json").read_text())
+        assert "timings" not in report and "wall_clock" not in report
+        assert report["rmse"] == result.rmse and report["seed"] == cfg.seed
+        assert report["stats"]["epsilon"] == result.epsilon
+        assert result.wall_clock and result.predictions.shape == (cfg.n_test, cfg.herd_size)
+        table = csv_table(out / "predictions.csv")
+        assert table[:, 0].tobytes() == result.test_inputs.tobytes()
+        assert table[:, 1:-1].tobytes() == result.predictions.tobytes()
+        assert table[:, -1].tobytes() == np.array([np.mean(row) for row in table[:, 1:-1]]).tobytes()
 
     def test_rerun_overwrites_identically(self, tmp_path):
         cfg = tiny_linear(out_dir=str(tmp_path / "run"))
@@ -94,7 +110,7 @@ class TestRunCalibration:
 
     def test_csv_round_trip_reproduces_rmse(self, tmp_path):
         cfg = tiny_linear(out_dir=str(tmp_path / "run"))
-        report = run_calibration(cfg)
+        result = run_calibration(cfg)
         path = tmp_path / "run" / "dataset.csv"
         stamp, header, *rows = path.read_text().splitlines()
         assert stamp == f"# config_hash={cfg.config_hash()}" and header == "x,y"
@@ -102,7 +118,7 @@ class TestRunCalibration:
         side = json.loads(path.with_suffix(".json").read_text())
         dataset = Dataset(x, y, seed=side["seed"], meta=side["meta"])
         replay = calibrate(cfg, dataset=dataset)
-        assert abs(replay.rmse - report.rmse) <= 1e-12
+        assert abs(replay.rmse - result.rmse) <= 1e-12
 
     def test_single_draw_pipeline_completes(self, tmp_path):
         cfg = tiny_linear(
@@ -111,10 +127,10 @@ class TestRunCalibration:
             bandwidth={"sigma2": 50.0, "sigma2_theta": 5.0},
             out_dir=str(tmp_path / "tiny"),
         )
-        report = run_calibration(cfg)
+        result = run_calibration(cfg)
         emb = json.loads((tmp_path / "tiny" / "embedding.json").read_text())
         assert len(emb["weights"]) == 1
-        assert np.isfinite(report.rmse)
+        assert np.isfinite(result.rmse)
 
     def test_median_bandwidth_needs_two_draws(self):
         cfg = tiny_linear(m=1, herd_size=1)
@@ -262,11 +278,18 @@ class TestMHBaseline:
         assert 0.0 < trace.acceptance_ratio < 1.0
         assert result.rmse == rmse_value
 
-    def test_requires_mh_section(self):
-        cfg = tiny_linear()
-        bare = cfg.replace(mh=None)
-        with pytest.raises(ValueError, match="mh"):
+    def test_requires_mh_section(self, monkeypatch):
+        bare = tiny_linear().replace(mh=None)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a run started on a config without an 'mh' section")
+
+        monkeypatch.setattr(pipeline, "weighted_dataset", no_work)
+        monkeypatch.setattr(pipeline, "run_mh_baseline", no_work)
+        with pytest.raises(ValueError, match="config has no 'mh' section"):
             run_mh_baseline(bare, steps=10)
+        with pytest.raises(ValueError, match="config has no 'mh' section"):
+            mh_acceptance_sweep(bare, [0.1, 0.2], steps=10)
 
 
 class TestTheoremCheck:
@@ -347,3 +370,6 @@ class TestEmitPlotData:
         assert len(header) == 3 + cfg.herd_size
         assert len(lines) == 2 + 13
         assert (tmp_path / "plots" / "dataset.csv").exists()
+        assert ExperimentConfig.from_json(tmp_path / "plots" / "config.json") == cfg
+        table = csv_table(path)
+        assert table[:, 2].tobytes() == np.array([np.mean(row) for row in table[:, 3:]]).tobytes()

@@ -25,20 +25,20 @@ class TestPredict:
         sim = LinearSimulator()
         samples = np.array([[1.0, 2.0]] * 4)
         pred = predict(sim, 3.0, samples)
-        assert np.array_equal(pred.outputs, [7.0] * 4)
-        assert pred.mean == 7.0
+        assert np.array_equal(pred, [7.0] * 4)
+        assert pred.mean() == 7.0
 
     def test_linear_two_samples_mean(self):
         pred = predict(LinearSimulator(), 1.0, np.array([[0.0, 1.0], [0.0, 3.0]]))
-        assert sorted(pred.outputs) == [1.0, 3.0]
-        assert pred.mean == 2.0
+        assert sorted(pred) == [1.0, 3.0]
+        assert pred.mean() == 2.0
 
     def test_deterministic_repeat(self):
         sim = AssemblyLineSimulator()
         samples = np.array([[2.0, 0.5, 5.0, 1.0], [3.0, 0.2, 6.0, 0.5]])
         a = predict(sim, 25.0, samples, seed=7)
         b = predict(sim, 25.0, samples, seed=7)
-        assert np.array_equal(a.outputs, b.outputs)
+        assert np.array_equal(a, b)
 
     def test_repeated_parameters_fresh_draws(self):
         # stochastic simulator: a repeated sample vector must get an
@@ -46,7 +46,7 @@ class TestPredict:
         sim = AssemblyLineSimulator()
         samples = np.array([[2.0, 0.5, 5.0, 1.0]] * 2)
         pred = predict(sim, 50.0, samples, seed=3)
-        assert pred.outputs[0] != pred.outputs[1]
+        assert pred[0] != pred[1]
 
     def test_sample_order_invariance_stochastic(self):
         sim = AssemblyLineSimulator()
@@ -54,13 +54,18 @@ class TestPredict:
         samples = rng.uniform([1, 0.1, 1, 0.1], [4, 1, 8, 1], size=(6, 4))
         fwd = predict(sim, 40.0, samples, seed=11)
         rev = predict(sim, 40.0, samples[::-1], seed=11)
-        assert sorted(fwd.outputs) == sorted(rev.outputs)
-        assert fwd.mean == pytest.approx(rev.mean, rel=1e-12)
+        assert sorted(fwd) == sorted(rev)
+        assert fwd.mean() == pytest.approx(rev.mean(), rel=1e-12)
 
     def test_accepts_herded_samples(self):
         out = herded([[0.0, 1.0], [1.0, 1.0]])
         pred = predict(LinearSimulator(), 2.0, out)
-        assert pred.outputs.size == 2
+        assert pred.shape == (2,)
+
+    @pytest.mark.parametrize("samples", [np.zeros((0, 2)), np.zeros(0)])
+    def test_rejects_zero_samples(self, samples):
+        with pytest.raises(ValueError, match="at least one posterior sample"):
+            predict(LinearSimulator(), 1.0, samples)
 
 
 def rmse(*args, **kwargs) -> float:
@@ -117,9 +122,16 @@ class TestRmse:
         preds, truth_vals, value = score_predictions(
             cubic_truth, xs, LinearSimulator(), samples, seed=1
         )
-        errors = truth_vals - np.array([p.mean for p in preds])
+        assert preds.shape == (xs.size, len(samples))
+        for x, row in zip(xs, preds):
+            assert np.array_equal(row, predict(LinearSimulator(), x, samples, seed=1))
+        errors = truth_vals - np.array([np.mean(row) for row in preds])
         assert value == pytest.approx(float(np.sqrt(np.mean(errors**2))), rel=1e-15)
         assert value == rmse(cubic_truth, xs, LinearSimulator(), samples, seed=1)
+
+    def test_rejects_zero_samples(self):
+        with pytest.raises(ValueError, match="at least one posterior sample"):
+            score_predictions(cubic_truth, [1.0, 2.0], LinearSimulator(), np.zeros((0, 2)))
 
     def test_needs_inputs(self):
         with pytest.raises(ValueError):
@@ -176,6 +188,6 @@ class TestPermutationProperties:
         for test_inputs, points in ((xs[input_order], samples), (xs, samples[sample_order])):
             preds, _, value = score_predictions(truth, test_inputs, sim, points, seed)
             assert value == pytest.approx(base_rmse, rel=1e-12, abs=1e-12)
-            by_input = {p.x: sorted(p.outputs) for p in base}
-            for pred in preds:
-                assert sorted(pred.outputs) == by_input[pred.x]
+            by_input = {x: sorted(row) for x, row in zip(xs, base)}
+            for x, row in zip(test_inputs, preds):
+                assert sorted(row) == by_input[x]

@@ -135,7 +135,7 @@ class TestCallers:
             seen[theta.tobytes()] = seen.get(theta.tobytes(), 0) + 1
             key = stream_keys(derive_seed(seed, "predict"), *theta, seen[theta.tobytes()])
             expected.append(scalar_makespan(batch_size, x, theta, key))
-        assert bits(predict(sim, x, points, seed).outputs) == bits(expected)
+        assert bits(predict(sim, x, points, seed)) == bits(expected)
 
 
 class ToySimulator(Simulator):

@@ -105,5 +105,5 @@ def test_score_predictions(name):
     truth = scalar_truth(cfg.truth, sim)
     expected = np.array([truth(float(x), derive_seed(seed, "truth", float(x))) for x in test_inputs])
     assert bits(truth_vals) == bits(expected)
-    errors = expected - np.array([pred.mean for pred in preds])
+    errors = expected - np.array([np.mean(row) for row in preds])
     assert rmse == float(np.sqrt(np.mean(errors * errors)))
