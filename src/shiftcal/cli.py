@@ -47,7 +47,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+def _load_config(args: argparse.Namespace, needs_mh: bool = False) -> ExperimentConfig:
+    """The config the arguments name; a usage error (exit 2) if it fails to load,
+    or, with ``needs_mh``, if it has no 'mh' section."""
     overrides = {
         "seed": args.seed,
         "out_dir": str(args.out) if args.out else None,
@@ -57,9 +59,13 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         overrides["m"] = args.m
         overrides["herd_size"] = args.m
     try:
-        if not args.config:
-            return preset(args.preset, **overrides)
-        return ExperimentConfig.from_json(args.config, **overrides)
+        if args.config:
+            cfg = ExperimentConfig.from_json(args.config, **overrides)
+        else:
+            cfg = preset(args.preset, **overrides)
+        if needs_mh:
+            cfg.mh_config()
+        return cfg
     except (OSError, ValueError) as exc:  # a missing file, invalid JSON or a bad value
         reason = getattr(exc, "strerror", None) or exc
         source = f"config {args.config}" if args.config else f"preset {args.preset}"
@@ -104,7 +110,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_rmse_curve(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, needs_mh=args.include_mh)
     rows = rmse_curve(cfg, args.m_values, trials=args.trials, include_mh=args.include_mh)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -119,7 +125,7 @@ def cmd_rmse_curve(args) -> int:
 
 
 def cmd_mh_baseline(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, needs_mh=True)
     result = run_mh_baseline(cfg, steps=args.steps)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -145,7 +151,7 @@ def cmd_mh_baseline(args) -> int:
 
 
 def cmd_mh_sweep(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, needs_mh=True)
     rows = mh_acceptance_sweep(cfg, args.proposal_stds, steps=args.steps)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kabc import PosteriorEmbedding, embedding_distance
+from .kern import matvec
 from .sim import write_csv_rows
 
 
@@ -72,12 +73,13 @@ class HerdedSamples:
 def herd(emb: PosteriorEmbedding, pool: CandidatePool, T: int) -> HerdedSamples:
     """Draw T deterministic samples from the embedding over the pool.
 
-    One theta kernel matrix is built: the pool Gram matrix
-    (``ParamKernel.gram``).  A pool that starts with the embedding's draws,
-    as every ``CandidatePool.from_draws`` pool does, reads the embedding at
-    each candidate from its first m columns; any other pool evaluates it
-    with ``evaluate_many``.  Ties in the argmax break toward the lowest
-    pool index.
+    The pool Gram matrix comes from ``PosteriorEmbedding.gram``: the
+    matrix the embedding carries when the pool is exactly its draws, else
+    one theta pass over the pool.  A pool that starts with the embedding's
+    draws, as every ``CandidatePool.from_draws`` pool does, reads the
+    embedding at each candidate from its first m columns; any other pool
+    evaluates it with ``evaluate_many``.  Ties in the argmax break toward
+    the lowest pool index.
     """
     if T < 1:
         raise ValueError(f"need T >= 1 herded samples, got {T}")
@@ -85,9 +87,9 @@ def herd(emb: PosteriorEmbedding, pool: CandidatePool, T: int) -> HerdedSamples:
         raise ValueError(
             f"pool dimension {pool.points.shape[1]} does not match embedding dimension {emb.dim}"
         )
-    pool_gram = emb.kernel.gram(pool.points)
+    pool_gram = emb.gram(pool.points)
     if np.array_equal(pool.points[: emb.m], emb.draws):
-        mean_vals = pool_gram[:, : emb.m] @ emb.weights  # embedding at every candidate
+        mean_vals = matvec(pool_gram[:, : emb.m], emb.weights)  # embedding at every candidate
     else:
         mean_vals = emb.evaluate_many(pool.points)
 

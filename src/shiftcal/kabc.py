@@ -15,15 +15,10 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dgemv
 
 from ._seeding import derive_rng, derive_seed, stream_keys
-from .kern import (
-    ParamKernel,
-    WeightedOutputKernel,
-    gaussian_gram,
-    median_heuristic,
-    regularized_solve,
-)
+from .kern import ParamKernel, WeightedOutputKernel, gaussian_gram, regularized_solve
 from .sim import Dataset, Simulator, SimulatorError, write_json_artifact
 from .weights import DensitySpec, ImportanceWeights
 
@@ -55,12 +50,15 @@ class PosteriorEmbedding:
     """Kernel mean of the calibrated parameter posterior.
 
     Evaluating at theta gives sum_j weights[j] * k(theta, draws[j]).
+    ``theta_gram``, when set, is ``kernel.gram(draws)``, kept from the pass
+    that chose the bandwidth; it is not serialized.
     """
 
     draws: np.ndarray
     weights: np.ndarray
     kernel: ParamKernel
     meta: dict = field(default_factory=dict)
+    theta_gram: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         draws = np.asarray(self.draws, dtype=float)
@@ -79,6 +77,12 @@ class PosteriorEmbedding:
     @property
     def dim(self) -> int:
         return self.draws.shape[1]
+
+    def gram(self, points) -> np.ndarray:
+        """The theta kernel matrix over ``points``; the carried one over the draws."""
+        if self.theta_gram is not None and np.array_equal(points, self.draws):
+            return self.theta_gram
+        return self.kernel.gram(points)
 
     def evaluate_many(self, thetas) -> np.ndarray:
         return self.kernel.cross(thetas, self.draws) @ self.weights
@@ -146,17 +150,18 @@ def build_embedding(
     """Solve for the embedding weights given simulations and observations.
 
     A ``sigma2`` of None is the median heuristic, read from the one
-    beta-weighted distance pass that builds the output Gram matrix.  A
-    ``sigma2_theta`` of None is the median over the prior draws, taken
-    first so that its distance matrix is freed before the output one exists.
-    The values used land in ``meta["sigma2"]`` and ``kernel.sigma2``.
+    beta-weighted distance pass that builds the output Gram matrix.  The
+    weights are solved, and that matrix freed, before the one theta pass:
+    it gives the theta Gram matrix the embedding carries, and, for a
+    ``sigma2_theta`` of None, the median over the prior draws.  The values
+    used land in ``meta["sigma2"]`` and ``kernel.sigma2``.
     """
-    if sigma2_theta is None:
-        sigma2_theta = median_heuristic(pseudo.thetas)
     beta = np.asarray(beta, dtype=float)
     gram, sigma2 = gaussian_gram(pseudo.values, sigma2, beta)
     kernel = WeightedOutputKernel(sigma2=sigma2, beta=beta)
     w = regularized_solve(gram, kernel.against(pseudo.values, dataset.y), epsilon)
+    del gram  # so the output and theta matrices are never held together
+    theta_gram, sigma2_theta = gaussian_gram(pseudo.thetas, sigma2_theta)
     info = {"sigma2": sigma2, "epsilon": epsilon, "n": dataset.n, "m": pseudo.m}
     if meta:
         info.update(meta)
@@ -165,6 +170,7 @@ def build_embedding(
         weights=w,
         kernel=ParamKernel(sigma2_theta),
         meta=info,
+        theta_gram=theta_gram,
     )
 
 
@@ -172,18 +178,23 @@ def embedding_distance(a: PosteriorEmbedding, b: PosteriorEmbedding) -> float:
     """Kernel-space norm of the difference of two embeddings.
 
     Both must use the same parameter-kernel bandwidth.  Computed as one
-    quadratic form over the theta Gram matrix of the atoms (one
-    ``ParamKernel.gram``): over shared atoms with the weight difference,
-    which avoids cancellation, otherwise over both atom sets stacked with
-    coefficients (w_a, -w_b).  Clamped at zero against round-off.
+    quadratic form over the theta Gram matrix of the atoms: over shared
+    atoms with the weight difference, which avoids cancellation, and the
+    matrix either embedding carries (``PosteriorEmbedding.gram``);
+    otherwise over both atom sets stacked with coefficients (w_a, -w_b).
+    Clamped at zero against round-off.
     """
     if a.kernel.sigma2 != b.kernel.sigma2:
         raise ValueError("embeddings use different parameter-kernel bandwidths")
     if a.draws.shape == b.draws.shape and np.array_equal(a.draws, b.draws):
-        atoms, coef = a.draws, a.weights - b.weights
+        coef = a.weights - b.weights
+        gram = (b if a.theta_gram is None else a).gram(a.draws)
     else:
-        atoms, coef = np.vstack([a.draws, b.draws]), np.concatenate([a.weights, -b.weights])
-    sq = float(coef @ a.kernel.gram(atoms) @ coef)
+        coef = np.concatenate([a.weights, -b.weights])
+        gram = a.kernel.gram(np.vstack([a.draws, b.draws]))
+    # coef @ gram on scipy's BLAS, bitwise as numpy forms it (trans=0 on the
+    # Fortran-ordered view; ``kern.matvec`` is the gram @ coef form).
+    sq = float(dgemv(1.0, gram.T, coef) @ coef)
     return float(np.sqrt(max(sq, 0.0)))
 
 

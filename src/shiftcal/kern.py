@@ -6,21 +6,34 @@ importance-weighted coordinate-wise, so output discrepancies at inputs
 that matter for the test distribution count for more.
 
 All pairwise squared distances come from ``pairwise_sqdist``: one BLAS
-Gram product over the centred, weighted rows, exactly symmetric with an
+rank-k update over the centred, weighted rows, exactly symmetric with an
 exactly zero diagonal, accurate to rounding in the centred norms (see its
 docstring).  The median heuristic takes the lower middle pair distance.
 Every kernel matrix comes from ``gaussian_gram``: one distance pass, the
 median read from it when no bandwidth is given, then the Gaussian formed
 in its buffer, so no distance matrix leaves the function.  A run makes one
-output pass and two theta passes: the theta median (taken before the
-output matrix exists, so the two are never held together), then herding's
-pool Gram matrix (``ParamKernel.gram``), from which herding also reads the
-embedding at every candidate.  ``ParamKernel.cross`` only evaluates an
-embedding at points outside its draws; a run never calls it.
+output pass and one theta pass: the output Gram matrix is solved and freed
+first, then one theta pass gives both the theta median and the theta Gram
+matrix, which the embedding carries to herding (its pool Gram matrix, from
+which it also reads the embedding at every candidate) and to
+``embedding_distance``.  Only a herding pool with extra candidates builds a
+second theta matrix (``ParamKernel.gram``).  ``ParamKernel.cross`` only
+evaluates an embedding at points outside its draws; a run never calls it.
 
 The solve passes plain arrays: ``gram_and_rhs`` returns the Gram matrix G
 and the data-kernel vector k, and ``regularized_solve(G, k, eps)`` returns
 the weights w of (G + m eps I) w = k (the kernel Bayes' rule step).
+
+Every matrix product on the way from the distances to the herded samples
+(the rank-k update in ``pairwise_sqdist``, the solve's residual, herding's
+read of the embedding) runs on scipy's BLAS, the library that also does
+the Cholesky factorization.  numpy and scipy each load their own OpenBLAS;
+after a numpy product, numpy's idle worker threads keep spinning and slow
+the factorization that follows (measured on 2 cores: a 2000 x 2000
+``cho_factor`` took 120-130 ms in the median straight after a numpy
+product, 62-65 ms after scipy's own ``dsyrk``).  Each scipy call is chosen
+to give numpy's bits: ``dsyrk`` for A A^T, and ``dgemv`` on the
+Fortran-ordered view ``A.T`` (``matvec``).
 """
 
 from __future__ import annotations
@@ -29,8 +42,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dgemv, dsyrk
 
 SOLVE_RTOL = 1e-10
+# Rows per block of ``pairwise_sqdist``'s symmetrizing pass; 128 was fastest
+# of 64-512 at m = 2000 on 2 cores.
+_SQDIST_BLOCK = 128
 
 
 class DegenerateBandwidthError(ValueError):
@@ -56,13 +73,13 @@ def pairwise_sqdist(vectors, weights=None) -> np.ndarray:
     Rows are centred on their column means (distances are shift-invariant,
     and centring keeps the norms, hence the cancellation, small), then
     scaled by sqrt(weights).  d_ij = |a_i|^2 + |a_j|^2 - 2 a_i.a_j is read
-    from the single Gram product A A^T, norms taken from its diagonal, and
-    clamped at 0.  The result is exactly symmetric with an exactly zero
-    diagonal, and bitwise-identical scaled rows are exactly 0 apart.  The
-    absolute error of an entry is a small multiple of
-    n * machine-eps * (|a_i|^2 + |a_j|^2) for the centred rows; on unimodal
-    data such as the shipped presets' outputs that is below 1e-12 times the
-    median distance (measured: ~1e-14).
+    from one rank-k update -2 A A^T (``dsyrk``, lower triangle only), norms
+    taken from its diagonal, and clamped at 0.  The result is exactly
+    symmetric with an exactly zero diagonal, and bitwise-identical scaled
+    rows are exactly 0 apart.  The absolute error of an entry is a small
+    multiple of n * machine-eps * (|a_i|^2 + |a_j|^2) for the centred rows;
+    on unimodal data such as the shipped presets' outputs that is below
+    1e-12 times the median distance (measured: ~1e-14).
     """
     mat = _as_matrix(vectors)
     mat = mat - mat.mean(axis=0)
@@ -71,11 +88,22 @@ def pairwise_sqdist(vectors, weights=None) -> np.ndarray:
         if w.shape != (mat.shape[1],):
             raise ValueError(f"weight length {w.shape} does not match vector length {mat.shape[1]}")
         mat *= np.sqrt(w)
-    out = mat @ mat.T
-    norms = out.diagonal().copy()
-    out *= -2.0
-    # n_i + n_j is formed first so that every entry is exactly symmetric.
-    out += np.add.outer(norms, norms)
+    # dsyrk fills the lower triangle of its Fortran-ordered result, so the
+    # transpose is C-ordered with -2 a_i.a_j on and above the diagonal.
+    # Each block of rows gets n_i + n_j (formed first, so each entry is
+    # bitwise what numpy's (-2 A A^T) + (n_i + n_j) gives), then is mirrored
+    # below the diagonal, which makes the matrix exactly symmetric.  Blocks
+    # keep the transposed copy in cache; a whole-matrix transposed add took
+    # twice as long.
+    out = dsyrk(-2.0, mat.T, trans=1, lower=1).T
+    norms = out.diagonal() / -2.0
+    for i in range(0, len(out), _SQDIST_BLOCK):
+        rows = slice(i, i + _SQDIST_BLOCK)
+        out[rows, i:] += np.add.outer(norms[rows], norms[i:])
+        out[i + _SQDIST_BLOCK:, rows] = out[rows, i + _SQDIST_BLOCK:].T
+        diag = out[rows, rows]
+        lower = np.tril_indices(len(diag), -1)
+        diag[lower] = diag.T[lower]
     np.maximum(out, 0.0, out=out)
     np.fill_diagonal(out, 0.0)
     # The BLAS may sum a_i.a_i and a_i.a_j in different orders, so equal rows
@@ -110,6 +138,15 @@ def median_sqdist(sqdist: np.ndarray) -> float:
 def median_heuristic(vectors, weights=None) -> float:
     """Bandwidth sigma^2 = lower median of pairwise (weighted) squared distances."""
     return median_sqdist(pairwise_sqdist(vectors, weights))
+
+
+def matvec(mat, vec) -> np.ndarray:
+    """``mat @ vec`` on scipy's BLAS, bitwise what numpy's product gives.
+
+    ``dgemv`` on the transposed (Fortran-ordered, so uncopied) view with
+    ``trans=1`` runs numpy's kernel; ``trans=0`` on ``mat`` itself does not.
+    """
+    return dgemv(1.0, mat.T, vec, trans=1)
 
 
 def gaussian_gram(vectors, sigma2=None, weights=None) -> tuple[np.ndarray, float]:
@@ -239,7 +276,7 @@ def regularized_solve(gram, rhs, epsilon: float) -> np.ndarray:
         raise SolveError(f"factorization failed: {exc}") from exc
 
     def residual(w):
-        return gram @ w + shift * w - rhs
+        return matvec(gram, w) + shift * w - rhs
 
     w = cho_solve(factor, rhs, check_finite=False)
     bound = SOLVE_RTOL * max(1.0, float(np.max(np.abs(rhs))))

@@ -329,6 +329,8 @@ def rmse_curve(
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
+    if include_mh:
+        cfg.mh_config()  # a config without an 'mh' section fails here, before any run
     rows = []
     for m in m_values:
         scores, mh_scores = [], []

@@ -106,12 +106,37 @@ def test_out_of_range_seed_is_a_usage_error(tiny_config, tmp_path, capsys, sourc
     assert not out.exists()
 
 
-def test_mh_sweep_without_mh_section_fails_before_writing(tmp_path):
-    path, out = tmp_path / "bare.json", tmp_path / "sweep"
+@pytest.mark.parametrize(
+    "command,flags",
+    [("mh-baseline", []), ("mh-sweep", []), ("rmse-curve", ["--include-mh"])],
+    ids=["mh-baseline", "mh-sweep", "rmse-curve"],
+)
+def test_mh_command_without_mh_section_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, command, flags
+):
+    from shiftcal import cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started on a config without an 'mh' section")
+
+    for name in ("run_mh_baseline", "mh_acceptance_sweep", "rmse_curve"):
+        monkeypatch.setattr(cli, name, no_run)
+    path, out = tmp_path / "bare.json", tmp_path / "run"
     path.write_text(json.dumps({k: v for k, v in TINY.items() if k != "mh"}))
-    with pytest.raises(ValueError, match="config has no 'mh' section"):
-        main(["mh-sweep", "--config", str(path), "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path), "--out", str(out), *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == f"shiftcal: error: config {path}: config has no 'mh' section\n"
     assert not out.exists()
+
+
+def test_rmse_curve_without_mh_section_runs_without_include_mh(tmp_path):
+    path, out = tmp_path / "bare.json", tmp_path / "run"
+    path.write_text(json.dumps({k: v for k, v in TINY.items() if k != "mh"}))
+    assert main(["rmse-curve", "--config", str(path), "--out", str(out),
+                 "--m-values", "4", "--trials", "1"]) == 0
+    assert (out / "rmse_curve.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -86,6 +86,27 @@ class TestHerd:
         expected = brute_force_herd(draws, weights, sigma2, pool_points, T)
         assert [tuple(p) for p in out.points] == expected
 
+    @pytest.mark.parametrize("extra", [0, 7])
+    def test_carried_theta_gram_herds_the_same_bits(self, monkeypatch, extra):
+        # the embedding's own theta Gram matrix stands in for the pool's only
+        # when the pool is exactly its draws
+        from dataclasses import replace
+
+        rng = np.random.default_rng(3)
+        draws = rng.normal(size=(40, 2))
+        kernel = ParamKernel(0.7)
+        carried = PosteriorEmbedding(draws, rng.normal(size=40), kernel,
+                                     theta_gram=kernel.gram(draws))
+        pool = CandidatePool.from_draws(draws, extra=rng.normal(size=(extra, 2)))
+        expected = herd(replace(carried, theta_gram=None), pool, 25)
+        built = []
+        gram = ParamKernel.gram
+        monkeypatch.setattr(ParamKernel, "gram", lambda k, p: built.append(len(p)) or gram(k, p))
+        out = herd(carried, pool, 25)
+        assert built == ([] if extra == 0 else [47])
+        assert out.indices.tobytes() == expected.indices.tobytes()
+        assert out.objectives.tobytes() == expected.objectives.tobytes()
+
     def test_each_step_is_exact_argmax(self):
         rng = np.random.default_rng(1)
         draws = rng.normal(size=(6, 2))

@@ -258,6 +258,31 @@ class TestEmbeddingDistance:
         expected = math.sqrt(delta @ gram @ delta)
         assert embedding_distance(a, b) == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize("m", [6, 200])
+    def test_carried_theta_gram_gives_numpy_bits_without_a_theta_pass(self, monkeypatch, m):
+        from dataclasses import replace
+
+        from shiftcal.kabc import PseudoOutputs
+        from shiftcal.kern import median_heuristic
+
+        rng = np.random.default_rng(m)
+        pseudo = PseudoOutputs(rng.normal(size=(m, 2)), rng.normal(size=(m, 5)))
+        beta = ordinary_weights(5)
+        a = build_embedding(pseudo, make_dataset(np.arange(5), rng.normal(size=5)),
+                            beta, None, None, 0.1)
+        b = build_embedding(pseudo, make_dataset(np.arange(5), rng.normal(size=5)),
+                            beta, None, None, 0.1)
+        assert a.kernel.sigma2 == median_heuristic(pseudo.thetas)
+        assert np.array_equal(a.theta_gram, a.kernel.gram(pseudo.thetas))
+        delta = a.weights - b.weights
+        expected = math.sqrt(max(float(delta @ a.kernel.gram(pseudo.thetas) @ delta), 0.0))
+        bare = replace(a, theta_gram=None), replace(b, theta_gram=None)
+        assert embedding_distance(*bare) == expected
+        monkeypatch.setattr(ParamKernel, "gram", None)  # any theta pass fails
+        assert embedding_distance(a, b) == expected
+        assert embedding_distance(bare[0], b) == expected
+        assert repr(a) == repr(bare[0]) and "theta_gram" not in a.to_json()
+
     def test_bandwidth_mismatch_rejected(self):
         a = PosteriorEmbedding(np.zeros((1, 1)), np.ones(1), ParamKernel(1.0))
         b = PosteriorEmbedding(np.zeros((1, 1)), np.ones(1), ParamKernel(2.0))

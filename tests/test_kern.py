@@ -166,6 +166,37 @@ class TestPairwiseSqdist:
                 assert dist[i, j] == pytest.approx(ref, rel=1e-12, abs=1e-15)
         assert np.array_equal(dist, dist.T)
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (16, 24), (200, 100), (400, 50), (2000, 2)])
+    def test_bitwise_equal_to_numpy_gram_product(self, shape, weighted):
+        # The rank-k update runs on scipy's OpenBLAS; this formula runs on
+        # numpy's.  A wheel whose two builds sum differently fails here.
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        mat = rng.normal(size=shape)
+        mat[-1] = mat[0]
+        if shape[0] > 3:
+            mat[2] = mat[1]
+        w = rng.uniform(0.2, 3.0, size=shape[1]) if weighted else None
+        dist = pairwise_sqdist(mat, w)
+        assert dist.tobytes() == numpy_product_sqdist(mat, w).tobytes()
+        assert np.array_equal(dist, dist.T)
+
+
+def numpy_product_sqdist(mat, weights=None) -> np.ndarray:
+    """``pairwise_sqdist`` formed from numpy's ``mat @ mat.T``: the bitwise reference."""
+    mat = mat - mat.mean(axis=0)
+    if weights is not None:
+        mat *= np.sqrt(weights)
+    out = mat @ mat.T
+    norms = out.diagonal().copy()
+    out *= -2.0
+    out += np.add.outer(norms, norms)
+    np.maximum(out, 0.0, out=out)
+    np.fill_diagonal(out, 0.0)
+    rows = np.unique(mat, axis=0, return_inverse=True)[1]
+    out[rows[:, None] == rows[None, :]] = 0.0
+    return out
+
 
 class TestGramAndRhs:
     def test_single_pseudo_output(self):
@@ -383,27 +414,55 @@ class TestSharedDistanceBuffer:
         with pytest.raises(ValueError, match="bandwidth must be positive, got 0.0"):
             gaussian_gram(outputs, 0.0, beta)
 
-    def test_calibrate_makes_one_output_pass_two_theta_passes_and_no_cross(self, monkeypatch):
-        # theta distances: the bandwidth median, then herding's pool Gram
-        # matrix, which also yields the embedding at every candidate
-        from shiftcal import kern, pipeline
+    def test_calibrate_makes_one_output_pass_one_theta_pass_and_no_cross(self, monkeypatch):
+        # the theta pass gives the bandwidth median and the Gram matrix the
+        # embedding carries to herding, which reads the embedding from it too
+        from shiftcal import pipeline
         from shiftcal.config import preset
 
-        calls = []
-        cross = ParamKernel.cross
-
-        def counted(vectors, weights=None):
-            calls.append(np.shape(vectors))
-            return pairwise_sqdist(vectors, weights)
-
-        def counted_cross(self, left, right):
-            calls.append("cross")
-            return cross(self, left, right)
-
-        monkeypatch.setattr(kern, "pairwise_sqdist", counted)
-        monkeypatch.setattr(ParamKernel, "cross", counted_cross)
+        calls = record_distance_passes(monkeypatch)
         pipeline.calibrate(preset("linear-shift", n=24, m=16, herd_size=16, n_test=24))
-        assert calls == [(16, 2), (16, 24), (16, 2)]
+        assert calls == [(16, 24), (16, 2)]
+
+    def test_extra_pool_candidates_take_a_second_theta_pass(self, monkeypatch):
+        from shiftcal import pipeline
+        from shiftcal.config import preset
+
+        calls = record_distance_passes(monkeypatch)
+        cfg = preset("linear-shift", n=24, m=16, herd_size=16, n_test=24, pool_extra=5)
+        result = pipeline.calibrate(cfg)
+        assert calls == [(16, 24), (16, 2), (21, 2)]
+        assert result.embedding.kernel.sigma2 == median_heuristic(result.pseudo.thetas)
+
+    def test_theorem1_check_reads_the_carried_theta_gram(self, monkeypatch):
+        # one output and one theta pass per embedding; the distance between
+        # the two reuses a carried theta matrix
+        from shiftcal import pipeline
+        from shiftcal.config import preset
+
+        calls = record_distance_passes(monkeypatch)
+        pipeline.theorem1_check(preset("linear-shift", n=24, m=16), grid_resolution=5)
+        assert calls == [(16, 24), (16, 2), (16, 24), (16, 2)]
+
+
+def record_distance_passes(monkeypatch) -> list:
+    """Shapes of every ``pairwise_sqdist`` call from now on, and any ``cross`` call."""
+    from shiftcal import kern
+
+    calls = []
+    cross = ParamKernel.cross
+
+    def counted(vectors, weights=None):
+        calls.append(np.shape(vectors))
+        return pairwise_sqdist(vectors, weights)
+
+    def counted_cross(self, left, right):
+        calls.append("cross")
+        return cross(self, left, right)
+
+    monkeypatch.setattr(kern, "pairwise_sqdist", counted)
+    monkeypatch.setattr(ParamKernel, "cross", counted_cross)
+    return calls
 
 
 class TestRegularizedSolveProperties:

@@ -286,10 +286,13 @@ class TestMHBaseline:
 
         monkeypatch.setattr(pipeline, "weighted_dataset", no_work)
         monkeypatch.setattr(pipeline, "run_mh_baseline", no_work)
+        monkeypatch.setattr(pipeline, "calibrate", no_work)
         with pytest.raises(ValueError, match="config has no 'mh' section"):
             run_mh_baseline(bare, steps=10)
         with pytest.raises(ValueError, match="config has no 'mh' section"):
             mh_acceptance_sweep(bare, [0.1, 0.2], steps=10)
+        with pytest.raises(ValueError, match="config has no 'mh' section"):
+            rmse_curve(bare, [4, 8], trials=1, include_mh=True)
 
 
 class TestTheoremCheck:
