@@ -8,6 +8,9 @@ data, prior, test-input and MH-proposal streams.  Simulator noise is
 counter-based (Salmon et al., SC 2011): ``stream_keys`` derives many
 stream keys at once, and ``key_normals`` computes normal c of key K as a
 pure function of (K, c), so any number of streams fill in one pass.
+Each splitmix64 output gives two normals by Box-Muller, with the
+transcendentals in float32; reruns are byte-identical on one machine and
+numpy build, because numpy picks its float32 kernels per CPU.
 """
 
 from __future__ import annotations
@@ -101,20 +104,44 @@ def _outputs(keys, k: int) -> np.ndarray:
     return _mix(z, _OUTPUT_ROUND)
 
 
+# Box-Muller (Box and Muller, Ann. Math. Stat. 1958) scales: u from 24
+# bits, and an angle from a signed 32-bit word.
+_U_SCALE = np.float32(2.0**-24)
+_ANGLE_SCALE = np.float32(np.pi * 2.0**-31)
+
+
+def _box_muller(words: np.ndarray) -> np.ndarray:
+    """Normals 2j and 2j+1 of each row from word j: r*sin(a) and r*cos(a).
+
+    The top 24 bits v of a word give u = (v + 0.5) * 2**-24 in float32:
+    exact below 1/2 and rounded half to even above, so u lies in
+    [2**-25, 1] and the radius r = sqrt(-2 ln u) in [0, 5.887].  The low 32
+    bits, read as int32 and scaled by pi * 2**-31 in float32, give the angle
+    a in [-pi, pi].  log, sqrt, sin and cos run in float32 on contiguous
+    arrays (numpy may pick another loop for strided ones), and r times sin
+    or cos is formed in float64, where the product of two float32 is exact.
+    """
+    # unsigned-to-float casts are slow; go through int32
+    radius = (words >> np.uint64(40)).astype(np.int32).astype(np.float32)
+    radius += np.float32(0.5)
+    radius *= _U_SCALE
+    np.log(radius, out=radius)
+    radius *= np.float32(-2.0)
+    np.sqrt(radius, out=radius)
+    angle = words.astype(np.uint32).view(np.int32).astype(np.float32)
+    angle *= _ANGLE_SCALE
+    normals = np.empty((*words.shape, 2))
+    np.multiply(radius, np.sin(angle), out=normals[..., 0], dtype=np.float64)
+    np.multiply(radius, np.cos(angle, out=angle), out=normals[..., 1], dtype=np.float64)
+    return normals.reshape(len(words), 2 * words.shape[1])
+
+
 def key_normals(keys, k: int) -> np.ndarray:
     """Row r holds standard normals 0..k-1 of the stream ``keys[r]``.
 
-    Normal c is Box-Muller on output c: the high 32 bits give u in (0, 1)
-    and the radius sqrt(-2 ln u), so tails stop near 6.8; the low 32 bits
-    give an angle in [-pi/2, pi/2), whose sine has the law of the cosine of
-    a full-circle angle and is faster in numpy.
+    Normals 2j and 2j+1 come from splitmix64 output j (``_box_muller``),
+    so a row of k normals costs ceil(k/2) outputs and normal c stays a
+    pure function of (K, c).  The tails stop near 5.887 standard
+    deviations.
     """
-    z = _outputs(keys, k)
-    # each 32-bit half converts to float faster as int64 than as uint64
-    normals = (z >> np.uint64(32)).view(np.int64) * 2.0**-32
-    normals += 2.0**-33
-    np.log(normals, out=normals)
-    np.sqrt(normals * -2.0, out=normals)
-    angle = ((z & np.uint64(0xFFFFFFFF)).view(np.int64) - 2**31) * (np.pi * 2.0**-32)
-    normals *= np.sin(angle, out=angle)
-    return normals
+    return _box_muller(_outputs(keys, -(-k // 2)))[:, :k]

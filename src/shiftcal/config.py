@@ -197,7 +197,7 @@ class ExperimentConfig:
         check_keys("simulator_options", options, options)  # get_simulator names unknown ones
         options = dict(options)
         if "batch_size" in options:
-            options["batch_size"] = _count("simulator_options.batch_size", options["batch_size"])
+            options["batch_size"] = _count("simulator_options.batch_size", options["batch_size"], 1)
         keep("simulator_options", options)
         keep("_simulator", get_simulator(self.simulator, **options))
         keep("_truth", _parse_truth(self.truth, self._simulator))

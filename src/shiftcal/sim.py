@@ -117,9 +117,14 @@ class AssemblyLineSimulator(Simulator):
     dim_theta = 4
 
     def __init__(self, batch_size: int = 4):
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.batch_size = batch_size
+        # the config's rule for counts: integral floats pass, bools do not
+        try:
+            size = None if isinstance(batch_size, bool) else int(batch_size)
+        except (TypeError, ValueError, OverflowError):
+            size = None
+        if size is None or size != batch_size or size < 1:
+            raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
+        self.batch_size = size
 
     def sweep(self, xs, keys=0) -> Callable[[np.ndarray], np.ndarray]:
         """Makespans of ``xs[r]`` products on row r's stream, as a function of theta.
@@ -128,7 +133,9 @@ class AssemblyLineSimulator(Simulator):
         the next ones its inspection durations; they are drawn here, once.  Rows
         with fewer products or batches are padded: the schedule is built
         from prefix sums and a running max, so padding never reaches a
-        row's last real batch, which is where its makespan is read.
+        row's last real batch, which is where its makespan is read.  With
+        one input nothing is padded, so columns are read by slice or
+        column index rather than gathered row by row.
         """
         xs = np.asarray(xs, dtype=float).reshape(-1)
         bad = ~(np.isfinite(xs) & (xs >= 1))
@@ -145,7 +152,11 @@ class AssemblyLineSimulator(Simulator):
         # partial batch when the last product does.
         batch = np.arange(depth)
         last = np.minimum((batch + 1) * size, counts) - 1
-        z_insp = np.take_along_axis(z, counts + batch, axis=1)
+        one_input = len(xs) == 1
+        if one_input:  # nothing is padded: read columns, do not gather them
+            z_insp = z[:, width:]
+        else:
+            z_insp = np.take_along_axis(z, counts + batch, axis=1)
 
         def makespans(thetas):
             thetas = self._theta_rows(thetas)
@@ -162,13 +173,19 @@ class AssemblyLineSimulator(Simulator):
                 return np.empty(0)
             mean_asm, sd_asm, mean_insp, sd_insp = np.hsplit(thetas, 4)
             durations = np.maximum(mean_asm + sd_asm * z_asm, 0.0)
-            ready = np.take_along_axis(np.cumsum(durations, axis=1), last, axis=1)
+            completion = np.cumsum(durations, axis=1)
+            if one_input:
+                ready = completion[:, last[0]]
+            else:
+                ready = np.take_along_axis(completion, last, axis=1)
             inspect = np.maximum(mean_insp + sd_insp * z_insp, 0.0)
             # finish_b = max(ready_b, finish_{b-1}) + inspect_b, unrolled
             # into a running max so the whole schedule vectorizes.
             cum_inspect = np.cumsum(inspect, axis=1)
             slack = ready - (cum_inspect - inspect)
             finish = cum_inspect + np.maximum.accumulate(slack, axis=1)
+            if one_input:  # a copy: a view would keep the whole schedule alive
+                return finish[:, -1].copy()
             return np.take_along_axis(finish, n_batches - 1, axis=1)[:, 0]
 
         return makespans

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from shiftcal._seeding import _outputs, derive_rng, derive_seed, key_normals, stream_keys
+from shiftcal._seeding import _box_muller, _outputs, derive_rng, derive_seed, key_normals, stream_keys
 
 
 def test_same_parts_same_seed():
@@ -100,6 +102,47 @@ def test_key_normals_edge_keys(k):
     assert got.tobytes() == key_normals(EDGE_KEYS.copy(), k).tobytes()
     if k:
         assert len({row.tobytes() for row in got}) == len(EDGE_KEYS)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 200])
+def test_key_normals_are_box_muller_on_half_as_many_outputs(k):
+    got = key_normals(EDGE_KEYS, k)
+    assert got.tobytes() == _box_muller(_outputs(EDGE_KEYS, -(-k // 2)))[:, :k].tobytes()
+
+
+def box_muller_oracle(word):
+    """The documented transform in float64, from the same float32 u and angle."""
+    u = float(np.float32(((word >> 40) + 0.5) * 2.0**-24))
+    low = word & 0xFFFF_FFFF
+    angle = float(np.float32(low - 2**32 if low >= 2**31 else low) * np.float32(math.pi * 2.0**-31))
+    radius = math.sqrt(-2 * math.log(u))
+    return radius * math.sin(angle), radius * math.cos(angle)
+
+
+# All bits clear or set, the sign bit alone, and radius bits (the top 24)
+# all 0 (u = 2**-25, the longest radius) or all 1 (u rounds to 1, radius 0).
+CRAFTED_WORDS = [0, 2**64 - 1, 2**63, 0x0000_00FF_FFFF_FFFF, 0xFFFF_FF00_0000_0000,
+                 0x0000_0040_0000_0000, 0x0000_0000_C000_0000, 0xFFFF_FFFF_7FFF_FFFF]
+# the radius at u = 2**-25, plus float32 rounding of the log and the root
+TAIL_CUT = math.sqrt(-2 * math.log(2.0**-25)) * (1 + 2.0**-22)
+
+
+def test_box_muller_on_crafted_words():
+    z = _box_muller(np.array([CRAFTED_WORDS], dtype=np.uint64))[0]
+    assert z.shape == (2 * len(CRAFTED_WORDS),) and np.all(np.isfinite(z))
+    assert np.abs(z).max() <= TAIL_CUT
+    expected = np.array([box_muller_oracle(word) for word in CRAFTED_WORDS]).ravel()
+    np.testing.assert_allclose(z, expected, rtol=1e-6)
+    # the pair from one word shares its radius
+    np.testing.assert_allclose(z[0::2] ** 2 + z[1::2] ** 2, expected[0::2] ** 2 + expected[1::2] ** 2,
+                               rtol=1e-6)
+
+
+def test_key_normals_match_a_float64_oracle():
+    # exact bits are not pinned: numpy picks its float32 kernels per CPU
+    expected = [np.ravel([box_muller_oracle(int(w)) for w in words])[:7]
+                for words in _outputs(EDGE_KEYS, 4)]
+    np.testing.assert_allclose(key_normals(EDGE_KEYS, 7), expected, rtol=1e-6)
 
 
 def test_key_normals_no_keys():

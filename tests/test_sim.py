@@ -249,6 +249,16 @@ class TestRegistry:
         assert isinstance(get_simulator("assembly"), AssemblyLineSimulator)
         assert get_simulator("assembly", batch_size=6).batch_size == 6
 
+    def test_integral_batch_size(self):
+        for size in (4.0, np.int64(4)):
+            sim = get_simulator("assembly", batch_size=size)
+            assert sim.batch_size == 4 and type(sim.batch_size) is int
+
+    @pytest.mark.parametrize("size", [2.5, "4", float("nan"), float("inf"), True, 0, -3, None])
+    def test_batch_size_must_be_a_positive_integer(self, size):
+        with pytest.raises(ValueError, match=f"^batch_size must be an integer >= 1, got {size!r}$"):
+            get_simulator("assembly", batch_size=size)
+
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="registered"):
             get_simulator("nope")

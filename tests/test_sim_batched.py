@@ -90,6 +90,22 @@ class TestEvaluateParams:
         assert AssemblyLineSimulator().sweep([5.0], no_keys)(np.ones((1, 4))).shape == (0,)
 
 
+class TestOneInput:
+    """A one-input sweep reads columns by slice; with more inputs it gathers them."""
+
+    @given(batch_sizes, inputs, inputs, theta_rows(), seeds)
+    def test_equals_rows_of_a_two_input_sweep(self, batch_size, x, other, thetas, seed):
+        sim = AssemblyLineSimulator(batch_size)
+        two_inputs = sim.sweep([x, other], seed)
+        expected = [two_inputs(theta)[0] for theta in thetas]
+        assert bits(sim.sweep([x], seed)(thetas)) == bits(expected)
+
+    def test_result_does_not_hold_the_schedule(self):
+        # callers keep one result per input; a view would pin each sweep's schedule
+        makespans = AssemblyLineSimulator().sweep([40.0], 3)(np.ones((5, 4)))
+        assert makespans.flags.owndata
+
+
 class TestEvaluateMany:
     """Several inputs under one parameter vector: the shape of likelihood and oracle sweeps."""
 
