@@ -21,6 +21,7 @@ from .config import PRESETS, ExperimentConfig, preset
 from .pipeline import (
     emit_plot_data,
     mh_acceptance_sweep,
+    output_dir,
     rmse_curve,
     run_calibration,
     run_mh_baseline,
@@ -112,9 +113,7 @@ def cmd_calibrate(args) -> int:
 def cmd_rmse_curve(args) -> int:
     cfg = _load_config(args, needs_mh=args.include_mh)
     rows = rmse_curve(cfg, args.m_values, trials=args.trials, include_mh=args.include_mh)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg.write_json(out / "config.json")
+    out = output_dir(cfg)
     write_csv_rows(out / "rmse_curve.csv", cfg.config_hash(), list(rows[0]), map(dict.values, rows))
     for row in rows:
         line = f"m={row['m']:>6d}  rmse={row['rmse_mean']:.6g} +- {row['rmse_std']:.3g}"
@@ -127,9 +126,7 @@ def cmd_rmse_curve(args) -> int:
 def cmd_mh_baseline(args) -> int:
     cfg = _load_config(args, needs_mh=True)
     result = run_mh_baseline(cfg, steps=args.steps)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg.write_json(out / "config.json")
+    out = output_dir(cfg)
     result.trace.write_csv(out / "trace.csv", cfg.config_hash())
     write_json_artifact(
         out / "mh_report.json",
@@ -153,9 +150,7 @@ def cmd_mh_baseline(args) -> int:
 def cmd_mh_sweep(args) -> int:
     cfg = _load_config(args, needs_mh=True)
     rows = mh_acceptance_sweep(cfg, args.proposal_stds, steps=args.steps)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg.write_json(out / "config.json")
+    out = output_dir(cfg)
     write_csv_rows(out / "mh_sweep.csv", cfg.config_hash(), list(rows[0]), map(dict.values, rows))
     for row in rows:
         print(
@@ -168,9 +163,7 @@ def cmd_mh_sweep(args) -> int:
 def cmd_theorem1_check(args) -> int:
     cfg = _load_config(args)
     report = theorem1_check(cfg, grid_resolution=args.grid_resolution)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg.write_json(out / "config.json")
+    out = output_dir(cfg)
     payload = asdict(report)
     payload["config_hash"] = cfg.config_hash()
     payload["seed"] = cfg.seed

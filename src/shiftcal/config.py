@@ -164,7 +164,6 @@ class ExperimentConfig:
     bandwidth: str | dict = "median"
     weight_mode: str = "shift"
     weights_csv: str | None = None
-    pool_extra: int = 0
     seed: int = 0
     out_dir: str | None = None
     simulator_options: dict | None = None
@@ -176,9 +175,8 @@ class ExperimentConfig:
             keep("herd_size", self.m)
         if self.n_test is None:
             keep("n_test", self.n)
-        for name, low in (("n", 1), ("m", 1), ("herd_size", 1), ("n_test", 1),
-                          ("pool_extra", 0)):
-            keep(name, _count(name, getattr(self, name), low))
+        for name in ("n", "m", "herd_size", "n_test"):
+            keep(name, _count(name, getattr(self, name), 1))
         # Seeds are hashed as 16 signed bytes (``_seeding._encode``).
         keep("seed", _count("seed", self.seed, -(2**127), 2**127))
         keep("out_dir", "out" if self.out_dir is None else self.out_dir)

@@ -4,9 +4,9 @@ Herding greedily picks points whose empirical kernel mean tracks the
 embedding.  The first point maximizes the embedding itself; point t
 maximizes the embedding minus (1/t) times the summed kernel similarity
 to the t-1 points already chosen.  The argmax runs over a finite
-candidate pool (typically the embedding's own prior draws plus fresh
-draws), since the simulator setting offers no gradients.  Points may
-repeat; repeat frequencies carry probability mass.
+candidate pool that starts with the embedding's own prior draws, since
+the simulator setting offers no gradients.  Points may repeat; repeat
+frequencies carry probability mass.
 """
 
 from __future__ import annotations
@@ -37,11 +37,8 @@ class CandidatePool:
             raise ValueError("candidate pool contains non-finite entries")
 
     @classmethod
-    def from_draws(cls, draws, extra=None) -> "CandidatePool":
-        draws = np.atleast_2d(np.asarray(draws, dtype=float))
-        if extra is not None and len(extra):
-            draws = np.vstack([draws, np.atleast_2d(np.asarray(extra, dtype=float))])
-        return cls(draws)
+    def from_draws(cls, draws) -> "CandidatePool":
+        return cls(np.atleast_2d(np.asarray(draws, dtype=float)))
 
     @property
     def size(self) -> int:
@@ -73,13 +70,13 @@ class HerdedSamples:
 def herd(emb: PosteriorEmbedding, pool: CandidatePool, T: int) -> HerdedSamples:
     """Draw T deterministic samples from the embedding over the pool.
 
-    The pool Gram matrix comes from ``PosteriorEmbedding.gram``: the
-    matrix the embedding carries when the pool is exactly its draws, else
-    one theta pass over the pool.  A pool that starts with the embedding's
-    draws, as every ``CandidatePool.from_draws`` pool does, reads the
-    embedding at each candidate from its first m columns; any other pool
-    evaluates it with ``evaluate_many``.  Ties in the argmax break toward
-    the lowest pool index.
+    The pool must start with the embedding's m draws, as every
+    ``CandidatePool.from_draws`` pool does; any candidates after them are
+    extra.  The pool Gram matrix comes from ``PosteriorEmbedding.gram``:
+    the matrix the embedding carries when the pool is exactly its draws,
+    else one theta pass over the pool.  Its first m columns, times the
+    weights, give the embedding at every candidate.  Ties in the argmax
+    break toward the lowest pool index.
     """
     if T < 1:
         raise ValueError(f"need T >= 1 herded samples, got {T}")
@@ -87,11 +84,10 @@ def herd(emb: PosteriorEmbedding, pool: CandidatePool, T: int) -> HerdedSamples:
         raise ValueError(
             f"pool dimension {pool.points.shape[1]} does not match embedding dimension {emb.dim}"
         )
+    if not np.array_equal(pool.points[: emb.m], emb.draws):
+        raise ValueError("herding pool must start with the embedding's draws")
     pool_gram = emb.gram(pool.points)
-    if np.array_equal(pool.points[: emb.m], emb.draws):
-        mean_vals = matvec(pool_gram[:, : emb.m], emb.weights)  # embedding at every candidate
-    else:
-        mean_vals = emb.evaluate_many(pool.points)
+    mean_vals = matvec(pool_gram[:, : emb.m], emb.weights)  # embedding at every candidate
 
     indices = np.empty(T, dtype=int)
     objectives = np.empty(T)

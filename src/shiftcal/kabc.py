@@ -84,9 +84,6 @@ class PosteriorEmbedding:
             return self.theta_gram
         return self.kernel.gram(points)
 
-    def evaluate_many(self, thetas) -> np.ndarray:
-        return self.kernel.cross(thetas, self.draws) @ self.weights
-
     def to_json(self, path=None) -> str:
         payload = {
             "draws": [[float(v) for v in row] for row in self.draws],

@@ -16,9 +16,10 @@ output pass and one theta pass: the output Gram matrix is solved and freed
 first, then one theta pass gives both the theta median and the theta Gram
 matrix, which the embedding carries to herding (its pool Gram matrix, from
 which it also reads the embedding at every candidate) and to
-``embedding_distance``.  Only a herding pool with extra candidates builds a
-second theta matrix (``ParamKernel.gram``).  ``ParamKernel.cross`` only
-evaluates an embedding at points outside its draws; a run never calls it.
+``embedding_distance``.  A herding pool with candidates after the draws,
+which no run builds, gets its own theta matrix (``ParamKernel.gram``).
+``ParamKernel.cross``, the kernel between two point sets, is never called
+by a run; the tests evaluate embeddings with it.
 
 The solve passes plain arrays: ``gram_and_rhs`` returns the Gram matrix G
 and the data-kernel vector k, and ``regularized_solve(G, k, eps)`` returns

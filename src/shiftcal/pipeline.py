@@ -14,7 +14,7 @@ kernel matrix is built from.  Each stream tag is derived from a run's seed
 in exactly one place:
 
 - ``"dataset"``: ``weighted_dataset``
-- ``"prior"``, ``"pool"``, ``"pseudo"``: ``prepare``
+- ``"prior"``, ``"pseudo"``: ``prepare``
 - ``"test"``: ``_test_inputs`` (for ``calibrate`` and ``run_mh_baseline``)
 - ``"eval"``: ``calibrate``
 - ``"mh"``, ``"mh-eval"``, ``"mh-pred"``: ``run_mh_baseline``
@@ -70,8 +70,8 @@ class StageError(RuntimeError):
 class Prepared:
     """The front half of a run: everything the embedding is built from.
 
-    ``pool`` holds the prior draws (``pseudo.thetas``) plus any extra
-    herding candidates.  ``bandwidth`` is the config's fixed (sigma2,
+    ``pool`` holds the prior draws (``pseudo.thetas``), the herding
+    candidates.  ``bandwidth`` is the config's fixed (sigma2,
     sigma2_theta), or None under the median heuristic, which each ``embed``
     resolves; the embedding records the values used.
     """
@@ -145,12 +145,8 @@ def prepare(
     timings = {} if timings is None else timings
     dataset, beta = weighted_dataset(cfg, dataset, timings)
     with _timed(timings, "prior-draws"):
-        prior = cfg.build_prior()
-        thetas = sample_prior(prior, cfg.m, derive_seed(cfg.seed, "prior"))
-        extra = None
-        if cfg.pool_extra:
-            extra = sample_prior(prior, cfg.pool_extra, derive_seed(cfg.seed, "pool"))
-        pool = CandidatePool.from_draws(thetas, extra=extra)
+        thetas = sample_prior(cfg.build_prior(), cfg.m, derive_seed(cfg.seed, "prior"))
+        pool = CandidatePool.from_draws(thetas)
     with _timed(timings, "pseudo-outputs"):
         pseudo = simulate_pseudo_outputs(
             cfg.build_simulator(), thetas, dataset.x, derive_seed(cfg.seed, "pseudo")
@@ -191,14 +187,20 @@ def calibrate(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Calibrat
     )
 
 
+def output_dir(cfg: ExperimentConfig) -> Path:
+    """``cfg.out_dir``, created if missing, with the config written into it."""
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    cfg.write_json(out / "config.json")
+    return out
+
+
 def run_calibration(cfg: ExperimentConfig) -> CalibrationResult:
     """Execute the pipeline, write all artifacts under cfg.out_dir, and
     return the result they were written from."""
     result = calibrate(cfg)
     config_hash = cfg.config_hash()
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg.write_json(out / "config.json")
+    out = output_dir(cfg)
     result.dataset.write_csv(out / "dataset.csv", config_hash)
     beta_rows = ([v] for v in np.asarray(result.beta))
     write_csv_rows(out / "weights.csv", config_hash, ["beta"], beta_rows)
@@ -466,9 +468,7 @@ def emit_plot_data(cfg: ExperimentConfig, grid_points: int = 121) -> Path:
         cfg.build_truth(), grid, cfg.build_simulator(), result.herded,
         seed=derive_seed(cfg.seed, "plot"),
     )
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg.write_json(out / "config.json")
+    out = output_dir(cfg)
     path = out / "plot_data.csv"
     write_csv_rows(
         path,

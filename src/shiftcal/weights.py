@@ -244,7 +244,7 @@ class ImportanceWeights:
         return self.values.size
 
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.values, dtype=dtype)
+        return np.array(self.values, dtype=dtype, copy=copy)
 
 
 def importance_weights(xs, q0: DensitySpec, q1: DensitySpec) -> ImportanceWeights:

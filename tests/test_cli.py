@@ -76,8 +76,9 @@ def test_bad_argument_is_a_usage_error(tmp_path, capsys, command, flag, value, m
     [(None, "No such file or directory$"),
      ("{\"n\": 16,", "Expecting property name enclosed in double quotes"),
      (json.dumps({**TINY, "herd_sise": 8}), "unknown keys in config: herd_sise"),
+     (json.dumps({**TINY, "pool_extra": 0}), "unknown keys in config: pool_extra$"),
      (json.dumps({**TINY, "epsilon": "1"}), "epsilon must be a number, got '1'")],
-    ids=["missing", "invalid-json", "unknown-key", "bad-value"],
+    ids=["missing", "invalid-json", "unknown-key", "removed-key", "bad-value"],
 )
 def test_bad_config_is_a_usage_error(tmp_path, capsys, text, message):
     path, out = tmp_path / "config.json", tmp_path / "run"

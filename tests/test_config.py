@@ -132,8 +132,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("n", 50.7), ("m", 200.9), ("herd_size", 10.5), ("n_test", 3.2), ("pool_extra", 1.5),
-         ("seed", 1.5), ("m", math.nan), ("seed", math.inf), ("n", "50"), ("m", True),
+        [("n", 50.7), ("m", 200.9), ("herd_size", 10.5), ("n_test", 3.2), ("seed", 1.5),
+         ("m", math.nan), ("seed", math.inf), ("n", "50"), ("m", True),
          ("seed", False), ("herd_size", True)],
     )
     def test_non_integral_count_rejected(self, field, value):
@@ -142,11 +142,11 @@ class TestConfigValidation:
 
     def test_integral_float_counts_accepted(self):
         cfg = preset("linear-shift", n=50.0, m=np.int64(20), herd_size=10.0, n_test=3.0,
-                     pool_extra=1.0, seed=np.float64(2.0))
-        assert (cfg.n, cfg.m, cfg.herd_size, cfg.n_test, cfg.pool_extra, cfg.seed) == (50, 20, 10, 3, 1, 2)
-        assert all(type(v) is int for v in (cfg.n, cfg.m, cfg.herd_size, cfg.n_test, cfg.pool_extra, cfg.seed))
+                     seed=np.float64(2.0))
+        assert (cfg.n, cfg.m, cfg.herd_size, cfg.n_test, cfg.seed) == (50, 20, 10, 3, 2)
+        assert all(type(v) is int for v in (cfg.n, cfg.m, cfg.herd_size, cfg.n_test, cfg.seed))
         assert cfg.config_hash() == preset("linear-shift", n=50, m=20, herd_size=10, n_test=3,
-                                           pool_extra=1, seed=2).config_hash()
+                                           seed=2).config_hash()
         cfg = preset("assembly-shift", simulator_options={"batch_size": 4.0})
         assert cfg.build_simulator().batch_size == 4 and cfg.simulator_options == {"batch_size": 4}
         assert cfg.config_hash() == preset("assembly-shift", simulator_options={"batch_size": 4}).config_hash()
@@ -460,8 +460,9 @@ class TestConfigRoundTrip:
         assert back.config_hash() == cfg.config_hash()
 
     @pytest.mark.parametrize("name,digest", [
-        ("assembly-ordinary", "be7cf1d00e723734"), ("assembly-shift", "e645cbcfa3272072"),
-        ("linear-ordinary", "70e1127d6961fb0a"), ("linear-shift", "5833c3f8cc1f7630")])
+        ("assembly-ordinary", "5a10d4935e8fe431"), ("assembly-shift", "9ab802d76aed8d5d"),
+        ("linear-ordinary", "80398a67d398b04b"), ("linear-shift", "d5f4e491528c1fba")],
+        ids=["assembly-ordinary", "assembly-shift", "linear-ordinary", "linear-shift"])
     def test_preset_hashes_pinned(self, name, digest):
         assert preset(name).config_hash() == digest
 

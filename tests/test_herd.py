@@ -34,8 +34,10 @@ def brute_force_herd(draws, weights, sigma2, pool_points, T):
 
 class TestHerd:
     def test_single_atom_first_pick_is_center(self):
-        atom = np.array([[1.0, -2.0]])
-        emb = PosteriorEmbedding(atom, np.array([1.0]), ParamKernel(1.0))
+        # the foreign candidate [0, 0] is a zero-weight atom, so the pool
+        # starts with the draws and the embedding is the single atom's
+        atoms = np.array([[0.0, 0.0], [1.0, -2.0]])
+        emb = PosteriorEmbedding(atoms, np.array([0.0, 1.0]), ParamKernel(1.0))
         pool = CandidatePool(np.array([[0.0, 0.0], [1.0, -2.0], [3.0, 3.0]]))
         out = herd(emb, pool, 1)
         assert np.array_equal(out.points[0], [1.0, -2.0])
@@ -50,8 +52,8 @@ class TestHerd:
         assert np.array_equal(out.points, [[0.0], [10.0]])
 
     def test_ties_break_to_lowest_pool_index(self):
-        emb = PosteriorEmbedding(np.array([[0.0]]), np.array([0.0]), ParamKernel(1.0))
         pool = CandidatePool(np.array([[5.0], [7.0], [9.0]]))
+        emb = PosteriorEmbedding(pool.points, np.zeros(3), ParamKernel(1.0))
         out = herd(emb, pool, 1)  # objective identically zero
         assert out.indices[0] == 0
 
@@ -72,8 +74,8 @@ class TestHerd:
     def test_matches_brute_force_on_random_embeddings(self, m, d, picks, T, seed, foreign):
         # continuous random atoms, signed weights and bandwidth; the pool
         # holds the atoms, fresh points and exact repeats of earlier rows.
-        # A pool that starts with the atoms reads the embedding from its
-        # Gram matrix; a fresh point put first makes herd evaluate it instead.
+        # A fresh point put first joins the embedding as a zero-weight atom,
+        # which leaves the embedding the oracle evaluates unchanged.
         rng = np.random.default_rng(seed)
         draws = rng.normal(scale=rng.uniform(0.2, 3.0), size=(m, d))
         weights = rng.normal(size=m)
@@ -81,7 +83,8 @@ class TestHerd:
         lead = rng.normal(size=(int(foreign), d))
         pool_points = np.vstack([lead, draws, rng.normal(size=(int(rng.integers(0, 8)), d))])
         pool_points = np.vstack([pool_points, pool_points[[p % len(pool_points) for p in picks]]])
-        emb = PosteriorEmbedding(draws, weights, ParamKernel(sigma2))
+        emb = PosteriorEmbedding(np.vstack([lead, draws]),
+                                 np.concatenate([np.zeros(len(lead)), weights]), ParamKernel(sigma2))
         out = herd(emb, CandidatePool(pool_points), T)
         expected = brute_force_herd(draws, weights, sigma2, pool_points, T)
         assert [tuple(p) for p in out.points] == expected
@@ -97,7 +100,7 @@ class TestHerd:
         kernel = ParamKernel(0.7)
         carried = PosteriorEmbedding(draws, rng.normal(size=40), kernel,
                                      theta_gram=kernel.gram(draws))
-        pool = CandidatePool.from_draws(draws, extra=rng.normal(size=(extra, 2)))
+        pool = CandidatePool(np.vstack([draws, rng.normal(size=(extra, 2))]))
         expected = herd(replace(carried, theta_gram=None), pool, 25)
         built = []
         gram = ParamKernel.gram
@@ -113,7 +116,7 @@ class TestHerd:
         emb = PosteriorEmbedding(draws, rng.normal(size=6), ParamKernel(1.0))
         pool = CandidatePool(np.vstack([draws, rng.normal(size=(10, 2))]))
         out = herd(emb, pool, 8)
-        mean_vals = emb.evaluate_many(pool.points)
+        mean_vals = emb.kernel.cross(pool.points, emb.draws) @ emb.weights
         for t in range(1, 9):
             repulsion = np.zeros(pool.size)
             for prev in out.points[: t - 1]:
@@ -123,10 +126,13 @@ class TestHerd:
             assert out.objectives[t - 1] == pytest.approx(scores.max(), rel=1e-12)
 
     def test_deterministic(self):
+        # the 20 foreign candidates are zero-weight atoms after the draws
         rng = np.random.default_rng(2)
         draws = rng.normal(size=(4, 3))
-        emb = PosteriorEmbedding(draws, rng.normal(size=4), ParamKernel(2.0))
-        pool = CandidatePool(rng.normal(size=(20, 3)))
+        weights = rng.normal(size=4)
+        atoms = np.vstack([draws, rng.normal(size=(20, 3))])
+        emb = PosteriorEmbedding(atoms, np.concatenate([weights, np.zeros(20)]), ParamKernel(2.0))
+        pool = CandidatePool.from_draws(atoms)
         a = herd(emb, pool, 15)
         b = herd(emb, pool, 15)
         assert np.array_equal(a.points, b.points)
@@ -150,6 +156,13 @@ class TestHerd:
             herd(emb, CandidatePool(np.zeros((1, 3))), 1)
         with pytest.raises(ValueError):
             CandidatePool(np.zeros((0, 2)))
+
+    def test_pool_must_start_with_the_draws(self):
+        draws = np.array([[0.0], [1.0]])
+        emb = PosteriorEmbedding(draws, np.ones(2), ParamKernel(1.0))
+        for points in ([[1.0], [0.0]], [[0.0]], [[5.0], [0.0], [1.0]]):
+            with pytest.raises(ValueError, match="must start with the embedding's draws"):
+                herd(emb, CandidatePool(np.array(points)), 1)
 
 
 class TestHerdingMmd:

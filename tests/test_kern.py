@@ -421,18 +421,19 @@ class TestSharedDistanceBuffer:
         from shiftcal.config import preset
 
         calls = record_distance_passes(monkeypatch)
-        pipeline.calibrate(preset("linear-shift", n=24, m=16, herd_size=16, n_test=24))
+        result = pipeline.calibrate(preset("linear-shift", n=24, m=16, herd_size=16, n_test=24))
         assert calls == [(16, 24), (16, 2)]
+        assert result.embedding.kernel.sigma2 == median_heuristic(result.pseudo.thetas)
 
-    def test_extra_pool_candidates_take_a_second_theta_pass(self, monkeypatch):
-        from shiftcal import pipeline
+    def test_extra_pool_candidates_are_no_longer_a_config_key(self, monkeypatch):
+        # the herding pool is the prior draws: a config asking for extra
+        # candidates fails at load, before any distance pass
         from shiftcal.config import preset
 
         calls = record_distance_passes(monkeypatch)
-        cfg = preset("linear-shift", n=24, m=16, herd_size=16, n_test=24, pool_extra=5)
-        result = pipeline.calibrate(cfg)
-        assert calls == [(16, 24), (16, 2), (21, 2)]
-        assert result.embedding.kernel.sigma2 == median_heuristic(result.pseudo.thetas)
+        with pytest.raises(ValueError, match="unknown keys in config: pool_extra$"):
+            preset("linear-shift", n=24, m=16, herd_size=16, n_test=24, pool_extra=5)
+        assert calls == []
 
     def test_theorem1_check_reads_the_carried_theta_gram(self, monkeypatch):
         # one output and one theta pass per embedding; the distance between

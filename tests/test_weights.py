@@ -173,6 +173,13 @@ class TestImportanceWeights:
             importance_weights([0.0], DensitySpec.normal(0.0, 1.0), DensitySpec.normal(8.0, 1.0))
         assert Path(record[0].filename).is_file()
 
+    def test_array_copy_is_honoured(self):
+        w = ImportanceWeights(np.array([1.0, 2.0, 3.0]))
+        for copied in (np.array(w), np.array(w, copy=True)):
+            copied[0] = 9.0
+            assert np.array_equal(w.values, [1.0, 2.0, 3.0])
+        assert np.asarray(w) is w.values
+
 
 class TestOrdinaryWeights:
     def test_single(self):
