@@ -48,9 +48,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_config(args: argparse.Namespace, needs_mh: bool = False) -> ExperimentConfig:
+def _load_config(args: argparse.Namespace, needs_mh: bool = False, m_values=()) -> ExperimentConfig:
     """The config the arguments name; a usage error (exit 2) if it fails to load,
-    or, with ``needs_mh``, if it has no 'mh' section."""
+    with ``needs_mh`` if it has no 'mh' section, or at any m in ``m_values``."""
     overrides = {
         "seed": args.seed,
         "out_dir": str(args.out) if args.out else None,
@@ -66,6 +66,8 @@ def _load_config(args: argparse.Namespace, needs_mh: bool = False) -> Experiment
             cfg = preset(args.preset, **overrides)
         if needs_mh:
             cfg.mh_config()
+        for m in m_values:
+            cfg.replace(m=m, herd_size=m)
         return cfg
     except (OSError, ValueError) as exc:  # a missing file, invalid JSON or a bad value
         reason = getattr(exc, "strerror", None) or exc
@@ -111,7 +113,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_rmse_curve(args) -> int:
-    cfg = _load_config(args, needs_mh=args.include_mh)
+    cfg = _load_config(args, needs_mh=args.include_mh, m_values=args.m_values)
     rows = rmse_curve(cfg, args.m_values, trials=args.trials, include_mh=args.include_mh)
     out = output_dir(cfg)
     write_csv_rows(out / "rmse_curve.csv", cfg.config_hash(), list(rows[0]), map(dict.values, rows))

@@ -191,6 +191,8 @@ class ExperimentConfig:
             raise ValueError("weight mode 'csv' requires a 'weights_csv' path")
         # Parse every part once, here; the builders below return these objects.
         keep("_bandwidth", _parse_bandwidth(self.bandwidth))
+        if self._bandwidth is None and self.m < 2:
+            raise ValueError(f"m must be >= 2 under the median bandwidth, got {self.m}")
         options = {} if self.simulator_options is None else self.simulator_options
         check_keys("simulator_options", options, options)  # get_simulator names unknown ones
         options = dict(options)

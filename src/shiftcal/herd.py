@@ -31,6 +31,8 @@ class CandidatePool:
         if points.ndim == 1:
             points = points[:, None]
         object.__setattr__(self, "points", points)
+        if points.ndim != 2:
+            raise ValueError(f"candidate pool must be a list of vectors, got shape {points.shape}")
         if points.shape[0] < 1:
             raise ValueError("candidate pool must be non-empty")
         if not np.all(np.isfinite(points)):
@@ -38,7 +40,8 @@ class CandidatePool:
 
     @classmethod
     def from_draws(cls, draws) -> "CandidatePool":
-        return cls(np.atleast_2d(np.asarray(draws, dtype=float)))
+        """The pool of an embedding's draws; 1-d input is m one-parameter draws."""
+        return cls(draws)
 
     @property
     def size(self) -> int:

@@ -3,7 +3,8 @@
 The posterior over simulator parameters is represented by its kernel
 mean: a weighted expansion sum_j w_j k_Theta(., theta_j) over m prior
 draws, where the weights come from the regularized Gram solve against
-the observed data under the importance-weighted output kernel.  Weights
+the observed data under the importance-weighted output kernel, with one
+right-hand side per observed output vector (``build_embedding``).  Weights
 may be negative and need not sum to one; consumers use them as-is.  The
 prior is a :class:`~shiftcal.weights.DensitySpec` over R^d (a diagonal
 normal or a uniform box), the same type as the input densities.
@@ -19,7 +20,7 @@ from scipy.linalg.blas import dgemv
 
 from ._seeding import derive_rng, derive_seed, stream_keys
 from .kern import ParamKernel, WeightedOutputKernel, gaussian_gram, regularized_solve
-from .sim import Dataset, Simulator, SimulatorError, write_json_artifact
+from .sim import Simulator, SimulatorError, write_json_artifact
 from .weights import DensitySpec, ImportanceWeights
 
 
@@ -137,37 +138,34 @@ def simulate_pseudo_outputs(sim: Simulator, thetas, xs, seed: int) -> PseudoOutp
 
 def build_embedding(
     pseudo: PseudoOutputs,
-    dataset: Dataset,
+    observed,
     beta: ImportanceWeights,
     sigma2: float | None,
     sigma2_theta: float | None,
     epsilon: float,
     meta: dict | None = None,
-) -> PosteriorEmbedding:
-    """Solve for the embedding weights given simulations and observations.
+) -> tuple[PosteriorEmbedding, ...]:
+    """One embedding per vector in ``observed``, all from one Gram system.
 
-    A ``sigma2`` of None is the median heuristic, read from the one
-    beta-weighted distance pass that builds the output Gram matrix.  The
-    weights are solved, and that matrix freed, before the one theta pass:
-    it gives the theta Gram matrix the embedding carries, and, for a
+    Only the right-hand sides depend on the observations, so the vectors
+    share one output pass, one factorization and one theta pass.  A
+    ``sigma2`` of None is the median heuristic, read from the output pass.
+    The weights are solved, and the output matrix freed, before the theta
+    pass: it gives the theta Gram matrix the embeddings share, and, for a
     ``sigma2_theta`` of None, the median over the prior draws.  The values
     used land in ``meta["sigma2"]`` and ``kernel.sigma2``.
     """
     beta = np.asarray(beta, dtype=float)
     gram, sigma2 = gaussian_gram(pseudo.values, sigma2, beta)
     kernel = WeightedOutputKernel(sigma2=sigma2, beta=beta)
-    w = regularized_solve(gram, kernel.against(pseudo.values, dataset.y), epsilon)
+    weights = regularized_solve(gram, [kernel.against(pseudo.values, y) for y in observed], epsilon)
     del gram  # so the output and theta matrices are never held together
     theta_gram, sigma2_theta = gaussian_gram(pseudo.thetas, sigma2_theta)
-    info = {"sigma2": sigma2, "epsilon": epsilon, "n": dataset.n, "m": pseudo.m}
-    if meta:
-        info.update(meta)
-    return PosteriorEmbedding(
-        draws=pseudo.thetas,
-        weights=w,
-        kernel=ParamKernel(sigma2_theta),
-        meta=info,
-        theta_gram=theta_gram,
+    theta_kernel = ParamKernel(sigma2_theta)
+    info = {"sigma2": sigma2, "epsilon": epsilon, "n": kernel.n, "m": pseudo.m, **(meta or {})}
+    return tuple(
+        PosteriorEmbedding(pseudo.thetas, w, theta_kernel, dict(info), theta_gram)
+        for w in weights
     )
 
 

@@ -23,7 +23,8 @@ by a run; the tests evaluate embeddings with it.
 
 The solve passes plain arrays: ``gram_and_rhs`` returns the Gram matrix G
 and the data-kernel vector k, and ``regularized_solve(G, k, eps)`` returns
-the weights w of (G + m eps I) w = k (the kernel Bayes' rule step).
+the weights w of (G + m eps I) w = k (the kernel Bayes' rule step), one
+row of w per row of a (k, m) stack k, all from one factorization.
 
 Every matrix product on the way from the distances to the herded samples
 (the rank-k update in ``pairwise_sqdist``, the solve's residual, herding's
@@ -249,18 +250,19 @@ def regularized_solve(gram, rhs, epsilon: float) -> np.ndarray:
     """Solve (G + m eps I) w = rhs by Cholesky factorization.
 
     ``gram`` holds the output-kernel values among the m pseudo-output
-    vectors, ``rhs`` their kernel values against the observed data, and
-    ``epsilon`` is the Tikhonov constant.  The shifted matrix is symmetric
-    positive definite for any eps > 0.  It exists only as the one copy of G
-    that the factorization overwrites; the residual is taken as
-    G w + m eps w - rhs.  One step of iterative refinement is applied if
-    the residual exceeds SOLVE_RTOL * max(1, ||rhs||_inf); failure past
-    that raises.
+    vectors, ``rhs`` their kernel values against the observed data (one
+    vector, or a (k, m) stack that is solved row by row, so each row is
+    bitwise its 1-D solve), and ``epsilon`` is the Tikhonov constant.  The
+    shifted matrix is symmetric positive definite for any eps > 0.  It
+    exists only as the one copy of G that the one factorization
+    overwrites; the residual is taken as G w + m eps w - rhs.  One step of
+    iterative refinement is applied to a row if its residual exceeds
+    SOLVE_RTOL * max(1, ||row||_inf); failure past that raises.
     """
     gram = np.asarray(gram, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    m = rhs.size
-    if gram.shape != (m, m) or rhs.shape != (m,):
+    m = rhs.shape[-1] if rhs.ndim in (1, 2) else -1
+    if gram.shape != (m, m):
         raise ValueError(f"inconsistent system shapes: {gram.shape}, {rhs.shape}")
     if not epsilon > 0:
         raise ValueError(f"regularizer must be positive, got {epsilon}")
@@ -276,15 +278,15 @@ def regularized_solve(gram, rhs, epsilon: float) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SolveError(f"factorization failed: {exc}") from exc
 
-    def residual(w):
-        return matvec(gram, w) + shift * w - rhs
-
-    w = cho_solve(factor, rhs, check_finite=False)
-    bound = SOLVE_RTOL * max(1.0, float(np.max(np.abs(rhs))))
-    r = residual(w)
-    if np.max(np.abs(r)) > bound:
-        w = w - cho_solve(factor, r, check_finite=False)
-        r = residual(w)
+    weights = []
+    for b in rhs.reshape(-1, m):  # not one multi-column solve, which may round differently
+        w = cho_solve(factor, b, check_finite=False)
+        bound = SOLVE_RTOL * max(1.0, float(np.max(np.abs(b))))
+        r = matvec(gram, w) + shift * w - b
         if np.max(np.abs(r)) > bound:
-            raise SolveError(f"solve residual {np.max(np.abs(r)):.3e} exceeds bound {bound:.3e}")
-    return w
+            w = w - cho_solve(factor, r, check_finite=False)
+            r = matvec(gram, w) + shift * w - b
+            if np.max(np.abs(r)) > bound:
+                raise SolveError(f"solve residual {np.max(np.abs(r)):.3e} exceeds bound {bound:.3e}")
+        weights.append(w)
+    return np.reshape(weights, rhs.shape)

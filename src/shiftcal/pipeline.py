@@ -10,8 +10,9 @@ Every entry point takes the front half of a run (dataset, weights, prior
 draws, pseudo-outputs) from ``prepare``, or only the dataset and weights
 from its first half, ``weighted_dataset``.  Median bandwidths are not a
 stage of their own: the embedding step reads each from the distances its
-kernel matrix is built from.  Each stream tag is derived from a run's seed
-in exactly one place:
+kernel matrix is built from, and ``Prepared.embed`` solves one Gram
+system for any number of observed vectors.  Each stream tag is derived
+from a run's seed in exactly one place:
 
 - ``"dataset"``: ``weighted_dataset``
 - ``"prior"``, ``"pseudo"``: ``prepare``
@@ -70,23 +71,22 @@ class StageError(RuntimeError):
 class Prepared:
     """The front half of a run: everything the embedding is built from.
 
-    ``pool`` holds the prior draws (``pseudo.thetas``), the herding
-    candidates.  ``bandwidth`` is the config's fixed (sigma2,
+    The prior draws, which are also the herding candidates, are
+    ``pseudo.thetas``.  ``bandwidth`` is the config's fixed (sigma2,
     sigma2_theta), or None under the median heuristic, which each ``embed``
-    resolves; the embedding records the values used.
+    resolves; the embeddings record the values used.
     """
 
     dataset: Dataset
     beta: ImportanceWeights
-    pool: CandidatePool
     pseudo: PseudoOutputs
     bandwidth: tuple[float, float] | None
     epsilon: float
 
-    def embed(self, dataset: Dataset | None = None, meta: dict | None = None) -> PosteriorEmbedding:
-        """The posterior embedding of ``dataset`` (default: the prepared one)."""
+    def embed(self, *ys, meta: dict | None = None) -> tuple[PosteriorEmbedding, ...]:
+        """One posterior embedding per output vector in ``ys`` (default: ``dataset.y``)."""
         return build_embedding(
-            self.pseudo, self.dataset if dataset is None else dataset, self.beta,
+            self.pseudo, ys or (self.dataset.y,), self.beta,
             *(self.bandwidth or (None, None)), self.epsilon, meta=meta,
         )
 
@@ -146,12 +146,11 @@ def prepare(
     dataset, beta = weighted_dataset(cfg, dataset, timings)
     with _timed(timings, "prior-draws"):
         thetas = sample_prior(cfg.build_prior(), cfg.m, derive_seed(cfg.seed, "prior"))
-        pool = CandidatePool.from_draws(thetas)
     with _timed(timings, "pseudo-outputs"):
         pseudo = simulate_pseudo_outputs(
             cfg.build_simulator(), thetas, dataset.x, derive_seed(cfg.seed, "pseudo")
         )
-    return Prepared(dataset, beta, pool, pseudo, cfg.fixed_bandwidth(), cfg.resolve_epsilon())
+    return Prepared(dataset, beta, pseudo, cfg.fixed_bandwidth(), cfg.resolve_epsilon())
 
 
 def _test_inputs(cfg: ExperimentConfig) -> np.ndarray:
@@ -163,9 +162,9 @@ def calibrate(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Calibrat
     timings: dict = {}
     prep = prepare(cfg, dataset, timings)
     with _timed(timings, "embedding"):
-        embedding = prep.embed(meta={"seed": cfg.seed, "weight_mode": cfg.weight_mode})
+        (embedding,) = prep.embed(meta={"seed": cfg.seed, "weight_mode": cfg.weight_mode})
     with _timed(timings, "herding"):
-        herded = herd(embedding, prep.pool, cfg.herd_size)
+        herded = herd(embedding, CandidatePool.from_draws(embedding.draws), cfg.herd_size)
     with _timed(timings, "prediction"):
         test_inputs = _test_inputs(cfg)
         predictions, truth_values, rmse_value = score_predictions(
@@ -327,19 +326,23 @@ def rmse_curve(
 
     Each (m, trial) cell reruns the full pipeline under a derived seed;
     the herd size follows m.  With ``include_mh`` the MH baseline runs
-    at the same budget (m chain steps) on the same per-trial data.
+    at the same budget (m chain steps) on the same per-trial data.  Every
+    cell's config is built before the first run, so a budget the config
+    rejects (m < 2 under the median bandwidth) fails before any work.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     if include_mh:
         cfg.mh_config()  # a config without an 'mh' section fails here, before any run
+
+    def trial_cfg(m: int, trial: int) -> ExperimentConfig:
+        return cfg.replace(m=m, herd_size=m, seed=derive_seed(cfg.seed, "curve", m, trial))
+
+    runs = [[trial_cfg(int(m), trial) for trial in range(trials)] for m in m_values]
     rows = []
-    for m in m_values:
+    for m, run_cfgs in zip(m_values, runs):
         scores, mh_scores = [], []
-        for trial in range(trials):
-            run_cfg = cfg.replace(
-                m=int(m), herd_size=int(m), seed=derive_seed(cfg.seed, "curve", int(m), trial)
-            )
+        for run_cfg in run_cfgs:
             result = calibrate(run_cfg)
             scores.append(result.rmse)
             if include_mh:
@@ -423,9 +426,10 @@ def theorem1_check(cfg: ExperimentConfig, grid_resolution: int = 101) -> Equival
     and reports the kernel-space distance between the embedding built
     from the observed outputs and the one built from those optimal
     outputs.  The distance shrinking with m is the expected behavior.
+    Both are right-hand sides of one Gram system, so the check makes the
+    passes ``calibrate`` makes: one output, one Cholesky and one theta.
     """
     prep = prepare(cfg)
-    from_data = prep.embed()
     dataset = prep.dataset
     theta_star, loss_star, method, step, on_boundary = minimize_weighted_sse(
         cfg, dataset, prep.beta, grid_resolution=grid_resolution
@@ -434,7 +438,7 @@ def theorem1_check(cfg: ExperimentConfig, grid_resolution: int = 101) -> Equival
         log.warning("weighted-error minimum sits on the search-grid boundary; refine the grid")
 
     sweep = cfg.build_simulator().sweep(dataset.x, derive_seed(cfg.seed, "oracle-outputs"))
-    from_optimal = prep.embed(Dataset(dataset.x, sweep(theta_star), seed=dataset.seed))
+    from_data, from_optimal = prep.embed(dataset.y, sweep(theta_star))
 
     return EquivalenceReport(
         theta_star=tuple(float(v) for v in np.atleast_1d(theta_star)),

@@ -196,7 +196,8 @@ def test_criterion_6_covariate_shift_benefit():
             run_cfg.q1_spec(), run_cfg.n_test, derive_seed(seed, "test")
         )
         for prep, scores in ((shifted, shift_scores), (ordinary, ordinary_scores)):
-            samples = herd(prep.embed(), prep.pool, run_cfg.herd_size)
+            (embedding,) = prep.embed()
+            samples = herd(embedding, CandidatePool.from_draws(embedding.draws), run_cfg.herd_size)
             _, _, score = score_predictions(
                 run_cfg.build_truth(),
                 test_inputs,

@@ -51,6 +51,47 @@ def test_zero_m_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command,flags",
+    [("calibrate", ["--m", "1"]), ("rmse-curve", ["--m-values", "20,1", "--trials", "1"])],
+    ids=["calibrate", "rmse-curve"],
+)
+def test_one_draw_under_the_median_bandwidth_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, command, flags
+):
+    # rejected when the config loads, before any run: rmse-curve does not
+    # first run its m=20 trials
+    from shiftcal import cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started at m = 1 under the median bandwidth")
+
+    for name in ("run_calibration", "rmse_curve"):
+        monkeypatch.setattr(cli, name, no_run)
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--preset", "linear-shift", "--out", str(out), *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == ("shiftcal: error: preset linear-shift: "
+                   "m must be >= 2 under the median bandwidth, got 1\n")
+    assert not out.exists()
+
+
+def test_one_draw_under_a_fixed_bandwidth_runs(tmp_path, capsys):
+    path, out = tmp_path / "fixed.json", tmp_path / "run"
+    path.write_text(json.dumps(
+        {**PRESETS["linear-shift"], "bandwidth": {"sigma2": 50.0, "sigma2_theta": 5.0}}
+    ))
+    assert main(["calibrate", "--config", str(path), "--m", "1", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["stats"]["m"] == 1
+    assert report["rmse"] == pytest.approx(2.3067464581445183, rel=1e-12)
+    assert main(["rmse-curve", "--config", str(path), "--m-values", "2,1", "--trials", "1",
+                 "--out", str(out)]) == 0
+    assert "m=     1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "command,flag,value,message",
     [("theorem1-check", "--grid-resolution", "1", "must be >= 2, got 1"),
      ("rmse-curve", "--m-values", ",", "needs at least one value"),

@@ -478,7 +478,7 @@ class TestConfigRoundTrip:
         assert a.config_hash() != a.replace(weight_mode="ordinary").config_hash()
 
     def test_replace_swaps_epsilon_for_schedule(self):
-        cfg = preset("linear-shift", m=1)
+        cfg = preset("linear-shift", m=1, bandwidth={"sigma2": 1.0, "sigma2_theta": 1.0})
         swapped = cfg.replace(epsilon=None, epsilon_schedule={"C": 2.0, "b": 3.0})
         assert swapped.epsilon is None
         assert swapped.resolve_epsilon() == 2.0

@@ -157,6 +157,17 @@ class TestHerd:
         with pytest.raises(ValueError):
             CandidatePool(np.zeros((0, 2)))
 
+    def test_from_draws_reads_a_flat_list_as_one_parameter_draws(self):
+        # as the constructor and simulate_pseudo_outputs do: m draws of one
+        # parameter, not one m-parameter draw
+        pool = CandidatePool.from_draws([1.0, 2.0, 3.0])
+        assert pool.points.shape == (3, 1)
+        assert np.array_equal(pool.points, CandidatePool([1.0, 2.0, 3.0]).points)
+        emb = PosteriorEmbedding([[1.0], [2.0], [3.0]], np.ones(3), ParamKernel(1.0))
+        assert herd(emb, pool, 2).points.shape == (2, 1)
+        with pytest.raises(ValueError, match="list of vectors"):
+            CandidatePool.from_draws(np.zeros((2, 2, 2)))
+
     def test_pool_must_start_with_the_draws(self):
         draws = np.array([[0.0], [1.0]])
         emb = PosteriorEmbedding(draws, np.ones(2), ParamKernel(1.0))

@@ -117,8 +117,8 @@ class TestBuildEmbedding:
         dataset = make_dataset([0.0, 1.0], [0.5, 0.5])
         pseudo = simulate_pseudo_outputs(LinearSimulator(), np.array([[0.0, 0.0]]), dataset.x, 0)
         eps = 0.3
-        emb = build_embedding(
-            pseudo, dataset, ordinary_weights(2), sigma2=1.0, sigma2_theta=1.0, epsilon=eps
+        (emb,) = build_embedding(
+            pseudo, [dataset.y], ordinary_weights(2), sigma2=1.0, sigma2_theta=1.0, epsilon=eps
         )
         k = math.exp(-(0.25 + 0.25) / 2.0)
         assert emb.weights[0] == pytest.approx(k / (1 + eps), rel=1e-12)
@@ -133,8 +133,8 @@ class TestBuildEmbedding:
         from shiftcal.kabc import PseudoOutputs
 
         pseudo = PseudoOutputs(thetas=thetas, values=values)
-        emb = build_embedding(
-            pseudo, dataset, ordinary_weights(4), sigma2=1e-3, sigma2_theta=1.0, epsilon=1e-6
+        (emb,) = build_embedding(
+            pseudo, [dataset.y], ordinary_weights(4), sigma2=1e-3, sigma2_theta=1.0, epsilon=1e-6
         )
         w = emb.weights
         assert w[1] > 10 * max(abs(w[0]), abs(w[2]))
@@ -145,8 +145,8 @@ class TestBuildEmbedding:
         xs = rng.normal(0.5, 0.5, size=20)
         dataset = make_dataset(xs, -xs + xs**3 + rng.normal(0, math.sqrt(2), 20))
         pseudo = simulate_pseudo_outputs(LinearSimulator(), thetas, xs, seed=0)
-        emb = build_embedding(
-            pseudo, dataset, ordinary_weights(20), sigma2=100.0, sigma2_theta=10.0, epsilon=1.0
+        (emb,) = build_embedding(
+            pseudo, [dataset.y], ordinary_weights(20), sigma2=100.0, sigma2_theta=10.0, epsilon=1.0
         )
         assert np.all(np.isfinite(emb.weights))
         assert np.isfinite(embedding_at(emb, [np.zeros(2)])[0])
@@ -162,12 +162,12 @@ class TestBuildEmbedding:
         thetas = rng.normal(0, 1, size=(10, 2))
         pseudo = simulate_pseudo_outputs(LinearSimulator(), thetas, xs, seed=0)
         q = DensitySpec.normal(0.5, 0.5)
-        emb_a = build_embedding(
-            pseudo, dataset, ordinary_weights(15), sigma2=50.0, sigma2_theta=5.0, epsilon=0.5
+        (emb_a,) = build_embedding(
+            pseudo, [dataset.y], ordinary_weights(15), sigma2=50.0, sigma2_theta=5.0, epsilon=0.5
         )
-        emb_b = build_embedding(
+        (emb_b,) = build_embedding(
             pseudo,
-            dataset,
+            [dataset.y],
             importance_weights(xs, q, q),
             sigma2=50.0,
             sigma2_theta=5.0,
@@ -183,18 +183,53 @@ class TestBuildEmbedding:
         values = rng.normal(size=(12, 6))
         dataset = make_dataset(np.arange(6), rng.normal(size=6))
         beta = ordinary_weights(6)
-        emb = build_embedding(
-            PseudoOutputs(thetas, values), dataset, beta, 5.0, 2.0, 0.1
+        (emb,) = build_embedding(
+            PseudoOutputs(thetas, values), [dataset.y], beta, 5.0, 2.0, 0.1
         )
         perm = rng.permutation(12)
-        emb_p = build_embedding(
-            PseudoOutputs(thetas[perm], values[perm]), dataset, beta, 5.0, 2.0, 0.1
+        (emb_p,) = build_embedding(
+            PseudoOutputs(thetas[perm], values[perm]), [dataset.y], beta, 5.0, 2.0, 0.1
         )
         assert np.allclose(emb_p.weights, emb.weights[perm], rtol=0, atol=1e-10)
         for theta in rng.normal(size=(5, 2)):
             assert embedding_at(emb_p, [theta])[0] == pytest.approx(
                 embedding_at(emb, [theta])[0], abs=1e-10
             )
+
+    def test_observed_vectors_share_one_gram_system(self, monkeypatch):
+        # one embedding per vector, each bitwise its own single-vector build;
+        # all come from one output pass and one theta pass, and share the
+        # theta kernel and the carried theta matrix
+        from shiftcal import kern
+        from shiftcal.kabc import PseudoOutputs
+
+        rng = np.random.default_rng(4)
+        pseudo = PseudoOutputs(rng.normal(size=(20, 2)), rng.normal(size=(20, 5)))
+        beta = ImportanceWeights(rng.uniform(0.5, 2.0, size=5))
+        ys = rng.normal(size=(3, 5))
+        singles = [build_embedding(pseudo, [y], beta, None, None, 0.1) for y in ys]
+        assert all(isinstance(one, tuple) and len(one) == 1 for one in singles)
+        passes = []
+        sqdist = kern.pairwise_sqdist
+
+        def counted(vectors, weights=None):
+            passes.append(np.shape(vectors))
+            return sqdist(vectors, weights)
+
+        monkeypatch.setattr(kern, "pairwise_sqdist", counted)
+        embs = build_embedding(pseudo, ys, beta, None, None, 0.1, meta={"tag": 1})
+        assert passes == [(20, 5), (20, 2)]
+        assert isinstance(embs, tuple) and len(embs) == 3
+        for emb, (one,) in zip(embs, singles):
+            assert emb.weights.tobytes() == one.weights.tobytes()
+            assert emb.meta == {**one.meta, "tag": 1} and emb.meta["n"] == 5
+            assert emb.kernel is embs[0].kernel and emb.theta_gram is embs[0].theta_gram
+            assert emb.kernel == one.kernel
+        assert np.array_equal(embs[0].theta_gram, singles[0][0].theta_gram)
+        embs[0].meta["tag"] = 2
+        assert embs[1].meta["tag"] == 1
+        with pytest.raises(ValueError, match="observed outputs must have length 5"):
+            build_embedding(pseudo, [np.zeros(4)], beta, None, None, 0.1)
 
 
 class TestEmbeddingEval:
@@ -273,10 +308,8 @@ class TestEmbeddingDistance:
         rng = np.random.default_rng(m)
         pseudo = PseudoOutputs(rng.normal(size=(m, 2)), rng.normal(size=(m, 5)))
         beta = ordinary_weights(5)
-        a = build_embedding(pseudo, make_dataset(np.arange(5), rng.normal(size=5)),
-                            beta, None, None, 0.1)
-        b = build_embedding(pseudo, make_dataset(np.arange(5), rng.normal(size=5)),
-                            beta, None, None, 0.1)
+        (a,) = build_embedding(pseudo, [rng.normal(size=5)], beta, None, None, 0.1)
+        (b,) = build_embedding(pseudo, [rng.normal(size=5)], beta, None, None, 0.1)
         assert a.kernel.sigma2 == median_heuristic(pseudo.thetas)
         assert np.array_equal(a.theta_gram, a.kernel.gram(pseudo.thetas))
         delta = a.weights - b.weights

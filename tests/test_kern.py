@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import cho_factor, cho_solve
 
 from shiftcal.kern import (
     DegenerateBandwidthError,
@@ -273,6 +274,37 @@ class TestRegularizedSolve:
             residual = np.max(np.abs(lhs @ w - rhs))
             assert residual <= 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
+    @pytest.mark.parametrize("damp", [1.0, 1.0 + 1e-7])  # 1e-7 off forces a refinement
+    def test_stacked_rows_are_bitwise_their_own_solves(self, monkeypatch, damp):
+        # a (k, m) stack is factored once, and each row is solved and refined
+        # on its own, so it is bitwise what the 1-D call gives
+        from shiftcal import kern
+
+        rng = np.random.default_rng(12)
+        kernel = WeightedOutputKernel(4.0, rng.uniform(0.5, 2.0, size=6))
+        outputs = rng.normal(size=(50, 6))
+        gram = kernel.gram(outputs)
+        rhs = np.array([kernel.against(outputs, rng.normal(size=6)) for _ in range(3)])
+        calls = []
+
+        def counted_factor(*args, **kwargs):
+            calls.append("factor")
+            return cho_factor(*args, **kwargs)
+
+        def damped_solve(*args, **kwargs):
+            calls.append("solve")
+            return damp * cho_solve(*args, **kwargs)
+
+        monkeypatch.setattr(kern, "cho_factor", counted_factor)
+        monkeypatch.setattr(kern, "cho_solve", damped_solve)
+        singles = [regularized_solve(gram, b, 1e-3) for b in rhs]
+        calls.clear()
+        stacked = regularized_solve(gram, rhs, 1e-3)
+        solves_per_row = 1 if damp == 1.0 else 2
+        assert calls == ["factor"] + ["solve"] * (3 * solves_per_row)
+        assert stacked.shape == rhs.shape
+        assert all(row.tobytes() == one.tobytes() for row, one in zip(stacked, singles))
+
     def test_non_finite_rejected(self):
         with pytest.raises(SolveError):
             regularized_solve(np.array([[np.nan]]), np.array([1.0]), 0.1)
@@ -285,7 +317,8 @@ class TestRegularizedSolve:
         "gram,rhs",
         [(np.eye(2), np.ones(3)),         # rhs longer than the Gram matrix
          (np.ones((2, 3)), np.ones(2)),   # a non-square Gram matrix
-         (np.eye(2), np.ones((2, 1)))],   # rhs not a vector
+         (np.eye(2), np.ones((2, 1))),    # rows of length 1 against a 2 x 2 matrix
+         (np.eye(2), np.ones((1, 2, 2)))],  # rhs neither a vector nor a stack
     )
     def test_shape_mismatch_rejected(self, gram, rhs):
         with pytest.raises(ValueError, match="inconsistent system shapes"):
@@ -436,14 +469,23 @@ class TestSharedDistanceBuffer:
         assert calls == []
 
     def test_theorem1_check_reads_the_carried_theta_gram(self, monkeypatch):
-        # one output and one theta pass per embedding; the distance between
-        # the two reuses a carried theta matrix
-        from shiftcal import pipeline
+        # both embeddings come from one output pass, one factorization and one
+        # theta pass, as in calibrate; the distance between them reuses the
+        # carried theta matrix
+        from shiftcal import kern, pipeline
         from shiftcal.config import preset
 
         calls = record_distance_passes(monkeypatch)
+        factorizations = []
+
+        def counted_cho_factor(*args, **kwargs):
+            factorizations.append(np.shape(args[0]))
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(kern, "cho_factor", counted_cho_factor)
         pipeline.theorem1_check(preset("linear-shift", n=24, m=16), grid_resolution=5)
-        assert calls == [(16, 24), (16, 2), (16, 24), (16, 2)]
+        assert calls == [(16, 24), (16, 2)]
+        assert factorizations == [(16, 16)]
 
 
 def record_distance_passes(monkeypatch) -> list:

@@ -7,6 +7,8 @@ import pytest
 from shiftcal._seeding import derive_rng, derive_seed, stream_keys
 from shiftcal.baseline import mh_sample
 from shiftcal.config import ExperimentConfig, preset
+from shiftcal.herd import CandidatePool
+from shiftcal.kabc import build_embedding, embedding_distance
 from shiftcal import pipeline
 from shiftcal.pipeline import (
     StageError,
@@ -133,9 +135,13 @@ class TestRunCalibration:
         assert np.isfinite(result.rmse)
 
     def test_median_bandwidth_needs_two_draws(self):
-        cfg = tiny_linear(m=1, herd_size=1)
-        with pytest.raises(StageError, match="embedding"):
-            calibrate(cfg)
+        # rejected when the config loads, not mid-run; a fixed bandwidth runs
+        # at m = 1 (test_single_draw_pipeline_completes)
+        with pytest.raises(ValueError, match="^m must be >= 2 under the median bandwidth, got 1$"):
+            tiny_linear(m=1, herd_size=1)
+        with pytest.raises(ValueError, match="median bandwidth, got 1"):
+            tiny_linear().replace(m=1)
+        assert tiny_linear(m=2).m == 2
 
     def test_weight_modes_give_different_rmse(self):
         shift = calibrate(tiny_linear(seed=11))
@@ -193,9 +199,10 @@ class TestPrepare:
         assert np.asarray(prep.beta).tobytes() == np.asarray(result.beta).tobytes()
         assert prep.pseudo.thetas.tobytes() == result.pseudo.thetas.tobytes()
         assert prep.pseudo.values.tobytes() == result.pseudo.values.tobytes()
-        assert prep.pool.points.tobytes() == result.herded.pool.points.tobytes()
         assert prep.bandwidth is None and prep.epsilon == result.epsilon
-        embedding = prep.embed()
+        (embedding,) = prep.embed()
+        pool = CandidatePool.from_draws(embedding.draws)
+        assert pool.points.tobytes() == result.herded.pool.points.tobytes()
         bandwidths = (embedding.meta["sigma2"], embedding.kernel.sigma2, prep.epsilon)
         emb = result.embedding
         assert bandwidths == (emb.meta["sigma2"], emb.kernel.sigma2, result.epsilon)
@@ -205,9 +212,9 @@ class TestPrepare:
     def test_embed_releases_distance_buffer(self):
         # no distance matrix is held between stages, and embed is a pure call
         prep = prepare(tiny_linear())
-        first = prep.embed()
+        (first,) = prep.embed()
         assert not any(isinstance(v, np.ndarray) for v in vars(prep).values())
-        again = prep.embed()
+        (again,) = prep.embed()
         assert first.weights.tobytes() == again.weights.tobytes()
         assert (first.meta["sigma2"], first.kernel.sigma2) == (again.meta["sigma2"], again.kernel.sigma2)
 
@@ -215,7 +222,7 @@ class TestPrepare:
         prep = prepare(tiny_linear(bandwidth={"sigma2": 2.0, "sigma2_theta": 3.0}))
         assert not any(isinstance(v, np.ndarray) for v in vars(prep).values())
         assert prep.bandwidth == (2.0, 3.0)
-        embedding = prep.embed()
+        (embedding,) = prep.embed()
         assert (embedding.meta["sigma2"], embedding.kernel.sigma2) == (2.0, 3.0)
 
 
@@ -231,6 +238,17 @@ class TestRmseCurve:
         trial_seed = derive_seed(cfg.seed, "curve", 8, 0)
         single = calibrate(cfg.replace(m=8, herd_size=8, seed=trial_seed))
         assert rows[0]["rmse_mean"] == pytest.approx(single.rmse, rel=1e-15)
+
+    def test_every_budget_is_checked_before_the_first_run(self, monkeypatch):
+        def no_run(cfg, dataset=None):
+            raise AssertionError("a trial ran before every budget was checked")
+
+        monkeypatch.setattr(pipeline, "calibrate", no_run)
+        with pytest.raises(ValueError, match="median bandwidth, got 1"):
+            rmse_curve(tiny_linear(), m_values=[20, 1], trials=2)
+        fixed = tiny_linear(bandwidth={"sigma2": 50.0, "sigma2_theta": 5.0})
+        monkeypatch.undo()
+        assert rmse_curve(fixed, m_values=[1], trials=1)[0]["m"] == 1
 
     def test_mh_columns_present(self):
         cfg = tiny_linear()
@@ -346,6 +364,26 @@ class TestTheoremCheck:
         best = int(np.argmin(losses))
         assert loss == losses[best]
         assert theta.tobytes() == points[best].tobytes()
+
+    @pytest.mark.parametrize("name,seed", [("linear-shift", 3), ("assembly-shift", 9)])
+    def test_one_system_equals_two_separate_systems(self, name, seed):
+        # oracle: the two embeddings built as two separate Gram systems, each
+        # with its own output pass, factorization and theta pass
+        cfg = preset(name, seed=seed, n=12, m=30, herd_size=30)
+        report = theorem1_check(cfg, grid_resolution=9)
+        prep = prepare(cfg)
+        theta_star, *_ = minimize_weighted_sse(cfg, prep.dataset, prep.beta, grid_resolution=9)
+        x = prep.dataset.x
+        optimal = cfg.build_simulator().sweep(x, derive_seed(cfg.seed, "oracle-outputs"))(theta_star)
+        (from_data,), (from_optimal,) = (
+            build_embedding(prep.pseudo, [y], prep.beta, None, None, prep.epsilon)
+            for y in (prep.dataset.y, optimal)
+        )
+        expected = (embedding_distance(from_data, from_optimal),
+                    from_data.meta["sigma2"], from_data.kernel.sigma2)
+        got = (report.distance, report.sigma2, report.sigma2_theta)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+        assert report.distance > 0
 
     def test_wls_match_within_grid_step(self):
         cfg = preset("linear-shift", n=60, m=40, herd_size=40)
