@@ -77,7 +77,7 @@ class MHTrace:
 
     def write_csv(self, path, config_hash: str | None = None) -> None:
         header = ["step"] + [f"theta_{k}" for k in range(self.states.shape[1])] + ["accepted"]
-        steps = enumerate(zip(self.states, self.accepted), start=1)
+        steps = enumerate(zip(self.states.tolist(), self.accepted.tolist()), start=1)
         rows = ([s, *state, int(acc)] for s, (state, acc) in steps)
         write_csv_rows(path, config_hash, header, rows)
 

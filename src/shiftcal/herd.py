@@ -67,7 +67,7 @@ class HerdedSamples:
     def write_csv(self, path, config_hash: str | None = None) -> None:
         """One parameter vector per row, in herding order."""
         header = [f"theta_{k}" for k in range(self.points.shape[1])]
-        write_csv_rows(path, config_hash, header, self.points)
+        write_csv_rows(path, config_hash, header, self.points.tolist())
 
 
 def herd(emb: PosteriorEmbedding, pool: CandidatePool, T: int) -> HerdedSamples:

@@ -8,18 +8,22 @@ that matter for the test distribution count for more.
 All pairwise squared distances come from ``pairwise_sqdist``: one BLAS
 rank-k update over the centred, weighted rows, exactly symmetric with an
 exactly zero diagonal, accurate to rounding in the centred norms (see its
-docstring).  The median heuristic takes the lower middle pair distance.
-Every kernel matrix comes from ``gaussian_gram``: one distance pass, the
-median read from it when no bandwidth is given, then the Gaussian formed
-in its buffer, so no distance matrix leaves the function.  A run makes one
-output pass and one theta pass: the output Gram matrix is solved and freed
-first, then one theta pass gives both the theta median and the theta Gram
-matrix, which the embedding carries to herding (its pool Gram matrix, from
-which it also reads the embedding at every candidate) and to
-``embedding_distance``.  A herding pool with candidates after the draws,
-which no run builds, gets its own theta matrix (``ParamKernel.gram``).
-``ParamKernel.cross``, the kernel between two point sets, is never called
-by a run; the tests evaluate embeddings with it.
+docstring); it touches the whole matrix only in the block loop that adds
+the norms, clamps at 0 and mirrors.  The median heuristic takes the lower
+middle pair distance from one triangle of that matrix, m(m-1)/2 entries
+copied into one buffer and partitioned in place, so no flattened copy of
+the matrix is made.  Every kernel matrix comes from ``gaussian_gram``: one
+distance pass, the median read from it when no bandwidth is given, then
+the Gaussian formed in its buffer, so no distance matrix leaves the
+function.  A run makes one output pass and one theta pass: the output
+Gram matrix is solved and freed first, then one theta pass gives both the
+theta median and the theta Gram matrix, which the embedding carries to
+herding (its pool Gram matrix, from which it also reads the embedding at
+every candidate) and to ``embedding_distance``.  A herding pool with
+candidates after the draws, which no run builds, gets its own theta
+matrix (``ParamKernel.gram``).  ``ParamKernel.cross``, the kernel between
+two point sets, is never called by a run; the tests evaluate embeddings
+with it.
 
 The solve passes plain arrays: ``gram_and_rhs`` returns the Gram matrix G
 and the data-kernel vector k, and ``regularized_solve(G, k, eps)`` returns
@@ -76,12 +80,14 @@ def pairwise_sqdist(vectors, weights=None) -> np.ndarray:
     and centring keeps the norms, hence the cancellation, small), then
     scaled by sqrt(weights).  d_ij = |a_i|^2 + |a_j|^2 - 2 a_i.a_j is read
     from one rank-k update -2 A A^T (``dsyrk``, lower triangle only), norms
-    taken from its diagonal, and clamped at 0.  The result is exactly
-    symmetric with an exactly zero diagonal, and bitwise-identical scaled
-    rows are exactly 0 apart.  The absolute error of an entry is a small
-    multiple of n * machine-eps * (|a_i|^2 + |a_j|^2) for the centred rows;
-    on unimodal data such as the shipped presets' outputs that is below
-    1e-12 times the median distance (measured: ~1e-14).
+    taken from its diagonal; each block of rows is clamped at 0 as it is
+    formed, then mirrored.  The result is exactly symmetric with an exactly
+    zero diagonal, and scaled rows that compare equal are exactly 0 apart:
+    a count of distinct row bytes finds whether any row repeats, and only
+    then are the equal pairs found and zeroed.  The absolute error of an
+    entry is a small multiple of n * machine-eps * (|a_i|^2 + |a_j|^2) for
+    the centred rows; on unimodal data such as the shipped presets' outputs
+    that is below 1e-12 times the median distance (measured: ~1e-14).
     """
     mat = _as_matrix(vectors)
     mat = mat - mat.mean(axis=0)
@@ -93,25 +99,30 @@ def pairwise_sqdist(vectors, weights=None) -> np.ndarray:
     # dsyrk fills the lower triangle of its Fortran-ordered result, so the
     # transpose is C-ordered with -2 a_i.a_j on and above the diagonal.
     # Each block of rows gets n_i + n_j (formed first, so each entry is
-    # bitwise what numpy's (-2 A A^T) + (n_i + n_j) gives), then is mirrored
-    # below the diagonal, which makes the matrix exactly symmetric.  Blocks
-    # keep the transposed copy in cache; a whole-matrix transposed add took
-    # twice as long.
+    # bitwise what numpy's (-2 A A^T) + (n_i + n_j) gives), is clamped at 0,
+    # then is mirrored below the diagonal, which makes the matrix exactly
+    # symmetric.  Blocks keep the transposed copy in cache; a whole-matrix
+    # transposed add took twice as long.
     out = dsyrk(-2.0, mat.T, trans=1, lower=1).T
     norms = out.diagonal() / -2.0
     for i in range(0, len(out), _SQDIST_BLOCK):
         rows = slice(i, i + _SQDIST_BLOCK)
-        out[rows, i:] += np.add.outer(norms[rows], norms[i:])
+        block = out[rows, i:]
+        block += np.add.outer(norms[rows], norms[i:])
+        np.maximum(block, 0.0, out=block)
         out[i + _SQDIST_BLOCK:, rows] = out[rows, i + _SQDIST_BLOCK:].T
         diag = out[rows, rows]
         lower = np.tril_indices(len(diag), -1)
         diag[lower] = diag.T[lower]
-    np.maximum(out, 0.0, out=out)
     np.fill_diagonal(out, 0.0)
     # The BLAS may sum a_i.a_i and a_i.a_j in different orders, so equal rows
-    # are set to 0 explicitly.
-    distinct, rows = np.unique(mat, axis=0, return_inverse=True)
-    if len(distinct) < len(mat):
+    # are set to 0 explicitly.  Counting distinct row bytes is cheap; adding
+    # 0.0 turns -0.0 into 0.0, so rows that compare equal have equal bytes.
+    # Only when some row repeats does the float-wise ``np.unique`` run.
+    plain = mat + 0.0
+    row_bytes = plain.view(np.dtype((np.void, plain.itemsize * plain.shape[1])))
+    if len(np.unique(row_bytes)) < len(mat):
+        rows = np.unique(mat, axis=0, return_inverse=True)[1]
         out[rows[:, None] == rows[None, :]] = 0.0
     return out
 
@@ -121,15 +132,18 @@ def median_sqdist(sqdist: np.ndarray) -> float:
 
     Over an even pair count this is the lower middle value, so the result
     is always an attained distance and runs are deterministic.  Each pair
-    sits twice off the diagonal and the m diagonal zeros sort first, so the
-    k-th smallest pair is the (m + 2k)-th smallest entry: one
-    ``np.partition`` of the matrix, no triangle extraction or full sort.
+    is read once: the strict upper triangle, m(m-1)/2 entries, is copied
+    row by row into one buffer, which is partitioned in place at the lower
+    middle index.  That is half the entries of the matrix, and no flattened
+    copy of it is made.
     """
     m = sqdist.shape[0]
     if m < 2:
         raise ValueError(f"median heuristic needs at least 2 vectors, got {m}")
-    k = m + 2 * ((m * (m - 1) // 2 - 1) // 2)
-    sigma2 = float(np.partition(sqdist, k, axis=None)[k])
+    pairs = np.concatenate([sqdist[i, i + 1:] for i in range(m - 1)])
+    k = (len(pairs) - 1) // 2
+    pairs.partition(k)
+    sigma2 = float(pairs[k])
     if sigma2 <= 0:
         raise DegenerateBandwidthError(
             "median pairwise squared distance is zero; points are (mostly) duplicated"

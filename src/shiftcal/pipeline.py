@@ -201,17 +201,17 @@ def run_calibration(cfg: ExperimentConfig) -> CalibrationResult:
     config_hash = cfg.config_hash()
     out = output_dir(cfg)
     result.dataset.write_csv(out / "dataset.csv", config_hash)
-    beta_rows = ([v] for v in np.asarray(result.beta))
+    beta_rows = np.asarray(result.beta)[:, None].tolist()
     write_csv_rows(out / "weights.csv", config_hash, ["beta"], beta_rows)
     stamped = {**result.embedding.meta, "config_hash": config_hash}
     replace(result.embedding, meta=stamped).to_json(out / "embedding.json")
     result.herded.write_csv(out / "herded.csv", config_hash)
+    preds = result.predictions
     write_csv_rows(
         out / "predictions.csv",
         config_hash,
         ["x"] + [f"y_{j}" for j in range(1, len(result.herded) + 1)] + ["mean"],
-        ([x, *outputs, outputs.mean()]
-         for x, outputs in zip(result.test_inputs, result.predictions)),
+        np.column_stack((result.test_inputs, preds, preds.mean(axis=1))).tolist(),
     )
     names = ("config.json", "dataset.csv", "weights.csv", "embedding.json", "herded.csv",
              "predictions.csv", "report.json")
@@ -478,8 +478,7 @@ def emit_plot_data(cfg: ExperimentConfig, grid_points: int = 121) -> Path:
         path,
         config_hash,
         ["x", "truth", "pred_mean"] + [f"y_{j}" for j in range(1, len(result.herded) + 1)],
-        ([x, tv, outputs.mean(), *outputs]
-         for x, tv, outputs in zip(grid, truth_vals, predictions)),
+        np.column_stack((grid, truth_vals, predictions.mean(axis=1), predictions)).tolist(),
     )
     result.dataset.write_csv(out / "dataset.csv", config_hash)
     return path

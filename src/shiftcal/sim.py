@@ -235,16 +235,17 @@ class DataGeneratingProcess:
 
 def write_csv_rows(path, config_hash: str | None, header, rows) -> None:
     """Write a CSV artifact: a ``# config_hash=...`` line if a hash is given,
-    the header, then the rows.  Floats are written with ``repr``, so they
-    read back bit for bit; other values as ``str``.  Rows end in CRLF.
+    the header, then the rows.  Rows hold Python values (callers pass an
+    array's ``tolist()``): the csv module writes a float as its ``repr``, so
+    it reads back bit for bit, and other values as ``str``.  Rows end in
+    CRLF.
     """
     with Path(path).open("w", newline="") as fh:
         if config_hash:
             fh.write(f"# config_hash={config_hash}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+        writer.writerows(rows)
 
 
 def write_json_artifact(path, payload) -> str:
@@ -281,7 +282,7 @@ class Dataset:
 
     def write_csv(self, path, config_hash: str | None = None) -> None:
         """Write ``x,y`` rows; seed, generator spec and hash go to a JSON sidecar."""
-        write_csv_rows(path, config_hash, ["x", "y"], zip(self.x, self.y))
+        write_csv_rows(path, config_hash, ["x", "y"], zip(self.x.tolist(), self.y.tolist()))
         side = {"seed": self.seed, "meta": self.meta}
         if config_hash:
             side["config_hash"] = config_hash

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -419,6 +420,100 @@ class TestPairwiseSqdistProperties:
         dist = pairwise_sqdist(mat, weights)
         assert median_sqdist(dist) == lower_median_of_pairs(dist)
         assert median_heuristic(mat, weights) == median_sqdist(dist)
+
+
+def full_matrix_median(sqdist) -> float:
+    """The median read from the whole matrix: one ``np.partition`` over all m^2
+    entries, where the m diagonal zeros sort first and each pair sits twice."""
+    m = len(sqdist)
+    k = m + 2 * ((m * (m - 1) // 2 - 1) // 2)
+    return float(np.partition(sqdist, k, axis=None)[k])
+
+
+class TestMedianOverOneTriangle:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 16, 201, 400])
+    def test_equals_the_full_matrix_median(self, m):
+        # odd and even pair counts: m(m-1)/2 is 1, 3, 6, 10, 120, 20100, 79800
+        rng = np.random.default_rng(m)
+        mat, beta = rng.normal(size=(m, 7)), rng.uniform(0.0, 2.0, size=7)
+        oracle = full_matrix_median(pairwise_sqdist(mat, beta))
+        assert median_sqdist(pairwise_sqdist(mat, beta)) == oracle
+        gram, sigma2 = gaussian_gram(mat, weights=beta)
+        assert sigma2 == oracle
+        fixed, given = gaussian_gram(mat, oracle, beta)
+        assert given == oracle and fixed.tobytes() == gram.tobytes()
+
+    @pytest.mark.parametrize("m", [4, 5, 16, 201])
+    def test_tied_distances(self, m):
+        # shuffled integers: pairs k apart all share the distance k^2
+        mat = np.random.default_rng(m).permutation(m).astype(float)
+        sqdist = pairwise_sqdist(mat)
+        assert median_sqdist(sqdist) == full_matrix_median(sqdist) == gaussian_gram(mat)[1]
+
+    @pytest.mark.parametrize("m", [16, 201, 400])
+    def test_duplicate_rows(self, m):
+        rng = np.random.default_rng(m + 1)
+        mat = rng.normal(size=(m, 5))[rng.integers(0, m // 2, size=m)]
+        sqdist = pairwise_sqdist(mat)
+        assert median_sqdist(sqdist) == full_matrix_median(sqdist) == gaussian_gram(mat)[1]
+
+    def test_error_messages_kept(self):
+        with pytest.raises(
+            DegenerateBandwidthError,
+            match=r"^median pairwise squared distance is zero; points are \(mostly\) duplicated$",
+        ):
+            gaussian_gram(np.tile([1.0, -2.0], (6, 1)))
+        with pytest.raises(ValueError, match="^median heuristic needs at least 2 vectors, got 1$"):
+            gaussian_gram(np.array([[1.0, 2.0]]))
+
+    def test_peak_memory_is_the_distance_matrix_and_one_triangle(self):
+        # the median copies m(m-1)/2 pairs, not a flattened m x m matrix
+        m = 600
+        mat = np.random.default_rng(12).normal(size=(m, 20))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            gaussian_gram(mat)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * m * m * 8
+
+
+class TestDuplicateRowCheck:
+    @pytest.mark.parametrize("m", [100, 300])
+    def test_signed_zeros_in_a_zero_weight_column(self, m):
+        # each row appears twice, the copies scattered, and differing only in
+        # a zero-weight column, as +1 and -1: after centring and scaling they
+        # differ only by +-0.0, so no two rows have equal bytes, yet each
+        # pair is exactly 0 apart (the BLAS alone leaves some pairs at ~1e-11)
+        for n in (9, 30, 64):
+            for seed in range(4):
+                rng = np.random.default_rng(seed)
+                order = rng.permutation(m)
+                source = order % (m // 2)
+                mat = (10.0 * rng.normal(size=(m // 2, n)) + rng.normal(size=n))[source]
+                mat[:, 4] = np.where(order < m // 2, 1.0, -1.0)
+                beta = rng.uniform(0.5, 2.0, size=n)
+                beta[4] = 0.0
+                dist = pairwise_sqdist(mat, beta)
+                assert dist.tobytes() == numpy_product_sqdist(mat, beta).tobytes()
+                same = source[:, None] == source[None, :]
+                assert np.all(dist[same] == 0.0) and np.all(dist[~same] > 0.0)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_exact_duplicates_scattered(self, weighted):
+        # 300 rows drawn from 150 with replacement, offset from the origin
+        for n in (9, 30, 64):
+            for seed in range(4):
+                rng = np.random.default_rng(seed)
+                source = rng.integers(0, 150, size=300)
+                mat = (10.0 * rng.normal(size=(150, n)) + rng.normal(size=n))[source]
+                weights = rng.uniform(0.2, 3.0, size=n) if weighted else None
+                dist = pairwise_sqdist(mat, weights)
+                assert dist.tobytes() == numpy_product_sqdist(mat, weights).tobytes()
+                same = source[:, None] == source[None, :]
+                assert np.all(dist[same] == 0.0) and np.all(dist[~same] > 0.0)
 
 
 class TestSharedDistanceBuffer:

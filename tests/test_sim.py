@@ -1,9 +1,11 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from shiftcal import sim as sim_module
+from shiftcal.baseline import MHTrace
 from shiftcal.sim import (
     AssemblyLineSimulator,
     DataGeneratingProcess,
@@ -14,6 +16,7 @@ from shiftcal.sim import (
     cubic_truth,
     generate_dataset,
     get_simulator,
+    write_csv_rows,
 )
 from shiftcal.weights import DensitySpec
 
@@ -241,6 +244,44 @@ class TestDatasetCsv:
         assert np.array_equal(y, ds.y)
         assert side["seed"] == 42
         assert side["meta"] == {"truth": "cubic"}
+
+
+def per_value_repr_csv(path, header, rows) -> bytes:
+    """The writer's reference: every float written as ``repr(float(v))``."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    return path.read_bytes()
+
+
+class TestWriteCsvRows:
+    def written(self, tmp_path, header, rows) -> bytes:
+        write_csv_rows(tmp_path / "rows.csv", None, header, rows)
+        return (tmp_path / "rows.csv").read_bytes()
+
+    def test_edge_floats(self, tmp_path):
+        row = np.array([-0.0, 5e-324, 1e-300, 1e16, 0.1, np.inf])
+        expected = per_value_repr_csv(tmp_path / "ref.csv", list("abcdef"), [row])
+        assert self.written(tmp_path, list("abcdef"), [row.tolist()]) == expected
+        assert expected.endswith(b"-0.0,5e-324,1e-300,1e+16,0.1,inf\r\n")
+
+    def test_mh_trace_rows_keep_int_columns(self, tmp_path):
+        states = np.array([[0.5, -1.25], [1e-7, 3.0]])
+        accepted = np.array([True, False])
+        trace = MHTrace(init=states[0], states=states, accepted=accepted, burn_in_steps=0)
+        header = ["step", "theta_0", "theta_1", "accepted"]
+        rows = [[s, *state, int(acc)] for s, (state, acc) in enumerate(zip(states, accepted), 1)]
+        expected = per_value_repr_csv(tmp_path / "ref.csv", header, rows)
+        trace.write_csv(tmp_path / "rows.csv")
+        assert (tmp_path / "rows.csv").read_bytes() == expected
+        assert expected.endswith(b"1,0.5,-1.25,1\r\n2,1e-07,3.0,0\r\n")
+
+    def test_two_dimensional_array(self, tmp_path):
+        rows = np.random.default_rng(3).normal(size=(20, 9)) * np.logspace(-20, 20, 9)
+        expected = per_value_repr_csv(tmp_path / "ref.csv", list("abcdefghi"), rows)
+        assert self.written(tmp_path, list("abcdefghi"), rows.tolist()) == expected
 
 
 class TestRegistry:
