@@ -95,11 +95,13 @@ def herd(emb: PosteriorEmbedding, pool: CandidatePool, T: int) -> HerdedSamples:
     indices = np.empty(T, dtype=int)
     objectives = np.empty(T)
     repulsion = np.zeros(pool.size)                     # sum of k(candidate, chosen)
+    scores = np.empty(pool.size)                        # mean_vals - repulsion / t
     for t in range(1, T + 1):
-        scores = mean_vals - repulsion / t
-        pick = int(np.argmax(scores))                   # first max = lowest index
+        np.divide(repulsion, t, out=scores)
+        np.subtract(mean_vals, scores, out=scores)
+        pick = int(scores.argmax())                     # first max = lowest index
         indices[t - 1] = pick
-        objectives[t - 1] = float(scores[pick])
+        objectives[t - 1] = scores[pick]
         repulsion += pool_gram[pick]                    # a row: the Gram matrix is symmetric
     return HerdedSamples(
         points=pool.points[indices],

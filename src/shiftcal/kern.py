@@ -28,7 +28,9 @@ with it.
 The solve passes plain arrays: ``gram_and_rhs`` returns the Gram matrix G
 and the data-kernel vector k, and ``regularized_solve(G, k, eps)`` returns
 the weights w of (G + m eps I) w = k (the kernel Bayes' rule step), one
-row of w per row of a (k, m) stack k, all from one factorization.
+row of w per row of a (k, m) stack k, all from one factorization.  The
+factor is made in G's own buffer, one triangle of it, and G is restored
+afterwards, so a run holds one m x m matrix at the solve.
 
 Every matrix product on the way from the distances to the herded samples
 (the rank-k update in ``pairwise_sqdist``, the solve's residual, herding's
@@ -37,9 +39,12 @@ the Cholesky factorization.  numpy and scipy each load their own OpenBLAS;
 after a numpy product, numpy's idle worker threads keep spinning and slow
 the factorization that follows (measured on 2 cores: a 2000 x 2000
 ``cho_factor`` took 120-130 ms in the median straight after a numpy
-product, 62-65 ms after scipy's own ``dsyrk``).  Each scipy call is chosen
-to give numpy's bits: ``dsyrk`` for A A^T, and ``dgemv`` on the
-Fortran-ordered view ``A.T`` (``matvec``).
+product, 62-65 ms after scipy's own ``dsyrk``).  Each scipy call whose
+result is kept is chosen to give numpy's bits: ``dsyrk`` for A A^T, and
+``dgemv`` on the Fortran-ordered view ``A.T`` (``matvec``).  The solve's
+residual is ``dsymv`` over the triangle of G that the factor leaves; its
+last bits can differ from a full product, and they reach the weights only
+through a refinement, which no shipped preset runs.
 """
 
 from __future__ import annotations
@@ -48,12 +53,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dgemv, dsyrk
+from scipy.linalg.blas import dgemv, dsymv, dsyrk
 
 SOLVE_RTOL = 1e-10
-# Rows per block of ``pairwise_sqdist``'s symmetrizing pass; 128 was fastest
-# of 64-512 at m = 2000 on 2 cores.
+# Rows per block of the symmetrizing passes (``pairwise_sqdist``'s, and the
+# solve's restore); 128 was fastest of 64-512 at m = 2000 on 2 cores.
 _SQDIST_BLOCK = 128
+_BLOCK_TRIL = np.tril_indices(_SQDIST_BLOCK, -1)
 
 
 class DegenerateBandwidthError(ValueError):
@@ -71,6 +77,30 @@ def _as_matrix(vectors) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"expected a collection of vectors, got shape {arr.shape}")
     return arr
+
+
+def _mirror_block(mat: np.ndarray, i: int) -> None:
+    """Copy block row i of ``mat``, from its diagonal on, below the diagonal.
+
+    Rows i to i + _SQDIST_BLOCK: the part right of the diagonal block goes
+    to the columns below it, and the diagonal block's upper triangle to its
+    lower one.  Run over every block row, this makes ``mat`` exactly
+    symmetric from its upper triangle; on ``mat.T`` it does so from the
+    lower triangle.
+    """
+    rows = slice(i, i + _SQDIST_BLOCK)
+    mat[i + _SQDIST_BLOCK:, rows] = mat[rows, i + _SQDIST_BLOCK:].T
+    diag = mat[rows, rows]
+    lower = _BLOCK_TRIL if len(diag) == _SQDIST_BLOCK else np.tril_indices(len(diag), -1)
+    diag[lower] = diag.T[lower]
+
+
+def _is_symmetric(mat: np.ndarray) -> bool:
+    """Whether ``mat`` equals its transpose, compared one block row at a time."""
+    return all(
+        np.array_equal(mat[i:i + _SQDIST_BLOCK, i:], mat[i:, i:i + _SQDIST_BLOCK].T)
+        for i in range(0, len(mat), _SQDIST_BLOCK)
+    )
 
 
 def pairwise_sqdist(vectors, weights=None) -> np.ndarray:
@@ -98,22 +128,22 @@ def pairwise_sqdist(vectors, weights=None) -> np.ndarray:
         mat *= np.sqrt(w)
     # dsyrk fills the lower triangle of its Fortran-ordered result, so the
     # transpose is C-ordered with -2 a_i.a_j on and above the diagonal.
-    # Each block of rows gets n_i + n_j (formed first, so each entry is
-    # bitwise what numpy's (-2 A A^T) + (n_i + n_j) gives), is clamped at 0,
-    # then is mirrored below the diagonal, which makes the matrix exactly
-    # symmetric.  Blocks keep the transposed copy in cache; a whole-matrix
-    # transposed add took twice as long.
+    # Each block of rows gets n_i + n_j (formed first, in one buffer reused
+    # by every block, so each entry is bitwise what numpy's (-2 A A^T) +
+    # (n_i + n_j) gives), is clamped at 0, then is mirrored below the
+    # diagonal, which makes the matrix exactly symmetric.  Blocks keep the
+    # transposed copy in cache; a whole-matrix transposed add took twice as
+    # long.
     out = dsyrk(-2.0, mat.T, trans=1, lower=1).T
+    m = len(out)
     norms = out.diagonal() / -2.0
-    for i in range(0, len(out), _SQDIST_BLOCK):
+    sums = np.empty((min(m, _SQDIST_BLOCK), m))
+    for i in range(0, m, _SQDIST_BLOCK):
         rows = slice(i, i + _SQDIST_BLOCK)
         block = out[rows, i:]
-        block += np.add.outer(norms[rows], norms[i:])
+        block += np.add.outer(norms[rows], norms[i:], out=sums[: len(block), : m - i])
         np.maximum(block, 0.0, out=block)
-        out[i + _SQDIST_BLOCK:, rows] = out[rows, i + _SQDIST_BLOCK:].T
-        diag = out[rows, rows]
-        lower = np.tril_indices(len(diag), -1)
-        diag[lower] = diag.T[lower]
+        _mirror_block(out, i)
     np.fill_diagonal(out, 0.0)
     # The BLAS may sum a_i.a_i and a_i.a_j in different orders, so equal rows
     # are set to 0 explicitly.  Counting distinct row bytes is cheap; adding
@@ -165,6 +195,11 @@ def matvec(mat, vec) -> np.ndarray:
     return dgemv(1.0, mat.T, vec, trans=1)
 
 
+def _check_bandwidth(sigma2) -> None:
+    if not 0 < sigma2 < np.inf:
+        raise ValueError(f"kernel bandwidth must be positive and finite, got {sigma2}")
+
+
 def gaussian_gram(vectors, sigma2=None, weights=None) -> tuple[np.ndarray, float]:
     """exp(-d_ij / (2 sigma2)) over ``pairwise_sqdist(vectors, weights)``, and sigma2.
 
@@ -175,8 +210,8 @@ def gaussian_gram(vectors, sigma2=None, weights=None) -> tuple[np.ndarray, float
     gram = pairwise_sqdist(vectors, weights)
     if sigma2 is None:
         sigma2 = median_sqdist(gram)
-    elif not sigma2 > 0:
-        raise ValueError(f"kernel bandwidth must be positive, got {sigma2}")
+    else:
+        _check_bandwidth(sigma2)
     np.divide(gram, -2.0 * sigma2, out=gram)
     return np.exp(gram, out=gram), sigma2
 
@@ -188,8 +223,7 @@ class ParamKernel:
     sigma2: float
 
     def __post_init__(self):
-        if not self.sigma2 > 0:
-            raise ValueError(f"kernel bandwidth must be positive, got {self.sigma2}")
+        _check_bandwidth(self.sigma2)
 
     def cross(self, left, right) -> np.ndarray:
         """Kernel matrix between two point collections, shape (len(left), len(right))."""
@@ -221,8 +255,7 @@ class WeightedOutputKernel:
     beta: np.ndarray
 
     def __post_init__(self):
-        if not self.sigma2 > 0:
-            raise ValueError(f"kernel bandwidth must be positive, got {self.sigma2}")
+        _check_bandwidth(self.sigma2)
         beta = np.asarray(self.beta, dtype=float)
         object.__setattr__(self, "beta", beta)
         if beta.ndim != 1 or not np.all(np.isfinite(beta)) or np.any(beta < 0):
@@ -261,20 +294,29 @@ def gram_and_rhs(pseudo_outputs, observed, kernel: WeightedOutputKernel) -> tupl
 
 
 def regularized_solve(gram, rhs, epsilon: float) -> np.ndarray:
-    """Solve (G + m eps I) w = rhs by Cholesky factorization.
+    """Solve (G + m eps I) w = rhs by Cholesky factorization, in G's own buffer.
 
     ``gram`` holds the output-kernel values among the m pseudo-output
-    vectors, ``rhs`` their kernel values against the observed data (one
-    vector, or a (k, m) stack that is solved row by row, so each row is
-    bitwise its 1-D solve), and ``epsilon`` is the Tikhonov constant.  The
-    shifted matrix is symmetric positive definite for any eps > 0.  It
-    exists only as the one copy of G that the one factorization
-    overwrites; the residual is taken as G w + m eps w - rhs.  One step of
-    iterative refinement is applied to a row if its residual exceeds
-    SOLVE_RTOL * max(1, ||row||_inf); failure past that raises.
+    vectors, exactly symmetric as ``gaussian_gram`` builds them; ``rhs``
+    their kernel values against the observed data (one vector, or a (k, m)
+    stack that is solved row by row, so each row is bitwise its 1-D
+    solve); and ``epsilon`` is the Tikhonov constant.  The shifted matrix
+    is symmetric positive definite for any eps > 0.
+
+    No second m x m matrix is made.  The shift goes onto G's diagonal (the
+    diagonal itself is saved), and the factor overwrites G's upper
+    triangle and diagonal; the strict lower triangle stays G.  The residual
+    (G + m eps I) w - rhs is read from that triangle (``dsymv``) plus a
+    diagonal term that puts G's own diagonal and the shift in place of the
+    factor's.  One step of iterative refinement is applied to a row if its
+    residual exceeds SOLVE_RTOL * max(1, ||row||_inf); failure past that
+    raises.  On every exit the lower triangle is mirrored back over the
+    upper one and the diagonal restored, so the caller's G comes back
+    bitwise as it was.  A read-only G, or one that is not exactly
+    symmetric, is copied first.
     """
     gram = np.asarray(gram, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
+    rhs = np.array(rhs, dtype=float)  # a copy: rhs may be a view of G, which changes below
     m = rhs.shape[-1] if rhs.ndim in (1, 2) else -1
     if gram.shape != (m, m):
         raise ValueError(f"inconsistent system shapes: {gram.shape}, {rhs.shape}")
@@ -283,24 +325,40 @@ def regularized_solve(gram, rhs, epsilon: float) -> np.ndarray:
     shift = m * epsilon
     if not (np.isfinite(shift) and np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
         raise SolveError("non-finite entries in the regularized system")
-    lhs = gram.copy()
-    lhs.flat[:: m + 1] += shift
+    if not (gram.flags.writeable and _is_symmetric(gram)):
+        gram = gram.copy()  # the restore below needs both, or G would change
+    diag = gram.diagonal().copy()
+    np.fill_diagonal(gram, diag + shift)
     try:
-        # G is exactly symmetric, so the transposed view is the same matrix in
-        # Fortran order, which LAPACK factors in place rather than copying.
-        factor = cho_factor(lhs.T, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SolveError(f"factorization failed: {exc}") from exc
+        try:
+            # G is exactly symmetric, so the transposed view is the same matrix
+            # in Fortran order, which LAPACK factors in place (its lower
+            # triangle is G's upper one) rather than copying.
+            factor = cho_factor(gram.T, lower=True, overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise SolveError(f"factorization failed: {exc}") from exc
+        # puts G's diagonal plus the shift in place of the factor's; 0 where
+        # LAPACK factored a copy (a Fortran-ordered or strided G)
+        fix = diag + shift - gram.diagonal()
 
-    weights = []
-    for b in rhs.reshape(-1, m):  # not one multi-column solve, which may round differently
-        w = cho_solve(factor, b, check_finite=False)
-        bound = SOLVE_RTOL * max(1.0, float(np.max(np.abs(b))))
-        r = matvec(gram, w) + shift * w - b
-        if np.max(np.abs(r)) > bound:
-            w = w - cho_solve(factor, r, check_finite=False)
-            r = matvec(gram, w) + shift * w - b
+        def residual(w, b):
+            return dsymv(1.0, gram.T, w, lower=0) + fix * w - b
+
+        weights = []
+        for b in rhs.reshape(-1, m):  # not one multi-column solve, which may round differently
+            w = cho_solve(factor, b, check_finite=False)
+            bound = SOLVE_RTOL * max(1.0, float(np.max(np.abs(b))))
+            r = residual(w, b)
             if np.max(np.abs(r)) > bound:
-                raise SolveError(f"solve residual {np.max(np.abs(r)):.3e} exceeds bound {bound:.3e}")
-        weights.append(w)
+                w = w - cho_solve(factor, r, check_finite=False)
+                r = residual(w, b)
+                if np.max(np.abs(r)) > bound:
+                    raise SolveError(
+                        f"solve residual {np.max(np.abs(r)):.3e} exceeds bound {bound:.3e}"
+                    )
+            weights.append(w)
+    finally:
+        for i in range(0, m, _SQDIST_BLOCK):
+            _mirror_block(gram.T, i)
+        np.fill_diagonal(gram, diag)
     return np.reshape(weights, rhs.shape)

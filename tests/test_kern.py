@@ -331,6 +331,139 @@ class TestRegularizedSolve:
             regularized_solve(np.array([[np.nan]]), np.ones(2), 0.1)
 
 
+def solve_system(m=300, k=3, seed=13):
+    """A Gram matrix whose size is no multiple of the 128-row block, and k right-hand sides."""
+    rng = np.random.default_rng(seed)
+    kernel = WeightedOutputKernel(3.0, rng.uniform(0.5, 2.0, size=6))
+    outputs = rng.normal(size=(m, 6))
+    rhs = np.array([kernel.against(outputs, rng.normal(size=6)) for _ in range(k)])
+    return kernel.gram(outputs), rhs
+
+
+class TestSolveInTheGramBuffer:
+    """The factor overwrites one triangle of G, and G comes back bitwise."""
+
+    def test_gram_restored_after_plain_and_stacked_solves(self):
+        gram, rhs = solve_system()
+        before = gram.tobytes()
+        regularized_solve(gram, rhs[0], 1e-3)
+        assert gram.tobytes() == before
+        regularized_solve(gram, rhs, 1e-3)
+        assert gram.tobytes() == before
+
+    def test_gram_restored_after_a_refinement(self, monkeypatch):
+        from shiftcal import kern
+
+        gram, rhs = solve_system()
+        before = gram.tobytes()
+        calls = []
+
+        def damped_solve(*args, **kwargs):  # 1e-7 off forces a refinement
+            calls.append("solve")
+            return (1.0 + 1e-7) * cho_solve(*args, **kwargs)
+
+        monkeypatch.setattr(kern, "cho_solve", damped_solve)
+        w = regularized_solve(gram, rhs[0], 1e-3)
+        assert calls == ["solve", "solve"]
+        assert gram.tobytes() == before
+        lhs = gram + 300 * 1e-3 * np.eye(300)
+        assert np.max(np.abs(lhs @ w - rhs[0])) <= 1e-10 * max(1.0, np.max(np.abs(rhs[0])))
+
+    def test_gram_restored_after_a_failed_factorization(self):
+        gram = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+        with pytest.raises(SolveError, match="factorization failed"):
+            regularized_solve(gram, np.ones(2), 1e-3)
+        assert gram.tobytes() == np.array([[1.0, 2.0], [2.0, 1.0]]).tobytes()
+
+    def test_gram_restored_after_the_residual_bound_fails(self, monkeypatch):
+        from shiftcal import kern
+
+        gram, rhs = solve_system()
+        before = gram.tobytes()
+        monkeypatch.setattr(kern, "SOLVE_RTOL", 0.0)
+        with pytest.raises(SolveError, match="exceeds bound"):
+            regularized_solve(gram, rhs, 1e-3)
+        assert gram.tobytes() == before
+
+    def test_list_fortran_and_read_only_inputs_give_the_same_bits(self):
+        gram, rhs = solve_system()
+        before = gram.tobytes()
+        expected = regularized_solve(gram, rhs, 1e-3).tobytes()
+        fortran = np.asfortranarray(gram)
+        read_only = gram.copy()
+        read_only.flags.writeable = False
+        for given in (gram.tolist(), fortran, read_only):
+            assert regularized_solve(given, rhs, 1e-3).tobytes() == expected
+        assert fortran.tobytes(order="C") == before and read_only.tobytes() == before
+
+    def test_a_not_quite_symmetric_gram_is_left_alone(self):
+        # the restore mirrors one triangle over the other, so such a G is
+        # solved in a copy; the factor reads its upper triangle, as before
+        gram, rhs = solve_system()
+        gram[3, 200] += 1e-13
+        before = gram.tobytes()
+        upper = np.triu(gram) + np.triu(gram, 1).T
+        w = regularized_solve(gram, rhs[0], 1e-3)
+        assert gram.tobytes() == before
+        assert w.tobytes() == regularized_solve(upper, rhs[0], 1e-3).tobytes()
+
+    def test_rows_of_gram_as_right_hand_sides(self):
+        # (G + m eps I)^-1 G: the right-hand sides are views of the buffer
+        # the factor is made in
+        gram, _ = solve_system()
+        before = gram.tobytes()
+        expected = regularized_solve(gram, gram.copy(), 1e-3)
+        assert regularized_solve(gram, gram, 1e-3).tobytes() == expected.tobytes()
+        assert regularized_solve(gram, gram[0], 1e-3).tobytes() == expected[0].tobytes()
+        assert gram.tobytes() == before
+
+    @pytest.mark.parametrize("name", ["linear-shift", "assembly-shift"])
+    def test_no_refinement_runs_on_the_shift_presets(self, monkeypatch, name):
+        # one cho_solve per right-hand side: the residual read from the
+        # other triangle never asks for a refinement on a shipped run
+        from shiftcal import kern, pipeline
+        from shiftcal.config import preset
+
+        calls = []
+
+        def counted_solve(*args, **kwargs):
+            calls.append(np.shape(args[1]))
+            return cho_solve(*args, **kwargs)
+
+        monkeypatch.setattr(kern, "cho_solve", counted_solve)
+        result = pipeline.calibrate(preset(name))
+        assert calls == [(result.pseudo.m,)]
+
+    def test_peak_memory_of_an_embedding_at_m2000(self):
+        # the output Gram build (distances plus one triangle of pairs) sets
+        # the peak; the solve adds no second m x m matrix
+        from shiftcal import pipeline
+        from shiftcal.config import preset
+
+        m = 2000
+        prepared = pipeline.prepare(preset("linear-shift", m=m, herd_size=m))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            prepared.embed()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * m * m * 8
+
+
+class TestBandwidthMustBeFinite:
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), 0.0, -1.0])
+    def test_every_entry_point_rejects_it(self, bad):
+        message = f"^kernel bandwidth must be positive and finite, got {bad}$"
+        with pytest.raises(ValueError, match=message):
+            ParamKernel(bad)
+        with pytest.raises(ValueError, match=message):
+            WeightedOutputKernel(bad, np.ones(2))
+        with pytest.raises(ValueError, match=message):
+            gaussian_gram(np.array([[0.0, 1.0], [2.0, 3.0]]), sigma2=bad)
+
+
 # -- properties of the one-pass distances, against explicit differences --------
 
 EPS = np.finfo(float).eps
@@ -539,7 +672,7 @@ class TestSharedDistanceBuffer:
         assert np.array_equal(gram, gram.T) and np.all(np.diag(gram) == 1.0)
         fixed, given = gaussian_gram(outputs, 4.0, beta)
         assert given == 4.0 and np.array_equal(fixed, WeightedOutputKernel(4.0, beta).gram(outputs))
-        with pytest.raises(ValueError, match="bandwidth must be positive, got 0.0"):
+        with pytest.raises(ValueError, match="^kernel bandwidth must be positive and finite, got 0.0$"):
             gaussian_gram(outputs, 0.0, beta)
 
     def test_calibrate_makes_one_output_pass_one_theta_pass_and_no_cross(self, monkeypatch):
