@@ -19,7 +19,7 @@ import numpy as np
 
 from ._seeding import derive_rng, derive_seed
 from .sim import Dataset, Simulator, write_csv_rows
-from .weights import ImportanceWeights, finite_entries
+from .weights import ImportanceWeights, count_entry, finite_entries
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,10 @@ class MHConfig:
             object.__setattr__(self, name, value)
         if not 0 <= self.burn_in < 1:
             raise ValueError(f"burn-in fraction must lie in [0, 1), got {self.burn_in}")
-        if self.steps < 1:
-            raise ValueError(f"need at least one step, got {self.steps}")
+        steps = count_entry("steps", self.steps)
+        if steps < 1:
+            raise ValueError(f"need at least one step, got {steps}")
+        object.__setattr__(self, "steps", steps)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ config hash (sha256 of the canonical resolved JSON) is embedded in every
 artifact a run writes.  Each part (simulator, truth, densities, prior,
 noise, epsilon schedule, ``mh`` section) is parsed once, when the config
 is built, so a bad value or an unknown key fails at load, never mid-run.
-Every number is read by ``weights.finite_entries`` (reals) or ``_count``
-(integers), and every section's keys are checked by ``weights.check_keys``.
+Every number is read by ``weights.finite_entries`` (reals) or
+``weights.count_entry`` (integers), and every section's keys are checked
+by ``weights.check_keys``.
 """
 
 from __future__ import annotations
@@ -40,25 +41,7 @@ from .sim import (
     get_simulator,
     write_json_artifact,
 )
-from .weights import DensitySpec, check_keys, finite_entries
-
-
-def _count(name: str, value, low: int | None = None, high: int | None = None) -> int:
-    """``value`` as an int, ``>= low`` and ``< high`` where given; a
-    non-integral value is an error, never truncated.
-
-    Integral floats such as 50.0 are accepted; booleans are not numbers.
-    """
-    try:
-        count = None if isinstance(value, bool) else int(value)
-    except (TypeError, ValueError, OverflowError):
-        count = None
-    if count is None or count != value:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if (low is not None and count < low) or (high is not None and count >= high):
-        rule = f">= {low}" if high is None else f"in [{low}, {high})"
-        raise ValueError(f"{name} must be {rule}, got {count}")
-    return count
+from .weights import DensitySpec, check_keys, count_entry, finite_entries
 
 
 # The keys of each truth kind, all required; an unknown kind is named by
@@ -133,7 +116,7 @@ def _parse_mh(mh: dict, seed: int) -> MHConfig:
     check_keys("mh", mh, (*required, "burn_in"), required)
     return MHConfig(
         proposal_std=mh["proposal_std"],
-        steps=_count("mh.steps", mh["steps"]),
+        steps=count_entry("mh.steps", mh["steps"]),
         burn_in=mh.get("burn_in", 0.10),
         noise_var=mh["noise_var"],
         seed=seed,
@@ -176,9 +159,9 @@ class ExperimentConfig:
         if self.n_test is None:
             keep("n_test", self.n)
         for name in ("n", "m", "herd_size", "n_test"):
-            keep(name, _count(name, getattr(self, name), 1))
+            keep(name, count_entry(name, getattr(self, name), 1))
         # Seeds are hashed as 16 signed bytes (``_seeding._encode``).
-        keep("seed", _count("seed", self.seed, -(2**127), 2**127))
+        keep("seed", count_entry("seed", self.seed, -(2**127), 2**127))
         keep("out_dir", "out" if self.out_dir is None else self.out_dir)
         for name in ("out_dir", "weights_csv"):
             path = getattr(self, name)
@@ -197,7 +180,9 @@ class ExperimentConfig:
         check_keys("simulator_options", options, options)  # get_simulator names unknown ones
         options = dict(options)
         if "batch_size" in options:
-            options["batch_size"] = _count("simulator_options.batch_size", options["batch_size"], 1)
+            options["batch_size"] = count_entry(
+                "simulator_options.batch_size", options["batch_size"], 1
+            )
         keep("simulator_options", options)
         keep("_simulator", get_simulator(self.simulator, **options))
         keep("_truth", _parse_truth(self.truth, self._simulator))
@@ -260,7 +245,7 @@ class ExperimentConfig:
             raise ValueError("config has no 'mh' section")
         return dataclasses.replace(
             self._mh,
-            steps=self._mh.steps if steps is None else _count("mh.steps", steps),
+            steps=self._mh.steps if steps is None else count_entry("mh.steps", steps),
             seed=self._mh.seed if seed is None else seed,
         )
 

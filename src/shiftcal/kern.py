@@ -29,8 +29,8 @@ The solve passes plain arrays: ``gram_and_rhs`` returns the Gram matrix G
 and the data-kernel vector k, and ``regularized_solve(G, k, eps)`` returns
 the weights w of (G + m eps I) w = k (the kernel Bayes' rule step), one
 row of w per row of a (k, m) stack k, all from one factorization.  The
-factor is made in G's own buffer, one triangle of it, and G is restored
-afterwards, so a run holds one m x m matrix at the solve.
+factor is made in G's own buffer, which the solve consumes, so a run
+holds one m x m matrix at the solve.
 
 Every matrix product on the way from the distances to the herded samples
 (the rank-k update in ``pairwise_sqdist``, the solve's residual, herding's
@@ -56,8 +56,8 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dgemv, dsymv, dsyrk
 
 SOLVE_RTOL = 1e-10
-# Rows per block of the symmetrizing passes (``pairwise_sqdist``'s, and the
-# solve's restore); 128 was fastest of 64-512 at m = 2000 on 2 cores.
+# Rows per block of ``pairwise_sqdist``'s symmetrizing pass; 128 was fastest
+# of 64-512 at m = 2000 on 2 cores.
 _SQDIST_BLOCK = 128
 _BLOCK_TRIL = np.tril_indices(_SQDIST_BLOCK, -1)
 
@@ -77,30 +77,6 @@ def _as_matrix(vectors) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"expected a collection of vectors, got shape {arr.shape}")
     return arr
-
-
-def _mirror_block(mat: np.ndarray, i: int) -> None:
-    """Copy block row i of ``mat``, from its diagonal on, below the diagonal.
-
-    Rows i to i + _SQDIST_BLOCK: the part right of the diagonal block goes
-    to the columns below it, and the diagonal block's upper triangle to its
-    lower one.  Run over every block row, this makes ``mat`` exactly
-    symmetric from its upper triangle; on ``mat.T`` it does so from the
-    lower triangle.
-    """
-    rows = slice(i, i + _SQDIST_BLOCK)
-    mat[i + _SQDIST_BLOCK:, rows] = mat[rows, i + _SQDIST_BLOCK:].T
-    diag = mat[rows, rows]
-    lower = _BLOCK_TRIL if len(diag) == _SQDIST_BLOCK else np.tril_indices(len(diag), -1)
-    diag[lower] = diag.T[lower]
-
-
-def _is_symmetric(mat: np.ndarray) -> bool:
-    """Whether ``mat`` equals its transpose, compared one block row at a time."""
-    return all(
-        np.array_equal(mat[i:i + _SQDIST_BLOCK, i:], mat[i:, i:i + _SQDIST_BLOCK].T)
-        for i in range(0, len(mat), _SQDIST_BLOCK)
-    )
 
 
 def pairwise_sqdist(vectors, weights=None) -> np.ndarray:
@@ -143,7 +119,10 @@ def pairwise_sqdist(vectors, weights=None) -> np.ndarray:
         block = out[rows, i:]
         block += np.add.outer(norms[rows], norms[i:], out=sums[: len(block), : m - i])
         np.maximum(block, 0.0, out=block)
-        _mirror_block(out, i)
+        out[i + _SQDIST_BLOCK:, rows] = out[rows, i + _SQDIST_BLOCK:].T
+        diag = out[rows, rows]
+        lower = _BLOCK_TRIL if len(diag) == _SQDIST_BLOCK else np.tril_indices(len(diag), -1)
+        diag[lower] = diag.T[lower]
     np.fill_diagonal(out, 0.0)
     # The BLAS may sum a_i.a_i and a_i.a_j in different orders, so equal rows
     # are set to 0 explicitly.  Counting distinct row bytes is cheap; adding
@@ -303,17 +282,17 @@ def regularized_solve(gram, rhs, epsilon: float) -> np.ndarray:
     solve); and ``epsilon`` is the Tikhonov constant.  The shifted matrix
     is symmetric positive definite for any eps > 0.
 
-    No second m x m matrix is made.  The shift goes onto G's diagonal (the
-    diagonal itself is saved), and the factor overwrites G's upper
-    triangle and diagonal; the strict lower triangle stays G.  The residual
+    No second m x m matrix is made: as LAPACK's ``potrf`` does, the solve
+    overwrites ``gram``, whose contents are unspecified after a return or
+    a ``SolveError``, so a caller that still needs G passes a copy.  A
+    read-only G is copied.  The shift goes onto G's diagonal (the diagonal
+    itself is saved), and the factor overwrites G's upper triangle and
+    diagonal; the strict lower triangle stays G.  The residual
     (G + m eps I) w - rhs is read from that triangle (``dsymv``) plus a
     diagonal term that puts G's own diagonal and the shift in place of the
     factor's.  One step of iterative refinement is applied to a row if its
-    residual exceeds SOLVE_RTOL * max(1, ||row||_inf); failure past that
-    raises.  On every exit the lower triangle is mirrored back over the
-    upper one and the diagonal restored, so the caller's G comes back
-    bitwise as it was.  A read-only G, or one that is not exactly
-    symmetric, is copied first.
+    residual exceeds SOLVE_RTOL * max(1, ||row||_inf) or is not finite;
+    failure past that raises.
     """
     gram = np.asarray(gram, dtype=float)
     rhs = np.array(rhs, dtype=float)  # a copy: rhs may be a view of G, which changes below
@@ -325,40 +304,35 @@ def regularized_solve(gram, rhs, epsilon: float) -> np.ndarray:
     shift = m * epsilon
     if not (np.isfinite(shift) and np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
         raise SolveError("non-finite entries in the regularized system")
-    if not (gram.flags.writeable and _is_symmetric(gram)):
-        gram = gram.copy()  # the restore below needs both, or G would change
+    if not gram.flags.writeable:
+        gram = gram.copy()
     diag = gram.diagonal().copy()
     np.fill_diagonal(gram, diag + shift)
     try:
-        try:
-            # G is exactly symmetric, so the transposed view is the same matrix
-            # in Fortran order, which LAPACK factors in place (its lower
-            # triangle is G's upper one) rather than copying.
-            factor = cho_factor(gram.T, lower=True, overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise SolveError(f"factorization failed: {exc}") from exc
-        # puts G's diagonal plus the shift in place of the factor's; 0 where
-        # LAPACK factored a copy (a Fortran-ordered or strided G)
-        fix = diag + shift - gram.diagonal()
+        # The transposed view is G in Fortran order, which LAPACK factors in
+        # place rather than copying; its lower triangle is G's upper one.
+        factor = cho_factor(gram.T, lower=True, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SolveError(f"factorization failed: {exc}") from exc
+    # puts G's diagonal plus the shift in place of the factor's; 0 where
+    # LAPACK factored a copy (a Fortran-ordered or strided G)
+    fix = diag + shift - gram.diagonal()
 
-        def residual(w, b):
-            return dsymv(1.0, gram.T, w, lower=0) + fix * w - b
+    def residual(w, b):
+        return dsymv(1.0, gram.T, w, lower=0) + fix * w - b
 
-        weights = []
-        for b in rhs.reshape(-1, m):  # not one multi-column solve, which may round differently
-            w = cho_solve(factor, b, check_finite=False)
-            bound = SOLVE_RTOL * max(1.0, float(np.max(np.abs(b))))
+    weights = []
+    for b in rhs.reshape(-1, m):  # not one multi-column solve, which may round differently
+        w = cho_solve(factor, b, check_finite=False)
+        bound = SOLVE_RTOL * max(1.0, float(np.max(np.abs(b))))
+        r = residual(w, b)
+        # not `>`: a NaN residual must count as over the bound
+        if not np.max(np.abs(r)) <= bound:
+            w = w - cho_solve(factor, r, check_finite=False)
             r = residual(w, b)
-            if np.max(np.abs(r)) > bound:
-                w = w - cho_solve(factor, r, check_finite=False)
-                r = residual(w, b)
-                if np.max(np.abs(r)) > bound:
-                    raise SolveError(
-                        f"solve residual {np.max(np.abs(r)):.3e} exceeds bound {bound:.3e}"
-                    )
-            weights.append(w)
-    finally:
-        for i in range(0, m, _SQDIST_BLOCK):
-            _mirror_block(gram.T, i)
-        np.fill_diagonal(gram, diag)
+            if not np.max(np.abs(r)) <= bound:
+                raise SolveError(
+                    f"solve residual {np.max(np.abs(r)):.3e} exceeds bound {bound:.3e}"
+                )
+        weights.append(w)
     return np.reshape(weights, rhs.shape)

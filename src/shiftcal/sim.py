@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from ._seeding import derive_rng, derive_seed, key_normals, stream_keys
-from .weights import DensitySpec, finite_entries
+from .weights import DensitySpec, count_entry, finite_entries
 
 # truth(xs, keys) with one stream key per input; a noise-free truth ignores the keys.
 TruthFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -117,14 +117,7 @@ class AssemblyLineSimulator(Simulator):
     dim_theta = 4
 
     def __init__(self, batch_size: int = 4):
-        # the config's rule for counts: integral floats pass, bools do not
-        try:
-            size = None if isinstance(batch_size, bool) else int(batch_size)
-        except (TypeError, ValueError, OverflowError):
-            size = None
-        if size is None or size != batch_size or size < 1:
-            raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
-        self.batch_size = size
+        self.batch_size = count_entry("batch_size", batch_size, 1)
 
     def sweep(self, xs, keys=0) -> Callable[[np.ndarray], np.ndarray]:
         """Makespans of ``xs[r]`` products on row r's stream, as a function of theta.

@@ -59,6 +59,24 @@ def finite_entries(name: str, values, bound: str = "", scalar: bool = False):
     return out[0] if scalar else out
 
 
+def count_entry(name: str, value, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as an int, ``>= low`` and ``< high`` where given; a
+    non-integral value is an error, never truncated.
+
+    Integral floats such as 50.0 are accepted; booleans are not numbers.
+    """
+    try:
+        count = None if isinstance(value, bool) else int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if (low is not None and count < low) or (high is not None and count >= high):
+        rule = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ValueError(f"{name} must be {rule}, got {count}")
+    return count
+
+
 def check_keys(section: str, spec, allowed, required=()) -> None:
     """Reject a ``section`` that is not an object, or whose keys are not
     within ``allowed`` or do not include all of ``required``; the error

@@ -68,7 +68,7 @@ def test_criterion_2_gram_solve_contract():
         gram, rhs = gram_and_rhs(
             rng.normal(size=(m, n)) * rng.uniform(0.5, 3.0), rng.normal(size=n), kernel
         )
-        w = regularized_solve(gram, rhs, epsilon)
+        w = regularized_solve(gram.copy(), rhs, epsilon)
         lhs = gram + m * epsilon * np.eye(m)
         residual = float(np.max(np.abs(lhs @ w - rhs)))
         bound = 1e-10 * max(1.0, float(np.max(np.abs(rhs))))

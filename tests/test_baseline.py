@@ -138,6 +138,16 @@ class TestMHSample:
         with pytest.raises(ValueError):
             MHConfig(proposal_std=1.0, steps=0, noise_var=1.0)
 
+    @pytest.mark.parametrize("steps", [2.5, True, "10", float("nan")])
+    def test_steps_must_be_an_integer(self, steps):
+        # read by the config's count rule, so a bad count fails here, not in mh_sample
+        with pytest.raises(ValueError, match=f"^steps must be an integer, got {steps!r}$"):
+            MHConfig(proposal_std=0.1, steps=steps)
+
+    def test_integral_float_steps_are_read_as_an_int(self):
+        cfg = MHConfig(proposal_std=0.1, steps=10.0)
+        assert cfg.steps == 10 and type(cfg.steps) is int
+
 
 class TestSimulationBudget:
     def test_budget_is_total_steps(self):

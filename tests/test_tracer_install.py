@@ -40,3 +40,22 @@ def test_install_then_restore_puts_back_every_original():
         assert vars(ns)[attr] is before[id(ns)][attr], (ns, attr)
     for ns in spaces:
         assert vars(ns).keys() == before[id(ns)].keys(), ns
+
+
+def test_a_traced_calibration_counts_the_solve():
+    # the solve's counters read kern.regularized_solve by name: a run that
+    # stopped calling it there would show no solve time
+    from shiftcal import pipeline
+    from shiftcal.config import preset
+
+    tracer = load_tracer_module().Tracer(shiftcal)
+    tracer.install()
+    try:
+        tracer.begin_op(0)
+        pipeline.calibrate(preset("linear-shift"))
+        metrics = tracer.end_op(1.0)
+    finally:
+        tracer.restore()
+    assert metrics["kern.solve_refines"] == 0
+    assert metrics["kern.solve_s"] > 0
+    assert metrics["kern.sqdist_calls"] == 2  # one output pass, one theta pass
