@@ -19,6 +19,9 @@ import hashlib
 
 import numpy as np
 
+# The ints ``_encode`` writes as 16 signed bytes: the range of a master seed.
+SEED_RANGE = (-(2**127), 2**127)
+
 
 def _encode(part) -> bytes:
     """Type-tagged bytes of one seed part; the tag keeps 1 and 1.0 apart."""

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._seeding import derive_rng, derive_seed
+from ._seeding import SEED_RANGE, derive_rng, derive_seed
 from .sim import Dataset, Simulator, write_csv_rows
 from .weights import ImportanceWeights, count_entry, finite_entries
 
@@ -44,6 +44,7 @@ class MHConfig:
         if steps < 1:
             raise ValueError(f"need at least one step, got {steps}")
         object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "seed", count_entry("seed", self.seed, *SEED_RANGE))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._seeding import SEED_RANGE
 from .baseline import MHConfig
 from .kabc import regularization_schedule
 from .sim import (
@@ -160,8 +161,7 @@ class ExperimentConfig:
             keep("n_test", self.n)
         for name in ("n", "m", "herd_size", "n_test"):
             keep(name, count_entry(name, getattr(self, name), 1))
-        # Seeds are hashed as 16 signed bytes (``_seeding._encode``).
-        keep("seed", count_entry("seed", self.seed, -(2**127), 2**127))
+        keep("seed", count_entry("seed", self.seed, *SEED_RANGE))
         keep("out_dir", "out" if self.out_dir is None else self.out_dir)
         for name in ("out_dir", "weights_csv"):
             path = getattr(self, name)

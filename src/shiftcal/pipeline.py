@@ -21,7 +21,6 @@ from a run's seed in exactly one place:
 - ``"mh"``, ``"mh-eval"``, ``"mh-pred"``: ``run_mh_baseline``
 - ``"curve"``: ``rmse_curve``, which derives each trial's seed
 - ``"oracle-search"``: ``minimize_weighted_sse``
-- ``"oracle-outputs"``: ``theorem1_check``
 - ``"plot"``: ``emit_plot_data``
 """
 
@@ -35,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._seeding import derive_rng, derive_seed, stream_keys
+from ._seeding import derive_rng, derive_seed
 from .baseline import (
     MHTrace,
     log_likelihood_sweep,
@@ -54,7 +53,7 @@ from .kabc import (
 )
 from .predict import generate_test_inputs, score_predictions
 from .sim import Dataset, generate_dataset, write_csv_rows, write_json_artifact
-from .weights import ImportanceWeights, importance_weights, ordinary_weights
+from .weights import ImportanceWeights, count_entry, importance_weights, ordinary_weights
 
 log = logging.getLogger("shiftcal")
 
@@ -330,15 +329,15 @@ def rmse_curve(
     cell's config is built before the first run, so a budget the config
     rejects (m < 2 under the median bandwidth) fails before any work.
     """
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
+    trials = count_entry("trials", trials, 1)
+    m_values = [count_entry("m", m, 1) for m in m_values]
     if include_mh:
         cfg.mh_config()  # a config without an 'mh' section fails here, before any run
 
     def trial_cfg(m: int, trial: int) -> ExperimentConfig:
         return cfg.replace(m=m, herd_size=m, seed=derive_seed(cfg.seed, "curve", m, trial))
 
-    runs = [[trial_cfg(int(m), trial) for trial in range(trials)] for m in m_values]
+    runs = [[trial_cfg(m, trial) for trial in range(trials)] for m in m_values]
     rows = []
     for m, run_cfgs in zip(m_values, runs):
         scores, mh_scores = [], []
@@ -347,16 +346,16 @@ def rmse_curve(
             scores.append(result.rmse)
             if include_mh:
                 mh_scores.append(
-                    run_mh_baseline(run_cfg, steps=int(m), dataset=result.dataset).rmse
+                    run_mh_baseline(run_cfg, steps=m, dataset=result.dataset).rmse
                 )
         row = {
-            "m": int(m),
+            "m": m,
             "rmse_mean": float(np.mean(scores)),
             "rmse_std": float(np.std(scores)),
             "trials": trials,
         }
         if include_mh:
-            row["mh_budget"] = int(m)
+            row["mh_budget"] = m
             row["mh_rmse_mean"] = float(np.mean(mh_scores))
             row["mh_rmse_std"] = float(np.std(mh_scores))
         rows.append(row)
@@ -393,8 +392,13 @@ def minimize_weighted_sse(
     """Brute-force minimizer of the weighted squared error over the prior.
 
     Dense grid over the prior's box for dimension <= 2, otherwise a
-    prior-sample search.  Returns (theta, loss, method, step, on_boundary).
+    prior-sample search, every candidate on the one simulator realization
+    ``sim.sweep(dataset.x, seed)`` draws (common random numbers).  Returns
+    (theta, loss, method, step, on_boundary, outputs): ``loss`` is the
+    weighted squared error of ``outputs``, theta's outputs on that realization.
     """
+    grid_resolution = count_entry("grid_resolution", grid_resolution, 2)
+    search_draws = count_entry("search_draws", search_draws, 1)
     sim = cfg.build_simulator()
     prior = cfg.build_prior()
     seed = derive_seed(cfg.seed, "oracle-search")
@@ -405,40 +409,38 @@ def minimize_weighted_sse(
         points = np.stack([g.ravel() for g in grids], axis=1)
     else:
         points = prior.sample(search_draws, derive_rng(seed, "draws"))
-    # Point k runs on key stream_keys(seed, k): one sweep per training input.
-    keys = stream_keys(seed, np.arange(len(points)))
-    outputs = np.stack([sim.sweep([x], keys)(points) for x in dataset.x], axis=1)
+    outputs = np.stack([sim.sweep([x], seed)(points) for x in dataset.x], axis=1)
     losses = weighted_residual_sum(outputs, dataset.y, beta)
     best = int(np.argmin(losses))
     if prior.dim > 2:
-        return points[best], float(losses[best]), "prior-search", (), False
+        return points[best], float(losses[best]), "prior-search", (), False, outputs[best]
     idx = np.unravel_index(best, grids[0].shape)
     on_boundary = any(i in (0, grid_resolution - 1) for i in idx)
     step = tuple(float(ax[1] - ax[0]) for ax in axes)
-    return points[best], float(losses[best]), "grid", step, on_boundary
+    return points[best], float(losses[best]), "grid", step, on_boundary, outputs[best]
 
 
 def theorem1_check(cfg: ExperimentConfig, grid_resolution: int = 101) -> EquivalenceReport:
     """Compare the data-built embedding against the optimal-output one.
 
     Finds the prior-supported parameter minimizing the weighted squared
-    error by brute force, simulates its outputs at the training inputs,
-    and reports the kernel-space distance between the embedding built
-    from the observed outputs and the one built from those optimal
-    outputs.  The distance shrinking with m is the expected behavior.
+    error by brute force and reports the kernel-space distance between the
+    embedding built from the observed outputs and the one built from the
+    outputs that won the search, whose weighted squared error is
+    ``loss_star``.  The distance shrinking with m is the expected behavior.
     Both are right-hand sides of one Gram system, so the check makes the
     passes ``calibrate`` makes: one output, one Cholesky and one theta.
     """
+    count_entry("grid_resolution", grid_resolution, 2)  # before any work
     prep = prepare(cfg)
     dataset = prep.dataset
-    theta_star, loss_star, method, step, on_boundary = minimize_weighted_sse(
+    theta_star, loss_star, method, step, on_boundary, optimal = minimize_weighted_sse(
         cfg, dataset, prep.beta, grid_resolution=grid_resolution
     )
     if on_boundary:
         log.warning("weighted-error minimum sits on the search-grid boundary; refine the grid")
 
-    sweep = cfg.build_simulator().sweep(dataset.x, derive_seed(cfg.seed, "oracle-outputs"))
-    from_data, from_optimal = prep.embed(dataset.y, sweep(theta_star))
+    from_data, from_optimal = prep.embed(dataset.y, optimal)
 
     return EquivalenceReport(
         theta_star=tuple(float(v) for v in np.atleast_1d(theta_star)),
@@ -460,6 +462,7 @@ def theorem1_check(cfg: ExperimentConfig, grid_resolution: int = 101) -> Equival
 def emit_plot_data(cfg: ExperimentConfig, grid_points: int = 121) -> Path:
     """Write predictive draws over an even input grid spanning q0 and q1,
     with the config and the dataset beside them."""
+    grid_points = count_entry("grid_points", grid_points, 1)
     result = calibrate(cfg)
     config_hash = cfg.config_hash()
 

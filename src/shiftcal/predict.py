@@ -5,7 +5,9 @@ simulator outputs across the herded parameter samples; its mean is the
 point prediction.  Predictions at several inputs are one array shaped
 (inputs, samples): row i holds the outputs at input i, and
 ``mean(axis=1)`` gives the point predictions.  RMSE compares those means
-against the noise-free regression function on a held-out test input set.
+with the truth on a held-out test input set: the linear benchmark's cubic
+ignores its keys, and the assembly truth is a simulator realization keyed
+``derive_seed(seed, "truth", x)`` by the scoring seed.
 """
 
 from __future__ import annotations

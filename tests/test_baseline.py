@@ -148,6 +148,22 @@ class TestMHSample:
         cfg = MHConfig(proposal_std=0.1, steps=10.0)
         assert cfg.steps == 10 and type(cfg.steps) is int
 
+    @pytest.mark.parametrize("seed", [2.5, True, "x", 2**127])
+    def test_seed_is_read_by_the_seed_rule(self, seed):
+        # the config's rule: an integer that 16 signed bytes hold
+        with pytest.raises(ValueError, match="^seed must be"):
+            MHConfig(proposal_std=0.1, steps=5, seed=seed)
+
+    @pytest.mark.parametrize("seed", [7, derive_seed(0, "mh")])
+    def test_numpy_and_derived_seeds_keep_their_chain(self, seed):
+        target = lambda th: -0.5 * float(th @ th)
+        traces = []
+        for given in (seed, np.int64(seed) if seed < 2**63 else np.uint64(seed)):
+            cfg = MHConfig(proposal_std=0.8, steps=25, seed=given)
+            assert cfg.seed == seed and type(cfg.seed) is int
+            traces.append(mh_sample(target, np.zeros(2), cfg).states.tobytes())
+        assert traces[0] == traces[1]
+
 
 class TestSimulationBudget:
     def test_budget_is_total_steps(self):

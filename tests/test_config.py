@@ -488,6 +488,8 @@ class TestConfigRoundTrip:
         mh = cfg.mh_config()
         assert mh.steps == 400 and mh.noise_var == 2.0 and mh.seed == 3
         assert cfg.mh_config(steps=50).steps == 50
+        with pytest.raises(ValueError, match="^seed must be an integer, got 2.5$"):
+            cfg.mh_config(seed=2.5)
 
 
 class TestBetaCsv:

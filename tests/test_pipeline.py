@@ -1,11 +1,13 @@
+import ast
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
 
-from shiftcal._seeding import derive_rng, derive_seed, stream_keys
-from shiftcal.baseline import mh_sample
+from shiftcal._seeding import derive_rng, derive_seed
+from shiftcal.baseline import mh_sample, weighted_residual_sum
 from shiftcal.config import ExperimentConfig, preset
 from shiftcal.herd import CandidatePool
 from shiftcal.kabc import build_embedding, embedding_distance
@@ -260,6 +262,11 @@ class TestRmseCurve:
         with pytest.raises(ValueError):
             rmse_curve(tiny_linear(), m_values=[4], trials=0)
 
+    def test_integral_float_budget_is_the_int_budget(self):
+        rows = rmse_curve(tiny_linear(), m_values=[4.0], trials=1)
+        assert rows == rmse_curve(tiny_linear(), m_values=[4], trials=1)
+        assert type(rows[0]["m"]) is int
+
 
 class TestMHBaseline:
     def test_smoke_and_budget(self):
@@ -342,8 +349,8 @@ class TestTheoremCheck:
 
     @pytest.mark.parametrize("name,seed", [("linear-shift", 3), ("assembly-shift", 9)])
     def test_oracle_equals_per_point_sweeps(self, name, seed):
-        # reference: one sweep over the training inputs per point k, on
-        # key stream_keys(search seed, k), and the loss written out
+        # reference: one sweep over the training inputs per point k, every
+        # one on the search seed (one realization), and the loss written out
         cfg = preset(name, seed=seed)
         ds = generate_dataset(cfg.build_dgp(), cfg.n, derive_seed(cfg.seed, "dataset"))
         beta = np.asarray(resolve_weights(cfg, ds))
@@ -356,14 +363,15 @@ class TestTheoremCheck:
         else:
             points = prior.sample(64, derive_rng(search, "draws"))
         losses = []
-        for k, theta in enumerate(points):
-            residuals = ds.y - sim.sweep(ds.x, stream_keys(search, k))(theta)
+        for theta in points:
+            residuals = ds.y - sim.sweep(ds.x, search)(theta)
             losses.append(float(np.sum(beta * residuals * residuals)))
-        theta, loss, *_ = minimize_weighted_sse(cfg, ds, resolve_weights(cfg, ds),
-                                                grid_resolution=9, search_draws=64)
+        theta, loss, *_, outputs = minimize_weighted_sse(cfg, ds, resolve_weights(cfg, ds),
+                                                         grid_resolution=9, search_draws=64)
         best = int(np.argmin(losses))
         assert loss == losses[best]
         assert theta.tobytes() == points[best].tobytes()
+        assert outputs.tobytes() == sim.sweep(ds.x, search)(theta).tobytes()
 
     @pytest.mark.parametrize("name,seed", [("linear-shift", 3), ("assembly-shift", 9)])
     def test_one_system_equals_two_separate_systems(self, name, seed):
@@ -374,7 +382,7 @@ class TestTheoremCheck:
         prep = prepare(cfg)
         theta_star, *_ = minimize_weighted_sse(cfg, prep.dataset, prep.beta, grid_resolution=9)
         x = prep.dataset.x
-        optimal = cfg.build_simulator().sweep(x, derive_seed(cfg.seed, "oracle-outputs"))(theta_star)
+        optimal = cfg.build_simulator().sweep(x, derive_seed(cfg.seed, "oracle-search"))(theta_star)
         (from_data,), (from_optimal,) = (
             build_embedding(prep.pseudo, [y], prep.beta, None, None, prep.epsilon)
             for y in (prep.dataset.y, optimal)
@@ -384,6 +392,28 @@ class TestTheoremCheck:
         got = (report.distance, report.sigma2, report.sigma2_theta)
         assert np.array(got).tobytes() == np.array(expected).tobytes()
         assert report.distance > 0
+
+    @pytest.mark.parametrize("name", ["linear-shift", "assembly-shift"])
+    @pytest.mark.parametrize("seed", [0, 1, 4])
+    def test_loss_star_scores_the_embedded_outputs(self, name, seed, monkeypatch):
+        # the outputs the check embeds are theta*'s on the search's one
+        # realization, and loss_star is their weighted squared error
+        cfg = preset(name, seed=seed, m=30, herd_size=30)
+        embedded = []
+        embed = pipeline.Prepared.embed
+
+        def spy(self, *ys, meta=None):
+            embedded.append(ys)
+            return embed(self, *ys, meta=meta)
+
+        monkeypatch.setattr(pipeline.Prepared, "embed", spy)
+        report = theorem1_check(cfg, grid_resolution=41)
+        ((observed, optimal),) = embedded
+        ds, beta = pipeline.weighted_dataset(cfg)
+        search = cfg.build_simulator().sweep(ds.x, derive_seed(cfg.seed, "oracle-search"))
+        assert optimal.tobytes() == search(np.array(report.theta_star)).tobytes()
+        assert observed.tobytes() == ds.y.tobytes()
+        assert report.loss_star == weighted_residual_sum(optimal, ds.y, beta)
 
     def test_wls_match_within_grid_step(self):
         cfg = preset("linear-shift", n=60, m=40, herd_size=40)
@@ -414,3 +444,75 @@ class TestEmitPlotData:
         assert ExperimentConfig.from_json(tmp_path / "plots" / "config.json") == cfg
         table = csv_table(path)
         assert table[:, 2].tobytes() == np.array([np.mean(row) for row in table[:, 3:]]).tobytes()
+
+
+class TestCountArguments:
+    """Every count an entry point takes is read by the config's count rule,
+    before any stage runs."""
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: theorem1_check(tiny_linear(), grid_resolution=1),
+             "grid_resolution must be >= 2, got 1"),
+            (lambda: theorem1_check(tiny_linear(), grid_resolution=0),
+             "grid_resolution must be >= 2, got 0"),
+            (lambda: theorem1_check(tiny_linear(), grid_resolution=2.5),
+             "grid_resolution must be an integer, got 2.5"),
+            (lambda: rmse_curve(tiny_linear(), [4.5], trials=1), "m must be an integer, got 4.5"),
+            (lambda: rmse_curve(tiny_linear(), [0], trials=1), "m must be >= 1, got 0"),
+            (lambda: rmse_curve(tiny_linear(), [4], trials=True),
+             "trials must be an integer, got True"),
+            (lambda: emit_plot_data(tiny_linear(), grid_points=2.5),
+             "grid_points must be an integer, got 2.5"),
+            (lambda: emit_plot_data(tiny_linear(), grid_points=0),
+             "grid_points must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_count_fails_before_any_work(self, call, message, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a stage ran before the counts were checked")
+
+        for name in ("prepare", "calibrate", "weighted_dataset"):
+            monkeypatch.setattr(pipeline, name, no_work)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize(
+        "counts,message",
+        [
+            ({"grid_resolution": 1}, "grid_resolution must be >= 2, got 1"),
+            ({"search_draws": 0}, "search_draws must be >= 1, got 0"),
+            ({"search_draws": 2.5}, "search_draws must be an integer, got 2.5"),
+        ],
+    )
+    def test_search_counts(self, counts, message):
+        ds, beta = pipeline.weighted_dataset(tiny_linear())
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            minimize_weighted_sse(tiny_linear(), ds, beta, **counts)
+
+
+def test_stream_tags_match_the_module_docstring():
+    # every derive_seed(cfg.seed, "<tag>", ...) in pipeline.py, keyed to its
+    # outermost enclosing function, is the docstring's tag list
+    def calls(node, owner=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                yield child, owner
+            is_function = isinstance(child, ast.FunctionDef)
+            yield from calls(child, owner or (child.name if is_function else None))
+
+    tree = ast.parse(open(pipeline.__file__).read())
+    found: dict[str, set] = {}
+    for call, owner in calls(tree):
+        if getattr(call.func, "id", None) == "derive_seed" and ast.unparse(call.args[0]) == "cfg.seed":
+            tag = call.args[1]
+            assert isinstance(tag, ast.Constant), f"untagged stream: {ast.unparse(call)}"
+            found.setdefault(tag.value, set()).add(owner)
+    documented = {}
+    for line in ast.get_docstring(tree).splitlines():
+        if match := re.match(r'- ((?:``"[^"]+"``(?:, )?)+): ``(\w+)``', line):
+            for tag in re.findall(r'``"([^"]+)"``', match.group(1)):
+                assert tag not in documented, f"tag {tag!r} listed twice"
+                documented[tag] = {match.group(2)}
+    assert found == documented
