@@ -14,7 +14,6 @@ from .config import PRESETS, ExperimentConfig, preset
 from .herd import CandidatePool, HerdedSamples, herd, herding_mmd
 from .kabc import (
     PosteriorEmbedding,
-    PseudoOutputs,
     build_embedding,
     embedding_distance,
     regularization_schedule,

@@ -51,7 +51,6 @@ class MHConfig:
 class MHTrace:
     """Chain states after every step, plus acceptance bookkeeping."""
 
-    init: np.ndarray
     states: np.ndarray      # (steps, d) current parameter after each step
     accepted: np.ndarray    # (steps,) bool
     burn_in_steps: int
@@ -154,7 +153,6 @@ def mh_sample(target: Callable[[np.ndarray], float], init, cfg: MHConfig) -> MHT
             accepted[s] = True
         states[s] = current
     return MHTrace(
-        init=np.atleast_1d(np.asarray(init, dtype=float)),
         states=states,
         accepted=accepted,
         burn_in_steps=int(np.floor(cfg.steps * cfg.burn_in)),

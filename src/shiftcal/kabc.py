@@ -4,10 +4,12 @@ The posterior over simulator parameters is represented by its kernel
 mean: a weighted expansion sum_j w_j k_Theta(., theta_j) over m prior
 draws, where the weights come from the regularized Gram solve against
 the observed data under the importance-weighted output kernel, with one
-right-hand side per observed output vector (``build_embedding``).  Weights
-may be negative and need not sum to one; consumers use them as-is.  The
-prior is a :class:`~shiftcal.weights.DensitySpec` over R^d (a diagonal
-normal or a uniform box), the same type as the input densities.
+right-hand side per observed output vector (``build_embedding``, which
+takes the (m, d) draws and the (m, n) outputs ``simulate_pseudo_outputs``
+returns as plain arrays).  Weights may be negative and need not sum to
+one; consumers use them as-is.  The prior is a
+:class:`~shiftcal.weights.DensitySpec` over R^d (a diagonal normal or a
+uniform box), the same type as the input densities.
 """
 
 from __future__ import annotations
@@ -22,28 +24,6 @@ from ._seeding import derive_rng, derive_seed, stream_keys
 from .kern import ParamKernel, WeightedOutputKernel, gaussian_gram, regularized_solve
 from .sim import Simulator, SimulatorError, write_json_artifact
 from .weights import DensitySpec, ImportanceWeights
-
-
-@dataclass(frozen=True)
-class PseudoOutputs:
-    """Simulated output vectors at the training inputs, one row per draw."""
-
-    thetas: np.ndarray  # (m, d) parameter draws
-    values: np.ndarray  # (m, n) simulator outputs
-
-    def __post_init__(self):
-        thetas = np.asarray(self.thetas, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "values", values)
-        if thetas.ndim != 2 or values.ndim != 2 or thetas.shape[0] != values.shape[0]:
-            raise ValueError(f"misaligned pseudo-outputs: {thetas.shape} vs {values.shape}")
-        if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(values))):
-            raise ValueError("pseudo-outputs contain non-finite entries")
-
-    @property
-    def m(self) -> int:
-        return self.thetas.shape[0]
 
 
 @dataclass(frozen=True)
@@ -113,8 +93,8 @@ def sample_prior(prior: DensitySpec, m: int, seed: int) -> np.ndarray:
     return prior.sample(m, derive_rng(seed, "prior-draws"))
 
 
-def simulate_pseudo_outputs(sim: Simulator, thetas, xs, seed: int) -> PseudoOutputs:
-    """Run the simulator at every (training input, prior draw) pair.
+def simulate_pseudo_outputs(sim: Simulator, thetas, xs, seed: int) -> np.ndarray:
+    """Simulator outputs (m, n) at every (prior draw, training input) pair.
 
     One sweep per training input i runs every draw j on its own stream,
     keyed ``stream_keys(derive_seed(seed, "pseudo"), j, i)``, so streams
@@ -133,11 +113,14 @@ def simulate_pseudo_outputs(sim: Simulator, thetas, xs, seed: int) -> PseudoOutp
             j = exc.row if isinstance(exc, SimulatorError) else None
             where = "" if j is None else f" for draw {j} (theta={thetas[j]})"
             raise RuntimeError(f"simulator failed at input {i} (x={x}){where}") from exc
-    return PseudoOutputs(thetas=thetas, values=values)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("pseudo-outputs contain non-finite entries")
+    return values
 
 
 def build_embedding(
-    pseudo: PseudoOutputs,
+    draws,
+    outputs,
     observed,
     beta: ImportanceWeights,
     sigma2: float | None,
@@ -147,25 +130,34 @@ def build_embedding(
 ) -> tuple[PosteriorEmbedding, ...]:
     """One embedding per vector in ``observed``, all from one Gram system.
 
-    Only the right-hand sides depend on the observations, so the vectors
-    share one output pass, one factorization and one theta pass.  A
+    ``draws`` (m, d) are the prior draws, a 1-d vector m one-parameter
+    draws, and ``outputs`` (m, n) their simulator outputs at the training
+    inputs.  Only the right-hand sides depend on the observations, so the
+    vectors share one output pass, one factorization and one theta pass.  A
     ``sigma2`` of None is the median heuristic, read from the output pass.
     The weights are solved, and the output matrix freed, before the theta
     pass: it gives the theta Gram matrix the embeddings share, and, for a
     ``sigma2_theta`` of None, the median over the prior draws.  The values
     used land in ``meta["sigma2"]`` and ``kernel.sigma2``.
     """
+    draws = np.asarray(draws, dtype=float)
+    if draws.ndim == 1:
+        draws = draws[:, None]
+    outputs = np.asarray(outputs, dtype=float)
+    if draws.ndim != 2 or outputs.ndim != 2 or len(draws) != len(outputs):
+        raise ValueError(f"misaligned pseudo-outputs: {draws.shape} vs {outputs.shape}")
+    if not (np.all(np.isfinite(draws)) and np.all(np.isfinite(outputs))):
+        raise ValueError("pseudo-outputs contain non-finite entries")
     beta = np.asarray(beta, dtype=float)
-    gram, sigma2 = gaussian_gram(pseudo.values, sigma2, beta)
+    gram, sigma2 = gaussian_gram(outputs, sigma2, beta)
     kernel = WeightedOutputKernel(sigma2=sigma2, beta=beta)
-    weights = regularized_solve(gram, [kernel.against(pseudo.values, y) for y in observed], epsilon)
+    weights = regularized_solve(gram, [kernel.against(outputs, y) for y in observed], epsilon)
     del gram  # so the output and theta matrices are never held together
-    theta_gram, sigma2_theta = gaussian_gram(pseudo.thetas, sigma2_theta)
+    theta_gram, sigma2_theta = gaussian_gram(draws, sigma2_theta)
     theta_kernel = ParamKernel(sigma2_theta)
-    info = {"sigma2": sigma2, "epsilon": epsilon, "n": kernel.n, "m": pseudo.m, **(meta or {})}
+    info = {"sigma2": sigma2, "epsilon": epsilon, "n": kernel.n, "m": len(draws), **(meta or {})}
     return tuple(
-        PosteriorEmbedding(pseudo.thetas, w, theta_kernel, dict(info), theta_gram)
-        for w in weights
+        PosteriorEmbedding(draws, w, theta_kernel, dict(info), theta_gram) for w in weights
     )
 
 

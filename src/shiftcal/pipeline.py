@@ -6,22 +6,25 @@ only, every one stamped with the config hash.  Wall-clock timings are
 reported in memory and logged but never serialized, so artifact files
 are byte-identical across repeated runs.
 
-Every entry point takes the front half of a run (dataset, weights, prior
-draws, pseudo-outputs) from ``prepare``, or only the dataset and weights
-from its first half, ``weighted_dataset``.  Median bandwidths are not a
-stage of their own: the embedding step reads each from the distances its
-kernel matrix is built from, and ``Prepared.embed`` solves one Gram
-system for any number of observed vectors.  Each stream tag is derived
-from a run's seed in exactly one place:
+Every entry point takes the front half of a run (dataset, weights, and
+the prior draws and their pseudo-outputs as plain arrays) from
+``prepare``, or only the dataset and weights from its first half,
+``weighted_dataset``.  Median bandwidths are not a stage of their own:
+the embedding step reads each from the distances its kernel matrix is
+built from, and ``Prepared.embed`` solves one Gram system for any number
+of observed vectors.  Scorers take plain (T, d) sample arrays: the
+herded points or the MH chain's post-burn-in states.  Each stream tag is
+derived from a run's seed in exactly one place:
 
 - ``"dataset"``: ``weighted_dataset``
 - ``"prior"``, ``"pseudo"``: ``prepare``
 - ``"test"``: ``_test_inputs`` (for ``calibrate`` and ``run_mh_baseline``)
-- ``"eval"``: ``calibrate``
-- ``"mh"``, ``"mh-eval"``, ``"mh-pred"``: ``run_mh_baseline``
+- ``"eval"``: ``_score``, the one scoring seed of ``calibrate``,
+  ``run_mh_baseline`` and ``emit_plot_data``, so all three score against
+  one truth realization
+- ``"mh"``, ``"mh-eval"``: ``run_mh_baseline``
 - ``"curve"``: ``rmse_curve``, which derives each trial's seed
 - ``"oracle-search"``: ``minimize_weighted_sse``
-- ``"plot"``: ``emit_plot_data``
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .config import ExperimentConfig, load_beta_csv
 from .herd import CandidatePool, HerdedSamples, herd
 from .kabc import (
     PosteriorEmbedding,
-    PseudoOutputs,
     build_embedding,
     embedding_distance,
     sample_prior,
@@ -70,22 +72,24 @@ class StageError(RuntimeError):
 class Prepared:
     """The front half of a run: everything the embedding is built from.
 
-    The prior draws, which are also the herding candidates, are
-    ``pseudo.thetas``.  ``bandwidth`` is the config's fixed (sigma2,
+    ``draws`` (m, d) are the prior draws, which are also the herding
+    candidates, and ``outputs`` (m, n) their pseudo-outputs at the training
+    inputs.  ``bandwidth`` is the config's fixed (sigma2,
     sigma2_theta), or None under the median heuristic, which each ``embed``
     resolves; the embeddings record the values used.
     """
 
     dataset: Dataset
     beta: ImportanceWeights
-    pseudo: PseudoOutputs
+    draws: np.ndarray
+    outputs: np.ndarray
     bandwidth: tuple[float, float] | None
     epsilon: float
 
     def embed(self, *ys, meta: dict | None = None) -> tuple[PosteriorEmbedding, ...]:
         """One posterior embedding per output vector in ``ys`` (default: ``dataset.y``)."""
         return build_embedding(
-            self.pseudo, ys or (self.dataset.y,), self.beta,
+            self.draws, self.outputs, ys or (self.dataset.y,), self.beta,
             *(self.bandwidth or (None, None)), self.epsilon, meta=meta,
         )
 
@@ -144,16 +148,25 @@ def prepare(
     timings = {} if timings is None else timings
     dataset, beta = weighted_dataset(cfg, dataset, timings)
     with _timed(timings, "prior-draws"):
-        thetas = sample_prior(cfg.build_prior(), cfg.m, derive_seed(cfg.seed, "prior"))
+        draws = sample_prior(cfg.build_prior(), cfg.m, derive_seed(cfg.seed, "prior"))
     with _timed(timings, "pseudo-outputs"):
-        pseudo = simulate_pseudo_outputs(
-            cfg.build_simulator(), thetas, dataset.x, derive_seed(cfg.seed, "pseudo")
+        outputs = simulate_pseudo_outputs(
+            cfg.build_simulator(), draws, dataset.x, derive_seed(cfg.seed, "pseudo")
         )
-    return Prepared(dataset, beta, pseudo, cfg.fixed_bandwidth(), cfg.resolve_epsilon())
+    return Prepared(dataset, beta, draws, outputs, cfg.fixed_bandwidth(), cfg.resolve_epsilon())
 
 
 def _test_inputs(cfg: ExperimentConfig) -> np.ndarray:
     return generate_test_inputs(cfg.test_density(), cfg.n_test, derive_seed(cfg.seed, "test"))
+
+
+def _score(cfg: ExperimentConfig, inputs, samples: np.ndarray):
+    """``score_predictions`` of the (T, d) ``samples`` at ``inputs``, on the
+    run's one scoring seed: every entry point scores against one truth."""
+    return score_predictions(
+        cfg.build_truth(), inputs, cfg.build_simulator(), samples,
+        seed=derive_seed(cfg.seed, "eval"),
+    )
 
 
 def calibrate(cfg: ExperimentConfig, dataset: Dataset | None = None) -> CalibrationResult:
@@ -166,10 +179,7 @@ def calibrate(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Calibrat
         herded = herd(embedding, CandidatePool.from_draws(embedding.draws), cfg.herd_size)
     with _timed(timings, "prediction"):
         test_inputs = _test_inputs(cfg)
-        predictions, truth_values, rmse_value = score_predictions(
-            cfg.build_truth(), test_inputs, cfg.build_simulator(), herded,
-            seed=derive_seed(cfg.seed, "eval"),
-        )
+        predictions, truth_values, rmse_value = _score(cfg, test_inputs, herded.points)
 
     for stage, seconds in timings.items():
         log.info("stage %-14s %8.3f s", stage, seconds)
@@ -252,7 +262,7 @@ def run_mh_baseline(
 
     The chain starts at the prior center and targets the weighted
     log-likelihood plus log-prior; predictions average the simulator
-    over all post-burn-in states.
+    over all post-burn-in states, scored as ``calibrate`` scores (``_score``).
     """
     timings: dict = {}
     mh_cfg = cfg.mh_config(steps=steps, seed=derive_seed(cfg.seed, "mh"))
@@ -277,10 +287,7 @@ def run_mh_baseline(
         trace = mh_sample(target, prior.center(), mh_cfg)
     with _timed(timings, "prediction"):
         test_inputs = _test_inputs(cfg)
-        _, _, rmse_value = score_predictions(
-            cfg.build_truth(), test_inputs, sim, trace.post_burn_in,
-            seed=derive_seed(cfg.seed, "mh-pred"),
-        )
+        _, _, rmse_value = _score(cfg, test_inputs, trace.post_burn_in)
 
     for stage, seconds in timings.items():
         log.info("stage %-14s %8.3f s", stage, seconds)
@@ -471,10 +478,7 @@ def emit_plot_data(cfg: ExperimentConfig, grid_points: int = 121) -> Path:
     if cfg.simulator == "assembly":
         grid = grid[grid >= 1.0]
 
-    predictions, truth_vals, _ = score_predictions(
-        cfg.build_truth(), grid, cfg.build_simulator(), result.herded,
-        seed=derive_seed(cfg.seed, "plot"),
-    )
+    predictions, truth_vals, _ = _score(cfg, grid, result.herded.points)
     out = output_dir(cfg)
     path = out / "plot_data.csv"
     write_csv_rows(

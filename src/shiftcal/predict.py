@@ -1,12 +1,13 @@
 """Push-forward predictions at test inputs and RMSE scoring.
 
 The predictive distribution at x is the empirical distribution of
-simulator outputs across the herded parameter samples; its mean is the
-point prediction.  Predictions at several inputs are one array shaped
-(inputs, samples): row i holds the outputs at input i, and
-``mean(axis=1)`` gives the point predictions.  RMSE compares those means
-with the truth on a held-out test input set: the linear benchmark's cubic
-ignores its keys, and the assembly truth is a simulator realization keyed
+simulator outputs across the posterior samples, a (T, d) array (the
+herded points or the MH states); its mean is the point prediction.
+Predictions at several inputs are one array shaped (inputs, samples):
+row i holds the outputs at input i, and ``mean(axis=1)`` gives the point
+predictions.  RMSE compares those means with the truth on a held-out
+test input set: the linear benchmark's cubic ignores its keys, and the
+assembly truth is a simulator realization keyed
 ``derive_seed(seed, "truth", x)`` by the scoring seed.
 """
 
@@ -15,14 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 from ._seeding import derive_rng, derive_seed, stream_keys
-from .herd import HerdedSamples
 from .sim import Simulator, TruthFn
 from .weights import DensitySpec
 
 
 def _sample_points(samples) -> np.ndarray:
-    if isinstance(samples, HerdedSamples):
-        return samples.points
+    """The (T, d) sample array; a 1-d vector is T one-parameter samples."""
     points = np.asarray(samples, dtype=float)
     return points[:, None] if points.ndim == 1 else points
 

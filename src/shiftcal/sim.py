@@ -124,11 +124,10 @@ class AssemblyLineSimulator(Simulator):
 
         Normals 0..x-1 of row r's stream drive its assembly durations and
         the next ones its inspection durations; they are drawn here, once.  Rows
-        with fewer products or batches are padded: the schedule is built
-        from prefix sums and a running max, so padding never reaches a
-        row's last real batch, which is where its makespan is read.  With
-        one input nothing is padded, so columns are read by slice or
-        column index rather than gathered row by row.
+        with fewer products or batches are padded: the makespan is read from
+        prefix sums and a max over the real batches only, so padding never
+        reaches it.  With one input nothing is padded, so columns are read
+        by slice or column index rather than gathered row by row.
         """
         xs = np.asarray(xs, dtype=float).reshape(-1)
         bad = ~(np.isfinite(xs) & (xs >= 1))
@@ -145,6 +144,7 @@ class AssemblyLineSimulator(Simulator):
         # partial batch when the last product does.
         batch = np.arange(depth)
         last = np.minimum((batch + 1) * size, counts) - 1
+        real = batch < n_batches  # (rows, depth): False on padded batches
         one_input = len(xs) == 1
         if one_input:  # nothing is padded: read columns, do not gather them
             z_insp = z[:, width:]
@@ -172,14 +172,13 @@ class AssemblyLineSimulator(Simulator):
             else:
                 ready = np.take_along_axis(completion, last, axis=1)
             inspect = np.maximum(mean_insp + sd_insp * z_insp, 0.0)
-            # finish_b = max(ready_b, finish_{b-1}) + inspect_b, unrolled
-            # into a running max so the whole schedule vectorizes.
+            # finish_b = max(ready_b, finish_{b-1}) + inspect_b unrolls to
+            # cum_inspect_b + max(slack_0..b), so the last real batch finishes
+            # at its cum_inspect plus the largest slack over the real batches.
             cum_inspect = np.cumsum(inspect, axis=1)
             slack = ready - (cum_inspect - inspect)
-            finish = cum_inspect + np.maximum.accumulate(slack, axis=1)
-            if one_input:  # a copy: a view would keep the whole schedule alive
-                return finish[:, -1].copy()
-            return np.take_along_axis(finish, n_batches - 1, axis=1)[:, 0]
+            last_cum = np.take_along_axis(cum_inspect, n_batches - 1, axis=1)[:, 0]
+            return last_cum + slack.max(axis=1, initial=-np.inf, where=real)
 
         return makespans
 

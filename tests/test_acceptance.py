@@ -202,7 +202,7 @@ def test_criterion_6_covariate_shift_benefit():
                 run_cfg.build_truth(),
                 test_inputs,
                 run_cfg.build_simulator(),
-                samples,
+                samples.points,
                 seed=derive_seed(seed, "eval"),
             )
             scores.append(score)

@@ -78,17 +78,17 @@ class TestPriorSpec:
 
 class TestSimulatePseudoOutputs:
     def test_zero_parameters_give_zero_outputs(self):
-        pseudo = simulate_pseudo_outputs(
+        outputs = simulate_pseudo_outputs(
             LinearSimulator(), np.zeros((1, 2)), np.linspace(-1, 1, 5), seed=0
         )
-        assert np.array_equal(pseudo.values, np.zeros((1, 5)))
+        assert np.array_equal(outputs, np.zeros((1, 5)))
 
     def test_single_draw_equals_direct_evaluation(self):
         sim = LinearSimulator()
         xs = np.array([0.0, 1.0, 2.0])
         theta = np.array([1.0, 3.0])
-        pseudo = simulate_pseudo_outputs(sim, theta[None, :], xs, seed=0)
-        assert np.array_equal(pseudo.values[0], sim.sweep(xs)(theta))
+        outputs = simulate_pseudo_outputs(sim, theta[None, :], xs, seed=0)
+        assert np.array_equal(outputs[0], sim.sweep(xs)(theta))
 
     def test_stochastic_batch_reproducible(self):
         sim = AssemblyLineSimulator()
@@ -96,9 +96,9 @@ class TestSimulatePseudoOutputs:
         xs = np.array([10.0, 20.0, 30.0])
         a = simulate_pseudo_outputs(sim, thetas, xs, seed=5)
         b = simulate_pseudo_outputs(sim, thetas, xs, seed=5)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
         c = simulate_pseudo_outputs(sim, thetas, xs, seed=6)
-        assert not np.array_equal(a.values, c.values)
+        assert not np.array_equal(a, c)
 
     def test_error_carries_context(self):
         sim = AssemblyLineSimulator()
@@ -111,14 +111,54 @@ class TestSimulatePseudoOutputs:
         with pytest.raises(RuntimeError, match=r"input 0 .* draw 2 \(theta=\[ ?2\. +-0\.5"):
             simulate_pseudo_outputs(AssemblyLineSimulator(), thetas, [5.0, 8.0], seed=0)
 
+    def test_non_finite_output_rejected(self):
+        # 1e308 + 1e308 * 2 overflows: the simulator returns inf without raising
+        thetas = np.array([[0.0, 1.0], [1e308, 1e308]])
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="^pseudo-outputs contain non-finite entries$"
+        ):
+            simulate_pseudo_outputs(LinearSimulator(), thetas, [1.0, 2.0], seed=0)
+
 
 class TestBuildEmbedding:
+    @pytest.mark.parametrize(
+        "draws,outputs",
+        [(np.zeros((3, 2)), np.zeros((4, 5))),   # rows differ
+         (np.zeros(3), np.zeros((4, 5))),        # m one-parameter draws, still 3 rows
+         (np.zeros((3, 2)), np.zeros(3)),        # outputs are not one row per draw
+         (np.zeros((3, 2, 1)), np.zeros((3, 5)))],
+    )
+    def test_misaligned_inputs_rejected(self, draws, outputs):
+        with pytest.raises(ValueError, match=r"^misaligned pseudo-outputs: \("):
+            build_embedding(draws, outputs, [np.zeros(5)], ordinary_weights(5), 1.0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("where", ["draws", "outputs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_rejected(self, where, bad):
+        arrays = {"draws": np.zeros((3, 2)), "outputs": np.zeros((3, 5))}
+        arrays[where][1, 0] = bad
+        with pytest.raises(ValueError, match="^pseudo-outputs contain non-finite entries$"):
+            build_embedding(arrays["draws"], arrays["outputs"], [np.zeros(5)],
+                            ordinary_weights(5), 1.0, 1.0, 0.1)
+
+    def test_flat_draws_are_one_parameter_draws(self):
+        rng = np.random.default_rng(5)
+        flat, outputs, y = rng.normal(size=6), rng.normal(size=(6, 4)), rng.normal(size=4)
+        beta = ordinary_weights(4)
+        (emb,) = build_embedding(flat, outputs, [y], beta, None, None, 0.1)
+        (column,) = build_embedding(flat[:, None], outputs, [y], beta, None, None, 0.1)
+        assert emb.draws.shape == (6, 1) and emb.meta["m"] == 6
+        assert emb.weights.tobytes() == column.weights.tobytes()
+        assert emb.kernel == column.kernel
+
     def test_single_draw_scalar_weight(self):
         dataset = make_dataset([0.0, 1.0], [0.5, 0.5])
-        pseudo = simulate_pseudo_outputs(LinearSimulator(), np.array([[0.0, 0.0]]), dataset.x, 0)
+        draws = np.array([[0.0, 0.0]])
+        outputs = simulate_pseudo_outputs(LinearSimulator(), draws, dataset.x, 0)
         eps = 0.3
         (emb,) = build_embedding(
-            pseudo, [dataset.y], ordinary_weights(2), sigma2=1.0, sigma2_theta=1.0, epsilon=eps
+            draws, outputs, [dataset.y], ordinary_weights(2),
+            sigma2=1.0, sigma2_theta=1.0, epsilon=eps,
         )
         k = math.exp(-(0.25 + 0.25) / 2.0)
         assert emb.weights[0] == pytest.approx(k / (1 + eps), rel=1e-12)
@@ -130,11 +170,8 @@ class TestBuildEmbedding:
         thetas = rng.normal(size=(3, 2))
         values = rng.normal(size=(3, 4))
         dataset = make_dataset(np.arange(4), values[1])
-        from shiftcal.kabc import PseudoOutputs
-
-        pseudo = PseudoOutputs(thetas=thetas, values=values)
         (emb,) = build_embedding(
-            pseudo, [dataset.y], ordinary_weights(4), sigma2=1e-3, sigma2_theta=1.0, epsilon=1e-6
+            thetas, values, [dataset.y], ordinary_weights(4), sigma2=1e-3, sigma2_theta=1.0, epsilon=1e-6
         )
         w = emb.weights
         assert w[1] > 10 * max(abs(w[0]), abs(w[2]))
@@ -144,9 +181,9 @@ class TestBuildEmbedding:
         thetas = rng.normal(0, math.sqrt(5), size=(30, 2))
         xs = rng.normal(0.5, 0.5, size=20)
         dataset = make_dataset(xs, -xs + xs**3 + rng.normal(0, math.sqrt(2), 20))
-        pseudo = simulate_pseudo_outputs(LinearSimulator(), thetas, xs, seed=0)
+        outputs = simulate_pseudo_outputs(LinearSimulator(), thetas, xs, seed=0)
         (emb,) = build_embedding(
-            pseudo, [dataset.y], ordinary_weights(20), sigma2=100.0, sigma2_theta=10.0, epsilon=1.0
+            thetas, outputs, [dataset.y], ordinary_weights(20), sigma2=100.0, sigma2_theta=10.0, epsilon=1.0
         )
         assert np.all(np.isfinite(emb.weights))
         assert np.isfinite(embedding_at(emb, [np.zeros(2)])[0])
@@ -160,13 +197,14 @@ class TestBuildEmbedding:
         xs = rng.normal(0.5, 0.5, size=15)
         dataset = make_dataset(xs, -xs + xs**3)
         thetas = rng.normal(0, 1, size=(10, 2))
-        pseudo = simulate_pseudo_outputs(LinearSimulator(), thetas, xs, seed=0)
+        outputs = simulate_pseudo_outputs(LinearSimulator(), thetas, xs, seed=0)
         q = DensitySpec.normal(0.5, 0.5)
         (emb_a,) = build_embedding(
-            pseudo, [dataset.y], ordinary_weights(15), sigma2=50.0, sigma2_theta=5.0, epsilon=0.5
+            thetas, outputs, [dataset.y], ordinary_weights(15), sigma2=50.0, sigma2_theta=5.0, epsilon=0.5
         )
         (emb_b,) = build_embedding(
-            pseudo,
+            thetas,
+            outputs,
             [dataset.y],
             importance_weights(xs, q, q),
             sigma2=50.0,
@@ -176,20 +214,14 @@ class TestBuildEmbedding:
         assert np.array_equal(emb_a.weights, emb_b.weights)
 
     def test_permutation_equivariance(self):
-        from shiftcal.kabc import PseudoOutputs
-
         rng = np.random.default_rng(3)
         thetas = rng.normal(size=(12, 2))
         values = rng.normal(size=(12, 6))
         dataset = make_dataset(np.arange(6), rng.normal(size=6))
         beta = ordinary_weights(6)
-        (emb,) = build_embedding(
-            PseudoOutputs(thetas, values), [dataset.y], beta, 5.0, 2.0, 0.1
-        )
+        (emb,) = build_embedding(thetas, values, [dataset.y], beta, 5.0, 2.0, 0.1)
         perm = rng.permutation(12)
-        (emb_p,) = build_embedding(
-            PseudoOutputs(thetas[perm], values[perm]), [dataset.y], beta, 5.0, 2.0, 0.1
-        )
+        (emb_p,) = build_embedding(thetas[perm], values[perm], [dataset.y], beta, 5.0, 2.0, 0.1)
         assert np.allclose(emb_p.weights, emb.weights[perm], rtol=0, atol=1e-10)
         for theta in rng.normal(size=(5, 2)):
             assert embedding_at(emb_p, [theta])[0] == pytest.approx(
@@ -201,13 +233,12 @@ class TestBuildEmbedding:
         # all come from one output pass and one theta pass, and share the
         # theta kernel and the carried theta matrix
         from shiftcal import kern
-        from shiftcal.kabc import PseudoOutputs
 
         rng = np.random.default_rng(4)
-        pseudo = PseudoOutputs(rng.normal(size=(20, 2)), rng.normal(size=(20, 5)))
+        pseudo = rng.normal(size=(20, 2)), rng.normal(size=(20, 5))
         beta = ImportanceWeights(rng.uniform(0.5, 2.0, size=5))
         ys = rng.normal(size=(3, 5))
-        singles = [build_embedding(pseudo, [y], beta, None, None, 0.1) for y in ys]
+        singles = [build_embedding(*pseudo, [y], beta, None, None, 0.1) for y in ys]
         assert all(isinstance(one, tuple) and len(one) == 1 for one in singles)
         passes = []
         sqdist = kern.pairwise_sqdist
@@ -217,7 +248,7 @@ class TestBuildEmbedding:
             return sqdist(vectors, weights)
 
         monkeypatch.setattr(kern, "pairwise_sqdist", counted)
-        embs = build_embedding(pseudo, ys, beta, None, None, 0.1, meta={"tag": 1})
+        embs = build_embedding(*pseudo, ys, beta, None, None, 0.1, meta={"tag": 1})
         assert passes == [(20, 5), (20, 2)]
         assert isinstance(embs, tuple) and len(embs) == 3
         for emb, (one,) in zip(embs, singles):
@@ -229,7 +260,7 @@ class TestBuildEmbedding:
         embs[0].meta["tag"] = 2
         assert embs[1].meta["tag"] == 1
         with pytest.raises(ValueError, match="observed outputs must have length 5"):
-            build_embedding(pseudo, [np.zeros(4)], beta, None, None, 0.1)
+            build_embedding(*pseudo, [np.zeros(4)], beta, None, None, 0.1)
 
 
 class TestEmbeddingEval:
@@ -302,18 +333,17 @@ class TestEmbeddingDistance:
     def test_carried_theta_gram_gives_numpy_bits_without_a_theta_pass(self, monkeypatch, m):
         from dataclasses import replace
 
-        from shiftcal.kabc import PseudoOutputs
         from shiftcal.kern import median_heuristic
 
         rng = np.random.default_rng(m)
-        pseudo = PseudoOutputs(rng.normal(size=(m, 2)), rng.normal(size=(m, 5)))
+        draws, outputs = rng.normal(size=(m, 2)), rng.normal(size=(m, 5))
         beta = ordinary_weights(5)
-        (a,) = build_embedding(pseudo, [rng.normal(size=5)], beta, None, None, 0.1)
-        (b,) = build_embedding(pseudo, [rng.normal(size=5)], beta, None, None, 0.1)
-        assert a.kernel.sigma2 == median_heuristic(pseudo.thetas)
-        assert np.array_equal(a.theta_gram, a.kernel.gram(pseudo.thetas))
+        (a,) = build_embedding(draws, outputs, [rng.normal(size=5)], beta, None, None, 0.1)
+        (b,) = build_embedding(draws, outputs, [rng.normal(size=5)], beta, None, None, 0.1)
+        assert a.kernel.sigma2 == median_heuristic(draws)
+        assert np.array_equal(a.theta_gram, a.kernel.gram(draws))
         delta = a.weights - b.weights
-        expected = math.sqrt(max(float(delta @ a.kernel.gram(pseudo.thetas) @ delta), 0.0))
+        expected = math.sqrt(max(float(delta @ a.kernel.gram(draws) @ delta), 0.0))
         bare = replace(a, theta_gram=None), replace(b, theta_gram=None)
         assert embedding_distance(*bare) == expected
         monkeypatch.setattr(ParamKernel, "gram", None)  # any theta pass fails

@@ -437,7 +437,7 @@ class TestSolveInTheGramBuffer:
 
         monkeypatch.setattr(kern, "cho_solve", counted_solve)
         result = pipeline.calibrate(preset(name))
-        assert calls == [(result.pseudo.m,)]
+        assert calls == [(len(result.draws),)]
 
     def test_peak_memory_of_an_embedding_at_m2000(self):
         # the output Gram build (distances plus one triangle of pairs) sets
@@ -689,7 +689,7 @@ class TestSharedDistanceBuffer:
         calls = record_distance_passes(monkeypatch)
         result = pipeline.calibrate(preset("linear-shift", n=24, m=16, herd_size=16, n_test=24))
         assert calls == [(16, 24), (16, 2)]
-        assert result.embedding.kernel.sigma2 == median_heuristic(result.pseudo.thetas)
+        assert result.embedding.kernel.sigma2 == median_heuristic(result.draws)
 
     def test_extra_pool_candidates_are_no_longer_a_config_key(self, monkeypatch):
         # the herding pool is the prior draws: a config asking for extra

@@ -60,7 +60,7 @@ def reference_mh_baseline(cfg: ExperimentConfig, steps: int):
     trace = mh_sample(target, prior.center(), mh_cfg)
     test_inputs = generate_test_inputs(cfg.test_density(), cfg.n_test, derive_seed(cfg.seed, "test"))
     _, _, rmse_value = score_predictions(
-        cfg.build_truth(), test_inputs, sim, trace.post_burn_in, seed=derive_seed(cfg.seed, "mh-pred")
+        cfg.build_truth(), test_inputs, sim, trace.post_burn_in, seed=derive_seed(cfg.seed, "eval")
     )
     return trace, rmse_value
 
@@ -199,8 +199,8 @@ class TestPrepare:
         for field in ("x", "y"):
             assert getattr(prep.dataset, field).tobytes() == getattr(result.dataset, field).tobytes()
         assert np.asarray(prep.beta).tobytes() == np.asarray(result.beta).tobytes()
-        assert prep.pseudo.thetas.tobytes() == result.pseudo.thetas.tobytes()
-        assert prep.pseudo.values.tobytes() == result.pseudo.values.tobytes()
+        assert prep.draws.tobytes() == result.draws.tobytes()
+        assert prep.outputs.tobytes() == result.outputs.tobytes()
         assert prep.bandwidth is None and prep.epsilon == result.epsilon
         (embedding,) = prep.embed()
         pool = CandidatePool.from_draws(embedding.draws)
@@ -211,18 +211,29 @@ class TestPrepare:
         report = theorem1_check(cfg, grid_resolution=9)
         assert (report.sigma2, report.sigma2_theta, report.epsilon) == bandwidths
 
+    def test_non_finite_pseudo_output_fails_its_stage(self, monkeypatch):
+        from shiftcal.sim import LinearSimulator
+
+        def overflowing(self, xs, keys=0):
+            return lambda thetas: np.full(len(thetas), np.inf)
+
+        monkeypatch.setattr(LinearSimulator, "sweep", overflowing)
+        with pytest.raises(StageError, match="pseudo-outputs contain non-finite entries") as err:
+            prepare(tiny_linear())
+        assert err.value.stage == "pseudo-outputs"
+
     def test_embed_releases_distance_buffer(self):
         # no distance matrix is held between stages, and embed is a pure call
         prep = prepare(tiny_linear())
         (first,) = prep.embed()
-        assert not any(isinstance(v, np.ndarray) for v in vars(prep).values())
+        assert {k for k, v in vars(prep).items() if isinstance(v, np.ndarray)} == {"draws", "outputs"}
         (again,) = prep.embed()
         assert first.weights.tobytes() == again.weights.tobytes()
         assert (first.meta["sigma2"], first.kernel.sigma2) == (again.meta["sigma2"], again.kernel.sigma2)
 
     def test_fixed_bandwidths_hold_no_buffer(self):
         prep = prepare(tiny_linear(bandwidth={"sigma2": 2.0, "sigma2_theta": 3.0}))
-        assert not any(isinstance(v, np.ndarray) for v in vars(prep).values())
+        assert {k for k, v in vars(prep).items() if isinstance(v, np.ndarray)} == {"draws", "outputs"}
         assert prep.bandwidth == (2.0, 3.0)
         (embedding,) = prep.embed()
         assert (embedding.meta["sigma2"], embedding.kernel.sigma2) == (2.0, 3.0)
@@ -384,7 +395,7 @@ class TestTheoremCheck:
         x = prep.dataset.x
         optimal = cfg.build_simulator().sweep(x, derive_seed(cfg.seed, "oracle-search"))(theta_star)
         (from_data,), (from_optimal,) = (
-            build_embedding(prep.pseudo, [y], prep.beta, None, None, prep.epsilon)
+            build_embedding(prep.draws, prep.outputs, [y], prep.beta, None, None, prep.epsilon)
             for y in (prep.dataset.y, optimal)
         )
         expected = (embedding_distance(from_data, from_optimal),
@@ -444,6 +455,30 @@ class TestEmitPlotData:
         assert ExperimentConfig.from_json(tmp_path / "plots" / "config.json") == cfg
         table = csv_table(path)
         assert table[:, 2].tobytes() == np.array([np.mean(row) for row in table[:, 3:]]).tobytes()
+
+
+class TestOneScoringRealization:
+    def test_entry_points_score_against_one_truth(self, tmp_path, monkeypatch):
+        # the assembly truth is a simulator realization keyed by the scoring
+        # seed: calibrate, the MH baseline and the plot data read one realization
+        cfg = preset("assembly-shift", seed=1, m=30, herd_size=30, n_test=5,
+                     out_dir=str(tmp_path / "plots"))
+        grid, plot_truth = csv_table(emit_plot_data(cfg, grid_points=13))[:, :2].T
+        scored = []
+        score = pipeline.score_predictions
+
+        def spy(*args, **kwargs):
+            preds, truth_values, rmse_value = score(*args, **kwargs)
+            scored.append(truth_values)
+            return preds, truth_values, rmse_value
+
+        monkeypatch.setattr(pipeline, "_test_inputs", lambda cfg: grid)  # the shared inputs
+        monkeypatch.setattr(pipeline, "score_predictions", spy)
+        result = calibrate(cfg)
+        run_mh_baseline(cfg, steps=20)
+        assert len(scored) == 2 and scored[0] is result.truth_values
+        assert result.truth_values.tobytes() == plot_truth.tobytes()
+        assert scored[1].tobytes() == plot_truth.tobytes()
 
 
 class TestCountArguments:

@@ -58,8 +58,9 @@ class TestPredict:
         assert fwd.mean() == pytest.approx(rev.mean(), rel=1e-12)
 
     def test_accepts_herded_samples(self):
+        # the scorer takes the herded points, a (T, d) array
         out = herded([[0.0, 1.0], [1.0, 1.0]])
-        pred = predict(LinearSimulator(), 2.0, out)
+        pred = predict(LinearSimulator(), 2.0, out.points)
         assert pred.shape == (2,)
 
     @pytest.mark.parametrize("samples", [np.zeros((0, 2)), np.zeros(0)])

@@ -271,7 +271,7 @@ class TestWriteCsvRows:
     def test_mh_trace_rows_keep_int_columns(self, tmp_path):
         states = np.array([[0.5, -1.25], [1e-7, 3.0]])
         accepted = np.array([True, False])
-        trace = MHTrace(init=states[0], states=states, accepted=accepted, burn_in_steps=0)
+        trace = MHTrace(states=states, accepted=accepted, burn_in_steps=0)
         header = ["step", "theta_0", "theta_1", "accepted"]
         rows = [[s, *state, int(acc)] for s, (state, acc) in enumerate(zip(states, accepted), 1)]
         expected = per_value_repr_csv(tmp_path / "ref.csv", header, rows)

@@ -60,6 +60,37 @@ def theta_rows(draw, max_rows=8):
     return thetas
 
 
+def running_max_makespans(batch_size, xs, thetas, key):
+    """The schedule over padded batches as a running max, read at each row's
+    last real batch: padding follows it, so it never reaches the readout."""
+    xs = np.asarray(xs, dtype=float)
+    counts = np.rint(xs).astype(np.intp)[:, None]
+    n_batches = -(-counts // batch_size)
+    width, depth = int(counts.max()), int(n_batches.max())
+    z = key_normals(stream_keys(key, xs), width + depth)
+    batch = np.arange(depth)
+    last = np.minimum((batch + 1) * batch_size, counts) - 1
+    mean_asm, sd_asm, mean_insp, sd_insp = np.hsplit(thetas, 4)
+    completion = np.cumsum(np.maximum(mean_asm + sd_asm * z[:, :width], 0.0), axis=1)
+    ready = np.take_along_axis(completion, last, axis=1)
+    z_insp = np.take_along_axis(z, counts + batch, axis=1)
+    inspect = np.maximum(mean_insp + sd_insp * z_insp, 0.0)
+    cum_inspect = np.cumsum(inspect, axis=1)
+    finish = cum_inspect + np.maximum.accumulate(ready - (cum_inspect - inspect), axis=1)
+    return np.take_along_axis(finish, n_batches - 1, axis=1)[:, 0]
+
+
+def adversarial_thetas(rng, rows):
+    """Parameter rows whose inspections are often zero (exactly, or clamped)
+    or below an ulp of the ready times, where padded batches tie the real ones."""
+    thetas = rng.uniform(0.0, 6.0, size=(rows, 4))
+    kind = rng.integers(0, 4, size=rows)
+    thetas[kind == 1, 2:] = 0.0                                    # zero inspections
+    thetas[kind == 2, 2:] = rng.uniform(0.0, 1e-15, size=((kind == 2).sum(), 2))  # sub-ulp
+    thetas[kind == 3, 2] = 0.0                                     # half clamped to zero
+    return thetas
+
+
 class TestEvaluateParams:
     """One input under several parameter rows: the shape of pseudo-output and prediction sweeps."""
 
@@ -105,6 +136,19 @@ class TestOneInput:
         makespans = AssemblyLineSimulator().sweep([40.0], 3)(np.ones((5, 4)))
         assert makespans.flags.owndata
 
+    @pytest.mark.parametrize("batch_size", [1, 3, 4, 6])
+    def test_readout_equals_running_max(self, batch_size):
+        # the makespan, cum_inspect plus a max over the real batches' slack,
+        # is the running-max schedule's last entry bit for bit
+        rng = np.random.default_rng(10 + batch_size)
+        for _ in range(150):
+            x = float(rng.integers(1, 40))
+            thetas = adversarial_thetas(rng, int(rng.integers(1, 9)))
+            key = int(rng.integers(2**63))
+            got = AssemblyLineSimulator(batch_size).sweep([x], key)(thetas)
+            assert bits(got) == bits(running_max_makespans(batch_size, [x], thetas, key))
+            assert bits(got) == bits([scalar_makespan(batch_size, x, t, key) for t in thetas])
+
 
 class TestEvaluateMany:
     """Several inputs under one parameter vector: the shape of likelihood and oracle sweeps."""
@@ -125,6 +169,18 @@ class TestEvaluateMany:
                     for key, x, t in zip(keys, xs, thetas)]
         assert bits(sim.sweep(xs, keys)(thetas)) == bits(expected)
 
+    @pytest.mark.parametrize("batch_size", [1, 3, 4, 6])
+    def test_masked_readout_equals_running_max(self, batch_size):
+        # padded batches are masked out of the slack max: unmasked, a padded
+        # batch's slack can exceed the last real one's by rounding
+        rng = np.random.default_rng(batch_size)
+        for case in range(150):
+            xs = rng.integers(1, 40, size=rng.integers(2, 9)).astype(float)
+            thetas = adversarial_thetas(rng, 1 if case % 2 else len(xs))
+            key = int(rng.integers(2**63))
+            got = AssemblyLineSimulator(batch_size).sweep(xs, key)(thetas)
+            assert bits(got) == bits(running_max_makespans(batch_size, xs, thetas, key))
+
 
 class TestCallers:
     @given(batch_sizes, st.lists(inputs, min_size=1, max_size=5), theta_rows(), seeds)
@@ -136,7 +192,7 @@ class TestCallers:
              for i, x in enumerate(xs)]
             for j, theta in enumerate(thetas)
         ]
-        assert bits(simulate_pseudo_outputs(sim, thetas, xs, seed).values) == bits(expected)
+        assert bits(simulate_pseudo_outputs(sim, thetas, xs, seed)) == bits(expected)
 
     @given(batch_sizes, inputs, theta_rows(), st.lists(st.integers(0, 7), min_size=1, max_size=10),
            seeds)
