@@ -83,7 +83,8 @@ def _uint64(values, floats: bool) -> np.ndarray:
     if floats and values.dtype.kind == "f":
         return values.astype(np.float64).view(np.uint64)
     if values.dtype.kind not in "iu" and values.size:
-        raise TypeError(f"stream keys are built from integers or floats, got {values.dtype}")
+        rule = "are built from" if floats else "must be integers; columns take"
+        raise TypeError(f"stream keys {rule} integers or floats, got {values.dtype}")
     return values.astype(np.uint64)
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .kabc import PosteriorEmbedding, embedding_distance
 from .kern import matvec
 from .sim import write_csv_rows
+from .weights import count_entry, point_rows
 
 
 @dataclass(frozen=True)
@@ -27,12 +28,8 @@ class CandidatePool:
     points: np.ndarray
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
-        if points.ndim == 1:
-            points = points[:, None]
+        points = point_rows(self.points, "candidate pool")
         object.__setattr__(self, "points", points)
-        if points.ndim != 2:
-            raise ValueError(f"candidate pool must be a list of vectors, got shape {points.shape}")
         if points.shape[0] < 1:
             raise ValueError("candidate pool must be non-empty")
         if not np.all(np.isfinite(points)):
@@ -81,8 +78,7 @@ def herd(emb: PosteriorEmbedding, pool: CandidatePool, T: int) -> HerdedSamples:
     weights, give the embedding at every candidate.  Ties in the argmax
     break toward the lowest pool index.
     """
-    if T < 1:
-        raise ValueError(f"need T >= 1 herded samples, got {T}")
+    T = count_entry("T", T, 1)
     if pool.points.shape[1] != emb.dim:
         raise ValueError(
             f"pool dimension {pool.points.shape[1]} does not match embedding dimension {emb.dim}"
@@ -117,7 +113,6 @@ def herding_mmd(emb: PosteriorEmbedding, samples: HerdedSamples, t: int) -> floa
     The ``embedding_distance`` from the embedding to the equal-weight
     expansion over the first t samples.
     """
-    if not 1 <= t <= len(samples):
-        raise ValueError(f"t must lie in [1, {len(samples)}], got {t}")
+    t = count_entry("t", t, 1, len(samples) + 1)
     chosen = PosteriorEmbedding(samples.points[:t], np.full(t, 1.0 / t), emb.kernel)
     return embedding_distance(emb, chosen)

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.blas import dgemv
 
-from ._seeding import derive_rng, derive_seed, stream_keys
+from ._seeding import SEED_RANGE, derive_rng, derive_seed, stream_keys
 from .kern import ParamKernel, WeightedOutputKernel, gaussian_gram, regularized_solve
 from .sim import Simulator, SimulatorError, write_json_artifact
-from .weights import DensitySpec, ImportanceWeights
+from .weights import DensitySpec, ImportanceWeights, count_entry, point_rows
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,11 @@ class PosteriorEmbedding:
     theta_gram: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        draws = np.asarray(self.draws, dtype=float)
+        draws = point_rows(self.draws, "embedding draws")
         weights = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "draws", draws)
         object.__setattr__(self, "weights", weights)
-        if draws.ndim != 2 or weights.shape != (draws.shape[0],):
+        if weights.shape != (draws.shape[0],):
             raise ValueError(f"misaligned embedding: {draws.shape} vs {weights.shape}")
         if not (np.all(np.isfinite(draws)) and np.all(np.isfinite(weights))):
             raise ValueError("embedding contains non-finite entries")
@@ -88,8 +88,7 @@ class PosteriorEmbedding:
 
 def sample_prior(prior: DensitySpec, m: int, seed: int) -> np.ndarray:
     """m i.i.d. parameter draws, reproducible under the seed."""
-    if m < 1:
-        raise ValueError(f"need m >= 1 prior draws, got {m}")
+    m, seed = count_entry("m", m, 1), count_entry("seed", seed, *SEED_RANGE)
     return prior.sample(m, derive_rng(seed, "prior-draws"))
 
 
@@ -100,10 +99,8 @@ def simulate_pseudo_outputs(sim: Simulator, thetas, xs, seed: int) -> np.ndarray
     keyed ``stream_keys(derive_seed(seed, "pseudo"), j, i)``, so streams
     stay independent.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim == 1:
-        thetas = thetas[:, None]
-    xs = np.asarray(xs, dtype=float)
+    thetas, xs = point_rows(thetas, "prior draws"), np.asarray(xs, dtype=float)
+    seed = count_entry("seed", seed, *SEED_RANGE)
     values = np.empty((thetas.shape[0], xs.size))
     by_draw = stream_keys(derive_seed(seed, "pseudo"), np.arange(len(thetas)))
     for i, x in enumerate(xs):
@@ -140,12 +137,10 @@ def build_embedding(
     ``sigma2_theta`` of None, the median over the prior draws.  The values
     used land in ``meta["sigma2"]`` and ``kernel.sigma2``.
     """
-    draws = np.asarray(draws, dtype=float)
-    if draws.ndim == 1:
-        draws = draws[:, None]
-    outputs = np.asarray(outputs, dtype=float)
-    if draws.ndim != 2 or outputs.ndim != 2 or len(draws) != len(outputs):
+    draws, outputs = np.asarray(draws, dtype=float), np.asarray(outputs, dtype=float)
+    if draws.ndim not in (1, 2) or outputs.ndim != 2 or len(draws) != len(outputs):
         raise ValueError(f"misaligned pseudo-outputs: {draws.shape} vs {outputs.shape}")
+    draws = point_rows(draws)
     if not (np.all(np.isfinite(draws)) and np.all(np.isfinite(outputs))):
         raise ValueError("pseudo-outputs contain non-finite entries")
     beta = np.asarray(beta, dtype=float)
@@ -191,8 +186,7 @@ def regularization_schedule(m: int, b: float, C: float) -> float:
     ``b`` models how fast the output-kernel spectrum decays; larger b
     pushes the exponent toward -1/4.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    m = count_entry("m", m, 1)
     if not b > 1:
         raise ValueError(f"decay exponent must exceed 1, got {b}")
     if not C > 0:

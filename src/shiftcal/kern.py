@@ -55,6 +55,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dgemv, dsymv, dsyrk
 
+from .weights import point_rows
+
 SOLVE_RTOL = 1e-10
 # Rows per block of ``pairwise_sqdist``'s symmetrizing pass; 128 was fastest
 # of 64-512 at m = 2000 on 2 cores.
@@ -68,15 +70,6 @@ class DegenerateBandwidthError(ValueError):
 
 class SolveError(RuntimeError):
     """Regularized Gram system could not be solved to tolerance."""
-
-
-def _as_matrix(vectors) -> np.ndarray:
-    arr = np.asarray(vectors, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise ValueError(f"expected a collection of vectors, got shape {arr.shape}")
-    return arr
 
 
 def pairwise_sqdist(vectors, weights=None) -> np.ndarray:
@@ -95,7 +88,7 @@ def pairwise_sqdist(vectors, weights=None) -> np.ndarray:
     the centred rows; on unimodal data such as the shipped presets' outputs
     that is below 1e-12 times the median distance (measured: ~1e-14).
     """
-    mat = _as_matrix(vectors)
+    mat = point_rows(vectors)
     mat = mat - mat.mean(axis=0)
     if weights is not None:
         w = np.asarray(weights, dtype=float)
@@ -206,8 +199,7 @@ class ParamKernel:
 
     def cross(self, left, right) -> np.ndarray:
         """Kernel matrix between two point collections, shape (len(left), len(right))."""
-        left = _as_matrix(left)
-        right = _as_matrix(right)
+        left, right = point_rows(left), point_rows(right)
         if left.shape[1] != right.shape[1]:
             raise ValueError(f"parameter dimension mismatch: {left.shape[1]} vs {right.shape[1]}")
         sq = (

@@ -15,15 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._seeding import derive_rng, derive_seed, stream_keys
+from ._seeding import SEED_RANGE, derive_rng, derive_seed, stream_keys
 from .sim import Simulator, TruthFn
-from .weights import DensitySpec
-
-
-def _sample_points(samples) -> np.ndarray:
-    """The (T, d) sample array; a 1-d vector is T one-parameter samples."""
-    points = np.asarray(samples, dtype=float)
-    return points[:, None] if points.ndim == 1 else points
+from .weights import DensitySpec, count_entry, point_rows
 
 
 def _occurrences(points) -> list[int]:
@@ -38,7 +32,7 @@ def _occurrences(points) -> list[int]:
 
 def predict(sim: Simulator, x: float, samples, seed: int = 0) -> np.ndarray:
     """Simulator outputs at x, one per posterior sample (streams as in ``_predict_at``)."""
-    return _predict_at(sim, [x], samples, seed)[0]
+    return _predict_at(sim, [x], samples, count_entry("seed", seed, *SEED_RANGE))[0]
 
 
 def _predict_at(sim: Simulator, xs, samples, seed: int) -> np.ndarray:
@@ -52,7 +46,7 @@ def _predict_at(sim: Simulator, xs, samples, seed: int) -> np.ndarray:
     draw independent streams and a prediction does not depend on which
     other inputs share the call.
     """
-    points = _sample_points(samples)
+    points = point_rows(samples, "posterior samples")
     if len(points) == 0:
         raise ValueError("predictions need at least one posterior sample")
     keys = stream_keys(derive_seed(seed, "predict"), *points.T, _occurrences(points))
@@ -70,6 +64,7 @@ def score_predictions(
     test_inputs = np.asarray(test_inputs, dtype=float)
     if test_inputs.size < 1:
         raise ValueError("need at least one test input")
+    seed = count_entry("seed", seed, *SEED_RANGE)
     preds = _predict_at(sim, test_inputs, samples, seed)
     keys = np.array([derive_seed(seed, "truth", float(x)) for x in test_inputs], dtype=np.uint64)
     truth_vals = truth(test_inputs, keys)
@@ -79,6 +74,5 @@ def score_predictions(
 
 def generate_test_inputs(density: DensitySpec, n: int, seed: int) -> np.ndarray:
     """n i.i.d. test input locations from the given density."""
-    if n < 1:
-        raise ValueError(f"need n >= 1 test inputs, got {n}")
+    n, seed = count_entry("n", n, 1), count_entry("seed", seed, *SEED_RANGE)
     return density.sample(n, derive_rng(seed, "test-inputs"))[:, 0]

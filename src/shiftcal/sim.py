@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._seeding import derive_rng, derive_seed, key_normals, stream_keys
+from ._seeding import SEED_RANGE, derive_rng, derive_seed, key_normals, stream_keys
 from .weights import DensitySpec, count_entry, finite_entries
 
 # truth(xs, keys) with one stream key per input; a noise-free truth ignores the keys.
@@ -41,7 +41,11 @@ class SimulatorError(ValueError):
 
 
 class Simulator(ABC):
-    """Evaluation-only interface: no gradients, no internal structure."""
+    """Evaluation-only interface: no gradients, no internal structure.
+
+    ``_inputs`` and ``_theta_rows`` check the sweep contract for every
+    simulator (keys, parameter rows); a subclass adds only its own rules.
+    """
 
     name: str = "simulator"
     dim_theta: int = 0
@@ -58,22 +62,37 @@ class Simulator(ABC):
         only transforms it by theta (common random numbers across calls).
         """
 
-    def _theta_rows(self, thetas) -> np.ndarray:
-        """Parameter rows as a ``(rows, dim_theta)`` array; a vector is one row."""
+    def _inputs(self, xs, keys) -> np.ndarray:
+        """``xs`` as a 1-d float array; ``keys`` must be one key or one per input."""
+        xs = np.asarray(xs, dtype=float).reshape(-1)
+        if np.size(keys) not in (1, len(xs)) and len(xs) != 1:
+            raise ValueError(f"got {np.size(keys)} keys for {len(xs)} inputs")
+        return xs
+
+    def _streams(self, xs, keys) -> np.ndarray:
+        """Stream key of each row, ``stream_keys(key, x)``: theta transforms
+        the realization a key indexes but never selects it."""
+        return stream_keys(keys, self._inputs(xs, keys))
+
+    def _theta_rows(self, thetas, keyed: int) -> np.ndarray:
+        """Parameter rows as a finite ``(rows, dim_theta)`` array (a vector is
+        one row): 1 or ``keyed`` of them, any number if the sweep has one row."""
         thetas = np.asarray(thetas, dtype=float)
         rows = thetas[None] if thetas.ndim == 1 else thetas
         if rows.ndim != 2 or rows.shape[1] != self.dim_theta:
             raise ValueError(
                 f"{self.name} expects {self.dim_theta} parameters, got shape {thetas.shape}"
             )
+        if len(rows) not in (1, keyed) and keyed != 1:
+            raise ValueError(f"got {len(rows)} parameter rows for {keyed} keyed rows")
+        self._reject_rows(np.isfinite(rows), rows, "finite")
         return rows
 
-    def _streams(self, xs, keys) -> np.ndarray:
-        """Stream key of each row, ``stream_keys(key, x)``: theta transforms
-        the realization a key indexes but never selects it."""
-        if np.size(keys) not in (1, len(xs)) and len(xs) != 1:
-            raise ValueError(f"got {np.size(keys)} keys for {len(xs)} inputs")
-        return stream_keys(keys, xs)
+    def _reject_rows(self, ok, rows, rule: str) -> None:
+        """``SimulatorError`` naming the first row where ``ok`` is not all True."""
+        if not ok.all():  # whole-array check first: the row only on failure
+            row = int(np.argmax(~ok.all(axis=1)))
+            raise SimulatorError(f"{self.name} parameters must be {rule}, got {rows[row]}", row)
 
 
 class LinearSimulator(Simulator):
@@ -83,10 +102,11 @@ class LinearSimulator(Simulator):
     dim_theta = 2
 
     def sweep(self, xs, keys=0) -> Callable[[np.ndarray], np.ndarray]:
-        xs = np.asarray(xs, dtype=float).reshape(-1)
+        xs = self._inputs(xs, keys)
+        keyed = np.size(keys) if len(xs) == 1 else len(xs)
 
         def outputs(thetas):
-            thetas = self._theta_rows(thetas)
+            thetas = self._theta_rows(thetas, keyed)
             return thetas[:, 0] + thetas[:, 1] * xs
 
         return outputs
@@ -152,16 +172,8 @@ class AssemblyLineSimulator(Simulator):
             z_insp = np.take_along_axis(z, counts + batch, axis=1)
 
         def makespans(thetas):
-            thetas = self._theta_rows(thetas)
-            if len(thetas) not in (1, len(z)) and len(z) != 1:
-                raise ValueError(f"got {len(thetas)} parameter rows for {len(z)} keyed rows")
-            for ok, what in ((np.isfinite(thetas), "finite"), (thetas >= 0, "non-negative")):
-                bad = ~ok.all(axis=1)
-                if bad.any():
-                    row = int(np.argmax(bad))
-                    raise SimulatorError(
-                        f"assembly-line parameters must be {what}, got {thetas[row]}", row
-                    )
+            thetas = self._theta_rows(thetas, len(z))
+            self._reject_rows(thetas >= 0, thetas, "non-negative")
             if len(thetas) == 0 or len(z) == 0:
                 return np.empty(0)
             mean_asm, sd_asm, mean_insp, sd_insp = np.hsplit(thetas, 4)
@@ -283,8 +295,7 @@ class Dataset:
 
 def generate_dataset(dgp: DataGeneratingProcess, n: int, seed: int) -> Dataset:
     """Draw n inputs from q0 and push them through the observed process."""
-    if n < 1:
-        raise ValueError(f"need n >= 1 training points, got {n}")
+    n, seed = count_entry("n", n, 1), count_entry("seed", seed, *SEED_RANGE)
     xs = dgp.q0.sample(n, derive_rng(seed, "inputs"))[:, 0]
     keys = np.array([derive_seed(seed, "truth", i) for i in range(n)], dtype=np.uint64)
     truth_vals = dgp.truth(xs, keys)

@@ -7,6 +7,11 @@ the test distribution; downstream kernels and likelihoods consume the
 weights evaluated at the training inputs.  :class:`DensitySpec` describes
 q0, q1 (one-dimensional) and the prior over simulator parameters
 (d-dimensional) alike: a diagonal normal or a uniform box.
+
+The config and the library read arguments here, one rule per kind:
+``finite_entries`` numbers, ``count_entry`` counts and seeds (50.0 is 50;
+a bool or a string is no count), ``point_rows`` point sets (a 1-d vector
+is m one-dimensional points).
 """
 
 from __future__ import annotations
@@ -75,6 +80,15 @@ def count_entry(name: str, value, low: int | None = None, high: int | None = Non
         rule = f">= {low}" if high is None else f"in [{low}, {high})"
         raise ValueError(f"{name} must be {rule}, got {count}")
     return count
+
+
+def point_rows(points, name: str = "points") -> np.ndarray:
+    """``points`` as a float (m, d) array; a 1-d vector is m one-dimensional points."""
+    rows = np.asarray(points, dtype=float)
+    rows = rows[:, None] if rows.ndim == 1 else rows
+    if rows.ndim != 2:
+        raise ValueError(f"{name} must be a list of vectors, got shape {rows.shape}")
+    return rows
 
 
 def check_keys(section: str, spec, allowed, required=()) -> None:
@@ -284,6 +298,4 @@ def importance_weights(xs, q0: DensitySpec, q1: DensitySpec) -> ImportanceWeight
 
 def ordinary_weights(n: int) -> ImportanceWeights:
     """Constant weights beta_i = 1, i.e. no covariate-shift adaptation."""
-    if n < 1:
-        raise ValueError(f"need at least one weight, got n={n}")
-    return ImportanceWeights(np.ones(n))
+    return ImportanceWeights(np.ones(count_entry("n", n, 1)))

@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 from shiftcal._seeding import derive_seed, key_normals, stream_keys
 from shiftcal.kabc import simulate_pseudo_outputs
 from shiftcal.predict import predict
-from shiftcal.sim import AssemblyLineSimulator, LinearSimulator, Simulator
+from shiftcal.sim import AssemblyLineSimulator, LinearSimulator, Simulator, SimulatorError
 
 
 def one_stream(key, x, k):
@@ -221,7 +221,7 @@ class ToySimulator(Simulator):
         noise = key_normals(self._streams(xs, keys), 1)[:, 0]
 
         def outputs(thetas):
-            thetas = self._theta_rows(thetas)
+            thetas = self._theta_rows(thetas, len(noise))
             return thetas[:, 0] * xs + thetas[:, 1] * noise
 
         return outputs
@@ -286,3 +286,31 @@ class TestSweep:
     def test_bad_input_rejected_when_built(self, bad):
         with pytest.raises(ValueError, match="product count"):
             AssemblyLineSimulator().sweep([4.0, bad], 3)
+
+
+@pytest.mark.parametrize("sim", [LinearSimulator(), AssemblyLineSimulator(), ToySimulator()],
+                         ids=lambda sim: sim.name)
+class TestSweepContract:
+    """Every simulator checks the sweep contract the base class defines."""
+
+    def test_key_count_must_match_the_inputs(self, sim):
+        with pytest.raises(ValueError, match="^got 2 keys for 3 inputs$"):
+            sim.sweep([4.0, 5.0, 6.0], [1, 2])
+
+    def test_parameter_row_count_must_match_the_rows(self, sim):
+        with pytest.raises(ValueError, match="^got 2 parameter rows for 3 keyed rows$"):
+            sim.sweep([4.0, 5.0, 6.0], 7)(np.ones((2, sim.dim_theta)))
+        with pytest.raises(ValueError, match="^got 3 parameter rows for 2 keyed rows$"):
+            sim.sweep([4.0], [1, 2])(np.ones((3, sim.dim_theta)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_name_their_row(self, sim, bad):
+        thetas = np.ones((3, sim.dim_theta))
+        thetas[1, -1] = bad
+        with pytest.raises(SimulatorError, match=r"parameters must be finite, .*\(row 1\)$") as err:
+            sim.sweep([4.0, 5.0, 6.0], 7)(thetas)
+        assert err.value.row == 1
+
+    def test_zero_rows_give_no_outputs(self, sim):
+        assert sim.sweep([4.0], 7)(np.empty((0, sim.dim_theta))).shape == (0,)
+        assert sim.sweep([], 7)(np.empty((0, sim.dim_theta))).shape == (0,)
