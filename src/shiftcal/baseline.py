@@ -40,10 +40,7 @@ class MHConfig:
             object.__setattr__(self, name, value)
         if not 0 <= self.burn_in < 1:
             raise ValueError(f"burn-in fraction must lie in [0, 1), got {self.burn_in}")
-        steps = count_entry("steps", self.steps)
-        if steps < 1:
-            raise ValueError(f"need at least one step, got {steps}")
-        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "steps", count_entry("steps", self.steps, 1))
         object.__setattr__(self, "seed", count_entry("seed", self.seed, *SEED_RANGE))
 
 

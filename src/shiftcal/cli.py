@@ -6,13 +6,18 @@ and writes artifacts, ``rmse-curve`` sweeps the simulation budget,
 ``theorem1-check`` runs the brute-force embedding-equivalence check,
 and ``emit-plot-data`` produces plot-ready CSV columns.  All outputs
 are CSV/JSON and deterministic under a fixed seed.
+
+The config reader and the pipeline check every value before any work;
+argparse checks only that a flag parses.  So a ``ValueError`` that
+escapes a command is a usage error: one line, ``shiftcal: error:
+<config|preset>: <message>``, and exit status 2.  Work that fails
+raises ``pipeline.StageError``, which names its stage.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -48,49 +53,21 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_config(args: argparse.Namespace, needs_mh: bool = False, m_values=()) -> ExperimentConfig:
-    """The config the arguments name; a usage error (exit 2) if it fails to load,
-    with ``needs_mh`` if it has no 'mh' section, or at any m in ``m_values``."""
+def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config the arguments name; a file that cannot be read is a ``ValueError``."""
     overrides = {
         "seed": args.seed,
         "out_dir": str(args.out) if args.out else None,
         "weight_mode": args.weight_mode,
     }
     if getattr(args, "m", None) is not None:
-        overrides["m"] = args.m
-        overrides["herd_size"] = args.m
+        overrides.update(m=args.m, herd_size=args.m)
+    if not args.config:
+        return preset(args.preset, **overrides)
     try:
-        if args.config:
-            cfg = ExperimentConfig.from_json(args.config, **overrides)
-        else:
-            cfg = preset(args.preset, **overrides)
-        if needs_mh:
-            cfg.mh_config()
-        for m in m_values:
-            cfg.replace(m=m, herd_size=m)
-        return cfg
-    except (OSError, ValueError) as exc:  # a missing file, invalid JSON or a bad value
-        reason = getattr(exc, "strerror", None) or exc
-        source = f"config {args.config}" if args.config else f"preset {args.preset}"
-        print(f"shiftcal: error: {source}: {reason}", file=sys.stderr)
-        raise SystemExit(2) from None
-
-
-def _checked(parse, rule: str, ok):
-    """argparse type: ``parse(text)``, a usage error unless ``ok(value)``."""
-
-    def checked(text: str):
-        value = parse(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
-        return value
-
-    checked.__name__ = parse.__name__  # argparse names it in "invalid int value"
-    return checked
-
-
-_positive_int = _checked(int, ">= 1", lambda v: v >= 1)
-_positive_float = _checked(float, "finite and > 0", lambda v: math.isfinite(v) and v > 0)
+        return ExperimentConfig.from_json(args.config, **overrides)
+    except OSError as exc:  # a missing or unreadable file
+        raise ValueError(exc.strerror or exc) from exc
 
 
 def _list_of(item):
@@ -105,18 +82,20 @@ def _list_of(item):
     return comma_list
 
 
-def cmd_calibrate(args) -> int:
-    cfg = _load_config(args)
+def cmd_calibrate(args, cfg: ExperimentConfig) -> int:
     result = run_calibration(cfg)
     print(f"rmse={result.rmse:.6g}  artifacts in {cfg.out_dir}")
     return 0
 
 
-def cmd_rmse_curve(args) -> int:
-    cfg = _load_config(args, needs_mh=args.include_mh, m_values=args.m_values)
+def _write_rows(cfg: ExperimentConfig, name: str, rows: list[dict]) -> None:
+    """A study's rows as the CSV artifact ``name``, one column per key."""
+    write_csv_rows(output_dir(cfg) / name, cfg.config_hash(), list(rows[0]), map(dict.values, rows))
+
+
+def cmd_rmse_curve(args, cfg: ExperimentConfig) -> int:
     rows = rmse_curve(cfg, args.m_values, trials=args.trials, include_mh=args.include_mh)
-    out = output_dir(cfg)
-    write_csv_rows(out / "rmse_curve.csv", cfg.config_hash(), list(rows[0]), map(dict.values, rows))
+    _write_rows(cfg, "rmse_curve.csv", rows)
     for row in rows:
         line = f"m={row['m']:>6d}  rmse={row['rmse_mean']:.6g} +- {row['rmse_std']:.3g}"
         if args.include_mh:
@@ -125,8 +104,7 @@ def cmd_rmse_curve(args) -> int:
     return 0
 
 
-def cmd_mh_baseline(args) -> int:
-    cfg = _load_config(args, needs_mh=True)
+def cmd_mh_baseline(args, cfg: ExperimentConfig) -> int:
     result = run_mh_baseline(cfg, steps=args.steps)
     out = output_dir(cfg)
     result.trace.write_csv(out / "trace.csv", cfg.config_hash())
@@ -149,11 +127,9 @@ def cmd_mh_baseline(args) -> int:
     return 0
 
 
-def cmd_mh_sweep(args) -> int:
-    cfg = _load_config(args, needs_mh=True)
+def cmd_mh_sweep(args, cfg: ExperimentConfig) -> int:
     rows = mh_acceptance_sweep(cfg, args.proposal_stds, steps=args.steps)
-    out = output_dir(cfg)
-    write_csv_rows(out / "mh_sweep.csv", cfg.config_hash(), list(rows[0]), map(dict.values, rows))
+    _write_rows(cfg, "mh_sweep.csv", rows)
     for row in rows:
         print(
             f"proposal_std={row['proposal_std']:.4g}  "
@@ -162,14 +138,10 @@ def cmd_mh_sweep(args) -> int:
     return 0
 
 
-def cmd_theorem1_check(args) -> int:
-    cfg = _load_config(args)
+def cmd_theorem1_check(args, cfg: ExperimentConfig) -> int:
     report = theorem1_check(cfg, grid_resolution=args.grid_resolution)
-    out = output_dir(cfg)
-    payload = asdict(report)
-    payload["config_hash"] = cfg.config_hash()
-    payload["seed"] = cfg.seed
-    write_json_artifact(out / "theorem1.json", payload)
+    payload = {**asdict(report), "config_hash": cfg.config_hash(), "seed": cfg.seed}
+    write_json_artifact(output_dir(cfg) / "theorem1.json", payload)
     print(
         f"theta_star={report.theta_star}  distance={report.distance:.6g}"
         + ("  [minimum on grid boundary]" if report.on_boundary else "")
@@ -177,8 +149,7 @@ def cmd_theorem1_check(args) -> int:
     return 0
 
 
-def cmd_emit_plot_data(args) -> int:
-    cfg = _load_config(args)
+def cmd_emit_plot_data(args, cfg: ExperimentConfig) -> int:
     path = emit_plot_data(cfg, grid_points=args.grid_points)
     print(f"plot data written to {path}")
     return 0
@@ -194,25 +165,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="run the full calibration pipeline")
     _add_common(p)
-    p.add_argument("--m", type=_positive_int, default=None, help="number of prior draws override")
+    p.add_argument("--m", type=int, default=None, help="number of prior draws override")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("rmse-curve", help="RMSE versus simulation budget")
     _add_common(p)
-    p.add_argument("--m-values", type=_list_of(_positive_int), default=[50, 100, 200, 400])
-    p.add_argument("--trials", type=_positive_int, default=10)
+    p.add_argument("--m-values", type=_list_of(int), default=[50, 100, 200, 400])
+    p.add_argument("--trials", type=int, default=10)
     p.add_argument("--include-mh", action="store_true", help="also run the MH baseline per budget")
     p.set_defaults(func=cmd_rmse_curve)
 
     p = sub.add_parser("mh-baseline", help="run the Metropolis-Hastings comparison")
     _add_common(p)
-    p.add_argument("--steps", type=_positive_int, default=None, help="chain length override")
+    p.add_argument("--steps", type=int, default=None, help="chain length override")
     p.set_defaults(func=cmd_mh_baseline)
 
     p = sub.add_parser("mh-sweep", help="acceptance ratio per proposal std")
     _add_common(p)
-    p.add_argument("--proposal-stds", type=_list_of(_positive_float), default=[0.03, 0.06, 0.08])
-    p.add_argument("--steps", type=_positive_int, default=None)
+    p.add_argument("--proposal-stds", type=_list_of(float), default=[0.03, 0.06, 0.08])
+    p.add_argument("--steps", type=int, default=None)
     p.set_defaults(func=cmd_mh_sweep)
 
     p = sub.add_parser(
@@ -220,12 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="distance between embeddings built from data and from optimal outputs",
     )
     _add_common(p)
-    p.add_argument("--grid-resolution", type=_checked(int, ">= 2", lambda v: v >= 2), default=101)
+    p.add_argument("--grid-resolution", type=int, default=101)
     p.set_defaults(func=cmd_theorem1_check)
 
     p = sub.add_parser("emit-plot-data", help="predictive draws over an input grid")
     _add_common(p)
-    p.add_argument("--grid-points", type=_positive_int, default=121)
+    p.add_argument("--grid-points", type=int, default=121)
     p.set_defaults(func=cmd_emit_plot_data)
     return parser
 
@@ -237,7 +208,12 @@ def main(argv=None) -> int:
         format="%(levelname)s %(message)s",
         stream=sys.stderr,
     )
-    return args.func(args)
+    try:
+        return args.func(args, _load_config(args))
+    except ValueError as exc:  # a check before work; a failed stage raises StageError
+        source = f"config {args.config}" if args.config else f"preset {args.preset}"
+        print(f"shiftcal: error: {source}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 if __name__ == "__main__":

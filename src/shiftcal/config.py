@@ -117,7 +117,7 @@ def _parse_mh(mh: dict, seed: int) -> MHConfig:
     check_keys("mh", mh, (*required, "burn_in"), required)
     return MHConfig(
         proposal_std=mh["proposal_std"],
-        steps=count_entry("mh.steps", mh["steps"]),
+        steps=count_entry("mh.steps", mh["steps"], 1),
         burn_in=mh.get("burn_in", 0.10),
         noise_var=mh["noise_var"],
         seed=seed,
@@ -245,7 +245,7 @@ class ExperimentConfig:
             raise ValueError("config has no 'mh' section")
         return dataclasses.replace(
             self._mh,
-            steps=self._mh.steps if steps is None else count_entry("mh.steps", steps),
+            steps=self._mh.steps if steps is None else count_entry("mh.steps", steps, 1),
             seed=self._mh.seed if seed is None else seed,
         )
 

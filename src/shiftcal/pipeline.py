@@ -25,6 +25,12 @@ derived from a run's seed in exactly one place:
 - ``"mh"``, ``"mh-eval"``: ``run_mh_baseline``
 - ``"curve"``: ``rmse_curve``, which derives each trial's seed
 - ``"oracle-search"``: ``minimize_weighted_sse``
+
+Checks come before work.  An entry point reads its counts and builds
+every config it will run (for a multi-run ``study``, every cell's)
+before its first stage, so a bad argument is a ``ValueError`` that no
+work precedes.  All work runs in named ``_timed`` stages, and a failure
+in one is a ``StageError``, a ``RuntimeError`` that names the stage.
 """
 
 from __future__ import annotations
@@ -109,6 +115,8 @@ class CalibrationResult(Prepared):
 
 @contextlib.contextmanager
 def _timed(timings: dict, stage: str):
+    """Run one stage: any failure in it is a ``StageError``, and its seconds
+    are recorded in ``timings`` and logged as it ends."""
     start = time.perf_counter()
     try:
         yield
@@ -118,6 +126,7 @@ def _timed(timings: dict, stage: str):
         raise StageError(stage, exc) from exc
     finally:
         timings[stage] = time.perf_counter() - start
+        log.info("stage %-14s %8.3f s", stage, timings[stage])
 
 
 def resolve_weights(cfg: ExperimentConfig, dataset: Dataset) -> ImportanceWeights:
@@ -180,9 +189,6 @@ def calibrate(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Calibrat
     with _timed(timings, "prediction"):
         test_inputs = _test_inputs(cfg)
         predictions, truth_values, rmse_value = _score(cfg, test_inputs, herded.points)
-
-    for stage, seconds in timings.items():
-        log.info("stage %-14s %8.3f s", stage, seconds)
     return CalibrationResult(
         **vars(prep),
         embedding=embedding,
@@ -266,16 +272,8 @@ def run_mh_baseline(
     """
     timings: dict = {}
     mh_cfg = cfg.mh_config(steps=steps, seed=derive_seed(cfg.seed, "mh"))
-    sim = cfg.build_simulator()
     prior = cfg.build_prior()
     dataset, beta = weighted_dataset(cfg, dataset, timings)
-
-    # One simulator realization for the whole chain: re-drawing noise per
-    # evaluation would turn the cached-likelihood chain into a sticky
-    # pseudo-marginal sampler, which is not the granted-likelihood setup.
-    loglik = log_likelihood_sweep(
-        dataset, beta, sim, noise_var=mh_cfg.noise_var, seed=derive_seed(cfg.seed, "mh-eval")
-    )
 
     def target(theta: np.ndarray) -> float:
         log_prior = prior.log_pdf(theta)
@@ -284,13 +282,15 @@ def run_mh_baseline(
         return loglik(theta) + log_prior
 
     with _timed(timings, "chain"):
+        # One simulator realization for the whole chain: re-drawing noise per
+        # evaluation would turn the cached-likelihood chain into a sticky
+        # pseudo-marginal sampler, which is not the granted-likelihood setup.
+        loglik = log_likelihood_sweep(dataset, beta, cfg.build_simulator(), mh_cfg.noise_var,
+                                      seed=derive_seed(cfg.seed, "mh-eval"))
         trace = mh_sample(target, prior.center(), mh_cfg)
     with _timed(timings, "prediction"):
         test_inputs = _test_inputs(cfg)
         _, _, rmse_value = _score(cfg, test_inputs, trace.post_burn_in)
-
-    for stage, seconds in timings.items():
-        log.info("stage %-14s %8.3f s", stage, seconds)
     return MHBaselineResult(
         trace=trace,
         acceptance_ratio=trace.acceptance_ratio,
@@ -301,73 +301,71 @@ def run_mh_baseline(
     )
 
 
+# -- multi-run studies --------------------------------------------------------
+
+
+def study(cells, measure) -> list[dict]:
+    """One row per cell of a multi-run study: the cell's key columns, then
+    the columns ``measure(configs)`` returns for the cell's configs.
+
+    ``cells`` yields (key columns, list of configs) pairs.  Every cell is
+    built before the first run, so a config that fails to build fails
+    before any work.
+    """
+    cells = list(cells)
+    return [{**keys, **measure(configs)} for keys, configs in cells]
+
+
 def mh_acceptance_sweep(cfg: ExperimentConfig, proposal_stds, steps: int | None = None) -> list[dict]:
     """Acceptance ratio per proposal std; tuning aid, no adaptation."""
-    cfg.mh_config()  # a config without an 'mh' section fails here, before any run
-    rows = []
-    for std in proposal_stds:
-        swept = cfg.replace(mh={**cfg.mh, "proposal_std": float(std)})
+    cfg.mh_config(steps=steps)  # no 'mh' section or a bad step count fails here
+
+    def measure(configs) -> dict:
+        (swept,) = configs
         result = run_mh_baseline(swept, steps=steps)
-        rows.append(
-            {
-                "proposal_std": float(std),
-                "acceptance_ratio": result.acceptance_ratio,
-                "rmse": result.rmse,
-                "budget": result.budget,
-            }
-        )
-    return rows
+        return {"acceptance_ratio": result.acceptance_ratio, "rmse": result.rmse,
+                "budget": result.budget}
+
+    cells = [({"proposal_std": std}, [cfg.replace(mh={**cfg.mh, "proposal_std": std})])
+             for std in map(float, proposal_stds)]
+    return study(cells, measure)
 
 
-# -- RMSE-vs-budget curve ----------------------------------------------------
-
-
-def rmse_curve(
-    cfg: ExperimentConfig,
-    m_values,
-    trials: int,
-    include_mh: bool = False,
-) -> list[dict]:
+def rmse_curve(cfg: ExperimentConfig, m_values, trials: int, include_mh: bool = False) -> list[dict]:
     """Mean and spread of RMSE per simulation budget.
 
-    Each (m, trial) cell reruns the full pipeline under a derived seed;
-    the herd size follows m.  With ``include_mh`` the MH baseline runs
-    at the same budget (m chain steps) on the same per-trial data.  Every
-    cell's config is built before the first run, so a budget the config
-    rejects (m < 2 under the median bandwidth) fails before any work.
+    Each (m, trial) run is the full pipeline under a derived seed; the herd
+    size follows m.  With ``include_mh`` the MH baseline runs at the same
+    budget (m chain steps) on the same per-trial data.  A budget the
+    config rejects (m < 2 under the median bandwidth) fails before any work.
     """
     trials = count_entry("trials", trials, 1)
-    m_values = [count_entry("m", m, 1) for m in m_values]
     if include_mh:
         cfg.mh_config()  # a config without an 'mh' section fails here, before any run
+
+    def run_trial(run_cfg: ExperimentConfig) -> tuple:
+        """(RMSE, MH RMSE or None) of one run; its result, which holds an m x m
+        theta Gram matrix, is freed on return."""
+        result = calibrate(run_cfg)
+        if not include_mh:
+            return result.rmse, None
+        return result.rmse, run_mh_baseline(run_cfg, steps=run_cfg.m, dataset=result.dataset).rmse
+
+    def measure(run_cfgs) -> dict:
+        scores, mh_scores = zip(*map(run_trial, run_cfgs))
+        row = {"rmse_mean": float(np.mean(scores)), "rmse_std": float(np.std(scores)),
+               "trials": trials}
+        if include_mh:
+            row.update(mh_budget=run_cfgs[0].m, mh_rmse_mean=float(np.mean(mh_scores)),
+                       mh_rmse_std=float(np.std(mh_scores)))
+        return row
 
     def trial_cfg(m: int, trial: int) -> ExperimentConfig:
         return cfg.replace(m=m, herd_size=m, seed=derive_seed(cfg.seed, "curve", m, trial))
 
-    runs = [[trial_cfg(m, trial) for trial in range(trials)] for m in m_values]
-    rows = []
-    for m, run_cfgs in zip(m_values, runs):
-        scores, mh_scores = [], []
-        for run_cfg in run_cfgs:
-            result = calibrate(run_cfg)
-            scores.append(result.rmse)
-            if include_mh:
-                mh_scores.append(
-                    run_mh_baseline(run_cfg, steps=m, dataset=result.dataset).rmse
-                )
-        row = {
-            "m": m,
-            "rmse_mean": float(np.mean(scores)),
-            "rmse_std": float(np.std(scores)),
-            "trials": trials,
-        }
-        if include_mh:
-            row["mh_budget"] = m
-            row["mh_rmse_mean"] = float(np.mean(mh_scores))
-            row["mh_rmse_std"] = float(np.std(mh_scores))
-        rows.append(row)
-        log.info("rmse curve m=%d done", m)
-    return rows
+    budgets = [count_entry("m", m, 1) for m in m_values]
+    cells = [({"m": m}, [trial_cfg(m, k) for k in range(trials)]) for m in budgets]
+    return study(cells, measure)
 
 
 # -- embedding-target equivalence check ---------------------------------------
@@ -439,15 +437,17 @@ def theorem1_check(cfg: ExperimentConfig, grid_resolution: int = 101) -> Equival
     passes ``calibrate`` makes: one output, one Cholesky and one theta.
     """
     count_entry("grid_resolution", grid_resolution, 2)  # before any work
-    prep = prepare(cfg)
-    dataset = prep.dataset
-    theta_star, loss_star, method, step, on_boundary, optimal = minimize_weighted_sse(
-        cfg, dataset, prep.beta, grid_resolution=grid_resolution
-    )
+    timings: dict = {}
+    prep = prepare(cfg, timings=timings)
+    with _timed(timings, "oracle-search"):
+        theta_star, loss_star, method, step, on_boundary, optimal = minimize_weighted_sse(
+            cfg, prep.dataset, prep.beta, grid_resolution=grid_resolution
+        )
     if on_boundary:
         log.warning("weighted-error minimum sits on the search-grid boundary; refine the grid")
-
-    from_data, from_optimal = prep.embed(dataset.y, optimal)
+    with _timed(timings, "embedding"):
+        from_data, from_optimal = prep.embed(prep.dataset.y, optimal)
+        distance = embedding_distance(from_data, from_optimal)
 
     return EquivalenceReport(
         theta_star=tuple(float(v) for v in np.atleast_1d(theta_star)),
@@ -455,7 +455,7 @@ def theorem1_check(cfg: ExperimentConfig, grid_resolution: int = 101) -> Equival
         method=method,
         grid_step=step,
         on_boundary=on_boundary,
-        distance=embedding_distance(from_data, from_optimal),
+        distance=distance,
         m=cfg.m,
         sigma2=from_data.meta["sigma2"],
         sigma2_theta=from_data.kernel.sigma2,
@@ -472,13 +472,12 @@ def emit_plot_data(cfg: ExperimentConfig, grid_points: int = 121) -> Path:
     grid_points = count_entry("grid_points", grid_points, 1)
     result = calibrate(cfg)
     config_hash = cfg.config_hash()
-
-    bounds = np.concatenate([cfg.q0_spec().search_box(3.0), cfg.q1_spec().search_box(3.0)])
-    grid = np.linspace(bounds.min(), bounds.max(), grid_points)
-    if cfg.simulator == "assembly":
-        grid = grid[grid >= 1.0]
-
-    predictions, truth_vals, _ = _score(cfg, grid, result.herded.points)
+    with _timed(result.wall_clock, "plot-scoring"):
+        bounds = np.concatenate([cfg.q0_spec().search_box(3.0), cfg.q1_spec().search_box(3.0)])
+        grid = np.linspace(bounds.min(), bounds.max(), grid_points)
+        if cfg.simulator == "assembly":
+            grid = grid[grid >= 1.0]
+        predictions, truth_vals, _ = _score(cfg, grid, result.herded.points)
     out = output_dir(cfg)
     path = out / "plot_data.csv"
     write_csv_rows(

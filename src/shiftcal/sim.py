@@ -104,6 +104,7 @@ class LinearSimulator(Simulator):
     def sweep(self, xs, keys=0) -> Callable[[np.ndarray], np.ndarray]:
         xs = self._inputs(xs, keys)
         keyed = np.size(keys) if len(xs) == 1 else len(xs)
+        xs = np.broadcast_to(xs, keyed)  # one input on K keys is K rows
 
         def outputs(thetas):
             thetas = self._theta_rows(thetas, keyed)

@@ -83,8 +83,9 @@ def count_entry(name: str, value, low: int | None = None, high: int | None = Non
 
 
 def point_rows(points, name: str = "points") -> np.ndarray:
-    """``points`` as a float (m, d) array; a 1-d vector is m one-dimensional points."""
-    rows = np.asarray(points, dtype=float)
+    """``points`` as a C-ordered float (m, d) array; a 1-d vector is m
+    one-dimensional points.  Any memory layout reads as the same rows."""
+    rows = np.asarray(points, dtype=float, order="C")
     rows = rows[:, None] if rows.ndim == 1 else rows
     if rows.ndim != 2:
         raise ValueError(f"{name} must be a list of vectors, got shape {rows.shape}")

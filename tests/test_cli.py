@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from shiftcal import pipeline
 from shiftcal.cli import main
 from shiftcal.config import PRESETS, ExperimentConfig
+from shiftcal.weights import DensitySpec
 
 TINY = {
     **PRESETS["linear-shift"],
@@ -46,7 +48,7 @@ def test_zero_m_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["calibrate", "--preset", "linear-shift", "--m", "0", "--out", str(tmp_path / "run")])
     assert exc.value.code == 2
-    assert "argument --m: must be >= 1, got 0" in capsys.readouterr().err
+    assert "shiftcal: error: preset linear-shift: m must be >= 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -58,15 +60,13 @@ def test_zero_m_rejected(tmp_path, capsys):
 def test_one_draw_under_the_median_bandwidth_is_a_usage_error(
     tmp_path, capsys, monkeypatch, command, flags
 ):
-    # rejected when the config loads, before any run: rmse-curve does not
-    # first run its m=20 trials
-    from shiftcal import cli
-
+    # rejected before any run: rmse-curve builds the config of every budget
+    # before it runs its m=20 trials
     def no_run(*args, **kwargs):
         raise AssertionError("a run started at m = 1 under the median bandwidth")
 
-    for name in ("run_calibration", "rmse_curve"):
-        monkeypatch.setattr(cli, name, no_run)
+    for name in ("calibrate", "weighted_dataset"):
+        monkeypatch.setattr(pipeline, name, no_run)
     out = tmp_path / "run"
     with pytest.raises(SystemExit) as exc:
         main([command, "--preset", "linear-shift", "--out", str(out), *flags])
@@ -104,11 +104,18 @@ def test_one_draw_under_a_fixed_bandwidth_runs(tmp_path, capsys):
      ("emit-plot-data", "--grid-points", "0", "must be >= 1, got 0")],
 )
 def test_bad_argument_is_a_usage_error(tmp_path, capsys, command, flag, value, message):
+    # argparse names the flag of an empty list; every other check is the
+    # pipeline's, and its message names the field the flag sets
+    field = {"--grid-resolution": "grid_resolution", "--m-values": "m", "--trials": "trials",
+             "--proposal-stds": "proposal std", "--steps": "mh.steps",
+             "--grid-points": "grid_points"}[flag]
     out = tmp_path / "run"
     with pytest.raises(SystemExit) as exc:
         main([command, "--preset", "linear-shift", "--out", str(out), f"{flag}={value}"])
     assert exc.value.code == 2
-    assert f"argument {flag}: {message}" in capsys.readouterr().err
+    expected = (f"argument {flag}: {message}" if message.startswith("needs")
+                else f"shiftcal: error: preset linear-shift: {field} {message}\n")
+    assert expected in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -156,13 +163,11 @@ def test_out_of_range_seed_is_a_usage_error(tiny_config, tmp_path, capsys, sourc
 def test_mh_command_without_mh_section_is_a_usage_error(
     tmp_path, capsys, monkeypatch, command, flags
 ):
-    from shiftcal import cli
-
     def no_run(*args, **kwargs):
         raise AssertionError("a run started on a config without an 'mh' section")
 
-    for name in ("run_mh_baseline", "mh_acceptance_sweep", "rmse_curve"):
-        monkeypatch.setattr(cli, name, no_run)
+    for name in ("calibrate", "weighted_dataset"):
+        monkeypatch.setattr(pipeline, name, no_run)
     path, out = tmp_path / "bare.json", tmp_path / "run"
     path.write_text(json.dumps({k: v for k, v in TINY.items() if k != "mh"}))
     with pytest.raises(SystemExit) as exc:
@@ -171,6 +176,27 @@ def test_mh_command_without_mh_section_is_a_usage_error(
     err = capsys.readouterr().err
     assert err == f"shiftcal: error: config {path}: config has no 'mh' section\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,flags,owner,name,stage",
+    [("theorem1-check", ["--grid-resolution", "5"], pipeline, "minimize_weighted_sse",
+      "oracle-search"),
+     ("mh-baseline", ["--steps", "20"], pipeline, "log_likelihood_sweep", "chain"),
+     ("emit-plot-data", ["--grid-points", "5"], DensitySpec, "search_box", "plot-scoring")],
+    ids=["oracle-search", "mh-likelihood", "plot-scoring"],
+)
+def test_a_value_error_during_work_is_a_stage_error(
+    tiny_config, tmp_path, monkeypatch, command, flags, owner, name, stage
+):
+    # only a check before work is a usage error; work that fails is named by its stage
+    def broken(*args, **kwargs):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(owner, name, broken)
+    with pytest.raises(pipeline.StageError, match=f"^stage '{stage}' failed: injected$") as err:
+        main([command, "--config", str(tiny_config), "--out", str(tmp_path / "run"), *flags])
+    assert err.value.stage == stage
 
 
 def test_rmse_curve_without_mh_section_runs_without_include_mh(tmp_path):

@@ -288,7 +288,7 @@ class TestConfigValidation:
          ({"noise_var": 0.0}, "noise variance must be finite and > 0, got 0.0"),
          ({"noise_var": math.nan}, "noise variance must be finite and > 0, got nan"),
          ({"burn_in": 1.5}, "burn-in fraction"),
-         ({"steps": 0}, "at least one step"),
+         ({"steps": 0}, "mh.steps must be >= 1, got 0"),
          ({"proposal_sd": 0.3}, "unknown keys in mh: proposal_sd$")],
     )
     def test_bad_mh_section_rejected_at_load(self, changes, message):

@@ -331,6 +331,33 @@ class TestMHBaseline:
             rmse_curve(bare, [4, 8], trials=1, include_mh=True)
 
 
+class TestMHSweep:
+    @pytest.mark.parametrize(
+        "stds,steps,message",
+        [([0.1, -0.2], 20, "proposal std must be finite and > 0, got -0.2"),
+         ([0.1, float("nan")], 20, "proposal std must be finite and > 0, got nan"),
+         ([0.1], 0, "mh.steps must be >= 1, got 0")],
+    )
+    def test_every_section_is_built_before_the_first_run(self, monkeypatch, stds, steps, message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a chain ran before every swept section was built")
+
+        monkeypatch.setattr(pipeline, "run_mh_baseline", no_run)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mh_acceptance_sweep(tiny_linear(), stds, steps=steps)
+
+    def test_rows_are_single_runs(self):
+        cfg = tiny_linear()
+        rows = mh_acceptance_sweep(cfg, [0.1, 0.5], steps=30)
+        assert [list(row) for row in rows] == [["proposal_std", "acceptance_ratio", "rmse",
+                                                "budget"]] * 2
+        for row in rows:
+            single = run_mh_baseline(cfg.replace(mh={**cfg.mh, "proposal_std": row["proposal_std"]}),
+                                     steps=30)
+            assert (row["acceptance_ratio"], row["rmse"], row["budget"]) == (
+                single.acceptance_ratio, single.rmse, 30)
+
+
 class TestTheoremCheck:
     def test_well_specified_noiseless_recovers_truth(self):
         # truth generated by the simulator at a grid-aligned parameter with

@@ -52,7 +52,7 @@ class TestLinearSim:
             raise AssertionError("a noise-free sweep derived its stream keys")
 
         monkeypatch.setattr(sim_module, "stream_keys", stream_keys)
-        assert np.array_equal(LinearSimulator().sweep([2.0], np.arange(5))((1.0, 3.0)), [7.0])
+        assert np.array_equal(LinearSimulator().sweep([2.0], np.arange(5))((1.0, 3.0)), [7.0] * 5)
 
     def test_dimension_check(self):
         with pytest.raises(ValueError):

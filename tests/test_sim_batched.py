@@ -311,6 +311,11 @@ class TestSweepContract:
             sim.sweep([4.0, 5.0, 6.0], 7)(thetas)
         assert err.value.row == 1
 
+    def test_one_input_on_many_keys_gives_one_output_per_key(self, sim):
+        sweep = sim.sweep([4.0], [1, 2, 3])
+        assert sweep(np.ones(sim.dim_theta)).shape == (3,)
+        assert sweep(np.ones((3, sim.dim_theta))).shape == (3,)
+
     def test_zero_rows_give_no_outputs(self, sim):
         assert sim.sweep([4.0], 7)(np.empty((0, sim.dim_theta))).shape == (0,)
         assert sim.sweep([], 7)(np.empty((0, sim.dim_theta))).shape == (0,)
