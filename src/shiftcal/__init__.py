@@ -46,7 +46,6 @@ from .sim import (
     DataGeneratingProcess,
     Dataset,
     LinearSimulator,
-    PiecewiseTruth,
     Simulator,
     SimulatorError,
     cubic_truth,

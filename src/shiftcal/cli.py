@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .config import PRESETS, ExperimentConfig, preset
@@ -33,8 +32,6 @@ from .pipeline import (
     theorem1_check,
 )
 from .sim import write_csv_rows, write_json_artifact
-
-log = logging.getLogger("shiftcal")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -140,11 +137,11 @@ def cmd_mh_sweep(args, cfg: ExperimentConfig) -> int:
 
 def cmd_theorem1_check(args, cfg: ExperimentConfig) -> int:
     report = theorem1_check(cfg, grid_resolution=args.grid_resolution)
-    payload = {**asdict(report), "config_hash": cfg.config_hash(), "seed": cfg.seed}
+    payload = {**report, "config_hash": cfg.config_hash(), "seed": cfg.seed}
     write_json_artifact(output_dir(cfg) / "theorem1.json", payload)
     print(
-        f"theta_star={report.theta_star}  distance={report.distance:.6g}"
-        + ("  [minimum on grid boundary]" if report.on_boundary else "")
+        f"theta_star={report['theta_star']}  distance={report['distance']:.6g}"
+        + ("  [minimum on grid boundary]" if report["on_boundary"] else "")
     )
     return 0
 
@@ -160,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="shiftcal",
         description="Calibrate black-box simulators under covariate shift.",
     )
-    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("calibrate", help="run the full calibration pipeline")
@@ -204,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
+        level=logging.INFO,
         format="%(levelname)s %(message)s",
         stream=sys.stderr,
     )

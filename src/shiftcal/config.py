@@ -35,7 +35,6 @@ from .sim import (
     ASSEMBLY_THETA_HI,
     ASSEMBLY_THETA_LO,
     DataGeneratingProcess,
-    PiecewiseTruth,
     Simulator,
     TruthFn,
     cubic_truth,
@@ -66,12 +65,11 @@ def _parse_truth(truth: dict, sim: Simulator) -> TruthFn:
 
     if kind == "cubic":
         return cubic_truth
-    if kind == "piecewise":
-        return PiecewiseTruth(
-            base_sim=sim,
-            theta_lo=params("theta_lo"),
-            theta_hi=params("theta_hi"),
-            breakpoint=finite_entries("truth breakpoint", truth["breakpoint"], scalar=True),
+    if kind == "piecewise":  # theta_lo below the breakpoint, theta_hi at and above it
+        lo, hi = params("theta_lo"), params("theta_hi")
+        breakpoint = finite_entries("truth breakpoint", truth["breakpoint"], scalar=True)
+        return lambda xs, keys=0: sim.sweep(xs, keys)(
+            np.where(np.asarray(xs, dtype=float).reshape(-1, 1) >= breakpoint, hi, lo)
         )
     if kind == "simulator":
         theta = params("theta")
@@ -115,13 +113,7 @@ def _parse_bandwidth(bandwidth) -> tuple[float, float] | None:
 def _parse_mh(mh: dict, seed: int) -> MHConfig:
     required = ("proposal_std", "steps", "noise_var")
     check_keys("mh", mh, (*required, "burn_in"), required)
-    return MHConfig(
-        proposal_std=mh["proposal_std"],
-        steps=count_entry("mh.steps", mh["steps"], 1),
-        burn_in=mh.get("burn_in", 0.10),
-        noise_var=mh["noise_var"],
-        seed=seed,
-    )
+    return MHConfig(**{**mh, "steps": count_entry("mh.steps", mh["steps"], 1)}, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -241,8 +233,12 @@ class ExperimentConfig:
         return self._q1 if self.weight_mode == "shift" else self._q0
 
     def mh_config(self, steps: int | None = None, seed: int | None = None) -> MHConfig:
+        """The sampler settings; the MH target needs the prior's log density."""
         if self._mh is None:
             raise ValueError("config has no 'mh' section")
+        if 0.0 in self._prior.std:
+            raise ValueError(f"prior has std {list(self._prior.std)}: a point mass has no "
+                             "density for the MH target")
         return dataclasses.replace(
             self._mh,
             steps=self._mh.steps if steps is None else count_entry("mh.steps", steps, 1),
@@ -356,11 +352,19 @@ def preset(name: str, **overrides) -> ExperimentConfig:
 
 
 def load_beta_csv(path, n: int) -> np.ndarray:
-    """Read a precomputed weight column (header 'beta', one value per row)."""
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln and not ln.startswith("#")]
-    if not lines or lines[0].strip() != "beta":
+    """Read a precomputed weight column (header 'beta', one value per row);
+    a value that is not a number is named by its file and line."""
+    lines = [(number, ln) for number, ln in enumerate(Path(path).read_text().splitlines(), 1)
+             if ln and not ln.startswith("#")]
+    if not lines or lines[0][1].strip() != "beta":
         raise ValueError(f"expected a 'beta' header in {path}")
-    values = np.array([float(v) for v in lines[1:]])
+    values = []
+    for number, text in lines[1:]:
+        try:
+            values.append(float(text))
+        except ValueError:
+            raise ValueError(f"{path}, line {number}: expected one number, got {text!r}") from None
+    values = np.array(values)
     if values.size != n:
         raise ValueError(f"weights file has {values.size} rows, dataset has {n}")
     return values

@@ -371,22 +371,6 @@ def rmse_curve(cfg: ExperimentConfig, m_values, trials: int, include_mh: bool = 
 # -- embedding-target equivalence check ---------------------------------------
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Distance between embeddings built from data and from optimal outputs."""
-
-    theta_star: tuple
-    loss_star: float
-    method: str
-    grid_step: tuple
-    on_boundary: bool
-    distance: float
-    m: int
-    sigma2: float
-    sigma2_theta: float
-    epsilon: float
-
-
 def minimize_weighted_sse(
     cfg: ExperimentConfig,
     dataset: Dataset,
@@ -399,8 +383,9 @@ def minimize_weighted_sse(
     Dense grid over the prior's box for dimension <= 2, otherwise a
     prior-sample search, every candidate on the one simulator realization
     ``sim.sweep(dataset.x, seed)`` draws (common random numbers).  Returns
-    (theta, loss, method, step, on_boundary, outputs): ``loss`` is the
-    weighted squared error of ``outputs``, theta's outputs on that realization.
+    (search, outputs): ``search`` holds ``theta_star``, ``loss_star`` (the
+    weighted squared error of ``outputs``, theta_star's outputs on that
+    realization), ``method``, ``grid_step`` and ``on_boundary``, as JSON values.
     """
     grid_resolution = count_entry("grid_resolution", grid_resolution, 2)
     search_draws = count_entry("search_draws", search_draws, 1)
@@ -417,15 +402,16 @@ def minimize_weighted_sse(
     outputs = np.stack([sim.sweep([x], seed)(points) for x in dataset.x], axis=1)
     losses = weighted_residual_sum(outputs, dataset.y, beta)
     best = int(np.argmin(losses))
-    if prior.dim > 2:
-        return points[best], float(losses[best]), "prior-search", (), False, outputs[best]
-    idx = np.unravel_index(best, grids[0].shape)
-    on_boundary = any(i in (0, grid_resolution - 1) for i in idx)
-    step = tuple(float(ax[1] - ax[0]) for ax in axes)
-    return points[best], float(losses[best]), "grid", step, on_boundary, outputs[best]
+    search = {"theta_star": tuple(points[best].tolist()), "loss_star": float(losses[best]),
+              "method": "prior-search", "grid_step": (), "on_boundary": False}
+    if prior.dim <= 2:
+        idx = np.unravel_index(best, grids[0].shape)
+        search.update(method="grid", grid_step=tuple(float(ax[1] - ax[0]) for ax in axes),
+                      on_boundary=any(i in (0, grid_resolution - 1) for i in idx))
+    return search, outputs[best]
 
 
-def theorem1_check(cfg: ExperimentConfig, grid_resolution: int = 101) -> EquivalenceReport:
+def theorem1_check(cfg: ExperimentConfig, grid_resolution: int = 101) -> dict:
     """Compare the data-built embedding against the optimal-output one.
 
     Finds the prior-supported parameter minimizing the weighted squared
@@ -435,32 +421,25 @@ def theorem1_check(cfg: ExperimentConfig, grid_resolution: int = 101) -> Equival
     ``loss_star``.  The distance shrinking with m is the expected behavior.
     Both are right-hand sides of one Gram system, so the check makes the
     passes ``calibrate`` makes: one output, one Cholesky and one theta.
+
+    Returns the search entries of ``minimize_weighted_sse`` plus
+    ``distance``, ``m``, ``sigma2``, ``sigma2_theta`` and ``epsilon``: the
+    JSON object ``theorem1.json`` holds, without its stamp.
     """
     count_entry("grid_resolution", grid_resolution, 2)  # before any work
     timings: dict = {}
     prep = prepare(cfg, timings=timings)
     with _timed(timings, "oracle-search"):
-        theta_star, loss_star, method, step, on_boundary, optimal = minimize_weighted_sse(
+        search, optimal = minimize_weighted_sse(
             cfg, prep.dataset, prep.beta, grid_resolution=grid_resolution
         )
-    if on_boundary:
+    if search["on_boundary"]:
         log.warning("weighted-error minimum sits on the search-grid boundary; refine the grid")
     with _timed(timings, "embedding"):
         from_data, from_optimal = prep.embed(prep.dataset.y, optimal)
         distance = embedding_distance(from_data, from_optimal)
-
-    return EquivalenceReport(
-        theta_star=tuple(float(v) for v in np.atleast_1d(theta_star)),
-        loss_star=loss_star,
-        method=method,
-        grid_step=step,
-        on_boundary=on_boundary,
-        distance=distance,
-        m=cfg.m,
-        sigma2=from_data.meta["sigma2"],
-        sigma2_theta=from_data.kernel.sigma2,
-        epsilon=prep.epsilon,
-    )
+    return {**search, "distance": distance, "m": cfg.m, "sigma2": from_data.meta["sigma2"],
+            "sigma2_theta": from_data.kernel.sigma2, "epsilon": prep.epsilon}
 
 
 # -- plot data ----------------------------------------------------------------
@@ -475,8 +454,6 @@ def emit_plot_data(cfg: ExperimentConfig, grid_points: int = 121) -> Path:
     with _timed(result.wall_clock, "plot-scoring"):
         bounds = np.concatenate([cfg.q0_spec().search_box(3.0), cfg.q1_spec().search_box(3.0)])
         grid = np.linspace(bounds.min(), bounds.max(), grid_points)
-        if cfg.simulator == "assembly":
-            grid = grid[grid >= 1.0]
         predictions, truth_vals, _ = _score(cfg, grid, result.herded.points)
     out = output_dir(cfg)
     path = out / "plot_data.csv"

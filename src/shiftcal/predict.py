@@ -62,6 +62,8 @@ def score_predictions(
     invariant under permutation of the test inputs.
     """
     test_inputs = np.asarray(test_inputs, dtype=float)
+    if test_inputs.ndim != 1:
+        raise ValueError(f"test inputs must be a 1-d vector, got shape {test_inputs.shape}")
     if test_inputs.size < 1:
         raise ValueError("need at least one test input")
     seed = count_entry("seed", seed, *SEED_RANGE)

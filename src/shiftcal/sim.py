@@ -63,10 +63,14 @@ class Simulator(ABC):
         """
 
     def _inputs(self, xs, keys) -> np.ndarray:
-        """``xs`` as a 1-d float array; ``keys`` must be one key or one per input."""
+        """``xs`` as a finite 1-d float array; ``keys`` must be one key or one per input."""
         xs = np.asarray(xs, dtype=float).reshape(-1)
         if np.size(keys) not in (1, len(xs)) and len(xs) != 1:
             raise ValueError(f"got {np.size(keys)} keys for {len(xs)} inputs")
+        finite = np.isfinite(xs)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise SimulatorError(f"{self.name} inputs must be finite, got x={xs[row]}", row)
         return xs
 
     def _streams(self, xs, keys) -> np.ndarray:
@@ -150,8 +154,9 @@ class AssemblyLineSimulator(Simulator):
         reaches it.  With one input nothing is padded, so columns are read
         by slice or column index rather than gathered row by row.
         """
+        streams = self._streams(xs, keys)  # checks the inputs and keys
         xs = np.asarray(xs, dtype=float).reshape(-1)
-        bad = ~(np.isfinite(xs) & (xs >= 1))
+        bad = xs < 1
         if bad.any():
             row = int(np.argmax(bad))
             raise SimulatorError(f"product count must be >= 1, got x={xs[row]}", row)
@@ -159,7 +164,7 @@ class AssemblyLineSimulator(Simulator):
         counts = np.rint(xs).astype(np.intp)[:, None]
         n_batches = -(-counts // size)
         width, depth = int(counts.max(initial=0)), int(n_batches.max(initial=0))
-        z = key_normals(self._streams(xs, keys), width + depth)
+        z = key_normals(streams, width + depth)
         z_asm = z[:, :width]
         # Batch b is ready when its last product leaves assembly; a trailing
         # partial batch when the last product does.
@@ -194,28 +199,6 @@ class AssemblyLineSimulator(Simulator):
             return last_cum + slack.max(axis=1, initial=-np.inf, where=real)
 
         return makespans
-
-
-@dataclass(frozen=True)
-class PiecewiseTruth:
-    """Regression function that switches parameter regimes at a breakpoint.
-
-    Returns ``base_sim(x, theta_lo)`` for x below the breakpoint and
-    ``base_sim(x, theta_hi)`` at or above it, all inputs in one sweep.
-    """
-
-    base_sim: Simulator
-    theta_lo: tuple
-    theta_hi: tuple
-    breakpoint: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.breakpoint):
-            raise ValueError(f"breakpoint must be finite, got {self.breakpoint}")
-
-    def __call__(self, xs, keys=0) -> np.ndarray:
-        high = np.asarray(xs, dtype=float).reshape(-1, 1) >= self.breakpoint
-        return self.base_sim.sweep(xs, keys)(np.where(high, self.theta_hi, self.theta_lo))
 
 
 # Default regime parameters and breakpoint for the shipped assembly-line

@@ -185,7 +185,7 @@ class DensitySpec:
             std = np.asarray(self.std)
             z = (theta - np.asarray(self.mean)) / std
             return float(-0.5 * z.dot(z) - np.sum(np.log(std)) - 0.5 * self.dim * np.log(2 * np.pi))
-        if self.in_support(theta):
+        if np.all(theta >= self.low) and np.all(theta <= self.high):
             return float(-np.sum(np.log(np.asarray(self.high) - np.asarray(self.low))))
         return -np.inf
 
@@ -194,12 +194,6 @@ class DensitySpec:
         if self.family == "normal":
             return np.asarray(self.mean) + np.asarray(self.std) * rng.standard_normal((n, self.dim))
         return rng.uniform(self.low, self.high, size=(n, self.dim))
-
-    def in_support(self, theta) -> bool:
-        theta = np.asarray(theta, dtype=float)
-        if self.family == "normal":
-            return bool(np.all(np.isfinite(theta)))
-        return bool(np.all(theta >= self.low) and np.all(theta <= self.high))
 
     def center(self) -> np.ndarray:
         """Mean (normal) or box midpoint (uniform)."""

@@ -158,14 +158,14 @@ def test_criterion_5_embedding_equivalence_trend():
         seed = derive_seed(0, "thm1", s)
         rep_small = theorem1_check(cfg.replace(m=100, seed=seed), grid_resolution=101)
         rep_large = theorem1_check(cfg.replace(m=800, seed=seed), grid_resolution=101)
-        d100.append(rep_small.distance)
-        d800.append(rep_large.distance)
+        d100.append(rep_small["distance"])
+        d800.append(rep_large["distance"])
 
         run_cfg = cfg.replace(seed=seed)
         ds = generate_dataset(run_cfg.build_dgp(), run_cfg.n, derive_seed(seed, "dataset"))
         wls = wls_solution(ds.x, ds.y, resolve_weights(run_cfg, ds))
-        gap = np.abs(np.asarray(rep_small.theta_star) - wls)
-        wls_ok &= bool(np.all(gap <= np.asarray(rep_small.grid_step)))
+        gap = np.abs(np.asarray(rep_small["theta_star"]) - wls)
+        wls_ok &= bool(np.all(gap <= np.asarray(rep_small["grid_step"])))
 
     trend_ok = float(np.mean(d800)) < float(np.mean(d100))
     ok = trend_ok and wls_ok

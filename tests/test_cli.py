@@ -179,6 +179,24 @@ def test_mh_command_without_mh_section_is_a_usage_error(
 
 
 @pytest.mark.parametrize(
+    "command,flags",
+    [("mh-baseline", []), ("mh-sweep", []), ("rmse-curve", ["--include-mh"])],
+    ids=["mh-baseline", "mh-sweep", "rmse-curve"],
+)
+def test_mh_command_on_a_point_mass_prior_is_a_usage_error(tmp_path, capsys, command, flags):
+    path, out = tmp_path / "point-mass.json", tmp_path / "run"
+    path.write_text(json.dumps({**TINY, "prior": {"family": "normal", "mean": [0.0, 0.0],
+                                                  "var": [0.0, 5.0]}}))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path), "--out", str(out), *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == (f"shiftcal: error: config {path}: prior has std [0.0, {5 ** 0.5}]: "
+                   "a point mass has no density for the MH target\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command,flags,owner,name,stage",
     [("theorem1-check", ["--grid-resolution", "5"], pipeline, "minimize_weighted_sse",
       "oracle-search"),

@@ -1,12 +1,18 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from shiftcal.config import PRESETS, ExperimentConfig, load_beta_csv, preset
-from shiftcal.pipeline import calibrate
-from shiftcal.sim import AssemblyLineSimulator, LinearSimulator, PiecewiseTruth
+from shiftcal.pipeline import StageError, calibrate
+from shiftcal.sim import (
+    ASSEMBLY_THETA_HI,
+    ASSEMBLY_THETA_LO,
+    AssemblyLineSimulator,
+    LinearSimulator,
+)
 
 
 class TestPresets:
@@ -29,9 +35,10 @@ class TestPresets:
     def test_assembly_preset_values(self):
         cfg = preset("assembly-shift")
         assert isinstance(cfg.build_simulator(), AssemblyLineSimulator)
-        truth = cfg.build_truth()
-        assert isinstance(truth, PiecewiseTruth)
-        assert truth.breakpoint == 110.0
+        # the piecewise truth: theta_lo below x = 110, theta_hi from 110 on
+        sim, xs, keys = cfg.build_simulator(), [109.5, 110.0, 130.0], [3, 4, 5]
+        expected = sim.sweep(xs, keys)([ASSEMBLY_THETA_LO, ASSEMBLY_THETA_HI, ASSEMBLY_THETA_HI])
+        assert cfg.build_truth()(xs, keys).tobytes() == expected.tobytes()
         assert cfg.n == 50 and cfg.m == 400
         assert cfg.epsilon == 0.01
         prior = cfg.build_prior()
@@ -303,11 +310,16 @@ class TestConfigValidation:
         stamped = {**PRESETS["linear-shift"], "config_hash": "written by write_json"}
         assert ExperimentConfig.from_dict(stamped) == preset("linear-shift")
 
-    def test_parts_parsed_once(self):
+    def test_parts_parsed_once(self, monkeypatch):
         cfg = preset("assembly-shift")
         sim = cfg.build_simulator()
         assert sim is cfg.build_simulator()
-        assert cfg.build_truth() is cfg.build_truth() and cfg.build_truth().base_sim is sim
+        assert cfg.build_truth() is cfg.build_truth()
+        # the piecewise truth sweeps the config's one simulator
+        swept, sweep = [], sim.sweep
+        monkeypatch.setattr(sim, "sweep", lambda *args: swept.append(args) or sweep(*args))
+        cfg.build_truth()([100.0], 7)
+        assert swept == [([100.0], 7)]
         assert cfg.build_prior() is cfg.build_prior()
         assert cfg.build_dgp() is cfg.build_dgp() and cfg.build_dgp().truth is cfg.build_truth()
         assert cfg.q0_spec() is cfg.q0_spec() and cfg.q1_spec() is cfg.test_density()
@@ -516,6 +528,17 @@ class TestBetaCsv:
         path.write_text("beta\n1.0\n")
         with pytest.raises(ValueError, match="rows"):
             load_beta_csv(path, 2)
+
+    def test_bad_value_names_file_and_line(self, tmp_path):
+        path = tmp_path / "beta.csv"
+        path.write_text("# config_hash=abc\nbeta\n1.0\n1,2\n0.5\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 4: "
+                                             "expected one number, got '1,2'$"):
+            load_beta_csv(path, 3)
+        cfg = preset("linear-shift", n=3, m=4, weight_mode="csv", weights_csv=str(path))
+        with pytest.raises(StageError, match=f"^stage 'weights' failed: {re.escape(str(path))}, "
+                                             "line 4: "):
+            calibrate(cfg)
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "beta.csv"

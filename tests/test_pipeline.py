@@ -1,6 +1,7 @@
 import ast
 import json
 import logging
+import math
 import re
 
 import numpy as np
@@ -209,7 +210,7 @@ class TestPrepare:
         emb = result.embedding
         assert bandwidths == (emb.meta["sigma2"], emb.kernel.sigma2, result.epsilon)
         report = theorem1_check(cfg, grid_resolution=9)
-        assert (report.sigma2, report.sigma2_theta, report.epsilon) == bandwidths
+        assert (report["sigma2"], report["sigma2_theta"], report["epsilon"]) == bandwidths
 
     def test_non_finite_pseudo_output_fails_its_stage(self, monkeypatch):
         from shiftcal.sim import LinearSimulator
@@ -330,6 +331,26 @@ class TestMHBaseline:
         with pytest.raises(ValueError, match="config has no 'mh' section"):
             rmse_curve(bare, [4, 8], trials=1, include_mh=True)
 
+    @pytest.mark.parametrize("scale", [{"var": [0.0, 5.0]}, {"std": [1.0, 0.0]}])
+    def test_requires_a_prior_density(self, monkeypatch, scale):
+        # a zero std is a point mass: calibrate runs on it, but the chain's
+        # target has no log density, so every MH entry point fails before work
+        point_mass = tiny_linear(prior={"family": "normal", "mean": [0.0, 0.0], **scale})
+        assert np.isfinite(calibrate(point_mass).rmse)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a run started on a prior without a density")
+
+        for name in ("weighted_dataset", "run_mh_baseline", "calibrate"):
+            monkeypatch.setattr(pipeline, name, no_work)
+        std = [math.sqrt(v) for v in scale["var"]] if "var" in scale else scale["std"]
+        message = f"^prior has std {re.escape(str(std))}: a point mass has no density"
+        for call in (lambda: run_mh_baseline(point_mass, steps=10),
+                     lambda: mh_acceptance_sweep(point_mass, [0.1, 0.2], steps=10),
+                     lambda: rmse_curve(point_mass, [4, 8], trials=1, include_mh=True)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
 
 class TestMHSweep:
     @pytest.mark.parametrize(
@@ -369,10 +390,10 @@ class TestTheoremCheck:
             prior={"family": "uniform", "low": [-2.0, -2.0], "high": [2.0, 2.0]},
         )
         report = theorem1_check(cfg, grid_resolution=17)  # step 0.25, node at (1, -0.5)
-        assert report.theta_star == (1.0, -0.5)
-        assert report.loss_star == 0.0
-        assert not report.on_boundary
-        assert report.distance <= 1e-8
+        assert report["theta_star"] == (1.0, -0.5)
+        assert report["loss_star"] == 0.0
+        assert not report["on_boundary"]
+        assert report["distance"] <= 1e-8
 
     def test_boundary_flag(self):
         # optimum far outside the prior box lands on the grid edge
@@ -382,8 +403,8 @@ class TestTheoremCheck:
             prior={"family": "uniform", "low": [0.0, 0.0], "high": [1.0, 1.0]},
         )
         report = theorem1_check(cfg, grid_resolution=9)
-        assert report.on_boundary
-        assert report.theta_star == (1.0, 1.0)
+        assert report["on_boundary"]
+        assert report["theta_star"] == (1.0, 1.0)
 
     @pytest.mark.parametrize("name,seed", [("linear-shift", 3), ("assembly-shift", 9)])
     def test_oracle_equals_per_point_sweeps(self, name, seed):
@@ -404,10 +425,11 @@ class TestTheoremCheck:
         for theta in points:
             residuals = ds.y - sim.sweep(ds.x, search)(theta)
             losses.append(float(np.sum(beta * residuals * residuals)))
-        theta, loss, *_, outputs = minimize_weighted_sse(cfg, ds, resolve_weights(cfg, ds),
-                                                         grid_resolution=9, search_draws=64)
+        found, outputs = minimize_weighted_sse(cfg, ds, resolve_weights(cfg, ds),
+                                               grid_resolution=9, search_draws=64)
+        theta = np.array(found["theta_star"])
         best = int(np.argmin(losses))
-        assert loss == losses[best]
+        assert found["loss_star"] == losses[best]
         assert theta.tobytes() == points[best].tobytes()
         assert outputs.tobytes() == sim.sweep(ds.x, search)(theta).tobytes()
 
@@ -418,18 +440,19 @@ class TestTheoremCheck:
         cfg = preset(name, seed=seed, n=12, m=30, herd_size=30)
         report = theorem1_check(cfg, grid_resolution=9)
         prep = prepare(cfg)
-        theta_star, *_ = minimize_weighted_sse(cfg, prep.dataset, prep.beta, grid_resolution=9)
+        found, _ = minimize_weighted_sse(cfg, prep.dataset, prep.beta, grid_resolution=9)
         x = prep.dataset.x
-        optimal = cfg.build_simulator().sweep(x, derive_seed(cfg.seed, "oracle-search"))(theta_star)
+        optimal = cfg.build_simulator().sweep(x, derive_seed(cfg.seed, "oracle-search"))(
+            np.array(found["theta_star"]))
         (from_data,), (from_optimal,) = (
             build_embedding(prep.draws, prep.outputs, [y], prep.beta, None, None, prep.epsilon)
             for y in (prep.dataset.y, optimal)
         )
         expected = (embedding_distance(from_data, from_optimal),
                     from_data.meta["sigma2"], from_data.kernel.sigma2)
-        got = (report.distance, report.sigma2, report.sigma2_theta)
+        got = (report["distance"], report["sigma2"], report["sigma2_theta"])
         assert np.array(got).tobytes() == np.array(expected).tobytes()
-        assert report.distance > 0
+        assert report["distance"] > 0
 
     @pytest.mark.parametrize("name", ["linear-shift", "assembly-shift"])
     @pytest.mark.parametrize("seed", [0, 1, 4])
@@ -449,9 +472,9 @@ class TestTheoremCheck:
         ((observed, optimal),) = embedded
         ds, beta = pipeline.weighted_dataset(cfg)
         search = cfg.build_simulator().sweep(ds.x, derive_seed(cfg.seed, "oracle-search"))
-        assert optimal.tobytes() == search(np.array(report.theta_star)).tobytes()
+        assert optimal.tobytes() == search(np.array(report["theta_star"])).tobytes()
         assert observed.tobytes() == ds.y.tobytes()
-        assert report.loss_star == weighted_residual_sum(optimal, ds.y, beta)
+        assert report["loss_star"] == weighted_residual_sum(optimal, ds.y, beta)
 
     def test_wls_match_within_grid_step(self):
         cfg = preset("linear-shift", n=60, m=40, herd_size=40)
@@ -465,7 +488,8 @@ class TestTheoremCheck:
         design = np.stack([np.ones(cfg.n), ds.x], axis=1)
         bmat = np.diag(beta)
         wls = np.linalg.solve(design.T @ bmat @ design, design.T @ bmat @ ds.y)
-        assert np.all(np.abs(np.asarray(report.theta_star) - wls) <= np.asarray(report.grid_step))
+        gap = np.abs(np.asarray(report["theta_star"]) - wls)
+        assert np.all(gap <= np.asarray(report["grid_step"]))
 
 
 class TestEmitPlotData:

@@ -10,7 +10,7 @@ from shiftcal.herd import CandidatePool, herd
 from shiftcal.kabc import PosteriorEmbedding
 from shiftcal.kern import ParamKernel
 from shiftcal.predict import generate_test_inputs, predict, score_predictions
-from shiftcal.sim import AssemblyLineSimulator, LinearSimulator, cubic_truth
+from shiftcal.sim import AssemblyLineSimulator, LinearSimulator, SimulatorError, cubic_truth
 from shiftcal.weights import DensitySpec
 
 
@@ -137,6 +137,15 @@ class TestRmse:
     def test_needs_inputs(self):
         with pytest.raises(ValueError):
             rmse(cubic_truth, [], LinearSimulator(), np.zeros((1, 2)))
+
+    def test_test_inputs_are_a_finite_vector(self):
+        samples = [[1.0, 2.0]]
+        message = r"^test inputs must be a 1-d vector, got shape \(2, 1\)$"
+        with pytest.raises(ValueError, match=message):
+            score_predictions(cubic_truth, [[1.0], [2.0]], LinearSimulator(), samples)
+        for inputs in ([np.nan], [0.5, np.inf]):
+            with pytest.raises(SimulatorError, match="^linear inputs must be finite, got x="):
+                score_predictions(cubic_truth, inputs, LinearSimulator(), samples)
 
 
 class TestGenerateTestInputs:

@@ -7,12 +7,12 @@ import pytest
 
 from shiftcal import sim as sim_module
 from shiftcal.baseline import MHTrace
+from shiftcal.config import preset
 from shiftcal.sim import (
     AssemblyLineSimulator,
     DataGeneratingProcess,
     Dataset,
     LinearSimulator,
-    PiecewiseTruth,
     SimulatorError,
     cubic_truth,
     generate_dataset,
@@ -126,8 +126,11 @@ class TestAssemblySim:
             evaluate(self.sim, 0, (2, 0, 5, 0))
         with pytest.raises(ValueError):
             evaluate(self.sim, 4, (2, 0, -5, 0))
-        for bad in (0.0, np.nan, np.inf):
+        for bad in (0.0, 0.4):
             with pytest.raises(SimulatorError, match=r"product count .* \(row 1\)"):
+                self.sim.sweep([4.0, bad])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(SimulatorError, match=r"inputs must be finite, .* \(row 1\)"):
                 self.sim.sweep([4.0, bad])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -161,23 +164,29 @@ class TestAssemblySim:
             self.sim.sweep([4.0], [1.0, 2.0])
 
 
+def piecewise_truth(theta_lo, theta_hi, breakpoint):
+    """The config's piecewise truth over the linear simulator."""
+    truth = {"kind": "piecewise", "theta_lo": list(theta_lo), "theta_hi": list(theta_hi),
+             "breakpoint": breakpoint}
+    return preset("linear-shift", truth=truth).build_truth()
+
+
 class TestPiecewiseTruth:
     def test_branch_selection(self):
-        sim = LinearSimulator()
         lo, hi = (0.0, 1.0), (100.0, 0.0)
         # boundary belongs to the shifted regime
-        assert np.array_equal(PiecewiseTruth(sim, lo, hi, 110.0)([109.0, 110.0]), [109.0, 100.0])
+        assert np.array_equal(piecewise_truth(lo, hi, 110.0)([109.0, 110.0]), [109.0, 100.0])
 
     def test_degenerate_piecewise_equals_base(self):
         sim = LinearSimulator()
         theta = (1.5, -2.0)
         xs = np.linspace(-5, 5, 11)
-        assert np.array_equal(PiecewiseTruth(sim, theta, theta, 0.0)(xs), sim.sweep(xs)(theta))
+        assert np.array_equal(piecewise_truth(theta, theta, 0.0)(xs), sim.sweep(xs)(theta))
 
     def test_infinite_breakpoint_rejected(self):
         for bad in (np.inf, -np.inf, np.nan):
             with pytest.raises(ValueError, match="breakpoint"):
-                PiecewiseTruth(LinearSimulator(), (0, 1), (0, 1), bad)
+                piecewise_truth((0, 1), (0, 1), bad)
 
 
 class TestGenerateDataset:

@@ -284,7 +284,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("bad", [0.0, 0.4, np.nan, np.inf])
     def test_bad_input_rejected_when_built(self, bad):
-        with pytest.raises(ValueError, match="product count"):
+        rule = "product count" if np.isfinite(bad) else "inputs must be finite"
+        with pytest.raises(ValueError, match=rule):
             AssemblyLineSimulator().sweep([4.0, bad], 3)
 
 
@@ -310,6 +311,15 @@ class TestSweepContract:
         with pytest.raises(SimulatorError, match=r"parameters must be finite, .*\(row 1\)$") as err:
             sim.sweep([4.0, 5.0, 6.0], 7)(thetas)
         assert err.value.row == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_name_their_row(self, sim, bad):
+        with pytest.raises(SimulatorError, match=rf"^{sim.name} inputs must be finite, "
+                                                 rf"got x={bad} \(row 1\)$") as err:
+            sim.sweep([4.0, bad, 6.0], 7)
+        assert err.value.row == 1
+        with pytest.raises(SimulatorError, match=r"\(row 0\)$"):
+            sim.sweep([bad], [1, 2])
 
     def test_one_input_on_many_keys_gives_one_output_per_key(self, sim):
         sweep = sim.sweep([4.0], [1, 2, 3])

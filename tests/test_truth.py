@@ -20,7 +20,6 @@ from shiftcal.sim import (
     ASSEMBLY_THETA_HI,
     ASSEMBLY_THETA_LO,
     AssemblyLineSimulator,
-    PiecewiseTruth,
     cubic_truth,
     generate_dataset,
 )
@@ -55,9 +54,9 @@ KEYS = [2**63 + 1, 5, 2**64 - 1, 2**63 - 1, 0, 2**63, 12345, 2**62]
 @pytest.mark.parametrize("as_array", [False, True])
 def test_piecewise_straddling_breakpoint_and_2_63(as_array):
     sim = AssemblyLineSimulator()
-    truth = PiecewiseTruth(sim, ASSEMBLY_THETA_LO, ASSEMBLY_THETA_HI, ASSEMBLY_BREAKPOINT)
     spec = {"kind": "piecewise", "theta_lo": ASSEMBLY_THETA_LO, "theta_hi": ASSEMBLY_THETA_HI,
             "breakpoint": ASSEMBLY_BREAKPOINT}
+    truth = preset("assembly-shift", truth=spec).build_truth()
     keys = np.array(KEYS, dtype=np.uint64) if as_array else KEYS
     expected = [scalar_truth(spec, sim)(x, key) for x, key in zip(XS, KEYS)]
     assert bits(truth(XS, keys)) == bits(expected)
