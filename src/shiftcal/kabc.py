@@ -130,7 +130,7 @@ def build_embedding(
     ``draws`` (m, d) are the prior draws, a 1-d vector m one-parameter
     draws, and ``outputs`` (m, n) their simulator outputs at the training
     inputs.  Only the right-hand sides depend on the observations, so the
-    vectors share one output pass, one factorization and one theta pass.  A
+    vectors share one output pass, one Gram solve and one theta pass.  A
     ``sigma2`` of None is the median heuristic, read from the output pass.
     The weights are solved, and the output matrix freed, before the theta
     pass: it gives the theta Gram matrix the embeddings share, and, for a

@@ -28,23 +28,23 @@ with it.
 The solve passes plain arrays: ``gram_and_rhs`` returns the Gram matrix G
 and the data-kernel vector k, and ``regularized_solve(G, k, eps)`` returns
 the weights w of (G + m eps I) w = k (the kernel Bayes' rule step), one
-row of w per row of a (k, m) stack k, all from one factorization.  The
-factor is made in G's own buffer, which the solve consumes, so a run
-holds one m x m matrix at the solve.
+row of w per row of a (k, m) stack k.  Each row is solved by conjugate
+gradients, which only read G and take a number of steps that does not
+grow with m (9 on linear-shift, 16-18 on assembly-shift, at m = 200 to
+2000).  A row CG cannot solve falls back to a Cholesky factorization made
+in G's own buffer.  Either way a run holds one m x m matrix at the solve.
 
 Every matrix product on the way from the distances to the herded samples
-(the rank-k update in ``pairwise_sqdist``, the solve's residual, herding's
-read of the embedding) runs on scipy's BLAS, the library that also does
-the Cholesky factorization.  numpy and scipy each load their own OpenBLAS;
-after a numpy product, numpy's idle worker threads keep spinning and slow
-the factorization that follows (measured on 2 cores: a 2000 x 2000
-``cho_factor`` took 120-130 ms in the median straight after a numpy
-product, 62-65 ms after scipy's own ``dsyrk``).  Each scipy call whose
-result is kept is chosen to give numpy's bits: ``dsyrk`` for A A^T, and
-``dgemv`` on the Fortran-ordered view ``A.T`` (``matvec``).  The solve's
-residual is ``dsymv`` over the triangle of G that the factor leaves; its
-last bits can differ from a full product, and they reach the weights only
-through a refinement, which no shipped preset runs.
+(the rank-k update in ``pairwise_sqdist``, the solve's products,
+herding's read of the embedding) runs on scipy's BLAS, the library that
+also does the fallback's Cholesky factorization.  numpy and scipy each
+load their own OpenBLAS; after a numpy product, numpy's idle worker
+threads keep spinning and slow the scipy call that follows (measured on 2
+cores: a 2000 x 2000 ``cho_factor`` took 120-130 ms in the median straight
+after a numpy product, 62-65 ms after scipy's own ``dsyrk``).  ``dsyrk``
+for A A^T and ``dgemv`` on the Fortran-ordered view ``A.T`` (``matvec``)
+give numpy's bits; the solve's ``dsymv`` over one triangle of G and
+``ddot`` need not, since the residual contract bounds the weights.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dgemv, dsymv, dsyrk
+from scipy.linalg.blas import ddot, dgemv, dsymv, dsyrk
 
 from .weights import point_rows
 
@@ -265,29 +265,26 @@ def gram_and_rhs(pseudo_outputs, observed, kernel: WeightedOutputKernel) -> tupl
 
 
 def regularized_solve(gram, rhs, epsilon: float) -> np.ndarray:
-    """Solve (G + m eps I) w = rhs by Cholesky factorization, in G's own buffer.
+    """Solve (G + m eps I) w = rhs by conjugate gradients, Cholesky as the fallback.
 
     ``gram`` holds the output-kernel values among the m pseudo-output
     vectors, exactly symmetric as ``gaussian_gram`` builds them; ``rhs``
     their kernel values against the observed data (one vector, or a (k, m)
-    stack that is solved row by row, so each row is bitwise its 1-D
-    solve); and ``epsilon`` is the Tikhonov constant.  The shifted matrix
-    is symmetric positive definite for any eps > 0.
+    stack solved row by row, so each row is bitwise its 1-D solve); and
+    ``epsilon`` is the Tikhonov constant.
 
-    No second m x m matrix is made: as LAPACK's ``potrf`` does, the solve
-    overwrites ``gram``, whose contents are unspecified after a return or
-    a ``SolveError``, so a caller that still needs G passes a copy.  A
-    read-only G is copied.  The shift goes onto G's diagonal (the diagonal
-    itself is saved), and the factor overwrites G's upper triangle and
-    diagonal; the strict lower triangle stays G.  The residual
-    (G + m eps I) w - rhs is read from that triangle (``dsymv``) plus a
-    diagonal term that puts G's own diagonal and the shift in place of the
-    factor's.  One step of iterative refinement is applied to a row if its
-    residual exceeds SOLVE_RTOL * max(1, ||row||_inf) or is not finite;
-    failure past that raises.
+    Each row runs CG (``_conjugate_gradients``) on G's upper triangle, read
+    through the Fortran-ordered view ``gram.T`` (free for a C-ordered G,
+    copied once otherwise), and is accepted if its true residual
+    (G + m eps I) w - rhs, read from the same triangle, is at most
+    SOLVE_RTOL * max(1, ||row||_inf) (a NaN is not).  CG only reads G.
+    The rows it does not solve go to ``_cholesky_solve``, after every row
+    has run CG; it factors G once, in the buffer CG read, as LAPACK's
+    ``potrf`` does.  So ``gram``'s contents are unspecified after a return
+    or a ``SolveError``, and a caller that still needs G passes a copy.
     """
     gram = np.asarray(gram, dtype=float)
-    rhs = np.array(rhs, dtype=float)  # a copy: rhs may be a view of G, which changes below
+    rhs = np.array(rhs, dtype=float)  # a copy: rhs may be a view of G, which the fallback changes
     m = rhs.shape[-1] if rhs.ndim in (1, 2) else -1
     if gram.shape != (m, m):
         raise ValueError(f"inconsistent system shapes: {gram.shape}, {rhs.shape}")
@@ -296,35 +293,95 @@ def regularized_solve(gram, rhs, epsilon: float) -> np.ndarray:
     shift = m * epsilon
     if not (np.isfinite(shift) and np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
         raise SolveError("non-finite entries in the regularized system")
-    if not gram.flags.writeable:
-        gram = gram.copy()
-    diag = gram.diagonal().copy()
-    np.fill_diagonal(gram, diag + shift)
+    # formed once: scipy would copy a G that is not Fortran-ordered on every dsymv
+    gram_f = np.asfortranarray(gram.T)
+    rows = rhs.reshape(-1, m)
+    weights = np.empty_like(rows)
+    missed = []
+    for i, b in enumerate(rows):  # not one multi-column solve, which may round differently
+        w = _conjugate_gradients(gram_f, shift, b)
+        if w is not None and _within_bound(dsymv(1.0, gram_f, w, lower=1) + shift * w - b, b):
+            weights[i] = w
+        else:
+            missed.append(i)
+    if missed:
+        weights[missed] = _cholesky_solve(gram_f, shift, rows[missed])
+    return weights.reshape(rhs.shape)
+
+
+def _bound(b) -> float:
+    return SOLVE_RTOL * max(1.0, float(np.max(np.abs(b))))
+
+
+def _within_bound(residual, b) -> bool:
+    # not `>`: a NaN residual must count as over the bound
+    return np.max(np.abs(residual)) <= _bound(b)
+
+
+def _conjugate_gradients(gram_f, shift: float, b):
+    """w with (G + shift I) w = b, or None for the Cholesky fallback.
+
+    G has a unit diagonal, so G + shift I has condition number at most
+    1 + m / shift, and the step count does not grow with m.  CG starts at
+    w = 0 and stops at machine precision, when the recursive residual is
+    at most eps_64 * max(1, ||b||_inf).  That test runs before each of at
+    most max(1, m // 6) steps, about one factorization's flops, so with
+    m < 12 any b != 0 falls back.  None also when a step finds
+    p'(G + shift I)p not positive: an indefinite or non-finite system.
+    """
+    tol = np.finfo(float).eps * max(1.0, float(np.max(np.abs(b))))
+    w = np.zeros_like(b)
+    r = b.copy()
+    p = b.copy()
+    rr = ddot(r, r)
+    for _ in range(max(1, len(b) // 6)):
+        if np.max(np.abs(r)) <= tol:
+            return w
+        q = dsymv(1.0, gram_f, p, lower=1) + shift * p
+        curvature = ddot(p, q)
+        if not curvature > 0:  # also catches NaN
+            return None
+        alpha = rr / curvature
+        w += alpha * p
+        r -= alpha * q
+        rr, rr_old = ddot(r, r), rr
+        p = r + (rr / rr_old) * p
+    return None
+
+
+def _cholesky_solve(gram_f, shift: float, rows) -> np.ndarray:
+    """One Cholesky factorization of G + shift I in ``gram_f``'s buffer (a
+    read-only one is copied), then each row solved, refined once if its
+    residual misses the bound, and raised on if it still does.
+
+    The factor overwrites ``gram_f``'s lower triangle and diagonal (G's
+    upper); the residual reads G's strict lower triangle (``dsymv``) plus
+    a diagonal term that puts G's own diagonal and the shift in place of
+    the factor's.
+    """
+    if not gram_f.flags.writeable:
+        gram_f = gram_f.copy(order="F")
+    diag = gram_f.diagonal().copy()
+    np.fill_diagonal(gram_f, diag + shift)
     try:
-        # The transposed view is G in Fortran order, which LAPACK factors in
-        # place rather than copying; its lower triangle is G's upper one.
-        factor = cho_factor(gram.T, lower=True, overwrite_a=True, check_finite=False)
+        factor = cho_factor(gram_f, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SolveError(f"factorization failed: {exc}") from exc
-    # puts G's diagonal plus the shift in place of the factor's; 0 where
-    # LAPACK factored a copy (a Fortran-ordered or strided G)
-    fix = diag + shift - gram.diagonal()
+    fix = diag + shift - gram_f.diagonal()  # 0 where LAPACK factored a copy
 
     def residual(w, b):
-        return dsymv(1.0, gram.T, w, lower=0) + fix * w - b
+        return dsymv(1.0, gram_f, w, lower=0) + fix * w - b
 
     weights = []
-    for b in rhs.reshape(-1, m):  # not one multi-column solve, which may round differently
+    for b in rows:
         w = cho_solve(factor, b, check_finite=False)
-        bound = SOLVE_RTOL * max(1.0, float(np.max(np.abs(b))))
         r = residual(w, b)
-        # not `>`: a NaN residual must count as over the bound
-        if not np.max(np.abs(r)) <= bound:
+        if not _within_bound(r, b):
             w = w - cho_solve(factor, r, check_finite=False)
             r = residual(w, b)
-            if not np.max(np.abs(r)) <= bound:
+            if not _within_bound(r, b):
                 raise SolveError(
-                    f"solve residual {np.max(np.abs(r)):.3e} exceeds bound {bound:.3e}"
+                    f"solve residual {np.max(np.abs(r)):.3e} exceeds bound {_bound(b):.3e}"
                 )
         weights.append(w)
-    return np.reshape(weights, rhs.shape)
+    return np.array(weights)

@@ -60,7 +60,7 @@ from .kabc import (
     simulate_pseudo_outputs,
 )
 from .predict import generate_test_inputs, score_predictions
-from .sim import Dataset, generate_dataset, write_csv_rows, write_json_artifact
+from .sim import Dataset, SimulatorError, generate_dataset, write_csv_rows, write_json_artifact
 from .weights import ImportanceWeights, count_entry, importance_weights, ordinary_weights
 
 log = logging.getLogger("shiftcal")
@@ -420,7 +420,7 @@ def theorem1_check(cfg: ExperimentConfig, grid_resolution: int = 101) -> dict:
     outputs that won the search, whose weighted squared error is
     ``loss_star``.  The distance shrinking with m is the expected behavior.
     Both are right-hand sides of one Gram system, so the check makes the
-    passes ``calibrate`` makes: one output, one Cholesky and one theta.
+    passes ``calibrate`` makes: one output, one Gram solve and one theta.
 
     Returns the search entries of ``minimize_weighted_sse`` plus
     ``distance``, ``m``, ``sigma2``, ``sigma2_theta`` and ``epsilon``: the
@@ -447,13 +447,18 @@ def theorem1_check(cfg: ExperimentConfig, grid_resolution: int = 101) -> dict:
 
 def emit_plot_data(cfg: ExperimentConfig, grid_points: int = 121) -> Path:
     """Write predictive draws over an even input grid spanning q0 and q1,
-    with the config and the dataset beside them."""
+    with the config and the dataset beside them.  A grid point the
+    simulator rejects fails before any stage."""
     grid_points = count_entry("grid_points", grid_points, 1)
+    bounds = np.concatenate([cfg.q0_spec().search_box(3.0), cfg.q1_spec().search_box(3.0)])
+    grid = np.linspace(bounds.min(), bounds.max(), grid_points)
+    try:
+        cfg.build_simulator().check_inputs(grid)
+    except SimulatorError as exc:
+        raise ValueError(f"plot grid: {exc}") from exc
     result = calibrate(cfg)
     config_hash = cfg.config_hash()
     with _timed(result.wall_clock, "plot-scoring"):
-        bounds = np.concatenate([cfg.q0_spec().search_box(3.0), cfg.q1_spec().search_box(3.0)])
-        grid = np.linspace(bounds.min(), bounds.max(), grid_points)
         predictions, truth_vals, _ = _score(cfg, grid, result.herded.points)
     out = output_dir(cfg)
     path = out / "plot_data.csv"

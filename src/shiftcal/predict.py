@@ -59,13 +59,15 @@ def score_predictions(
     """Predictions (inputs, samples), truth values and the RMSE of the row means.
 
     Streams are keyed on the input value, not its position, so scores are
-    invariant under permutation of the test inputs.
+    invariant under permutation of the test inputs.  An input the simulator
+    rejects is a ``SimulatorError`` that names its position.
     """
     test_inputs = np.asarray(test_inputs, dtype=float)
     if test_inputs.ndim != 1:
         raise ValueError(f"test inputs must be a 1-d vector, got shape {test_inputs.shape}")
     if test_inputs.size < 1:
         raise ValueError("need at least one test input")
+    sim.check_inputs(test_inputs)  # all at once: each sweep below sees one input
     seed = count_entry("seed", seed, *SEED_RANGE)
     preds = _predict_at(sim, test_inputs, samples, seed)
     keys = np.array([derive_seed(seed, "truth", float(x)) for x in test_inputs], dtype=np.uint64)

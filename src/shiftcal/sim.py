@@ -62,16 +62,22 @@ class Simulator(ABC):
         only transforms it by theta (common random numbers across calls).
         """
 
-    def _inputs(self, xs, keys) -> np.ndarray:
-        """``xs`` as a finite 1-d float array; ``keys`` must be one key or one per input."""
+    def check_inputs(self, xs) -> np.ndarray:
+        """``xs`` as a 1-d float array of inputs this simulator accepts (here:
+        finite ones); a ``SimulatorError`` names the first row it rejects."""
         xs = np.asarray(xs, dtype=float).reshape(-1)
-        if np.size(keys) not in (1, len(xs)) and len(xs) != 1:
-            raise ValueError(f"got {np.size(keys)} keys for {len(xs)} inputs")
         finite = np.isfinite(xs)
         if not finite.all():
             row = int(np.argmin(finite))
             raise SimulatorError(f"{self.name} inputs must be finite, got x={xs[row]}", row)
         return xs
+
+    def _inputs(self, xs, keys) -> np.ndarray:
+        """``xs`` through ``check_inputs``; ``keys`` must be one key or one per input."""
+        xs = np.asarray(xs, dtype=float).reshape(-1)
+        if np.size(keys) not in (1, len(xs)) and len(xs) != 1:
+            raise ValueError(f"got {np.size(keys)} keys for {len(xs)} inputs")
+        return self.check_inputs(xs)
 
     def _streams(self, xs, keys) -> np.ndarray:
         """Stream key of each row, ``stream_keys(key, x)``: theta transforms
@@ -144,6 +150,15 @@ class AssemblyLineSimulator(Simulator):
     def __init__(self, batch_size: int = 4):
         self.batch_size = count_entry("batch_size", batch_size, 1)
 
+    def check_inputs(self, xs) -> np.ndarray:
+        """Finite product counts x >= 1."""
+        xs = super().check_inputs(xs)
+        bad = xs < 1
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise SimulatorError(f"product count must be >= 1, got x={xs[row]}", row)
+        return xs
+
     def sweep(self, xs, keys=0) -> Callable[[np.ndarray], np.ndarray]:
         """Makespans of ``xs[r]`` products on row r's stream, as a function of theta.
 
@@ -156,10 +171,6 @@ class AssemblyLineSimulator(Simulator):
         """
         streams = self._streams(xs, keys)  # checks the inputs and keys
         xs = np.asarray(xs, dtype=float).reshape(-1)
-        bad = xs < 1
-        if bad.any():
-            row = int(np.argmax(bad))
-            raise SimulatorError(f"product count must be >= 1, got x={xs[row]}", row)
         size = self.batch_size
         counts = np.rint(xs).astype(np.intp)[:, None]
         n_batches = -(-counts // size)

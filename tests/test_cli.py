@@ -7,7 +7,6 @@ import pytest
 from shiftcal import pipeline
 from shiftcal.cli import main
 from shiftcal.config import PRESETS, ExperimentConfig
-from shiftcal.weights import DensitySpec
 
 TINY = {
     **PRESETS["linear-shift"],
@@ -197,24 +196,53 @@ def test_mh_command_on_a_point_mass_prior_is_a_usage_error(tmp_path, capsys, com
 
 
 @pytest.mark.parametrize(
-    "command,flags,owner,name,stage",
-    [("theorem1-check", ["--grid-resolution", "5"], pipeline, "minimize_weighted_sse",
+    "command,flags,owner,name,passes,stage",
+    [("theorem1-check", ["--grid-resolution", "5"], pipeline, "minimize_weighted_sse", 0,
       "oracle-search"),
-     ("mh-baseline", ["--steps", "20"], pipeline, "log_likelihood_sweep", "chain"),
-     ("emit-plot-data", ["--grid-points", "5"], DensitySpec, "search_box", "plot-scoring")],
+     ("mh-baseline", ["--steps", "20"], pipeline, "log_likelihood_sweep", 0, "chain"),
+     ("emit-plot-data", ["--grid-points", "5"], pipeline, "_score", 1, "plot-scoring")],
     ids=["oracle-search", "mh-likelihood", "plot-scoring"],
 )
 def test_a_value_error_during_work_is_a_stage_error(
-    tiny_config, tmp_path, monkeypatch, command, flags, owner, name, stage
+    tiny_config, tmp_path, monkeypatch, command, flags, owner, name, passes, stage
 ):
-    # only a check before work is a usage error; work that fails is named by its stage
+    # only a check before work is a usage error; work that fails is named by
+    # its stage.  The first ``passes`` calls go through: the plot data scores
+    # once in calibrate's prediction stage before its own plot-scoring stage.
+    original, calls = getattr(owner, name), []
+
     def broken(*args, **kwargs):
+        calls.append(name)
+        if len(calls) <= passes:
+            return original(*args, **kwargs)
         raise ValueError("injected")
 
     monkeypatch.setattr(owner, name, broken)
     with pytest.raises(pipeline.StageError, match=f"^stage '{stage}' failed: injected$") as err:
         main([command, "--config", str(tiny_config), "--out", str(tmp_path / "run"), *flags])
     assert err.value.stage == stage
+
+
+def test_a_plot_grid_the_simulator_rejects_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # q1's 3-sd box reaches x = -2, below the assembly simulator's x >= 1:
+    # the grid is checked before any stage runs
+    def no_run(*args, **kwargs):
+        raise AssertionError("a stage ran before the plot grid was checked")
+
+    for name in ("calibrate", "prepare", "weighted_dataset"):
+        monkeypatch.setattr(pipeline, name, no_run)
+    path, out = tmp_path / "low-q1.json", tmp_path / "run"
+    path.write_text(json.dumps({**PRESETS["assembly-shift"], "m": 40, "n_test": 20,
+                                "q0": {"family": "normal", "mean": 20.0, "std": 3.0},
+                                "q1": {"family": "normal", "mean": 10.0, "std": 4.0}}))
+    with pytest.raises(SystemExit) as exc:
+        main(["emit-plot-data", "--config", str(path), "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"shiftcal: error: config {path}: plot grid: product count must be >= 1, "
+        "got x=-2.0 (row 0)\n"
+    )
+    assert not out.exists()
 
 
 def test_rmse_curve_without_mh_section_runs_without_include_mh(tmp_path):

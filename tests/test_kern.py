@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -277,8 +278,10 @@ class TestRegularizedSolve:
 
     @pytest.mark.parametrize("damp", [1.0, 1.0 + 1e-7])  # 1e-7 off forces a refinement
     def test_stacked_rows_are_bitwise_their_own_solves(self, monkeypatch, damp):
-        # a (k, m) stack is factored once, and each row is solved and refined
-        # on its own, so it is bitwise what the 1-D call gives
+        # at eps = 1e-6 (condition number up to 1e6) CG misses its cap of 8
+        # steps, so the stack takes the Cholesky fallback: it is factored once,
+        # and each row is solved and refined on its own, so it is bitwise what
+        # the 1-D call gives
         from shiftcal import kern
 
         rng = np.random.default_rng(12)
@@ -298,9 +301,9 @@ class TestRegularizedSolve:
 
         monkeypatch.setattr(kern, "cho_factor", counted_factor)
         monkeypatch.setattr(kern, "cho_solve", damped_solve)
-        singles = [regularized_solve(gram.copy(), b, 1e-3) for b in rhs]
+        singles = [regularized_solve(gram.copy(), b, 1e-6) for b in rhs]
         calls.clear()
-        stacked = regularized_solve(gram.copy(), rhs, 1e-3)
+        stacked = regularized_solve(gram.copy(), rhs, 1e-6)
         solves_per_row = 1 if damp == 1.0 else 2
         assert calls == ["factor"] + ["solve"] * (3 * solves_per_row)
         assert stacked.shape == rhs.shape
@@ -342,6 +345,12 @@ class TestRegularizedSolve:
             regularized_solve(np.array([[np.nan]]), np.ones(2), 0.1)
 
 
+# On ``solve_system``'s rows CG meets its stop rule within its cap (m // 6 =
+# 50 steps) at eps = 1e-2, and misses it at eps = 1e-6, where the condition
+# number can reach 1e6, so the Cholesky fallback runs.
+CG_EPS, FALLBACK_EPS = 1e-2, 1e-6
+
+
 def solve_system(m=300, k=3, seed=13):
     """A Gram matrix whose size is no multiple of the 128-row block, and k right-hand sides."""
     rng = np.random.default_rng(seed)
@@ -352,15 +361,17 @@ def solve_system(m=300, k=3, seed=13):
 
 
 class TestSolveInTheGramBuffer:
-    """The factor overwrites G, and the weights are those of a solve on a copy."""
+    """CG only reads G; the Cholesky fallback (forced here by eps = 1e-6)
+    overwrites it, and the weights are those of a solve on a copy."""
 
     def test_plain_and_stacked_solves_on_a_consumed_gram_match_a_copy(self):
-        gram, rhs = solve_system()
-        expected = regularized_solve(gram.copy(), rhs[0], 1e-3).tobytes()
-        assert regularized_solve(gram, rhs[0], 1e-3).tobytes() == expected
-        gram, rhs = solve_system()
-        expected = regularized_solve(gram.copy(), rhs, 1e-3).tobytes()
-        assert regularized_solve(gram, rhs, 1e-3).tobytes() == expected
+        for eps, rows in itertools.product((CG_EPS, FALLBACK_EPS), (0, slice(None))):
+            gram, rhs = solve_system()  # rows: one vector, then the stack
+            kept = gram.copy()
+            expected = regularized_solve(gram.copy(), rhs[rows], eps).tobytes()
+            assert regularized_solve(gram, rhs[rows], eps).tobytes() == expected
+            # written only by the fallback's factor
+            assert (gram.tobytes() == kept.tobytes()) == (eps == CG_EPS)
 
     def test_a_refinement_on_a_consumed_gram_matches_a_copy(self, monkeypatch):
         from shiftcal import kern
@@ -374,12 +385,12 @@ class TestSolveInTheGramBuffer:
             return (1.0 + 1e-7) * cho_solve(*args, **kwargs)
 
         monkeypatch.setattr(kern, "cho_solve", damped_solve)
-        expected = regularized_solve(kept.copy(), rhs[0], 1e-3)
+        expected = regularized_solve(kept.copy(), rhs[0], FALLBACK_EPS)
         calls.clear()
-        w = regularized_solve(gram, rhs[0], 1e-3)
+        w = regularized_solve(gram, rhs[0], FALLBACK_EPS)
         assert calls == ["solve", "solve"]
         assert w.tobytes() == expected.tobytes()
-        lhs = kept + 300 * 1e-3 * np.eye(300)
+        lhs = kept + 300 * FALLBACK_EPS * np.eye(300)
         assert np.max(np.abs(lhs @ w - rhs[0])) <= 1e-10 * max(1.0, np.max(np.abs(rhs[0])))
 
     def test_a_failed_factorization_raises(self):
@@ -396,48 +407,52 @@ class TestSolveInTheGramBuffer:
             regularized_solve(gram, rhs, 1e-3)
 
     def test_list_fortran_and_read_only_inputs_give_the_same_bits(self):
-        gram, rhs = solve_system()
-        before = gram.tobytes()
-        expected = regularized_solve(gram.copy(), rhs, 1e-3).tobytes()
-        read_only = gram.copy()
-        read_only.flags.writeable = False
-        for given in (gram.tolist(), np.asfortranarray(gram), read_only):
-            assert regularized_solve(given, rhs, 1e-3).tobytes() == expected
-        assert read_only.tobytes() == before  # copied, not consumed
+        for eps in (CG_EPS, FALLBACK_EPS):
+            gram, rhs = solve_system()
+            before = gram.tobytes()
+            expected = regularized_solve(gram.copy(), rhs, eps).tobytes()
+            read_only = gram.copy()
+            read_only.flags.writeable = False
+            fortran = np.asfortranarray(gram)
+            for given in (gram.tolist(), fortran, read_only):
+                assert regularized_solve(given, rhs, eps).tobytes() == expected
+            assert read_only.tobytes() == before  # never written, not even by the fallback
+            assert fortran.tobytes() == before  # CG reads a copy in the other order
+            if eps == CG_EPS:  # CG converges on every row and only reads G
+                assert regularized_solve(gram, rhs, eps).tobytes() == expected
+                assert gram.tobytes() == before
 
     def test_a_not_quite_symmetric_gram_is_solved_from_its_upper_triangle(self):
-        # the factor reads G's upper triangle, so the solve is that of the
-        # upper triangle's symmetrization
-        gram, rhs = solve_system()
-        gram[3, 200] += 1e-13
-        upper = np.triu(gram) + np.triu(gram, 1).T
-        expected = regularized_solve(upper, rhs[0], 1e-3).tobytes()
-        assert regularized_solve(gram, rhs[0], 1e-3).tobytes() == expected
+        # CG and the factor both read G's upper triangle, so the solve is
+        # that of the upper triangle's symmetrization
+        for eps in (CG_EPS, FALLBACK_EPS):
+            gram, rhs = solve_system()
+            gram[3, 200] += 1e-13
+            upper = np.triu(gram) + np.triu(gram, 1).T
+            expected = regularized_solve(upper, rhs[0], eps).tobytes()
+            assert regularized_solve(gram, rhs[0], eps).tobytes() == expected
 
     def test_rows_of_gram_as_right_hand_sides(self):
         # (G + m eps I)^-1 G: the right-hand sides are views of the buffer
-        # the factor is made in
-        gram, _ = solve_system()
-        expected = regularized_solve(gram.copy(), gram.copy(), 1e-3)
-        assert regularized_solve(gram.copy(), gram[0], 1e-3).tobytes() == expected[0].tobytes()
-        assert regularized_solve(gram, gram, 1e-3).tobytes() == expected.tobytes()
+        # the fallback's factor is made in
+        for eps in (CG_EPS, FALLBACK_EPS):
+            gram, _ = solve_system()
+            expected = regularized_solve(gram.copy(), gram.copy(), eps)
+            single = regularized_solve(gram.copy(), gram[0], eps)
+            assert single.tobytes() == expected[0].tobytes()
+            assert regularized_solve(gram, gram, eps).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("name", ["linear-shift", "assembly-shift"])
     def test_no_refinement_runs_on_the_shift_presets(self, monkeypatch, name):
-        # one cho_solve per right-hand side: the residual read from the
-        # other triangle never asks for a refinement on a shipped run
+        # no Cholesky fallback and no refinement: CG meets the bound on a
+        # shipped run, so neither cho_factor nor cho_solve is called
         from shiftcal import kern, pipeline
         from shiftcal.config import preset
 
-        calls = []
-
-        def counted_solve(*args, **kwargs):
-            calls.append(np.shape(args[1]))
-            return cho_solve(*args, **kwargs)
-
-        monkeypatch.setattr(kern, "cho_solve", counted_solve)
-        result = pipeline.calibrate(preset(name))
-        assert calls == [(len(result.draws),)]
+        factorizations = count_calls(monkeypatch, kern, "cho_factor")
+        solves = count_calls(monkeypatch, kern, "cho_solve")
+        pipeline.calibrate(preset(name))
+        assert factorizations == solves == []
 
     def test_peak_memory_of_an_embedding_at_m2000(self):
         # the output Gram build (distances plus one triangle of pairs) sets
@@ -455,6 +470,76 @@ class TestSolveInTheGramBuffer:
         finally:
             tracemalloc.stop()
         assert peak <= 1.6 * m * m * 8
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Each call of ``module.name`` from now on appends to the returned list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestConjugateGradients:
+    """CG is the main path: its step count does not grow with m, and only
+    rows it cannot solve take the Cholesky fallback."""
+
+    @pytest.mark.parametrize("name,most", [("linear-shift", 12), ("assembly-shift", 24)])
+    def test_steps_do_not_grow_with_m(self, monkeypatch, name, most):
+        # kappa(G + m eps I) <= 1 + 1/eps at any m (measured: 9 steps on
+        # linear-shift at eps = 1, 16-18 on assembly-shift at eps = 0.01)
+        from shiftcal import kern, pipeline
+        from shiftcal.config import preset
+
+        products = count_calls(monkeypatch, kern, "dsymv")
+        factorizations = count_calls(monkeypatch, kern, "cho_factor")
+        for m in (200, 800, 2000):
+            for seed in range(1, 6):
+                prepared = pipeline.prepare(preset(name, m=m, seed=seed))
+                gram, sigma2 = gaussian_gram(prepared.outputs, None, prepared.beta)
+                rhs = WeightedOutputKernel(sigma2, prepared.beta).against(
+                    prepared.outputs, prepared.dataset.y
+                )
+                products.clear()
+                regularized_solve(gram, rhs, prepared.epsilon)
+                steps = len(products) - 1  # one product per step, one for the true residual
+                assert 0 < steps <= most, (m, seed, steps)
+        assert factorizations == []
+
+    def test_an_ill_conditioned_system_falls_back_and_meets_the_bound(self, monkeypatch):
+        from shiftcal import kern
+
+        factorizations = count_calls(monkeypatch, kern, "cho_factor")
+        gram, rhs = solve_system()
+        lhs = gram + 300 * FALLBACK_EPS * np.eye(300)
+        w = regularized_solve(gram, rhs, FALLBACK_EPS)
+        assert factorizations == ["cho_factor"]
+        for row, b in zip(w, rhs):
+            assert np.max(np.abs(lhs @ row - b)) <= 1e-10 * max(1.0, np.max(np.abs(b)))
+
+    def test_converged_rows_keep_their_cg_bits_beside_a_fallback_row(self, monkeypatch):
+        # G's top eigenvector is solved in one CG step even at eps = 1e-6,
+        # while a kernel row there falls back: the stack factors G once, and
+        # each row is bitwise its own 1-D solve, by whichever path it took
+        from shiftcal import kern
+
+        gram, rhs = solve_system()
+        top = np.linalg.eigh(gram)[1][:, -1]
+        stack = np.array([top, rhs[0]])
+        kept = gram.copy()
+        single = regularized_solve(gram, top, FALLBACK_EPS)
+        assert gram.tobytes() == kept.tobytes()  # CG: G read, not written
+        fallback = regularized_solve(gram.copy(), rhs[0], FALLBACK_EPS)
+        factorizations = count_calls(monkeypatch, kern, "cho_factor")
+        stacked = regularized_solve(gram, stack, FALLBACK_EPS)
+        assert factorizations == ["cho_factor"]
+        assert stacked[0].tobytes() == single.tobytes()
+        assert stacked[1].tobytes() == fallback.tobytes()
 
 
 class TestBandwidthMustBeFinite:
@@ -702,23 +787,23 @@ class TestSharedDistanceBuffer:
         assert calls == []
 
     def test_theorem1_check_reads_the_carried_theta_gram(self, monkeypatch):
-        # both embeddings come from one output pass, one factorization and one
-        # theta pass, as in calibrate; the distance between them reuses the
-        # carried theta matrix
-        from shiftcal import kern, pipeline
+        # both embeddings come from one output pass, one solve of a two-row
+        # stack and one theta pass, as in calibrate; the distance between
+        # them reuses the carried theta matrix
+        from shiftcal import kabc, pipeline
         from shiftcal.config import preset
 
         calls = record_distance_passes(monkeypatch)
-        factorizations = []
+        solves = []
 
-        def counted_cho_factor(*args, **kwargs):
-            factorizations.append(np.shape(args[0]))
-            return cho_factor(*args, **kwargs)
+        def counted_solve(gram, rhs, epsilon):
+            solves.append((np.shape(gram), np.shape(rhs)))
+            return regularized_solve(gram, rhs, epsilon)
 
-        monkeypatch.setattr(kern, "cho_factor", counted_cho_factor)
+        monkeypatch.setattr(kabc, "regularized_solve", counted_solve)
         pipeline.theorem1_check(preset("linear-shift", n=24, m=16), grid_resolution=5)
         assert calls == [(16, 24), (16, 2)]
-        assert factorizations == [(16, 16)]
+        assert solves == [((16, 16), (2, 16))]
 
 
 def record_distance_passes(monkeypatch) -> list:

@@ -143,9 +143,15 @@ class TestRmse:
         message = r"^test inputs must be a 1-d vector, got shape \(2, 1\)$"
         with pytest.raises(ValueError, match=message):
             score_predictions(cubic_truth, [[1.0], [2.0]], LinearSimulator(), samples)
-        for inputs in ([np.nan], [0.5, np.inf]):
-            with pytest.raises(SimulatorError, match="^linear inputs must be finite, got x="):
+        # the error names the input's position, not row 0 of a one-input sweep
+        for inputs, row in (([np.nan], 0), ([0.5, np.inf], 1), ([0.5, 1.0, np.inf], 2)):
+            message = rf"^linear inputs must be finite, got x=\S+ \(row {row}\)$"
+            with pytest.raises(SimulatorError, match=message) as err:
                 score_predictions(cubic_truth, inputs, LinearSimulator(), samples)
+            assert err.value.row == row
+        message = r"^product count must be >= 1, got x=0.5 \(row 1\)$"
+        with pytest.raises(SimulatorError, match=message):
+            score_predictions(cubic_truth, [3.0, 0.5], AssemblyLineSimulator(), [[1.0] * 4])
 
 
 class TestGenerateTestInputs:
