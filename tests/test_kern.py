@@ -185,6 +185,34 @@ class TestPairwiseSqdist:
         assert np.array_equal(dist, dist.T)
 
 
+class TestInputsAreChecked:
+    """Vectors must be finite and weights finite and non-negative, by the
+    rule ``WeightedOutputKernel`` applies to beta; each entry point says so."""
+
+    ENTRY_POINTS = {
+        "pairwise_sqdist": pairwise_sqdist,
+        "median_heuristic": median_heuristic,
+        "gaussian_gram": lambda x, w: gaussian_gram(x, None, w),
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    def test_weights_must_be_finite_and_non_negative(self, entry, bad):
+        x = np.random.default_rng(14).normal(size=(6, 5))
+        with pytest.raises(ValueError, match="^importance weights must be a finite non-negative vector$"):
+            self.ENTRY_POINTS[entry](x, [bad, 1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="^importance weights must be a finite non-negative vector$"):
+            WeightedOutputKernel(1.0, [bad, 1.0])
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_vectors_must_be_finite(self, entry, bad):
+        x = np.random.default_rng(15).normal(size=(6, 5))
+        x[3, 2] = bad
+        with pytest.raises(ValueError, match=r"^vectors contain non-finite entries \(row 3\)$"):
+            self.ENTRY_POINTS[entry](x, None)
+
+
 def numpy_product_sqdist(mat, weights=None) -> np.ndarray:
     """``pairwise_sqdist`` formed from numpy's ``mat @ mat.T``: the bitwise reference."""
     mat = mat - mat.mean(axis=0)
@@ -312,6 +340,25 @@ class TestRegularizedSolve:
     def test_non_finite_rejected(self):
         with pytest.raises(SolveError):
             regularized_solve(np.array([[np.nan]]), np.array([1.0]), 0.1)
+
+    @pytest.mark.parametrize("where", ["strict lower", "diagonal", "rhs"])
+    def test_non_finite_rejected_on_the_cg_path(self, monkeypatch, where):
+        # at m = 50 and eps = 10 CG solves the clean system; it reads only
+        # G's upper triangle, so the check before the solve must see the rest
+        from shiftcal import kern
+
+        factorizations = count_calls(monkeypatch, kern, "cho_factor")
+        gram, rhs = solve_system(m=50, k=1)
+        regularized_solve(gram.copy(), rhs, 10.0)
+        assert factorizations == []
+        if where == "strict lower":
+            gram[40, 3] = np.nan
+        elif where == "diagonal":
+            gram[17, 17] = np.inf
+        else:
+            rhs[0, 9] = np.nan
+        with pytest.raises(SolveError, match="^non-finite entries in the regularized system$"):
+            regularized_solve(gram, rhs, 10.0)
 
     @pytest.mark.parametrize(
         "gram,rhs,eps",
@@ -454,22 +501,44 @@ class TestSolveInTheGramBuffer:
         pipeline.calibrate(preset(name))
         assert factorizations == solves == []
 
-    def test_peak_memory_of_an_embedding_at_m2000(self):
-        # the output Gram build (distances plus one triangle of pairs) sets
-        # the peak; the solve adds no second m x m matrix
-        from shiftcal import pipeline
-        from shiftcal.config import preset
+    def test_peak_memory_of_an_embedding_at_m2000(self, embed_peak_m2000):
+        # one m x m matrix at a time: the output Gram build, whose median
+        # copies no pairs, then the theta build; the solve adds no second one
+        assert embed_peak_m2000 <= 1.6 * 2000 * 2000 * 8
 
+    def test_an_embedding_at_m2000_holds_one_matrix_and_its_row_blocks(self, embed_peak_m2000):
+        # measured 1.27, set by the output distance pass: its row-block
+        # buffers and copies of the (m, n) outputs; a pair buffer (0.5) or
+        # a boolean copy of G (0.125) beside the matrix would not fit
+        assert embed_peak_m2000 <= 1.35 * 2000 * 2000 * 8
+
+    def test_the_solve_allocates_only_vectors(self):
+        # G is read, never copied: its finiteness comes from its minimum and
+        # maximum (measured 0.005 m^2 * 8 bytes at m = 2000, all m-vectors)
         m = 2000
-        prepared = pipeline.prepare(preset("linear-shift", m=m, herd_size=m))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            prepared.embed()
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.6 * m * m * 8
+        gram, rhs = solve_system(m=m, k=1)
+        assert traced_peak(lambda: regularized_solve(gram, rhs, CG_EPS)) <= 0.02 * m * m * 8
+
+
+@pytest.fixture(scope="module")
+def embed_peak_m2000() -> int:
+    """Traced peak bytes of ``Prepared.embed`` on linear-shift at m = 2000."""
+    from shiftcal import pipeline
+    from shiftcal.config import preset
+
+    prepared = pipeline.prepare(preset("linear-shift", m=2000, herd_size=2000))
+    return traced_peak(prepared.embed)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes ``tracemalloc`` sees allocated during ``fn()``, above the start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def count_calls(monkeypatch, module, name) -> list:
@@ -653,6 +722,16 @@ def full_matrix_median(sqdist) -> float:
     return float(np.partition(sqdist, k, axis=None)[k])
 
 
+def sample_stride(m) -> int:
+    """The stride of ``median_sqdist``'s sample over the flattened matrix:
+    near m / 8, and coprime with m - 1, m and m + 1, so that it reads every
+    column, every diagonal and both triangles alike."""
+    stride = max(1, m // 8)
+    while math.gcd(stride, (m - 1) * m * (m + 1)) != 1:
+        stride += 1
+    return stride
+
+
 class TestMedianOverOneTriangle:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 16, 201, 400])
     def test_equals_the_full_matrix_median(self, m):
@@ -666,19 +745,75 @@ class TestMedianOverOneTriangle:
         fixed, given = gaussian_gram(mat, oracle, beta)
         assert given == oracle and fixed.tobytes() == gram.tobytes()
 
-    @pytest.mark.parametrize("m", [4, 5, 16, 201])
+    @pytest.mark.parametrize("m", [4, 5, 16, 201, 600, 1000])
     def test_tied_distances(self, m):
         # shuffled integers: pairs k apart all share the distance k^2
         mat = np.random.default_rng(m).permutation(m).astype(float)
         sqdist = pairwise_sqdist(mat)
         assert median_sqdist(sqdist) == full_matrix_median(sqdist) == gaussian_gram(mat)[1]
 
-    @pytest.mark.parametrize("m", [16, 201, 400])
+    @pytest.mark.parametrize("m", [16, 201, 400, 600, 1000])
     def test_duplicate_rows(self, m):
         rng = np.random.default_rng(m + 1)
         mat = rng.normal(size=(m, 5))[rng.integers(0, m // 2, size=m)]
         sqdist = pairwise_sqdist(mat)
         assert median_sqdist(sqdist) == full_matrix_median(sqdist) == gaussian_gram(mat)[1]
+
+    @pytest.mark.parametrize("side", ["above", "below"])
+    def test_a_bracket_that_misses_is_widened(self, monkeypatch, side):
+        # a symmetric, zero-diagonal matrix of distinct pair values in which
+        # every pair the sample reads is larger (smaller) than all others, so
+        # the median lies below (above) the first bracket
+        from shiftcal import kern
+
+        m = 600
+        rows, cols = np.divmod(np.arange(0, m * m, sample_stride(m)), m)
+        sampled = np.zeros((m, m), dtype=bool)
+        sampled[rows, cols] = sampled[cols, rows] = True
+        upper = np.triu_indices(m, 1)
+        raised = sampled[upper] if side == "above" else ~sampled[upper]
+        sqdist = np.zeros((m, m))
+        sqdist[upper] = np.arange(1.0, len(raised) + 1) + len(raised) * raised
+        sqdist += sqdist.T
+        brackets = []
+        collect = kern._count_and_collect
+
+        def spy(matrix, lo, hi):
+            brackets.append((lo, hi))
+            return collect(matrix, lo, hi)
+
+        monkeypatch.setattr(kern, "_count_and_collect", spy)
+        median = median_sqdist(sqdist)
+        assert median == full_matrix_median(sqdist)
+        first_lo, first_hi = brackets[0]
+        assert (median < first_lo) if side == "above" else (median > first_hi)
+        last_lo, last_hi = brackets[-1]
+        assert len(brackets) > 1 and last_lo <= median <= last_hi
+
+    def test_a_nan_or_a_non_finite_median_is_rejected(self):
+        # finite vectors can overflow: inf and NaN distances
+        with np.errstate(invalid="ignore", over="ignore"):
+            for entry in (median_heuristic, lambda x: gaussian_gram(x)[1]):
+                with pytest.raises(ValueError, match="^pairwise squared distances hold a NaN$"):
+                    entry(np.array([[1e200], [-1e200], [0.0], [3e199]]))
+                with pytest.raises(
+                    ValueError, match="^median pairwise squared distance is not finite, got inf$"
+                ):
+                    entry(np.array([[1e200], [-1e200]]))
+        # one NaN pair in a hand-built matrix, wherever the sample reads
+        m = 600
+        base = pairwise_sqdist(np.random.default_rng(16).normal(size=(m, 3)))
+        for i, j in [(0, 1), (7, 599), (300, 301), (598, 599)]:
+            sqdist = base.copy()
+            sqdist[i, j] = sqdist[j, i] = np.nan
+            with pytest.raises(ValueError, match="^pairwise squared distances hold a NaN$"):
+                median_sqdist(sqdist)
+        # more than half the pairs infinite
+        sqdist = np.full((5, 5), np.inf)
+        np.fill_diagonal(sqdist, 0.0)
+        sqdist[0, 1] = sqdist[1, 0] = 2.0
+        with pytest.raises(ValueError, match="^median pairwise squared distance is not finite, got inf$"):
+            median_sqdist(sqdist)
 
     def test_error_messages_kept(self):
         with pytest.raises(
@@ -690,17 +825,18 @@ class TestMedianOverOneTriangle:
             gaussian_gram(np.array([[1.0, 2.0]]))
 
     def test_peak_memory_is_the_distance_matrix_and_one_triangle(self):
-        # the median copies m(m-1)/2 pairs, not a flattened m x m matrix
+        # the median copies only the pairs inside its bracket, not the
+        # m(m-1)/2 pairs of a triangle
         m = 600
         mat = np.random.default_rng(12).normal(size=(m, 20))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            gaussian_gram(mat)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.6 * m * m * 8
+        assert traced_peak(lambda: gaussian_gram(mat)) <= 1.6 * m * m * 8
+
+    def test_peak_memory_is_the_distance_matrix_and_its_row_blocks(self):
+        # measured 1.22 at m = 1000, all of it in the distance pass: the
+        # matrix and its row-block buffers; one triangle of pairs adds 0.5
+        m = 1000
+        mat = np.random.default_rng(12).normal(size=(m, 20))
+        assert traced_peak(lambda: gaussian_gram(mat)) <= 1.3 * m * m * 8
 
 
 class TestDuplicateRowCheck:
