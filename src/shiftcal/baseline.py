@@ -105,7 +105,8 @@ def log_likelihood_sweep(
     if not noise_var > 0:
         raise ValueError(f"noise variance must be positive, got {noise_var}")
     outputs = sim.sweep(dataset.x, derive_seed(count_entry("seed", seed, *SEED_RANGE), "loglik"))
-    return lambda theta: -weighted_residual_sum(outputs(theta), dataset.y, beta) / (2.0 * noise_var)
+    y, beta, scale = dataset.y, np.asarray(beta, dtype=float), 2.0 * noise_var
+    return lambda theta: -weighted_residual_sum(outputs(theta), y, beta) / scale
 
 
 def weighted_log_likelihood(

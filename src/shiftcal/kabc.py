@@ -103,9 +103,10 @@ def simulate_pseudo_outputs(sim: Simulator, thetas, xs, seed: int) -> np.ndarray
     seed = count_entry("seed", seed, *SEED_RANGE)
     values = np.empty((thetas.shape[0], xs.size))
     by_draw = stream_keys(derive_seed(seed, "pseudo"), np.arange(len(thetas)))
+    keys = stream_keys(by_draw, np.arange(xs.size)[:, None])  # row i: input i's keys
     for i, x in enumerate(xs):
         try:
-            values[:, i] = sim.sweep([x], stream_keys(by_draw, i))(thetas)
+            values[:, i] = sim.sweep([x], keys[i])(thetas)
         except Exception as exc:
             j = exc.row if isinstance(exc, SimulatorError) else None
             where = "" if j is None else f" for draw {j} (theta={thetas[j]})"

@@ -15,7 +15,6 @@ feeding batched inspection) whose makespan is the simulator output.
 
 from __future__ import annotations
 
-import csv
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -84,9 +83,10 @@ class Simulator(ABC):
         the realization a key indexes but never selects it."""
         return stream_keys(keys, self._inputs(xs, keys))
 
-    def _theta_rows(self, thetas, keyed: int) -> np.ndarray:
+    def _theta_rows(self, thetas, keyed: int, non_negative: bool = False) -> np.ndarray:
         """Parameter rows as a finite ``(rows, dim_theta)`` array (a vector is
-        one row): 1 or ``keyed`` of them, any number if the sweep has one row."""
+        one row): 1 or ``keyed`` of them, any number if the sweep has one row;
+        with ``non_negative``, every entry is also ``>= 0``."""
         thetas = np.asarray(thetas, dtype=float)
         rows = thetas[None] if thetas.ndim == 1 else thetas
         if rows.ndim != 2 or rows.shape[1] != self.dim_theta:
@@ -95,7 +95,12 @@ class Simulator(ABC):
             )
         if len(rows) not in (1, keyed) and keyed != 1:
             raise ValueError(f"got {len(rows)} parameter rows for {keyed} keyed rows")
-        self._reject_rows(np.isfinite(rows), rows, "finite")
+        # non-negative and finite rows pass on two reductions (NaN fails the
+        # first); the checks that name a row run only on failure
+        if not (non_negative and rows.size and rows.min() >= 0 and rows.max() < np.inf):
+            self._reject_rows(np.isfinite(rows), rows, "finite")
+            if non_negative:
+                self._reject_rows(rows >= 0, rows, "non-negative")
         return rows
 
     def _reject_rows(self, ok, rows, rule: str) -> None:
@@ -163,11 +168,15 @@ class AssemblyLineSimulator(Simulator):
         """Makespans of ``xs[r]`` products on row r's stream, as a function of theta.
 
         Normals 0..x-1 of row r's stream drive its assembly durations and
-        the next ones its inspection durations; they are drawn here, once.  Rows
-        with fewer products or batches are padded: the makespan is read from
-        prefix sums and a max over the real batches only, so padding never
-        reaches it.  With one input nothing is padded, so columns are read
-        by slice or column index rather than gathered row by row.
+        the next ones its inspection durations; they are drawn here, once,
+        and so is every index a call reads by: the inspection normals, each
+        batch's ready time and each row's last real batch.  Rows with fewer
+        products or batches are padded: the makespan is read from prefix
+        sums and a max over the real batches only, so padding never reaches
+        it.  With one input nothing is padded, so the indices are column
+        numbers rather than one per row.  A call reads theta's columns as
+        views and forms the assembly schedule and the inspections each in
+        one buffer, in place.
         """
         streams = self._streams(xs, keys)  # checks the inputs and keys
         xs = np.asarray(xs, dtype=float).reshape(-1)
@@ -181,33 +190,38 @@ class AssemblyLineSimulator(Simulator):
         # partial batch when the last product does.
         batch = np.arange(depth)
         last = np.minimum((batch + 1) * size, counts) - 1
-        real = batch < n_batches  # (rows, depth): False on padded batches
-        one_input = len(xs) == 1
-        if one_input:  # nothing is padded: read columns, do not gather them
+        # ``ready_at`` and ``last_at`` are ``take`` arguments, (indices, axis).
+        if len(xs) == 1:  # nothing is padded: read columns, do not gather them
             z_insp = z[:, width:]
-        else:
-            z_insp = np.take_along_axis(z, counts + batch, axis=1)
+            ready_at, last_at, real = (last[0], 1), (depth - 1, 1), True
+        else:  # gather row by row, at flat indices: row r, column c is r * columns + c
+            row = np.arange(len(z))[:, None]
+            z_insp = z.take(row * (width + depth) + counts + batch)
+            ready_at = (row * width + last, None)
+            last_at = (row[:, 0] * depth + n_batches[:, 0] - 1, None)
+            real = batch < n_batches  # (rows, depth): False on padded batches
 
         def makespans(thetas):
-            thetas = self._theta_rows(thetas, len(z))
-            self._reject_rows(thetas >= 0, thetas, "non-negative")
+            thetas = self._theta_rows(thetas, len(z), non_negative=True)
             if len(thetas) == 0 or len(z) == 0:
                 return np.empty(0)
-            mean_asm, sd_asm, mean_insp, sd_insp = np.hsplit(thetas, 4)
-            durations = np.maximum(mean_asm + sd_asm * z_asm, 0.0)
-            completion = np.cumsum(durations, axis=1)
-            if one_input:
-                ready = completion[:, last[0]]
-            else:
-                ready = np.take_along_axis(completion, last, axis=1)
-            inspect = np.maximum(mean_insp + sd_insp * z_insp, 0.0)
+            mean_asm, sd_asm, mean_insp, sd_insp = thetas.T[:, :, None]
+            # sd * z, then + mean in place: addition commutes exactly, so
+            # these are the bits of mean + sd * z
+            completion = np.multiply(sd_asm, z_asm)
+            completion += mean_asm
+            np.maximum(completion, 0.0, out=completion)
+            np.cumsum(completion, axis=1, out=completion)
+            inspect = np.multiply(sd_insp, z_insp)
+            inspect += mean_insp
+            np.maximum(inspect, 0.0, out=inspect)
             # finish_b = max(ready_b, finish_{b-1}) + inspect_b unrolls to
             # cum_inspect_b + max(slack_0..b), so the last real batch finishes
             # at its cum_inspect plus the largest slack over the real batches.
             cum_inspect = np.cumsum(inspect, axis=1)
-            slack = ready - (cum_inspect - inspect)
-            last_cum = np.take_along_axis(cum_inspect, n_batches - 1, axis=1)[:, 0]
-            return last_cum + slack.max(axis=1, initial=-np.inf, where=real)
+            slack = np.subtract(cum_inspect, inspect, out=inspect)
+            np.subtract(completion.take(*ready_at), slack, out=slack)
+            return cum_inspect.take(*last_at) + slack.max(axis=1, initial=-np.inf, where=real)
 
         return makespans
 
@@ -234,17 +248,19 @@ class DataGeneratingProcess:
 
 def write_csv_rows(path, config_hash: str | None, header, rows) -> None:
     """Write a CSV artifact: a ``# config_hash=...`` line if a hash is given,
-    the header, then the rows.  Rows hold Python values (callers pass an
-    array's ``tolist()``): the csv module writes a float as its ``repr``, so
-    it reads back bit for bit, and other values as ``str``.  Rows end in
-    CRLF.
+    the header, then the rows, each line ending in CRLF.
+
+    Header names are written as they are, so they must need no quoting (no
+    comma, quote or line break).  Row fields are Python numbers (callers pass
+    an array's ``tolist()``), each written as its ``repr``: the bytes the csv
+    module writes for an int, a bool or a float, and a float reads back bit
+    for bit.
     """
     with Path(path).open("w", newline="") as fh:
         if config_hash:
             fh.write(f"# config_hash={config_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def write_json_artifact(path, payload) -> str:

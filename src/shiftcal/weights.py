@@ -20,6 +20,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -175,19 +176,32 @@ class DensitySpec:
         inside = (x >= self.low[0]) & (x <= self.high[0])
         return np.where(inside, 1.0 / (self.high[0] - self.low[0]), 0.0)
 
+    @cached_property
+    def _log_pdf_terms(self) -> tuple:
+        """What ``log_pdf`` reads, built on its first call: the mean, the std,
+        sum(log std) and (d/2) log(2 pi) of a normal; the low and high
+        corners and the log density inside a box.  Kept in the instance's
+        ``__dict__``, outside the fields, so repr, ``==`` and ``replace``
+        never see it."""
+        if self.family == "normal":
+            self._no_point_mass()
+            std = np.asarray(self.std)
+            log_2pi = 0.5 * self.dim * np.log(2 * np.pi)
+            return np.asarray(self.mean), std, np.sum(np.log(std)), log_2pi
+        low, high = np.asarray(self.low), np.asarray(self.high)
+        return low, high, float(-np.sum(np.log(high - low)))
+
     def log_pdf(self, theta) -> float:
         """Log density at one point of R^d, -inf outside a uniform box."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.dim,):
             raise ValueError(f"parameter dimension mismatch: {theta.shape} vs ({self.dim},)")
         if self.family == "normal":
-            self._no_point_mass()
-            std = np.asarray(self.std)
-            z = (theta - np.asarray(self.mean)) / std
-            return float(-0.5 * z.dot(z) - np.sum(np.log(std)) - 0.5 * self.dim * np.log(2 * np.pi))
-        if np.all(theta >= self.low) and np.all(theta <= self.high):
-            return float(-np.sum(np.log(np.asarray(self.high) - np.asarray(self.low))))
-        return -np.inf
+            mean, std, log_std, log_2pi = self._log_pdf_terms
+            z = (theta - mean) / std
+            return float(-0.5 * z.dot(z) - log_std - log_2pi)
+        low, high, inside = self._log_pdf_terms
+        return inside if (theta >= low).all() and (theta <= high).all() else -np.inf
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """``n`` i.i.d. draws as an ``(n, d)`` array."""

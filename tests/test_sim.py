@@ -1,6 +1,9 @@
+import ast
 import csv
 import json
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,6 +295,73 @@ class TestWriteCsvRows:
         rows = np.random.default_rng(3).normal(size=(20, 9)) * np.logspace(-20, 20, 9)
         expected = per_value_repr_csv(tmp_path / "ref.csv", list("abcdefghi"), rows)
         assert self.written(tmp_path, list("abcdefghi"), rows.tolist()) == expected
+
+    def test_same_bytes_as_the_csv_module(self, tmp_path):
+        floats = np.random.default_rng(5).normal(size=(4, 7)) * np.logspace(-30, 30, 7)
+        rows = [[0, -7, 2**70, True, False, -0.0, math.inf, -math.inf, math.nan],
+                [5e-324, 1e22, 1e16, 1e-5, 0.1, 123456789.0, -1.5e-310],
+                *floats.tolist()]
+        header = ["step", "theta_0", "y_1", "mean"]
+        with (tmp_path / "ref.csv").open("w", newline="") as fh:
+            fh.write("# config_hash=abc\n")
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        write_csv_rows(tmp_path / "rows.csv", "abc", header, rows)
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes ``tracemalloc`` sees allocated during ``fn()``, above the start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def returned_function_calls(source: str, cls: str, method: str) -> set:
+    """Names called in the function that ``cls.method`` defines and returns
+    (``np.cumsum`` is ``cumsum``)."""
+    tree = ast.parse(source)
+    owner = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls)
+    body = next(n for n in owner.body if isinstance(n, ast.FunctionDef) and n.name == method).body
+    returned = {n.value.id for n in body if isinstance(n, ast.Return) and isinstance(n.value, ast.Name)}
+    inner = [n for n in body if isinstance(n, ast.FunctionDef) and n.name in returned]
+    assert inner, f"{cls}.{method} returns no function it defines"
+    return {getattr(n.func, "attr", getattr(n.func, "id", None))
+            for f in inner for n in ast.walk(f) if isinstance(n, ast.Call)}
+
+
+class TestAssemblySweepCall:
+    """A built sweep's per-call path: no whole-array temporaries it can avoid
+    and no index work that does not depend on theta."""
+
+    def test_peak_memory_of_one_call(self):
+        # R rows of W products: the schedule in one (R, W) buffer and the
+        # inspections in (R, W / 4) ones (measured 1.75; 3.43 with one
+        # temporary per step)
+        rows, width = 400, 120
+        sweep = AssemblyLineSimulator().sweep([float(width)], np.arange(rows))
+        thetas = np.random.default_rng(0).uniform(0.5, 6.0, size=(rows, 4))
+        sweep(thetas)
+        assert traced_peak(lambda: sweep(thetas)) <= 2.5 * rows * width * 8
+
+    def test_no_split_or_gather_calls_in_the_returned_function(self):
+        # theta's columns are views and the gathers' indices are built with
+        # the sweep, so a call splits nothing and gathers by flat index
+        calls = returned_function_calls(open(sim_module.__file__).read(),
+                                        "AssemblyLineSimulator", "sweep")
+        assert "cumsum" in calls
+        assert not {"hsplit", "take_along_axis"} & calls
+
+    def test_the_guard_sees_a_split(self):
+        source = ("class A:\n    def sweep(self, z):\n        def f(t):\n"
+                  "            return np.hsplit(t, 4), np.take_along_axis(z, t, 1)\n"
+                  "        return f\n")
+        assert {"hsplit", "take_along_axis"} <= returned_function_calls(source, "A", "sweep")
 
 
 class TestRegistry:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -68,6 +69,50 @@ class TestDensityEval:
         with pytest.raises(ValueError, match="one-dimensional"):
             DensitySpec.uniform([0.0, 0.0], [1.0, 1.0]).pdf(0.5)
 
+
+
+class TestLogPdf:
+    """``log_pdf`` in closed form, with its terms computed once per spec."""
+
+    NORMAL = DensitySpec.normal([1.0, -2.0], [0.5, 3.0])
+    BOX = DensitySpec.uniform([0.0, 2.0], [1.0, 6.0])
+
+    def test_normal_closed_form(self):
+        mean, std = np.array([1.0, -2.0]), np.array([0.5, 3.0])
+        for theta in ([1.0, -2.0], [0.0, 4.0], [-1e3, 1e3]):
+            z = (np.asarray(theta) - mean) / std
+            expected = -0.5 * z @ z - np.log(std).sum() - math.log(2 * math.pi)
+            assert self.NORMAL.log_pdf(theta) == pytest.approx(expected, rel=1e-14, abs=1e-14)
+
+    def test_normal_at_nan_is_nan(self):
+        assert math.isnan(self.NORMAL.log_pdf([math.nan, 0.0]))
+
+    @pytest.mark.parametrize("theta", [[0.0, 2.0], [1.0, 6.0], [0.0, 6.0], [1.0, 2.0], [0.5, 4.0]])
+    def test_box_faces_are_inside(self, theta):
+        assert self.BOX.log_pdf(theta) == -math.log(1.0 * 4.0)
+
+    @pytest.mark.parametrize("theta", [[-1e-300, 4.0], [np.nextafter(1.0, 2.0), 4.0],
+                                       [0.5, np.nextafter(2.0, 0.0)], [0.5, 6.000001],
+                                       [math.nan, 4.0], [0.5, math.inf]])
+    def test_just_outside_the_box_or_nan_is_minus_inf(self, theta):
+        assert self.BOX.log_pdf(theta) == -math.inf
+
+    @pytest.mark.parametrize("spec", [NORMAL, BOX], ids=["normal", "uniform"])
+    def test_the_spec_is_unchanged_by_a_call(self, spec):
+        twin = DensitySpec(spec.family, spec.mean, spec.std, spec.low, spec.high)
+        shown, fields = repr(spec), dataclasses.astuple(spec)
+        spec.log_pdf(spec.center())
+        assert repr(spec) == shown and dataclasses.astuple(spec) == fields
+        assert spec == twin and twin == spec and hash(spec) == hash(twin)
+        replaced = dataclasses.replace(spec)
+        assert replaced == spec and repr(replaced) == shown
+        assert replaced.log_pdf(spec.center()) == spec.log_pdf(spec.center())
+
+    def test_a_point_mass_raises_on_every_call(self):
+        spec = DensitySpec.normal([0.0, 1.0], [1.0, 0.0])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="point mass"):
+                spec.log_pdf([0.0, 1.0])
 
 class TestDensitySpecDict:
     def test_std_and_var_forms(self):
