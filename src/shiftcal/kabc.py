@@ -21,7 +21,13 @@ import numpy as np
 from scipy.linalg.blas import dgemv
 
 from ._seeding import SEED_RANGE, derive_rng, derive_seed, stream_keys
-from .kern import ParamKernel, WeightedOutputKernel, gaussian_gram, regularized_solve
+from .kern import (
+    DegenerateBandwidthError,
+    ParamKernel,
+    WeightedOutputKernel,
+    gaussian_gram,
+    regularized_solve,
+)
 from .sim import Simulator, SimulatorError, write_json_artifact
 from .weights import DensitySpec, ImportanceWeights, count_entry, point_rows
 
@@ -133,10 +139,12 @@ def build_embedding(
     inputs.  Only the right-hand sides depend on the observations, so the
     vectors share one output pass, one Gram solve and one theta pass.  A
     ``sigma2`` of None is the median heuristic, read from the output pass.
-    The weights are solved, and the output matrix freed, before the theta
-    pass: it gives the theta Gram matrix the embeddings share, and, for a
-    ``sigma2_theta`` of None, the median over the prior draws.  The values
-    used land in ``meta["sigma2"]`` and ``kernel.sigma2``.
+    A data-kernel vector that is 0 everywhere raises
+    ``DegenerateBandwidthError`` before the solve, which would return 0
+    weights.  The weights are solved, and the output matrix freed, before
+    the theta pass: it gives the theta Gram matrix the embeddings share,
+    and, for a ``sigma2_theta`` of None, the median over the prior draws.
+    The values used land in ``meta["sigma2"]`` and ``kernel.sigma2``.
     """
     draws, outputs = np.asarray(draws, dtype=float), np.asarray(outputs, dtype=float)
     if draws.ndim not in (1, 2) or outputs.ndim != 2 or len(draws) != len(outputs):
@@ -147,7 +155,15 @@ def build_embedding(
     beta = np.asarray(beta, dtype=float)
     gram, sigma2 = gaussian_gram(outputs, sigma2, beta)
     kernel = WeightedOutputKernel(sigma2=sigma2, beta=beta)
-    weights = regularized_solve(gram, [kernel.against(outputs, y) for y in observed], epsilon)
+    rhs = [kernel.against(outputs, y) for y in observed]
+    for y, k in zip(observed, rhs):
+        if not k.any():  # every weight would be 0, and herding would run on repulsion alone
+            raise DegenerateBandwidthError(
+                f"the data kernel is 0 at every pseudo-output (exp underflows): "
+                f"sigma2 = {sigma2!r}, min_j ||o_j - y||^2_beta / (2 sigma2) = "
+                f"{kernel._exponents(outputs, y).min():.6g}"
+            )
+    weights = regularized_solve(gram, rhs, epsilon)
     del gram  # so the output and theta matrices are never held together
     theta_gram, sigma2_theta = gaussian_gram(draws, sigma2_theta)
     theta_kernel = ParamKernel(sigma2_theta)

@@ -5,41 +5,42 @@ vectors, and one on length-n output vectors whose squared distance is
 importance-weighted coordinate-wise, so output discrepancies at inputs
 that matter for the test distribution count for more.
 
-All pairwise squared distances come from ``pairwise_sqdist``: one BLAS
-rank-k update over the centred, weighted rows, exactly symmetric with an
-exactly zero diagonal, accurate to rounding in the centred norms (see its
-docstring); it touches the whole matrix only in the block loop that adds
-the norms, clamps at 0 and mirrors.  The median heuristic takes the lower
-middle pair distance from one triangle of that matrix without copying
-the pairs: a strided sample brackets the median's rank, one blockwise
-pass counts the pairs below the bracket and collects the few inside it,
-and only those are partitioned.  Every kernel matrix comes from
-``gaussian_gram``: one distance pass, the median read from it when no
-bandwidth is given, then the Gaussian formed in its buffer, so no
-distance matrix leaves the function and a build holds one m x m matrix.
-A run makes one output pass and one theta pass: the output
-Gram matrix is solved and freed first, then one theta pass gives both the
-theta median and the theta Gram matrix, which the embedding carries to
-herding (its pool Gram matrix, from which it also reads the embedding at
-every candidate) and to ``embedding_distance``.  A herding pool with
-candidates after the draws, which no run builds, gets its own theta
-matrix (``ParamKernel.gram``).  ``ParamKernel.cross``, the kernel between
-two point sets, is never called by a run; the tests evaluate embeddings
-with it.
+Every distance matrix comes from one sweep (``_sqdist_sweep``): one BLAS
+rank-k update over the centred, weighted rows, whose upper triangle is
+then formed block by block in a reusable buffer (norms added, clamped at
+0, the diagonal and the pairs of equal rows zeroed), accurate to rounding
+in the centred norms (see ``pairwise_sqdist``).  Under the median
+heuristic the same sweep counts the median while each block is in cache:
+a strided sample, read from the rank-k update before the sweep, brackets
+the median's rank; each block's pairs below the bracket are counted and
+the few inside it collected, and only those are partitioned.  Every
+kernel matrix comes from ``gaussian_gram``: that sweep, then a second one
+that forms the Gaussian over the upper triangle in the same buffer, so a
+build holds one m x m matrix, mirrored block by block in that second
+sweep (``pairwise_sqdist`` mirrors its triangle too).  A run makes one
+output pass and one theta pass: the output Gram matrix is solved and
+freed first; then one theta pass gives both the theta median and the
+theta Gram matrix, which the embedding carries to herding (its pool Gram
+matrix, from which it also reads the embedding at every candidate) and
+to ``embedding_distance``.  A herding pool with candidates after the
+draws, which no run builds, gets its own theta matrix
+(``ParamKernel.gram``).  ``ParamKernel.cross``, the kernel between two
+point sets, is never called by a run; the tests evaluate embeddings with
+it.
 
 The solve passes plain arrays: ``gram_and_rhs`` returns the Gram matrix G
 and the data-kernel vector k, and ``regularized_solve(G, k, eps)`` returns
 the weights w of (G + m eps I) w = k (the kernel Bayes' rule step), one
 row of w per row of a (k, m) stack k.  Each row is solved by conjugate
-gradients, which only read G and take a number of steps that does not
-grow with m (9 on linear-shift, 16-18 on assembly-shift, at m = 200 to
-2000).  A row CG cannot solve falls back to a Cholesky factorization made
-in G's own buffer.  Either way a run holds one m x m matrix at the solve:
-G's finiteness is read from its minimum and maximum, which carry a NaN
-through, with no m x m temporary.
+gradients, which only read G's upper triangle and take a number of steps
+that does not grow with m (9 on linear-shift, 16-18 on assembly-shift, at
+m = 200 to 2000).  A row CG cannot solve falls back to a Cholesky
+factorization made in G's own buffer.  Either way a run holds one m x m
+matrix at the solve: G's finiteness is read from its minimum and
+maximum, which carry a NaN through, with no m x m temporary.
 
 Every matrix product on the way from the distances to the herded samples
-(the rank-k update in ``pairwise_sqdist``, the solve's products,
+(the rank-k update in ``_sqdist_sweep``, the solve's products,
 herding's read of the embedding) runs on scipy's BLAS, the library that
 also does the fallback's Cholesky factorization.  numpy and scipy each
 load their own OpenBLAS; after a numpy product, numpy's idle worker
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -63,14 +65,20 @@ from scipy.linalg.blas import ddot, dgemv, dsymv, dsyrk
 from .weights import point_rows
 
 SOLVE_RTOL = 1e-10
-# Rows per block of ``pairwise_sqdist``'s symmetrizing pass; 128 was fastest
-# of 64-512 at m = 2000 on 2 cores.
-_SQDIST_BLOCK = 128
-_BLOCK_TRIL = np.tril_indices(_SQDIST_BLOCK, -1)
+# Rows per block of the distance and Gaussian sweeps.  At m = 2000 on 2
+# cores 128 was fastest of 64-512 for the distances alone, and 48-128
+# measured alike with the median counted in the sweep.
+_BLOCK = 128
+# below the diagonal of a block's leading square; its transpose is above it
+_BLOCK_LOWER = np.tril(np.ones((_BLOCK, _BLOCK), dtype=bool), -1)
+# odd, so the row-hash multipliers (2k + 1) * _GOLDEN are odd
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_NAN_DISTANCE = "pairwise squared distances hold a NaN"
 
 
 class DegenerateBandwidthError(ValueError):
-    """Median pairwise distance is zero; no usable bandwidth exists."""
+    """No usable bandwidth: the median pairwise distance is zero, or the
+    data kernel is zero at every pseudo-output."""
 
 
 class SolveError(RuntimeError):
@@ -83,60 +91,152 @@ def pairwise_sqdist(vectors, weights=None) -> np.ndarray:
     Rows are centred on their column means (distances are shift-invariant,
     and centring keeps the norms, hence the cancellation, small), then
     scaled by sqrt(weights).  d_ij = |a_i|^2 + |a_j|^2 - 2 a_i.a_j is read
-    from one rank-k update -2 A A^T (``dsyrk``, lower triangle only), norms
-    taken from its diagonal; each block of rows is clamped at 0 as it is
-    formed, then mirrored.  The result is exactly symmetric with an exactly
-    zero diagonal, and scaled rows that compare equal are exactly 0 apart:
-    a count of distinct row bytes finds whether any row repeats, and only
-    then are the equal pairs found and zeroed.  The absolute error of an
-    entry is a small multiple of n * machine-eps * (|a_i|^2 + |a_j|^2) for
-    the centred rows; on unimodal data such as the shipped presets' outputs
-    that is below 1e-12 times the median distance (measured: ~1e-14).
-    Non-finite vectors, and weights that are not finite and non-negative,
-    are rejected.
+    from one rank-k update -2 A A^T (``dsyrk``), norms taken from its
+    diagonal; ``_sqdist_sweep`` forms the upper triangle block by block,
+    and it is mirrored.  The result is exactly symmetric with an exactly
+    zero diagonal, and scaled rows that compare equal are exactly 0 apart.
+    The absolute error of an entry is a small multiple of
+    n * machine-eps * (|a_i|^2 + |a_j|^2) for the centred rows; on unimodal
+    data such as the shipped presets' outputs that is below 1e-12 times
+    the median distance (measured: ~1e-14).  Non-finite vectors, and
+    weights that are not finite and non-negative, are rejected.
     """
+    out = _sqdist_sweep(vectors, weights)[0]
+    for i in range(0, len(out), _BLOCK):
+        _mirror_block(out, i)
+    return out
+
+
+def median_heuristic(vectors, weights=None) -> float:
+    """Bandwidth sigma^2 = lower median of pairwise (weighted) squared distances."""
+    return _sqdist_sweep(vectors, weights, median=True)[1]
+
+
+def gaussian_gram(vectors, sigma2=None, weights=None) -> tuple[np.ndarray, float]:
+    """exp(-d_ij / (2 sigma2)) over ``pairwise_sqdist(vectors, weights)``, and sigma2.
+
+    A ``sigma2`` of None is the median heuristic, counted in the sweep that
+    forms the distances (``_sqdist_sweep``).  A second sweep forms the
+    Gaussian in the same buffer, over the upper triangle only, so a zero
+    diagonal becomes exactly 1, and mirrors each block below the diagonal,
+    so the matrix is exactly symmetric.
+    """
+    if sigma2 is not None:
+        _check_bandwidth(sigma2)
+    gram, median = _sqdist_sweep(vectors, weights, median=sigma2 is None)
+    sigma2 = median if sigma2 is None else sigma2
+    m = len(gram)
+    for i in range(0, m, _BLOCK):
+        block = gram[i:i + _BLOCK, i:]
+        np.divide(block, -2.0 * sigma2, out=block)
+        np.exp(block, out=block)
+        _mirror_block(gram, i)
+    return gram, sigma2
+
+
+def _sqdist_sweep(vectors, weights=None, median=False) -> tuple[np.ndarray, float | None]:
+    """The distances of ``pairwise_sqdist`` on and above the diagonal, formed
+    in one sweep over blocks of rows, and with ``median`` their lower median.
+
+    ``dsyrk`` fills the lower triangle of its Fortran-ordered result, so the
+    transpose is C-ordered with -2 a_i.a_j on and above the diagonal and
+    exactly 0 below it.  Each block of rows, from the diagonal on, is
+    formed in one contiguous buffer reused by every block: n_i + n_j, plus
+    the block (so each entry is bitwise what numpy's (-2 A A^T) +
+    (n_i + n_j) gives), clamped at 0, its diagonal and the pairs of equal
+    rows set to 0; then it is copied back.  Below the diagonal, only each
+    block's leading square is written, and is left unspecified.
+
+    The median is counted in the same sweep, from the buffer
+    (``_count_block``), against a bracket taken before it from
+    ``median_sqdist``'s sample, whose entries are computed by the same
+    formula and so are bitwise those of the matrix.  A bracket that misses
+    is widened and recounted over the formed triangle.
+    """
+    rows = _scaled_rows(vectors, weights)
+    m = len(rows)
+    if median and m < 2:
+        raise ValueError(f"median heuristic needs at least 2 vectors, got {m}")
+    labels = _repeat_labels(rows)
+    out = dsyrk(-2.0, rows.T, trans=1, lower=1).T
+    del rows
+    norms = out.diagonal() / -2.0
+    buffer = np.empty(min(m, _BLOCK) * m)
+    if median:
+        sample = _formed_sample(out, norms, labels)
+        lo, hi = _bracket(sample, m)
+        # only a norm near overflow can make a distance NaN (inf - inf)
+        check_nan = not 4.0 * norms.max() < np.inf
+        masks = np.empty((2, len(buffer)), dtype=bool)
+        below, inside = 0, []
+    for i in range(0, m, _BLOCK):
+        block = out[i:i + _BLOCK, i:]
+        size, width = block.shape
+        formed = buffer[: size * width].reshape(size, width)
+        np.add.outer(norms[i:i + size], norms[i:], out=formed)
+        formed += block
+        np.maximum(formed, 0.0, out=formed)
+        if labels is None:
+            formed.reshape(-1)[: size * (width + 1): width + 1] = 0.0
+        else:  # the diagonal and every pair of equal rows
+            formed[labels[i:i + size, None] == labels[i:]] = 0.0
+        block[...] = formed
+        if median:
+            if check_nan and np.isnan(formed.max()):
+                raise ValueError(_NAN_DISTANCE)
+            count, values = _count_block(formed, lo, hi, masks)
+            below += count
+            inside.append(values)
+    if not median:
+        return out, None
+    counted = below, np.concatenate(inside)
+    return out, _bracketed_median(sample, m, partial(_count_and_collect, out), counted)
+
+
+def _formed_sample(out, norms, labels) -> np.ndarray:
+    """``median_sqdist``'s sorted sample, read from the ``dsyrk`` output
+    before the sweep and formed as the sweep forms each entry."""
+    at = _sample_at(len(out))
+    first, last = np.minimum(*at), np.maximum(*at)
+    sample = out[first, last] + (norms[first] + norms[last])
+    np.maximum(sample, 0.0, out=sample)
+    sample[first == last if labels is None else labels[first] == labels[last]] = 0.0
+    sample.sort()
+    return sample
+
+
+def _scaled_rows(vectors, weights) -> np.ndarray:
+    """The rows centred on their column means and scaled by sqrt(weights),
+    in one new buffer, with -0.0 turned into 0.0 so that rows that compare
+    equal have equal bytes (the distances keep their bits: a signed zero
+    changes no nonzero product or sum, and no distance is -0.0)."""
     mat = point_rows(vectors)
     bad = ~np.isfinite(mat).all(axis=1)
     if bad.any():
         raise ValueError(f"vectors contain non-finite entries (row {np.argmax(bad)})")
-    mat = mat - mat.mean(axis=0)
+    rows = mat - mat.mean(axis=0)
     if weights is not None:
         w = _importance_weights(weights)
         if w.shape != (mat.shape[1],):
             raise ValueError(f"weight length {w.shape} does not match vector length {mat.shape[1]}")
-        mat *= np.sqrt(w)
-    # dsyrk fills the lower triangle of its Fortran-ordered result, so the
-    # transpose is C-ordered with -2 a_i.a_j on and above the diagonal.
-    # Each block of rows gets n_i + n_j (formed first, in one buffer reused
-    # by every block, so each entry is bitwise what numpy's (-2 A A^T) +
-    # (n_i + n_j) gives), is clamped at 0, then is mirrored below the
-    # diagonal, which makes the matrix exactly symmetric.  Blocks keep the
-    # transposed copy in cache; a whole-matrix transposed add took twice as
-    # long.
-    out = dsyrk(-2.0, mat.T, trans=1, lower=1).T
-    m = len(out)
-    norms = out.diagonal() / -2.0
-    sums = np.empty((min(m, _SQDIST_BLOCK), m))
-    for i in range(0, m, _SQDIST_BLOCK):
-        rows = slice(i, i + _SQDIST_BLOCK)
-        block = out[rows, i:]
-        block += np.add.outer(norms[rows], norms[i:], out=sums[: len(block), : m - i])
-        np.maximum(block, 0.0, out=block)
-        out[i + _SQDIST_BLOCK:, rows] = out[rows, i + _SQDIST_BLOCK:].T
-        diag = out[rows, rows]
-        lower = _BLOCK_TRIL if len(diag) == _SQDIST_BLOCK else np.tril_indices(len(diag), -1)
-        diag[lower] = diag.T[lower]
-    np.fill_diagonal(out, 0.0)
-    # The BLAS may sum a_i.a_i and a_i.a_j in different orders, so equal rows
-    # are set to 0 explicitly.  Counting distinct row bytes is cheap; adding
-    # 0.0 turns -0.0 into 0.0, so rows that compare equal have equal bytes.
-    # Only when some row repeats does the float-wise ``np.unique`` run.
-    plain = mat + 0.0
-    row_bytes = plain.view(np.dtype((np.void, plain.itemsize * plain.shape[1])))
-    if len(np.unique(row_bytes)) < len(mat):
-        rows = np.unique(mat, axis=0, return_inverse=True)[1]
-        out[rows[:, None] == rows[None, :]] = 0.0
-    return out
+        rows *= np.sqrt(w)
+    rows += 0.0
+    return rows
+
+
+def _repeat_labels(rows) -> np.ndarray | None:
+    """None when no two rows are equal, else one label per row, shared by equal rows.
+
+    The BLAS may sum a_i.a_i and a_i.a_j in different orders, so equal
+    rows are set 0 apart explicitly.  Rows with equal bytes have equal
+    integer hashes (a wrapping integer dot product, which does not round);
+    the hashes are sorted, and only if two coincide are the rows compared.
+    """
+    hashes = rows.view(np.uint64) @ (np.arange(1, 2 * rows.shape[1], 2, dtype=np.uint64) * _GOLDEN)
+    hashes.sort()
+    if not (hashes[1:] == hashes[:-1]).any():
+        return None
+    return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
 
 
 def median_sqdist(sqdist: np.ndarray) -> float:
@@ -159,27 +259,51 @@ def median_sqdist(sqdist: np.ndarray) -> float:
     m = sqdist.shape[0]
     if m < 2:
         raise ValueError(f"median heuristic needs at least 2 vectors, got {m}")
-    k = (m * (m - 1) // 2 - 1) // 2
+    sample = np.sort(sqdist[_sample_at(m)])
+    count = partial(_count_and_collect, sqdist)
+    return _bracketed_median(sample, m, count, count(*_bracket(sample, m)))
+
+
+def _sample_at(m) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and columns of the sample's entries: every ``stride``-th of
+    the m^2, the stride near m / 8 and coprime with m - 1, m and m + 1."""
     stride = max(1, m // 8)
     while math.gcd(stride, (m - 1) * m * (m + 1)) != 1:
         stride += 1
-    sample = np.sort(sqdist[np.divmod(np.arange(0, m * m, stride), m)])
+    return np.divmod(np.arange(0, m * m, stride), m)
+
+
+def _bracket(sample, m, widen_lo=1, widen_hi=1) -> tuple[float, float]:
+    """The sample entries ``widen`` times 2 sqrt(size) ranks either side of
+    the median's rank (its rank among all m^2 entries, the m diagonal
+    zeros first and then each pair twice, scaled to the sample), or an open
+    bound past the sample's end."""
     if np.isnan(sample[-1]):  # NaN sorts last; a NaN bound would never close the bracket
         raise ValueError(_NAN_DISTANCE)
-    # the median's rank among all m^2 entries (the m diagonal zeros first,
-    # then each pair twice), scaled to the sample
-    at = (m + 2 * k) * len(sample) // (m * m)
-    pad_lo = pad_hi = 2 * math.isqrt(len(sample)) + 1
-    while True:
-        lo = sample[at - pad_lo] if pad_lo <= at else -np.inf
-        hi = sample[at + pad_hi] if at + pad_hi < len(sample) else np.inf
-        below, inside = _count_and_collect(sqdist, lo, hi)
+    at = (m + 2 * _median_rank(m)) * len(sample) // (m * m)
+    pad = 2 * math.isqrt(len(sample)) + 1
+    lo = sample[at - widen_lo * pad] if widen_lo * pad <= at else -np.inf
+    hi = sample[at + widen_hi * pad] if at + widen_hi * pad < len(sample) else np.inf
+    return lo, hi
+
+
+def _median_rank(m) -> int:
+    return (m * (m - 1) // 2 - 1) // 2
+
+
+def _bracketed_median(sample, m, count, counted) -> float:
+    """The lower median pair, given ``count(lo, hi)`` (the pairs below lo,
+    and an array of those in [lo, hi]) and ``counted``, its value for the
+    first bracket; a miss widens the side it missed fourfold."""
+    k = _median_rank(m)
+    widen_lo = widen_hi = 1
+    below, inside = counted
+    while not below <= k < below + len(inside):
         if k < below:
-            pad_lo *= 4
-        elif k >= below + len(inside):
-            pad_hi *= 4
+            widen_lo *= 4
         else:
-            break
+            widen_hi *= 4
+        below, inside = count(*_bracket(sample, m, widen_lo, widen_hi))
     sigma2 = float(np.partition(inside, k - below)[k - below])
     if not sigma2 < np.inf:
         raise ValueError(f"median pairwise squared distance is not finite, got {sigma2}")
@@ -190,38 +314,50 @@ def median_sqdist(sqdist: np.ndarray) -> float:
     return sigma2
 
 
-_NAN_DISTANCE = "pairwise squared distances hold a NaN"
-
-
 def _count_and_collect(sqdist, lo, hi) -> tuple[int, np.ndarray]:
     """The count of pairs below ``lo`` and the pairs in [lo, hi], read from
-    the strict upper triangle in blocks of rows; a NaN in a block raises.
-
-    A block of rows i.. is read from column i + 1 on, so its pairs are
-    those on and above the diagonal of its leading square.  Both masks
-    are made in buffers reused by every block; the pairs below ``lo`` are
-    also at most ``hi``, so the bracket's mask is the two masks' xor.
-    """
+    the upper triangle in blocks of rows, each copied contiguous; a NaN in
+    a block raises."""
     m = len(sqdist)
+    masks = np.empty((2, min(m, _BLOCK) * m), dtype=bool)
     below, inside = 0, []
-    masks = np.empty((2, min(m, _SQDIST_BLOCK), m - 1), dtype=bool)
-    for i in range(0, m - 1, _SQDIST_BLOCK):
-        block = sqdist[i:i + _SQDIST_BLOCK, i + 1:]
+    for i in range(0, m - 1, _BLOCK):
+        block = np.ascontiguousarray(sqdist[i:i + _BLOCK, i:])
         if np.isnan(block.max()):
             raise ValueError(_NAN_DISTANCE)
-        under, upto = masks[:, : len(block), : m - 1 - i]
-        np.less(block, lo, out=under)
-        np.less_equal(block, hi, out=upto)
-        lower = _BLOCK_TRIL if len(block) == _SQDIST_BLOCK else np.tril_indices(len(block), -1)
-        under[lower] = upto[lower] = False
-        below += np.count_nonzero(under)
-        inside.append(block[np.not_equal(upto, under, out=upto)])
+        count, values = _count_block(block, lo, hi, masks)
+        below += count
+        inside.append(values)
     return below, np.concatenate(inside)
 
 
-def median_heuristic(vectors, weights=None) -> float:
-    """Bandwidth sigma^2 = lower median of pairwise (weighted) squared distances."""
-    return median_sqdist(pairwise_sqdist(vectors, weights))
+def _count_block(block, lo, hi, masks) -> tuple[int, np.ndarray]:
+    """The count of pairs below ``lo`` and the pairs in [lo, hi] in a
+    C-contiguous block of rows i.. read from column i on, whose pairs are
+    those above the diagonal of its leading square.
+
+    Both masks are made in ``masks``, a (2, k) buffer reused by every
+    block; the pairs below ``lo`` are also at most ``hi``, so the bracket's
+    mask is the two masks' xor, and ``np.compress`` on the flat block (much
+    faster than a boolean index) collects its pairs.
+    """
+    size, width = block.shape
+    under, upto = masks[:, : size * width].reshape(2, size, width)
+    np.less(block, lo, out=under)
+    np.less_equal(block, hi, out=upto)
+    pairs = _BLOCK_LOWER.T[:size, :size]
+    under[:, :size] &= pairs
+    upto[:, :size] &= pairs
+    np.not_equal(upto, under, out=upto)
+    return np.count_nonzero(under), np.compress(upto.reshape(-1), block.reshape(-1))
+
+
+def _mirror_block(mat, i) -> None:
+    """Copy the upper triangle of the block of rows i.. below the diagonal."""
+    rows = slice(i, i + _BLOCK)
+    mat[i + _BLOCK:, rows] = mat[rows, i + _BLOCK:].T
+    square = mat[rows, rows]
+    np.copyto(square, square.T, where=_BLOCK_LOWER[: len(square), : len(square)])
 
 
 def matvec(mat, vec) -> np.ndarray:
@@ -236,22 +372,6 @@ def matvec(mat, vec) -> np.ndarray:
 def _check_bandwidth(sigma2) -> None:
     if not 0 < sigma2 < np.inf:
         raise ValueError(f"kernel bandwidth must be positive and finite, got {sigma2}")
-
-
-def gaussian_gram(vectors, sigma2=None, weights=None) -> tuple[np.ndarray, float]:
-    """exp(-d_ij / (2 sigma2)) over ``pairwise_sqdist(vectors, weights)``, and sigma2.
-
-    A ``sigma2`` of None is the median heuristic, read from the same
-    distance matrix.  The Gaussian is formed in that matrix's buffer, so a
-    zero diagonal becomes exactly 1 and symmetry carries over exactly.
-    """
-    gram = pairwise_sqdist(vectors, weights)
-    if sigma2 is None:
-        sigma2 = median_sqdist(gram)
-    else:
-        _check_bandwidth(sigma2)
-    np.divide(gram, -2.0 * sigma2, out=gram)
-    return np.exp(gram, out=gram), sigma2
 
 
 @dataclass(frozen=True)
@@ -305,13 +425,17 @@ class WeightedOutputKernel:
 
     def against(self, outputs, observed) -> np.ndarray:
         """Vector of kernel values between each pseudo-output row and the data."""
+        return np.exp(-self._exponents(outputs, observed))
+
+    def _exponents(self, outputs, observed) -> np.ndarray:
+        """||o_j - y||^2_beta / (2 sigma2) for each pseudo-output row o_j and
+        the data y: the exponents whose exp(-.) ``against`` returns."""
         outputs = self._check_outputs(outputs)
         observed = np.asarray(observed, dtype=float)
         if observed.shape != (self.n,):
             raise ValueError(f"observed outputs must have length {self.n}, got {observed.shape}")
         diff = outputs - observed
-        sq = np.einsum("ij,ij,j->i", diff, diff, self.beta)
-        return np.exp(-sq / (2.0 * self.sigma2))
+        return np.einsum("ij,ij,j->i", diff, diff, self.beta) / (2.0 * self.sigma2)
 
     def _check_outputs(self, outputs) -> np.ndarray:
         outputs = np.asarray(outputs, dtype=float)

@@ -12,13 +12,25 @@ from shiftcal.kabc import (
     sample_prior,
     simulate_pseudo_outputs,
 )
-from shiftcal.kern import ParamKernel
+from shiftcal.kern import DegenerateBandwidthError, ParamKernel
 from shiftcal.sim import AssemblyLineSimulator, Dataset, LinearSimulator
 from shiftcal.weights import DensitySpec, ImportanceWeights, ordinary_weights
 
 
 def make_dataset(x, y):
     return Dataset(np.asarray(x, dtype=float), np.asarray(y, dtype=float), seed=0)
+
+
+def count_solves(monkeypatch, kabc) -> list:
+    """Each ``regularized_solve`` call ``build_embedding`` makes from now on."""
+    calls, solve = [], kabc.regularized_solve
+
+    def counted(*args):
+        calls.append("solve")
+        return solve(*args)
+
+    monkeypatch.setattr(kabc, "regularized_solve", counted)
+    return calls
 
 
 def embedding_at(emb, thetas):
@@ -132,6 +144,28 @@ class TestBuildEmbedding:
         with pytest.raises(ValueError, match=r"^misaligned pseudo-outputs: \("):
             build_embedding(draws, outputs, [np.zeros(5)], ordinary_weights(5), 1.0, 1.0, 0.1)
 
+    @pytest.mark.parametrize("sigma2,exponent", [(1e-4, "6250"), (5e-4, "1250")])
+    def test_a_dead_data_kernel_fails_before_the_solve(self, monkeypatch, sigma2, exponent):
+        # the nearest pseudo-output is 1.25 from the data in squared distance,
+        # so every data-kernel value exp(-exponent) underflows to 0, and the
+        # solve would return 0 weights; a second, live vector does not help
+        from shiftcal import kabc
+
+        draws = np.arange(20.0)
+        outputs = np.outer(np.arange(20.0), np.ones(5))
+        live, dead = outputs[4] + 0.001, np.full(5, 0.5)
+        solves = count_solves(monkeypatch, kabc)
+        message = (
+            rf"^the data kernel is 0 at every pseudo-output \(exp underflows\): "
+            rf"sigma2 = {sigma2!r}, min_j \|\|o_j - y\|\|\^2_beta / \(2 sigma2\) = {exponent}$"
+        )
+        for observed in ([dead], [live, dead]):
+            with pytest.raises(DegenerateBandwidthError, match=message):
+                build_embedding(draws, outputs, observed, ordinary_weights(5), sigma2, 1.0, 0.1)
+        assert solves == []
+        (emb,) = build_embedding(draws, outputs, [live], ordinary_weights(5), sigma2, 1.0, 0.1)
+        assert np.any(emb.weights != 0.0)
+
     @pytest.mark.parametrize("where", ["draws", "outputs"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_inputs_rejected(self, where, bad):
@@ -241,13 +275,13 @@ class TestBuildEmbedding:
         singles = [build_embedding(*pseudo, [y], beta, None, None, 0.1) for y in ys]
         assert all(isinstance(one, tuple) and len(one) == 1 for one in singles)
         passes = []
-        sqdist = kern.pairwise_sqdist
+        sweep = kern._sqdist_sweep
 
-        def counted(vectors, weights=None):
+        def counted(vectors, weights=None, median=False):
             passes.append(np.shape(vectors))
-            return sqdist(vectors, weights)
+            return sweep(vectors, weights, median)
 
-        monkeypatch.setattr(kern, "pairwise_sqdist", counted)
+        monkeypatch.setattr(kern, "_sqdist_sweep", counted)
         embs = build_embedding(*pseudo, ys, beta, None, None, 0.1, meta={"tag": 1})
         assert passes == [(20, 5), (20, 2)]
         assert isinstance(embs, tuple) and len(embs) == 3

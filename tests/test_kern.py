@@ -512,6 +512,14 @@ class TestSolveInTheGramBuffer:
         # a boolean copy of G (0.125) beside the matrix would not fit
         assert embed_peak_m2000 <= 1.35 * 2000 * 2000 * 8
 
+    def test_an_embedding_at_m2000_makes_no_copy_of_the_outputs_beside_the_matrix(
+        self, embed_peak_m2000
+    ):
+        # measured 1.13: repeated rows are found before dsyrk allocates G,
+        # from one centred and scaled copy of the (m, n) outputs, which is
+        # freed before the sweep; the sweep adds one 128-row block buffer
+        assert embed_peak_m2000 <= 1.2 * 2000 * 2000 * 8
+
     def test_the_solve_allocates_only_vectors(self):
         # G is read, never copied: its finiteness comes from its minimum and
         # maximum (measured 0.005 m^2 * 8 bytes at m = 2000, all m-vectors)
@@ -877,19 +885,21 @@ class TestDuplicateRowCheck:
 
 class TestSharedDistanceBuffer:
     def test_gram_built_in_the_distance_buffer(self, monkeypatch):
-        # gaussian_gram reads the median from its one distance matrix, then
-        # forms the Gaussian in that matrix's buffer
+        # gaussian_gram counts the median in the sweep that forms its one
+        # distance matrix, then forms the Gaussian in that matrix's buffer
         from shiftcal import kern
 
         rng = np.random.default_rng(9)
         outputs, beta = rng.normal(size=(30, 6)), rng.uniform(0.5, 2.0, size=6)
         buffers = []
+        sweep = kern._sqdist_sweep
 
-        def recorded(vectors, weights=None):
-            buffers.append(pairwise_sqdist(vectors, weights))
-            return buffers[-1]
+        def recorded(vectors, weights=None, median=False):
+            result = sweep(vectors, weights, median)
+            buffers.append(result[0])
+            return result
 
-        monkeypatch.setattr(kern, "pairwise_sqdist", recorded)
+        monkeypatch.setattr(kern, "_sqdist_sweep", recorded)
         gram, sigma2 = gaussian_gram(outputs, weights=beta)
         assert len(buffers) == 1 and np.shares_memory(gram, buffers[0])
         monkeypatch.undo()
@@ -942,22 +952,135 @@ class TestSharedDistanceBuffer:
         assert solves == [((16, 16), (2, 16))]
 
 
+def two_pass_gram(mat, weights=None):
+    """The Gram build as two passes: the whole distance matrix, the median
+    read from all of it, then one whole-matrix divide and exp."""
+    dist = pairwise_sqdist(mat, weights)
+    sigma2 = full_matrix_median(dist)
+    return np.exp(dist / (-2.0 * sigma2)), sigma2
+
+
+def points_with_sqdist(sqdist) -> np.ndarray:
+    """Points whose pairwise squared distances are ``sqdist`` (classical
+    multidimensional scaling; ``sqdist`` must be Euclidean)."""
+    m = len(sqdist)
+    centring = np.eye(m) - 1.0 / m
+    values, vectors = np.linalg.eigh(-0.5 * centring @ sqdist @ centring)
+    return vectors * np.sqrt(np.maximum(values, 0.0))
+
+
+class TestOneSweepGramBuild:
+    """``gaussian_gram`` forms the distances and counts the median in one
+    sweep, then forms the Gaussian in a second one over the upper triangle;
+    it gives the bits of the two-pass build."""
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("data", ["ties", "duplicates"])
+    @pytest.mark.parametrize("m", [2, 3, 127, 128, 129, 257, 1000])
+    def test_bitwise_the_two_pass_build(self, m, data, weighted):
+        rng = np.random.default_rng(m)
+        if data == "ties":  # distinct points of an integer grid: many equal distances
+            mat = np.stack([np.arange(m) % 7, np.arange(m) // 7, np.zeros(m)], axis=1)
+            mat = mat[rng.permutation(m)].astype(float)
+        else:  # each point drawn about 1.5 times, the copies scattered
+            source = rng.permutation(np.arange(m) % max(2, 2 * m // 3))
+            mat = rng.normal(size=(m, 3))[source]
+        weights = np.array([0.5, 2.0, 0.0]) if weighted else None
+        assert pairwise_sqdist(mat, weights).tobytes() == numpy_product_sqdist(mat, weights).tobytes()
+        expected, median = two_pass_gram(mat, weights)
+        gram, sigma2 = gaussian_gram(mat, None, weights)
+        assert sigma2 == median == median_heuristic(mat, weights)
+        assert gram.tobytes() == expected.tobytes()
+        fixed, _ = gaussian_gram(mat, median, weights)
+        assert fixed.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("side", ["above", "below"])
+    def test_a_missed_bracket_is_recounted_over_the_formed_triangle(self, monkeypatch, side):
+        # points whose pairs the sample reads are all farther (nearer) apart
+        # than all others, so the median lies below (above) the sweep's
+        # bracket and only a recount finds it
+        from shiftcal import kern
+
+        m = 300
+        rows, cols = np.divmod(np.arange(0, m * m, sample_stride(m)), m)
+        sampled = np.zeros((m, m), dtype=bool)
+        sampled[rows, cols] = sampled[cols, rows] = True
+        upper = np.triu_indices(m, 1)
+        raised = sampled[upper] if side == "above" else ~sampled[upper]
+        # distinct offsets of at most 1 / m on the regular simplex's 2: still Euclidean
+        offsets = np.zeros((m, m))
+        offsets[upper] = (np.arange(1.0, len(raised) + 1) / len(raised) + raised) / (2 * m)
+        points = points_with_sqdist(2.0 - 2.0 * np.eye(m) + offsets + offsets.T)
+        sqdist = pairwise_sqdist(points)
+        median = full_matrix_median(sqdist)
+        sample = np.sort(sqdist[rows, cols])
+        first_lo, first_hi = kern._bracket(sample, m)
+        assert (median < first_lo) if side == "above" else (median > first_hi)
+        recounts = count_calls(monkeypatch, kern, "_count_and_collect")
+        gram, sigma2 = gaussian_gram(points)
+        assert sigma2 == median and len(recounts) > 0
+        assert gram.tobytes() == two_pass_gram(points)[0].tobytes()
+        recounts.clear()
+        assert gaussian_gram(np.random.default_rng(3).normal(size=(m, 4)))[1] > 0
+        assert recounts == []  # a bracket that holds the median is counted once, in the sweep
+
+    def test_a_hash_collision_only_costs_an_exact_comparison(self, monkeypatch):
+        # equal rows are found by hashing their bytes; hashes that coincide
+        # for distinct rows are resolved by comparing the rows
+        from shiftcal import kern
+
+        rng = np.random.default_rng(21)
+        mat = rng.normal(size=(150, 9))
+        mat[40] = mat[7]
+        expected = numpy_product_sqdist(mat)
+        monkeypatch.setattr(kern, "_GOLDEN", np.uint64(0))  # every row hashes to 0
+        dist = pairwise_sqdist(mat)
+        assert dist.tobytes() == expected.tobytes()
+        assert dist[7, 40] == 0.0 and np.count_nonzero(dist == 0.0) == 150 + 2
+
+
+class TestCgReadsTheUpperTriangle:
+    def test_the_lower_triangle_is_never_read_by_cg(self, monkeypatch):
+        # the finiteness check reads all of G; CG then reads only its upper
+        # triangle, so a strict lower triangle of NaN after the check keeps
+        # the weights' bits
+        from shiftcal import kern
+
+        rng = np.random.default_rng(13)
+        outputs, beta = rng.normal(size=(300, 6)), rng.uniform(0.5, 2.0, size=6)
+        gram = gaussian_gram(outputs, None, beta)[0]
+        rhs = gram[:3].copy()
+        expected = regularized_solve(gram.copy(), rhs, CG_EPS).tobytes()
+        factorizations = count_calls(monkeypatch, kern, "cho_factor")
+        cg = kern._conjugate_gradients
+
+        def poisoned(gram_f, shift, b):  # gram_f's strict upper triangle is G's strict lower
+            gram_f[np.triu_indices(len(b), 1)] = np.nan
+            return cg(gram_f, shift, b)
+
+        monkeypatch.setattr(kern, "_conjugate_gradients", poisoned)
+        assert regularized_solve(gram, rhs, CG_EPS).tobytes() == expected
+        assert factorizations == []
+
+
 def record_distance_passes(monkeypatch) -> list:
-    """Shapes of every ``pairwise_sqdist`` call from now on, and any ``cross`` call."""
+    """Shapes of every distance sweep from now on (``kern._sqdist_sweep``,
+    which every Gram build enters), and any ``cross`` call."""
     from shiftcal import kern
 
     calls = []
+    sweep = kern._sqdist_sweep
     cross = ParamKernel.cross
 
-    def counted(vectors, weights=None):
+    def counted(vectors, weights=None, median=False):
         calls.append(np.shape(vectors))
-        return pairwise_sqdist(vectors, weights)
+        return sweep(vectors, weights, median)
 
     def counted_cross(self, left, right):
         calls.append("cross")
         return cross(self, left, right)
 
-    monkeypatch.setattr(kern, "pairwise_sqdist", counted)
+    monkeypatch.setattr(kern, "_sqdist_sweep", counted)
     monkeypatch.setattr(ParamKernel, "cross", counted_cross)
     return calls
 

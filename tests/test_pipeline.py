@@ -12,6 +12,7 @@ from shiftcal.baseline import mh_sample, weighted_residual_sum
 from shiftcal.config import ExperimentConfig, preset
 from shiftcal.herd import CandidatePool
 from shiftcal.kabc import build_embedding, embedding_distance
+from shiftcal.kern import DegenerateBandwidthError
 from shiftcal import pipeline
 from shiftcal.pipeline import (
     StageError,
@@ -222,6 +223,15 @@ class TestPrepare:
         with pytest.raises(StageError, match="pseudo-outputs contain non-finite entries") as err:
             prepare(tiny_linear())
         assert err.value.stage == "pseudo-outputs"
+
+    def test_a_dead_data_kernel_fails_the_embedding_stage(self):
+        # at sigma2 = 1e-6 every data-kernel value underflows: the run stops
+        # before the solve, instead of herding on repulsion alone
+        cfg = preset("linear-shift", seed=0, bandwidth={"sigma2": 1e-6, "sigma2_theta": 1.0})
+        with pytest.raises(StageError, match=r"0 at every pseudo-output.*sigma2 = 1e-06, ") as err:
+            calibrate(cfg)
+        assert err.value.stage == "embedding"
+        assert isinstance(err.value.__cause__, DegenerateBandwidthError)
 
     def test_embed_releases_distance_buffer(self):
         # no distance matrix is held between stages, and embed is a pure call
