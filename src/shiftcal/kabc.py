@@ -18,13 +18,13 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dgemv
 
 from ._seeding import SEED_RANGE, derive_rng, derive_seed, stream_keys
 from .kern import (
     DegenerateBandwidthError,
     ParamKernel,
     WeightedOutputKernel,
+    dgemv,
     gaussian_gram,
     regularized_solve,
 )

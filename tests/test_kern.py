@@ -1,13 +1,17 @@
 import itertools
 import math
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.linalg import cho_factor, cho_solve
 
 from shiftcal.kern import (
     DegenerateBandwidthError,
@@ -318,6 +322,7 @@ class TestRegularizedSolve:
         gram = kernel.gram(outputs)
         rhs = np.array([kernel.against(outputs, rng.normal(size=6)) for _ in range(3)])
         calls = []
+        cho_factor, cho_solve = kern.cho_factor, kern.cho_solve
 
         def counted_factor(*args, **kwargs):
             calls.append("factor")
@@ -426,6 +431,7 @@ class TestSolveInTheGramBuffer:
         gram, rhs = solve_system()
         kept = gram.copy()
         calls = []
+        cho_solve = kern.cho_solve
 
         def damped_solve(*args, **kwargs):  # 1e-7 off forces a refinement
             calls.append("solve")
@@ -1112,3 +1118,79 @@ class TestRegularizedSolveProperties:
         monkeypatch.setattr(kern, "SOLVE_RTOL", 0.0)
         with pytest.raises(SolveError, match="exceeds bound"):
             regularized_solve(gram, rhs, 1e-3)
+
+
+class TestScipyRoutinesWithoutScipyLinalg:
+    """kern loads scipy's ``_fblas`` and ``_flapack`` from their files, not
+    through ``scipy.linalg``, and its routines are scipy's to the bit."""
+
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        import shiftcal
+
+        src = str(Path(shiftcal.__file__).resolve().parents[1])
+        probe = (
+            "import sys, shiftcal, shiftcal.cli; "
+            "print(sorted({'scipy.linalg', 'numpy.f2py', 'unittest'} & set(sys.modules)))"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("m", [1, 7, 130, 600])
+    def test_blas_routines_give_scipy_linalg_bits(self, m):
+        from scipy.linalg import blas
+
+        from shiftcal import kern
+
+        rng = np.random.default_rng(m)
+        rows = rng.normal(size=(m, 9))
+        vec, other = rng.normal(size=m), rng.normal(size=m)
+        sym = np.asfortranarray(rng.normal(size=(m, m)))
+        for name, args, kwargs in [
+            ("dsyrk", (-2.0, rows.T), {"trans": 1, "lower": 1}),
+            ("dsymv", (1.0, sym, vec), {"lower": 1}),
+            ("dgemv", (1.0, sym.T, vec), {"trans": 1}),
+            ("dgemv", (1.0, sym.T, vec), {}),
+            ("ddot", (vec, other), {}),
+        ]:
+            ours = np.asarray(getattr(kern, name)(*args, **kwargs))
+            theirs = np.asarray(getattr(blas, name)(*args, **kwargs))
+            assert ours.tobytes() == theirs.tobytes(), name
+
+    def test_cholesky_gives_scipy_linalg_bits(self):
+        import scipy.linalg
+
+        from shiftcal import kern
+
+        gram, rhs = solve_system(m=300, k=3)
+        gram_f = np.asfortranarray(gram.T)
+        np.fill_diagonal(gram_f, gram_f.diagonal() + 300 * FALLBACK_EPS)
+        a, b = gram_f.copy(order="F"), gram_f.copy(order="F")
+        # the arguments ``_cholesky_solve`` passes
+        ours = kern.cho_factor(a, lower=True, overwrite_a=True)
+        theirs = scipy.linalg.cho_factor(b, lower=True, overwrite_a=True, check_finite=False)
+        assert ours[1] is theirs[1] is True
+        assert ours[0].tobytes() == theirs[0].tobytes()
+        assert ours[0] is a  # factored in place, as scipy's is
+        for row in rhs:
+            x = kern.cho_solve(ours, row)
+            assert x.tobytes() == scipy.linalg.cho_solve(theirs, row, check_finite=False).tobytes()
+
+    def test_a_matrix_that_is_not_positive_definite_raises(self):
+        from shiftcal import kern
+
+        gram = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+        with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
+            kern.cho_factor(gram.copy(order="F"), lower=True, overwrite_a=True)
+        with pytest.raises(SolveError, match="factorization failed: 2-th leading minor"):
+            regularized_solve(gram, np.ones(2), 1e-3)
+
+    def test_a_missing_extension_raises_naming_its_directory(self):
+        import scipy
+
+        from shiftcal import kern
+
+        directory = os.path.join(scipy.__path__[0], "linalg")
+        with pytest.raises(ImportError, match=re.escape(directory)):
+            kern._scipy_extension("_no_such_module")
