@@ -54,6 +54,7 @@ class PosteriorEmbedding:
         object.__setattr__(self, "weights", weights)
         if weights.shape != (draws.shape[0],):
             raise ValueError(f"misaligned embedding: {draws.shape} vs {weights.shape}")
+        count_entry("number of embedding draws", len(draws), 1)
         if not (np.all(np.isfinite(draws)) and np.all(np.isfinite(weights))):
             raise ValueError("embedding contains non-finite entries")
 
@@ -150,6 +151,7 @@ def build_embedding(
     if draws.ndim not in (1, 2) or outputs.ndim != 2 or len(draws) != len(outputs):
         raise ValueError(f"misaligned pseudo-outputs: {draws.shape} vs {outputs.shape}")
     draws = point_rows(draws)
+    count_entry("number of prior draws", len(draws), 1)
     if not (np.all(np.isfinite(draws)) and np.all(np.isfinite(outputs))):
         raise ValueError("pseudo-outputs contain non-finite entries")
     beta = np.asarray(beta, dtype=float)
@@ -176,13 +178,15 @@ def build_embedding(
 def embedding_distance(a: PosteriorEmbedding, b: PosteriorEmbedding) -> float:
     """Kernel-space norm of the difference of two embeddings.
 
-    Both must use the same parameter-kernel bandwidth.  Computed as one
-    quadratic form over the theta Gram matrix of the atoms: over shared
-    atoms with the weight difference, which avoids cancellation, and the
-    matrix either embedding carries (``PosteriorEmbedding.gram``);
-    otherwise over both atom sets stacked with coefficients (w_a, -w_b).
-    Clamped at zero against round-off.
+    Both must have the same parameter dimension and kernel bandwidth.
+    Computed as one quadratic form over the theta Gram matrix of the atoms:
+    over shared atoms with the weight difference, which avoids
+    cancellation, and the matrix either embedding carries
+    (``PosteriorEmbedding.gram``); otherwise over both atom sets stacked
+    with coefficients (w_a, -w_b).  Clamped at zero against round-off.
     """
+    if a.dim != b.dim:
+        raise ValueError(f"embedding dimension {a.dim} does not match embedding dimension {b.dim}")
     if a.kernel.sigma2 != b.kernel.sigma2:
         raise ValueError("embeddings use different parameter-kernel bandwidths")
     if a.draws.shape == b.draws.shape and np.array_equal(a.draws, b.draws):

@@ -67,7 +67,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import module_from_spec
 
@@ -182,18 +181,21 @@ def _sqdist_sweep(vectors, weights=None, median=False) -> tuple[np.ndarray, floa
     rows set to 0; then it is copied back.  Below the diagonal, only each
     block's leading square is written, and is left unspecified.
 
-    The median is counted in the same sweep, from the buffer
-    (``_count_block``), against a bracket taken before it from
-    ``median_sqdist``'s sample, whose entries are computed by the same
-    formula and so are bitwise those of the matrix.  A bracket that misses
-    is widened and recounted over the formed triangle.
+    The median, the lower middle of the m(m-1)/2 pairs (an attained
+    distance), is selected by sampling (Floyd and Rivest, CACM 1975): a
+    strided sample (``_sample_at``), formed before the sweep by its own
+    formula and so bitwise from the matrix, gives a bracket (``_bracket``);
+    each block's pairs below it are counted and those inside it (about 3%
+    at m = 2000) collected from the buffer (``_count_block``), and only
+    these are partitioned.  A miss is recounted over the formed triangle.
     """
     rows = _scaled_rows(vectors, weights)
     m = len(rows)
     if median and m < 2:
         raise ValueError(f"median heuristic needs at least 2 vectors, got {m}")
     labels = _repeat_labels(rows)
-    out = dsyrk(-2.0, rows.T, trans=1, lower=1).T
+    # no BLAS call on an empty operand, which the BLAS reports as illegal
+    out = dsyrk(-2.0, rows.T, trans=1, lower=1).T if rows.size else np.zeros((m, m))
     del rows
     norms = out.diagonal() / -2.0
     buffer = np.empty(min(m, _BLOCK) * m)
@@ -224,12 +226,11 @@ def _sqdist_sweep(vectors, weights=None, median=False) -> tuple[np.ndarray, floa
             inside.append(values)
     if not median:
         return out, None
-    counted = below, np.concatenate(inside)
-    return out, _bracketed_median(sample, m, partial(_count_and_collect, out), counted)
+    return out, _bracketed_median(out, sample, below, np.concatenate(inside))
 
 
 def _formed_sample(out, norms, labels) -> np.ndarray:
-    """``median_sqdist``'s sorted sample, read from the ``dsyrk`` output
+    """The sorted sample at ``_sample_at``, read from the ``dsyrk`` output
     before the sweep and formed as the sweep forms each entry."""
     at = _sample_at(len(out))
     first, last = np.minimum(*at), np.maximum(*at)
@@ -249,7 +250,7 @@ def _scaled_rows(vectors, weights) -> np.ndarray:
     bad = ~np.isfinite(mat).all(axis=1)
     if bad.any():
         raise ValueError(f"vectors contain non-finite entries (row {np.argmax(bad)})")
-    rows = mat - mat.mean(axis=0)
+    rows = mat - mat.mean(axis=0) if len(mat) else mat.copy()
     if weights is not None:
         w = _importance_weights(weights)
         if w.shape != (mat.shape[1],):
@@ -274,34 +275,10 @@ def _repeat_labels(rows) -> np.ndarray | None:
     return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
 
 
-def median_sqdist(sqdist: np.ndarray) -> float:
-    """Lower median of the pairwise distances in a ``pairwise_sqdist`` matrix.
-
-    Over an even pair count this is the lower middle value, so the result
-    is always an attained distance and runs are deterministic.  The pairs
-    are not copied (selection by sampling, Floyd and Rivest, CACM 1975).
-    A sample of the matrix at a fixed stride near m / 8, coprime with
-    m - 1, m and m + 1 so that it does not keep to a few columns or
-    diagonals, is sorted; its entries 2 sqrt(size) ranks either side of
-    the median's rank bound a bracket [lo, hi].  One pass over the strict
-    upper triangle counts the pairs below lo and collects those in
-    [lo, hi] (about 3% of them at m = 2000), and only these are
-    partitioned.  If the median falls outside the bracket, the side it
-    missed is widened fourfold, up to an open bound, and the pass runs
-    again; an open bracket holds every pair, so this ends.  A NaN in the
-    matrix and a median that is not finite raise a ValueError.
-    """
-    m = sqdist.shape[0]
-    if m < 2:
-        raise ValueError(f"median heuristic needs at least 2 vectors, got {m}")
-    sample = np.sort(sqdist[_sample_at(m)])
-    count = partial(_count_and_collect, sqdist)
-    return _bracketed_median(sample, m, count, count(*_bracket(sample, m)))
-
-
 def _sample_at(m) -> tuple[np.ndarray, np.ndarray]:
     """The rows and columns of the sample's entries: every ``stride``-th of
-    the m^2, the stride near m / 8 and coprime with m - 1, m and m + 1."""
+    the m^2, the stride near m / 8 and coprime with m - 1, m and m + 1, so
+    that the sample does not keep to a few columns or diagonals."""
     stride = max(1, m // 8)
     while math.gcd(stride, (m - 1) * m * (m + 1)) != 1:
         stride += 1
@@ -326,19 +303,20 @@ def _median_rank(m) -> int:
     return (m * (m - 1) // 2 - 1) // 2
 
 
-def _bracketed_median(sample, m, count, counted) -> float:
-    """The lower median pair, given ``count(lo, hi)`` (the pairs below lo,
-    and an array of those in [lo, hi]) and ``counted``, its value for the
-    first bracket; a miss widens the side it missed fourfold."""
+def _bracketed_median(out, sample, below, inside) -> float:
+    """The lower median pair of the formed triangle ``out``, given the
+    count of pairs below the first bracket and an array of those inside it.
+    A miss widens the side it missed fourfold, up to an open bound, and
+    recounts; an open bracket holds every pair, so this ends."""
+    m = len(out)
     k = _median_rank(m)
     widen_lo = widen_hi = 1
-    below, inside = counted
     while not below <= k < below + len(inside):
         if k < below:
             widen_lo *= 4
         else:
             widen_hi *= 4
-        below, inside = count(*_bracket(sample, m, widen_lo, widen_hi))
+        below, inside = _count_and_collect(out, *_bracket(sample, m, widen_lo, widen_hi))
     sigma2 = float(np.partition(inside, k - below)[k - below])
     if not sigma2 < np.inf:
         raise ValueError(f"median pairwise squared distance is not finite, got {sigma2}")
@@ -351,15 +329,13 @@ def _bracketed_median(sample, m, count, counted) -> float:
 
 def _count_and_collect(sqdist, lo, hi) -> tuple[int, np.ndarray]:
     """The count of pairs below ``lo`` and the pairs in [lo, hi], read from
-    the upper triangle in blocks of rows, each copied contiguous; a NaN in
-    a block raises."""
+    the upper triangle in blocks of rows, each copied contiguous.  The
+    sweep has already raised on a NaN distance."""
     m = len(sqdist)
     masks = np.empty((2, min(m, _BLOCK) * m), dtype=bool)
     below, inside = 0, []
     for i in range(0, m - 1, _BLOCK):
         block = np.ascontiguousarray(sqdist[i:i + _BLOCK, i:])
-        if np.isnan(block.max()):
-            raise ValueError(_NAN_DISTANCE)
         count, values = _count_block(block, lo, hi, masks)
         below += count
         inside.append(values)
@@ -517,6 +493,8 @@ def regularized_solve(gram, rhs, epsilon: float) -> np.ndarray:
     m = rhs.shape[-1] if rhs.ndim in (1, 2) else -1
     if gram.shape != (m, m):
         raise ValueError(f"inconsistent system shapes: {gram.shape}, {rhs.shape}")
+    if m == 0:
+        raise ValueError("the regularized system is empty: G is 0 x 0")
     if not epsilon > 0:
         raise ValueError(f"regularizer must be positive, got {epsilon}")
     shift = m * epsilon

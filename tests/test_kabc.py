@@ -144,6 +144,17 @@ class TestBuildEmbedding:
         with pytest.raises(ValueError, match=r"^misaligned pseudo-outputs: \("):
             build_embedding(draws, outputs, [np.zeros(5)], ordinary_weights(5), 1.0, 1.0, 0.1)
 
+    @pytest.mark.parametrize("sigma2", [1.0, None])
+    def test_zero_draws_rejected_before_any_gram_build(self, monkeypatch, sigma2):
+        from shiftcal import kabc
+
+        builds = []
+        monkeypatch.setattr(kabc, "gaussian_gram", lambda *args: builds.append(args))
+        with pytest.raises(ValueError, match=r"^number of prior draws must be >= 1, got 0$"):
+            build_embedding(np.empty((0, 2)), np.empty((0, 5)), [np.zeros(5)],
+                            ordinary_weights(5), sigma2, sigma2, 0.1)
+        assert builds == []
+
     @pytest.mark.parametrize("sigma2,exponent", [(1e-4, "6250"), (5e-4, "1250")])
     def test_a_dead_data_kernel_fails_before_the_solve(self, monkeypatch, sigma2, exponent):
         # the nearest pseudo-output is 1.25 from the data in squared distance,
@@ -304,6 +315,10 @@ class TestEmbeddingEval:
         assert embedding_at(emb, [atom[0]])[0] == 1.0
         assert embedding_at(emb, [[0.0, 0.0]])[0] < 1.0
 
+    def test_zero_draws_rejected(self):
+        with pytest.raises(ValueError, match=r"^number of embedding draws must be >= 1, got 0$"):
+            PosteriorEmbedding(np.empty((0, 2)), np.empty(0), ParamKernel(1.0))
+
     def test_zero_weights_zero_everywhere(self):
         emb = PosteriorEmbedding(np.zeros((3, 1)), np.zeros(3), ParamKernel(1.0))
         for theta in ([0.0], [1.0], [-2.0]):
@@ -384,6 +399,14 @@ class TestEmbeddingDistance:
         assert embedding_distance(a, b) == expected
         assert embedding_distance(bare[0], b) == expected
         assert repr(a) == repr(bare[0]) and "theta_gram" not in a.to_json()
+
+    def test_dimension_mismatch_rejected_first(self):
+        a = PosteriorEmbedding(np.zeros((3, 2)), np.ones(3), ParamKernel(1.0))
+        b = PosteriorEmbedding(np.zeros((3, 3)), np.ones(3), ParamKernel(1.0))
+        message = r"^embedding dimension 2 does not match embedding dimension 3$"
+        for other in (b, PosteriorEmbedding(b.draws, b.weights, ParamKernel(2.0))):
+            with pytest.raises(ValueError, match=message):
+                embedding_distance(a, other)
 
     def test_bandwidth_mismatch_rejected(self):
         a = PosteriorEmbedding(np.zeros((1, 1)), np.ones(1), ParamKernel(1.0))

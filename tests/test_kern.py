@@ -1,3 +1,4 @@
+import ctypes
 import itertools
 import math
 import os
@@ -5,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,6 @@ from shiftcal.kern import (
     gaussian_gram,
     gram_and_rhs,
     median_heuristic,
-    median_sqdist,
     pairwise_sqdist,
     regularized_solve,
 )
@@ -217,6 +218,21 @@ class TestInputsAreChecked:
             self.ENTRY_POINTS[entry](x, None)
 
 
+class TestEmptyOperands:
+    def test_no_rows_or_no_columns_call_no_blas_and_warn_nothing(self, capfd):
+        # the BLAS reports an empty operand as an illegal argument through C
+        # stdio, and the column means of no rows warn
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert pairwise_sqdist(np.empty((0, 2))).shape == (0, 0)
+            assert ParamKernel(1.0).gram(np.empty((0, 2))).shape == (0, 0)
+            assert np.array_equal(pairwise_sqdist(np.empty((3, 0))), np.zeros((3, 3)))
+            assert np.array_equal(ParamKernel(1.0).gram(np.empty((3, 0))), np.ones((3, 3)))
+        ctypes.CDLL(None).fflush(None)  # C stdio buffers what goes to a file
+        assert capfd.readouterr() == ("", "")
+        assert [str(w.message) for w in caught] == []
+
+
 def numpy_product_sqdist(mat, weights=None) -> np.ndarray:
     """``pairwise_sqdist`` formed from numpy's ``mat @ mat.T``: the bitwise reference."""
     mat = mat - mat.mean(axis=0)
@@ -390,6 +406,10 @@ class TestRegularizedSolve:
     def test_shape_mismatch_rejected(self, gram, rhs):
         with pytest.raises(ValueError, match="inconsistent system shapes"):
             regularized_solve(gram, rhs, 0.1)
+
+    def test_empty_system_rejected(self):
+        with pytest.raises(ValueError, match="^the regularized system is empty: G is 0 x 0$"):
+            regularized_solve(np.empty((0, 0)), np.empty(0), 0.1)
 
     def test_shape_checked_before_finiteness(self):
         # a malformed system is a ValueError even when it also holds a NaN
@@ -724,8 +744,8 @@ class TestPairwiseSqdistProperties:
     def test_median_is_lower_median_of_pairs(self, case):
         mat, weights, _ = case
         dist = pairwise_sqdist(mat, weights)
-        assert median_sqdist(dist) == lower_median_of_pairs(dist)
-        assert median_heuristic(mat, weights) == median_sqdist(dist)
+        assert median_heuristic(mat, weights) == lower_median_of_pairs(dist)
+        assert gaussian_gram(mat, weights=weights)[1] == lower_median_of_pairs(dist)
 
 
 def full_matrix_median(sqdist) -> float:
@@ -737,7 +757,7 @@ def full_matrix_median(sqdist) -> float:
 
 
 def sample_stride(m) -> int:
-    """The stride of ``median_sqdist``'s sample over the flattened matrix:
+    """The stride of the median's sample over the flattened matrix:
     near m / 8, and coprime with m - 1, m and m + 1, so that it reads every
     column, every diagonal and both triangles alike."""
     stride = max(1, m // 8)
@@ -753,7 +773,7 @@ class TestMedianOverOneTriangle:
         rng = np.random.default_rng(m)
         mat, beta = rng.normal(size=(m, 7)), rng.uniform(0.0, 2.0, size=7)
         oracle = full_matrix_median(pairwise_sqdist(mat, beta))
-        assert median_sqdist(pairwise_sqdist(mat, beta)) == oracle
+        assert median_heuristic(mat, beta) == oracle
         gram, sigma2 = gaussian_gram(mat, weights=beta)
         assert sigma2 == oracle
         fixed, given = gaussian_gram(mat, oracle, beta)
@@ -764,20 +784,21 @@ class TestMedianOverOneTriangle:
         # shuffled integers: pairs k apart all share the distance k^2
         mat = np.random.default_rng(m).permutation(m).astype(float)
         sqdist = pairwise_sqdist(mat)
-        assert median_sqdist(sqdist) == full_matrix_median(sqdist) == gaussian_gram(mat)[1]
+        assert median_heuristic(mat) == full_matrix_median(sqdist) == gaussian_gram(mat)[1]
 
     @pytest.mark.parametrize("m", [16, 201, 400, 600, 1000])
     def test_duplicate_rows(self, m):
         rng = np.random.default_rng(m + 1)
         mat = rng.normal(size=(m, 5))[rng.integers(0, m // 2, size=m)]
         sqdist = pairwise_sqdist(mat)
-        assert median_sqdist(sqdist) == full_matrix_median(sqdist) == gaussian_gram(mat)[1]
+        assert median_heuristic(mat) == full_matrix_median(sqdist) == gaussian_gram(mat)[1]
 
     @pytest.mark.parametrize("side", ["above", "below"])
     def test_a_bracket_that_misses_is_widened(self, monkeypatch, side):
         # a symmetric, zero-diagonal matrix of distinct pair values in which
         # every pair the sample reads is larger (smaller) than all others, so
-        # the median lies below (above) the first bracket
+        # the median lies below (above) the first bracket; it is handed to
+        # the median as the sweep leaves it, with its sample and first count
         from shiftcal import kern
 
         m = 600
@@ -789,7 +810,9 @@ class TestMedianOverOneTriangle:
         sqdist = np.zeros((m, m))
         sqdist[upper] = np.arange(1.0, len(raised) + 1) + len(raised) * raised
         sqdist += sqdist.T
-        brackets = []
+        sample = np.sort(sqdist[rows, cols])
+        brackets = [kern._bracket(sample, m)]
+        below, inside = kern._count_and_collect(sqdist, *brackets[0])
         collect = kern._count_and_collect
 
         def spy(matrix, lo, hi):
@@ -797,7 +820,7 @@ class TestMedianOverOneTriangle:
             return collect(matrix, lo, hi)
 
         monkeypatch.setattr(kern, "_count_and_collect", spy)
-        median = median_sqdist(sqdist)
+        median = kern._bracketed_median(sqdist, sample, below, inside)
         assert median == full_matrix_median(sqdist)
         first_lo, first_hi = brackets[0]
         assert (median < first_lo) if side == "above" else (median > first_hi)
@@ -814,20 +837,6 @@ class TestMedianOverOneTriangle:
                     ValueError, match="^median pairwise squared distance is not finite, got inf$"
                 ):
                     entry(np.array([[1e200], [-1e200]]))
-        # one NaN pair in a hand-built matrix, wherever the sample reads
-        m = 600
-        base = pairwise_sqdist(np.random.default_rng(16).normal(size=(m, 3)))
-        for i, j in [(0, 1), (7, 599), (300, 301), (598, 599)]:
-            sqdist = base.copy()
-            sqdist[i, j] = sqdist[j, i] = np.nan
-            with pytest.raises(ValueError, match="^pairwise squared distances hold a NaN$"):
-                median_sqdist(sqdist)
-        # more than half the pairs infinite
-        sqdist = np.full((5, 5), np.inf)
-        np.fill_diagonal(sqdist, 0.0)
-        sqdist[0, 1] = sqdist[1, 0] = 2.0
-        with pytest.raises(ValueError, match="^median pairwise squared distance is not finite, got inf$"):
-            median_sqdist(sqdist)
 
     def test_error_messages_kept(self):
         with pytest.raises(
@@ -1022,9 +1031,20 @@ class TestOneSweepGramBuild:
         sample = np.sort(sqdist[rows, cols])
         first_lo, first_hi = kern._bracket(sample, m)
         assert (median < first_lo) if side == "above" else (median > first_hi)
-        recounts = count_calls(monkeypatch, kern, "_count_and_collect")
+        recounts, matrices = [], []
+        collect = kern._count_and_collect
+
+        def spy(matrix, lo, hi):
+            recounts.append((lo, hi))
+            matrices.append(matrix)
+            return collect(matrix, lo, hi)
+
+        monkeypatch.setattr(kern, "_count_and_collect", spy)
         gram, sigma2 = gaussian_gram(points)
-        assert sigma2 == median and len(recounts) > 0
+        assert sigma2 == median and len(recounts) > 0  # the sweep's bracket, then recounts
+        last_lo, last_hi = recounts[-1]
+        assert last_lo <= median <= last_hi
+        assert all(np.shares_memory(matrix, gram) for matrix in matrices)
         assert gram.tobytes() == two_pass_gram(points)[0].tobytes()
         recounts.clear()
         assert gaussian_gram(np.random.default_rng(3).normal(size=(m, 4)))[1] > 0
