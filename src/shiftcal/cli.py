@@ -51,7 +51,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    """The config the arguments name; a file that cannot be read is a ``ValueError``."""
+    """The config the arguments name; a file that cannot be read, or an
+    output path under a file, is a ``ValueError``."""
     overrides = {
         "seed": args.seed,
         "out_dir": str(args.out) if args.out else None,
@@ -59,12 +60,26 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     }
     if getattr(args, "m", None) is not None:
         overrides.update(m=args.m, herd_size=args.m)
-    if not args.config:
-        return preset(args.preset, **overrides)
-    try:
-        return ExperimentConfig.from_json(args.config, **overrides)
-    except OSError as exc:  # a missing or unreadable file
-        raise ValueError(exc.strerror or exc) from exc
+    if args.config:
+        try:
+            cfg = ExperimentConfig.from_json(args.config, **overrides)
+        except OSError as exc:  # a missing or unreadable file
+            raise ValueError(exc.strerror or exc) from exc
+    else:
+        cfg = preset(args.preset, **overrides)
+    _check_out_dir(Path(cfg.out_dir))
+    return cfg
+
+
+def _check_out_dir(out: Path) -> None:
+    """A ``ValueError`` unless ``out``, or else its nearest existing
+    ancestor, is a directory, so that a run whose results could not be
+    written fails before any work.  The command makes ``out``
+    (``pipeline.output_dir``) only once its own checks have passed, so a
+    usage error leaves no directory behind."""
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise ValueError(f"output directory {str(out)!r}: {str(existing)!r} is not a directory")
 
 
 def _list_of(item):

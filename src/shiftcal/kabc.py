@@ -29,7 +29,7 @@ from .kern import (
     regularized_solve,
 )
 from .sim import Simulator, SimulatorError, write_json_artifact
-from .weights import DensitySpec, ImportanceWeights, count_entry, point_rows
+from .weights import DensitySpec, ImportanceWeights, count_entry, finite_entries, point_rows
 
 
 @dataclass(frozen=True)
@@ -140,12 +140,14 @@ def build_embedding(
     inputs.  Only the right-hand sides depend on the observations, so the
     vectors share one output pass, one Gram solve and one theta pass.  A
     ``sigma2`` of None is the median heuristic, read from the output pass.
-    A data-kernel vector that is 0 everywhere raises
-    ``DegenerateBandwidthError`` before the solve, which would return 0
-    weights.  The weights are solved, and the output matrix freed, before
-    the theta pass: it gives the theta Gram matrix the embeddings share,
-    and, for a ``sigma2_theta`` of None, the median over the prior draws.
-    The values used land in ``meta["sigma2"]`` and ``kernel.sigma2``.
+    The observed vectors, the fixed bandwidths and ``epsilon`` are checked
+    before the output pass.  A data-kernel vector that is 0 everywhere
+    raises ``DegenerateBandwidthError`` before the solve, which would
+    return 0 weights.  The weights are solved, and the output matrix
+    freed, before the theta pass: it gives the theta Gram matrix the
+    embeddings share, and, for a ``sigma2_theta`` of None, the median over
+    the prior draws.  The values used land in ``meta["sigma2"]`` and
+    ``kernel.sigma2``.
     """
     draws, outputs = np.asarray(draws, dtype=float), np.asarray(outputs, dtype=float)
     if draws.ndim not in (1, 2) or outputs.ndim != 2 or len(draws) != len(outputs):
@@ -154,6 +156,18 @@ def build_embedding(
     count_entry("number of prior draws", len(draws), 1)
     if not (np.all(np.isfinite(draws)) and np.all(np.isfinite(outputs))):
         raise ValueError("pseudo-outputs contain non-finite entries")
+    observed = [np.asarray(y, dtype=float) for y in observed]
+    if not observed:
+        raise ValueError("no observed output vectors")
+    for y in observed:
+        if y.shape != (outputs.shape[1],):
+            raise ValueError(f"observed outputs must have length {outputs.shape[1]}, got {y.shape}")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("observed outputs contain non-finite entries")
+    for name, value in (("sigma2", sigma2), ("sigma2_theta", sigma2_theta)):
+        if value is not None:
+            finite_entries(name, value, "> 0", scalar=True)
+    epsilon = finite_entries("epsilon", epsilon, "> 0", scalar=True)
     beta = np.asarray(beta, dtype=float)
     gram, sigma2 = gaussian_gram(outputs, sigma2, beta)
     kernel = WeightedOutputKernel(sigma2=sigma2, beta=beta)

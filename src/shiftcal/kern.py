@@ -32,12 +32,14 @@ The solve passes plain arrays: ``gram_and_rhs`` returns the Gram matrix G
 and the data-kernel vector k, and ``regularized_solve(G, k, eps)`` returns
 the weights w of (G + m eps I) w = k (the kernel Bayes' rule step), one
 row of w per row of a (k, m) stack k.  Each row is solved by conjugate
-gradients, which only read G's upper triangle and take a number of steps
-that does not grow with m (9 on linear-shift, 16-18 on assembly-shift, at
-m = 200 to 2000).  A row CG cannot solve falls back to a Cholesky
-factorization made in G's own buffer.  Either way a run holds one m x m
-matrix at the solve: G's finiteness is read from its minimum and
-maximum, which carry a NaN through, with no m x m temporary.
+gradients, which take a number of steps that does not grow with m (9 on
+linear-shift, 16-18 on assembly-shift, at m = 200 to 2000).  A row CG
+cannot solve falls back to a Cholesky factorization of a copy of
+G + m eps I.  Either path reads only G's upper triangle and never writes
+G, and both accept a row by one residual rule.  CG holds no m x m matrix
+beside G, so the solve of a run that does not fall back adds none: G's
+finiteness is read from its minimum and maximum, which carry a NaN
+through, with no m x m temporary.
 
 Every matrix product on the way from the distances to the herded samples
 (the rank-k update in ``_sqdist_sweep``, the solve's products,
@@ -107,7 +109,6 @@ _BLOCK = 128
 _BLOCK_LOWER = np.tril(np.ones((_BLOCK, _BLOCK), dtype=bool), -1)
 # odd, so the row-hash multipliers (2k + 1) * _GOLDEN are odd
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_NAN_DISTANCE = "pairwise squared distances hold a NaN"
 
 
 class DegenerateBandwidthError(ValueError):
@@ -220,7 +221,7 @@ def _sqdist_sweep(vectors, weights=None, median=False) -> tuple[np.ndarray, floa
         block[...] = formed
         if median:
             if check_nan and np.isnan(formed.max()):
-                raise ValueError(_NAN_DISTANCE)
+                raise ValueError("pairwise squared distances hold a NaN")
             count, values = _count_block(formed, lo, hi, masks)
             below += count
             inside.append(values)
@@ -290,8 +291,6 @@ def _bracket(sample, m, widen_lo=1, widen_hi=1) -> tuple[float, float]:
     the median's rank (its rank among all m^2 entries, the m diagonal
     zeros first and then each pair twice, scaled to the sample), or an open
     bound past the sample's end."""
-    if np.isnan(sample[-1]):  # NaN sorts last; a NaN bound would never close the bracket
-        raise ValueError(_NAN_DISTANCE)
     at = (m + 2 * _median_rank(m)) * len(sample) // (m * m)
     pad = 2 * math.isqrt(len(sample)) + 1
     lo = sample[at - widen_lo * pad] if widen_lo * pad <= at else -np.inf
@@ -476,30 +475,31 @@ def regularized_solve(gram, rhs, epsilon: float) -> np.ndarray:
     vectors, exactly symmetric as ``gaussian_gram`` builds them; ``rhs``
     their kernel values against the observed data (one vector, or a (k, m)
     stack solved row by row, so each row is bitwise its 1-D solve); and
-    ``epsilon`` is the Tikhonov constant.
+    ``epsilon`` is the Tikhonov constant, positive and finite, with m eps
+    finite too.
 
     Each row runs CG (``_conjugate_gradients``) on G's upper triangle, read
     through the Fortran-ordered view ``gram.T`` (free for a C-ordered G,
     copied once otherwise), and is accepted if its true residual
-    (G + m eps I) w - rhs, read from the same triangle, is at most
-    SOLVE_RTOL * max(1, ||row||_inf) (a NaN is not).  CG only reads G.
-    The rows it does not solve go to ``_cholesky_solve``, after every row
-    has run CG; it factors G once, in the buffer CG read, as LAPACK's
-    ``potrf`` does.  So ``gram``'s contents are unspecified after a return
-    or a ``SolveError``, and a caller that still needs G passes a copy.
+    (``_residual``, from the same triangle) is at most
+    SOLVE_RTOL * max(1, ||row||_inf) (a NaN is not).  The rows it does not
+    solve go to ``_cholesky_solve``, after every row has run CG.  Neither
+    path reads G's strict lower triangle or writes ``gram`` or ``rhs``.
     """
     gram = np.asarray(gram, dtype=float)
-    rhs = np.array(rhs, dtype=float)  # a copy: rhs may be a view of G, which the fallback changes
+    rhs = np.asarray(rhs, dtype=float)
     m = rhs.shape[-1] if rhs.ndim in (1, 2) else -1
     if gram.shape != (m, m):
         raise ValueError(f"inconsistent system shapes: {gram.shape}, {rhs.shape}")
     if m == 0:
         raise ValueError("the regularized system is empty: G is 0 x 0")
-    if not epsilon > 0:
-        raise ValueError(f"regularizer must be positive, got {epsilon}")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"regularizer must be positive and finite, got {epsilon}")
     shift = m * epsilon
+    if not shift < np.inf:
+        raise ValueError(f"regularizer shift m * epsilon overflows: m = {m}, epsilon = {epsilon}")
     # min and max carry a NaN through, and need no m x m temporary
-    if not (np.isfinite([shift, gram.min(), gram.max()]).all() and np.isfinite(rhs).all()):
+    if not (np.isfinite([gram.min(), gram.max()]).all() and np.isfinite(rhs).all()):
         raise SolveError("non-finite entries in the regularized system")
     # formed once: scipy would copy a G that is not Fortran-ordered on every dsymv
     gram_f = np.asfortranarray(gram.T)
@@ -508,13 +508,19 @@ def regularized_solve(gram, rhs, epsilon: float) -> np.ndarray:
     missed = []
     for i, b in enumerate(rows):  # not one multi-column solve, which may round differently
         w = _conjugate_gradients(gram_f, shift, b)
-        if w is not None and _within_bound(dsymv(1.0, gram_f, w, lower=1) + shift * w - b, b):
+        if w is not None and _within_bound(_residual(gram_f, shift, w, b), b):
             weights[i] = w
         else:
             missed.append(i)
     if missed:
         weights[missed] = _cholesky_solve(gram_f, shift, rows[missed])
     return weights.reshape(rhs.shape)
+
+
+def _residual(gram_f, shift: float, w, b) -> np.ndarray:
+    """(G + shift I) w - b, with G read from the lower triangle of ``gram_f``
+    (G's upper triangle)."""
+    return dsymv(1.0, gram_f, w, lower=1) + shift * w - b
 
 
 def _bound(b) -> float:
@@ -558,35 +564,24 @@ def _conjugate_gradients(gram_f, shift: float, b):
 
 
 def _cholesky_solve(gram_f, shift: float, rows) -> np.ndarray:
-    """One Cholesky factorization of G + shift I in ``gram_f``'s buffer (a
-    read-only one is copied), then each row solved, refined once if its
-    residual misses the bound, and raised on if it still does.
-
-    The factor overwrites ``gram_f``'s lower triangle and diagonal (G's
-    upper); the residual reads G's strict lower triangle (``dsymv``) plus
-    a diagonal term that puts G's own diagonal and the shift in place of
-    the factor's.
+    """One Cholesky factorization of G + shift I, made in a copy of G, then
+    each row solved, refined once if its residual misses the bound, and
+    raised on if it still does.  The copy is one more m x m matrix, held
+    only while the fallback runs; ``gram_f`` is read only by the residual.
     """
-    if not gram_f.flags.writeable:
-        gram_f = gram_f.copy(order="F")
-    diag = gram_f.diagonal().copy()
-    np.fill_diagonal(gram_f, diag + shift)
+    lhs = gram_f.copy(order="F")
+    np.fill_diagonal(lhs, lhs.diagonal() + shift)
     try:
-        factor = cho_factor(gram_f, lower=True, overwrite_a=True)
+        factor = cho_factor(lhs, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise SolveError(f"factorization failed: {exc}") from exc
-    fix = diag + shift - gram_f.diagonal()  # 0 where LAPACK factored a copy
-
-    def residual(w, b):
-        return dsymv(1.0, gram_f, w, lower=0) + fix * w - b
-
     weights = []
     for b in rows:
         w = cho_solve(factor, b)
-        r = residual(w, b)
+        r = _residual(gram_f, shift, w, b)
         if not _within_bound(r, b):
             w = w - cho_solve(factor, r)
-            r = residual(w, b)
+            r = _residual(gram_f, shift, w, b)
             if not _within_bound(r, b):
                 raise SolveError(
                     f"solve residual {np.max(np.abs(r)):.3e} exceeds bound {_bound(b):.3e}"

@@ -202,19 +202,26 @@ def calibrate(cfg: ExperimentConfig, dataset: Dataset | None = None) -> Calibrat
 
 
 def output_dir(cfg: ExperimentConfig) -> Path:
-    """``cfg.out_dir``, created if missing, with the config written into it."""
+    """``cfg.out_dir``, created if missing, with the config written into it.
+
+    A directory that cannot be made or written is a ``ValueError``;
+    ``run_calibration`` and ``emit_plot_data`` meet it before their first stage.
+    """
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg.write_json(out / "config.json")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        cfg.write_json(out / "config.json")
+    except OSError as exc:
+        raise ValueError(f"output directory {str(out)!r}: {exc.strerror or exc}") from exc
     return out
 
 
 def run_calibration(cfg: ExperimentConfig) -> CalibrationResult:
     """Execute the pipeline, write all artifacts under cfg.out_dir, and
     return the result they were written from."""
+    out = output_dir(cfg)
     result = calibrate(cfg)
     config_hash = cfg.config_hash()
-    out = output_dir(cfg)
     result.dataset.write_csv(out / "dataset.csv", config_hash)
     beta_rows = np.asarray(result.beta)[:, None].tolist()
     write_csv_rows(out / "weights.csv", config_hash, ["beta"], beta_rows)
@@ -456,11 +463,11 @@ def emit_plot_data(cfg: ExperimentConfig, grid_points: int = 121) -> Path:
         cfg.build_simulator().check_inputs(grid)
     except SimulatorError as exc:
         raise ValueError(f"plot grid: {exc}") from exc
+    out = output_dir(cfg)
     result = calibrate(cfg)
     config_hash = cfg.config_hash()
     with _timed(result.wall_clock, "plot-scoring"):
         predictions, truth_vals, _ = _score(cfg, grid, result.herded.points)
-    out = output_dir(cfg)
     path = out / "plot_data.csv"
     write_csv_rows(
         path,

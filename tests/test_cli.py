@@ -253,18 +253,41 @@ def test_rmse_curve_without_mh_section_runs_without_include_mh(tmp_path):
     assert (out / "rmse_curve.csv").exists()
 
 
-@pytest.mark.parametrize(
-    "command,flags",
-    [("calibrate", []), ("rmse-curve", ["--m-values", "4", "--trials", "1"]),
-     ("mh-baseline", ["--steps", "20"]), ("mh-sweep", ["--proposal-stds", "0.1", "--steps", "20"]),
-     ("theorem1-check", ["--grid-resolution", "5"]), ("emit-plot-data", ["--grid-points", "5"])],
-)
+SUBCOMMANDS = [
+    ("calibrate", []), ("rmse-curve", ["--m-values", "4", "--trials", "1"]),
+    ("mh-baseline", ["--steps", "20"]), ("mh-sweep", ["--proposal-stds", "0.1", "--steps", "20"]),
+    ("theorem1-check", ["--grid-resolution", "5"]), ("emit-plot-data", ["--grid-points", "5"]),
+]
+
+
+@pytest.mark.parametrize("command,flags", SUBCOMMANDS)
 def test_every_subcommand_writes_its_config(tiny_config, tmp_path, command, flags):
     out = tmp_path / "run"
     assert main([command, "--config", str(tiny_config), "--out", str(out), *flags]) == 0
     cfg = ExperimentConfig.from_json(tiny_config, out_dir=str(out))
     assert ExperimentConfig.from_json(out / "config.json") == cfg
     assert json.loads((out / "config.json").read_text())["config_hash"] == cfg.config_hash()
+
+
+@pytest.mark.parametrize("command,flags", SUBCOMMANDS)
+def test_an_unusable_out_is_a_usage_error_before_any_stage(
+    tiny_config, tmp_path, capsys, monkeypatch, command, flags
+):
+    # every stage starts from the weighted dataset, so no stage runs
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory")
+    stages = []
+    monkeypatch.setattr(pipeline, "weighted_dataset", lambda *args: stages.append(args))
+    for given in (out, out / "below"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(tiny_config), "--out", str(given), *flags])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"shiftcal: error: config {tiny_config}: output directory {str(given)!r}: "
+            f"{str(out)!r} is not a directory\n"
+        )
+    assert stages == []
+    assert out.read_text() == "a file, not a directory"
 
 
 def test_weight_mode_flag_changes_run(tiny_config, tmp_path):

@@ -4,6 +4,10 @@ inputs that must leave the results as they were.
 Memory layout: a point set read in C order, in Fortran order or through a
 strided view is the same rows, so every result is bitwise the same.
 
+Write access: no entry point writes an array it is given, so arrays that
+cannot be written give the bits of writable ones, on both paths of the
+Gram solve.
+
 Symmetries of the method, on both shift presets at their own seed and at
 seeds 1-5, under the median bandwidth.  Each changes the rounding but not
 the arithmetic, so it holds to ``REL`` relative (the largest deviation over
@@ -29,10 +33,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from shiftcal import kern
 from shiftcal.config import preset
 from shiftcal.herd import CandidatePool, herd
-from shiftcal.kabc import build_embedding
-from shiftcal.kern import pairwise_sqdist
+from shiftcal.kabc import PosteriorEmbedding, build_embedding, embedding_distance
+from shiftcal.kern import WeightedOutputKernel, gaussian_gram, pairwise_sqdist, regularized_solve
 from shiftcal.pipeline import prepare
 from shiftcal.sim import Dataset
 from shiftcal.weights import ImportanceWeights
@@ -89,6 +94,79 @@ class TestMemoryLayout:
         assert herded.indices.tobytes() == reference.indices.tobytes()
         assert herded.points.tobytes() == reference.points.tobytes()
         assert herded.objectives.tobytes() == reference.objectives.tobytes()
+
+
+def read_only(array) -> np.ndarray:
+    """A copy of ``array`` that cannot be written."""
+    copy = np.array(array)
+    copy.flags.writeable = False
+    return copy
+
+
+def frozen_embedding(embedding) -> PosteriorEmbedding:
+    return PosteriorEmbedding(read_only(embedding.draws), read_only(embedding.weights),
+                              embedding.kernel, embedding.meta, read_only(embedding.theta_gram))
+
+
+@pytest.mark.parametrize("epsilon,factorizations", [(1e-2, 0), (1e-6, 1)], ids=["cg", "fallback"])
+class TestReadOnlyInputs:
+    """At m = 200 the solve converges by CG at eps = 1e-2 and falls back to
+    Cholesky at eps = 1e-6."""
+
+    @pytest.fixture(scope="class")
+    def front(self):
+        return prepare(preset("linear-shift", n=12, m=200, herd_size=50, n_test=10))
+
+    def test_embed_herd_and_distance(self, front, monkeypatch, epsilon, factorizations):
+        writable = dataclasses.replace(front, epsilon=epsilon)
+        dataset = writable.dataset
+        frozen = dataclasses.replace(
+            writable,
+            dataset=Dataset(read_only(dataset.x), read_only(dataset.y), dataset.seed),
+            beta=ImportanceWeights(read_only(writable.beta.values)),
+            draws=read_only(writable.draws),
+            outputs=read_only(writable.outputs),
+        )
+        other = dataset.y + 0.05
+        expected = writable.embed(dataset.y, other)
+        calls = count_factorizations(monkeypatch)
+        got = frozen.embed(read_only(dataset.y), read_only(other))
+        assert len(calls) == factorizations
+        assert all(same_embedding(a, b) for a, b in zip(got, expected))
+
+        pool = CandidatePool.from_draws(expected[0].draws)
+        reference = herd(expected[0], pool, 50)
+        herded = herd(frozen_embedding(got[0]), CandidatePool.from_draws(read_only(pool.points)), 50)
+        assert herded.indices.tobytes() == reference.indices.tobytes()
+        assert herded.objectives.tobytes() == reference.objectives.tobytes()
+
+        shared = embedding_distance(*expected)  # shared atoms: the carried theta matrix
+        assert embedding_distance(*map(frozen_embedding, got)) == shared
+        chosen = PosteriorEmbedding(reference.points, np.full(50, 1 / 50), expected[0].kernel)
+        stacked = embedding_distance(expected[0], chosen)  # atoms stacked: a theta pass
+        frozen_chosen = PosteriorEmbedding(read_only(reference.points), read_only(chosen.weights),
+                                           chosen.kernel)
+        assert embedding_distance(frozen_embedding(got[0]), frozen_chosen) == stacked
+
+    def test_regularized_solve(self, front, monkeypatch, epsilon, factorizations):
+        gram, sigma2 = gaussian_gram(front.outputs, None, front.beta.values)
+        rhs = WeightedOutputKernel(sigma2, front.beta.values).against(front.outputs, front.dataset.y)
+        expected = regularized_solve(gram, rhs, epsilon).tobytes()
+        calls = count_factorizations(monkeypatch)
+        assert regularized_solve(read_only(gram), read_only(rhs), epsilon).tobytes() == expected
+        assert len(calls) == factorizations
+
+
+def count_factorizations(monkeypatch) -> list:
+    """Each ``kern.cho_factor`` call from now on appends to the returned list."""
+    calls, cho_factor = [], kern.cho_factor
+
+    def counted(*args, **kwargs):
+        calls.append("cho_factor")
+        return cho_factor(*args, **kwargs)
+
+    monkeypatch.setattr(kern, "cho_factor", counted)
+    return calls
 
 
 @pytest.fixture(scope="module", params=[(name, seed) for name in ("linear-shift", "assembly-shift")

@@ -186,6 +186,31 @@ class TestBuildEmbedding:
             build_embedding(arrays["draws"], arrays["outputs"], [np.zeros(5)],
                             ordinary_weights(5), 1.0, 1.0, 0.1)
 
+    @pytest.mark.parametrize(
+        "change,message",
+        [({"observed": []}, "^no observed output vectors$"),
+         ({"observed": [np.full(5, np.nan)]}, "^observed outputs contain non-finite entries$"),
+         ({"observed": [np.zeros(4)]}, r"^observed outputs must have length 5, got \(4,\)$"),
+         ({"epsilon": float("inf")}, "^epsilon must be finite and > 0, got inf$"),
+         ({"sigma2": 0.0}, "^sigma2 must be finite and > 0, got 0.0$"),
+         ({"sigma2_theta": -1.0}, "^sigma2_theta must be finite and > 0, got -1.0$")],
+        ids=["no-observed", "nan-observed", "short-observed", "inf-epsilon", "zero-sigma2",
+             "negative-sigma2-theta"],
+    )
+    def test_bad_arguments_fail_before_the_output_pass(self, monkeypatch, change, message):
+        from shiftcal import kern
+
+        rng = np.random.default_rng(2)
+        args = {"draws": rng.normal(size=(50, 2)), "outputs": rng.normal(size=(50, 5)),
+                "observed": [np.zeros(5)], "beta": ordinary_weights(5), "sigma2": 1.0,
+                "sigma2_theta": 1.0, "epsilon": 0.1}
+        build_embedding(**args)  # the unchanged arguments run
+        products = []
+        monkeypatch.setattr(kern, "dsyrk", lambda *a, **k: products.append(a))
+        with pytest.raises(ValueError, match=message):
+            build_embedding(**{**args, **change})
+        assert products == []
+
     def test_flat_draws_are_one_parameter_draws(self):
         rng = np.random.default_rng(5)
         flat, outputs, y = rng.normal(size=6), rng.normal(size=(6, 4)), rng.normal(size=4)

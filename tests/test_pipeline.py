@@ -102,6 +102,17 @@ class TestRunCalibration:
         assert table[:, 1:-1].tobytes() == result.predictions.tobytes()
         assert table[:, -1].tobytes() == np.array([np.mean(row) for row in table[:, 1:-1]]).tobytes()
 
+    @pytest.mark.parametrize("run", [run_calibration, emit_plot_data])
+    def test_an_unusable_out_dir_fails_before_any_stage(self, tmp_path, monkeypatch, run):
+        taken = tmp_path / "taken"
+        taken.write_text("a file")
+        stages = []
+        monkeypatch.setattr(pipeline, "weighted_dataset", lambda *args: stages.append(args))
+        message = rf"^output directory '{re.escape(str(taken))}': File exists$"
+        with pytest.raises(ValueError, match=message):
+            run(tiny_linear(out_dir=str(taken)))
+        assert stages == []
+
     def test_rerun_overwrites_identically(self, tmp_path):
         cfg = tiny_linear(out_dir=str(tmp_path / "run"))
         run_calibration(cfg)
