@@ -6,27 +6,29 @@ importance-weighted coordinate-wise, so output discrepancies at inputs
 that matter for the test distribution count for more.
 
 Every distance matrix comes from one sweep (``_sqdist_sweep``): one BLAS
-rank-k update over the centred, weighted rows, whose upper triangle is
-then formed block by block in a reusable buffer (norms added, clamped at
-0, the diagonal and the pairs of equal rows zeroed), accurate to rounding
-in the centred norms (see ``pairwise_sqdist``).  Under the median
-heuristic the same sweep counts the median while each block is in cache:
-a strided sample, read from the rank-k update before the sweep, brackets
-the median's rank; each block's pairs below the bracket are counted and
-the few inside it collected, and only those are partitioned.  Every
-kernel matrix comes from ``gaussian_gram``: that sweep, then a second one
-that forms the Gaussian over the upper triangle in the same buffer, so a
-build holds one m x m matrix, mirrored block by block in that second
-sweep (``pairwise_sqdist`` mirrors its triangle too).  A run makes one
-output pass and one theta pass: the output Gram matrix is solved and
-freed first; then one theta pass gives both the theta median and the
-theta Gram matrix, which the embedding carries to herding (its pool Gram
-matrix, from which it also reads the embedding at every candidate) and
-to ``embedding_distance``.  A herding pool with candidates after the
-draws, which no run builds, gets its own theta matrix
-(``ParamKernel.gram``).  ``ParamKernel.cross``, the kernel between two
-point sets, is never called by a run; the tests evaluate embeddings with
-it.
+rank-k update over the centred, weighted rows, written into an
+uninitialized m x m buffer (a new ``_square`` or one the caller hands
+in), whose upper triangle is then formed block by block in a reusable
+buffer (norms added, clamped at 0, the diagonal and the pairs of equal
+rows zeroed), accurate to rounding in the centred norms (see
+``pairwise_sqdist``).  Under the median heuristic the same sweep counts
+the median while each block is in cache: a strided sample, read from the
+rank-k update before the sweep, brackets the median's rank; each block's
+pairs below the bracket are counted and the few inside it collected, and
+only those are partitioned.  ``_upper_gram`` runs that sweep, then a
+second one that forms the Gaussian over the upper triangle in the same
+buffer; the strict lower triangle stays unspecified.  Every public matrix
+(``gaussian_gram``, ``pairwise_sqdist``, and the ``gram`` of both
+kernels) is then mirrored, so it is exactly symmetric.  A run allocates
+one m x m matrix: the output Gram matrix is formed, upper triangle only,
+and solved; then one theta pass in the same buffer gives both the theta
+median and the theta Gram matrix, mirrored, which the embedding carries
+to herding (its pool Gram matrix, from which it also reads the embedding
+at every candidate) and to ``embedding_distance``.  A herding pool with
+candidates after the draws, which no run builds, gets its own theta
+matrix (``ParamKernel.gram``).  ``ParamKernel.cross``, the kernel between
+two point sets, is never called by a run; the tests evaluate embeddings
+with it.
 
 The solve passes plain arrays: ``gram_and_rhs`` returns the Gram matrix G
 and the data-kernel vector k, and ``regularized_solve(G, k, eps)`` returns
@@ -35,11 +37,11 @@ row of w per row of a (k, m) stack k.  Each row is solved by conjugate
 gradients, which take a number of steps that does not grow with m (9 on
 linear-shift, 16-18 on assembly-shift, at m = 200 to 2000).  A row CG
 cannot solve falls back to a Cholesky factorization of a copy of
-G + m eps I.  Either path reads only G's upper triangle and never writes
-G, and both accept a row by one residual rule.  CG holds no m x m matrix
-beside G, so the solve of a run that does not fall back adds none: G's
-finiteness is read from its minimum and maximum, which carry a NaN
-through, with no m x m temporary.
+G + m eps I.  Every read of G, the finiteness check included, is of its
+upper triangle; the solve never writes G, and both paths accept a row by
+one residual rule.  CG holds no m x m matrix beside G, so the solve of a
+run that does not fall back adds none: G's finiteness is read from its
+row sums, one ``dsymv``, which carry a NaN or an inf through.
 
 Every matrix product on the way from the distances to the herded samples
 (the rank-k update in ``_sqdist_sweep``, the solve's products,
@@ -136,10 +138,7 @@ def pairwise_sqdist(vectors, weights=None) -> np.ndarray:
     the median distance (measured: ~1e-14).  Non-finite vectors, and
     weights that are not finite and non-negative, are rejected.
     """
-    out = _sqdist_sweep(vectors, weights)[0]
-    for i in range(0, len(out), _BLOCK):
-        _mirror_block(out, i)
-    return out
+    return _mirror(_sqdist_sweep(vectors, weights)[0])
 
 
 def median_heuristic(vectors, weights=None) -> float:
@@ -150,37 +149,54 @@ def median_heuristic(vectors, weights=None) -> float:
 def gaussian_gram(vectors, sigma2=None, weights=None) -> tuple[np.ndarray, float]:
     """exp(-d_ij / (2 sigma2)) over ``pairwise_sqdist(vectors, weights)``, and sigma2.
 
+    ``_upper_gram`` forms it on and above the diagonal, so a zero diagonal
+    becomes exactly 1, and it is then mirrored, so the matrix is exactly
+    symmetric.
+    """
+    gram, sigma2 = _upper_gram(vectors, sigma2, weights)
+    return _mirror(gram), sigma2
+
+
+def _upper_gram(vectors, sigma2=None, weights=None, out=None) -> tuple[np.ndarray, float]:
+    """The Gaussian of ``gaussian_gram`` on and above the diagonal, in
+    ``out`` (a C-ordered m x m buffer) or in a new ``_square``, and sigma2.
+
     A ``sigma2`` of None is the median heuristic, counted in the sweep that
     forms the distances (``_sqdist_sweep``).  A second sweep forms the
-    Gaussian in the same buffer, over the upper triangle only, so a zero
-    diagonal becomes exactly 1, and mirrors each block below the diagonal,
-    so the matrix is exactly symmetric.
+    Gaussian in the same buffer, block by block from the diagonal on; the
+    strict lower triangle is unspecified.
     """
     if sigma2 is not None:
         _check_bandwidth(sigma2)
-    gram, median = _sqdist_sweep(vectors, weights, median=sigma2 is None)
+    gram, median = _sqdist_sweep(vectors, weights, sigma2 is None, out)
     sigma2 = median if sigma2 is None else sigma2
-    m = len(gram)
-    for i in range(0, m, _BLOCK):
+    for i in range(0, len(gram), _BLOCK):
         block = gram[i:i + _BLOCK, i:]
         np.divide(block, -2.0 * sigma2, out=block)
         np.exp(block, out=block)
-        _mirror_block(gram, i)
     return gram, sigma2
 
 
-def _sqdist_sweep(vectors, weights=None, median=False) -> tuple[np.ndarray, float | None]:
-    """The distances of ``pairwise_sqdist`` on and above the diagonal, formed
-    in one sweep over blocks of rows, and with ``median`` their lower median.
+def _square(m) -> np.ndarray:
+    """A new, uninitialized, C-ordered m x m matrix: a build's one m x m allocation."""
+    return np.empty((m, m))
 
-    ``dsyrk`` fills the lower triangle of its Fortran-ordered result, so the
-    transpose is C-ordered with -2 a_i.a_j on and above the diagonal and
-    exactly 0 below it.  Each block of rows, from the diagonal on, is
-    formed in one contiguous buffer reused by every block: n_i + n_j, plus
-    the block (so each entry is bitwise what numpy's (-2 A A^T) +
-    (n_i + n_j) gives), clamped at 0, its diagonal and the pairs of equal
-    rows set to 0; then it is copied back.  Below the diagonal, only each
-    block's leading square is written, and is left unspecified.
+
+def _sqdist_sweep(vectors, weights=None, median=False, out=None) -> tuple[np.ndarray, float | None]:
+    """The distances of ``pairwise_sqdist`` on and above the diagonal, formed
+    in one sweep over blocks of rows in ``out`` (a C-ordered m x m buffer)
+    or in a new ``_square``, and with ``median`` their lower median.
+
+    ``dsyrk`` with beta = 0 writes the lower triangle of the
+    Fortran-ordered ``out.T`` without reading it, so ``out`` holds
+    -2 a_i.a_j on and above the diagonal and whatever it held below.  Each
+    block of rows, from the diagonal on, has the strict lower part of its
+    leading square set to 0, since the sweep reads it, and is formed in one
+    contiguous buffer reused by every block: n_i + n_j, plus the block (so
+    each entry is bitwise what numpy's (-2 A A^T) + (n_i + n_j) gives),
+    clamped at 0, its diagonal and the pairs of equal rows set to 0; then
+    it is copied back.  Below the diagonal, only each block's leading
+    square is written; the strict lower triangle is unspecified.
 
     The median, the lower middle of the m(m-1)/2 pairs (an attained
     distance), is selected by sampling (Floyd and Rivest, CACM 1975): a
@@ -195,8 +211,11 @@ def _sqdist_sweep(vectors, weights=None, median=False) -> tuple[np.ndarray, floa
     if median and m < 2:
         raise ValueError(f"median heuristic needs at least 2 vectors, got {m}")
     labels = _repeat_labels(rows)
-    # no BLAS call on an empty operand, which the BLAS reports as illegal
-    out = dsyrk(-2.0, rows.T, trans=1, lower=1).T if rows.size else np.zeros((m, m))
+    out = _square(m) if out is None else out
+    if rows.size:  # beta = 0: the BLAS writes the triangle without reading it
+        out = dsyrk(-2.0, rows.T, beta=0.0, c=out.T, trans=1, lower=1, overwrite_c=1).T
+    else:  # no BLAS call on an empty operand, which the BLAS reports as illegal
+        out.fill(0.0)
     del rows
     norms = out.diagonal() / -2.0
     buffer = np.empty(min(m, _BLOCK) * m)
@@ -210,6 +229,8 @@ def _sqdist_sweep(vectors, weights=None, median=False) -> tuple[np.ndarray, floa
     for i in range(0, m, _BLOCK):
         block = out[i:i + _BLOCK, i:]
         size, width = block.shape
+        square = block[:, :size]  # its strict lower part is read below, so it is set
+        np.copyto(square, 0.0, where=_BLOCK_LOWER[:size, :size])
         formed = buffer[: size * width].reshape(size, width)
         np.add.outer(norms[i:i + size], norms[i:], out=formed)
         formed += block
@@ -227,6 +248,7 @@ def _sqdist_sweep(vectors, weights=None, median=False) -> tuple[np.ndarray, floa
             inside.append(values)
     if not median:
         return out, None
+    del buffer, masks  # freed before the pairs inside the bracket are copied together
     return out, _bracketed_median(out, sample, below, np.concatenate(inside))
 
 
@@ -253,10 +275,7 @@ def _scaled_rows(vectors, weights) -> np.ndarray:
         raise ValueError(f"vectors contain non-finite entries (row {np.argmax(bad)})")
     rows = mat - mat.mean(axis=0) if len(mat) else mat.copy()
     if weights is not None:
-        w = _importance_weights(weights)
-        if w.shape != (mat.shape[1],):
-            raise ValueError(f"weight length {w.shape} does not match vector length {mat.shape[1]}")
-        rows *= np.sqrt(w)
+        rows *= np.sqrt(_weights_of_length(weights, mat.shape[1]))
     rows += 0.0
     return rows
 
@@ -362,12 +381,15 @@ def _count_block(block, lo, hi, masks) -> tuple[int, np.ndarray]:
     return np.count_nonzero(under), np.compress(upto.reshape(-1), block.reshape(-1))
 
 
-def _mirror_block(mat, i) -> None:
-    """Copy the upper triangle of the block of rows i.. below the diagonal."""
-    rows = slice(i, i + _BLOCK)
-    mat[i + _BLOCK:, rows] = mat[rows, i + _BLOCK:].T
-    square = mat[rows, rows]
-    np.copyto(square, square.T, where=_BLOCK_LOWER[: len(square), : len(square)])
+def _mirror(mat) -> np.ndarray:
+    """``mat`` with its upper triangle copied below the diagonal, block by
+    block of rows; every entry below the diagonal is written."""
+    for i in range(0, len(mat), _BLOCK):
+        rows = slice(i, i + _BLOCK)
+        mat[i + _BLOCK:, rows] = mat[rows, i + _BLOCK:].T
+        square = mat[rows, rows]
+        np.copyto(square, square.T, where=_BLOCK_LOWER[: len(square), : len(square)])
+    return mat
 
 
 def matvec(mat, vec) -> np.ndarray:
@@ -435,17 +457,11 @@ class WeightedOutputKernel:
 
     def against(self, outputs, observed) -> np.ndarray:
         """Vector of kernel values between each pseudo-output row and the data."""
-        return np.exp(-self._exponents(outputs, observed))
-
-    def _exponents(self, outputs, observed) -> np.ndarray:
-        """||o_j - y||^2_beta / (2 sigma2) for each pseudo-output row o_j and
-        the data y: the exponents whose exp(-.) ``against`` returns."""
         outputs = self._check_outputs(outputs)
         observed = np.asarray(observed, dtype=float)
         if observed.shape != (self.n,):
             raise ValueError(f"observed outputs must have length {self.n}, got {observed.shape}")
-        diff = outputs - observed
-        return np.einsum("ij,ij,j->i", diff, diff, self.beta) / (2.0 * self.sigma2)
+        return np.exp(-(_sqdists_to(outputs, observed, self.beta) / (2.0 * self.sigma2)))
 
     def _check_outputs(self, outputs) -> np.ndarray:
         outputs = np.asarray(outputs, dtype=float)
@@ -463,6 +479,21 @@ def _importance_weights(weights) -> np.ndarray:
     return beta
 
 
+def _weights_of_length(weights, n) -> np.ndarray:
+    beta = _importance_weights(weights)
+    if beta.shape != (n,):
+        raise ValueError(f"weight length {beta.shape} does not match vector length {n}")
+    return beta
+
+
+def _sqdists_to(rows, vector, weights) -> np.ndarray:
+    """||o_j - y||^2_beta for each row o_j of the (m, n) ``rows`` and the
+    length-n ``vector`` y: an m-vector, whose exp(-. / (2 sigma2)) is
+    ``WeightedOutputKernel(sigma2, weights).against(rows, vector)``."""
+    diff = rows - vector
+    return np.einsum("ij,ij,j->i", diff, diff, _weights_of_length(weights, diff.shape[1]))
+
+
 def gram_and_rhs(pseudo_outputs, observed, kernel: WeightedOutputKernel) -> tuple:
     """The Gram matrix G among the pseudo-output rows and the data-kernel vector k."""
     return kernel.gram(pseudo_outputs), kernel.against(pseudo_outputs, observed)
@@ -472,19 +503,21 @@ def regularized_solve(gram, rhs, epsilon: float) -> np.ndarray:
     """Solve (G + m eps I) w = rhs by conjugate gradients, Cholesky as the fallback.
 
     ``gram`` holds the output-kernel values among the m pseudo-output
-    vectors, exactly symmetric as ``gaussian_gram`` builds them; ``rhs``
+    vectors on and above its diagonal, as ``_upper_gram`` builds them; ``rhs``
     their kernel values against the observed data (one vector, or a (k, m)
     stack solved row by row, so each row is bitwise its 1-D solve); and
     ``epsilon`` is the Tikhonov constant, positive and finite, with m eps
     finite too.
 
-    Each row runs CG (``_conjugate_gradients``) on G's upper triangle, read
-    through the Fortran-ordered view ``gram.T`` (free for a C-ordered G,
-    copied once otherwise), and is accepted if its true residual
-    (``_residual``, from the same triangle) is at most
-    SOLVE_RTOL * max(1, ||row||_inf) (a NaN is not).  The rows it does not
-    solve go to ``_cholesky_solve``, after every row has run CG.  Neither
-    path reads G's strict lower triangle or writes ``gram`` or ``rhs``.
+    A non-finite entry on or above G's diagonal, or in ``rhs``, is a
+    ``SolveError`` (``_upper_finite``).  Each row runs CG
+    (``_conjugate_gradients``) on G's upper triangle, read through the
+    Fortran-ordered view ``gram.T`` (free for a C-ordered G, copied once
+    otherwise), and is accepted if its true residual (``_residual``, from
+    the same triangle) is at most SOLVE_RTOL * max(1, ||row||_inf) (a NaN
+    is not).  The rows it does not solve go to ``_cholesky_solve``, after
+    every row has run CG.  Nothing reads G's strict lower triangle, which
+    may hold anything, NaN included, or writes ``gram`` or ``rhs``.
     """
     gram = np.asarray(gram, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -498,11 +531,10 @@ def regularized_solve(gram, rhs, epsilon: float) -> np.ndarray:
     shift = m * epsilon
     if not shift < np.inf:
         raise ValueError(f"regularizer shift m * epsilon overflows: m = {m}, epsilon = {epsilon}")
-    # min and max carry a NaN through, and need no m x m temporary
-    if not (np.isfinite([gram.min(), gram.max()]).all() and np.isfinite(rhs).all()):
-        raise SolveError("non-finite entries in the regularized system")
     # formed once: scipy would copy a G that is not Fortran-ordered on every dsymv
     gram_f = np.asfortranarray(gram.T)
+    if not (_upper_finite(gram_f) and np.isfinite(rhs).all()):
+        raise SolveError("non-finite entries in the regularized system")
     rows = rhs.reshape(-1, m)
     weights = np.empty_like(rows)
     missed = []
@@ -515,6 +547,25 @@ def regularized_solve(gram, rhs, epsilon: float) -> np.ndarray:
     if missed:
         weights[missed] = _cholesky_solve(gram_f, shift, rows[missed])
     return weights.reshape(rhs.shape)
+
+
+def _upper_finite(gram_f) -> bool:
+    """Whether G's upper triangle, the lower triangle of ``gram_f``, is finite.
+
+    Its row sums, one ``dsymv`` with no m x m temporary, carry a NaN or an
+    inf through; only when they are not finite is the triangle read block
+    by block, so that finite entries whose sums overflow pass.
+    """
+    if np.isfinite(dsymv(1.0, gram_f, np.ones(len(gram_f)), lower=1)).all():
+        return True
+    gram = gram_f.T
+    for i in range(0, len(gram), _BLOCK):
+        finite = np.isfinite(gram[i:i + _BLOCK, i:])
+        size = len(finite)
+        finite[:, :size] |= _BLOCK_LOWER[:size, :size]
+        if not finite.all():
+            return False
+    return True
 
 
 def _residual(gram_f, shift: float, w, b) -> np.ndarray:

@@ -149,7 +149,7 @@ class TestBuildEmbedding:
         from shiftcal import kabc
 
         builds = []
-        monkeypatch.setattr(kabc, "gaussian_gram", lambda *args: builds.append(args))
+        monkeypatch.setattr(kabc, "_upper_gram", lambda *args: builds.append(args))
         with pytest.raises(ValueError, match=r"^number of prior draws must be >= 1, got 0$"):
             build_embedding(np.empty((0, 2)), np.empty((0, 5)), [np.zeros(5)],
                             ordinary_weights(5), sigma2, sigma2, 0.1)
@@ -313,9 +313,9 @@ class TestBuildEmbedding:
         passes = []
         sweep = kern._sqdist_sweep
 
-        def counted(vectors, weights=None, median=False):
+        def counted(vectors, weights=None, median=False, out=None):
             passes.append(np.shape(vectors))
-            return sweep(vectors, weights, median)
+            return sweep(vectors, weights, median, out)
 
         monkeypatch.setattr(kern, "_sqdist_sweep", counted)
         embs = build_embedding(*pseudo, ys, beta, None, None, 0.1, meta={"tag": 1})

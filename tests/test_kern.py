@@ -362,19 +362,17 @@ class TestRegularizedSolve:
         with pytest.raises(SolveError):
             regularized_solve(np.array([[np.nan]]), np.array([1.0]), 0.1)
 
-    @pytest.mark.parametrize("where", ["strict lower", "diagonal", "rhs"])
+    @pytest.mark.parametrize("where", ["diagonal", "rhs"])
     def test_non_finite_rejected_on_the_cg_path(self, monkeypatch, where):
-        # at m = 50 and eps = 10 CG solves the clean system; it reads only
-        # G's upper triangle, so the check before the solve must see the rest
+        # at m = 50 and eps = 10 CG solves the clean system, so it is the
+        # check before the solve that must see the entry CG would read
         from shiftcal import kern
 
         factorizations = count_calls(monkeypatch, kern, "cho_factor")
         gram, rhs = solve_system(m=50, k=1)
         regularized_solve(gram.copy(), rhs, 10.0)
         assert factorizations == []
-        if where == "strict lower":
-            gram[40, 3] = np.nan
-        elif where == "diagonal":
+        if where == "diagonal":
             gram[17, 17] = np.inf
         else:
             rhs[0, 9] = np.nan
@@ -522,6 +520,52 @@ class TestSolveInTheGramBuffer:
             gram[lower] = np.random.default_rng(3).uniform(-50.0, 50.0, size=len(lower[0]))
             assert regularized_solve(gram, rhs, eps).tobytes() == expected
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_below_the_diagonal_are_never_read(self, monkeypatch, bad):
+        # the finiteness check reads G's upper triangle, as CG, the factor
+        # and the residual do, so the weights keep the clean G's bits
+        from shiftcal import kern
+
+        factorizations = count_calls(monkeypatch, kern, "cho_factor")
+        for eps in (CG_EPS, FALLBACK_EPS):
+            gram, rhs = solve_system()
+            expected = regularized_solve(gram, rhs, eps).tobytes()
+            gram[40, 3] = gram[299, :299] = bad
+            factorizations.clear()
+            with np.errstate(all="raise"):
+                assert regularized_solve(gram, rhs, eps).tobytes() == expected
+            assert len(factorizations) == (eps == FALLBACK_EPS)
+
+    @pytest.mark.parametrize(
+        "where",
+        [(3, 40), (17, 17), (299, 299), (130, 299), "past an overflow"],
+        ids=["upper", "diagonal", "last", "second block", "past an overflow"],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_on_or_above_the_diagonal_are_rejected(self, where, bad):
+        # row 0 summing past the largest double sends the check to its
+        # exact blockwise read of the upper triangle, which must still see
+        # the entry in a later block
+        for eps in (CG_EPS, FALLBACK_EPS):
+            gram, rhs = solve_system()
+            if where == "past an overflow":
+                gram[0, 1:3], where = 1e308, (200, 250)
+            gram[where] = bad
+            with pytest.raises(SolveError, match="^non-finite entries in the regularized system$"):
+                regularized_solve(gram, rhs, eps)
+
+    @pytest.mark.parametrize("below", ["finite", "nan"])
+    def test_finite_entries_whose_row_sums_overflow_pass_the_check(self, below):
+        # both rows sum past the largest double, so the check reads the
+        # upper triangle itself; b is below CG's stopping tolerance, so
+        # w = 0 is accepted without a step
+        gram = np.array([[1e308, 9e307], [9e307, 1e308]])
+        if below == "nan":
+            gram[1, 0] = np.nan
+        with np.errstate(all="raise"):
+            w = regularized_solve(gram, np.array([1e-300, 2e-300]), 0.1)
+        assert w.tobytes() == np.zeros(2).tobytes()
+
     def test_one_gram_solved_at_two_regularizers(self):
         # the first solve falls back, and the second reads the same G
         gram, rhs = solve_system()
@@ -572,8 +616,8 @@ class TestSolveInTheGramBuffer:
         assert embed_peak_m2000 <= 1.2 * 2000 * 2000 * 8
 
     def test_the_solve_allocates_only_vectors(self):
-        # G is read, never copied: its finiteness comes from its minimum and
-        # maximum (measured 0.005 m^2 * 8 bytes at m = 2000, all m-vectors)
+        # G is read, never copied: its finiteness comes from its row sums
+        # (measured 0.005 m^2 * 8 bytes at m = 2000, all m-vectors)
         m = 2000
         gram, rhs = solve_system(m=m, k=1)
         assert traced_peak(lambda: regularized_solve(gram, rhs, CG_EPS)) <= 0.02 * m * m * 8
@@ -642,7 +686,8 @@ class TestConjugateGradients:
                 )
                 products.clear()
                 regularized_solve(gram, rhs, prepared.epsilon)
-                steps = len(products) - 1  # one product per step, one for the true residual
+                # one product per step, one for the finiteness check, one for the true residual
+                steps = len(products) - 2
                 assert 0 < steps <= most, (m, seed, steps)
         assert factorizations == []
 
@@ -941,8 +986,8 @@ class TestSharedDistanceBuffer:
         buffers = []
         sweep = kern._sqdist_sweep
 
-        def recorded(vectors, weights=None, median=False):
-            result = sweep(vectors, weights, median)
+        def recorded(vectors, weights=None, median=False, out=None):
+            result = sweep(vectors, weights, median, out)
             buffers.append(result[0])
             return result
 
@@ -957,6 +1002,64 @@ class TestSharedDistanceBuffer:
         assert given == 4.0 and np.array_equal(fixed, WeightedOutputKernel(4.0, beta).gram(outputs))
         with pytest.raises(ValueError, match="^kernel bandwidth must be positive and finite, got 0.0$"):
             gaussian_gram(outputs, 0.0, beta)
+
+    def test_the_unspecified_triangle_never_reaches_a_result(self, monkeypatch):
+        # every m x m matrix kern allocates starts as NaN: a build leaves
+        # most of the strict lower triangle unspecified, and the results
+        # keep the bits of a zeroed start, with the public matrices
+        # mirrored over all of it
+        from shiftcal import kern, pipeline
+        from shiftcal.config import preset
+
+        rng = np.random.default_rng(17)
+        mat, beta = rng.normal(size=(300, 6)), rng.uniform(0.5, 2.0, size=6)
+        # a norm near overflow makes the median sweep look for a NaN among
+        # the entries it forms, the strict lower part of each block's
+        # leading square included
+        huge = rng.normal(size=(300, 2)) * 1e150
+        huge[7, 0] = 7.1e153
+        prepared = [pipeline.prepare(preset("linear-shift", m=300, herd_size=300)),
+                    pipeline.prepare(preset("assembly-shift"))]
+
+        def results_from(start):
+            monkeypatch.setattr(kern, "_square", lambda m: np.full((m, m), start))
+            with np.errstate(all="raise"):
+                embeddings = [prep.embed()[0] for prep in prepared]
+                matrices = [gaussian_gram(mat, None, beta)[0], pairwise_sqdist(mat, beta),
+                            ParamKernel(2.0).gram(mat), *(e.theta_gram for e in embeddings)]
+            with np.errstate(over="ignore"):  # 4 times the largest norm overflows
+                gram, sigma2 = gaussian_gram(huge)
+            return [*matrices, gram], [*(e.weights for e in embeddings), np.array(sigma2)]
+
+        clean, poisoned = results_from(0.0), results_from(np.nan)
+        for ours, theirs in zip([*poisoned[0], *poisoned[1]], [*clean[0], *clean[1]]):
+            assert ours.tobytes() == theirs.tobytes()
+        for matrix in poisoned[0]:
+            assert np.array_equal(matrix, matrix.T)
+
+    def test_an_embedding_allocates_one_matrix(self, monkeypatch):
+        # the theta pass's dsyrk writes into the output Gram build's buffer
+        from shiftcal import kern, pipeline
+        from shiftcal.config import preset
+
+        prepared = pipeline.prepare(preset("linear-shift", m=300, herd_size=300))
+        squares, targets = [], []
+        square, dsyrk = kern._square, kern.dsyrk
+
+        def recorded_square(m):
+            squares.append(square(m))
+            return squares[-1]
+
+        def recorded_dsyrk(*args, c=None, **kwargs):
+            targets.append(c)
+            return dsyrk(*args, c=c, **kwargs)
+
+        monkeypatch.setattr(kern, "_square", recorded_square)
+        monkeypatch.setattr(kern, "dsyrk", recorded_dsyrk)
+        (embedding,) = prepared.embed()
+        assert len(squares) == 1 and squares[0].shape == (300, 300)
+        assert len(targets) == 2 and all(np.shares_memory(c, squares[0]) for c in targets)
+        assert np.shares_memory(embedding.theta_gram, squares[0])
 
     def test_calibrate_makes_one_output_pass_one_theta_pass_and_no_cross(self, monkeypatch):
         # the theta pass gives the bandwidth median and the Gram matrix the
@@ -1099,9 +1202,9 @@ class TestOneSweepGramBuild:
 
 class TestCgReadsTheUpperTriangle:
     def test_the_lower_triangle_is_never_read_by_cg(self, monkeypatch):
-        # the finiteness check reads all of G; CG then reads only its upper
-        # triangle, so a strict lower triangle of NaN after the check keeps
-        # the weights' bits
+        # the finiteness check and CG read only G's upper triangle, so a
+        # strict lower triangle of NaN written between them keeps the
+        # weights' bits
         from shiftcal import kern
 
         rng = np.random.default_rng(13)
@@ -1130,9 +1233,9 @@ def record_distance_passes(monkeypatch) -> list:
     sweep = kern._sqdist_sweep
     cross = ParamKernel.cross
 
-    def counted(vectors, weights=None, median=False):
+    def counted(vectors, weights=None, median=False, out=None):
         calls.append(np.shape(vectors))
-        return sweep(vectors, weights, median)
+        return sweep(vectors, weights, median, out)
 
     def counted_cross(self, left, right):
         calls.append("cross")
