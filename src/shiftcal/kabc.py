@@ -23,8 +23,8 @@ from ._seeding import SEED_RANGE, derive_rng, derive_seed, stream_keys
 from .kern import (
     DegenerateBandwidthError,
     ParamKernel,
+    WeightedOutputKernel,
     _mirror,
-    _sqdists_to,
     _upper_gram,
     dgemv,
     regularized_solve,
@@ -105,17 +105,13 @@ def simulate_pseudo_outputs(sim: Simulator, thetas, xs, seed: int) -> np.ndarray
 
     One sweep per training input i runs every draw j on its own stream,
     keyed ``stream_keys(derive_seed(seed, "pseudo"), j, i)``, so streams
-    stay independent; a simulator that does not read its keys gets the one
-    key 0.
+    stay independent.
     """
     thetas, xs = point_rows(thetas, "prior draws"), np.asarray(xs, dtype=float)
     seed = count_entry("seed", seed, *SEED_RANGE)
     values = np.empty((thetas.shape[0], xs.size))
-    if sim.reads_keys:
-        by_draw = stream_keys(derive_seed(seed, "pseudo"), np.arange(len(thetas)))
-        keys = stream_keys(by_draw, np.arange(xs.size)[:, None])  # row i: input i's keys
-    else:
-        keys = np.zeros(xs.size, dtype=np.uint64)
+    by_draw = stream_keys(derive_seed(seed, "pseudo"), np.arange(len(thetas)))
+    keys = stream_keys(by_draw, np.arange(xs.size)[:, None])  # row i: input i's keys
     for i, x in enumerate(xs):
         try:
             values[:, i] = sim.sweep([x], keys[i])(thetas)
@@ -146,15 +142,12 @@ def build_embedding(
     vectors share one output pass, one Gram solve and one theta pass.  A
     ``sigma2`` of None is the median heuristic, read from the output pass.
     The observed vectors, the fixed bandwidths and ``epsilon`` are checked
-    before the output pass, and each vector's beta-weighted squared
-    distances to the outputs (an m-vector) are formed before it too, so no
-    (m, n) difference is made beside G; they are exponentiated once sigma2
-    is known.  A data-kernel vector that is 0 everywhere raises
-    ``DegenerateBandwidthError`` before the solve, which would return 0
-    weights.  The output pass forms G's upper triangle only, which is all
-    the solve reads.  The weights are solved before the theta pass, which
-    builds the theta Gram matrix the embeddings share in G's buffer and
-    mirrors it, so a build allocates one m x m matrix; for a
+    before the output pass.  A data-kernel vector that is 0 everywhere
+    raises ``DegenerateBandwidthError`` before the solve, which would
+    return 0 weights.  The output pass forms G's upper triangle only, which
+    is all the solve reads.  The weights are solved before the theta pass,
+    which builds the theta Gram matrix the embeddings share in G's buffer
+    and mirrors it, so a build allocates one m x m matrix; for a
     ``sigma2_theta`` of None it also gives the median over the prior
     draws.  The values used land in ``meta["sigma2"]`` and
     ``kernel.sigma2``.
@@ -179,21 +172,21 @@ def build_embedding(
             finite_entries(name, value, "> 0", scalar=True)
     epsilon = finite_entries("epsilon", epsilon, "> 0", scalar=True)
     beta = np.asarray(beta, dtype=float)
-    sqdists = [_sqdists_to(outputs, y, beta) for y in observed]
     gram, sigma2 = _upper_gram(outputs, sigma2, beta)
-    exponents = [d / (2.0 * sigma2) for d in sqdists]
-    rhs = [np.exp(-e) for e in exponents]  # bitwise WeightedOutputKernel.against
-    for e, k in zip(exponents, rhs):
+    kernel = WeightedOutputKernel(sigma2=sigma2, beta=beta)
+    rhs = [kernel.against(outputs, y) for y in observed]
+    for y, k in zip(observed, rhs):
         if not k.any():  # every weight would be 0, and herding would run on repulsion alone
             raise DegenerateBandwidthError(
                 f"the data kernel is 0 at every pseudo-output (exp underflows): "
-                f"sigma2 = {sigma2!r}, min_j ||o_j - y||^2_beta / (2 sigma2) = {e.min():.6g}"
+                f"sigma2 = {sigma2!r}, min_j ||o_j - y||^2_beta / (2 sigma2) = "
+                f"{kernel._exponents(outputs, y).min():.6g}"
             )
     weights = regularized_solve(gram, rhs, epsilon)
     theta_gram, sigma2_theta = _upper_gram(draws, sigma2_theta, None, gram)  # in G's buffer
     _mirror(theta_gram)
     theta_kernel = ParamKernel(sigma2_theta)
-    info = {"sigma2": sigma2, "epsilon": epsilon, "n": len(beta), "m": len(draws), **(meta or {})}
+    info = {"sigma2": sigma2, "epsilon": epsilon, "n": kernel.n, "m": len(draws), **(meta or {})}
     return tuple(
         PosteriorEmbedding(draws, w, theta_kernel, dict(info), theta_gram) for w in weights
     )

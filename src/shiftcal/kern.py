@@ -41,7 +41,7 @@ G + m eps I.  Every read of G, the finiteness check included, is of its
 upper triangle; the solve never writes G, and both paths accept a row by
 one residual rule.  CG holds no m x m matrix beside G, so the solve of a
 run that does not fall back adds none: G's finiteness is read from its
-row sums, one ``dsymv``, which carry a NaN or an inf through.
+upper triangle block by block, with no m x m temporary.
 
 Every matrix product on the way from the distances to the herded samples
 (the rank-k update in ``_sqdist_sweep``, the solve's products,
@@ -275,7 +275,10 @@ def _scaled_rows(vectors, weights) -> np.ndarray:
         raise ValueError(f"vectors contain non-finite entries (row {np.argmax(bad)})")
     rows = mat - mat.mean(axis=0) if len(mat) else mat.copy()
     if weights is not None:
-        rows *= np.sqrt(_weights_of_length(weights, mat.shape[1]))
+        w = _importance_weights(weights)
+        if w.shape != (mat.shape[1],):
+            raise ValueError(f"weight length {w.shape} does not match vector length {mat.shape[1]}")
+        rows *= np.sqrt(w)
     rows += 0.0
     return rows
 
@@ -457,11 +460,17 @@ class WeightedOutputKernel:
 
     def against(self, outputs, observed) -> np.ndarray:
         """Vector of kernel values between each pseudo-output row and the data."""
+        return np.exp(-self._exponents(outputs, observed))
+
+    def _exponents(self, outputs, observed) -> np.ndarray:
+        """||o_j - y||^2_beta / (2 sigma2) for each pseudo-output row o_j and
+        the data y: the exponents whose exp(-.) ``against`` returns."""
         outputs = self._check_outputs(outputs)
         observed = np.asarray(observed, dtype=float)
         if observed.shape != (self.n,):
             raise ValueError(f"observed outputs must have length {self.n}, got {observed.shape}")
-        return np.exp(-(_sqdists_to(outputs, observed, self.beta) / (2.0 * self.sigma2)))
+        diff = outputs - observed
+        return np.einsum("ij,ij,j->i", diff, diff, self.beta) / (2.0 * self.sigma2)
 
     def _check_outputs(self, outputs) -> np.ndarray:
         outputs = np.asarray(outputs, dtype=float)
@@ -477,21 +486,6 @@ def _importance_weights(weights) -> np.ndarray:
     if beta.ndim != 1 or not np.all(np.isfinite(beta)) or np.any(beta < 0):
         raise ValueError("importance weights must be a finite non-negative vector")
     return beta
-
-
-def _weights_of_length(weights, n) -> np.ndarray:
-    beta = _importance_weights(weights)
-    if beta.shape != (n,):
-        raise ValueError(f"weight length {beta.shape} does not match vector length {n}")
-    return beta
-
-
-def _sqdists_to(rows, vector, weights) -> np.ndarray:
-    """||o_j - y||^2_beta for each row o_j of the (m, n) ``rows`` and the
-    length-n ``vector`` y: an m-vector, whose exp(-. / (2 sigma2)) is
-    ``WeightedOutputKernel(sigma2, weights).against(rows, vector)``."""
-    diff = rows - vector
-    return np.einsum("ij,ij,j->i", diff, diff, _weights_of_length(weights, diff.shape[1]))
 
 
 def gram_and_rhs(pseudo_outputs, observed, kernel: WeightedOutputKernel) -> tuple:
@@ -550,17 +544,14 @@ def regularized_solve(gram, rhs, epsilon: float) -> np.ndarray:
 
 
 def _upper_finite(gram_f) -> bool:
-    """Whether G's upper triangle, the lower triangle of ``gram_f``, is finite.
-
-    Its row sums, one ``dsymv`` with no m x m temporary, carry a NaN or an
-    inf through; only when they are not finite is the triangle read block
-    by block, so that finite entries whose sums overflow pass.
-    """
-    if np.isfinite(dsymv(1.0, gram_f, np.ones(len(gram_f)), lower=1)).all():
-        return True
+    """Whether G's upper triangle, the lower triangle of ``gram_f``, is
+    finite, read block by block of rows from the diagonal on, with no
+    m x m temporary: one boolean buffer is reused by every block."""
     gram = gram_f.T
+    buffer = np.empty(min(len(gram), _BLOCK) * len(gram), dtype=bool)
     for i in range(0, len(gram), _BLOCK):
-        finite = np.isfinite(gram[i:i + _BLOCK, i:])
+        block = gram[i:i + _BLOCK, i:]
+        finite = np.isfinite(block, out=buffer[:block.size].reshape(block.shape))
         size = len(finite)
         finite[:, :size] |= _BLOCK_LOWER[:size, :size]
         if not finite.all():

@@ -44,15 +44,12 @@ def _predict_at(sim: Simulator, xs, samples, seed: int) -> np.ndarray:
     get fresh realizations, while the output multiset stays invariant under
     sample reordering.  The simulator absorbs x into each key, so inputs
     draw independent streams and a prediction does not depend on which
-    other inputs share the call.  A simulator that does not read its keys
-    gets the one key 0.
+    other inputs share the call.
     """
     points = point_rows(samples, "posterior samples")
     if len(points) == 0:
         raise ValueError("predictions need at least one posterior sample")
-    keys = 0
-    if sim.reads_keys:
-        keys = stream_keys(derive_seed(seed, "predict"), *points.T, _occurrences(points))
+    keys = stream_keys(derive_seed(seed, "predict"), *points.T, _occurrences(points))
     return np.array([sim.sweep([x], keys)(points) for x in xs], dtype=float)
 
 

@@ -44,13 +44,10 @@ class Simulator(ABC):
 
     ``_inputs`` and ``_theta_rows`` check the sweep contract for every
     simulator (keys, parameter rows); a subclass adds only its own rules.
-    ``reads_keys`` is False for a noise-free simulator, whose outputs do not
-    depend on its keys, so callers need not derive them.
     """
 
     name: str = "simulator"
     dim_theta: int = 0
-    reads_keys: bool = True
 
     @abstractmethod
     def sweep(self, xs, keys=0) -> Callable[[np.ndarray], np.ndarray]:
@@ -118,7 +115,6 @@ class LinearSimulator(Simulator):
 
     name = "linear"
     dim_theta = 2
-    reads_keys = False
 
     def sweep(self, xs, keys=0) -> Callable[[np.ndarray], np.ndarray]:
         xs = self._inputs(xs, keys)

@@ -543,9 +543,8 @@ class TestSolveInTheGramBuffer:
     )
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_on_or_above_the_diagonal_are_rejected(self, where, bad):
-        # row 0 summing past the largest double sends the check to its
-        # exact blockwise read of the upper triangle, which must still see
-        # the entry in a later block
+        # finite entries near the largest double in row 0 do not stop the
+        # blockwise read, which must still see the entry in a later block
         for eps in (CG_EPS, FALLBACK_EPS):
             gram, rhs = solve_system()
             if where == "past an overflow":
@@ -556,8 +555,8 @@ class TestSolveInTheGramBuffer:
 
     @pytest.mark.parametrize("below", ["finite", "nan"])
     def test_finite_entries_whose_row_sums_overflow_pass_the_check(self, below):
-        # both rows sum past the largest double, so the check reads the
-        # upper triangle itself; b is below CG's stopping tolerance, so
+        # both rows sum past the largest double, but the check reads the
+        # entries, not their sums; b is below CG's stopping tolerance, so
         # w = 0 is accepted without a step
         gram = np.array([[1e308, 9e307], [9e307, 1e308]])
         if below == "nan":
@@ -616,8 +615,9 @@ class TestSolveInTheGramBuffer:
         assert embed_peak_m2000 <= 1.2 * 2000 * 2000 * 8
 
     def test_the_solve_allocates_only_vectors(self):
-        # G is read, never copied: its finiteness comes from its row sums
-        # (measured 0.005 m^2 * 8 bytes at m = 2000, all m-vectors)
+        # G is read, never copied: its finiteness is read block by block
+        # of rows into one boolean buffer (measured 0.010 m^2 * 8 bytes at
+        # m = 2000: that buffer and m-vectors)
         m = 2000
         gram, rhs = solve_system(m=m, k=1)
         assert traced_peak(lambda: regularized_solve(gram, rhs, CG_EPS)) <= 0.02 * m * m * 8
@@ -686,8 +686,7 @@ class TestConjugateGradients:
                 )
                 products.clear()
                 regularized_solve(gram, rhs, prepared.epsilon)
-                # one product per step, one for the finiteness check, one for the true residual
-                steps = len(products) - 2
+                steps = len(products) - 1  # one product per step, one for the true residual
                 assert 0 < steps <= most, (m, seed, steps)
         assert factorizations == []
 

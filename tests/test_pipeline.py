@@ -224,37 +224,6 @@ class TestPrepare:
         report = theorem1_check(cfg, grid_resolution=9)
         assert (report["sigma2"], report["sigma2_theta"], report["epsilon"]) == bandwidths
 
-    def test_a_noise_free_simulator_gets_no_stream_keys(self, monkeypatch):
-        # the linear simulator does not read its keys, so neither the
-        # pseudo-outputs nor the predictions derive them, and every output
-        # keeps the bits of a run that derives them
-        import sys
-
-        from shiftcal import kabc
-        from shiftcal.sim import LinearSimulator
-
-        predict = sys.modules["shiftcal.predict"]  # the package re-exports a function of that name
-        calls = []
-        for module, name in ((kabc, "stream_keys"), (predict, "stream_keys"),
-                             (predict, "_occurrences")):
-            def counted(*args, original=getattr(module, name), name=name):
-                calls.append(name)
-                return original(*args)
-
-            monkeypatch.setattr(module, name, counted)
-        cfg = preset("linear-shift", seed=5, n=30, m=60, herd_size=60, n_test=20)
-        monkeypatch.setattr(LinearSimulator, "reads_keys", True)
-        keyed = calibrate(cfg)
-        assert sorted(set(calls)) == ["_occurrences", "stream_keys"]
-        monkeypatch.setattr(LinearSimulator, "reads_keys", False)
-        calls.clear()
-        result = calibrate(cfg)
-        assert calls == []
-        for field in ("outputs", "predictions", "truth_values"):
-            assert getattr(result, field).tobytes() == getattr(keyed, field).tobytes()
-        assert result.herded.indices.tobytes() == keyed.herded.indices.tobytes()
-        assert result.rmse == keyed.rmse
-
     def test_non_finite_pseudo_output_fails_its_stage(self, monkeypatch):
         from shiftcal.sim import LinearSimulator
 
