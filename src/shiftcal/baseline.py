@@ -102,8 +102,7 @@ def log_likelihood_sweep(
     The simulator sweep over the training inputs is built once, so its
     noise is drawn once and every call only transforms it.
     """
-    if not noise_var > 0:
-        raise ValueError(f"noise variance must be positive, got {noise_var}")
+    noise_var = finite_entries("noise variance", noise_var, "> 0", scalar=True)
     outputs = sim.sweep(dataset.x, derive_seed(count_entry("seed", seed, *SEED_RANGE), "loglik"))
     y, beta, scale = dataset.y, np.asarray(beta, dtype=float), 2.0 * noise_var
     return lambda theta: -weighted_residual_sum(outputs(theta), y, beta) / scale

@@ -28,12 +28,10 @@ class CandidatePool:
     points: np.ndarray
 
     def __post_init__(self):
-        points = point_rows(self.points, "candidate pool")
+        points = point_rows(self.points, "candidates")
         object.__setattr__(self, "points", points)
         if points.shape[0] < 1:
             raise ValueError("candidate pool must be non-empty")
-        if not np.all(np.isfinite(points)):
-            raise ValueError("candidate pool contains non-finite entries")
 
     @classmethod
     def from_draws(cls, draws) -> "CandidatePool":

@@ -56,8 +56,8 @@ class PosteriorEmbedding:
         if weights.shape != (draws.shape[0],):
             raise ValueError(f"misaligned embedding: {draws.shape} vs {weights.shape}")
         count_entry("number of embedding draws", len(draws), 1)
-        if not (np.all(np.isfinite(draws)) and np.all(np.isfinite(weights))):
-            raise ValueError("embedding contains non-finite entries")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("embedding weights contain non-finite entries")
 
     @property
     def m(self) -> int:
@@ -89,7 +89,7 @@ class PosteriorEmbedding:
         return cls(
             draws=np.asarray(payload["draws"], dtype=float),
             weights=np.asarray(payload["weights"], dtype=float),
-            kernel=ParamKernel(float(payload["sigma2_theta"])),
+            kernel=ParamKernel(payload["sigma2_theta"]),
             meta=payload.get("meta", {}),
         )
 
@@ -155,10 +155,8 @@ def build_embedding(
     draws, outputs = np.asarray(draws, dtype=float), np.asarray(outputs, dtype=float)
     if draws.ndim not in (1, 2) or outputs.ndim != 2 or len(draws) != len(outputs):
         raise ValueError(f"misaligned pseudo-outputs: {draws.shape} vs {outputs.shape}")
-    draws = point_rows(draws)
+    draws, outputs = point_rows(draws, "prior draws"), point_rows(outputs, "pseudo-outputs")
     count_entry("number of prior draws", len(draws), 1)
-    if not (np.all(np.isfinite(draws)) and np.all(np.isfinite(outputs))):
-        raise ValueError("pseudo-outputs contain non-finite entries")
     observed = [np.asarray(y, dtype=float) for y in observed]
     if not observed:
         raise ValueError("no observed output vectors")
@@ -225,8 +223,8 @@ def regularization_schedule(m: int, b: float, C: float) -> float:
     pushes the exponent toward -1/4.
     """
     m = count_entry("m", m, 1)
+    b = finite_entries("decay exponent", b, "> 0", scalar=True)
     if not b > 1:
         raise ValueError(f"decay exponent must exceed 1, got {b}")
-    if not C > 0:
-        raise ValueError(f"schedule constant must be positive, got {C}")
+    C = finite_entries("schedule constant", C, "> 0", scalar=True)
     return float(C * m ** (-b / (1.0 + 4.0 * b)))

@@ -77,7 +77,7 @@ from importlib.util import module_from_spec
 import numpy as np
 import scipy
 
-from .weights import point_rows
+from .weights import finite_entries, point_rows
 
 
 def _scipy_extension(name):
@@ -135,8 +135,9 @@ def pairwise_sqdist(vectors, weights=None) -> np.ndarray:
     The absolute error of an entry is a small multiple of
     n * machine-eps * (|a_i|^2 + |a_j|^2) for the centred rows; on unimodal
     data such as the shipped presets' outputs that is below 1e-12 times
-    the median distance (measured: ~1e-14).  Non-finite vectors, and
-    weights that are not finite and non-negative, are rejected.
+    the median distance (measured: ~1e-14).  Non-finite vectors, weights
+    that are not finite and non-negative, and a NaN distance (only rows
+    near overflow give one) are rejected.
     """
     return _mirror(_sqdist_sweep(vectors, weights)[0])
 
@@ -167,7 +168,7 @@ def _upper_gram(vectors, sigma2=None, weights=None, out=None) -> tuple[np.ndarra
     strict lower triangle is unspecified.
     """
     if sigma2 is not None:
-        _check_bandwidth(sigma2)
+        sigma2 = finite_entries("sigma2", sigma2, "> 0", scalar=True)
     gram, median = _sqdist_sweep(vectors, weights, sigma2 is None, out)
     sigma2 = median if sigma2 is None else sigma2
     for i in range(0, len(gram), _BLOCK):
@@ -219,11 +220,11 @@ def _sqdist_sweep(vectors, weights=None, median=False, out=None) -> tuple[np.nda
     del rows
     norms = out.diagonal() / -2.0
     buffer = np.empty(min(m, _BLOCK) * m)
+    # only a norm above max/4 can make a NaN (inf - inf); 4 * norm could overflow
+    check_nan = not norms.max(initial=0.0) <= np.finfo(float).max / 4
     if median:
         sample = _formed_sample(out, norms, labels)
         lo, hi = _bracket(sample, m)
-        # only a norm near overflow can make a distance NaN (inf - inf)
-        check_nan = not 4.0 * norms.max() < np.inf
         masks = np.empty((2, len(buffer)), dtype=bool)
         below, inside = 0, []
     for i in range(0, m, _BLOCK):
@@ -240,9 +241,9 @@ def _sqdist_sweep(vectors, weights=None, median=False, out=None) -> tuple[np.nda
         else:  # the diagonal and every pair of equal rows
             formed[labels[i:i + size, None] == labels[i:]] = 0.0
         block[...] = formed
+        if check_nan and np.isnan(formed.max()):
+            raise ValueError("pairwise squared distances hold a NaN")
         if median:
-            if check_nan and np.isnan(formed.max()):
-                raise ValueError("pairwise squared distances hold a NaN")
             count, values = _count_block(formed, lo, hi, masks)
             below += count
             inside.append(values)
@@ -269,10 +270,7 @@ def _scaled_rows(vectors, weights) -> np.ndarray:
     in one new buffer, with -0.0 turned into 0.0 so that rows that compare
     equal have equal bytes (the distances keep their bits: a signed zero
     changes no nonzero product or sum, and no distance is -0.0)."""
-    mat = point_rows(vectors)
-    bad = ~np.isfinite(mat).all(axis=1)
-    if bad.any():
-        raise ValueError(f"vectors contain non-finite entries (row {np.argmax(bad)})")
+    mat = point_rows(vectors, "vectors")
     rows = mat - mat.mean(axis=0) if len(mat) else mat.copy()
     if weights is not None:
         w = _importance_weights(weights)
@@ -404,11 +402,6 @@ def matvec(mat, vec) -> np.ndarray:
     return dgemv(1.0, mat.T, vec, trans=1)
 
 
-def _check_bandwidth(sigma2) -> None:
-    if not 0 < sigma2 < np.inf:
-        raise ValueError(f"kernel bandwidth must be positive and finite, got {sigma2}")
-
-
 @dataclass(frozen=True)
 class ParamKernel:
     """Gaussian kernel on parameter space: exp(-||a - b||^2 / (2 sigma2))."""
@@ -416,7 +409,7 @@ class ParamKernel:
     sigma2: float
 
     def __post_init__(self):
-        _check_bandwidth(self.sigma2)
+        object.__setattr__(self, "sigma2", finite_entries("sigma2", self.sigma2, "> 0", scalar=True))
 
     def cross(self, left, right) -> np.ndarray:
         """Kernel matrix between two point collections, shape (len(left), len(right))."""
@@ -447,7 +440,7 @@ class WeightedOutputKernel:
     beta: np.ndarray
 
     def __post_init__(self):
-        _check_bandwidth(self.sigma2)
+        object.__setattr__(self, "sigma2", finite_entries("sigma2", self.sigma2, "> 0", scalar=True))
         object.__setattr__(self, "beta", _importance_weights(self.beta))
 
     @property
@@ -520,8 +513,7 @@ def regularized_solve(gram, rhs, epsilon: float) -> np.ndarray:
         raise ValueError(f"inconsistent system shapes: {gram.shape}, {rhs.shape}")
     if m == 0:
         raise ValueError("the regularized system is empty: G is 0 x 0")
-    if not 0 < epsilon < np.inf:
-        raise ValueError(f"regularizer must be positive and finite, got {epsilon}")
+    epsilon = finite_entries("epsilon", epsilon, "> 0", scalar=True)
     shift = m * epsilon
     if not shift < np.inf:
         raise ValueError(f"regularizer shift m * epsilon overflows: m = {m}, epsilon = {epsilon}")

@@ -9,9 +9,10 @@ q0, q1 (one-dimensional) and the prior over simulator parameters
 (d-dimensional) alike: a diagonal normal or a uniform box.
 
 The config and the library read arguments here, one rule per kind:
-``finite_entries`` numbers, ``count_entry`` counts and seeds (50.0 is 50;
-a bool or a string is no count), ``point_rows`` point sets (a 1-d vector
-is m one-dimensional points).
+``finite_entries`` reals (a bool or a string is no number),
+``count_entry`` counts and seeds (50.0 is 50; a bool or a string is no
+count), ``point_rows`` point sets (a 1-d vector is m one-dimensional
+points; the first non-finite row is named).
 """
 
 from __future__ import annotations
@@ -69,10 +70,10 @@ def count_entry(name: str, value, low: int | None = None, high: int | None = Non
     """``value`` as an int, ``>= low`` and ``< high`` where given; a
     non-integral value is an error, never truncated.
 
-    Integral floats such as 50.0 are accepted; booleans are not numbers.
+    Integral floats such as 50.0 are accepted; a bool (numpy's too) is no number.
     """
     try:
-        count = None if isinstance(value, bool) else int(value)
+        count = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):
         count = None
     if count is None or count != value:
@@ -84,12 +85,16 @@ def count_entry(name: str, value, low: int | None = None, high: int | None = Non
 
 
 def point_rows(points, name: str = "points") -> np.ndarray:
-    """``points`` as a C-ordered float (m, d) array; a 1-d vector is m
-    one-dimensional points.  Any memory layout reads as the same rows."""
+    """``points`` as a C-ordered float (m, d) array of finite rows; a 1-d
+    vector is m one-dimensional points.  Any memory layout reads as the
+    same rows.  An error names the first row with a non-finite entry."""
     rows = np.asarray(points, dtype=float, order="C")
     rows = rows[:, None] if rows.ndim == 1 else rows
     if rows.ndim != 2:
         raise ValueError(f"{name} must be a list of vectors, got shape {rows.shape}")
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{name} contain non-finite entries (row {np.argmax(bad)})")
     return rows
 
 

@@ -1,12 +1,16 @@
 """The library reads each argument kind by one rule.
 
 Counts and seeds go through ``weights.count_entry``, as in the config: an
-integral float is its int, a bool, a string or a fraction is an error.
-Point sets go through ``weights.point_rows``: a 1-d vector is m
-one-dimensional points.  A guard keeps hand-written count checks out.
+integral float is its int, a bool (numpy's too), a string or a fraction is
+an error.  Reals go through ``weights.finite_entries``: a bool or a string
+is no number, and inf, NaN and a bound miss are errors.  Point sets go
+through ``weights.point_rows``: a 1-d vector is m one-dimensional points,
+and the first row with a non-finite entry is named.  Guards keep
+hand-written count and real checks out.
 """
 
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -19,11 +23,18 @@ from shiftcal.config import preset
 from shiftcal.herd import CandidatePool, herd, herding_mmd
 from shiftcal.kabc import (
     PosteriorEmbedding,
+    build_embedding,
     regularization_schedule,
     sample_prior,
     simulate_pseudo_outputs,
 )
-from shiftcal.kern import ParamKernel
+from shiftcal.kern import (
+    ParamKernel,
+    WeightedOutputKernel,
+    gaussian_gram,
+    pairwise_sqdist,
+    regularized_solve,
+)
 from shiftcal.predict import generate_test_inputs, predict, score_predictions
 from shiftcal.sim import AssemblyLineSimulator, generate_dataset
 from shiftcal.weights import ordinary_weights
@@ -36,6 +47,13 @@ THETAS = np.array([[2.0, 0.5, 5.0, 1.0], [3.0, 0.4, 6.0, 0.8], [2.0, 0.5, 5.0, 1
 EMB = PosteriorEmbedding(np.linspace(0.0, 1.0, 6)[:, None], np.full(6, 1 / 6), ParamKernel(0.3))
 POOL = CandidatePool.from_draws([*EMB.draws[:, 0], -0.5, 0.25, 1.5])
 HERDED = herd(EMB, POOL, 5)
+OUTPUTS = np.array([[1.0, 2.0], [1.5, 2.5], [0.5, 1.0]])
+
+
+def embed(draws=THETAS, outputs=OUTPUTS, sigma2=1.0, sigma2_theta=1.0, epsilon=0.1):
+    n = np.shape(outputs)[1]
+    return build_embedding(draws, outputs, [np.ones(n)], ordinary_weights(n),
+                           sigma2, sigma2_theta, epsilon)
 
 
 def bits(value):
@@ -74,8 +92,39 @@ SEEDS = {
 }
 
 
+# each library real, as (its name in the error, a call of that real alone)
+REALS = {
+    "ParamKernel": ("sigma2", lambda v: ParamKernel(v)),
+    "WeightedOutputKernel": ("sigma2", lambda v: WeightedOutputKernel(v, np.ones(2))),
+    "gaussian_gram": ("sigma2", lambda v: gaussian_gram(THETAS, v)),
+    "regularized_solve": ("epsilon", lambda v: regularized_solve(np.eye(3), np.ones(3), v)),
+    "log_likelihood_sweep": ("noise variance", lambda v: log_likelihood_sweep(
+        generate_dataset(DGP, 4, 0), ordinary_weights(4), SIM, v
+    )(THETAS[0])),
+    "regularization_schedule b": ("decay exponent", lambda v: regularization_schedule(100, v, 1.0)),
+    "regularization_schedule C": ("schedule constant",
+                                  lambda v: regularization_schedule(100, 2.0, v)),
+    "build_embedding sigma2": ("sigma2", lambda v: embed(sigma2=v)),
+    "build_embedding sigma2_theta": ("sigma2_theta", lambda v: embed(sigma2_theta=v)),
+    "build_embedding epsilon": ("epsilon", lambda v: embed(epsilon=v)),
+}
+
+# each library point set, as (its name in the error, a call of that set alone)
+POINT_SETS = {
+    "CandidatePool": ("candidates", lambda p: CandidatePool(p)),
+    "PosteriorEmbedding": ("embedding draws",
+                           lambda p: PosteriorEmbedding(p, np.full(3, 1 / 3), ParamKernel(0.3))),
+    "build_embedding draws": ("prior draws", lambda p: embed(draws=p)),
+    "build_embedding outputs": ("pseudo-outputs", lambda p: embed(outputs=p)),
+    "simulate_pseudo_outputs": ("prior draws",
+                                lambda p: simulate_pseudo_outputs(SIM, p, [40.0, 120.0], 0)),
+    "predict": ("posterior samples", lambda p: predict(SIM, 50.0, p, 0)),
+    "pairwise_sqdist": ("vectors", lambda p: pairwise_sqdist(p)),
+}
+
+
 @pytest.mark.parametrize("entry", COUNTS)
-@pytest.mark.parametrize("bad", [2.5, True, "3", 0])
+@pytest.mark.parametrize("bad", [2.5, True, np.True_, "3", 0])
 def test_counts_follow_the_count_rule(entry, bad):
     name, call = COUNTS[entry]
     rule = r"(an integer|>= 1|in \[1, \d+\))"
@@ -90,7 +139,7 @@ def test_an_integral_float_count_is_its_int(entry):
 
 
 @pytest.mark.parametrize("entry", SEEDS)
-@pytest.mark.parametrize("bad", [2.5, True, "3", 2**127])
+@pytest.mark.parametrize("bad", [2.5, True, np.True_, "3", 2**127])
 def test_seeds_follow_the_seed_rule(entry, bad):
     with pytest.raises(ValueError, match=r"^seed must be (an integer|in \[.*\)), got "):
         SEEDS[entry](bad)
@@ -104,6 +153,28 @@ def test_integral_and_numpy_seeds_keep_their_bits(entry):
     assert bits(call(1)) != bits(call(2))
 
 
+@pytest.mark.parametrize("entry", REALS)
+@pytest.mark.parametrize("bad", [True, np.True_, "1", math.inf, math.nan, 0])
+def test_reals_follow_the_real_rule(entry, bad):
+    name, call = REALS[entry]
+    if isinstance(bad, (bool, np.bool_, str)):
+        message = rf"^{name} must be a number, got {re.escape(repr(bad))}$"
+    else:
+        message = rf"^{name} must be finite and > 0, got {float(bad)}$"
+    with pytest.raises(ValueError, match=message):
+        call(bad)
+
+
+@pytest.mark.parametrize("entry", POINT_SETS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_point_sets_name_their_first_non_finite_row(entry, bad):
+    name, call = POINT_SETS[entry]
+    points = THETAS.copy()
+    points[1, 3], points[2, 0] = bad, math.nan
+    with pytest.raises(ValueError, match=rf"^{name} contain non-finite entries \(row 1\)$"):
+        call(points)
+
+
 def test_a_flat_embedding_is_its_column_form():
     kernel = ParamKernel(0.5)
     flat = PosteriorEmbedding([0.0, 1.0, 2.0], [0.2, 0.3, 0.5], kernel)
@@ -115,8 +186,37 @@ def test_a_flat_embedding_is_its_column_form():
         PosteriorEmbedding(np.zeros((3, 1, 1)), np.ones(3), kernel)
 
 
-def _count_checks(tree):
-    """``(function, name)`` for each ``if <parameter> < 1:`` whose body raises."""
+READERS = ("finite_entries", "count_entry", "point_rows")
+ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _count_check(test, params):
+    """The parameter of ``test`` if it reads ``<parameter> < 1``."""
+    if (isinstance(test, ast.Compare) and isinstance(test.left, ast.Name)
+            and test.left.id in params and isinstance(test.ops[0], ast.Lt)
+            and ast.unparse(test.comparators[0]) == "1"):
+        return test.left.id
+    return None
+
+
+def _real_check(test, params):
+    """The parameter that ``test``, or a comparison inside it, orders
+    against 0, 1 or inf (``not 0 < x < np.inf``, ``x <= 0``, ...)."""
+    for compare in (n for n in ast.walk(test) if isinstance(n, ast.Compare)):
+        operands = [compare.left, *compare.comparators]
+        limits = {"0", "0.0", "1", "1.0", "np.inf", "math.inf"} & set(map(ast.unparse, operands))
+        if limits and all(isinstance(op, ORDERINGS) for op in compare.ops):
+            for operand in operands:
+                if isinstance(operand, ast.Name) and operand.id in params:
+                    return operand.id
+    return None
+
+
+def _hand_written_checks(tree, check):
+    """``(function, name)`` for each ``if`` whose body raises and whose test
+    ``check`` finds a parameter in.  A parameter rebound to a reader's
+    result (``b = finite_entries(...)``) is a parameter no longer, so a
+    range check on it after the read is legal."""
     def walk(node, params):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -124,26 +224,44 @@ def _count_checks(tree):
                 names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
                 yield from walk(child, (getattr(child, "name", "<lambda>"), names))
                 continue
-            test = getattr(child, "test", None)
+            if params and isinstance(child, ast.Assign) and any(
+                    isinstance(n, ast.Call) and ast.unparse(n.func).split(".")[-1] in READERS
+                    for n in ast.walk(child.value)):
+                params[1].difference_update(
+                    n.id for t in child.targets for n in ast.walk(t) if isinstance(n, ast.Name))
             if (isinstance(child, ast.If) and params
-                    and isinstance(test, ast.Compare) and isinstance(test.left, ast.Name)
-                    and test.left.id in params[1] and isinstance(test.ops[0], ast.Lt)
-                    and ast.unparse(test.comparators[0]) == "1"
+                    and (name := check(child.test, params[1]))
                     and any(isinstance(n, ast.Raise) for s in child.body for n in ast.walk(s))):
-                yield params[0], test.left.id
+                yield params[0], name
             yield from walk(child, params)
 
     return list(walk(tree, None))
 
 
-def test_no_hand_written_count_checks():
-    # a count parameter is read by count_entry, not checked by hand
-    found = {
+def _count_checks(tree):
+    return _hand_written_checks(tree, _count_check)
+
+
+def _real_checks(tree):
+    return _hand_written_checks(tree, _real_check)
+
+
+def _checks_in_the_library(find):
+    return {
         path.name: checks
         for path in sorted(Path(shiftcal.__file__).parent.glob("*.py"))
-        if (checks := _count_checks(ast.parse(path.read_text())))
+        if (checks := find(ast.parse(path.read_text())))
     }
-    assert found == {}
+
+
+def test_no_hand_written_count_checks():
+    # a count parameter is read by count_entry, not checked by hand
+    assert _checks_in_the_library(_count_checks) == {}
+
+
+def test_no_hand_written_real_checks():
+    # a real parameter is read by finite_entries, not checked by hand
+    assert _checks_in_the_library(_real_checks) == {}
 
 
 def test_the_guard_sees_a_hand_written_check():
@@ -152,3 +270,19 @@ def test_the_guard_sees_a_hand_written_check():
         "def g(k):\n    steps = k\n    if steps < 1:\n        raise ValueError(k)\n"
     )
     assert _count_checks(ast.parse(source)) == [("f", "n")]
+
+
+def test_the_guard_sees_a_hand_written_real_check():
+    source = (
+        "def f(sigma2, eps, keyed):\n"
+        "    if not 0 < sigma2 < np.inf:\n        raise ValueError(sigma2)\n"
+        "    if eps <= 0.0:\n        raise ValueError(eps)\n"
+        "    if keyed != 1:\n        raise ValueError(keyed)\n"
+        "def g(b, C):\n"
+        "    b = finite_entries('b', b, '> 0', scalar=True)\n"
+        "    if not b > 1:\n        raise ValueError(b)\n"
+        "    if not C > 0:\n        warn(C)\n"
+        "def h(x, noise_var):\n"
+        "    if x > 1 or noise_var < 0:\n        raise ValueError(x)\n"
+    )
+    assert _real_checks(ast.parse(source)) == [("f", "sigma2"), ("f", "eps"), ("h", "x")]

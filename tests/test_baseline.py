@@ -77,6 +77,18 @@ class TestWeightedLogLikelihood:
             )
 
 
+class TestMHTrace:
+    def test_one_acceptance_flag_per_state(self):
+        with pytest.raises(ValueError, match="^misaligned trace fields$"):
+            MHTrace(states=np.zeros((3, 1)), accepted=np.zeros(2, dtype=bool), burn_in_steps=0)
+
+    @pytest.mark.parametrize("burn_in", [-1, 4])
+    def test_burn_in_within_the_chain(self, burn_in):
+        with pytest.raises(ValueError, match=f"^burn-in steps {burn_in} out of range$"):
+            MHTrace(states=np.zeros((3, 1)), accepted=np.zeros(3, dtype=bool),
+                    burn_in_steps=burn_in)
+
+
 class TestMHSample:
     def test_tiny_proposal_accepts_almost_everything(self):
         target = lambda th: -0.5 * float(th @ th)

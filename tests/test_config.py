@@ -278,7 +278,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "schedule,message",
         [({"b": 0.5, "C": 1.0}, "decay exponent must exceed 1"),
-         ({"b": 2.0, "C": -1.0}, "schedule constant must be positive"),
+         ({"b": 2.0, "C": -1.0}, "schedule constant must be finite and > 0, got -1.0"),
          ({"b": math.inf, "C": 1.0}, "epsilon_schedule.b must be finite, got inf"),
          ({"b": 2.0}, "missing keys in epsilon_schedule: C$"),
          ({"b": 2.0, "C": 1.0, "c": 1.0}, "unknown keys in epsilon_schedule: c$")],

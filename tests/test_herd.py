@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shiftcal.herd import CandidatePool, herd, herding_mmd
+from shiftcal.herd import CandidatePool, HerdedSamples, herd, herding_mmd
 from shiftcal.kabc import PosteriorEmbedding
 from shiftcal.kern import ParamKernel
 
@@ -174,6 +174,13 @@ class TestHerd:
         for points in ([[1.0], [0.0]], [[0.0]], [[5.0], [0.0], [1.0]]):
             with pytest.raises(ValueError, match="must start with the embedding's draws"):
                 herd(emb, CandidatePool(np.array(points)), 1)
+
+
+    def test_fields_must_align(self):
+        pool = CandidatePool([0.0, 1.0])
+        with pytest.raises(ValueError, match="^misaligned herded-sample fields$"):
+            HerdedSamples(points=np.zeros((2, 1)), indices=np.zeros(2, dtype=int),
+                          objectives=np.zeros(1), pool=pool)
 
 
 class TestHerdingMmd:

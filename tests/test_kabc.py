@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -182,7 +183,8 @@ class TestBuildEmbedding:
     def test_non_finite_inputs_rejected(self, where, bad):
         arrays = {"draws": np.zeros((3, 2)), "outputs": np.zeros((3, 5))}
         arrays[where][1, 0] = bad
-        with pytest.raises(ValueError, match="^pseudo-outputs contain non-finite entries$"):
+        name = {"draws": "prior draws", "outputs": "pseudo-outputs"}[where]
+        with pytest.raises(ValueError, match=rf"^{name} contain non-finite entries \(row 1\)$"):
             build_embedding(arrays["draws"], arrays["outputs"], [np.zeros(5)],
                             ordinary_weights(5), 1.0, 1.0, 0.1)
 
@@ -344,6 +346,14 @@ class TestEmbeddingEval:
         with pytest.raises(ValueError, match=r"^number of embedding draws must be >= 1, got 0$"):
             PosteriorEmbedding(np.empty((0, 2)), np.empty(0), ParamKernel(1.0))
 
+    def test_one_weight_per_draw(self):
+        with pytest.raises(ValueError, match=r"^misaligned embedding: \(3, 2\) vs \(2,\)$"):
+            PosteriorEmbedding(np.zeros((3, 2)), np.ones(2), ParamKernel(1.0))
+
+    def test_non_finite_weights_rejected(self):
+        with pytest.raises(ValueError, match="^embedding weights contain non-finite entries$"):
+            PosteriorEmbedding(np.zeros((3, 2)), [1.0, np.nan, 0.0], ParamKernel(1.0))
+
     def test_zero_weights_zero_everywhere(self):
         emb = PosteriorEmbedding(np.zeros((3, 1)), np.zeros(3), ParamKernel(1.0))
         for theta in ([0.0], [1.0], [-2.0]):
@@ -383,6 +393,13 @@ class TestEmbeddingEval:
         back = PosteriorEmbedding.from_json(text)
         assert np.array_equal(back.weights, emb.weights)
         assert back.kernel.sigma2 == 1.5
+
+    @pytest.mark.parametrize("bad", ['"1.5"', "true"])
+    def test_json_bandwidth_is_read_as_a_real(self, bad):
+        text = '{"draws": [[0.0]], "weights": [1.0], "sigma2_theta": %s}' % bad
+        shown = re.escape(repr(json.loads(bad)))
+        with pytest.raises(ValueError, match=rf"^sigma2 must be a number, got {shown}$"):
+            PosteriorEmbedding.from_json(text)
 
 
 class TestEmbeddingDistance:

@@ -217,6 +217,19 @@ class TestInputsAreChecked:
         with pytest.raises(ValueError, match=r"^vectors contain non-finite entries \(row 3\)$"):
             self.ENTRY_POINTS[entry](x, None)
 
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_weights_must_match_the_vector_length(self, entry):
+        x = np.random.default_rng(16).normal(size=(6, 5))
+        with pytest.raises(ValueError, match=r"^weight length \(4,\) does not match vector length 5$"):
+            self.ENTRY_POINTS[entry](x, np.ones(4))
+
+    def test_outputs_must_match_the_kernel_length(self):
+        kernel = WeightedOutputKernel(1.0, np.ones(5))
+        message = r"^pseudo-outputs must be shaped \(m, 5\), got \(6, 4\)$"
+        for call in (kernel.gram, lambda o: kernel.against(o, np.zeros(5))):
+            with pytest.raises(ValueError, match=message):
+                call(np.zeros((6, 4)))
+
 
 class TestEmptyOperands:
     def test_no_rows_or_no_columns_call_no_blas_and_warn_nothing(self, capfd):
@@ -392,7 +405,7 @@ class TestRegularizedSolve:
 
     def test_epsilon_must_be_positive(self):
         for eps in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match=f"^regularizer must be positive and finite, got {eps}$"):
+            with pytest.raises(ValueError, match=f"^epsilon must be finite and > 0, got {eps}$"):
                 regularized_solve(np.array([[1.0]]), np.array([1.0]), eps)
         # finite, but m eps is not
         message = r"^regularizer shift m \* epsilon overflows: m = 3, epsilon = 1e\+308$"
@@ -690,6 +703,17 @@ class TestConjugateGradients:
                 assert 0 < steps <= most, (m, seed, steps)
         assert factorizations == []
 
+    def test_negative_curvature_stops_cg_at_its_first_step(self, monkeypatch):
+        # G = -I: p'(G + m eps I)p < 0 on the first step, so CG hands the row
+        # to the fallback after one product, and the factorization fails
+        from shiftcal import kern
+
+        products = count_calls(monkeypatch, kern, "dsymv")
+        message = r"^factorization failed: 1-th leading minor of the array is not positive definite$"
+        with pytest.raises(SolveError, match=message):
+            regularized_solve(-np.eye(12), np.ones(12), 1e-6)
+        assert products == ["dsymv"]  # a second step would make a second product
+
     def test_an_ill_conditioned_system_falls_back_and_meets_the_bound(self, monkeypatch):
         from shiftcal import kern
 
@@ -724,7 +748,7 @@ class TestConjugateGradients:
 class TestBandwidthMustBeFinite:
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), 0.0, -1.0])
     def test_every_entry_point_rejects_it(self, bad):
-        message = f"^kernel bandwidth must be positive and finite, got {bad}$"
+        message = f"^sigma2 must be finite and > 0, got {bad}$"
         with pytest.raises(ValueError, match=message):
             ParamKernel(bad)
         with pytest.raises(ValueError, match=message):
@@ -914,6 +938,31 @@ class TestMedianOverOneTriangle:
                 ):
                     entry(np.array([[1e200], [-1e200]]))
 
+    def test_every_sweep_rejects_a_nan_distance(self):
+        # the fixed-bandwidth sweeps look for a NaN by the median sweep's
+        # rule, instead of returning NaN distances or a NaN Gram matrix
+        x = np.array([[1e200], [-1e200], [0.0], [3e199]])
+        with np.errstate(invalid="ignore", over="ignore"):
+            for entry in (pairwise_sqdist, lambda x: gaussian_gram(x, 1.0),
+                          ParamKernel(1.0).gram, WeightedOutputKernel(1.0, [1.0]).gram):
+                with pytest.raises(ValueError, match="^pairwise squared distances hold a NaN$"):
+                    entry(x)
+
+    def test_a_norm_near_overflow_raises_no_floating_point_error(self):
+        # 4 times the largest centred norm (about 5e307) overflows, though
+        # every distance is finite: the NaN guard compares without a product
+        rng = np.random.default_rng(17)
+        huge = rng.normal(size=(300, 2)) * 1e150
+        huge[7, 0] = 7.1e153
+        with np.errstate(all="ignore"):
+            quiet_gram, quiet_sigma2 = gaussian_gram(huge)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="raise", invalid="raise"):
+                gram, sigma2 = gaussian_gram(huge)
+        assert gram.tobytes() == quiet_gram.tobytes() and sigma2 == quiet_sigma2
+        assert np.isfinite(gram).all()
+
     def test_error_messages_kept(self):
         with pytest.raises(
             DegenerateBandwidthError,
@@ -999,7 +1048,7 @@ class TestSharedDistanceBuffer:
         assert np.array_equal(gram, gram.T) and np.all(np.diag(gram) == 1.0)
         fixed, given = gaussian_gram(outputs, 4.0, beta)
         assert given == 4.0 and np.array_equal(fixed, WeightedOutputKernel(4.0, beta).gram(outputs))
-        with pytest.raises(ValueError, match="^kernel bandwidth must be positive and finite, got 0.0$"):
+        with pytest.raises(ValueError, match="^sigma2 must be finite and > 0, got 0.0$"):
             gaussian_gram(outputs, 0.0, beta)
 
     def test_the_unspecified_triangle_never_reaches_a_result(self, monkeypatch):
@@ -1026,8 +1075,7 @@ class TestSharedDistanceBuffer:
                 embeddings = [prep.embed()[0] for prep in prepared]
                 matrices = [gaussian_gram(mat, None, beta)[0], pairwise_sqdist(mat, beta),
                             ParamKernel(2.0).gram(mat), *(e.theta_gram for e in embeddings)]
-            with np.errstate(over="ignore"):  # 4 times the largest norm overflows
-                gram, sigma2 = gaussian_gram(huge)
+            gram, sigma2 = gaussian_gram(huge)
             return [*matrices, gram], [*(e.weights for e in embeddings), np.array(sigma2)]
 
         clean, poisoned = results_from(0.0), results_from(np.nan)

@@ -352,6 +352,37 @@ class TestMHBaseline:
         with pytest.raises(ValueError, match="config has no 'mh' section"):
             rmse_curve(bare, [4, 8], trials=1, include_mh=True)
 
+    def test_an_out_of_box_proposal_runs_no_likelihood(self, monkeypatch):
+        # a wide proposal leaves assembly-shift's uniform prior box often;
+        # the target returns -inf for such a proposal before the likelihood
+        cfg = preset("assembly-shift", n_test=10,
+                     mh={"proposal_std": 1.0, "steps": 60, "burn_in": 0.1, "noise_var": 30.0})
+        low, high = cfg.build_prior().search_box()
+        proposals, evaluated = [], []
+        chain, sweep = pipeline.mh_sample, pipeline.log_likelihood_sweep
+
+        def recorded(calls, fn):
+            def call(theta):
+                calls.append(theta)
+                return fn(theta)
+            return call
+
+        def recorded_chain(target, init, mh_cfg):
+            return chain(recorded(proposals, target), init, mh_cfg)
+
+        def recorded_sweep(*args, **kwargs):
+            return recorded(evaluated, sweep(*args, **kwargs))
+
+        monkeypatch.setattr(pipeline, "mh_sample", recorded_chain)
+        monkeypatch.setattr(pipeline, "log_likelihood_sweep", recorded_sweep)
+        states = run_mh_baseline(cfg).trace.states
+        inside = [bool(np.all((low <= p) & (p <= high))) for p in proposals]
+        assert len(proposals) == 61 and 0 < sum(inside) < 60  # the start, then one per step
+        assert [p.tobytes() for p, ok in zip(proposals, inside) if ok] == [
+            e.tobytes() for e in evaluated
+        ]
+        assert np.all((low <= states) & (states <= high))
+
     @pytest.mark.parametrize("scale", [{"var": [0.0, 5.0]}, {"std": [1.0, 0.0]}])
     def test_requires_a_prior_density(self, monkeypatch, scale):
         # a zero std is a point mass: calibrate runs on it, but the chain's

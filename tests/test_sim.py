@@ -192,6 +192,15 @@ class TestPiecewiseTruth:
                 piecewise_truth((0, 1), (0, 1), bad)
 
 
+class TestDataset:
+    @pytest.mark.parametrize("x,y", [(np.zeros(3), np.zeros(2)), (np.zeros((2, 1)), np.zeros((2, 1)))])
+    def test_inputs_and_outputs_align(self, x, y):
+        message = (rf"^inputs and outputs must be aligned 1-d vectors, "
+                   rf"got {re.escape(str(x.shape))} / {re.escape(str(y.shape))}$")
+        with pytest.raises(ValueError, match=message):
+            Dataset(x=x, y=y, seed=0)
+
+
 class TestGenerateDataset:
     def test_zero_noise_constant_truth(self):
         dgp = DataGeneratingProcess(

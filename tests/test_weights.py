@@ -114,6 +114,27 @@ class TestLogPdf:
             with pytest.raises(ValueError, match="point mass"):
                 spec.log_pdf([0.0, 1.0])
 
+
+class TestDensitySpecFields:
+    @pytest.mark.parametrize(
+        "spec,message",
+        [(lambda: DensitySpec.normal([0.0, 1.0], [1.0]),
+          "^mean and std need the same non-zero length, got 2 and 1$"),
+         (lambda: DensitySpec.uniform([], []),
+          "^low and high need the same non-zero length, got 0 and 0$")],
+        ids=["unequal", "empty"],
+    )
+    def test_fields_share_a_non_zero_length(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            spec()
+
+    @pytest.mark.parametrize("spec", [TestLogPdf.NORMAL, TestLogPdf.BOX], ids=["normal", "box"])
+    def test_log_pdf_takes_one_point_of_the_spec_dimension(self, spec):
+        message = r"^parameter dimension mismatch: \(3,\) vs \(2,\)$"
+        with pytest.raises(ValueError, match=message):
+            spec.log_pdf([0.0, 1.0, 2.0])
+
+
 class TestDensitySpecDict:
     def test_std_and_var_forms(self):
         by_std = DensitySpec.from_dict({"family": "normal", "mean": 1.0, "std": 2.0})
@@ -141,6 +162,11 @@ class TestDensitySpecDict:
 
 
 class TestImportanceWeights:
+    @pytest.mark.parametrize("values", [[], [[1.0, 2.0]]], ids=["empty", "2-d"])
+    def test_a_non_empty_vector(self, values):
+        with pytest.raises(DegenerateWeightError, match="^weights must be a non-empty 1-d vector$"):
+            ImportanceWeights(values)
+
     def test_identical_densities_give_ones(self):
         q = DensitySpec.normal(0.5, 0.5)
         xs = np.linspace(-2, 2, 17)
