@@ -55,8 +55,8 @@ class MHTrace:
     def __post_init__(self):
         if len(self.states) != len(self.accepted):
             raise ValueError("misaligned trace fields")
-        if not 0 <= self.burn_in_steps <= len(self.states):
-            raise ValueError(f"burn-in steps {self.burn_in_steps} out of range")
+        object.__setattr__(self, "burn_in_steps", count_entry(
+            "burn-in steps", self.burn_in_steps, 0, len(self.states) + 1))
 
     @property
     def steps(self) -> int:

@@ -30,7 +30,8 @@ from .kern import (
     regularized_solve,
 )
 from .sim import Simulator, SimulatorError, write_json_artifact
-from .weights import DensitySpec, ImportanceWeights, count_entry, finite_entries, point_rows
+from .weights import (DensitySpec, ImportanceWeights, count_entry, finite_entries, point_rows,
+                      real_array)
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class PosteriorEmbedding:
 
     def __post_init__(self):
         draws = point_rows(self.draws, "embedding draws")
-        weights = np.asarray(self.weights, dtype=float)
+        weights = real_array(self.weights, "embedding weights")
         object.__setattr__(self, "draws", draws)
         object.__setattr__(self, "weights", weights)
         if weights.shape != (draws.shape[0],):
@@ -87,8 +88,8 @@ class PosteriorEmbedding:
         """Load an embedding from the JSON text ``to_json`` writes."""
         payload = json.loads(text)
         return cls(
-            draws=np.asarray(payload["draws"], dtype=float),
-            weights=np.asarray(payload["weights"], dtype=float),
+            draws=payload["draws"],
+            weights=payload["weights"],
             kernel=ParamKernel(payload["sigma2_theta"]),
             meta=payload.get("meta", {}),
         )
@@ -152,12 +153,12 @@ def build_embedding(
     draws.  The values used land in ``meta["sigma2"]`` and
     ``kernel.sigma2``.
     """
-    draws, outputs = np.asarray(draws, dtype=float), np.asarray(outputs, dtype=float)
+    draws, outputs = real_array(draws, "prior draws"), real_array(outputs, "pseudo-outputs")
     if draws.ndim not in (1, 2) or outputs.ndim != 2 or len(draws) != len(outputs):
         raise ValueError(f"misaligned pseudo-outputs: {draws.shape} vs {outputs.shape}")
     draws, outputs = point_rows(draws, "prior draws"), point_rows(outputs, "pseudo-outputs")
     count_entry("number of prior draws", len(draws), 1)
-    observed = [np.asarray(y, dtype=float) for y in observed]
+    observed = [real_array(y, "observed outputs") for y in observed]
     if not observed:
         raise ValueError("no observed output vectors")
     for y in observed:

@@ -135,9 +135,8 @@ def pairwise_sqdist(vectors, weights=None) -> np.ndarray:
     The absolute error of an entry is a small multiple of
     n * machine-eps * (|a_i|^2 + |a_j|^2) for the centred rows; on unimodal
     data such as the shipped presets' outputs that is below 1e-12 times
-    the median distance (measured: ~1e-14).  Non-finite vectors, weights
-    that are not finite and non-negative, and a NaN distance (only rows
-    near overflow give one) are rejected.
+    the median distance (measured: ~1e-14).  Non-finite vectors, weights that
+    are not finite and >= 0, and a NaN distance (rows near overflow) are rejected.
     """
     return _mirror(_sqdist_sweep(vectors, weights)[0])
 

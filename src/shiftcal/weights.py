@@ -9,10 +9,9 @@ q0, q1 (one-dimensional) and the prior over simulator parameters
 (d-dimensional) alike: a diagonal normal or a uniform box.
 
 The config and the library read arguments here, one rule per kind:
-``finite_entries`` reals (a bool or a string is no number),
-``count_entry`` counts and seeds (50.0 is 50; a bool or a string is no
-count), ``point_rows`` point sets (a 1-d vector is m one-dimensional
-points; the first non-finite row is named).
+``finite_entries`` reals and ``real_array`` arrays (a bool or a string is
+no number), ``count_entry`` counts and seeds (50.0 is 50), ``point_rows``
+point sets (a 1-d vector is m one-dimensional points; a bad row is named).
 """
 
 from __future__ import annotations
@@ -84,11 +83,19 @@ def count_entry(name: str, value, low: int | None = None, high: int | None = Non
     return count
 
 
+def real_array(values, name: str) -> np.ndarray:
+    """``values`` as a C-ordered float array; bools, strings or None are no
+    numbers (numpy reads a list mixing bools and numbers as numbers)."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be numbers, got {array.dtype} entries")
+    return np.asarray(array, dtype=float, order="C")
+
+
 def point_rows(points, name: str = "points") -> np.ndarray:
-    """``points`` as a C-ordered float (m, d) array of finite rows; a 1-d
-    vector is m one-dimensional points.  Any memory layout reads as the
-    same rows.  An error names the first row with a non-finite entry."""
-    rows = np.asarray(points, dtype=float, order="C")
+    """``points`` as a C-ordered float (m, d) array of finite rows, whatever
+    its layout; a 1-d vector is m points.  An error names the first bad row."""
+    rows = real_array(points, name)
     rows = rows[:, None] if rows.ndim == 1 else rows
     if rows.ndim != 2:
         raise ValueError(f"{name} must be a list of vectors, got shape {rows.shape}")

@@ -4,12 +4,14 @@ Counts and seeds go through ``weights.count_entry``, as in the config: an
 integral float is its int, a bool (numpy's too), a string or a fraction is
 an error.  Reals go through ``weights.finite_entries``: a bool or a string
 is no number, and inf, NaN and a bound miss are errors.  Point sets go
-through ``weights.point_rows``: a 1-d vector is m one-dimensional points,
-and the first row with a non-finite entry is named.  Guards keep
-hand-written count and real checks out.
+through ``weights.point_rows``: a bool or a string is no coordinate, a
+1-d vector is m one-dimensional points, and the first row with a
+non-finite entry is named.  One guard keeps hand-written range checks on
+counts and reals out.
 """
 
 import ast
+import json
 import math
 import re
 from pathlib import Path
@@ -175,6 +177,24 @@ def test_point_sets_name_their_first_non_finite_row(entry, bad):
         call(points)
 
 
+@pytest.mark.parametrize("entry", POINT_SETS)
+@pytest.mark.parametrize("bad", [THETAS > 2.0, THETAS.astype(str).tolist()], ids=["bool", "str"])
+def test_point_sets_are_numbers(entry, bad):
+    name, call = POINT_SETS[entry]
+    with pytest.raises(ValueError, match=rf"^{name} must be numbers, got (bool|<U\d+) entries$"):
+        call(bad)
+
+
+def test_a_loaded_embedding_reads_numbers_only():
+    payload = json.loads(EMB.to_json())
+    assert bits(PosteriorEmbedding.from_json(json.dumps(payload)).draws) == bits(EMB.draws)
+    for key, value, name in [("draws", [[str(v)] for v in EMB.draws[:, 0]], "embedding draws"),
+                             ("weights", [True] * EMB.m, "embedding weights")]:
+        text = json.dumps({**payload, key: value})
+        with pytest.raises(ValueError, match=rf"^{name} must be numbers, got (bool|<U\d+) entries$"):
+            PosteriorEmbedding.from_json(text)
+
+
 def test_a_flat_embedding_is_its_column_form():
     kernel = ParamKernel(0.5)
     flat = PosteriorEmbedding([0.0, 1.0, 2.0], [0.2, 0.3, 0.5], kernel)
@@ -186,37 +206,29 @@ def test_a_flat_embedding_is_its_column_form():
         PosteriorEmbedding(np.zeros((3, 1, 1)), np.ones(3), kernel)
 
 
-READERS = ("finite_entries", "count_entry", "point_rows")
 ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+LIMITS = {"0", "0.0", "1", "1.0", "np.inf", "math.inf"}
 
 
-def _count_check(test, params):
-    """The parameter of ``test`` if it reads ``<parameter> < 1``."""
-    if (isinstance(test, ast.Compare) and isinstance(test.left, ast.Name)
-            and test.left.id in params and isinstance(test.ops[0], ast.Lt)
-            and ast.unparse(test.comparators[0]) == "1"):
-        return test.left.id
-    return None
-
-
-def _real_check(test, params):
+def _range_check(test, params):
     """The parameter that ``test``, or a comparison inside it, orders
-    against 0, 1 or inf (``not 0 < x < np.inf``, ``x <= 0``, ...)."""
+    against 0, 1 or inf (``n < 1``, ``not 0 < x < np.inf``, ...)."""
     for compare in (n for n in ast.walk(test) if isinstance(n, ast.Compare)):
         operands = [compare.left, *compare.comparators]
-        limits = {"0", "0.0", "1", "1.0", "np.inf", "math.inf"} & set(map(ast.unparse, operands))
-        if limits and all(isinstance(op, ORDERINGS) for op in compare.ops):
+        if LIMITS & set(map(ast.unparse, operands)) and all(
+                isinstance(op, ORDERINGS) for op in compare.ops):
             for operand in operands:
                 if isinstance(operand, ast.Name) and operand.id in params:
                     return operand.id
     return None
 
 
-def _hand_written_checks(tree, check):
+def _range_checks(tree):
     """``(function, name)`` for each ``if`` whose body raises and whose test
-    ``check`` finds a parameter in.  A parameter rebound to a reader's
-    result (``b = finite_entries(...)``) is a parameter no longer, so a
-    range check on it after the read is legal."""
+    orders a parameter against 0, 1 or inf.  A parameter rebound to
+    ``finite_entries``' result (``b = finite_entries(...)``) is a parameter
+    no longer, so a range check on the read real (b > 1) is legal; a count
+    is read with its range by ``count_entry(name, value, low, high)``."""
     def walk(node, params):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -225,12 +237,12 @@ def _hand_written_checks(tree, check):
                 yield from walk(child, (getattr(child, "name", "<lambda>"), names))
                 continue
             if params and isinstance(child, ast.Assign) and any(
-                    isinstance(n, ast.Call) and ast.unparse(n.func).split(".")[-1] in READERS
+                    isinstance(n, ast.Call) and ast.unparse(n.func).split(".")[-1] == "finite_entries"
                     for n in ast.walk(child.value)):
                 params[1].difference_update(
                     n.id for t in child.targets for n in ast.walk(t) if isinstance(n, ast.Name))
             if (isinstance(child, ast.If) and params
-                    and (name := check(child.test, params[1]))
+                    and (name := _range_check(child.test, params[1]))
                     and any(isinstance(n, ast.Raise) for s in child.body for n in ast.walk(s))):
                 yield params[0], name
             yield from walk(child, params)
@@ -238,51 +250,35 @@ def _hand_written_checks(tree, check):
     return list(walk(tree, None))
 
 
-def _count_checks(tree):
-    return _hand_written_checks(tree, _count_check)
-
-
-def _real_checks(tree):
-    return _hand_written_checks(tree, _real_check)
-
-
-def _checks_in_the_library(find):
-    return {
+def test_no_hand_written_range_checks():
+    # a count is read by count_entry and a real by finite_entries, not checked by hand
+    found = {
         path.name: checks
         for path in sorted(Path(shiftcal.__file__).parent.glob("*.py"))
-        if (checks := find(ast.parse(path.read_text())))
+        if (checks := _range_checks(ast.parse(path.read_text())))
     }
-
-
-def test_no_hand_written_count_checks():
-    # a count parameter is read by count_entry, not checked by hand
-    assert _checks_in_the_library(_count_checks) == {}
-
-
-def test_no_hand_written_real_checks():
-    # a real parameter is read by finite_entries, not checked by hand
-    assert _checks_in_the_library(_real_checks) == {}
+    assert found == {}
 
 
 def test_the_guard_sees_a_hand_written_check():
     source = (
-        "def f(n, steps):\n    if n < 1:\n        raise ValueError(n)\n"
-        "def g(k):\n    steps = k\n    if steps < 1:\n        raise ValueError(k)\n"
-    )
-    assert _count_checks(ast.parse(source)) == [("f", "n")]
-
-
-def test_the_guard_sees_a_hand_written_real_check():
-    source = (
-        "def f(sigma2, eps, keyed):\n"
+        "def f(sigma2, eps, keyed, steps):\n"
         "    if not 0 < sigma2 < np.inf:\n        raise ValueError(sigma2)\n"
         "    if eps <= 0.0:\n        raise ValueError(eps)\n"
         "    if keyed != 1:\n        raise ValueError(keyed)\n"
+        "    if steps < 1:\n        raise ValueError(steps)\n"
         "def g(b, C):\n"
         "    b = finite_entries('b', b, '> 0', scalar=True)\n"
         "    if not b > 1:\n        raise ValueError(b)\n"
         "    if not C > 0:\n        warn(C)\n"
         "def h(x, noise_var):\n"
         "    if x > 1 or noise_var < 0:\n        raise ValueError(x)\n"
+        "def k(n):\n"
+        "    n = count_entry('n', n)\n"
+        "    if n < 1:\n        raise ValueError(n)\n"
+        "def s(k):\n"
+        "    steps = k\n"
+        "    if steps < 1:\n        raise ValueError(k)\n"
     )
-    assert _real_checks(ast.parse(source)) == [("f", "sigma2"), ("f", "eps"), ("h", "x")]
+    assert _range_checks(ast.parse(source)) == [
+        ("f", "sigma2"), ("f", "eps"), ("f", "steps"), ("h", "x"), ("k", "n")]

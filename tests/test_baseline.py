@@ -82,11 +82,20 @@ class TestMHTrace:
         with pytest.raises(ValueError, match="^misaligned trace fields$"):
             MHTrace(states=np.zeros((3, 1)), accepted=np.zeros(2, dtype=bool), burn_in_steps=0)
 
-    @pytest.mark.parametrize("burn_in", [-1, 4])
-    def test_burn_in_within_the_chain(self, burn_in):
-        with pytest.raises(ValueError, match=f"^burn-in steps {burn_in} out of range$"):
+    @pytest.mark.parametrize("burn_in, rule", [
+        (-1, r"in \[0, 4\), got -1"), (4, r"in \[0, 4\), got 4"),
+        (1.5, "an integer, got 1.5"), (True, "an integer, got True"),
+        (np.True_, r"an integer, got np\.True_"),
+    ])
+    def test_burn_in_is_a_count_within_the_chain(self, burn_in, rule):
+        with pytest.raises(ValueError, match=f"^burn-in steps must be {rule}$"):
             MHTrace(states=np.zeros((3, 1)), accepted=np.zeros(3, dtype=bool),
                     burn_in_steps=burn_in)
+
+    def test_an_integral_burn_in_is_its_int(self):
+        trace = MHTrace(states=np.zeros((3, 1)), accepted=np.zeros(3, dtype=bool),
+                        burn_in_steps=np.float64(3.0))
+        assert type(trace.burn_in_steps) is int and trace.post_burn_in.shape == (0, 1)
 
 
 class TestMHSample:
