@@ -170,7 +170,7 @@ def build_embedding(
         if value is not None:
             finite_entries(name, value, "> 0", scalar=True)
     epsilon = finite_entries("epsilon", epsilon, "> 0", scalar=True)
-    beta = np.asarray(beta, dtype=float)
+    beta = real_array(beta, "importance weights")
     gram, sigma2 = _upper_gram(outputs, sigma2, beta)
     kernel = WeightedOutputKernel(sigma2=sigma2, beta=beta)
     rhs = [kernel.against(outputs, y) for y in observed]

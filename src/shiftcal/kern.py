@@ -77,7 +77,7 @@ from importlib.util import module_from_spec
 import numpy as np
 import scipy
 
-from .weights import finite_entries, point_rows
+from .weights import finite_entries, point_rows, real_array
 
 
 def _scipy_extension(name):
@@ -458,14 +458,14 @@ class WeightedOutputKernel:
         """||o_j - y||^2_beta / (2 sigma2) for each pseudo-output row o_j and
         the data y: the exponents whose exp(-.) ``against`` returns."""
         outputs = self._check_outputs(outputs)
-        observed = np.asarray(observed, dtype=float)
+        observed = real_array(observed, "observed outputs")
         if observed.shape != (self.n,):
             raise ValueError(f"observed outputs must have length {self.n}, got {observed.shape}")
         diff = outputs - observed
         return np.einsum("ij,ij,j->i", diff, diff, self.beta) / (2.0 * self.sigma2)
 
     def _check_outputs(self, outputs) -> np.ndarray:
-        outputs = np.asarray(outputs, dtype=float)
+        outputs = real_array(outputs, "pseudo-outputs")
         if outputs.ndim != 2 or outputs.shape[1] != self.n:
             raise ValueError(
                 f"pseudo-outputs must be shaped (m, {self.n}), got {outputs.shape}"
@@ -474,7 +474,7 @@ class WeightedOutputKernel:
 
 
 def _importance_weights(weights) -> np.ndarray:
-    beta = np.asarray(weights, dtype=float)
+    beta = real_array(weights, "importance weights")
     if beta.ndim != 1 or not np.all(np.isfinite(beta)) or np.any(beta < 0):
         raise ValueError("importance weights must be a finite non-negative vector")
     return beta
@@ -505,8 +505,8 @@ def regularized_solve(gram, rhs, epsilon: float) -> np.ndarray:
     every row has run CG.  Nothing reads G's strict lower triangle, which
     may hold anything, NaN included, or writes ``gram`` or ``rhs``.
     """
-    gram = np.asarray(gram, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
+    gram = real_array(gram, "G")
+    rhs = real_array(rhs, "the right-hand side")
     m = rhs.shape[-1] if rhs.ndim in (1, 2) else -1
     if gram.shape != (m, m):
         raise ValueError(f"inconsistent system shapes: {gram.shape}, {rhs.shape}")

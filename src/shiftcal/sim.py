@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from ._seeding import SEED_RANGE, derive_rng, derive_seed, key_normals, stream_keys
-from .weights import DensitySpec, count_entry, finite_entries
+from .weights import DensitySpec, count_entry, finite_entries, real_array
 
 # truth(xs, keys) with one stream key per input; a noise-free truth ignores the keys.
 TruthFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -170,60 +170,85 @@ class AssemblyLineSimulator(Simulator):
         Normals 0..x-1 of row r's stream drive its assembly durations and
         the next ones its inspection durations; they are drawn here, once,
         and so is every index a call reads by: the inspection normals, each
-        batch's ready time and each row's last real batch.  Rows with fewer
-        products or batches are padded: the makespan is read from prefix
-        sums and a max over the real batches only, so padding never reaches
-        it.  With one input nothing is padded, so the indices are column
-        numbers rather than one per row.  A call reads theta's columns as
-        views and forms the assembly schedule and the inspections each in
+        batch's ready time and each row's last real batch.  Every array is
+        laid out (normal, row), one column per row, so a prefix sum advances
+        all rows at once (``_prefix_sums``).  Rows with fewer products or
+        batches are padded: the makespan is read from prefix sums and a max
+        over the real batches only, so padding never reaches it.  With one
+        input nothing is padded, so the indices are row numbers of the
+        schedule rather than one per column.  A call reads theta's columns
+        as views and forms the assembly schedule and the inspections each in
         one buffer, in place.
         """
         streams = self._streams(xs, keys)  # checks the inputs and keys
         xs = np.asarray(xs, dtype=float).reshape(-1)
         size = self.batch_size
-        counts = np.rint(xs).astype(np.intp)[:, None]
+        counts = np.rint(xs).astype(np.intp)
         n_batches = -(-counts // size)
         width, depth = int(counts.max(initial=0)), int(n_batches.max(initial=0))
         z = key_normals(streams, width + depth)
-        z_asm = z[:, :width]
+        z_asm, rows = z[:width], z.shape[1]
         # Batch b is ready when its last product leaves assembly; a trailing
         # partial batch when the last product does.
-        batch = np.arange(depth)
+        batch = np.arange(depth)[:, None]
         last = np.minimum((batch + 1) * size, counts) - 1
         # ``ready_at`` and ``last_at`` are ``take`` arguments, (indices, axis).
-        if len(xs) == 1:  # nothing is padded: read columns, do not gather them
-            z_insp = z[:, width:]
-            ready_at, last_at, real = (last[0], 1), (depth - 1, 1), True
-        else:  # gather row by row, at flat indices: row r, column c is r * columns + c
-            row = np.arange(len(z))[:, None]
-            z_insp = z.take(row * (width + depth) + counts + batch)
-            ready_at = (row * width + last, None)
-            last_at = (row[:, 0] * depth + n_batches[:, 0] - 1, None)
-            real = batch < n_batches  # (rows, depth): False on padded batches
+        if len(xs) == 1:  # nothing is padded: read rows, do not gather them
+            z_insp = z[width:]
+            ready_at, last_at, real = (last[:, 0], 0), (depth - 1, 0), True
+        else:  # gather column by column, at flat indices: normal c, row r is c * rows + r
+            column = np.arange(rows)
+            z_insp = z.take((counts + batch) * rows + column)
+            ready_at = (last * rows + column, None)
+            last_at = ((n_batches - 1) * rows + column, None)
+            real = batch < n_batches  # (depth, rows): False on padded batches
 
         def makespans(thetas):
-            thetas = self._theta_rows(thetas, len(z), non_negative=True)
-            if len(thetas) == 0 or len(z) == 0:
+            thetas = self._theta_rows(thetas, rows, non_negative=True)
+            if len(thetas) == 0 or rows == 0:
                 return np.empty(0)
-            mean_asm, sd_asm, mean_insp, sd_insp = thetas.T[:, :, None]
+            mean_asm, sd_asm, mean_insp, sd_insp = thetas.T
             # sd * z, then + mean in place: addition commutes exactly, so
             # these are the bits of mean + sd * z
             completion = np.multiply(sd_asm, z_asm)
             completion += mean_asm
             np.maximum(completion, 0.0, out=completion)
-            np.cumsum(completion, axis=1, out=completion)
+            _prefix_sums(completion, out=completion)
             inspect = np.multiply(sd_insp, z_insp)
             inspect += mean_insp
             np.maximum(inspect, 0.0, out=inspect)
             # finish_b = max(ready_b, finish_{b-1}) + inspect_b unrolls to
             # cum_inspect_b + max(slack_0..b), so the last real batch finishes
             # at its cum_inspect plus the largest slack over the real batches.
-            cum_inspect = np.cumsum(inspect, axis=1)
+            cum_inspect = _prefix_sums(inspect, out=np.empty_like(inspect))
             slack = np.subtract(cum_inspect, inspect, out=inspect)
             np.subtract(completion.take(*ready_at), slack, out=slack)
-            return cum_inspect.take(*last_at) + slack.max(axis=1, initial=-np.inf, where=real)
+            return cum_inspect.take(*last_at) + slack.max(axis=0, initial=-np.inf, where=real)
 
         return makespans
+
+
+# Columns from which ``_prefix_sums`` adds row by row.  Each row's add costs
+# about 0.6 us of call overhead, so with few columns one ``np.cumsum(axis=0)``
+# is faster.  Measured on 2 cores (numpy 2.4), median of 11: 120 rows of
+# C = 50 / 128 / 224 / 256 / 400 / 4096 columns took 72 / 72 / 85 / 89 / 76 /
+# 520 us row by row and 20 / 52 / 79 / 103 / 141 / 3080 us in cumsum; 30 rows
+# of C = 50 / 192 / 224 / 400 took 18 / 19 / 22 / 26 us and 7 / 20 / 23 / 39 us.
+# The MH chain's sweep has 50 columns; pseudo-output and prediction sweeps
+# have m or T (400 in the presets), and the oracle search 4096.
+_ROW_ADDS_FROM = 224
+
+
+def _prefix_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.cumsum(a, axis=0, out=out)``, bit for bit: every entry is the
+    same chain of adds down its column.  From ``_ROW_ADDS_FROM`` columns on
+    it adds row by row, each row one vector add onto the previous sums."""
+    if a.shape[1] < _ROW_ADDS_FROM:
+        return np.cumsum(a, axis=0, out=out)
+    out[:1] = a[:1]
+    for prev, row, total in zip(out, a[1:], out[1:]):
+        np.add(prev, row, total)  # a positional out parses faster
+    return out
 
 
 # Default regime parameters and breakpoint for the shipped assembly-line
@@ -284,8 +309,8 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        x = real_array(self.x, "dataset inputs")
+        y = real_array(self.y, "dataset outputs")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         if x.shape != y.shape or x.ndim != 1:

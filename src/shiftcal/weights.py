@@ -272,7 +272,7 @@ class ImportanceWeights:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = real_array(self.values, "weights")
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.size == 0:
             raise DegenerateWeightError("weights must be a non-empty 1-d vector")

@@ -6,8 +6,10 @@ an error.  Reals go through ``weights.finite_entries``: a bool or a string
 is no number, and inf, NaN and a bound miss are errors.  Point sets go
 through ``weights.point_rows``: a bool or a string is no coordinate, a
 1-d vector is m one-dimensional points, and the first row with a
-non-finite entry is named.  One guard keeps hand-written range checks on
-counts and reals out.
+non-finite entry is named.  Other number arrays (weights, a dataset's x
+and y, observed outputs, the solve's G and right-hand side) go through
+``weights.real_array``: a bool or a string is no number there either.  One
+guard keeps hand-written range checks on counts and reals out.
 """
 
 import ast
@@ -38,8 +40,8 @@ from shiftcal.kern import (
     regularized_solve,
 )
 from shiftcal.predict import generate_test_inputs, predict, score_predictions
-from shiftcal.sim import AssemblyLineSimulator, generate_dataset
-from shiftcal.weights import ordinary_weights
+from shiftcal.sim import AssemblyLineSimulator, Dataset, generate_dataset
+from shiftcal.weights import ImportanceWeights, ordinary_weights
 
 CFG = preset("assembly-shift")
 DGP = CFG.build_dgp()
@@ -123,6 +125,46 @@ POINT_SETS = {
     "predict": ("posterior samples", lambda p: predict(SIM, 50.0, p, 0)),
     "pairwise_sqdist": ("vectors", lambda p: pairwise_sqdist(p)),
 }
+
+
+# each library number array, as (its name in the error, a call of that
+# array alone, an array it accepts)
+NUMBER_ARRAYS = {
+    "ImportanceWeights": ("weights", lambda v: ImportanceWeights(v), np.ones(2)),
+    "Dataset x": ("dataset inputs", lambda v: Dataset(v, [1.0, 2.0], 0), np.ones(2)),
+    "Dataset y": ("dataset outputs", lambda v: Dataset([1.0, 2.0], v, 0), np.ones(2)),
+    "regularized_solve G": ("G", lambda v: regularized_solve(v, np.ones(2), 0.1), np.eye(2)),
+    "regularized_solve rhs": ("the right-hand side",
+                              lambda v: regularized_solve(np.eye(2), v, 0.1), np.ones(2)),
+    "WeightedOutputKernel beta": ("importance weights",
+                                  lambda v: WeightedOutputKernel(1.0, v), np.ones(2)),
+    "build_embedding beta": ("importance weights", lambda v: build_embedding(
+        THETAS, OUTPUTS, [np.ones(2)], v, 1.0, 1.0, 0.1), np.ones(2)),
+    "WeightedOutputKernel.against observed": (
+        "observed outputs", lambda v: WeightedOutputKernel(1.0, np.ones(2)).against(OUTPUTS, v),
+        np.ones(2)),
+    "WeightedOutputKernel.against outputs": (
+        "pseudo-outputs", lambda v: WeightedOutputKernel(1.0, np.ones(2)).against(v, [1.0, 2.0]),
+        OUTPUTS),
+}
+
+
+def _bools_strings_and_a_mix(good):
+    """``good`` as bools, as numeric strings, and as a list whose first entry
+    is True and last a numeric string (numpy reads it as strings)."""
+    mixed = good.astype(object)
+    mixed.flat[0], mixed.flat[-1] = True, "1"
+    return [good > 0, good.astype(str).tolist(), mixed.tolist()]
+
+
+@pytest.mark.parametrize("entry", NUMBER_ARRAYS)
+def test_number_arrays_are_numbers(entry):
+    name, call, good = NUMBER_ARRAYS[entry]
+    call(good)
+    call(good.astype(int).tolist())  # ints are numbers
+    for bad in _bools_strings_and_a_mix(good):
+        with pytest.raises(ValueError, match=rf"^{name} must be numbers, got (bool|<U\d+) entries$"):
+            call(bad)
 
 
 @pytest.mark.parametrize("entry", COUNTS)

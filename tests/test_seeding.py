@@ -91,23 +91,24 @@ EDGE_KEYS = np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64
 def test_outputs_are_splitmix64():
     # the first output of splitmix64 seeded with 0, as published with the generator
     assert int(_outputs(0, 1)[0, 0]) == 0xE220A8397B1DCDAF
-    assert _outputs(EDGE_KEYS, 20).tolist() == [splitmix64(int(key), 20) for key in EDGE_KEYS]
+    # one row per output, one column per key
+    assert _outputs(EDGE_KEYS, 20).T.tolist() == [splitmix64(int(key), 20) for key in EDGE_KEYS]
 
 
 @pytest.mark.parametrize("k", [0, 1, 200])
 def test_key_normals_edge_keys(k):
     got = key_normals(EDGE_KEYS, k)
-    assert got.shape == (len(EDGE_KEYS), k)
+    assert got.shape == (k, len(EDGE_KEYS))
     assert np.all(np.isfinite(got))
     assert got.tobytes() == key_normals(EDGE_KEYS.copy(), k).tobytes()
     if k:
-        assert len({row.tobytes() for row in got}) == len(EDGE_KEYS)
+        assert len({column.tobytes() for column in got.T}) == len(EDGE_KEYS)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 7, 200])
 def test_key_normals_are_box_muller_on_half_as_many_outputs(k):
     got = key_normals(EDGE_KEYS, k)
-    assert got.tobytes() == _box_muller(_outputs(EDGE_KEYS, -(-k // 2)))[:, :k].tobytes()
+    assert got.tobytes() == _box_muller(_outputs(EDGE_KEYS, -(-k // 2)))[:k].tobytes()
 
 
 def box_muller_oracle(word):
@@ -128,7 +129,8 @@ TAIL_CUT = math.sqrt(-2 * math.log(2.0**-25)) * (1 + 2.0**-22)
 
 
 def test_box_muller_on_crafted_words():
-    z = _box_muller(np.array([CRAFTED_WORDS], dtype=np.uint64))[0]
+    # one column of words: normals 2j and 2j+1 are rows 2j and 2j+1
+    z = _box_muller(np.array(CRAFTED_WORDS, dtype=np.uint64)[:, None])[:, 0]
     assert z.shape == (2 * len(CRAFTED_WORDS),) and np.all(np.isfinite(z))
     assert np.abs(z).max() <= TAIL_CUT
     expected = np.array([box_muller_oracle(word) for word in CRAFTED_WORDS]).ravel()
@@ -136,29 +138,34 @@ def test_box_muller_on_crafted_words():
     # the pair from one word shares its radius
     np.testing.assert_allclose(z[0::2] ** 2 + z[1::2] ** 2, expected[0::2] ** 2 + expected[1::2] ** 2,
                                rtol=1e-6)
+    # one row of words: the sines fill row 0 and the cosines row 1
+    row = _box_muller(np.array([CRAFTED_WORDS], dtype=np.uint64))
+    assert row.shape == (2, len(CRAFTED_WORDS))
+    assert row.tobytes() == np.concatenate([z[0::2], z[1::2]]).tobytes()
 
 
 def test_key_normals_match_a_float64_oracle():
     # exact bits are not pinned: numpy picks its float32 kernels per CPU
     expected = [np.ravel([box_muller_oracle(int(w)) for w in words])[:7]
-                for words in _outputs(EDGE_KEYS, 4)]
-    np.testing.assert_allclose(key_normals(EDGE_KEYS, 7), expected, rtol=1e-6)
+                for words in _outputs(EDGE_KEYS, 4).T]
+    np.testing.assert_allclose(key_normals(EDGE_KEYS, 7).T, expected, rtol=1e-6)
 
 
 def test_key_normals_no_keys():
-    assert key_normals([], 5).shape == (0, 5)
+    assert key_normals([], 5).shape == (5, 0)
 
 
 @given(st.lists(st.integers(0, 2**64 - 1) | st.sampled_from(EDGE_KEYS.tolist()), min_size=1,
                 max_size=12),
        st.integers(0, 300), st.integers(0, 300))
 def test_normal_is_a_function_of_key_and_counter(keys, k, j):
-    # row r is key r's stream alone, and asking for fewer normals gives a prefix
+    # column r is key r's stream alone, and asking for fewer normals gives
+    # the leading rows
     keys = np.array(keys, dtype=np.uint64)
     got = key_normals(keys, k)
     for r, key in enumerate(keys):
-        assert got[r].tobytes() == key_normals([key], k)[0].tobytes()
-    assert got[:, : min(j, k)].tobytes() == key_normals(keys, min(j, k)).tobytes()
+        assert got[:, r].tobytes() == key_normals([key], k)[:, 0].tobytes()
+    assert got[: min(j, k)].tobytes() == key_normals(keys, min(j, k)).tobytes()
 
 
 def test_stream_keys_absorb_in_turn_and_broadcast():
@@ -225,7 +232,8 @@ def test_ks_against_standard_normal(normals):
     assert stats.kstest(normals.ravel(), "norm").pvalue > 1e-4
 
 
-@pytest.mark.parametrize("axis", [0, 1], ids=["neighbouring-keys", "neighbouring-counters"])
+# normals are laid out (counter, key): axis 1 holds neighbouring keys
+@pytest.mark.parametrize("axis", [1, 0], ids=["neighbouring-keys", "neighbouring-counters"])
 def test_no_correlation_between_neighbours(normals, axis):
     a = np.delete(normals, -1, axis=axis).ravel()
     b = np.delete(normals, 0, axis=axis).ravel()

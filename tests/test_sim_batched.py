@@ -1,7 +1,7 @@
 """Sweeps equal one-evaluation-at-a-time, bit for bit.
 
 ``scalar_makespan`` is the one-evaluation reference: the normals of one
-stream, ``key_normals(stream_keys(key, x))``, assembly normals then
+stream, column 0 of ``key_normals(stream_keys(key, x))``, assembly normals then
 inspection normals, and a 1-d schedule.
 Sweeps over many parameter rows, over many inputs, and sweeps that draw
 their noise once and reuse it must reproduce it exactly, not within a
@@ -17,11 +17,18 @@ from hypothesis.extra.numpy import arrays
 from shiftcal._seeding import derive_seed, key_normals, stream_keys
 from shiftcal.kabc import simulate_pseudo_outputs
 from shiftcal.predict import predict
-from shiftcal.sim import AssemblyLineSimulator, LinearSimulator, Simulator, SimulatorError
+from shiftcal.sim import (
+    _ROW_ADDS_FROM,
+    AssemblyLineSimulator,
+    LinearSimulator,
+    Simulator,
+    SimulatorError,
+    _prefix_sums,
+)
 
 
 def one_stream(key, x, k):
-    return key_normals(stream_keys(key, float(x)), k)[0]
+    return key_normals(stream_keys(key, float(x)), k)[:, 0]
 
 
 def scalar_makespan(batch_size, x, theta, key):
@@ -67,7 +74,7 @@ def running_max_makespans(batch_size, xs, thetas, key):
     counts = np.rint(xs).astype(np.intp)[:, None]
     n_batches = -(-counts // batch_size)
     width, depth = int(counts.max()), int(n_batches.max())
-    z = key_normals(stream_keys(key, xs), width + depth)
+    z = key_normals(stream_keys(key, xs), width + depth).T  # one row per input
     batch = np.arange(depth)
     last = np.minimum((batch + 1) * batch_size, counts) - 1
     mean_asm, sd_asm, mean_insp, sd_insp = np.hsplit(thetas, 4)
@@ -119,6 +126,7 @@ class TestEvaluateParams:
         assert AssemblyLineSimulator().sweep([5.0], 1)(np.empty((0, 4))).shape == (0,)
         no_keys = np.empty(0, dtype=np.uint64)
         assert AssemblyLineSimulator().sweep([5.0], no_keys)(np.ones((1, 4))).shape == (0,)
+        assert AssemblyLineSimulator().sweep([], 3)(np.ones((1, 4))).shape == (0,)
 
 
 class TestOneInput:
@@ -182,6 +190,53 @@ class TestEvaluateMany:
             assert bits(got) == bits(running_max_makespans(batch_size, xs, thetas, key))
 
 
+# columns on both sides of the point where ``_prefix_sums`` switches from
+# one cumsum to one add per row
+CROSSOVER_COLUMNS = [1, _ROW_ADDS_FROM - 1, _ROW_ADDS_FROM, _ROW_ADDS_FROM + 1]
+
+
+class TestPrefixSums:
+    """Sweeps lay out (normal, row) and sum down columns: ``_prefix_sums``
+    gives ``np.cumsum(axis=0)``'s bytes at any column count, and sweeps of
+    those widths equal the per-row oracle."""
+
+    @pytest.mark.parametrize("columns", [0, *CROSSOVER_COLUMNS])
+    @pytest.mark.parametrize("rows", [0, 1, 2, 37])
+    def test_bytes_of_cumsum(self, rows, columns):
+        # magnitudes spread over 16 decades, so the adds round
+        rng = np.random.default_rng(rows * 1000 + columns)
+        a = rng.standard_normal((rows, columns)) * np.logspace(-8, 8, columns)
+        expected = np.cumsum(a, axis=0)
+        got = _prefix_sums(a, out=np.empty_like(a))
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        assert _prefix_sums(a, out=a) is a and a.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("rows", CROSSOVER_COLUMNS)
+    def test_one_input_sweep(self, rows):
+        # pseudo-output and prediction sweeps: one input, a key and a theta per row
+        thetas = adversarial_thetas(np.random.default_rng(rows), rows)
+        keys = stream_keys(11, np.arange(rows))
+        got = AssemblyLineSimulator(4).sweep([37.0], keys)(thetas)
+        assert bits(got) == bits([scalar_makespan(4, 37.0, t, key) for t, key in zip(thetas, keys)])
+
+    @pytest.mark.parametrize("rows", CROSSOVER_COLUMNS)
+    def test_one_key_many_thetas(self, rows):
+        # the oracle search: one input on one key under many parameter rows
+        thetas = adversarial_thetas(np.random.default_rng(rows + 1), rows)
+        got = AssemblyLineSimulator(3).sweep([23.0], 9)(thetas)
+        assert bits(got) == bits([scalar_makespan(3, 23.0, t, 9) for t in thetas])
+
+    @pytest.mark.parametrize("rows", CROSSOVER_COLUMNS)
+    def test_padded_sweep(self, rows):
+        # many inputs, gathered, under one parameter row and under one per input
+        rng = np.random.default_rng(rows + 2)
+        xs = rng.integers(1, 30, size=rows).astype(float)
+        for thetas in (adversarial_thetas(rng, 1), adversarial_thetas(rng, rows)):
+            got = AssemblyLineSimulator(4).sweep(xs, 5)(thetas)
+            expected = [scalar_makespan(4, x, thetas[r % len(thetas)], 5) for r, x in enumerate(xs)]
+            assert bits(got) == bits(expected)
+
+
 class TestCallers:
     @given(batch_sizes, st.lists(inputs, min_size=1, max_size=5), theta_rows(), seeds)
     def test_pseudo_outputs(self, batch_size, xs, thetas, seed):
@@ -218,7 +273,7 @@ class ToySimulator(Simulator):
 
     def sweep(self, xs, keys=0):
         xs = np.asarray(xs, dtype=float).reshape(-1)
-        noise = key_normals(self._streams(xs, keys), 1)[:, 0]
+        noise = key_normals(self._streams(xs, keys), 1)[0]
 
         def outputs(thetas):
             thetas = self._theta_rows(thetas, len(noise))
