@@ -19,7 +19,7 @@ import numpy as np
 
 from ._seeding import SEED_RANGE, derive_rng, derive_seed
 from .sim import Dataset, Simulator, write_csv_rows
-from .weights import ImportanceWeights, count_entry, finite_entries
+from .weights import ImportanceWeights, count_entry, finite_entries, real_array, weight_vector
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def weighted_residual_sum(outputs, y, beta):
     Summed along the last axis, so ``outputs`` may hold one vector per row.
     """
     residuals = y - outputs
-    return np.sum(np.asarray(beta, dtype=float) * residuals * residuals, axis=-1)
+    return np.sum(weight_vector(beta) * residuals * residuals, axis=-1)
 
 
 def log_likelihood_sweep(
@@ -104,7 +104,7 @@ def log_likelihood_sweep(
     """
     noise_var = finite_entries("noise variance", noise_var, "> 0", scalar=True)
     outputs = sim.sweep(dataset.x, derive_seed(count_entry("seed", seed, *SEED_RANGE), "loglik"))
-    y, beta, scale = dataset.y, np.asarray(beta, dtype=float), 2.0 * noise_var
+    y, beta, scale = dataset.y, ImportanceWeights.read(beta), 2.0 * noise_var
     return lambda theta: -weighted_residual_sum(outputs(theta), y, beta) / scale
 
 
@@ -132,7 +132,7 @@ def mh_sample(target: Callable[[np.ndarray], float], init, cfg: MHConfig) -> MHT
     priors exclude out-of-support moves.  The current log density is
     cached, so each step makes exactly one target evaluation.
     """
-    current = np.atleast_1d(np.asarray(init, dtype=float))
+    current = np.atleast_1d(real_array(init, "initial point"))
     current_logp = target(current)
     if not np.isfinite(current_logp):
         raise ValueError(f"target is not finite at the initial point {current}")

@@ -41,7 +41,7 @@ from .sim import (
     get_simulator,
     write_json_artifact,
 )
-from .weights import DensitySpec, check_keys, count_entry, finite_entries
+from .weights import DensitySpec, check_keys, count_entry, finite_entries, real_array
 
 
 # The keys of each truth kind, all required; an unknown kind is named by
@@ -69,14 +69,14 @@ def _parse_truth(truth: dict, sim: Simulator) -> TruthFn:
         lo, hi = params("theta_lo"), params("theta_hi")
         breakpoint = finite_entries("truth breakpoint", truth["breakpoint"], scalar=True)
         return lambda xs, keys=0: sim.sweep(xs, keys)(
-            np.where(np.asarray(xs, dtype=float).reshape(-1, 1) >= breakpoint, hi, lo)
+            np.where(real_array(xs, "truth inputs").reshape(-1, 1) >= breakpoint, hi, lo)
         )
     if kind == "simulator":
         theta = params("theta")
         return lambda xs, keys=0: sim.sweep(xs, keys)(theta)
     if kind == "constant":
         value = finite_entries("truth value", truth["value"], scalar=True)
-        return lambda xs, keys=0: np.full(len(xs), value)
+        return lambda xs, keys=0: np.full(real_array(xs, "truth inputs").size, value)
     raise ValueError(f"unknown truth kind {kind!r}")
 
 

@@ -108,7 +108,7 @@ def simulate_pseudo_outputs(sim: Simulator, thetas, xs, seed: int) -> np.ndarray
     keyed ``stream_keys(derive_seed(seed, "pseudo"), j, i)``, so streams
     stay independent.
     """
-    thetas, xs = point_rows(thetas, "prior draws"), np.asarray(xs, dtype=float)
+    thetas, xs = point_rows(thetas, "prior draws"), real_array(xs, "training inputs")
     seed = count_entry("seed", seed, *SEED_RANGE)
     values = np.empty((thetas.shape[0], xs.size))
     by_draw = stream_keys(derive_seed(seed, "pseudo"), np.arange(len(thetas)))
@@ -120,9 +120,7 @@ def simulate_pseudo_outputs(sim: Simulator, thetas, xs, seed: int) -> np.ndarray
             j = exc.row if isinstance(exc, SimulatorError) else None
             where = "" if j is None else f" for draw {j} (theta={thetas[j]})"
             raise RuntimeError(f"simulator failed at input {i} (x={x}){where}") from exc
-    if not np.all(np.isfinite(values)):
-        raise ValueError("pseudo-outputs contain non-finite entries")
-    return values
+    return point_rows(values, "pseudo-outputs")  # a non-finite output names its draw
 
 
 def build_embedding(
@@ -170,7 +168,7 @@ def build_embedding(
         if value is not None:
             finite_entries(name, value, "> 0", scalar=True)
     epsilon = finite_entries("epsilon", epsilon, "> 0", scalar=True)
-    beta = real_array(beta, "importance weights")
+    beta = ImportanceWeights.read(beta)
     gram, sigma2 = _upper_gram(outputs, sigma2, beta)
     kernel = WeightedOutputKernel(sigma2=sigma2, beta=beta)
     rhs = [kernel.against(outputs, y) for y in observed]

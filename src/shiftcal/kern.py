@@ -77,7 +77,7 @@ from importlib.util import module_from_spec
 import numpy as np
 import scipy
 
-from .weights import finite_entries, point_rows, real_array
+from .weights import ImportanceWeights, finite_entries, point_rows, real_array, weight_vector
 
 
 def _scipy_extension(name):
@@ -272,7 +272,7 @@ def _scaled_rows(vectors, weights) -> np.ndarray:
     mat = point_rows(vectors, "vectors")
     rows = mat - mat.mean(axis=0) if len(mat) else mat.copy()
     if weights is not None:
-        w = _importance_weights(weights)
+        w = weight_vector(weights)
         if w.shape != (mat.shape[1],):
             raise ValueError(f"weight length {w.shape} does not match vector length {mat.shape[1]}")
         rows *= np.sqrt(w)
@@ -436,15 +436,15 @@ class WeightedOutputKernel:
     """
 
     sigma2: float
-    beta: np.ndarray
+    beta: ImportanceWeights
 
     def __post_init__(self):
         object.__setattr__(self, "sigma2", finite_entries("sigma2", self.sigma2, "> 0", scalar=True))
-        object.__setattr__(self, "beta", _importance_weights(self.beta))
+        object.__setattr__(self, "beta", ImportanceWeights.read(self.beta))
 
     @property
     def n(self) -> int:
-        return self.beta.size
+        return self.beta.values.size
 
     def gram(self, outputs) -> np.ndarray:
         """Kernel matrix over pseudo-output rows, exactly symmetric, unit diagonal."""
@@ -462,7 +462,7 @@ class WeightedOutputKernel:
         if observed.shape != (self.n,):
             raise ValueError(f"observed outputs must have length {self.n}, got {observed.shape}")
         diff = outputs - observed
-        return np.einsum("ij,ij,j->i", diff, diff, self.beta) / (2.0 * self.sigma2)
+        return np.einsum("ij,ij,j->i", diff, diff, self.beta.values) / (2.0 * self.sigma2)
 
     def _check_outputs(self, outputs) -> np.ndarray:
         outputs = real_array(outputs, "pseudo-outputs")
@@ -471,13 +471,6 @@ class WeightedOutputKernel:
                 f"pseudo-outputs must be shaped (m, {self.n}), got {outputs.shape}"
             )
         return outputs
-
-
-def _importance_weights(weights) -> np.ndarray:
-    beta = real_array(weights, "importance weights")
-    if beta.ndim != 1 or not np.all(np.isfinite(beta)) or np.any(beta < 0):
-        raise ValueError("importance weights must be a finite non-negative vector")
-    return beta
 
 
 def gram_and_rhs(pseudo_outputs, observed, kernel: WeightedOutputKernel) -> tuple:

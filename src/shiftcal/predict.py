@@ -17,7 +17,7 @@ import numpy as np
 
 from ._seeding import SEED_RANGE, derive_rng, derive_seed, stream_keys
 from .sim import Simulator, TruthFn
-from .weights import DensitySpec, count_entry, point_rows
+from .weights import DensitySpec, count_entry, point_rows, real_array
 
 
 def _occurrences(points) -> list[int]:
@@ -62,7 +62,7 @@ def score_predictions(
     invariant under permutation of the test inputs.  An input the simulator
     rejects is a ``SimulatorError`` that names its position.
     """
-    test_inputs = np.asarray(test_inputs, dtype=float)
+    test_inputs = real_array(test_inputs, "test inputs")
     if test_inputs.ndim != 1:
         raise ValueError(f"test inputs must be a 1-d vector, got shape {test_inputs.shape}")
     if test_inputs.size < 1:
@@ -79,4 +79,4 @@ def score_predictions(
 def generate_test_inputs(density: DensitySpec, n: int, seed: int) -> np.ndarray:
     """n i.i.d. test input locations from the given density."""
     n, seed = count_entry("n", n, 1), count_entry("seed", seed, *SEED_RANGE)
-    return density.sample(n, derive_rng(seed, "test-inputs"))[:, 0]
+    return density.one_dimensional().sample(n, derive_rng(seed, "test-inputs"))[:, 0]

@@ -57,14 +57,14 @@ class Simulator(ABC):
         one ``(dim_theta,)`` vector.  ``keys`` is one int or an integer array
         of per-row keys.  ``xs``, keys and parameter rows each have length 1
         or R, and the result has length R.  A stochastic simulator draws its
-        noise here, once, on the streams ``_streams`` names, and each call
-        only transforms it by theta (common random numbers across calls).
+        noise here, once, on the streams ``stream_keys(key, x)`` of ``_inputs``,
+        and each call only transforms it by theta (common random numbers).
         """
 
     def check_inputs(self, xs) -> np.ndarray:
         """``xs`` as a 1-d float array of inputs this simulator accepts (here:
         finite ones); a ``SimulatorError`` names the first row it rejects."""
-        xs = np.asarray(xs, dtype=float).reshape(-1)
+        xs = real_array(xs, f"{self.name} inputs").reshape(-1)
         finite = np.isfinite(xs)
         if not finite.all():
             row = int(np.argmin(finite))
@@ -72,22 +72,17 @@ class Simulator(ABC):
         return xs
 
     def _inputs(self, xs, keys) -> np.ndarray:
-        """``xs`` through ``check_inputs``; ``keys`` must be one key or one per input."""
-        xs = np.asarray(xs, dtype=float).reshape(-1)
+        """``check_inputs``' array of ``xs``; ``keys`` must be one key or one per input."""
+        xs = self.check_inputs(xs)
         if np.size(keys) not in (1, len(xs)) and len(xs) != 1:
             raise ValueError(f"got {np.size(keys)} keys for {len(xs)} inputs")
-        return self.check_inputs(xs)
-
-    def _streams(self, xs, keys) -> np.ndarray:
-        """Stream key of each row, ``stream_keys(key, x)``: theta transforms
-        the realization a key indexes but never selects it."""
-        return stream_keys(keys, self._inputs(xs, keys))
+        return xs
 
     def _theta_rows(self, thetas, keyed: int, non_negative: bool = False) -> np.ndarray:
         """Parameter rows as a finite ``(rows, dim_theta)`` array (a vector is
         one row): 1 or ``keyed`` of them, any number if the sweep has one row;
         with ``non_negative``, every entry is also ``>= 0``."""
-        thetas = np.asarray(thetas, dtype=float)
+        thetas = real_array(thetas, f"{self.name} parameters")
         rows = thetas[None] if thetas.ndim == 1 else thetas
         if rows.ndim != 2 or rows.shape[1] != self.dim_theta:
             raise ValueError(
@@ -131,7 +126,7 @@ class LinearSimulator(Simulator):
 def cubic_truth(xs, keys=0) -> np.ndarray:
     """Ground-truth regression function -x + x**3 for the linear benchmark."""
     # Python's x**3 per value: numpy's vectorized cube can differ in the last bit
-    return np.array([-x + x**3 for x in np.asarray(xs, dtype=float).reshape(-1).tolist()])
+    return np.array([-x + x**3 for x in real_array(xs, "truth inputs").reshape(-1).tolist()])
 
 
 class AssemblyLineSimulator(Simulator):
@@ -180,13 +175,12 @@ class AssemblyLineSimulator(Simulator):
         as views and forms the assembly schedule and the inspections each in
         one buffer, in place.
         """
-        streams = self._streams(xs, keys)  # checks the inputs and keys
-        xs = np.asarray(xs, dtype=float).reshape(-1)
+        xs = self._inputs(xs, keys)
         size = self.batch_size
         counts = np.rint(xs).astype(np.intp)
         n_batches = -(-counts // size)
         width, depth = int(counts.max(initial=0)), int(n_batches.max(initial=0))
-        z = key_normals(streams, width + depth)
+        z = key_normals(stream_keys(keys, xs), width + depth)
         z_asm, rows = z[:width], z.shape[1]
         # Batch b is ready when its last product leaves assembly; a trailing
         # partial batch when the last product does.
@@ -332,7 +326,7 @@ class Dataset:
 def generate_dataset(dgp: DataGeneratingProcess, n: int, seed: int) -> Dataset:
     """Draw n inputs from q0 and push them through the observed process."""
     n, seed = count_entry("n", n, 1), count_entry("seed", seed, *SEED_RANGE)
-    xs = dgp.q0.sample(n, derive_rng(seed, "inputs"))[:, 0]
+    xs = dgp.q0.one_dimensional().sample(n, derive_rng(seed, "inputs"))[:, 0]
     keys = np.array([derive_seed(seed, "truth", i) for i in range(n)], dtype=np.uint64)
     truth_vals = dgp.truth(xs, keys)
     noise = dgp.noise_std * derive_rng(seed, "noise").standard_normal(n)

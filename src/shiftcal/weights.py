@@ -11,7 +11,7 @@ q0, q1 (one-dimensional) and the prior over simulator parameters
 The config and the library read arguments here, one rule per kind:
 ``finite_entries`` reals and ``real_array`` arrays (a bool or a string is
 no number), ``count_entry`` counts and seeds (50.0 is 50), ``point_rows``
-point sets (a 1-d vector is m one-dimensional points; a bad row is named).
+point sets (a bad row is named), ``weight_vector`` weights (a bad index is).
 """
 
 from __future__ import annotations
@@ -105,6 +105,21 @@ def point_rows(points, name: str = "points") -> np.ndarray:
     return rows
 
 
+def weight_vector(values) -> np.ndarray:
+    """``values`` as a 1-d vector of finite weights >= 0 (zeros too), the bad
+    index named; an ``ImportanceWeights`` was read so, and passes as its values."""
+    if isinstance(values, ImportanceWeights):
+        return values.values
+    weights = real_array(values, "importance weights")
+    if weights.ndim != 1:
+        raise DegenerateWeightError(f"importance weights must be a 1-d vector, got {weights.shape}")
+    bad = np.flatnonzero(~((weights >= 0) & (weights < np.inf)))  # NaN fails both
+    if bad.size:
+        raise DegenerateWeightError(
+            f"importance weights must be finite and >= 0, got {weights[bad[0]]} at index {bad[0]}")
+    return weights
+
+
 def check_keys(section: str, spec, allowed, required=()) -> None:
     """Reject a ``section`` that is not an object, or whose keys are not
     within ``allowed`` or do not include all of ``required``; the error
@@ -176,11 +191,16 @@ class DensitySpec:
         if 0.0 in self.std:
             raise ValueError(f"a normal with std {list(self.std)} is a point mass, with no density")
 
+    def one_dimensional(self) -> "DensitySpec":
+        """This spec, which must be one-dimensional, as an input density is."""
+        if self.dim != 1:
+            raise ValueError(f"an input density must be one-dimensional, this one has {self.dim}")
+        return self
+
     def pdf(self, x):
         """Density value at ``x`` (scalar or array) of a one-dimensional spec."""
-        if self.dim != 1:
-            raise ValueError(f"pdf takes a one-dimensional density, this one has {self.dim}")
-        x = np.asarray(x, dtype=float)
+        self.one_dimensional()
+        x = real_array(x, "pdf inputs")
         if self.family == "normal":
             self._no_point_mass()
             z = (x - self.mean[0]) / self.std[0]
@@ -205,7 +225,7 @@ class DensitySpec:
 
     def log_pdf(self, theta) -> float:
         """Log density at one point of R^d, -inf outside a uniform box."""
-        theta = np.asarray(theta, dtype=float)
+        theta = real_array(theta, "log_pdf point")
         if theta.shape != (self.dim,):
             raise ValueError(f"parameter dimension mismatch: {theta.shape} vs ({self.dim},)")
         if self.family == "normal":
@@ -262,7 +282,7 @@ class DensitySpec:
 
 @dataclass(frozen=True)
 class ImportanceWeights:
-    """Per-training-point weights beta_i, validated at construction.
+    """Per-training-point weights beta_i, read by ``weight_vector``.
 
     A zero weight is valid: q1 has no mass at that input, so the point
     drops out of the weighted kernel and likelihood.  At least one weight
@@ -272,19 +292,12 @@ class ImportanceWeights:
     values: np.ndarray
 
     def __post_init__(self):
-        values = real_array(self.values, "weights")
+        values = weight_vector(self.values)
         object.__setattr__(self, "values", values)
-        if values.ndim != 1 or values.size == 0:
-            raise DegenerateWeightError("weights must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(values)):
-            bad = int(np.flatnonzero(~np.isfinite(values))[0])
-            raise DegenerateWeightError(f"weight at index {bad} is not finite")
-        if np.any(values < 0):
-            bad = int(np.flatnonzero(values < 0)[0])
-            raise DegenerateWeightError(f"weight at index {bad} is {values[bad]} (negative)")
         positive = values[values > 0]
         if positive.size == 0:
-            raise DegenerateWeightError("all weights are zero: q1 has no mass at any training input")
+            raise DegenerateWeightError(
+                "importance weights are all zero: q1 has no mass at any training input")
         if positive.min() < WEIGHT_WARN_LOW or positive.max() > WEIGHT_WARN_HIGH:
             warnings.warn(
                 "importance weights span "
@@ -293,11 +306,13 @@ class ImportanceWeights:
                 stacklevel=3,
             )
 
-    def __len__(self) -> int:
-        return self.values.size
-
     def __array__(self, dtype=None, copy=None):
         return np.array(self.values, dtype=dtype, copy=copy)
+
+    @classmethod
+    def read(cls, beta) -> "ImportanceWeights":
+        """``beta`` itself if it is an instance, so it is neither read nor warned about again."""
+        return beta if isinstance(beta, cls) else cls(beta)
 
 
 def importance_weights(xs, q0: DensitySpec, q1: DensitySpec) -> ImportanceWeights:
@@ -306,7 +321,7 @@ def importance_weights(xs, q0: DensitySpec, q1: DensitySpec) -> ImportanceWeight
     Raises :class:`DegenerateWeightError` if any q0(x_i) vanishes, or if
     q1 vanishes at every training input.
     """
-    xs = np.asarray(xs, dtype=float)
+    xs = real_array(xs, "training inputs")
     p0 = q0.pdf(xs)
     if np.any(p0 <= 0):
         bad = int(np.flatnonzero(p0 <= 0)[0])

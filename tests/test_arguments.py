@@ -6,10 +6,16 @@ an error.  Reals go through ``weights.finite_entries``: a bool or a string
 is no number, and inf, NaN and a bound miss are errors.  Point sets go
 through ``weights.point_rows``: a bool or a string is no coordinate, a
 1-d vector is m one-dimensional points, and the first row with a
-non-finite entry is named.  Other number arrays (weights, a dataset's x
-and y, observed outputs, the solve's G and right-hand side) go through
-``weights.real_array``: a bool or a string is no number there either.  One
-guard keeps hand-written range checks on counts and reals out.
+non-finite entry is named.  Other number arrays (a dataset's x and y,
+observed outputs, the solve's G and right-hand side, simulator inputs and
+parameter rows, truth and test inputs, density arguments, the MH start)
+go through ``weights.real_array``: a bool, a string or None is no number
+there either.  A weight vector (``ImportanceWeights``, the output kernel's
+beta, the distances' weights, the MH likelihood's beta) goes through
+``weights.weight_vector``: finite and >= 0, the bad index named; beta
+also needs a positive entry.  An input density is one-dimensional.  Two
+guards keep hand-written range checks on counts and reals, and number
+arrays read without a reader, out.
 """
 
 import ast
@@ -22,7 +28,7 @@ import numpy as np
 import pytest
 
 import shiftcal
-from shiftcal.baseline import log_likelihood_sweep
+from shiftcal.baseline import MHConfig, log_likelihood_sweep, mh_sample, weighted_residual_sum
 from shiftcal.config import preset
 from shiftcal.herd import CandidatePool, herd, herding_mmd
 from shiftcal.kabc import (
@@ -40,8 +46,9 @@ from shiftcal.kern import (
     regularized_solve,
 )
 from shiftcal.predict import generate_test_inputs, predict, score_predictions
-from shiftcal.sim import AssemblyLineSimulator, Dataset, generate_dataset
-from shiftcal.weights import ImportanceWeights, ordinary_weights
+from shiftcal.sim import (AssemblyLineSimulator, DataGeneratingProcess, Dataset, LinearSimulator,
+                          cubic_truth, generate_dataset)
+from shiftcal.weights import DensitySpec, ImportanceWeights, importance_weights, ordinary_weights
 
 CFG = preset("assembly-shift")
 DGP = CFG.build_dgp()
@@ -52,6 +59,9 @@ EMB = PosteriorEmbedding(np.linspace(0.0, 1.0, 6)[:, None], np.full(6, 1 / 6), P
 POOL = CandidatePool.from_draws([*EMB.draws[:, 0], -0.5, 0.25, 1.5])
 HERDED = herd(EMB, POOL, 5)
 OUTPUTS = np.array([[1.0, 2.0], [1.5, 2.5], [0.5, 1.0]])
+DATA = generate_dataset(DGP, 4, 0)
+Q = DensitySpec.normal(0.5, 0.5)
+CONSTANT = preset("linear-shift", truth={"kind": "constant", "value": 3.0}).build_truth()
 
 
 def embed(draws=THETAS, outputs=OUTPUTS, sigma2=1.0, sigma2_theta=1.0, epsilon=0.1):
@@ -130,7 +140,7 @@ POINT_SETS = {
 # each library number array, as (its name in the error, a call of that
 # array alone, an array it accepts)
 NUMBER_ARRAYS = {
-    "ImportanceWeights": ("weights", lambda v: ImportanceWeights(v), np.ones(2)),
+    "ImportanceWeights": ("importance weights", lambda v: ImportanceWeights(v), np.ones(2)),
     "Dataset x": ("dataset inputs", lambda v: Dataset(v, [1.0, 2.0], 0), np.ones(2)),
     "Dataset y": ("dataset outputs", lambda v: Dataset([1.0, 2.0], v, 0), np.ones(2)),
     "regularized_solve G": ("G", lambda v: regularized_solve(v, np.ones(2), 0.1), np.eye(2)),
@@ -146,25 +156,77 @@ NUMBER_ARRAYS = {
     "WeightedOutputKernel.against outputs": (
         "pseudo-outputs", lambda v: WeightedOutputKernel(1.0, np.ones(2)).against(v, [1.0, 2.0]),
         OUTPUTS),
+    "log_likelihood_sweep beta": ("importance weights", lambda v: log_likelihood_sweep(
+        DATA, v, SIM, 1.0)(THETAS[0]), np.ones(4)),
+    "weighted_residual_sum beta": ("importance weights", lambda v: weighted_residual_sum(
+        np.ones(2), np.zeros(2), v), np.ones(2)),
+    "linear sweep inputs": ("linear inputs",
+                            lambda v: LinearSimulator().sweep(v)([[0.0, 1.0]]), np.array([1.5, 2.0])),
+    "linear sweep parameters": ("linear parameters",
+                                lambda v: LinearSimulator().sweep([2.0])(v), np.array([[0.0, 1.0]])),
+    "assembly sweep inputs": ("assembly inputs", lambda v: SIM.sweep(v, 3)(THETAS[0]), np.array([40.0])),
+    "check_inputs": ("assembly inputs", lambda v: SIM.check_inputs(v), np.array([40.0, 120.0])),
+    "cubic_truth": ("truth inputs", lambda v: cubic_truth(v), np.array([2.0])),
+    "piecewise truth": ("assembly inputs", lambda v: DGP.truth(v, 0), np.array([40.0, 120.0])),
+    "constant truth": ("truth inputs", lambda v: CONSTANT(v), np.array([1.0, 2.0])),
+    "score_predictions": ("test inputs", lambda v: score_predictions(
+        cubic_truth, v, LinearSimulator(), [[0.0, 1.0]], 0), np.array([0.5, 1.0])),
+    "importance_weights": ("training inputs", lambda v: importance_weights(v, Q, Q),
+                           np.array([0.5, 1.0])),
+    "DensitySpec.pdf": ("pdf inputs", lambda v: Q.pdf(v), np.array([1.0])),
+    "DensitySpec.log_pdf": ("log_pdf point", lambda v: PRIOR.log_pdf(v),
+                            np.array([2.0, 0.5, 5.0, 1.0])),
+    "mh_sample": ("initial point", lambda v: mh_sample(lambda t: 0.0, v, MHConfig(0.1, 3)),
+                  np.array([1.0])),
+    "simulate_pseudo_outputs inputs": ("training inputs", lambda v: simulate_pseudo_outputs(
+        SIM, THETAS, v, 0), np.array([40.0, 120.0])),
 }
 
 
 def _bools_strings_and_a_mix(good):
-    """``good`` as bools, as numeric strings, and as a list whose first entry
-    is True and last a numeric string (numpy reads it as strings)."""
+    """``good`` as bools, as numeric strings, as a list whose first entry is
+    True and last a numeric string (numpy reads it as strings), and None."""
     mixed = good.astype(object)
     mixed.flat[0], mixed.flat[-1] = True, "1"
-    return [good > 0, good.astype(str).tolist(), mixed.tolist()]
+    return [good > 0, good.astype(str).tolist(), mixed.tolist(), None]
 
 
 @pytest.mark.parametrize("entry", NUMBER_ARRAYS)
 def test_number_arrays_are_numbers(entry):
     name, call, good = NUMBER_ARRAYS[entry]
-    call(good)
+    assert bits(call(good)) == bits(call(good.tolist()))
     call(good.astype(int).tolist())  # ints are numbers
     for bad in _bools_strings_and_a_mix(good):
-        with pytest.raises(ValueError, match=rf"^{name} must be numbers, got (bool|<U\d+) entries$"):
+        message = rf"^{name} must be numbers, got (bool|<U\d+|object) entries$"
+        with pytest.raises(ValueError, match=message):
             call(bad)
+
+
+@pytest.mark.parametrize("entry", ["ImportanceWeights", "WeightedOutputKernel beta",
+                                   "build_embedding beta", "log_likelihood_sweep beta"])
+def test_an_all_zero_beta_is_an_error(entry):
+    # a zero beta weighs every output away, so every output vector would look like the data
+    _, call, good = NUMBER_ARRAYS[entry]
+    message = "^importance weights are all zero: q1 has no mass at any training input$"
+    with pytest.raises(ValueError, match=message):
+        call(np.zeros_like(good))
+
+
+def test_distance_weights_may_all_be_zero():
+    # the same rule without the positive entry: the distances' and the residuals' weights
+    assert not pairwise_sqdist(THETAS, np.zeros(4)).any()
+    assert weighted_residual_sum(np.ones(2), np.zeros(2), np.zeros(2)) == 0.0
+
+
+@pytest.mark.parametrize("use", [
+    lambda q: generate_test_inputs(q, 3, 0),
+    lambda q: generate_dataset(DataGeneratingProcess(cubic_truth, 0.1, q), 3, 0),
+    lambda q: q.pdf(0.5),
+], ids=["generate_test_inputs", "generate_dataset", "pdf"])
+def test_an_input_density_is_one_dimensional(use):
+    q = DensitySpec.normal([0.0, 5.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="^an input density must be one-dimensional, this one has 2$"):
+        use(q)
 
 
 @pytest.mark.parametrize("entry", COUNTS)
@@ -324,3 +386,60 @@ def test_the_guard_sees_a_hand_written_check():
     )
     assert _range_checks(ast.parse(source)) == [
         ("f", "sigma2"), ("f", "eps"), ("f", "steps"), ("h", "x"), ("k", "n")]
+
+
+def _float_read(call):
+    """The name ``call`` reads as floats, ``np.asarray(name, dtype=float)``,
+    ``np.array(name, float)`` or ``name.astype(float)``, else None."""
+    func = ast.unparse(call.func)
+    dtypes = [ast.unparse(a) for a in call.args[1:2]] + [
+        ast.unparse(k.value) for k in call.keywords if k.arg == "dtype"]
+    if func in ("np.asarray", "np.array") and call.args and "float" in dtypes:
+        operand = call.args[0]
+    elif func.endswith(".astype") and "float" in map(ast.unparse, call.args):
+        operand = call.func.value
+    else:
+        return None
+    return operand.id if isinstance(operand, ast.Name) else None
+
+
+def _loose_number_arrays(tree):
+    """``(function, name)`` for each parameter a function (or a function or
+    lambda inside it) reads as floats by hand rather than by a reader."""
+    found = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = fn.args
+            params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            found.update((getattr(fn, "name", "<lambda>"), name) for call in ast.walk(fn)
+                         if isinstance(call, ast.Call) and (name := _float_read(call)) in params)
+    return sorted(found)
+
+
+def test_no_loose_number_arrays():
+    # an argument array is read by weights.real_array, point_rows or weight_vector
+    found = {
+        path.name: reads
+        for path in sorted(Path(shiftcal.__file__).parent.glob("*.py"))
+        if path.name != "weights.py" and (reads := _loose_number_arrays(ast.parse(path.read_text())))
+    }
+    assert found == {}
+
+
+def test_the_guard_sees_a_loose_number_array():
+    source = (
+        "def f(xs, thetas, beta, init, keys):\n"
+        "    xs = np.asarray(xs, dtype=float).reshape(-1)\n"
+        "    rows = np.array(thetas, float)\n"
+        "    w = beta.astype(float)\n"
+        "    start = np.asarray(init)\n"
+        "    made = np.asarray(made, dtype=float)\n"
+        "    return real_array(keys, 'keys')\n"
+        "def g(self, x):\n"
+        "    def inner(y):\n"
+        "        return np.asarray(x, dtype=float) + y.astype(int) + y.astype(np.float32)\n"
+        "    return np.asarray(self.low, dtype=float), inner\n"
+        "h = lambda xs, keys=0: np.full(np.asarray(xs, dtype=float).size, 1.0)\n"
+    )
+    assert _loose_number_arrays(ast.parse(source)) == [
+        ("<lambda>", "xs"), ("f", "beta"), ("f", "thetas"), ("f", "xs"), ("g", "x")]

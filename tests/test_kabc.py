@@ -128,7 +128,7 @@ class TestSimulatePseudoOutputs:
         # 1e308 + 1e308 * 2 overflows: the simulator returns inf without raising
         thetas = np.array([[0.0, 1.0], [1e308, 1e308]])
         with np.errstate(over="ignore"), pytest.raises(
-            ValueError, match="^pseudo-outputs contain non-finite entries$"
+            ValueError, match=r"^pseudo-outputs contain non-finite entries \(row 1\)$"
         ):
             simulate_pseudo_outputs(LinearSimulator(), thetas, [1.0, 2.0], seed=0)
 

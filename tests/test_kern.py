@@ -204,9 +204,10 @@ class TestInputsAreChecked:
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
     def test_weights_must_be_finite_and_non_negative(self, entry, bad):
         x = np.random.default_rng(14).normal(size=(6, 5))
-        with pytest.raises(ValueError, match="^importance weights must be a finite non-negative vector$"):
+        message = rf"^importance weights must be finite and >= 0, got {bad} at index 0$"
+        with pytest.raises(ValueError, match=message):
             self.ENTRY_POINTS[entry](x, [bad, 1.0, 1.0, 1.0, 1.0])
-        with pytest.raises(ValueError, match="^importance weights must be a finite non-negative vector$"):
+        with pytest.raises(ValueError, match=message):
             WeightedOutputKernel(1.0, [bad, 1.0])
 
     @pytest.mark.parametrize("entry", list(ENTRY_POINTS))

@@ -272,8 +272,8 @@ class ToySimulator(Simulator):
     dim_theta = 2
 
     def sweep(self, xs, keys=0):
-        xs = np.asarray(xs, dtype=float).reshape(-1)
-        noise = key_normals(self._streams(xs, keys), 1)[0]
+        xs = self._inputs(xs, keys)
+        noise = key_normals(stream_keys(keys, xs), 1)[0]
 
         def outputs(thetas):
             thetas = self._theta_rows(thetas, len(noise))

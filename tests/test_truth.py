@@ -75,6 +75,25 @@ def test_simulator_and_constant_kinds(name, kind):
     assert bits(truth(xs, np.array(KEYS, dtype=np.uint64))) == bits(expected)
 
 
+@pytest.mark.parametrize("xs", [2.0, [[1.0, 2.0]], [[1.0], [2.0]]], ids=["scalar", "row", "column"])
+@pytest.mark.parametrize("kind", ["cubic", "piecewise", "simulator", "constant"])
+def test_every_kind_gives_one_value_per_input(kind, xs):
+    # a truth reads its inputs like a sweep: a scalar is one input, and any
+    # shape is flattened, so a constant truth gives as many values as the others
+    name = "linear-shift" if kind == "cubic" else "assembly-shift"
+    cfg = preset(name)
+    spec = {"simulator": {"kind": "simulator", "theta": cfg.build_prior().center().tolist()},
+            "constant": {"kind": "constant", "value": 2.5}}.get(kind, cfg.truth)
+    truth = cfg.replace(truth=spec).build_truth()
+    xs = np.multiply(xs, 60.0)  # on both sides of the assembly breakpoint
+    keys = np.arange(np.size(xs), dtype=np.uint64)
+    values = truth(xs, keys)
+    assert values.shape == (np.size(xs),)
+    assert bits(values) == bits(truth(np.reshape(xs, -1), keys))
+    if kind == "constant":
+        assert bits(values) == bits(np.full(np.size(xs), 2.5))
+
+
 def test_cubic_matches_python_floats():
     # numpy's vectorized xs**3 and xs*xs*xs each differ from Python's x**3
     # in the last bit on some of these inputs
