@@ -61,7 +61,13 @@ from .kabc import (
 )
 from .predict import generate_test_inputs, score_predictions
 from .sim import Dataset, SimulatorError, generate_dataset, write_csv_rows, write_json_artifact
-from .weights import ImportanceWeights, count_entry, importance_weights, ordinary_weights
+from .weights import (
+    ImportanceWeights,
+    count_entry,
+    finite_entries,
+    importance_weights,
+    ordinary_weights,
+)
 
 log = logging.getLogger("shiftcal")
 
@@ -326,6 +332,7 @@ def study(cells, measure) -> list[dict]:
 def mh_acceptance_sweep(cfg: ExperimentConfig, proposal_stds, steps: int | None = None) -> list[dict]:
     """Acceptance ratio per proposal std; tuning aid, no adaptation."""
     cfg.mh_config(steps=steps)  # no 'mh' section or a bad step count fails here
+    proposal_stds = finite_entries("proposal_stds", proposal_stds, "> 0")
 
     def measure(configs) -> dict:
         (swept,) = configs
@@ -334,7 +341,7 @@ def mh_acceptance_sweep(cfg: ExperimentConfig, proposal_stds, steps: int | None 
                 "budget": result.budget}
 
     cells = [({"proposal_std": std}, [cfg.replace(mh={**cfg.mh, "proposal_std": std})])
-             for std in map(float, proposal_stds)]
+             for std in proposal_stds]
     return study(cells, measure)
 
 

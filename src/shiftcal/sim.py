@@ -169,11 +169,12 @@ class AssemblyLineSimulator(Simulator):
         laid out (normal, row), one column per row, so a prefix sum advances
         all rows at once (``_prefix_sums``).  Rows with fewer products or
         batches are padded: the makespan is read from prefix sums and a max
-        over the real batches only, so padding never reaches it.  With one
-        input nothing is padded, so the indices are row numbers of the
-        schedule rather than one per column.  A call reads theta's columns
-        as views and forms the assembly schedule and the inspections each in
-        one buffer, in place.
+        of the slack, and a call writes -inf over the padded batches' slack
+        (at flat indices built here) before that max, so padding never
+        reaches it.  With one input nothing is padded, so the indices are
+        row numbers of the schedule rather than one per column.  A call
+        reads theta's columns as views and forms the assembly schedule and
+        the inspections each in one buffer, in place.
         """
         xs = self._inputs(xs, keys)
         size = self.batch_size
@@ -189,13 +190,14 @@ class AssemblyLineSimulator(Simulator):
         # ``ready_at`` and ``last_at`` are ``take`` arguments, (indices, axis).
         if len(xs) == 1:  # nothing is padded: read rows, do not gather them
             z_insp = z[width:]
-            ready_at, last_at, real = (last[:, 0], 0), (depth - 1, 0), True
+            ready_at, last_at = (last[:, 0], 0), (depth - 1, 0)
         else:  # gather column by column, at flat indices: normal c, row r is c * rows + r
             column = np.arange(rows)
             z_insp = z.take((counts + batch) * rows + column)
             ready_at = (last * rows + column, None)
             last_at = ((n_batches - 1) * rows + column, None)
-            real = batch < n_batches  # (depth, rows): False on padded batches
+        # flat indices of the padded batches in a (depth, rows) array
+        padded = np.flatnonzero(batch >= n_batches)
 
         def makespans(thetas):
             thetas = self._theta_rows(thetas, rows, non_negative=True)
@@ -217,28 +219,48 @@ class AssemblyLineSimulator(Simulator):
             cum_inspect = _prefix_sums(inspect, out=np.empty_like(inspect))
             slack = np.subtract(cum_inspect, inspect, out=inspect)
             np.subtract(completion.take(*ready_at), slack, out=slack)
-            return cum_inspect.take(*last_at) + slack.max(axis=0, initial=-np.inf, where=real)
+            if padded.size:  # a padded batch never wins the max
+                slack.reshape(-1)[padded] = -np.inf
+            return cum_inspect.take(*last_at) + slack.max(axis=0)
 
         return makespans
 
 
-# Columns from which ``_prefix_sums`` adds row by row.  Each row's add costs
-# about 0.6 us of call overhead, so with few columns one ``np.cumsum(axis=0)``
-# is faster.  Measured on 2 cores (numpy 2.4), median of 11: 120 rows of
-# C = 50 / 128 / 224 / 256 / 400 / 4096 columns took 72 / 72 / 85 / 89 / 76 /
-# 520 us row by row and 20 / 52 / 79 / 103 / 141 / 3080 us in cumsum; 30 rows
-# of C = 50 / 192 / 224 / 400 took 18 / 19 / 22 / 26 us and 7 / 20 / 23 / 39 us.
+# Columns from which ``_prefix_sums`` adds row by row; below it, two columns
+# per add.  A cumsum runs down one column at a time, each add waiting on the
+# one before; summed as one complex column, a pair of columns advances two
+# chains per add.  Each row's add costs about 0.6 us of call overhead, so row
+# adds win with many columns.  Measured in place on 2 cores (numpy 2.4),
+# median of 21, in us:
+#
+#   columns               50   224   400   512   768  1024  4096
+#   120 rows  two lanes   11    41    73   130   165   270  1330
+#             row adds    89    94    95   186   114   117   357
+#   30 rows   two lanes    4    15    20    35    41    67   281
+#             row adds    22    23    23    26    26    29    48
+#
 # The MH chain's sweep has 50 columns; pseudo-output and prediction sweeps
 # have m or T (400 in the presets), and the oracle search 4096.
-_ROW_ADDS_FROM = 224
+_ROW_ADDS_FROM = 512
 
 
 def _prefix_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``np.cumsum(a, axis=0, out=out)``, bit for bit: every entry is the
-    same chain of adds down its column.  From ``_ROW_ADDS_FROM`` columns on
-    it adds row by row, each row one vector add onto the previous sums."""
-    if a.shape[1] < _ROW_ADDS_FROM:
-        return np.cumsum(a, axis=0, out=out)
+    same chain of adds down its column.  Below ``_ROW_ADDS_FROM`` columns it
+    sums pairs of adjacent columns as one complex column (a complex add is
+    two float adds) and a last odd column alone; from there on it adds row
+    by row, each row one vector add onto the previous sums.  ``a`` and
+    ``out`` are float64."""
+    columns = a.shape[1]
+    if columns < _ROW_ADDS_FROM:
+        # a complex view needs each row's entries adjacent in memory
+        paired = columns - columns % 2 if a.strides[1] == out.strides[1] == 8 else 0
+        if paired:
+            np.add.accumulate(a[:, :paired].view(np.complex128), axis=0,
+                              out=out[:, :paired].view(np.complex128))
+        if paired < columns:
+            np.add.accumulate(a[:, paired:], axis=0, out=out[:, paired:])
+        return out
     out[:1] = a[:1]
     for prev, row, total in zip(out, a[1:], out[1:]):
         np.add(prev, row, total)  # a positional out parses faster

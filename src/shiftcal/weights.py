@@ -249,6 +249,7 @@ class DensitySpec:
 
     def search_box(self, n_std: float = 4.0) -> tuple[np.ndarray, np.ndarray]:
         """Bounds covering (effectively) all the mass: the box, or mean +- n_std std."""
+        n_std = finite_entries("n_std", n_std, "> 0", scalar=True)
         if self.family == "uniform":
             return np.asarray(self.low, dtype=float), np.asarray(self.high, dtype=float)
         mean = np.asarray(self.mean, dtype=float)

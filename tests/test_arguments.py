@@ -121,6 +121,7 @@ REALS = {
     "build_embedding sigma2": ("sigma2", lambda v: embed(sigma2=v)),
     "build_embedding sigma2_theta": ("sigma2_theta", lambda v: embed(sigma2_theta=v)),
     "build_embedding epsilon": ("epsilon", lambda v: embed(epsilon=v)),
+    "DensitySpec.search_box": ("n_std", lambda v: Q.search_box(v)),
 }
 
 # each library point set, as (its name in the error, a call of that set alone)
@@ -390,12 +391,15 @@ def test_the_guard_sees_a_hand_written_check():
 
 def _float_read(call):
     """The name ``call`` reads as floats, ``np.asarray(name, dtype=float)``,
-    ``np.array(name, float)`` or ``name.astype(float)``, else None."""
+    ``np.array(name, float)``, ``name.astype(float)`` or ``map(float, name)``,
+    else None."""
     func = ast.unparse(call.func)
     dtypes = [ast.unparse(a) for a in call.args[1:2]] + [
         ast.unparse(k.value) for k in call.keywords if k.arg == "dtype"]
     if func in ("np.asarray", "np.array") and call.args and "float" in dtypes:
         operand = call.args[0]
+    elif func == "map" and len(call.args) == 2 and ast.unparse(call.args[0]) == "float":
+        operand = call.args[1]
     elif func.endswith(".astype") and "float" in map(ast.unparse, call.args):
         operand = call.func.value
     else:
@@ -440,6 +444,9 @@ def test_the_guard_sees_a_loose_number_array():
         "        return np.asarray(x, dtype=float) + y.astype(int) + y.astype(np.float32)\n"
         "    return np.asarray(self.low, dtype=float), inner\n"
         "h = lambda xs, keys=0: np.full(np.asarray(xs, dtype=float).size, 1.0)\n"
+        "def k(stds, counts, cells):\n"
+        "    return [s for s in map(float, stds)], map(int, counts), map(float, made)\n"
     )
     assert _loose_number_arrays(ast.parse(source)) == [
-        ("<lambda>", "xs"), ("f", "beta"), ("f", "thetas"), ("f", "xs"), ("g", "x")]
+        ("<lambda>", "xs"), ("f", "beta"), ("f", "thetas"), ("f", "xs"), ("g", "x"),
+        ("k", "stds")]

@@ -97,7 +97,7 @@ def test_one_draw_under_a_fixed_bandwidth_runs(tmp_path, capsys):
      ("rmse-curve", "--m-values", "4,0", "must be >= 1, got 0"),
      ("rmse-curve", "--trials", "0", "must be >= 1, got 0"),
      ("mh-sweep", "--proposal-stds", ",", "needs at least one value"),
-     ("mh-sweep", "--proposal-stds", "0.1,-0.2", "must be finite and > 0, got -0.2"),
+     ("mh-sweep", "--proposal-stds", "0.1,-0.2", "must be finite and > 0, got [0.1, -0.2]"),
      ("mh-sweep", "--steps", "0", "must be >= 1, got 0"),
      ("mh-baseline", "--steps", "0", "must be >= 1, got 0"),
      ("emit-plot-data", "--grid-points", "0", "must be >= 1, got 0")],
@@ -106,7 +106,7 @@ def test_bad_argument_is_a_usage_error(tmp_path, capsys, command, flag, value, m
     # argparse names the flag of an empty list; every other check is the
     # pipeline's, and its message names the field the flag sets
     field = {"--grid-resolution": "grid_resolution", "--m-values": "m", "--trials": "trials",
-             "--proposal-stds": "proposal std", "--steps": "mh.steps",
+             "--proposal-stds": "proposal_stds", "--steps": "mh.steps",
              "--grid-points": "grid_points"}[flag]
     out = tmp_path / "run"
     with pytest.raises(SystemExit) as exc:

@@ -407,8 +407,8 @@ class TestMHBaseline:
 class TestMHSweep:
     @pytest.mark.parametrize(
         "stds,steps,message",
-        [([0.1, -0.2], 20, "proposal std must be finite and > 0, got -0.2"),
-         ([0.1, float("nan")], 20, "proposal std must be finite and > 0, got nan"),
+        [([0.1, -0.2], 20, "proposal_stds must be finite and > 0, got [0.1, -0.2]"),
+         ([0.1, float("nan")], 20, "proposal_stds must be finite and > 0, got [0.1, nan]"),
          ([0.1], 0, "mh.steps must be >= 1, got 0")],
     )
     def test_every_section_is_built_before_the_first_run(self, monkeypatch, stds, steps, message):
@@ -418,6 +418,23 @@ class TestMHSweep:
         monkeypatch.setattr(pipeline, "run_mh_baseline", no_run)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             mh_acceptance_sweep(tiny_linear(), stds, steps=steps)
+
+    @pytest.mark.parametrize("stds,message", [
+        ([True], "a list of numbers, got [True]"),
+        (["0.1"], "a list of numbers, got ['0.1']"),
+        ([0.1, np.True_], f"a list of numbers, got {[0.1, np.True_]!r}"),
+        ([float("nan")], "finite and > 0, got [nan]"),
+        ([0.1, float("inf")], "finite and > 0, got [0.1, inf]"),
+        ([0.1, 0], "finite and > 0, got [0.1, 0.0]"),
+    ])
+    def test_proposal_stds_are_read_like_every_real(self, monkeypatch, stds, message):
+        # a bool or a string is no std (float(True) ran a chain at 1.0)
+        def no_run(*args, **kwargs):
+            raise AssertionError("a chain ran on an unread proposal std")
+
+        monkeypatch.setattr(pipeline, "run_mh_baseline", no_run)
+        with pytest.raises(ValueError, match=f"^proposal_stds must be {re.escape(message)}$"):
+            mh_acceptance_sweep(tiny_linear(), stds, steps=5)
 
     def test_rows_are_single_runs(self):
         cfg = tiny_linear()

@@ -331,17 +331,25 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def returned_function_calls(source: str, cls: str, method: str) -> set:
-    """Names called in the function that ``cls.method`` defines and returns
-    (``np.take`` is ``take``)."""
+def returned_function_calls(source: str, cls: str, method: str) -> list:
+    """The calls in the function that ``cls.method`` defines and returns."""
     tree = ast.parse(source)
     owner = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls)
     body = next(n for n in owner.body if isinstance(n, ast.FunctionDef) and n.name == method).body
     returned = {n.value.id for n in body if isinstance(n, ast.Return) and isinstance(n.value, ast.Name)}
     inner = [n for n in body if isinstance(n, ast.FunctionDef) and n.name in returned]
     assert inner, f"{cls}.{method} returns no function it defines"
-    return {getattr(n.func, "attr", getattr(n.func, "id", None))
-            for f in inner for n in ast.walk(f) if isinstance(n, ast.Call)}
+    return [n for f in inner for n in ast.walk(f) if isinstance(n, ast.Call)]
+
+
+def called_names(calls) -> set:
+    """The names ``calls`` call (``np.take`` is ``take``)."""
+    return {getattr(n.func, "attr", getattr(n.func, "id", None)) for n in calls}
+
+
+def masked_calls(calls) -> set:
+    """The names of ``calls`` that pass ``where=``."""
+    return called_names(n for n in calls if any(k.arg == "where" for k in n.keywords))
 
 
 class TestAssemblySweepCall:
@@ -361,8 +369,8 @@ class TestAssemblySweepCall:
     def test_no_split_or_gather_calls_in_the_returned_function(self):
         # theta's columns are views and the gathers' indices are built with
         # the sweep, so a call splits nothing and gathers by flat index
-        calls = returned_function_calls(open(sim_module.__file__).read(),
-                                        "AssemblyLineSimulator", "sweep")
+        calls = called_names(returned_function_calls(open(sim_module.__file__).read(),
+                                                     "AssemblyLineSimulator", "sweep"))
         assert "_prefix_sums" in calls
         assert not {"hsplit", "take_along_axis"} & calls
 
@@ -370,7 +378,22 @@ class TestAssemblySweepCall:
         source = ("class A:\n    def sweep(self, z):\n        def f(t):\n"
                   "            return np.hsplit(t, 4), np.take_along_axis(z, t, 1)\n"
                   "        return f\n")
-        assert {"hsplit", "take_along_axis"} <= returned_function_calls(source, "A", "sweep")
+        calls = called_names(returned_function_calls(source, "A", "sweep"))
+        assert {"hsplit", "take_along_axis"} <= calls
+
+    def test_no_masked_reduction_in_the_returned_function(self):
+        # padded batches are written out with the sweep's flat indices, so
+        # the slack max reads every entry; a where= mask is a slower reduction
+        calls = returned_function_calls(open(sim_module.__file__).read(),
+                                        "AssemblyLineSimulator", "sweep")
+        assert "max" in called_names(calls)
+        assert masked_calls(calls) == set()
+
+    def test_the_guard_sees_a_masked_reduction(self):
+        source = ("class A:\n    def sweep(self, real):\n        def f(s):\n"
+                  "            return s.max(axis=0, initial=-np.inf, where=real) + np.sum(s)\n"
+                  "        return f\n")
+        assert masked_calls(returned_function_calls(source, "A", "sweep")) == {"max"}
 
 
 class TestRegistry:

@@ -67,9 +67,10 @@ def theta_rows(draw, max_rows=8):
     return thetas
 
 
-def running_max_makespans(batch_size, xs, thetas, key):
-    """The schedule over padded batches as a running max, read at each row's
-    last real batch: padding follows it, so it never reaches the readout."""
+def padded_schedule(batch_size, xs, thetas, key):
+    """``(cum_inspect, slack, n_batches)``: each input's schedule as one row,
+    over as many batches as the longest input has, the padded ones after
+    each row's real batches."""
     xs = np.asarray(xs, dtype=float)
     counts = np.rint(xs).astype(np.intp)[:, None]
     n_batches = -(-counts // batch_size)
@@ -83,7 +84,14 @@ def running_max_makespans(batch_size, xs, thetas, key):
     z_insp = np.take_along_axis(z, counts + batch, axis=1)
     inspect = np.maximum(mean_insp + sd_insp * z_insp, 0.0)
     cum_inspect = np.cumsum(inspect, axis=1)
-    finish = cum_inspect + np.maximum.accumulate(ready - (cum_inspect - inspect), axis=1)
+    return cum_inspect, ready - (cum_inspect - inspect), n_batches
+
+
+def running_max_makespans(batch_size, xs, thetas, key):
+    """The schedule over padded batches as a running max, read at each row's
+    last real batch: padding follows it, so it never reaches the readout."""
+    cum_inspect, slack, n_batches = padded_schedule(batch_size, xs, thetas, key)
+    finish = cum_inspect + np.maximum.accumulate(slack, axis=1)
     return np.take_along_axis(finish, n_batches - 1, axis=1)[:, 0]
 
 
@@ -177,9 +185,21 @@ class TestEvaluateMany:
                     for key, x, t in zip(keys, xs, thetas)]
         assert bits(sim.sweep(xs, keys)(thetas)) == bits(expected)
 
+    def test_a_padded_batch_that_would_win_is_not_read(self):
+        # at x = 5 the first padded batch's slack is one ulp above the last
+        # real batch's, which is the largest real one: reading the padded
+        # batch, or losing the last real one, changes the makespan
+        xs, theta, key = [5.0, 17.0], [2.0, 1.0, 0.0, 3.0], 739
+        _, slack, n_batches = padded_schedule(4, xs, np.array([theta]), key)
+        assert n_batches[:, 0].tolist() == [2, 5]
+        assert slack[0, 2] > slack[0, 1] > slack[0, 0]
+        got = AssemblyLineSimulator(4).sweep(xs, key)(theta)
+        assert bits(got) == bits(running_max_makespans(4, xs, np.array([theta]), key))
+        assert bits(got) == bits([scalar_makespan(4, x, theta, key) for x in xs])
+
     @pytest.mark.parametrize("batch_size", [1, 3, 4, 6])
     def test_masked_readout_equals_running_max(self, batch_size):
-        # padded batches are masked out of the slack max: unmasked, a padded
+        # padded batches are kept out of the slack max: read, a padded
         # batch's slack can exceed the last real one's by rounding
         rng = np.random.default_rng(batch_size)
         for case in range(150):
@@ -191,8 +211,16 @@ class TestEvaluateMany:
 
 
 # columns on both sides of the point where ``_prefix_sums`` switches from
-# one cumsum to one add per row
+# two columns per add to one add per row
 CROSSOVER_COLUMNS = [1, _ROW_ADDS_FROM - 1, _ROW_ADDS_FROM, _ROW_ADDS_FROM + 1]
+# even and odd widths below the crossover: the MH chain's 50, the presets' 400
+LANE_COLUMNS = [2, 3, 50, 400, 401]
+
+
+def spread_normals(rows, columns):
+    """Normals scaled over 16 decades across the columns, so the adds round."""
+    rng = np.random.default_rng(rows * 1000 + columns)
+    return rng.standard_normal((rows, columns)) * np.logspace(-8, 8, columns)
 
 
 class TestPrefixSums:
@@ -200,16 +228,27 @@ class TestPrefixSums:
     gives ``np.cumsum(axis=0)``'s bytes at any column count, and sweeps of
     those widths equal the per-row oracle."""
 
-    @pytest.mark.parametrize("columns", [0, *CROSSOVER_COLUMNS])
+    @pytest.mark.parametrize("columns", [0, *LANE_COLUMNS, *CROSSOVER_COLUMNS])
     @pytest.mark.parametrize("rows", [0, 1, 2, 37])
     def test_bytes_of_cumsum(self, rows, columns):
-        # magnitudes spread over 16 decades, so the adds round
-        rng = np.random.default_rng(rows * 1000 + columns)
-        a = rng.standard_normal((rows, columns)) * np.logspace(-8, 8, columns)
+        a = spread_normals(rows, columns)
         expected = np.cumsum(a, axis=0)
         got = _prefix_sums(a, out=np.empty_like(a))
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
         assert _prefix_sums(a, out=a) is a and a.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("columns", [*LANE_COLUMNS, _ROW_ADDS_FROM - 1, _ROW_ADDS_FROM])
+    @pytest.mark.parametrize("layout", ["column slice", "Fortran order"])
+    def test_bytes_of_cumsum_on_a_strided_array(self, layout, columns):
+        # a column slice keeps each row's entries adjacent but not its rows;
+        # a Fortran-ordered array has no complex view, so it sums one column per add
+        wide = spread_normals(37, columns + 2)
+        a = wide[:, 1:-1] if layout == "column slice" else np.asfortranarray(wide[:, 1:-1])
+        expected = np.cumsum(a, axis=0)
+        got = _prefix_sums(a, out=np.empty_like(a))
+        assert got.tobytes() == expected.tobytes()
+        assert _prefix_sums(a, out=a) is a and a.tobytes() == expected.tobytes()
+        assert wide[:, [0, -1]].tobytes() == spread_normals(37, columns + 2)[:, [0, -1]].tobytes()
 
     @pytest.mark.parametrize("rows", CROSSOVER_COLUMNS)
     def test_one_input_sweep(self, rows):
