@@ -36,10 +36,10 @@ the weights w of (G + m eps I) w = k (the kernel Bayes' rule step), one
 row of w per row of a (k, m) stack k.  Each row is solved by conjugate
 gradients, which take a number of steps that does not grow with m (9 on
 linear-shift, 16-18 on assembly-shift, at m = 200 to 2000).  A row CG
-cannot solve falls back to a Cholesky factorization of a copy of
-G + m eps I.  Every read of G, the finiteness check included, is of its
-upper triangle; the solve never writes G, and both paths accept a row by
-one residual rule.  CG holds no m x m matrix beside G, so the solve of a
+cannot solve, or on which its residual stalls, falls back to a Cholesky
+factorization of a copy of G + m eps I.  Every read of G, the finiteness
+check included, is of its upper triangle; the solve never writes G, and
+both paths accept a row by one residual rule.  CG holds no m x m matrix beside G, so the solve of a
 run that does not fall back adds none: G's finiteness is read from its
 upper triangle block by block, with no m x m temporary.
 
@@ -63,11 +63,22 @@ loaded from their files (``_scipy_extension``) without running
 ``numpy.testing``, ``unittest`` and the array-API layer; skipping it took
 ``import shiftcal, shiftcal.cli`` after numpy from 304 to 71 ms, and the
 resident set after the import from 56 to 37 MB (medians of 15 fresh
-processes, 2 cores, scipy 1.17.1).
+processes, 2 cores, scipy 1.17.1).  Importing ``kern`` only finds the two
+files (``_extension_spec``), so a missing one is an ImportError at
+``import shiftcal``.  ``_fblas``, and with it scipy's OpenBLAS and its
+threads, is loaded by the first call of ``ddot``, ``dgemv``, ``dsymv`` or
+``dsyrk`` (a run's first Gram sweep, ``matvec`` or solve), and
+``_flapack`` by the first ``cho_factor``, which only the fallback calls;
+an MH run loads neither.  Loading on first use took the resident set
+that the import adds after numpy from 11.3 to 7.4 MB (medians of 15
+fresh processes, 2 cores).  The six names are plain functions that look
+the routine up on each call, so rebinding one (as tests do) counts every
+call from the first.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -80,8 +91,9 @@ import scipy
 from .weights import ImportanceWeights, finite_entries, point_rows, real_array, weight_vector
 
 
-def _scipy_extension(name):
-    """scipy.linalg's compiled extension module ``name``, loaded from its file.
+def _extension_spec(name):
+    """The spec of scipy.linalg's compiled extension module ``name``, found
+    on disk; nothing is loaded and no module code runs.
 
     ``import scipy`` above has run scipy's distributor init, which is what
     locates the bundled OpenBLAS on some platforms; ``scipy.linalg``'s own
@@ -93,16 +105,44 @@ def _scipy_extension(name):
     spec = finder.find_spec(f"scipy.linalg.{name}")
     if spec is None:
         raise ImportError(f"no extension module {name} in {directory}", name=name)
+    return spec
+
+
+# found at import, so a missing file fails ``import shiftcal``; loaded on first use
+_SPECS = {name: _extension_spec(name) for name in ("_fblas", "_flapack")}
+
+
+@functools.cache
+def _scipy_extension(name):
+    """The extension module ``name`` of ``_SPECS``, loaded from its file on the
+    first call (which maps it, and for ``_fblas`` scipy's OpenBLAS) and
+    returned from the cache after."""
+    spec = _SPECS[name]
     module = module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-_fblas = _scipy_extension("_fblas")
-_flapack = _scipy_extension("_flapack")
-ddot, dgemv, dsymv, dsyrk = _fblas.ddot, _fblas.dgemv, _fblas.dsymv, _fblas.dsyrk
+def ddot(*args, **kwargs):
+    return _scipy_extension("_fblas").ddot(*args, **kwargs)
+
+
+def dgemv(*args, **kwargs):
+    return _scipy_extension("_fblas").dgemv(*args, **kwargs)
+
+
+def dsymv(*args, **kwargs):
+    return _scipy_extension("_fblas").dsymv(*args, **kwargs)
+
+
+def dsyrk(*args, **kwargs):
+    return _scipy_extension("_fblas").dsyrk(*args, **kwargs)
+
 
 SOLVE_RTOL = 1e-10
+# CG gives up when its best residual has not halved in this many steps.
+# None of the shipped presets' solves takes that many steps (9-18).
+_STALL_STEPS = 32
 # Rows per block of the distance and Gaussian sweeps.  At m = 2000 on 2
 # cores 128 was fastest of 64-512 for the distances alone, and 48-128
 # measured alike with the median counted in the sweep.
@@ -566,17 +606,24 @@ def _conjugate_gradients(gram_f, shift: float, b):
     w = 0 and stops at machine precision, when the recursive residual is
     at most eps_64 * max(1, ||b||_inf).  That test runs before each of at
     most max(1, m // 6) steps, about one factorization's flops, so with
-    m < 12 any b != 0 falls back.  None also when a step finds
-    p'(G + shift I)p not positive: an indefinite or non-finite system.
+    m < 12 any b != 0 falls back.  CG also gives up (None) once the
+    smallest ||r||_inf so far has not halved over the last ``_STALL_STEPS``
+    steps, a stalled residual, or when a step finds p'(G + shift I)p not
+    positive: an indefinite or non-finite system.
     """
     tol = np.finfo(float).eps * max(1.0, float(np.max(np.abs(b))))
     w = np.zeros_like(b)
     r = b.copy()
     p = b.copy()
     rr = ddot(r, r)
+    best = []  # best[k]: the smallest ||r||_inf before step k + 1
     for _ in range(max(1, len(b) // 6)):
-        if np.max(np.abs(r)) <= tol:
+        size = float(np.max(np.abs(r)))
+        if size <= tol:
             return w
+        best.append(min(best[-1], size) if best else size)
+        if len(best) > _STALL_STEPS and not best[-1] <= best[-1 - _STALL_STEPS] / 2:
+            return None
         q = dsymv(1.0, gram_f, p, lower=1) + shift * p
         curvature = ddot(p, q)
         if not curvature > 0:  # also catches NaN
@@ -620,7 +667,8 @@ def cho_factor(a, lower=False, overwrite_a=False) -> tuple[np.ndarray, bool]:
     """(c, lower), c holding the Cholesky factor of ``a`` in that triangle
     and ``a``'s entries in the other: LAPACK's ``dpotrf``, as
     ``scipy.linalg.cho_factor(..., check_finite=False)`` calls it."""
-    c, info = _flapack.dpotrf(a, lower=lower, overwrite_a=overwrite_a, clean=0)
+    lapack = _scipy_extension("_flapack")
+    c, info = lapack.dpotrf(a, lower=lower, overwrite_a=overwrite_a, clean=0)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"{info}-th leading minor of the array is not positive definite"
@@ -634,7 +682,7 @@ def cho_solve(c_and_lower, b) -> np.ndarray:
     """x with A x = b, from ``cho_factor``'s (c, lower): LAPACK's ``dpotrs``,
     as ``scipy.linalg.cho_solve(..., check_finite=False)`` calls it."""
     c, lower = c_and_lower
-    x, info = _flapack.dpotrs(c, b, lower=lower)
+    x, info = _scipy_extension("_flapack").dpotrs(c, b, lower=lower)
     if info != 0:
         raise ValueError(f"LAPACK reported an illegal value in {-info}-th argument of dpotrs")
     return x

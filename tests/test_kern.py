@@ -726,6 +726,26 @@ class TestConjugateGradients:
         for row, b in zip(w, rhs):
             assert np.max(np.abs(lhs @ row - b)) <= 1e-10 * max(1.0, np.max(np.abs(b)))
 
+    def test_a_stalled_residual_gives_up_before_the_step_cap(self, monkeypatch):
+        # at eps = 1e-6 the residual stops halving long before m // 6 = 133
+        # steps (measured: 80-90 steps per row at m = 800; 84 of 333 at
+        # m = 2000), and the fallback still meets the bound
+        from shiftcal import kern
+
+        gram, rhs = solve_system(m=800)
+        gram_f = np.asfortranarray(gram.T)
+        products = count_calls(monkeypatch, kern, "dsymv")
+        for b in rhs:
+            products.clear()
+            assert kern._conjugate_gradients(gram_f, 800 * FALLBACK_EPS, b) is None
+            assert kern._STALL_STEPS < len(products) < 800 // 6
+        factorizations = count_calls(monkeypatch, kern, "cho_factor")
+        w = regularized_solve(gram, rhs, FALLBACK_EPS)
+        assert factorizations == ["cho_factor"]
+        lhs = gram + 800 * FALLBACK_EPS * np.eye(800)
+        for row, b in zip(w, rhs):
+            assert np.max(np.abs(lhs @ row - b)) <= 1e-10 * max(1.0, np.max(np.abs(b)))
+
     def test_converged_rows_keep_their_cg_bits_beside_a_fallback_row(self, monkeypatch):
         # G's top eigenvector is solved in one CG step even at eps = 1e-6,
         # while a kernel row there falls back: the stack factors G once, and
@@ -1328,17 +1348,11 @@ class TestScipyRoutinesWithoutScipyLinalg:
     through ``scipy.linalg``, and its routines are scipy's to the bit."""
 
     def test_import_leaves_scipy_linalg_unloaded(self):
-        import shiftcal
-
-        src = str(Path(shiftcal.__file__).resolve().parents[1])
         probe = (
-            "import sys, shiftcal, shiftcal.cli; "
-            "print(sorted({'scipy.linalg', 'numpy.f2py', 'unittest'} & set(sys.modules)))"
+            "print(sorted({'scipy.linalg', 'numpy.f2py', 'unittest', 'scipy.linalg._fblas',"
+            " 'scipy.linalg._flapack'} & set(sys.modules)))"
         )
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                              text=True, check=True)
-        assert proc.stdout.strip() == "[]"
+        assert run_fresh(probe) == "[]"
 
     @pytest.mark.parametrize("m", [1, 7, 130, 600])
     def test_blas_routines_give_scipy_linalg_bits(self, m):
@@ -1396,4 +1410,77 @@ class TestScipyRoutinesWithoutScipyLinalg:
 
         directory = os.path.join(scipy.__path__[0], "linalg")
         with pytest.raises(ImportError, match=re.escape(directory)):
-            kern._scipy_extension("_no_such_module")
+            kern._extension_spec("_no_such_module")
+
+
+def run_fresh(probe) -> str:
+    """The standard output of ``probe`` run in a fresh interpreter, stripped,
+    after ``import sys, shiftcal, shiftcal.cli``."""
+    import shiftcal
+
+    src = str(Path(shiftcal.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, shiftcal, shiftcal.cli\n" + probe
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return proc.stdout.strip()
+
+
+# prints which of scipy's two extension modules the process has loaded
+PRINT_LOADED = (
+    "\nprint(' '.join(n for n in ('_fblas', '_flapack') if 'scipy.linalg.' + n in sys.modules))"
+)
+
+
+class TestExtensionsLoadOnFirstUse:
+    """``_fblas`` (and with it scipy's OpenBLAS) loads on kern's first BLAS
+    call and ``_flapack`` on the first Cholesky fallback, each checked in a
+    fresh interpreter (the import loads neither: see
+    ``test_import_leaves_scipy_linalg_unloaded``)."""
+
+    def test_an_mh_run_loads_neither(self):
+        probe = (
+            "from shiftcal.config import preset\n"
+            "from shiftcal.pipeline import run_mh_baseline\n"
+            "run_mh_baseline(preset('assembly-shift'), steps=20)"
+        )
+        assert run_fresh(probe + PRINT_LOADED) == ""
+
+    def test_a_calibration_that_does_not_fall_back_loads_blas_only(self):
+        # not m = 50: there CG's cap of m // 6 = 8 steps is below the 9 that
+        # linear-shift takes, so that run falls back
+        probe = (
+            "from shiftcal.config import preset\n"
+            "from shiftcal.pipeline import calibrate\n"
+            "calibrate(preset('linear-shift', m=100))"
+        )
+        assert run_fresh(probe + PRINT_LOADED) == "_fblas"
+
+    def test_a_fallback_loads_lapack(self):
+        probe = (
+            "from shiftcal.config import preset\n"
+            "from shiftcal.pipeline import calibrate\n"
+            "calibrate(preset('linear-shift', m=100, epsilon=1e-6))"
+        )
+        assert run_fresh(probe + PRINT_LOADED) == "_fblas _flapack"
+
+    def test_a_patch_before_the_first_product_counts_every_cg_product(self):
+        # kern.dsymv is rebound before _fblas is loaded; the solve that loads
+        # it makes as many products as the same solve made again
+        probe = (
+            "import numpy as np\n"
+            "from shiftcal import kern\n"
+            "x = np.linspace(0.0, 3.0, 120)\n"
+            "gram, rhs = np.exp(-(x[:, None] - x) ** 2), np.exp(-x)\n"
+            "products, dsymv = [], kern.dsymv\n"
+            "kern.dsymv = lambda *a, **k: products.append(1) or dsymv(*a, **k)\n"
+            "print(len(products), 'scipy.linalg._fblas' in sys.modules)\n"
+            "first = kern.regularized_solve(gram, rhs, 0.01)\n"
+            "print(len(products), 'scipy.linalg._fblas' in sys.modules)\n"
+            "again = kern.regularized_solve(gram, rhs, 0.01)\n"
+            "print(len(products), first.tobytes() == again.tobytes())"
+        )
+        before, first, again = (line.split() for line in run_fresh(probe).splitlines())
+        assert before == ["0", "False"]
+        assert first[1] == "True" and int(first[0]) > 1
+        assert int(again[0]) == 2 * int(first[0]) and again[1] == "True"
